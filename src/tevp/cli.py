@@ -48,14 +48,14 @@ def _parse_rect(text):
     return tuple(parts)
 
 
+def _print(args, payload, text_lines):
+    print(json.dumps(payload, indent=2, sort_keys=True) if args.json else "\n".join(text_lines))
+
+
 def _emit(args, payload, text_lines):
-    if getattr(args, "json", False):
-        out = json.dumps(payload, indent=2, sort_keys=True)
-        print(out)
-    else:
-        for line in text_lines:
-            print(line)
-    if getattr(args, "out", None):
+    """Print, and write the JSON payload to --out."""
+    _print(args, payload, text_lines)
+    if args.out:
         with open(args.out, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -126,11 +126,7 @@ def cmd_spectrum(args):
                 for c in z.symmetric_copies():
                     w.writerow([f"{c.real:.9e}", f"{c.imag:.9e}"])
         lines.append(f"wrote {args.out}, {args.out}.json, {args.out}.scatter.csv")
-    if args.json:
-        print(json.dumps(zmod.report_to_json(report), indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+    _print(args, zmod.report_to_json(report), lines)
     return EXIT_OK
 
 
@@ -165,11 +161,7 @@ def cmd_asymptotics(args):
         "max_residual": max_res,
         "counting": [{"r": r, "N": N, "ratio": ratio} for r, N, ratio in counting],
     }
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+    _print(args, payload, lines)
     return EXIT_OK
 
 
@@ -219,8 +211,8 @@ def cmd_kernel_check(args):
         ok = ok and passed
         lines.append(f"[{'PASS' if passed else 'FAIL'}] {name}: "
                      f"residual {resid:.3e} (bound {bound:.1e})")
-        payload["checks"].append({"name": name, "residual": resid,
-                                  "bound": bound, "pass": passed})
+        payload["checks"].append({"name": name, "residual": float(resid),
+                                  "bound": bound, "pass": bool(passed)})
     _emit(args, payload, lines)
     return EXIT_OK if ok else EXIT_NUMERIC
 
@@ -252,7 +244,7 @@ def cmd_inverse_check(args):
     passed = worst <= 1e-8
     lines = [f"[{'PASS' if passed else 'FAIL'}] Wronskian two-way agreement: "
              f"worst {worst:.3e} over {n_k} random k (bound 1e-8)"]
-    payload = {"wronskian_worst": worst, "samples": n_k, "pass": passed}
+    payload = {"wronskian_worst": float(worst), "samples": n_k, "pass": bool(passed)}
     if sc.b is not None:
         thr = inv.theorem4_threshold(sc.a if sc.a > 1 else 2.0, sc.b)
         payload["threshold"] = thr
@@ -289,7 +281,6 @@ def _build_parser():
     sp = sub.add_parser("spectrum", help="zeros of d in a rectangle")
     common(sp)
     sp.add_argument("--rect", help="x0,x1,y0,y1")
-    sp.add_argument("--kmax", type=float, help="real-axis scan limit")
     sp.set_defaults(fn=cmd_spectrum)
 
     sp = sub.add_parser("asymptotics", help="match zeros against predictions")

@@ -4,23 +4,26 @@ The characteristic function whose zeros encode the transmission spectrum is
 
     d(k) = y'(1,k) sin(k)/k - y(1,k) cos(k),
 
-with y(0,k)=0, y'(0,k)=1.  Its k-derivative is produced exactly (within
-integration tolerance) by the variational system v'' + k^2 eta v = -2 k eta y.
+with y(0,k)=0, y'(0,k)=1.  Its k-derivative comes from v = dy/dk, which
+solves the variational system v'' + k^2 eta v = -2 k eta y.
 
 Two integration paths are provided:
 
 * ``solve_ivp`` / ``characteristic``: adaptive DOP853 per spectral point,
   the production path for individual evaluations;
-* ``characteristic_batch`` / ``log_derivative_batch``: a fixed-step
-  vectorized 8th-order Runge-Kutta sweep over an array of k, sharing the
-  r-grid across the batch.  Contour quadrature and zero search run on this
-  path; the two paths cross-check each other in the test suite.
+* ``characteristic_batch`` / ``log_derivative_batch``: fixed-step RK8 over
+  an array of k on a shared r-grid.  Each step of (y, y') is a 2x2 matrix
+  P whose entries are polynomials of degree 6 in lam = k^2, built once per
+  (profile, step count) from eta at the stage nodes; a batch evaluates P
+  and dP/dlam for a block of steps with one matrix product, then applies
+  u -> P u, v -> P v + 2k P' u (RK8 on the variational system).  Contour
+  quadrature and zero search run on this path; the two paths cross-check
+  each other in the test suite.
 
 All boundary quantities are stored with a common ``scale_log`` so that
 true value = stored value * exp(scale_log); this keeps magnitudes
 representable when |Im k| is large (d grows like exp((1+a)|Im k|)).
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -42,8 +45,12 @@ __all__ = [
     "scaled_characteristic",
 ]
 
-_RESCALE_LIMIT = 1e50     # per-step renormalization threshold in the batch engine
+_RESCALE_LIMIT = 1e50     # renormalization threshold between blocks of the batch engine
 _SMALL_K = 1e-3           # below this |k|, trig ratios switch to series
+_DEGREE = 6               # RK8 step-matrix entries are polynomials of this degree in k^2
+_BUILD_CHUNK = 128        # steps per chunk when building the step polynomials
+_BLOCK_POINTS = 8192      # (step, k) pairs evaluated per block of the batch engine
+_BLOCK_GROWTH = 115.0     # bound on the log growth of the state within one block
 
 
 @dataclass
@@ -98,84 +105,89 @@ def _scaled_trig(k):
 
 
 # ---------------------------------------------------------------------------
-# fixed-step vectorized engine
+# fixed-step engine: RK8 step matrices as polynomials in lam = k^2
 # ---------------------------------------------------------------------------
 
 
-def _sqrt_eta_max(profile: RefractiveProfile) -> float:
-    cached = profile.__dict__.get("_sqrt_eta_max")
-    if cached is None:
-        r = np.linspace(0.0, 1.0, 2001)
-        cached = float(np.sqrt(np.max(profile.eta(r))))
-        profile.__dict__["_sqrt_eta_max"] = cached
-    return cached
+def grid_steps(profile: RefractiveProfile, kmax: float, per_radian: float) -> int:
+    """Fixed step count giving ``per_radian`` steps per radian of phase at kmax."""
+    return max(64, int(np.ceil(per_radian * kmax * np.sqrt(profile.eta_max))))
 
 
 def steps_for(profile: RefractiveProfile, kmax: float, tol: float = 1e-11) -> int:
     """Fixed step count resolving the fastest oscillation at ~8 steps/radian."""
-    per_radian = 8.0 if tol >= 1e-12 else 11.0
-    return max(64, int(np.ceil(per_radian * kmax * _sqrt_eta_max(profile))))
+    return grid_steps(profile, kmax, 8.0 if tol >= 1e-12 else 11.0)
 
 
-def _eta_stage_nodes(profile: RefractiveProfile, n_steps: int) -> np.ndarray:
-    cache = profile.__dict__.setdefault("_eta_stage_cache", {})
-    if n_steps not in cache:
-        h = 1.0 / n_steps
-        r = (np.arange(n_steps)[:, None] + _rk8.C[None, :]) * h
-        cache[n_steps] = np.asarray(profile.eta(np.clip(r, 0.0, 1.0)), dtype=float)
-        if len(cache) > 40:
-            cache.pop(next(iter(cache)))
-    return cache[n_steps]
+def _step_polynomials(profile: RefractiveProfile, n_steps: int,
+                      degree: int = _DEGREE) -> np.ndarray:
+    """Coefficients P[i, entry, p] of the RK8 step matrices in lam = k^2.
+
+    Step i maps (y, y') at r = i/n to r = (i+1)/n through the 2x2 matrix
+    with entry (row, col) = sum_p P[i, 2*row + col, p] lam^p.  Each stage
+    of y' = z, z' = -lam eta y multiplies by [[0, 1], [-lam eta, 0]], so the
+    coefficients are built stage by stage as polynomials, ``_BUILD_CHUNK``
+    steps at a time; powers above ``degree`` are dropped (they vanish).
+    """
+    h = 1.0 / n_steps
+    A, B, C = _rk8.A, _rk8.B, _rk8.C
+    eye = np.eye(2)[:, :, None] * (np.arange(degree + 1) == 0)   # the polynomial matrix I
+    out = np.empty((n_steps, 4, degree + 1))
+    for start in range(0, n_steps, _BUILD_CHUNK):
+        i = np.arange(start, min(start + _BUILD_CHUNK, n_steps))
+        eta = np.asarray(profile.eta(np.clip((i[:, None] + C) * h, 0.0, 1.0)), dtype=float)
+        stages = []
+        step = np.broadcast_to(eye, (i.size,) + eye.shape).copy()
+        for s in range(_rk8.N_STAGES):
+            w = np.broadcast_to(eye, step.shape).copy()
+            for j in np.nonzero(A[s, :s])[0]:
+                w += (h * A[s, j]) * stages[j]
+            f = np.zeros_like(w)
+            f[:, 0] = w[:, 1]
+            f[:, 1, :, 1:] = -eta[:, s, None, None] * w[:, 0, :, :-1]
+            stages.append(f)
+            if B[s]:
+                step += (h * B[s]) * f
+        out[i] = step.reshape(i.size, 4, degree + 1)
+    return out
 
 
 def _integrate_batch(profile: RefractiveProfile, k: np.ndarray, n_steps: int):
     """Propagate (y, y', v, v') over r in [0,1] for every k in the batch.
 
-    Returns (u, log_scale): u has shape (4, len(k)); true values are
-    u * exp(log_scale).  The whole state is renormalized jointly, so the
-    ratio structure (and hence d'/d) is preserved exactly.
+    Steps run in blocks of at most ``_BLOCK_POINTS`` (step, k) pairs, over
+    which the state grows by less than exp(_BLOCK_GROWTH); the state is
+    renormalized between blocks.  Returns (u, log_scale): u has shape
+    (4, len(k)); true values are u * exp(log_scale).  The whole state is
+    renormalized jointly, so the ratio structure (and hence d'/d) is
+    preserved exactly.
     """
     k = np.asarray(k, dtype=complex).ravel()
-    eta = _eta_stage_nodes(profile, n_steps)
-    h = 1.0 / n_steps
-    A, B = _rk8.A, _rk8.B
-    nz = _NZ_ROWS
-    k2 = k * k
-    two_k = 2.0 * k
-    u = np.zeros((4, k.size), dtype=complex)
-    u[1] = 1.0
+    coef = profile.grid_cached(("rk8", n_steps), lambda: _step_polynomials(profile, n_steps))
+    powers = np.cumprod([np.ones(k.size)] + [k * k] * _DEGREE, axis=0)     # lam^p
+    dpowers = np.zeros_like(powers)                                        # 2k d(lam^p)/dlam
+    dpowers[1:] = (2.0 * np.arange(1, _DEGREE + 1))[:, None] * k * powers[:-1]
+    powers = np.concatenate([powers, dpowers], axis=1).view(float)
+    growth = np.sqrt(profile.eta_max) * np.abs(k.imag).max() / n_steps     # per step
+    block = max(1, min(_BLOCK_POINTS // k.size, int(_BLOCK_GROWTH / max(growth, 1e-9))))
+    state = np.zeros((4, k.size), dtype=complex)
+    state[1] = 1.0
     log_scale = np.zeros(k.size)
-    stages = [None] * _rk8.N_STAGES
-    for i in range(n_steps):
-        ei = eta[i]
-        for s in range(_rk8.N_STAGES):
-            if s == 0:
-                ws = u
-            else:
-                acc = A[s, nz[s][0]] * stages[nz[s][0]]
-                for j in nz[s][1:]:
-                    acc = acc + A[s, j] * stages[j]
-                ws = u + h * acc
-            e = ei[s]
-            f = np.empty_like(ws)
-            f[0] = ws[1]
-            f[1] = -k2 * e * ws[0]
-            f[2] = ws[3]
-            f[3] = -k2 * e * ws[2] - two_k * e * ws[0]
-            stages[s] = f
-        acc = B[0] * stages[0]
-        for s in range(1, _rk8.N_STAGES):
-            acc = acc + B[s] * stages[s]
-        u = u + h * acc
-        m = np.abs(u).max(axis=0)
-        big = m > _RESCALE_LIMIT
+    for i0 in range(0, n_steps, block):
+        i1 = min(i0 + block, n_steps)
+        mats = (coef[i0:i1].reshape(-1, _DEGREE + 1) @ powers).view(complex)
+        u, v = state[:2], state[2:]
+        for m in mats.reshape(i1 - i0, 2, 2, 2 * k.size):
+            P, dP = m[..., :k.size], m[..., k.size:]
+            v = P[:, 0] * v[0] + P[:, 1] * v[1] + dP[:, 0] * u[0] + dP[:, 1] * u[1]
+            u = P[:, 0] * u[0] + P[:, 1] * u[1]
+        state = np.concatenate([u, v])
+        scale = np.abs(state).max(axis=0)
+        big = scale > _RESCALE_LIMIT
         if big.any():
-            u[:, big] /= m[big]
-            log_scale[big] += np.log(m[big])
-    return u, log_scale
-
-
-_NZ_ROWS = [list(np.nonzero(_rk8.A[s, :s])[0]) for s in range(_rk8.N_STAGES)]
+            state[:, big] /= scale[big]
+            log_scale[big] += np.log(scale[big])
+    return state, log_scale
 
 
 def characteristic_batch(profile: RefractiveProfile, k, tol: float = 1e-11,
@@ -235,7 +247,7 @@ def _adaptive_boundary(profile, k, tol, augmented):
             return [w[1], -kk * e * w[0]]
         w0 = np.array([0, 1], dtype=complex)
 
-    growth = (1.0 + _sqrt_eta_max(profile)) * abs(k.imag)
+    growth = (1.0 + np.sqrt(profile.eta_max)) * abs(k.imag)
     if growth > 600.0:
         # adaptive path would overflow; fall back to the renormalizing engine
         u, ls = _integrate_batch(profile, np.array([k]), steps_for(profile, abs(k), tol))

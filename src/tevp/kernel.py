@@ -47,9 +47,7 @@ __all__ = [
 
 
 def _cumtrapz(v, delta):
-    out = np.empty(v.shape[-1] + 0, dtype=v.dtype)
-    out = np.concatenate(([0.0], np.cumsum(0.5 * (v[1:] + v[:-1]))))
-    return out * delta
+    return np.concatenate(([0.0], np.cumsum(0.5 * (v[1:] + v[:-1])))) * delta
 
 
 @dataclass

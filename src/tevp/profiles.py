@@ -45,6 +45,7 @@ __all__ = [
 _CERT_GRID = 2001          # positivity certificate sample count
 _TAIL_TOL = 1e-12          # |eta(1)-1|, |eta'(1)| for the normalized-tail flag
 _N_CHEB = 160              # nodes for the cached cumulative map
+_GRID_CACHE_SIZE = 16      # per-profile arrays kept by grid_cached()
 
 
 class RefractiveProfile:
@@ -52,7 +53,8 @@ class RefractiveProfile:
 
     Subclasses implement ``_eval(r, deriv)`` (numpy-vectorized) and set
     ``max_deriv`` (None means any order).  Construction certifies positivity
-    on a derivative-refined grid and caches ``eta_min``.
+    on a derivative-refined grid and records ``eta_min`` and the largest
+    sampled value ``eta_max``.
     """
 
     name: str = "profile"
@@ -60,7 +62,7 @@ class RefractiveProfile:
     smoothness_m: Optional[int] = None
 
     def __init__(self, normalized_tail: bool = False):
-        self.eta_min = self._certify_positive()
+        self.eta_min, self.eta_max = self._certify_positive()
         self.normalized_tail = bool(normalized_tail)
         if self.normalized_tail:
             e1 = float(self.eta(1.0))
@@ -72,6 +74,7 @@ class RefractiveProfile:
                 )
         self._cum: Optional[_CumulativeMap] = None
         self._liouville: Optional[LiouvilleData] = None
+        self._grid_cache: dict = {}
 
     # -- representation hooks -------------------------------------------------
 
@@ -87,16 +90,13 @@ class RefractiveProfile:
         r = np.asarray(r, dtype=float)
         return self._eval(r, deriv)
 
-    def sqrt_eta(self, r):
-        return np.sqrt(self.eta(r))
-
     def eta_derivative_at_1(self, order: int) -> float:
         """eta^(order)(1); subclasses may override with an analytic value."""
         return float(self.eta(1.0, order))
 
     # -- positivity certificate -----------------------------------------------
 
-    def _certify_positive(self) -> float:
+    def _certify_positive(self) -> tuple[float, float]:
         r = np.linspace(0.0, 1.0, _CERT_GRID)
         vals = np.asarray(self._eval(r, 0), dtype=float)
         if not np.all(np.isfinite(vals)):
@@ -111,7 +111,7 @@ class RefractiveProfile:
         lo = float(min(vals.min(), cell_lo.min()))
         if lo <= 0.0:
             raise ValueError(f"{self.name}: eta is not certifiably positive (bound {lo})")
-        return lo
+        return lo, float(vals.max())
 
     # -- cached Liouville machinery -------------------------------------------
 
@@ -124,6 +124,15 @@ class RefractiveProfile:
         if self._liouville is None:
             self._liouville = liouville_transform(self)
         return self._liouville
+
+    def grid_cached(self, key, build):
+        """``build()`` memoized under ``key``; the oldest entry goes first."""
+        cache = self._grid_cache
+        if key not in cache:
+            if len(cache) >= _GRID_CACHE_SIZE:
+                cache.pop(next(iter(cache)))
+            cache[key] = build()
+        return cache[key]
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name!r} eta_min={self.eta_min:.6g}>"
@@ -192,12 +201,6 @@ class ColtonExampleProfile(RefractiveProfile):
         """Closed-form cumulative map int_0^r sqrt(eta) = ln(3(1+r)/(3-r))."""
         r = np.asarray(r, dtype=float)
         return np.log(3.0 * (1.0 + r) / (3.0 - r))
-
-    @staticmethod
-    def r_exact(x):
-        """Inverse of the closed-form cumulative map."""
-        e = np.exp(np.asarray(x, dtype=float))
-        return 3.0 * (e - 1.0) / (e + 3.0)
 
 
 class RaisedCosineProfile(RefractiveProfile):

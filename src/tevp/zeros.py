@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContourTooClose, DegenerateCharacteristic, NewtonStall
-from .forward import characteristic_batch, steps_for
+from .forward import characteristic_batch, grid_steps
 from .profiles import RefractiveProfile, travel_time
 
 __all__ = [
@@ -90,20 +90,12 @@ class _Service:
         self.a = travel_time(profile)
         self.stats = {"batches": 0, "evals": 0}
 
-    def _steps(self, kmax: float, per_radian: float) -> int:
-        sq = self.profile.__dict__.get("_sqrt_eta_max")
-        if sq is None:
-            steps_for(self.profile, 1.0)  # populates the cache
-            sq = self.profile.__dict__["_sqrt_eta_max"]
-        return max(64, int(math.ceil(per_radian * kmax * sq)))
-
     def eval(self, ks, fine: bool = False):
         """Return (logderiv, absD) at the given complex points."""
         ks = np.asarray(ks, dtype=complex).ravel()
         if ks.size == 0:
             return np.zeros(0, complex), np.zeros(0)
-        per_radian = 8.0 if fine else 3.5
-        n = self._steps(float(np.abs(ks).max()), per_radian)
+        n = grid_steps(self.profile, float(np.abs(ks).max()), 8.0 if fine else 3.5)
         d_s, dp_s, scale_log = characteristic_batch(self.profile, ks, n_steps=n)
         self.stats["batches"] += 1
         self.stats["evals"] += ks.size
@@ -244,7 +236,7 @@ def _inflate(rect, factor):
 def _count_with_perturbation(service, rect):
     """Winding count with up to 5 contour-inflation retries.
 
-    Returns (count, rect_used, max_absD).
+    Returns (count, rect_used).
     """
     tried = rect
     worst_mx = 0.0
@@ -255,7 +247,7 @@ def _count_with_perturbation(service, rect):
             raise DegenerateCharacteristic(
                 f"max |D| on contour {worst_mx:.3e} below the degeneracy floor")
         if n is not None:
-            return n, tried, mx
+            return n, tried
         tried = _inflate(rect, 1.0 + 2.0 ** (-(j + 1)))
     raise ContourTooClose(f"winding defect > 0.25 for rect {rect} after 5 perturbations")
 
@@ -266,11 +258,7 @@ def count_zeros(profile: RefractiveProfile, rect, tol: float = 1e-9) -> int:
     ``rect`` is (x0, x1, y0, y1) anywhere in the plane.  Edges passing too
     close to a zero are auto-perturbed by slight inflation.
     """
-    service = _Service(profile, tol)
-    n, _, mx = _count_with_perturbation(service, rect)
-    if mx < DEGENERACY_FLOOR:
-        raise DegenerateCharacteristic(
-            f"max |D| on contour {mx:.3e} below the degeneracy floor")
+    n, _ = _count_with_perturbation(_Service(profile, tol), rect)
     return n
 
 
@@ -382,6 +370,10 @@ def _newton_polish(service, cands, tol):
         ld, absD = service.eval(ks, fine=True)
         still = []
         for c, l, aD in zip(active, ld, absD):
+            if np.isinf(l):
+                # d vanishes at the iterate to working precision: converged
+                c.residual, c.done = 0.0, True
+                continue
             step = c.mult / l
             if not np.isfinite(step) or abs(step) > 4.0 * c.rho + 0.5:
                 c.stalled = True
@@ -564,11 +556,7 @@ def find_zeros(profile: RefractiveProfile, rect, tol: float = 1e-9,
         search_rect = (x0, x1, -min(0.15, 0.5 * (y1 - y0)), y1)
 
     service = _Service(profile, tol)
-    total, used_rect, max_absD = _count_with_perturbation(service, search_rect)
-    if max_absD < DEGENERACY_FLOOR:
-        raise DegenerateCharacteristic(
-            f"max |D| on the outer contour is {max_absD:.3e}; "
-            "the characteristic function is numerically identically zero")
+    total, used_rect = _count_with_perturbation(service, search_rect)
     root = _Cell(used_rect, count=total)
     clusters = _subdivide(service, root, mmax, cluster_diam)
     refined = _refine_clusters(service, clusters, tol, depth=_depth)
@@ -641,13 +629,21 @@ def real_zeros(profile: RefractiveProfile, kmax: float,
 # ---------------------------------------------------------------------------
 
 
+def _jsonable(value):
+    """Complex numbers as [re, im], recursively through lists."""
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    return [value.real, value.imag] if isinstance(value, complex) else value
+
+
 def report_to_json(report: SearchReport) -> dict:
     x0, x1, y0, y1 = report.rect
     return {
         "rect": [x0, x1, y0, y1],
         "zeros": [{"re": z.k.real, "im": z.k.imag, "mult": z.multiplicity,
-                   "class": z.cls} for z in report.zeros],
+                   "class": z.cls, "residual": z.residual} for z in report.zeros],
         "count": report.total_count_by_argument_principle,
+        "stats": {key: _jsonable(v) for key, v in report.stats.items()},
     }
 
 

@@ -109,3 +109,30 @@ def test_inverse_check_regime_exit(tmp_path, capsys):
     rc = main(["inverse-check", "--fast", "--scenario", str(p)])
     assert rc == EXIT_REGIME
     assert "regime error" in capsys.readouterr().err
+
+
+def test_spectrum_json_reports_residuals_and_stats(capsys):
+    rc = main(["spectrum", "--profile", "const4", "--rect", "0.5,7,0,1", "--json"])
+    assert rc == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["count"] == 6
+    assert all(isinstance(z["residual"], float) for z in payload["zeros"])
+    assert payload["stats"]["evals"] > 0
+    assert payload["stats"]["noteworthy_multiple_nonreal"] == []
+
+
+def test_kernel_check_json(capsys):
+    rc = main(["kernel-check", "--profile", "colton_example", "--json"])
+    assert rc == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert [c["pass"] for c in payload["checks"]] == [True] * 4
+    assert all(c["residual"] <= max(c["bound"], 1e-15) for c in payload["checks"])
+
+
+def test_inverse_check_json(capsys):
+    rc = main(["inverse-check", "--fast", "--seed", "7", "--json"])
+    assert rc == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["pass"] is True
+    assert payload["samples"] == 12
+    assert payload["wronskian_worst"] <= 1e-8

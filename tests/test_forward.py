@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from tevp.forward import (characteristic, characteristic_batch,
-                          log_derivative_batch, scaled_characteristic,
-                          solve_ivp, steps_for)
+from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+from tevp.forward import (_DEGREE, _step_polynomials, characteristic,
+                          characteristic_batch, log_derivative_batch,
+                          scaled_characteristic, solve_ivp, steps_for)
 from tevp.profiles import ConstantProfile
 
 
@@ -18,6 +20,34 @@ def _d_const4(k):
 
 
 CONST4 = ConstantProfile(4.0)
+_A_COLTON = math.log(3.0)
+
+
+def _scaled_trig(z):
+    """sin z, cos z times exp(-|Im z|)."""
+    t = np.abs(z.imag)
+    ep, em = np.exp(1j * z - t), np.exp(-1j * z - t)
+    return (ep - em) / 2j, (ep + em) / 2.0
+
+
+def _colton_closed_form(k):
+    """d, d' of colton_example and the sizes of their terms, all scaled.
+
+    d = (sqrt3/2)[cos(mu a) sin k/k - sin(mu a) cos k/mu], mu = sqrt(k^2 - 1/4),
+    a = ln 3.  Returns (d, d', |terms of d|, |terms of d'|, log factor): the
+    true values are the returned ones times exp(log factor).
+    """
+    k = np.asarray(k, dtype=complex)
+    mu = np.sqrt(k * k - 0.25)
+    a = _A_COLTON
+    sk, ck = _scaled_trig(k)
+    sm, cm = _scaled_trig(mu * a)
+    terms = (cm * sk / k, -sm * ck / mu)
+    dterms = (-a * sm * sk / mu, cm * (k * ck - sk) / k**2,
+              -(a * mu * cm - sm) * k * ck / mu**3, sm * sk / mu)
+    c = 0.5 * math.sqrt(3.0)
+    return (c * sum(terms), c * sum(dterms), c * sum(map(np.abs, terms)),
+            c * sum(map(np.abs, dterms)), np.abs(k.imag) + a * np.abs(mu.imag))
 
 
 def test_scalar_characteristic_matches_closed_form():
@@ -72,12 +102,53 @@ def test_batch_scalar_cross_check_generic_profile(colton):
         assert abs(ld_batch - ld_scalar) / abs(ld_scalar) < 1e-8
 
 
+@pytest.mark.parametrize("size", [1, 64, 1024, 4096])
+def test_batch_matches_colton_closed_form(colton, size):
+    # small batches run in long blocks of steps, large ones in short blocks
+    k = np.linspace(1.0, 150.0, size) + 1j * np.array([0.0, 2.0, 8.0])[np.arange(size) % 3]
+    d_s, dp_s, scale = characteristic_batch(colton, k)
+    d, dp, size_d, size_dp, log_factor = _colton_closed_form(k)
+    factor = np.exp(scale - log_factor)
+    assert np.max(np.abs(d_s * factor - d) / size_d) <= 1e-11
+    assert np.max(np.abs(dp_s * factor - dp) / size_dp) <= 1e-11
+
+
+def test_step_polynomials_drop_only_zero_powers(colton):
+    full = _step_polynomials(colton, 96, degree=12)
+    assert np.all(full[..., _DEGREE + 1:] == 0.0)
+    assert np.array_equal(full[..., :_DEGREE + 1], _step_polynomials(colton, 96))
+
+
+def test_adaptive_overflow_fallback_matches_dop853(colton):
+    # growth (1 + sqrt(eta_max)) |Im k| > 600 sends characteristic() to the
+    # batch engine; y itself stays representable here, so DOP853 can check it
+    k = 5.0 + 260.0j
+    assert (1.0 + math.sqrt(colton.eta_max)) * k.imag > 600.0
+    cv = characteristic(colton, k)
+
+    def rhs(r, w):
+        e = colton.eta(r)
+        return [w[1], -k * k * e * w[0], w[3], -k * k * e * w[2] - 2.0 * k * e * w[0]]
+
+    sol = scipy_solve_ivp(rhs, (0.0, 1.0), np.array([0, 1, 0, 0], dtype=complex),
+                          method="DOP853", rtol=1e-12, atol=1e-12, max_step=0.5 / abs(k))
+    y1, dy1, v1, dv1 = sol.y[:, -1]
+    d = dy1 * cmath.sin(k) / k - y1 * cmath.cos(k)
+    dp = (dv1 * cmath.sin(k) / k + dy1 * (k * cmath.cos(k) - cmath.sin(k)) / k**2
+          - v1 * cmath.cos(k) + y1 * cmath.sin(k))
+    assert cv.value() == pytest.approx(d, rel=1e-8)
+    assert cv.d_prime * np.exp(cv.scale_log) == pytest.approx(dp, rel=1e-8)
+
+
 def test_large_imaginary_part_no_overflow(colton):
     # growth exp((1+a)|Im k|) would overflow unscaled around |Im k| ~ 350
-    k = np.array([5.0 + 400.0j])
-    d_s, _, scale = characteristic_batch(colton, k)
-    assert np.isfinite(d_s).all()
-    assert scale[0] > 700.0     # the removed factor is genuinely huge
+    # at 5+1000i even the unscaled state would overflow within the sweep
+    for k in (5.0 + 400.0j, 5.0 + 1000.0j):
+        d_s, _, scale = characteristic_batch(colton, np.array([k]))
+        assert np.isfinite(d_s).all()
+        assert scale[0] > 700.0     # the removed factor is genuinely huge
+        d, _, _, _, log_factor = _colton_closed_form(k)
+        assert d_s[0] * np.exp(scale[0] - log_factor) == pytest.approx(complex(d), rel=1e-8)
 
 
 def test_scaled_characteristic_bounded_on_rays(colton):

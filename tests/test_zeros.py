@@ -8,7 +8,8 @@ import pytest
 from tevp.errors import DegenerateCharacteristic
 from tevp.forward import scaled_characteristic
 from tevp.profiles import ConstantProfile
-from tevp.zeros import (count_zeros, find_zeros, real_zeros, report_to_json,
+from tevp.zeros import (SearchReport, SpectralZero, _Candidate, _newton_polish,
+                        count_zeros, find_zeros, real_zeros, report_to_json,
                         write_report_json, write_zeros_csv)
 
 CONST4 = ConstantProfile(4.0)
@@ -120,3 +121,30 @@ def test_two_tolerances_agree(const4):
     k1 = find_zeros(const4, (2.5, 4.0, 0.0, 0.5), tol=1e-9).zeros[0].k
     k2 = find_zeros(const4, (2.5, 4.0, 0.0, 0.5), tol=1e-11).zeros[0].k
     assert abs(k1 - k2) <= 1e-9
+
+
+def test_report_json_keeps_residuals_and_stats():
+    rep = SearchReport(rect=(0.0, 1.0, 0.0, 1.0),
+                       zeros=[SpectralZero(k=1 + 2j, multiplicity=2, cls="nonreal",
+                                           residual=3e-10)],
+                       total_count_by_argument_principle=2,
+                       stats={"evals": 5, "noteworthy_multiple_nonreal": [1 + 2j]})
+    d = json.loads(json.dumps(report_to_json(rep)))
+    assert d["zeros"][0]["residual"] == 3e-10
+    assert d["stats"] == {"evals": 5, "noteworthy_multiple_nonreal": [[1.0, 2.0]]}
+
+
+class _ExactZeroService:
+    """Every iterate is an exact zero: d = 0, so d'/d is infinite."""
+
+    def eval(self, ks, fine=False):
+        n = np.size(ks)
+        return np.full(n, complex(np.inf, np.inf)), np.zeros(n)
+
+
+def test_newton_accepts_an_exact_zero():
+    cand = _Candidate(2.0 + 1.0j, 0.1, 1)
+    _newton_polish(_ExactZeroService(), [cand], 1e-9)
+    assert cand.done and not cand.stalled
+    assert cand.residual == 0.0
+    assert cand.k == 2.0 + 1.0j
