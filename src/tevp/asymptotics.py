@@ -17,9 +17,7 @@ from __future__ import annotations
 import cmath
 import csv
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .errors import CaseMismatch, IterationDiverged, RegimeError
 from .profiles import LiouvilleData, RefractiveProfile, travel_time

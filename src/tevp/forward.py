@@ -7,18 +7,15 @@ The characteristic function whose zeros encode the transmission spectrum is
 with y(0,k)=0, y'(0,k)=1.  Its k-derivative comes from v = dy/dk, which
 solves the variational system v'' + k^2 eta v = -2 k eta y.
 
-Two integration paths are provided:
-
-* ``solve_ivp`` / ``characteristic``: adaptive DOP853 per spectral point,
-  the production path for individual evaluations;
-* ``characteristic_batch`` / ``log_derivative_batch``: fixed-step RK8 over
-  an array of k on a shared r-grid.  Each step of (y, y') is a 2x2 matrix
-  P whose entries are polynomials of degree 6 in lam = k^2, built once per
-  (profile, step count) from eta at the stage nodes; a batch evaluates P
-  and dP/dlam for a block of steps with one matrix product, then applies
-  u -> P u, v -> P v + 2k P' u (RK8 on the variational system).  Contour
-  quadrature and zero search run on this path; the two paths cross-check
-  each other in the test suite.
+One fixed-step RK8 engine, ``_integrate_batch``, propagates arrays of k.
+Each step of y'' = (s - k^2 c) y is a 2x2 matrix P whose entries are
+polynomials of degree 6 in lam = k^2, built from c and s at the stage nodes
+(``_rk8_polynomials``); a batch evaluates P and dP/dlam for a block of steps
+with one matrix product, then applies u -> P u, v -> P v + 2k P' u (RK8 on
+the variational system).  The r-form (c = eta, s = 0 on [0, 1], cached per
+profile and step count) serves ``characteristic_batch`` and ``solve_ivp(init=...)``,
+the x-form (c = 1, s = q on [0, a]) ``inverse.wronskian_g``.  Adaptive DOP853
+is left only in ``_adaptive_boundary`` (``characteristic``, ``solve_ivp``).
 
 All boundary quantities are stored with a common ``scale_log`` so that
 true value = stored value * exp(scale_log); this keeps magnitudes
@@ -33,7 +30,7 @@ from scipy.integrate import solve_ivp as _scipy_solve_ivp
 
 from . import _rk8
 from .errors import StepUnderflow
-from .profiles import RefractiveProfile
+from .profiles import RefractiveProfile, travel_time
 
 __all__ = [
     "BoundaryValues",
@@ -104,6 +101,13 @@ def _scaled_trig(k):
     return sin_s, cos_s, sinc_s, sprime_s
 
 
+def _characteristic_from(u, trig):
+    """d and d' times exp(-|Im k|) from (y, y', v, v') at r = 1 and ``_scaled_trig(k)``."""
+    y1, dy1, v1, dv1 = u
+    sin_s, cos_s, sinc_s, sprime_s = trig
+    return dy1 * sinc_s - y1 * cos_s, dv1 * sinc_s + dy1 * sprime_s - v1 * cos_s + y1 * sin_s
+
+
 # ---------------------------------------------------------------------------
 # fixed-step engine: RK8 step matrices as polynomials in lam = k^2
 # ---------------------------------------------------------------------------
@@ -119,75 +123,95 @@ def steps_for(profile: RefractiveProfile, kmax: float, tol: float = 1e-11) -> in
     return grid_steps(profile, kmax, 8.0 if tol >= 1e-12 else 11.0)
 
 
-def _step_polynomials(profile: RefractiveProfile, n_steps: int,
-                      degree: int = _DEGREE) -> np.ndarray:
-    """Coefficients P[i, entry, p] of the RK8 step matrices in lam = k^2.
+def _rk8_polynomials(c: np.ndarray, h: np.ndarray, s: np.ndarray | None = None,
+                     degree: int = _DEGREE) -> np.ndarray:
+    """Coefficients P[i, entry, p] of the RK8 step matrices of y'' = (s - lam c) y.
 
-    Step i maps (y, y') at r = i/n to r = (i+1)/n through the 2x2 matrix
-    with entry (row, col) = sum_p P[i, 2*row + col, p] lam^p.  Each stage
-    of y' = z, z' = -lam eta y multiplies by [[0, 1], [-lam eta, 0]], so the
-    coefficients are built stage by stage as polynomials, ``_BUILD_CHUNK``
-    steps at a time; powers above ``degree`` are dropped (they vanish).
+    ``c`` and ``s`` (None: s = 0) are sampled at the stage nodes of each step, shape
+    (n_steps, N_STAGES), and ``h`` holds the step widths.  Step i maps (y, y') across
+    its width by the 2x2 matrix with entry (row, col) = sum_p P[i, 2*row + col, p] lam^p,
+    built stage by stage, ``_BUILD_CHUNK`` steps at a time; powers above ``degree`` vanish.
     """
-    h = 1.0 / n_steps
-    A, B, C = _rk8.A, _rk8.B, _rk8.C
     eye = np.eye(2)[:, :, None] * (np.arange(degree + 1) == 0)   # the polynomial matrix I
-    out = np.empty((n_steps, 4, degree + 1))
-    for start in range(0, n_steps, _BUILD_CHUNK):
-        i = np.arange(start, min(start + _BUILD_CHUNK, n_steps))
-        eta = np.asarray(profile.eta(np.clip((i[:, None] + C) * h, 0.0, 1.0)), dtype=float)
+    out = np.empty((len(h), 4, degree + 1))
+    for start in range(0, len(h), _BUILD_CHUNK):
+        i = slice(start, start + _BUILD_CHUNK)
+        hi = h[i, None, None, None]
         stages = []
-        step = np.broadcast_to(eye, (i.size,) + eye.shape).copy()
-        for s in range(_rk8.N_STAGES):
+        step = np.broadcast_to(eye, (len(hi),) + eye.shape).copy()
+        for st in range(_rk8.N_STAGES):
             w = np.broadcast_to(eye, step.shape).copy()
-            for j in np.nonzero(A[s, :s])[0]:
-                w += (h * A[s, j]) * stages[j]
+            for j in np.nonzero(_rk8.A[st, :st])[0]:
+                w += (hi * _rk8.A[st, j]) * stages[j]
             f = np.zeros_like(w)
             f[:, 0] = w[:, 1]
-            f[:, 1, :, 1:] = -eta[:, s, None, None] * w[:, 0, :, :-1]
+            f[:, 1, :, 1:] = -c[i, st, None, None] * w[:, 0, :, :-1]
+            if s is not None:
+                f[:, 1] += s[i, st, None, None] * w[:, 0]
             stages.append(f)
-            if B[s]:
-                step += (h * B[s]) * f
-        out[i] = step.reshape(i.size, 4, degree + 1)
+            if _rk8.B[st]:
+                step += (hi * _rk8.B[st]) * f
+        out[i] = step.reshape(-1, 4, degree + 1)
     return out
 
 
-def _integrate_batch(profile: RefractiveProfile, k: np.ndarray, n_steps: int):
-    """Propagate (y, y', v, v') over r in [0,1] for every k in the batch.
+def _step_polynomials(profile: RefractiveProfile, n_steps: int, degree: int = _DEGREE):
+    """Step polynomials of the r-form y'' = -lam eta y on n_steps equal steps of [0, 1]."""
+    h = 1.0 / n_steps
+    eta = profile.eta(np.clip((np.arange(n_steps)[:, None] + _rk8.C) * h, 0.0, 1.0))
+    return _rk8_polynomials(np.asarray(eta, dtype=float), np.full(n_steps, h), degree=degree)
 
-    Steps run in blocks of at most ``_BLOCK_POINTS`` (step, k) pairs, over
-    which the state grows by less than exp(_BLOCK_GROWTH); the state is
-    renormalized between blocks.  Returns (u, log_scale): u has shape
-    (4, len(k)); true values are u * exp(log_scale).  The whole state is
-    renormalized jointly, so the ratio structure (and hence d'/d) is
-    preserved exactly.
+
+def _integrate_batch(coef: np.ndarray, k: np.ndarray, growth: float,
+                     init=(0.0, 1.0), path: bool = False):
+    """Propagate (y, y', v, v') = (y, y', dy/dk, dy'/dk) from ``init`` = (y, y').
+
+    ``coef`` holds step polynomials, shape (n_steps, 4, [G,] degree+1) for G
+    equations side by side, and ``growth`` bounds the log growth of the
+    state over one step.  Blocks of at most ``_BLOCK_POINTS`` (step, column)
+    pairs grow the state by less than exp(_BLOCK_GROWTH); each column is
+    renormalized jointly between blocks, so ratios such as d'/d are exact.
+    Returns (u, log_scale) with u of shape (4, [G,] len(k)) and true values
+    u * exp(log_scale); ``path`` adds y and its log scale at every edge.
     """
     k = np.asarray(k, dtype=complex).ravel()
-    coef = profile.grid_cached(("rk8", n_steps), lambda: _step_polynomials(profile, n_steps))
+    n_steps, group = coef.shape[0], coef.shape[2:-1]
     powers = np.cumprod([np.ones(k.size)] + [k * k] * _DEGREE, axis=0)     # lam^p
     dpowers = np.zeros_like(powers)                                        # 2k d(lam^p)/dlam
     dpowers[1:] = (2.0 * np.arange(1, _DEGREE + 1))[:, None] * k * powers[:-1]
     powers = np.concatenate([powers, dpowers], axis=1).view(float)
-    growth = np.sqrt(profile.eta_max) * np.abs(k.imag).max() / n_steps     # per step
-    block = max(1, min(_BLOCK_POINTS // k.size, int(_BLOCK_GROWTH / max(growth, 1e-9))))
-    state = np.zeros((4, k.size), dtype=complex)
-    state[1] = 1.0
-    log_scale = np.zeros(k.size)
+    block = max(1, min(_BLOCK_POINTS // (k.size * int(np.prod(group))),
+                       int(_BLOCK_GROWTH / max(growth, 1e-9))))
+    state = np.zeros((4,) + group + (k.size,), dtype=complex)
+    state[0], state[1] = init
+    log_scale = np.zeros(group + (k.size,))
+    ys, ys_log = [state[0]], [log_scale.copy()]      # y at every edge, kept with ``path``
     for i0 in range(0, n_steps, block):
         i1 = min(i0 + block, n_steps)
         mats = (coef[i0:i1].reshape(-1, _DEGREE + 1) @ powers).view(complex)
         u, v = state[:2], state[2:]
-        for m in mats.reshape(i1 - i0, 2, 2, 2 * k.size):
+        for m in mats.reshape((i1 - i0, 2, 2) + group + (2 * k.size,)):
             P, dP = m[..., :k.size], m[..., k.size:]
             v = P[:, 0] * v[0] + P[:, 1] * v[1] + dP[:, 0] * u[0] + dP[:, 1] * u[1]
             u = P[:, 0] * u[0] + P[:, 1] * u[1]
+            if path:
+                ys.append(u[0])
+        if path:
+            ys_log += [log_scale.copy()] * (i1 - i0)
         state = np.concatenate([u, v])
         scale = np.abs(state).max(axis=0)
         big = scale > _RESCALE_LIMIT
         if big.any():
             state[:, big] /= scale[big]
             log_scale[big] += np.log(scale[big])
-    return state, log_scale
+    return (state, log_scale, np.array(ys), np.array(ys_log)) if path else (state, log_scale)
+
+
+def _shoot(profile: RefractiveProfile, k: np.ndarray, n_steps: int, init=(0.0, 1.0)):
+    """``_integrate_batch`` over r in [0, 1] on n_steps equal steps (the r-form)."""
+    coef = profile.grid_cached(("rk8", n_steps), lambda: _step_polynomials(profile, n_steps))
+    growth = np.sqrt(profile.eta_max) * np.abs(np.imag(k)).max() / n_steps
+    return _integrate_batch(coef, k, growth, init)
 
 
 def characteristic_batch(profile: RefractiveProfile, k, tol: float = 1e-11,
@@ -202,11 +226,8 @@ def characteristic_batch(profile: RefractiveProfile, k, tol: float = 1e-11,
         return k.copy(), k.copy(), np.zeros(0)
     if n_steps is None:
         n_steps = steps_for(profile, float(np.abs(k).max()), tol)
-    u, log_scale = _integrate_batch(profile, k, n_steps)
-    y1, dy1, v1, dv1 = u
-    sin_s, cos_s, sinc_s, sprime_s = _scaled_trig(k)
-    d_s = dy1 * sinc_s - y1 * cos_s
-    dp_s = dv1 * sinc_s + dy1 * sprime_s - v1 * cos_s + y1 * sin_s
+    u, log_scale = _shoot(profile, k, n_steps)
+    d_s, dp_s = _characteristic_from(u, _scaled_trig(k))
     return d_s, dp_s, log_scale + np.abs(k.imag)
 
 
@@ -220,7 +241,6 @@ def log_derivative_batch(profile: RefractiveProfile, k, tol: float = 1e-11,
 def scaled_characteristic(profile: RefractiveProfile, k, tol: float = 1e-11,
                           n_steps: int | None = None):
     """D(k) = d(k) * k * exp(-(1+a)|Im k|), the overflow-safe search target."""
-    from .profiles import travel_time
     a = travel_time(profile)
     k = np.asarray(k, dtype=complex).ravel()
     d_s, _, scale_log = characteristic_batch(profile, k, tol, n_steps)
@@ -233,29 +253,21 @@ def scaled_characteristic(profile: RefractiveProfile, k, tol: float = 1e-11,
 
 
 def _adaptive_boundary(profile, k, tol, augmented):
+    """(y, y'[, v, v']) at r = 1 by DOP853; by the engine where DOP853 would overflow."""
     k = complex(k)
     kk = k * k
-
-    if augmented:
-        def rhs(r, w):
-            e = profile.eta(r)
-            return [w[1], -kk * e * w[0], w[3], -kk * e * w[2] - 2.0 * k * e * w[0]]
-        w0 = np.array([0, 1, 0, 0], dtype=complex)
-    else:
-        def rhs(r, w):
-            e = profile.eta(r)
-            return [w[1], -kk * e * w[0]]
-        w0 = np.array([0, 1], dtype=complex)
-
-    growth = (1.0 + np.sqrt(profile.eta_max)) * abs(k.imag)
-    if growth > 600.0:
-        # adaptive path would overflow; fall back to the renormalizing engine
-        u, ls = _integrate_batch(profile, np.array([k]), steps_for(profile, abs(k), tol))
+    if (1.0 + np.sqrt(profile.eta_max)) * abs(k.imag) > 600.0:
+        u, ls = _shoot(profile, np.array([k]), steps_for(profile, abs(k), tol))
         return u[:, 0], float(ls[0])
 
-    max_step = 0.5 / max(1.0, abs(k))
-    sol = _scipy_solve_ivp(rhs, (0.0, 1.0), w0, method="DOP853",
-                           rtol=tol, atol=tol, max_step=max_step, dense_output=False)
+    def rhs(r, w):              # (y, y') and, augmented, (v, v') = d/dk (y, y')
+        e = profile.eta(r)
+        dy = [w[1], -kk * e * w[0]]
+        return dy + [w[3], -kk * e * w[2] - 2.0 * k * e * w[0]] if augmented else dy
+
+    w0 = np.array([0, 1, 0, 0] if augmented else [0, 1], dtype=complex)
+    sol = _scipy_solve_ivp(rhs, (0.0, 1.0), w0, method="DOP853", rtol=tol, atol=tol,
+                           max_step=0.5 / max(1.0, abs(k)))
     if not sol.success:
         raise StepUnderflow(f"DOP853 failed at k={k}: {sol.message}")
     return sol.y[:, -1], 0.0
@@ -270,20 +282,8 @@ def solve_ivp(profile: RefractiveProfile, k: complex, tol: float = 1e-12,
     if not (1e-13 <= tol <= 1e-6):
         raise ValueError("tol must lie in [1e-13, 1e-6]")
     if init is not None:
-        k = complex(k)
-        kk = k * k
-
-        def rhs(r, w):
-            e = profile.eta(r)
-            return [w[1], -kk * e * w[0]]
-
-        sol = _scipy_solve_ivp(rhs, (0.0, 1.0), np.asarray(init, dtype=complex),
-                               method="DOP853", rtol=tol, atol=tol,
-                               max_step=0.5 / max(1.0, abs(k)))
-        if not sol.success:
-            raise StepUnderflow(f"DOP853 failed at k={k}: {sol.message}")
-        y1, dy1 = sol.y[:, -1]
-        return BoundaryValues(y1=y1, dy1=dy1, scale_log=0.0)
+        u, ls = _shoot(profile, np.array([k]), steps_for(profile, abs(k), tol), init)
+        return BoundaryValues(y1=u[0, 0], dy1=u[1, 0], scale_log=float(ls[0]))
     u, scale_log = _adaptive_boundary(profile, k, tol, augmented=False)
     return BoundaryValues(y1=u[0], dy1=u[1], scale_log=scale_log)
 
@@ -298,10 +298,5 @@ def characteristic(profile: RefractiveProfile, k: complex,
     if not (1e-13 <= tol <= 1e-6):
         raise ValueError("tol must lie in [1e-13, 1e-6]")
     u, scale_log = _adaptive_boundary(profile, k, tol, augmented=True)
-    y1, dy1, v1, dv1 = u
-    karr = np.asarray([k], dtype=complex)
-    sin_s, cos_s, sinc_s, sprime_s = (z[0] for z in _scaled_trig(karr))
-    d_s = dy1 * sinc_s - y1 * cos_s
-    dp_s = dv1 * sinc_s + dy1 * sprime_s - v1 * cos_s + y1 * sin_s
-    return CharacteristicValue(d=d_s, d_prime=dp_s,
-                               scale_log=scale_log + abs(karr[0].imag))
+    d_s, dp_s = _characteristic_from(u, (z[0] for z in _scaled_trig(np.array([complex(k)]))))
+    return CharacteristicValue(d=d_s, d_prime=dp_s, scale_log=scale_log + abs(complex(k).imag))

@@ -10,22 +10,25 @@ between the two expressions for the Wronskian function
 
 valid when q = q~ on [x0, a], and (c) the eigenvalue-density threshold
 alpha > a + 1 - 2b.  This module verifies those ingredients; it makes no
-attempt to reconstruct a profile from spectra.
+attempt to reconstruct a profile from spectra.  phi and phi~ come from the
+x-form of the RK8 engine in ``forward``, for all k at once; the integral is
+a Gauss-Legendre quadrature over the propagated node values, never W(x0).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp as _scipy_solve_ivp
 
+from . import _rk8
 from .errors import RegimeError
-from .profiles import (LiouvilleData, RefractiveProfile, liouville_transform,
-                       load_profile, subinterval_boundary, travel_time)
+from .forward import _integrate_batch, _rk8_polynomials
+from .profiles import (RefractiveProfile, liouville_transform, load_profile,
+                       subinterval_boundary, travel_time)
 
 __all__ = [
     "UniquenessScenario",
@@ -68,6 +71,7 @@ class UniquenessScenario:
     phi_slope: float = 1.0
     b: float | None = None
     alpha: float | None = None
+    _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.x0 <= self.a):
@@ -78,6 +82,35 @@ class UniquenessScenario:
         if gap > 1e-10:
             raise ValueError(
                 f"potentials differ by {gap:.3e} on the agreement interval")
+
+    def _wronskian_grid(self, n_panels: int):
+        """The k-independent part of ``wronskian_g``, with [0, x0] in ``n_panels`` panels.
+
+        The panels' Gauss-Legendre nodes are step edges; [x0, a] takes steps no
+        wider than their widest gap.  q and q~ are called on all RK8 stage
+        nodes, again after each doubling of the panels while q~ - q is not
+        resolved.  Only the latest (n_panels, q, q~) is kept.
+        """
+        key = (n_panels, self.q, self.q_tilde)
+        if key not in self._grids:
+            gap = 0.5 * self.x0 / n_panels * np.diff(_GL_X).max()
+            tail = np.linspace(self.x0, self.a, 2 + int((self.a - self.x0) / gap))
+            for n in n_panels * 2 ** np.arange(4):
+                width = self.x0 / n
+                left = width * np.arange(n)[:, None]
+                panels = np.concatenate([left, left + 0.5 * width * (1.0 + _GL_X)], axis=1)
+                edges = np.concatenate([panels.ravel(), tail])
+                h = np.diff(edges)
+                x = edges[:-1, None] + h[:, None] * _rk8.C
+                q = np.stack([np.asarray(f(x), dtype=float) for f in (self.q, self.q_tilde)])
+                nodes = np.flatnonzero(np.arange(panels.size) % panels.shape[1])
+                dq = q[1, nodes, 0] - q[0, nodes, 0]     # stage 0 of a step sits on its left edge
+                if np.abs(dq.reshape(n, -1) @ _GL_TAIL).max() <= _TAIL * np.abs(dq).max():
+                    break
+            coef = np.stack([_rk8_polynomials(np.ones_like(s), h, s) for s in q], axis=2)
+            weights_dq = np.tile(0.5 * width * _GL_W, n) * dq
+            self._grids = {key: (nodes, weights_dq, coef, h.max(), np.abs(q).max())}
+        return self._grids[key]
 
 
 class SubintervalResult(NamedTuple):
@@ -103,50 +136,38 @@ def theorem3_epsilon(profile: RefractiveProfile) -> SubintervalResult:
 # ---------------------------------------------------------------------------
 
 
-def _phi_solution(q, a, k, phi_slope, tol=1e-12):
-    """Dense solution of phi'' + (k^2 - q)phi = 0, phi(0)=0, phi'(0)=slope."""
-    kk = complex(k) ** 2
-
-    def rhs(x, w):
-        return [w[1], (q(x) - kk) * w[0]]
-
-    sol = _scipy_solve_ivp(rhs, (0.0, a),
-                           np.array([0.0, phi_slope], dtype=complex),
-                           method="DOP853", rtol=tol, atol=tol,
-                           dense_output=True,
-                           max_step=0.5 / max(1.0, abs(complex(k))))
-    if not sol.success:
-        raise RuntimeError(f"IVP for phi failed at k={k}: {sol.message}")
-    return sol
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)   # nodes and weights of one panel
+# Legendre coefficients c6, c7 from node values: c_j = (j + 1/2) sum_i w_i P_j(x_i) f_i
+_GL_TAIL = np.polynomial.legendre.legvander(_GL_X, 7)[:, 6:] * (_GL_W[:, None] * [6.5, 7.5])
+# panels per unit length and per radian of max|k| x0; resolved: |c6|, |c7| <= _TAIL max|q~ - q|
+_PANELS_PER_UNIT, _PANELS_PER_RADIAN, _TAIL = 64, 1.5, 5e-5
 
 
-def wronskian_g(scenario: UniquenessScenario, k: complex, tol: float = 1e-12):
+def wronskian_g(scenario: UniquenessScenario, k):
     """g(k) computed two independent ways: quadrature and boundary Wronskian.
 
-    Returns (g_integral, g_wronskian).  For a certified scenario the two
-    agree to integration accuracy; their difference is the identity check.
+    Returns (g_integral, g_wronskian), complex for a scalar k and arrays for
+    an array of k.  phi and phi~ are propagated for every k at once on the
+    RK8 grid of ``UniquenessScenario._wronskian_grid``.  g_integral is the
+    Gauss-Legendre quadrature of (q~ - q) phi phi~ over the grid's nodes in
+    [0, x0], and g_wronskian = phi~'(a) phi(a) - phi~(a) phi'(a); their
+    difference is the identity check.
     """
-    sol = _phi_solution(scenario.q, scenario.a, k, scenario.phi_slope, tol)
-    sol_t = _phi_solution(scenario.q_tilde, scenario.a, k, scenario.phi_slope, tol)
-
-    def integrand_re(x):
-        return ((scenario.q_tilde(x) - scenario.q(x))
-                * sol.sol(x)[0] * sol_t.sol(x)[0]).real
-
-    def integrand_im(x):
-        return ((scenario.q_tilde(x) - scenario.q(x))
-                * sol.sol(x)[0] * sol_t.sol(x)[0]).imag
-
-    re, _ = quad(integrand_re, 0.0, scenario.x0, epsabs=1e-13, epsrel=1e-12,
-                 limit=200)
-    im, _ = quad(integrand_im, 0.0, scenario.x0, epsabs=1e-13, epsrel=1e-12,
-                 limit=200)
-    g_int = complex(re, im)
-
-    phi_a, dphi_a = sol.y[:, -1]
-    phit_a, dphit_a = sol_t.y[:, -1]
-    g_wron = dphit_a * phi_a - phit_a * dphi_a
-    return g_int, g_wron
+    ks = np.asarray(k, dtype=complex)
+    if ks.size == 0:
+        return ks.copy(), ks.copy()
+    n_panels = int(np.ceil(scenario.x0 * max(_PANELS_PER_UNIT,
+                                             _PANELS_PER_RADIAN * float(np.abs(ks).max()))))
+    nodes, weights_dq, coef, h_max, q_max = scenario._wronskian_grid(n_panels)
+    # the state grows by at most exp(h (|Im k| + sqrt(max |q|))) over a step of width h
+    growth = h_max * (np.abs(ks.imag).max() + np.sqrt(q_max))
+    u, log_scale, phi, phi_log = _integrate_batch(coef, ks.ravel(), growth,
+                                                  (0.0, scenario.phi_slope), path=True)
+    g_int = weights_dq @ (phi[nodes, 0] * phi[nodes, 1] * np.exp(phi_log[nodes].sum(axis=1)))
+    g_wron = (u[1, 1] * u[0, 0] - u[0, 1] * u[1, 0]) * np.exp(log_scale.sum(axis=0))
+    if ks.ndim == 0:
+        return complex(g_int[0]), complex(g_wron[0])
+    return g_int.reshape(ks.shape), g_wron.reshape(ks.shape)
 
 
 # ---------------------------------------------------------------------------

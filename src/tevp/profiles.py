@@ -460,14 +460,15 @@ class LiouvilleData:
     def q_abs_integral(self) -> float:
         """int_0^a |q(x)| dx, for residual normalization."""
         val, _ = integrate.quad(
-            lambda r: abs(self._q_of_r(r)) * math.sqrt(float(self.profile.eta(r))),
+            lambda r: abs(_q_of_r(self.profile, r)) * math.sqrt(float(self.profile.eta(r))),
             0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=200)
         return val
 
-    def _q_of_r(self, r):
-        p = self.profile
-        e = p.eta(r)
-        return p.eta(r, 2) / (4.0 * e * e) - 5.0 / 16.0 * p.eta(r, 1) ** 2 / e**3
+
+def _q_of_r(profile: RefractiveProfile, r):
+    """The Liouville potential q as a function of r."""
+    e = profile.eta(r)
+    return profile.eta(r, 2) / (4.0 * e * e) - 5.0 / 16.0 * profile.eta(r, 1) ** 2 / e**3
 
 
 def travel_time(profile: RefractiveProfile) -> float:
@@ -480,15 +481,11 @@ def liouville_transform(profile: RefractiveProfile) -> LiouvilleData:
     profile.eta(0.5, 2)  # raises DerivativeUnavailable early if unsupported
     cum = profile.cumulative_map()
 
-    def q_of_r(r):
-        e = profile.eta(r)
-        return profile.eta(r, 2) / (4.0 * e * e) - 5.0 / 16.0 * profile.eta(r, 1) ** 2 / e**3
-
     def q(x):
-        return q_of_r(cum.inverse(x))
+        return _q_of_r(profile, cum.inverse(x))
 
     q_mean, err = integrate.quad(
-        lambda r: q_of_r(r) * math.sqrt(float(profile.eta(r))),
+        lambda r: _q_of_r(profile, r) * math.sqrt(float(profile.eta(r))),
         0.0, 1.0, epsabs=1e-11, epsrel=1e-11, limit=200)
     if err > 1e-10:
         raise QuadratureFailure(f"q_mean quadrature error {err}")

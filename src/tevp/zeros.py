@@ -64,12 +64,6 @@ class SearchReport:
     total_count_by_argument_principle: int
     stats: dict = field(default_factory=dict)
 
-    def nonreal(self):
-        return [z for z in self.zeros if z.cls == "nonreal"]
-
-    def real(self):
-        return [z for z in self.zeros if z.cls == "real"]
-
 
 # ---------------------------------------------------------------------------
 # batched evaluation service
@@ -84,9 +78,8 @@ class _Service:
     quadrature.
     """
 
-    def __init__(self, profile: RefractiveProfile, tol: float):
+    def __init__(self, profile: RefractiveProfile):
         self.profile = profile
-        self.tol = tol
         self.a = travel_time(profile)
         self.stats = {"batches": 0, "evals": 0}
 
@@ -252,13 +245,13 @@ def _count_with_perturbation(service, rect):
     raise ContourTooClose(f"winding defect > 0.25 for rect {rect} after 5 perturbations")
 
 
-def count_zeros(profile: RefractiveProfile, rect, tol: float = 1e-9) -> int:
+def count_zeros(profile: RefractiveProfile, rect) -> int:
     """Number of zeros of d (with multiplicity) inside the rectangle.
 
     ``rect`` is (x0, x1, y0, y1) anywhere in the plane.  Edges passing too
     close to a zero are auto-perturbed by slight inflation.
     """
-    n, _ = _count_with_perturbation(_Service(profile, tol), rect)
+    n, _ = _count_with_perturbation(_Service(profile), rect)
     return n
 
 
@@ -483,7 +476,7 @@ def _refine_clusters(service, clusters, tol, depth=0):
                 sub = find_zeros(service.profile,
                                  (c.k.real - pad, c.k.real + pad,
                                   c.k.imag - pad, c.k.imag + pad),
-                                 tol=service.tol, cluster_diam=4.0 * _SPLIT_FLOOR,
+                                 tol=tol, cluster_diam=4.0 * _SPLIT_FLOOR,
                                  _depth=depth + 1, _allow_any_rect=True)
                 for z in sub.zeros:
                     sc = _Candidate(z.k, _SPLIT_FLOOR, z.multiplicity)
@@ -555,7 +548,7 @@ def find_zeros(profile: RefractiveProfile, rect, tol: float = 1e-9,
     if not _allow_any_rect and y0 <= 1e-9:
         search_rect = (x0, x1, -min(0.15, 0.5 * (y1 - y0)), y1)
 
-    service = _Service(profile, tol)
+    service = _Service(profile)
     total, used_rect = _count_with_perturbation(service, search_rect)
     root = _Cell(used_rect, count=total)
     clusters = _subdivide(service, root, mmax, cluster_diam)
@@ -573,7 +566,7 @@ def find_zeros(profile: RefractiveProfile, rect, tol: float = 1e-9,
 def real_zeros(profile: RefractiveProfile, kmax: float,
                tol: float = 1e-9) -> list:
     """Real zeros of d in (0, kmax], by sign scan + Newton + contour count."""
-    service = _Service(profile, tol)
+    service = _Service(profile)
     k_lo = max(tol, 0.05)
     n_grid = max(64, int((kmax - k_lo) / 0.12))
     grid = np.linspace(k_lo, kmax, n_grid)

@@ -136,3 +136,12 @@ def test_inverse_check_json(capsys):
     assert payload["pass"] is True
     assert payload["samples"] == 12
     assert payload["wronskian_worst"] <= 1e-8
+
+
+def test_tol_only_on_subcommands_that_read_it(capsys):
+    # kernel-check, profile-info and inverse-check never read a tolerance
+    assert main(["kernel-check", "--profile", "colton_example", "--tol", "1e-3"]) == EXIT_INPUT
+    assert main(["profile-info", "--profile", "colton_example", "--tol", "1e-3"]) == EXIT_INPUT
+    assert main(["inverse-check", "--fast", "--tol", "1e-3"]) == EXIT_INPUT
+    assert main(["spectrum", "--profile", "const4", "--rect", "0.5,7,0,1",
+                 "--tol", "1e-9"]) == EXIT_OK

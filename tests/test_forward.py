@@ -7,10 +7,11 @@ from numpy.testing import assert_allclose
 
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 
-from tevp.forward import (_DEGREE, _step_polynomials, characteristic,
-                          characteristic_batch, log_derivative_batch,
+from tevp import _rk8
+from tevp.forward import (_DEGREE, _integrate_batch, _rk8_polynomials, _step_polynomials,
+                          characteristic, characteristic_batch, log_derivative_batch,
                           scaled_characteristic, solve_ivp, steps_for)
-from tevp.profiles import ConstantProfile
+from tevp.profiles import ConstantProfile, get_profile
 
 
 def _d_const4(k):
@@ -117,6 +118,63 @@ def test_step_polynomials_drop_only_zero_powers(colton):
     full = _step_polynomials(colton, 96, degree=12)
     assert np.all(full[..., _DEGREE + 1:] == 0.0)
     assert np.array_equal(full[..., :_DEGREE + 1], _step_polynomials(colton, 96))
+
+
+def _step_polynomials_before_x_form(profile, n_steps, degree=_DEGREE):
+    """The r-form builder as it was before it took stage samples and widths."""
+    h = 1.0 / n_steps
+    A, B, C = _rk8.A, _rk8.B, _rk8.C
+    eye = np.eye(2)[:, :, None] * (np.arange(degree + 1) == 0)
+    out = np.empty((n_steps, 4, degree + 1))
+    for start in range(0, n_steps, 128):
+        i = np.arange(start, min(start + 128, n_steps))
+        eta = np.asarray(profile.eta(np.clip((i[:, None] + C) * h, 0.0, 1.0)), dtype=float)
+        stages = []
+        step = np.broadcast_to(eye, (i.size,) + eye.shape).copy()
+        for s in range(_rk8.N_STAGES):
+            w = np.broadcast_to(eye, step.shape).copy()
+            for j in np.nonzero(A[s, :s])[0]:
+                w += (h * A[s, j]) * stages[j]
+            f = np.zeros_like(w)
+            f[:, 0] = w[:, 1]
+            f[:, 1, :, 1:] = -eta[:, s, None, None] * w[:, 0, :, :-1]
+            stages.append(f)
+            if B[s]:
+                step += (h * B[s]) * f
+        out[i] = step.reshape(i.size, 4, degree + 1)
+    return out
+
+
+@pytest.mark.parametrize("name", ["colton_example", "raised_cosine", "slow_core"])
+def test_r_form_step_polynomials_bit_identical(name):
+    # the r-form (c = eta, s = 0) of the generalized builder must not move the search
+    profile = get_profile(name)
+    for n_steps in (64, 129, 700):
+        old = _step_polynomials_before_x_form(profile, n_steps)
+        assert _step_polynomials(profile, n_steps).tobytes() == old.tobytes()
+
+
+@pytest.mark.parametrize("size", [1, 12])
+def test_x_form_matches_colton_closed_form(colton, colton_lv, size):
+    # q == 1/4: phi = phi'(0) sin(mu x)/mu, phi' = phi'(0) cos(mu x), mu = sqrt(k^2 - 1/4)
+    pinned = np.array([0.7, 5.0, 30.0 + 3.0j, 12.0 + 40.0j])
+    others = np.linspace(1.0, 40.0, 8) + 1j * np.linspace(0.0, 6.0, 8)
+    batches = [pinned[i:i + 1] for i in range(4)] if size == 1 else [np.r_[pinned, others]]
+    a = colton_lv.a
+    slope = float(colton.eta(0.0)) ** -0.25
+    for k in batches:
+        n_steps = int(np.ceil(8.0 * np.abs(k).max() * a))
+        h = np.full(n_steps, a / n_steps)
+        x = (np.arange(n_steps)[:, None] + _rk8.C) * h[:, None]
+        q = colton_lv.q(np.minimum(x, a))
+        coef = _rk8_polynomials(np.ones_like(q), h, q)
+        growth = h[0] * (np.abs(k.imag).max() + 0.5)
+        u, log_scale = _integrate_batch(coef, k, growth, (0.0, slope))
+        mu = np.sqrt(k * k - 0.25)
+        phi, dphi = slope * np.sin(mu * a) / mu, slope * np.cos(mu * a)
+        scale = np.exp(log_scale)
+        assert_allclose(u[0] * scale, phi, rtol=1e-11)
+        assert_allclose(u[1] * scale, dphi, rtol=1e-11)
 
 
 def test_adaptive_overflow_fallback_matches_dop853(colton):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 from tevp.errors import MassOutOfRange, RegimeError
 from tevp.inverse import (UniquenessScenario, density_estimate, density_report,
@@ -79,6 +79,74 @@ def test_wronskian_identity_with_bump():
         g_int, g_wron = wronskian_g(sc, k)
         assert abs(g_int - g_wron) <= 1e-8 * max(1.0, abs(g_int))
         assert abs(g_int) > 1e-6      # the perturbation is actually seen
+
+
+def _oracle_wronskian_g(scenario, k, tol=1e-12):
+    """g(k) by two adaptive DOP853 solves with dense output and two quad calls."""
+    kk = complex(k) ** 2
+
+    def phi_solution(q):
+        sol = solve_ivp(lambda x, w: [w[1], (q(x) - kk) * w[0]], (0.0, scenario.a),
+                        np.array([0.0, scenario.phi_slope], dtype=complex),
+                        method="DOP853", rtol=tol, atol=tol, dense_output=True,
+                        max_step=0.5 / max(1.0, abs(complex(k))))
+        assert sol.success
+        return sol
+
+    sol, sol_t = phi_solution(scenario.q), phi_solution(scenario.q_tilde)
+
+    def integrand(x):
+        return (scenario.q_tilde(x) - scenario.q(x)) * sol.sol(x)[0] * sol_t.sol(x)[0]
+
+    opts = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
+    re, _ = quad(lambda x: integrand(x).real, 0.0, scenario.x0, **opts)
+    im, _ = quad(lambda x: integrand(x).imag, 0.0, scenario.x0, **opts)
+    (phi_a, dphi_a), (phit_a, dphit_a) = sol.y[:, -1], sol_t.y[:, -1]
+    return complex(re, im), dphit_a * phi_a - phit_a * dphi_a
+
+
+def test_wronskian_matches_adaptive_oracle():
+    sc = _bump_scenario()
+    ks = np.array([1.0, 5.0, 2.0 + 1.0j, 3.0 + 3.0j])
+    g_int, g_wron = wronskian_g(sc, ks)
+    for k, gi, gw in zip(ks, g_int, g_wron):
+        oi, ow = _oracle_wronskian_g(sc, k)
+        assert abs(gi - oi) <= 1e-9 * abs(oi)
+        assert abs(gw - ow) <= 1e-9 * abs(ow)
+
+
+def test_wronskian_array_matches_scalar_calls():
+    sc = _bump_scenario()
+    ks = np.array([[0.0, 3.0], [2.0 + 1.0j, -4.0 + 0.5j]])
+    g_int, g_wron = wronskian_g(sc, ks)
+    assert g_int.shape == g_wron.shape == ks.shape
+    for k, gi, gw in zip(ks.ravel(), g_int.ravel(), g_wron.ravel()):
+        assert (gi, gw) == pytest.approx(wronskian_g(sc, k), rel=1e-12)
+    g_int, g_wron = wronskian_g(sc, np.array([], dtype=complex))
+    assert g_int.shape == g_wron.shape == (0,)
+
+
+def test_wronskian_resolves_a_narrow_perturbation():
+    # a bump 1/4 as wide as the usual one: the panels on [0, x0] must be refined
+    sc = load_scenario({
+        "q": "colton_example",
+        "q_tilde": {"base": "colton_example",
+                    "bump": {"amplitude": 0.8, "center": 0.3, "width": 0.05}},
+        "agree_from": 0.6,
+    })
+    g_int, g_wron = wronskian_g(sc, np.array([0.5, 3.0, 10.0 + 2.0j, 25.0 + 1.0j]))
+    assert np.all(np.abs(g_int - g_wron) <= 1e-8 * np.abs(g_int))
+
+
+def test_wronskian_check_can_fail():
+    # q~ also differs from q on [x0, a]: the quadrature over [0, x0] misses that
+    # part, so the two sides of the identity must visibly disagree
+    sc = _bump_scenario()
+    q_tilde, tail = sc.q_tilde, smooth_bump(0.8, 0.85, 0.2)
+    assert 0.6 < 0.85 - 0.2 and 0.85 + 0.2 < sc.a
+    object.__setattr__(sc, "q_tilde", lambda x: q_tilde(x) + tail(x))
+    g_int, g_wron = wronskian_g(sc, np.array([0.0, 1.0, 5.0, 2.0 + 1.0j]))
+    assert np.all(np.abs(g_int - g_wron) > 1e-6)
 
 
 def test_wronskian_trivial_pair(colton_lv):
