@@ -234,6 +234,8 @@ def cmd_inverse_check(args):
                                  "width": 0.2 * x0}},
             "agree_from": x0,
         })
+    # the regime check is cheap and can fail, so it runs before the Wronskian
+    thr = None if sc.b is None else inv.theorem4_threshold(sc.a if sc.a > 1 else 2.0, sc.b)
     rng = np.random.default_rng(args.seed)
     n_k = 12 if args.fast else 50
     ks = np.array([complex(rng.uniform(-30.0, 30.0), rng.uniform(0.0, 3.0)) for _ in range(n_k)])
@@ -243,8 +245,7 @@ def cmd_inverse_check(args):
     lines = [f"[{'PASS' if passed else 'FAIL'}] Wronskian two-way agreement: "
              f"worst {worst:.3e} over {n_k} random k (bound 1e-8)"]
     payload = {"wronskian_worst": float(worst), "samples": n_k, "pass": bool(passed)}
-    if sc.b is not None:
-        thr = inv.theorem4_threshold(sc.a if sc.a > 1 else 2.0, sc.b)
+    if thr is not None:
         payload["threshold"] = thr
         lines.append(f"density threshold a+1-2b = {thr:.6g}"
                      + (f" (claimed alpha = {sc.alpha})" if sc.alpha else ""))

@@ -14,11 +14,14 @@ the equation collapses (after cancelling telescoping D-terms) to
     2 K(x,t) = [Q(c/2) - Q(u/2)] + [D(c/2) - D(u/2)]
                - A_u(x) - B_u(u) + B_c(x),        u = x-t,  c = x+t.
 
-On a uniform half-step grid of spacing delta = a/(2n), every integrand
-argument above lands exactly on a grid node whenever i+j is even (writing
-x = i delta, t = j delta); odd-parity nodes are filled by averaging in t.
-A_u runs along matrix diagonals and B_b along antidiagonals of q*C, so one
-sweep is a handful of O(n^2) vector operations.
+On the half-step grid delta = a/M, M = 2n, every integrand argument above is
+a grid node when i+j is even (x = i delta, t = j delta).  Such a node is
+(i, j) = (hp + hc, hc - hp) with u = 2hp delta, c = 2hc delta; it reads A_u on
+the diagonal W[2hp + s, s] and B_c on the antidiagonal W[hc + m, hc - m] of
+W = q*C.  One int32 index plan per M gathers all these lines into two padded
+arrays, so a sweep is a row-wise cumulative trapezoid of each, one gather and
+one scatter.  Odd nodes average their t neighbours, which are even, so the
+parity fill is exact in one assignment.  The traces sum the same lines of q*K.
 
 Built-in identities used for verification: 2K(x,x) = Q(x), K(x,0) = 0, and
 the boundary traces K1 = K_x(a,.), K2 = K_t(a,.) satisfy
@@ -27,9 +30,9 @@ K1(a) + K2(a) = q(a)/2.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.integrate import trapezoid
@@ -50,6 +53,16 @@ def _cumtrapz(v, delta):
     return np.concatenate(([0.0], np.cumsum(0.5 * (v[1:] + v[:-1])))) * delta
 
 
+def _cumtrapz_rows(G, out, delta):
+    """Row-wise cumulative trapezoid of G into ``out`` (same bits as _cumtrapz)."""
+    tail = out[:, 1:]
+    np.add(G[:, 1:], G[:, :-1], out=tail)
+    tail *= 0.5
+    np.cumsum(tail, axis=1, out=tail)
+    out *= delta
+    out[:, 0] = 0.0
+
+
 @dataclass
 class KernelGrid:
     """K on the triangle 0 <= t <= x <= a, storage spacing ``delta`` = a/(2n)."""
@@ -61,7 +74,15 @@ class KernelGrid:
     K: np.ndarray        # (2n+1, 2n+1), entries with j > i are zero
     iterations: int
     final_delta: float   # last sup-norm Picard update
-    Q_ref: np.ndarray | None = None   # high-accuracy reference for int_0^x q
+    liouville: LiouvilleData | None = None   # source of the fine reference
+
+    @cached_property
+    def Q_ref(self) -> np.ndarray:
+        """int_0^x q, trapezoid on an 8x finer grid (error ~ delta^2/64)."""
+        if self.liouville is None:
+            return self.Q
+        x_fine = np.linspace(0.0, self.a, 8 * self.x.size - 7)
+        return _cumtrapz(np.asarray(self.liouville.q(x_fine), dtype=float), self.delta / 8.0)[::8]
 
     def diagonal_residual(self) -> float:
         """max |2 K(x,x) - int_0^x q| against the fine reference integral.
@@ -71,8 +92,7 @@ class KernelGrid:
         the trapezoid error, O(delta^2) — it shrinks by ~4 when the
         resolution is halved.
         """
-        ref = self.Q if self.Q_ref is None else self.Q_ref
-        return float(np.max(np.abs(2.0 * np.diagonal(self.K) - ref)))
+        return float(np.max(np.abs(2.0 * np.diagonal(self.K) - self.Q_ref)))
 
     def discrete_diagonal_defect(self) -> float:
         """max |2 K(x,x) - Q(x)| with the grid's own cumulative (machine-0)."""
@@ -91,6 +111,43 @@ class KernelGrid:
                      + (1 - si) * sj * Km[i0, j0 + 1] + si * sj * Km[i0 + 1, j0 + 1])
 
 
+class _SweepPlan:
+    """Row-major int32 flat indices for grid size M (see the module docstring).
+
+    ``diag[r, s]`` is W[2r + s, s], ``anti[r, m]`` is W[r + m, r - m]; past the
+    end of a line both point at W[0, M], always 0 as row 0 of K is.  The even
+    nodes index K (``even``), A[hp, j] (``even_a``) and B[hc, hp] (``even_b``).
+    """
+
+    def __init__(self, M: int):
+        n, M1 = M // 2, M + 1
+        dtype = np.int32 if M1 * M1 < 2**31 else np.int64  # flat indices must not wrap
+        r = np.arange(n + 1, dtype=dtype)[:, None]         # line number
+        s = np.arange(M1, dtype=dtype)                     # position on the line
+        self.diag = np.where(s <= M - 2 * r, (2 * r + s) * M1 + s, M)
+        r, m = s[:, None], s[:n + 1]
+        self.anti = np.where(m <= np.minimum(r, M - r), (r + m) * M1 + r - m, M)
+        # row i, column j = i % 2 + 2k: (i, j) has even parity, (i, j + 1) odd
+        i = np.broadcast_to(r, (M1, n + 1))
+        j = i % 2 + 2 * m
+        even, odd = j <= i, j + 1 < i
+        self.odd = i[odd] * M1 + j[odd] + 1
+        i, j = i[even], j[even]
+        self.hp, self.hc = (i - j) // 2, (i + j) // 2
+        self.even, self.even_a = i * M1 + j, self.hp * M1 + j
+        self.even_b = self.hc * (n + 1) + self.hp
+
+
+_sweep_plan = lru_cache(maxsize=2)(_SweepPlan)     # kernel-check uses M = 400, 800
+
+
+def _fill_odd(K, plan):
+    """Average odd-parity nodes in t (their neighbours are even); K(x, 0) = 0."""
+    Kf = K.ravel()
+    Kf[plan.odd] = 0.5 * (Kf[plan.odd - 1] + Kf[plan.odd + 1])
+    K[:, 0] = 0.0
+
+
 def solve_kernel(liouville: LiouvilleData, h: float | None = None,
                  tol: float = 1e-12, max_iter: int = 200) -> KernelGrid:
     """Picard iteration for the transmutation kernel.
@@ -107,60 +164,33 @@ def solve_kernel(liouville: LiouvilleData, h: float | None = None,
     x = np.linspace(0.0, a, M + 1)
     q = np.asarray(liouville.q(x), dtype=float)
     Q = _cumtrapz(q, delta)
-    # reference cumulative on an 8x finer grid (error ~ delta^2/64)
-    x_fine = np.linspace(0.0, a, 8 * M + 1)
-    Q_ref = _cumtrapz(np.asarray(liouville.q(x_fine), dtype=float),
-                      delta / 8.0)[::8]
-
-    idx = np.arange(M + 1)
-    jj, ii = np.meshgrid(idx, idx)
-    lower = jj <= ii                      # storage triangle
-    even = ((ii + jj) % 2 == 0) & lower   # nodes where the update is exact
+    plan = _sweep_plan(M)
 
     # zeroth iterate: K0(x,t) = [Q((x+t)/2) - Q((x-t)/2)] / 2
-    K = np.zeros((M + 1, M + 1))
-    K[even] = 0.5 * (Q[(ii + jj)[even] // 2] - Q[(ii - jj)[even] // 2])
-    _fill_odd(K, M)
-
-    half = M // 2 + 2
-    Bpad = np.zeros((M + 1, half))        # Bpad[c//2, l - c//2]
-    Apad = np.zeros((M + 1, M + 1))       # Apad[p, l - p]
+    Q0 = Q[plan.hc] - Q[plan.hp]
+    K, Knew, W = (np.zeros((M + 1, M + 1)) for _ in range(3))   # W = q*C
+    K.ravel()[plan.even] = 0.5 * Q0
+    _fill_odd(K, plan)
+    Apad = np.empty(plan.diag.shape)      # Apad[hp, j] = A_u(x), u = 2 hp delta
+    Bpad = np.empty(plan.anti.shape)      # Bpad[hc, m] = B_c at x = (hc+m) delta
 
     last = math.inf
     for it in range(1, max_iter + 1):
-        C = np.zeros_like(K)
-        C[:, 1:] = np.cumsum(0.5 * (K[:, 1:] + K[:, :-1]), axis=1) * delta
-        C[~lower] = 0.0
-        W = q[:, None] * C
-
-        wdiag = np.diagonal(W)
-        Dv = _cumtrapz(wdiag, delta)
-
-        for p in range(M + 1):
-            dg = np.diagonal(W, offset=-p)          # W[p+s, s]
-            Apad[p, :dg.size] = _cumtrapz(dg, delta)
-        for c in range(0, 2 * M + 1, 2):
-            ls = np.arange(c // 2, min(c, M) + 1)
-            Bpad[c // 2, :ls.size] = _cumtrapz(W[ls, c - ls], delta)
-
-        Knew = np.zeros_like(K)
-        for i in range(M + 1):
-            js = np.arange(i % 2, i + 1, 2)
-            if js.size == 0:
-                continue
-            p = i - js                               # u index (even parity)
-            c = i + js
-            val = (Q[c // 2] - Q[p // 2]) + (Dv[c // 2] - Dv[p // 2]) \
-                - Apad[p, i - p] - Bpad[p // 2, p - p // 2] \
-                + Bpad[c // 2, i - c // 2]
-            Knew[i, js] = 0.5 * val
-        _fill_odd(Knew, M)
-
-        diff = float(np.max(np.abs(Knew - K)))
-        K = Knew
-        if diff <= tol * (1.0 + float(np.max(np.abs(K)))):
+        _cumtrapz_rows(K, W, delta)       # C, then W = q*C
+        W *= q[:, None]
+        Dv = _cumtrapz(np.diagonal(W), delta)
+        _cumtrapz_rows(W.ravel()[plan.diag], Apad, delta)
+        _cumtrapz_rows(W.ravel()[plan.anti], Bpad, delta)
+        val = Q0 + (Dv[plan.hc] - Dv[plan.hp]) - Apad.ravel()[plan.even_a] \
+            - np.diagonal(Bpad)[plan.hp] + Bpad.ravel()[plan.even_b]
+        Knew.ravel()[plan.even] = 0.5 * val
+        _fill_odd(Knew, plan)
+        np.subtract(Knew, K, out=W)       # W is scratch until the next sweep
+        diff = float(np.max(np.abs(W, out=W)))
+        K, Knew = Knew, K
+        if diff <= tol * (1.0 + max(float(K.max()), -float(K.min()))):
             return KernelGrid(a=a, delta=delta, x=x, q=q, Q=Q, K=K,
-                              iterations=it, final_delta=diff, Q_ref=Q_ref)
+                              iterations=it, final_delta=diff, liouville=liouville)
         if it > 10 and diff > 10.0 * last:
             break
         last = diff
@@ -168,45 +198,34 @@ def solve_kernel(liouville: LiouvilleData, h: float | None = None,
         f"kernel Picard iteration stalled after {it} sweeps (delta={diff:.3e})")
 
 
-def _fill_odd(K, M):
-    """Average odd-parity nodes in t; enforce K(x, 0) = 0."""
-    for i in range(M + 1):
-        js = np.arange(1 + i % 2, i, 2)       # odd-parity interior j
-        if js.size:
-            K[i, js] = 0.5 * (K[i, js - 1] + K[i, js + 1])
-    K[:, 0] = 0.0
-
-
 def boundary_traces(kg: KernelGrid):
     """The traces K1 = K_x(a, t), K2 = K_t(a, t) on the coarse grid.
 
     Returns (t, K1, K2) with t of spacing 2*delta.  Evaluation nodes are
     those where all integrand arguments are grid-exact, which is t = j*delta
-    with M - j even.
+    with M - j even.  With b = M - j, c = M + j, the integrals of q K over
+    I1: (tau, tau + t - a), tau in [a-t, a]   (diagonal b),
+    I2: (tau, a - t - tau), tau in [(a-t)/2, a-t]   (antidiagonal b),
+    I3: (tau, a + t - tau), tau in [(a+t)/2, a]   (antidiagonal c)
+    are trapezoid sums: the line sum less half its two end samples.
     """
-    M = kg.K.shape[0] - 1
-    delta, q, K = kg.delta, kg.q, kg.K
-    js = np.arange(M % 2, M + 1, 2)
-    t = js * delta
-    K1 = np.empty(js.size)
-    K2 = np.empty(js.size)
-    for out_i, j in enumerate(js):
-        qa_plus = q[(M + j) // 2]
-        qa_minus = q[(M - j) // 2]
-        # I1 = int_{a-t}^a q K(tau, tau + t - a)
-        ls = np.arange(M - j, M + 1)
-        I1 = trapezoid(q[ls] * K[ls, ls - (M - j)], dx=delta)
-        # I2 = int_{(a-t)/2}^{a-t} q K(tau, a - t - tau)
-        b = M - j
-        ls = np.arange(b // 2, b + 1)
-        I2 = trapezoid(q[ls] * K[ls, b - ls], dx=delta)
-        # I3 = int_{(a+t)/2}^{a} q K(tau, a + t - tau)
-        c = M + j
-        ls = np.arange(c // 2, M + 1)
-        I3 = trapezoid(q[ls] * K[ls, c - ls], dx=delta)
-        K1[out_i] = 0.25 * (qa_plus - qa_minus) + 0.5 * (I1 - I2 + I3)
-        K2[out_i] = 0.25 * (qa_plus + qa_minus) + 0.5 * (-I1 + I2 + I3)
-    return t, K1, K2
+    M, delta, q = kg.K.shape[0] - 1, kg.delta, kg.q
+    n, plan = M // 2, _sweep_plan(M)
+    qK = (q[:, None] * kg.K).ravel()
+
+    def trap(idx, last):
+        lines = qK[idx]
+        return (lines.sum(axis=1)
+                - 0.5 * (lines[:, 0] + lines[np.arange(len(idx)), last])) * delta
+
+    hb = np.arange(n, -1, -1)          # b = M - j, j = 0, 2, ..., M
+    I1 = trap(plan.diag[hb], 2 * (n - hb))
+    I2 = trap(plan.anti[hb], hb)
+    I3 = trap(plan.anti[M - hb], hb)
+    qa_plus, qa_minus = q[M - hb], q[hb]
+    K1 = 0.25 * (qa_plus - qa_minus) + 0.5 * (I1 - I2 + I3)
+    K2 = 0.25 * (qa_plus + qa_minus) + 0.5 * (-I1 + I2 + I3)
+    return np.arange(0, M + 1, 2) * delta, K1, K2
 
 
 def representation_boundary(liouville: LiouvilleData, kg: KernelGrid, k):
@@ -237,11 +256,9 @@ def representation_boundary(liouville: LiouvilleData, kg: KernelGrid, k):
 
 def write_kernel_csv(path, kg: KernelGrid, stride: int = 1):
     """Dump the kernel triangle as rows x, t, K."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "t", "K"])
-        M = kg.K.shape[0] - 1
-        for i in range(0, M + 1, stride):
-            for j in range(0, i + 1, stride):
-                w.writerow([f"{kg.x[i]:.10e}", f"{kg.x[j]:.10e}",
-                            f"{kg.K[i, j]:.12e}"])
+    idx = np.arange(0, kg.K.shape[0], stride)
+    r, c = np.tril_indices(idx.size)
+    i, j = idx[r], idx[c]
+    np.savetxt(path, np.column_stack((kg.x[i], kg.x[j], kg.K[i, j])),
+               fmt=("%.10e", "%.10e", "%.12e"), delimiter=",", newline="\r\n",
+               header="x,t,K", comments="")

@@ -73,7 +73,6 @@ class RefractiveProfile:
                     f"got eta(1)={e1!r}, eta'(1)={d1!r}"
                 )
         self._cum: Optional[_CumulativeMap] = None
-        self._liouville: Optional[LiouvilleData] = None
         self._grid_cache: dict = {}
 
     # -- representation hooks -------------------------------------------------
@@ -89,10 +88,6 @@ class RefractiveProfile:
             )
         r = np.asarray(r, dtype=float)
         return self._eval(r, deriv)
-
-    def eta_derivative_at_1(self, order: int) -> float:
-        """eta^(order)(1); subclasses may override with an analytic value."""
-        return float(self.eta(1.0, order))
 
     # -- positivity certificate -----------------------------------------------
 
@@ -119,11 +114,6 @@ class RefractiveProfile:
         if self._cum is None:
             self._cum = _CumulativeMap(self)
         return self._cum
-
-    def liouville(self) -> "LiouvilleData":
-        if self._liouville is None:
-            self._liouville = liouville_transform(self)
-        return self._liouville
 
     def grid_cached(self, key, build):
         """``build()`` memoized under ``key``; the oldest entry goes first."""
@@ -193,9 +183,6 @@ class ColtonExampleProfile(RefractiveProfile):
             return 1152.0 / u**4 - 4608.0 * du**2 / u**5 + 1920.0 * du**4 / u**6
         raise DerivativeUnavailable(f"order {deriv}")
 
-    def eta_derivative_at_1(self, order):
-        return {0: 1.0, 1: 0.0, 2: 1.0}.get(order, super().eta_derivative_at_1(order))
-
     @staticmethod
     def x_exact(r):
         """Closed-form cumulative map int_0^r sqrt(eta) = ln(3(1+r)/(3-r))."""
@@ -237,12 +224,6 @@ class RaisedCosineProfile(RefractiveProfile):
             return A * np.pi**4 / 2.0 * (c + 4.0 * (c * c - s * s))
         raise DerivativeUnavailable(f"order {deriv}")
 
-    def eta_derivative_at_1(self, order):
-        exact = {0: 1.0, 1: 0.0, 2: 0.0, 3: 0.0, 4: 1.5 * self.amplitude * np.pi**4}
-        if order in exact:
-            return exact[order]
-        return super().eta_derivative_at_1(order)
-
 
 class SlowCoreProfile(RefractiveProfile):
     """eta = core^2 + (1 - core^2) exp(-beta (1-r)^2): slow interior, eta(1)=1.
@@ -280,13 +261,6 @@ class SlowCoreProfile(RefractiveProfile):
         if deriv == 4:
             return w * (12.0 * b * b - 48.0 * b**3 * s * s + 16.0 * b**4 * s**4) * E
         raise DerivativeUnavailable(f"order {deriv}")
-
-    def eta_derivative_at_1(self, order):
-        w = 1.0 - self.core**2
-        exact = {0: 1.0, 1: 0.0, 2: -2.0 * self.beta * w}
-        if order in exact:
-            return exact[order]
-        return super().eta_derivative_at_1(order)
 
 
 class ChebyshevProfile(RefractiveProfile):

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from tevp import inverse
 from tevp.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_REGIME, main
 from tevp.zeros import write_zeros_csv
 
@@ -101,11 +102,16 @@ def test_inverse_check_fast(capsys):
     assert "[PASS]" in capsys.readouterr().out
 
 
-def test_inverse_check_regime_exit(tmp_path, capsys):
+def test_inverse_check_regime_exit(tmp_path, capsys, monkeypatch):
     sc = {"q": "colton_example", "q_tilde": "colton_example",
           "agree_from": 0.6, "b": 0.01}       # b below (a-1)/2
     p = tmp_path / "sc.json"
     p.write_text(json.dumps(sc))
+
+    def no_wronskian(*args, **kwargs):
+        raise AssertionError("the Wronskian check ran before the regime check")
+
+    monkeypatch.setattr(inverse, "wronskian_g", no_wronskian)
     rc = main(["inverse-check", "--fast", "--scenario", str(p)])
     assert rc == EXIT_REGIME
     assert "regime error" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -89,3 +90,129 @@ def test_convergence_reported(colton_lv):
     kg = solve_kernel(colton_lv, h=colton_lv.a / 100, tol=1e-12)
     assert kg.final_delta <= 1e-12 * (1.0 + np.max(np.abs(kg.K)))
     assert kg.iterations < 50
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the per-line loop sweep and loop traces that the index plan replaced
+# ---------------------------------------------------------------------------
+
+
+def _loop_cumtrapz(v, delta):
+    return np.concatenate(([0.0], np.cumsum(0.5 * (v[1:] + v[:-1])))) * delta
+
+
+def _loop_fill_odd(K, M):
+    for i in range(M + 1):
+        js = np.arange(1 + i % 2, i, 2)
+        if js.size:
+            K[i, js] = 0.5 * (K[i, js - 1] + K[i, js + 1])
+    K[:, 0] = 0.0
+
+
+def _loop_solve_kernel(liouville, h, tol=1e-12, max_iter=200):
+    """Returns (K, iterations, final_delta) of the loop sweep."""
+    a = liouville.a
+    n = max(8, int(round(a / h)))
+    M = 2 * n
+    delta = a / M
+    x = np.linspace(0.0, a, M + 1)
+    q = np.asarray(liouville.q(x), dtype=float)
+    Q = _loop_cumtrapz(q, delta)
+    jj, ii = np.meshgrid(np.arange(M + 1), np.arange(M + 1))
+    lower = jj <= ii
+    even = ((ii + jj) % 2 == 0) & lower
+    K = np.zeros((M + 1, M + 1))
+    K[even] = 0.5 * (Q[(ii + jj)[even] // 2] - Q[(ii - jj)[even] // 2])
+    _loop_fill_odd(K, M)
+    Bpad = np.zeros((M + 1, M // 2 + 2))
+    Apad = np.zeros((M + 1, M + 1))
+    for it in range(1, max_iter + 1):
+        C = np.zeros_like(K)
+        C[:, 1:] = np.cumsum(0.5 * (K[:, 1:] + K[:, :-1]), axis=1) * delta
+        C[~lower] = 0.0
+        W = q[:, None] * C
+        Dv = _loop_cumtrapz(np.diagonal(W), delta)
+        for p in range(M + 1):
+            dg = np.diagonal(W, offset=-p)
+            Apad[p, :dg.size] = _loop_cumtrapz(dg, delta)
+        for c in range(0, 2 * M + 1, 2):
+            ls = np.arange(c // 2, min(c, M) + 1)
+            Bpad[c // 2, :ls.size] = _loop_cumtrapz(W[ls, c - ls], delta)
+        Knew = np.zeros_like(K)
+        for i in range(M + 1):
+            js = np.arange(i % 2, i + 1, 2)
+            p, c = i - js, i + js
+            val = (Q[c // 2] - Q[p // 2]) + (Dv[c // 2] - Dv[p // 2]) \
+                - Apad[p, i - p] - Bpad[p // 2, p - p // 2] \
+                + Bpad[c // 2, i - c // 2]
+            Knew[i, js] = 0.5 * val
+        _loop_fill_odd(Knew, M)
+        diff = float(np.max(np.abs(Knew - K)))
+        K = Knew
+        if diff <= tol * (1.0 + float(np.max(np.abs(K)))):
+            return K, it, diff
+    raise AssertionError("loop sweep did not converge")
+
+
+def _loop_boundary_traces(kg):
+    M = kg.K.shape[0] - 1
+    delta, q, K = kg.delta, kg.q, kg.K
+    js = np.arange(M % 2, M + 1, 2)
+    K1, K2 = np.empty(js.size), np.empty(js.size)
+    for out_i, j in enumerate(js):
+        qa_plus, qa_minus = q[(M + j) // 2], q[(M - j) // 2]
+        ls = np.arange(M - j, M + 1)
+        I1 = trapezoid(q[ls] * K[ls, ls - (M - j)], dx=delta)
+        b = M - j
+        ls = np.arange(b // 2, b + 1)
+        I2 = trapezoid(q[ls] * K[ls, b - ls], dx=delta)
+        c = M + j
+        ls = np.arange(c // 2, M + 1)
+        I3 = trapezoid(q[ls] * K[ls, c - ls], dx=delta)
+        K1[out_i] = 0.25 * (qa_plus - qa_minus) + 0.5 * (I1 - I2 + I3)
+        K2[out_i] = 0.25 * (qa_plus + qa_minus) + 0.5 * (-I1 + I2 + I3)
+    return js * delta, K1, K2
+
+
+SWEEP_CASES = [(name, div) for name in ("colton_example", "raised_cosine", "slow_core")
+               for div in (8, 60)]          # M = 16 (the minimum n = 8) and M = 120
+
+
+@pytest.mark.parametrize("name,div", SWEEP_CASES)
+def test_sweep_bit_identical_to_loop_sweep(name, div):
+    lv = liouville_transform(get_profile(name))
+    kg = solve_kernel(lv, h=lv.a / div)
+    K, iterations, final_delta = _loop_solve_kernel(lv, h=lv.a / div)
+    assert kg.K.shape == K.shape
+    assert np.array_equal(kg.K, K)
+    assert kg.iterations == iterations
+    assert kg.final_delta == final_delta
+
+
+@pytest.mark.parametrize("name,div", SWEEP_CASES)
+def test_traces_match_loop_traces(name, div):
+    lv = liouville_transform(get_profile(name))
+    kg = solve_kernel(lv, h=lv.a / div)
+    for new, old in zip(boundary_traces(kg), _loop_boundary_traces(kg)):
+        assert new.shape == old.shape
+        assert np.max(np.abs(new - old)) <= 1e-14 * np.max(np.abs(old))
+
+
+def test_fine_reference_is_computed_on_demand(colton_lv):
+    sizes = []
+
+    def q(x):
+        sizes.append(np.size(x))
+        return 0.25 + 0.1 * np.asarray(x) ** 2
+
+    kg = solve_kernel(replace(colton_lv, q=q), h=colton_lv.a / 50)
+    M = kg.K.shape[0] - 1
+    assert sizes == [M + 1]                 # the solve samples the grid only
+    x_fine = np.linspace(0.0, kg.a, 8 * M + 1)
+    q_fine = 0.25 + 0.1 * x_fine ** 2
+    ref = (np.concatenate(([0.0], np.cumsum(0.5 * (q_fine[1:] + q_fine[:-1]))))
+           * (kg.delta / 8.0))[::8]
+    expected = float(np.max(np.abs(2.0 * np.diagonal(kg.K) - ref)))
+    assert kg.diagonal_residual() == expected
+    assert kg.diagonal_residual() == expected
+    assert sizes == [M + 1, 8 * M + 1]      # sampled once, on first use
