@@ -221,17 +221,6 @@ class MatchReport:
         vals = [p.residual for p in self.matched if n_lo <= p.n <= n_hi]
         return max(vals) if vals else 0.0
 
-    def partial_sums_bounded(self) -> bool:
-        """l^2 proxy: partial sums of residual^2 stay below the window bound."""
-        sq = [p.residual ** 2 for p in sorted(self.matched, key=lambda p: p.n)]
-        total = sum(sq)
-        run = 0.0
-        for v in sq:
-            run += v
-            if run > total + 1e-15:
-                return False
-        return True
-
 
 def _predictions(case, n_lo, n_hi, refine):
     preds = {}

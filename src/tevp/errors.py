@@ -6,7 +6,11 @@ class TevpError(Exception):
 
 
 class QuadratureFailure(TevpError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+    """A quadrature or series could not resolve its integrand to tolerance.
+
+    Raised by the adaptive quadratures and by the optical map when 8193
+    Chebyshev nodes do not resolve sqrt(eta), e.g. for a non-smooth eta.
+    """
 
 
 class DerivativeUnavailable(TevpError):

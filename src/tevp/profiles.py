@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 from scipy import integrate
-from scipy.interpolate import BarycentricInterpolator
+from scipy.fft import dct
 
 from .errors import DerivativeUnavailable, MassOutOfRange, QuadratureFailure
 
@@ -44,7 +44,10 @@ __all__ = [
 
 _CERT_GRID = 2001          # positivity certificate sample count
 _TAIL_TOL = 1e-12          # |eta(1)-1|, |eta'(1)| for the normalized-tail flag
-_N_CHEB = 160              # nodes for the cached cumulative map
+_N_CHEB = 161              # first node count of the optical-map series
+_N_CHEB_MAX = 8193         # node counts beyond this raise QuadratureFailure
+_CHEB_TAIL = 1e-13         # resolved: upper-half coefficients below this of the max
+_N_SEED = 129              # equispaced x(r) values seeding the inverse
 _GRID_CACHE_SIZE = 16      # per-profile arrays kept by grid_cached()
 
 
@@ -371,62 +374,60 @@ def load_profile(path_or_name: str) -> RefractiveProfile:
 
 
 class _CumulativeMap:
-    """x(r) = int_0^r sqrt(eta), cached at Chebyshev nodes, with inverse.
+    """x(r) = int_0^r sqrt(eta) as one Chebyshev series on [0,1], with inverse.
 
-    Node-to-node panels are integrated by adaptive quadrature once; forward
-    evaluation uses barycentric interpolation through the nodes (spectrally
-    accurate for smooth eta), the inverse a linear seed plus safeguarded
+    sqrt(eta) is sampled at first-kind Chebyshev points and its coefficients
+    come from a type-II DCT; the node count doubles until the upper half of
+    the coefficients is below _CHEB_TAIL of the largest, so the series
+    resolves sqrt(eta) to rounding level.  The series is then integrated
+    exactly and evaluated by Clenshaw recurrence.  The inverse interpolates
+    a seed from _N_SEED equispaced values of x(r), then takes safeguarded
     Newton steps on the exact derivative sqrt(eta).
     """
 
-    def __init__(self, profile: RefractiveProfile, n_nodes: int = _N_CHEB):
+    def __init__(self, profile: RefractiveProfile):
         self.profile = profile
-        j = np.arange(n_nodes + 1)
-        nodes = 0.5 * (1.0 - np.cos(np.pi * j / n_nodes))   # Chebyshev-Lobatto on [0,1]
-        nodes[0], nodes[-1] = 0.0, 1.0
-        f = lambda r: float(np.sqrt(profile.eta(r)))
-        panels = np.empty(n_nodes)
-        for i in range(n_nodes):
-            val, err = integrate.quad(f, nodes[i], nodes[i + 1],
-                                      epsabs=1e-14, epsrel=1e-13, limit=200)
-            if err > 1e-12:
+        n = _N_CHEB
+        while True:
+            t = np.cos(np.pi * (np.arange(n) + 0.5) / n)
+            c = dct(np.sqrt(profile.eta(0.5 * (1.0 + t))), type=2) / n
+            c[0] *= 0.5
+            if np.max(np.abs(c[n // 2:])) <= _CHEB_TAIL * np.max(np.abs(c)):
+                break
+            n = 2 * n - 1
+            if n > _N_CHEB_MAX:
                 raise QuadratureFailure(
-                    f"travel-time panel [{nodes[i]}, {nodes[i+1]}] error {err}")
-            panels[i] = val
-        self.nodes = nodes
-        self.values = np.concatenate([[0.0], np.cumsum(panels)])
-        self.total = float(self.values[-1])
-        self._interp = BarycentricInterpolator(nodes, self.values)
+                    f"{profile.name}: sqrt(eta) unresolved by {_N_CHEB_MAX} Chebyshev nodes")
+        # coefficients below rounding level change no value but cost every call
+        tiny = np.finfo(float).eps * np.max(np.abs(c))
+        self._x = Chebyshev(c, domain=[0.0, 1.0]).trim(tiny).integ(lbnd=0.0)
+        self.total = float(self._x(1.0))
+        self._seed_r = np.linspace(0.0, 1.0, _N_SEED)
+        self._seed_x = self._x(self._seed_r)
 
     def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        out = self._interp(r)
+        out = self._x(np.asarray(r, dtype=float))
         return out if out.shape else float(out)
 
     def inverse(self, x):
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xv = np.atleast_1d(x)
-        if np.any(xv < -1e-12) or np.any(xv > self.total + 1e-12):
+        if np.any(x < -1e-12) or np.any(x > self.total + 1e-12):
             raise ValueError("x outside [0, a]")
-        xv = np.clip(xv, 0.0, self.total)
-        r = np.interp(xv, self.values, self.nodes)
+        x = np.clip(x, 0.0, self.total)
+        r = np.interp(x, self._seed_x, self._seed_r)
         for _ in range(6):
-            fr = np.atleast_1d(self._interp(r)) - xv
-            dr = fr / np.sqrt(self.profile.eta(r))
+            dr = (self._x(r) - x) / np.sqrt(self.profile.eta(r))
             r = np.clip(r - dr, 0.0, 1.0)
             if np.max(np.abs(dr)) < 1e-15:
                 break
-        return float(r[0]) if scalar else r
+        return r if r.ndim else float(r)
 
 
 @dataclass
 class LiouvilleData:
-    """Travel time, monotone change of variables, and Schroedinger potential."""
+    """Travel time and the Schroedinger potential q(x) with its mean."""
 
     a: float
-    x_of_r: Callable
-    r_of_x: Callable
     q: Callable
     q_mean: float
     profile: RefractiveProfile = field(repr=False)
@@ -446,12 +447,12 @@ def _q_of_r(profile: RefractiveProfile, r):
 
 
 def travel_time(profile: RefractiveProfile) -> float:
-    """a = int_0^1 sqrt(eta(r)) dr via the cached panel quadrature."""
+    """a = int_0^1 sqrt(eta(r)) dr, the end value of the cached optical map."""
     return profile.cumulative_map().total
 
 
 def liouville_transform(profile: RefractiveProfile) -> LiouvilleData:
-    """Build the Liouville data (a, x(r), r(x), q(x), mean of q)."""
+    """Build the Liouville data (a, q(x), mean of q); q inverts the optical map."""
     profile.eta(0.5, 2)  # raises DerivativeUnavailable early if unsupported
     cum = profile.cumulative_map()
 
@@ -463,9 +464,7 @@ def liouville_transform(profile: RefractiveProfile) -> LiouvilleData:
         0.0, 1.0, epsabs=1e-11, epsrel=1e-11, limit=200)
     if err > 1e-10:
         raise QuadratureFailure(f"q_mean quadrature error {err}")
-    data = LiouvilleData(a=cum.total, x_of_r=cum, r_of_x=cum.inverse,
-                         q=q, q_mean=float(q_mean), profile=profile)
-    return data
+    return LiouvilleData(a=cum.total, q=q, q_mean=float(q_mean), profile=profile)
 
 
 def subinterval_boundary(profile: RefractiveProfile, mass: float) -> float:

@@ -40,6 +40,7 @@ _MMAX_DEFAULT = 4
 _CLUSTER_DIAM = 0.4          # cells at most this wide become refinement clusters
 _SPLIT_FLOOR = 2e-3          # clusters cohesive at this radius count as one multiple zero
 _GL_NODES = np.polynomial.legendre.leggauss(12)
+_REAL_STRIP = 0.5            # height of the strip real_zeros searches
 
 
 @dataclass
@@ -565,56 +566,15 @@ def find_zeros(profile: RefractiveProfile, rect, tol: float = 1e-9,
 
 def real_zeros(profile: RefractiveProfile, kmax: float,
                tol: float = 1e-9) -> list:
-    """Real zeros of d in (0, kmax], by sign scan + Newton + contour count."""
-    service = _Service(profile)
+    """Real zeros of d in [k_lo, kmax], k_lo = max(tol, 0.05).
+
+    A ``find_zeros`` search on the strip k_lo <= Re k <= kmax,
+    0 <= Im k <= _REAL_STRIP, so every multiplicity comes from a contour count.
+    """
     k_lo = max(tol, 0.05)
-    n_grid = max(64, int((kmax - k_lo) / 0.12))
-    grid = np.linspace(k_lo, kmax, n_grid)
-    d_s, _, scale_log = characteristic_batch(profile, grid + 0j)
-    a = service.a
-    D = (d_s * grid) * np.exp(scale_log)
-    Dr = D.real
-    absD = np.abs(D)
-    if absD.max() < DEGENERACY_FLOOR:
-        raise DegenerateCharacteristic(
-            f"max |D| on [{k_lo}, {kmax}] is {absD.max():.3e}")
-    cands = []
-    sign = np.sign(Dr)
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    for i in flips:
-        # secant estimate inside the bracket
-        t = Dr[i] / (Dr[i] - Dr[i + 1])
-        cands.append(_Candidate(grid[i] + t * (grid[i + 1] - grid[i]), 0.06))
-    # even-multiplicity zeros touch without sign change: look for deep minima
-    med = np.median(absD)
-    for i in range(1, n_grid - 1):
-        if (absD[i] < 1e-5 * med and absD[i] <= absD[i - 1]
-                and absD[i] <= absD[i + 1]
-                and not any(abs(c.k - grid[i]) < 0.2 for c in cands)):
-            cands.append(_Candidate(grid[i], 0.06))
-    if not cands:
-        return []
-    res = _circle_many(service, [(c.k, c.rho) for c in cands], n_nodes=128)
-    for c, (cnt, centroid, _) in zip(cands, res):
-        c.mult = cnt if cnt else 1
-        if cnt:
-            c.k = complex(centroid)
-    simple = [c for c in cands if c.mult == 1]
-    multi = [c for c in cands if c.mult > 1]
-    _newton_polish(service, simple, tol)
-    _centroid_refine(service, multi)
-    bad = [c for c in cands if c.stalled]
-    if bad:
-        raise NewtonStall(f"real zero refinement stalled at {[c.k for c in bad]}")
-    final = simple + multi
-    _, absD = service.eval(np.array([c.k for c in final]), fine=True)
-    for c, aD in zip(final, absD):
-        c.residual = float(aD)
-    zeros, _ = _canonicalize(final)
-    for z in zeros:
-        z.cls = "real"
-        z.k = complex(z.k.real, 0.0)
-    return [z for z in zeros if k_lo <= z.k.real <= kmax + 1e-9]
+    rep = find_zeros(profile, (k_lo, kmax, 0.0, _REAL_STRIP), tol)
+    return [z for z in rep.zeros
+            if z.cls == "real" and k_lo <= z.k.real <= kmax]
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,6 @@ def test_match_real_spectrum(colton, colton_spectrum_40):
     rep = match(colton_spectrum_40, case)
     assert len(rep.unmatched_zeros) == 0
     assert all(p.residual < 0.6 for p in rep.matched)
-    assert rep.partial_sums_bounded()
     # unmatched predictions are reported, never silently dropped
     assert len(rep.unmatched_predictions) > 0
 

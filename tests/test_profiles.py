@@ -1,14 +1,21 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import integrate
 
-from tevp.errors import MassOutOfRange
+import tevp
+from tevp.errors import MassOutOfRange, QuadratureFailure
 from tevp.profiles import (ChebyshevProfile, ColtonExampleProfile,
-                           ConstantProfile, get_profile, liouville_transform,
-                           load_profile, profile_from_dict, profile_to_dict,
+                           ConstantProfile, RefractiveProfile, get_profile,
+                           liouville_transform, load_profile,
+                           profile_from_dict, profile_to_dict,
                            subinterval_boundary, travel_time)
 
 
@@ -127,3 +134,57 @@ def test_travel_time_equals_map_endpoint():
     p = get_profile("slow_core")
     assert travel_time(p) == pytest.approx(float(p.cumulative_map()(1.0)),
                                            abs=1e-13)
+
+
+def _run_python(code):
+    """stdout of ``code`` run by a fresh interpreter that imports this tevp."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tevp.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    return res.stdout.strip()
+
+
+def test_q_is_bit_reproducible_across_processes():
+    code = ("import hashlib, numpy as np\n"
+            "from tevp.profiles import get_profile, liouville_transform\n"
+            "lv = liouville_transform(get_profile('slow_core'))\n"
+            "q = np.asarray(lv.q(np.linspace(0.0, lv.a, 801)))\n"
+            "print(hashlib.md5(q.tobytes()).hexdigest())")
+    assert _run_python(code) == _run_python(code)
+
+
+def test_import_leaves_scipy_interpolate_unloaded():
+    code = ("import sys, tevp, tevp.cli\n"
+            "print('scipy.interpolate' in sys.modules)")
+    assert _run_python(code) == "False"
+
+
+@pytest.mark.parametrize("degree, amplitude", [(250, 0.01), (400, 0.005)])
+def test_travel_time_of_high_degree_chebyshev_profile(degree, amplitude):
+    # 2 + 0.2 T_3 + amplitude T_degree: a 161-node series misses a by ~1e-6
+    coeffs = np.zeros(degree + 1)
+    coeffs[[0, 3, degree]] = 2.0, 0.2, amplitude
+    p = profile_from_dict({"kind": "chebyshev", "coeffs": coeffs.tolist()})
+    edges = np.linspace(0.0, 1.0, 33)
+    ref = sum(integrate.quad(lambda r: float(np.sqrt(p.eta(r))), lo, hi,
+                             epsabs=1e-15, epsrel=1e-14, limit=200)[0]
+              for lo, hi in zip(edges[:-1], edges[1:]))
+    assert abs(travel_time(p) - ref) <= 1e-13
+
+
+class _KinkProfile(RefractiveProfile):
+    """eta = 2 + |r - 0.4|: positive, but sqrt(eta) has a kink."""
+
+    name = "kink"
+
+    def _eval(self, r, deriv):
+        if deriv == 0:
+            return 2.0 + np.abs(r - 0.4)
+        if deriv == 1:
+            return np.sign(r - 0.4)
+        return np.zeros_like(r)
+
+
+def test_non_smooth_profile_raises_quadrature_failure():
+    with pytest.raises(QuadratureFailure):
+        travel_time(_KinkProfile())

@@ -7,7 +7,7 @@ import pytest
 
 from tevp.errors import DegenerateCharacteristic
 from tevp.forward import scaled_characteristic
-from tevp.profiles import ConstantProfile
+from tevp.profiles import ConstantProfile, get_profile
 from tevp.zeros import (SearchReport, SpectralZero, _Candidate, _newton_polish,
                         count_zeros, find_zeros, real_zeros, report_to_json,
                         write_report_json, write_zeros_csv)
@@ -79,6 +79,15 @@ def test_real_zeros_triple_multiplicity(const4):
     for n, z in enumerate(zs, start=1):
         assert abs(z.k.real - n * math.pi) <= 1e-8
         assert z.k.imag == 0.0
+
+
+@pytest.mark.parametrize("name, kmax", [("const4", 20.0), ("slow_core", 30.0)])
+def test_real_zeros_account_for_the_axis_count(name, kmax):
+    # every real zero in [k_lo, kmax] is found, with its contour multiplicity
+    p = get_profile(name)
+    zs = real_zeros(p, kmax)
+    assert zs and all(z.cls == "real" for z in zs)
+    assert sum(z.multiplicity for z in zs) == count_zeros(p, (0.05, kmax, -0.01, 0.01))
 
 
 def test_symmetry_of_reported_zeros(colton, colton_spectrum_40):
