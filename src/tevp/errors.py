@@ -6,10 +6,10 @@ class TevpError(Exception):
 
 
 class QuadratureFailure(TevpError):
-    """A quadrature or series could not resolve its integrand to tolerance.
+    """A Chebyshev series could not resolve its integrand to tolerance.
 
-    Raised by the adaptive quadratures and by the optical map when 8193
-    Chebyshev nodes do not resolve sqrt(eta), e.g. for a non-smooth eta.
+    Raised when 8193 Chebyshev nodes do not resolve sqrt(eta) (the optical
+    map) or q sqrt(eta) (the integrals of q), e.g. for a non-smooth eta.
     """
 
 
@@ -22,7 +22,7 @@ class MassOutOfRange(TevpError):
 
 
 class StepUnderflow(TevpError):
-    """ODE step controller failed; pathological profile or extreme k."""
+    """Step doubling missed its tolerance at the step cap; pathological profile or extreme k."""
 
 
 class NoConvergence(TevpError):

@@ -13,9 +13,10 @@ polynomials of degree 6 in lam = k^2, built from c and s at the stage nodes
 (``_rk8_polynomials``); a batch evaluates P and dP/dlam for a block of steps
 with one matrix product, then applies u -> P u, v -> P v + 2k P' u (RK8 on
 the variational system).  The r-form (c = eta, s = 0 on [0, 1], cached per
-profile and step count) serves ``characteristic_batch`` and ``solve_ivp(init=...)``,
-the x-form (c = 1, s = q on [0, a]) ``inverse.wronskian_g``.  Adaptive DOP853
-is left only in ``_adaptive_boundary`` (``characteristic``, ``solve_ivp``).
+profile and step count) serves ``characteristic_batch`` on the search's own
+grid, and ``characteristic`` and ``solve_ivp``, which check their accuracy
+by step doubling (``_checked_shoot``); the x-form (c = 1, s = q on [0, a])
+serves ``inverse.wronskian_g``.
 
 All boundary quantities are stored with a common ``scale_log`` so that
 true value = stored value * exp(scale_log); this keeps magnitudes
@@ -26,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp as _scipy_solve_ivp
 
 from . import _rk8
 from .errors import StepUnderflow
@@ -48,14 +48,15 @@ _DEGREE = 6               # RK8 step-matrix entries are polynomials of this degr
 _BUILD_CHUNK = 128        # steps per chunk when building the step polynomials
 _BLOCK_POINTS = 8192      # (step, k) pairs evaluated per block of the batch engine
 _BLOCK_GROWTH = 115.0     # bound on the log growth of the state within one block
+_MAX_STEPS = 2**16        # finest grid the accuracy check of the single-point path may use
 
 
 @dataclass
 class BoundaryValues:
     """y(1,k), y'(1,k); true values are the stored ones times exp(scale_log)."""
-    y1: complex
-    dy1: complex
-    scale_log: float
+    y1: complex | np.ndarray
+    dy1: complex | np.ndarray
+    scale_log: float | np.ndarray
 
 
 @dataclass
@@ -248,43 +249,46 @@ def scaled_characteristic(profile: RefractiveProfile, k, tol: float = 1e-11,
 
 
 # ---------------------------------------------------------------------------
-# adaptive scalar path
+# single-point path: the engine with a step-doubling accuracy check
 # ---------------------------------------------------------------------------
 
 
-def _adaptive_boundary(profile, k, tol, augmented):
-    """(y, y'[, v, v']) at r = 1 by DOP853; by the engine where DOP853 would overflow."""
-    k = complex(k)
-    kk = k * k
-    if (1.0 + np.sqrt(profile.eta_max)) * abs(k.imag) > 600.0:
-        u, ls = _shoot(profile, np.array([k]), steps_for(profile, abs(k), tol))
-        return u[:, 0], float(ls[0])
+def _checked_shoot(profile: RefractiveProfile, k: np.ndarray, tol: float, init=(0.0, 1.0)):
+    """``_shoot`` from steps_for(max|k|) on, doubling the steps until they agree.
 
-    def rhs(r, w):              # (y, y') and, augmented, (v, v') = d/dk (y, y')
-        e = profile.eta(r)
-        dy = [w[1], -kk * e * w[0]]
-        return dy + [w[3], -kk * e * w[2] - 2.0 * k * e * w[0]] if augmented else dy
-
-    w0 = np.array([0, 1, 0, 0] if augmented else [0, 1], dtype=complex)
-    sol = _scipy_solve_ivp(rhs, (0.0, 1.0), w0, method="DOP853", rtol=tol, atol=tol,
-                           max_step=0.5 / max(1.0, abs(k)))
-    if not sol.success:
-        raise StepUnderflow(f"DOP853 failed at k={k}: {sol.message}")
-    return sol.y[:, -1], 0.0
-
-
-def solve_ivp(profile: RefractiveProfile, k: complex, tol: float = 1e-12,
-              init=None) -> BoundaryValues:
-    """Boundary values y(1,k), y'(1,k) of the shooting solution.
-
-    ``init`` overrides the initial data (y(0), y'(0)); default (0, 1).
+    The state on 2n steps is returned once, for every k, it differs from the
+    state on n steps by at most ``tol`` times its largest entry (both on one
+    scale).  Otherwise n doubles while 2n stays within _MAX_STEPS.
     """
     if not (1e-13 <= tol <= 1e-6):
         raise ValueError("tol must lie in [1e-13, 1e-6]")
-    if init is not None:
-        u, ls = _shoot(profile, np.array([k]), steps_for(profile, abs(k), tol), init)
-        return BoundaryValues(y1=u[0, 0], dy1=u[1, 0], scale_log=float(ls[0]))
-    u, scale_log = _adaptive_boundary(profile, k, tol, augmented=False)
+    if k.size == 0:
+        return np.zeros((4, 0), dtype=complex), np.zeros(0)
+    n = steps_for(profile, float(np.abs(k).max()), tol)
+    coarse, coarse_log = _shoot(profile, k, n, init)
+    while 2 * n <= _MAX_STEPS:
+        fine, fine_log = _shoot(profile, k, 2 * n, init)
+        common = np.maximum(coarse_log, fine_log)     # scale factors <= 1 cannot overflow
+        fine_c = fine * np.exp(fine_log - common)
+        err = np.abs(coarse * np.exp(coarse_log - common) - fine_c).max(axis=0)
+        if np.all(err <= tol * np.abs(fine_c).max(axis=0)):
+            return fine, fine_log
+        n, coarse, coarse_log = 2 * n, fine, fine_log
+    raise StepUnderflow(f"{profile.name}: step doubling missed tol={tol:g} within "
+                        f"{_MAX_STEPS} RK8 steps at max|k|={float(np.abs(k).max()):g}")
+
+
+def solve_ivp(profile: RefractiveProfile, k, tol: float = 1e-12,
+              init=None) -> BoundaryValues:
+    """Boundary values y(1,k), y'(1,k) of the shooting solution.
+
+    ``k`` is a scalar or a 1-D array; the fields are scalars or arrays to
+    match.  ``init`` overrides the initial data (y(0), y'(0)); default (0, 1).
+    """
+    ks = np.asarray(k, dtype=complex)
+    u, scale_log = _checked_shoot(profile, ks.ravel(), tol, (0.0, 1.0) if init is None else init)
+    if ks.ndim == 0:
+        return BoundaryValues(complex(u[0, 0]), complex(u[1, 0]), float(scale_log[0]))
     return BoundaryValues(y1=u[0], dy1=u[1], scale_log=scale_log)
 
 
@@ -295,8 +299,7 @@ def characteristic(profile: RefractiveProfile, k: complex,
     The removable singularity at k = 0 is handled by series evaluation of
     sin(k)/k and (k cos k - sin k)/k^2.
     """
-    if not (1e-13 <= tol <= 1e-6):
-        raise ValueError("tol must lie in [1e-13, 1e-6]")
-    u, scale_log = _adaptive_boundary(profile, k, tol, augmented=True)
-    d_s, dp_s = _characteristic_from(u, (z[0] for z in _scaled_trig(np.array([complex(k)]))))
-    return CharacteristicValue(d=d_s, d_prime=dp_s, scale_log=scale_log + abs(complex(k).imag))
+    k = np.array([complex(k)])
+    u, scale_log = _checked_shoot(profile, k, tol)
+    d_s, dp_s = _characteristic_from(u[:, 0], (z[0] for z in _scaled_trig(k)))
+    return CharacteristicValue(d=d_s, d_prime=dp_s, scale_log=float(scale_log[0]) + abs(k[0].imag))

@@ -13,13 +13,11 @@ on [0, a], where a = int_0^1 sqrt(eta) dr is the travel time.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
-from scipy import integrate
 from scipy.fft import dct
 
 from .errors import DerivativeUnavailable, MassOutOfRange, QuadratureFailure
@@ -373,13 +371,31 @@ def load_profile(path_or_name: str) -> RefractiveProfile:
 # ---------------------------------------------------------------------------
 
 
+def _chebyshev_fit(f: Callable, what: str) -> Chebyshev:
+    """f on [0,1] as one Chebyshev series resolved to rounding level.
+
+    A type-II DCT of f at first-kind Chebyshev points gives the coefficients;
+    the node count doubles until the upper half of them is below _CHEB_TAIL of
+    the largest.  Those below machine epsilon of it are trimmed: they change no
+    value but cost every call.
+    """
+    n = _N_CHEB
+    while True:
+        t = np.cos(np.pi * (np.arange(n) + 0.5) / n)
+        c = dct(f(0.5 * (1.0 + t)), type=2) / n
+        c[0] *= 0.5
+        if np.max(np.abs(c[n // 2:])) <= _CHEB_TAIL * np.max(np.abs(c)):
+            break
+        n = 2 * n - 1
+        if n > _N_CHEB_MAX:
+            raise QuadratureFailure(f"{what} unresolved by {_N_CHEB_MAX} Chebyshev nodes")
+    return Chebyshev(c, domain=[0.0, 1.0]).trim(np.finfo(float).eps * np.max(np.abs(c)))
+
+
 class _CumulativeMap:
     """x(r) = int_0^r sqrt(eta) as one Chebyshev series on [0,1], with inverse.
 
-    sqrt(eta) is sampled at first-kind Chebyshev points and its coefficients
-    come from a type-II DCT; the node count doubles until the upper half of
-    the coefficients is below _CHEB_TAIL of the largest, so the series
-    resolves sqrt(eta) to rounding level.  The series is then integrated
+    sqrt(eta) is fitted by ``_chebyshev_fit``, and the series is integrated
     exactly and evaluated by Clenshaw recurrence.  The inverse interpolates
     a seed from _N_SEED equispaced values of x(r), then takes safeguarded
     Newton steps on the exact derivative sqrt(eta).
@@ -387,20 +403,8 @@ class _CumulativeMap:
 
     def __init__(self, profile: RefractiveProfile):
         self.profile = profile
-        n = _N_CHEB
-        while True:
-            t = np.cos(np.pi * (np.arange(n) + 0.5) / n)
-            c = dct(np.sqrt(profile.eta(0.5 * (1.0 + t))), type=2) / n
-            c[0] *= 0.5
-            if np.max(np.abs(c[n // 2:])) <= _CHEB_TAIL * np.max(np.abs(c)):
-                break
-            n = 2 * n - 1
-            if n > _N_CHEB_MAX:
-                raise QuadratureFailure(
-                    f"{profile.name}: sqrt(eta) unresolved by {_N_CHEB_MAX} Chebyshev nodes")
-        # coefficients below rounding level change no value but cost every call
-        tiny = np.finfo(float).eps * np.max(np.abs(c))
-        self._x = Chebyshev(c, domain=[0.0, 1.0]).trim(tiny).integ(lbnd=0.0)
+        self._x = _chebyshev_fit(lambda r: np.sqrt(profile.eta(r)),
+                                 f"{profile.name}: sqrt(eta)").integ(lbnd=0.0)
         self.total = float(self._x(1.0))
         self._seed_r = np.linspace(0.0, 1.0, _N_SEED)
         self._seed_x = self._x(self._seed_r)
@@ -425,19 +429,23 @@ class _CumulativeMap:
 
 @dataclass
 class LiouvilleData:
-    """Travel time and the Schroedinger potential q(x) with its mean."""
+    """Travel time, potential q(x), ``q_mean`` = int_0^a q dx and q sqrt(eta) in r."""
 
     a: float
     q: Callable
     q_mean: float
     profile: RefractiveProfile = field(repr=False)
+    q_series: Chebyshev = field(repr=False)
 
     def q_abs_integral(self) -> float:
-        """int_0^a |q(x)| dx, for residual normalization."""
-        val, _ = integrate.quad(
-            lambda r: abs(_q_of_r(self.profile, r)) * math.sqrt(float(self.profile.eta(r))),
-            0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=200)
-        return val
+        """int_0^a |q(x)| dx = sum |F(r_i+1) - F(r_i)| with F' = q sqrt(eta).
+
+        q keeps its sign between the series' real roots, and an extra split
+        point changes nothing, so every root's real part in (0, 1) is one.
+        """
+        r = self.q_series.roots().real
+        r = np.r_[0.0, np.sort(r[(r > 0.0) & (r < 1.0)]), 1.0]
+        return float(np.sum(np.abs(np.diff(self.q_series.integ()(r)))))
 
 
 def _q_of_r(profile: RefractiveProfile, r):
@@ -452,19 +460,16 @@ def travel_time(profile: RefractiveProfile) -> float:
 
 
 def liouville_transform(profile: RefractiveProfile) -> LiouvilleData:
-    """Build the Liouville data (a, q(x), mean of q); q inverts the optical map."""
-    profile.eta(0.5, 2)  # raises DerivativeUnavailable early if unsupported
+    """Build the Liouville data (a, q(x), int q); q inverts the optical map."""
     cum = profile.cumulative_map()
 
     def q(x):
         return _q_of_r(profile, cum.inverse(x))
 
-    q_mean, err = integrate.quad(
-        lambda r: _q_of_r(profile, r) * math.sqrt(float(profile.eta(r))),
-        0.0, 1.0, epsabs=1e-11, epsrel=1e-11, limit=200)
-    if err > 1e-10:
-        raise QuadratureFailure(f"q_mean quadrature error {err}")
-    return LiouvilleData(a=cum.total, q=q, q_mean=float(q_mean), profile=profile)
+    series = _chebyshev_fit(lambda r: _q_of_r(profile, r) * np.sqrt(profile.eta(r)),
+                            f"{profile.name}: q sqrt(eta)")
+    return LiouvilleData(a=cum.total, q=q, q_mean=float(series.integ(lbnd=0.0)(1.0)),
+                         profile=profile, q_series=series)
 
 
 def subinterval_boundary(profile: RefractiveProfile, mass: float) -> float:

@@ -93,7 +93,7 @@ def test_kernel_check_passes(capsys):
     assert rc == EXIT_OK
     out = capsys.readouterr().out
     assert "FAIL" not in out
-    assert out.count("[PASS]") == 4
+    assert out.count("[PASS]") == 2
 
 
 def test_inverse_check_fast(capsys):
@@ -131,7 +131,7 @@ def test_kernel_check_json(capsys):
     rc = main(["kernel-check", "--profile", "colton_example", "--json"])
     assert rc == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
-    assert [c["pass"] for c in payload["checks"]] == [True] * 4
+    assert [c["pass"] for c in payload["checks"]] == [True] * 2
     assert all(c["residual"] <= max(c["bound"], 1e-15) for c in payload["checks"])
 
 

@@ -7,7 +7,8 @@ from numpy.testing import assert_allclose
 
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 
-from tevp import _rk8
+from tevp import _rk8, forward
+from tevp.errors import StepUnderflow
 from tevp.forward import (_DEGREE, _integrate_batch, _rk8_polynomials, _step_polynomials,
                           characteristic, characteristic_batch, log_derivative_batch,
                           scaled_characteristic, solve_ivp, steps_for)
@@ -94,13 +95,13 @@ def test_small_k_series_path():
 def test_batch_scalar_cross_check_generic_profile(colton):
     ks = np.array([5.0, 17.0, 12.0 + 3.0j, 40.0 + 5.0j])
     d_s, dp_s, scale = characteristic_batch(colton, ks)
+    d, dp, _, _, log_factor = _colton_closed_form(ks)
     for i, k in enumerate(ks):
         cv = characteristic(colton, complex(k), tol=1e-13)
-        rel = abs(d_s[i] * np.exp(scale[i]) - cv.value()) / abs(cv.value())
-        assert rel < 1e-9
-        ld_batch = dp_s[i] / d_s[i]
-        ld_scalar = cv.d_prime / cv.d
-        assert abs(ld_batch - ld_scalar) / abs(ld_scalar) < 1e-8
+        for got, ld in ((d_s[i] * np.exp(scale[i] - log_factor[i]), dp_s[i] / d_s[i]),
+                        (cv.d * np.exp(cv.scale_log - log_factor[i]), cv.d_prime / cv.d)):
+            assert abs(got - d[i]) / abs(d[i]) < 1e-9
+            assert abs(ld - dp[i] / d[i]) / abs(dp[i] / d[i]) < 1e-8
 
 
 @pytest.mark.parametrize("size", [1, 64, 1024, 4096])
@@ -178,8 +179,8 @@ def test_x_form_matches_colton_closed_form(colton, colton_lv, size):
 
 
 def test_adaptive_overflow_fallback_matches_dop853(colton):
-    # growth (1 + sqrt(eta_max)) |Im k| > 600 sends characteristic() to the
-    # batch engine; y itself stays representable here, so DOP853 can check it
+    # a large |Im k|: d ~ exp((1 + a)|Im k|) ~ 1e237 here, near the end of the
+    # float range; y itself stays representable, so DOP853 can check the engine
     k = 5.0 + 260.0j
     assert (1.0 + math.sqrt(colton.eta_max)) * k.imag > 600.0
     cv = characteristic(colton, k)
@@ -196,6 +197,30 @@ def test_adaptive_overflow_fallback_matches_dop853(colton):
           - v1 * cmath.cos(k) + y1 * cmath.sin(k))
     assert cv.value() == pytest.approx(d, rel=1e-8)
     assert cv.d_prime * np.exp(cv.scale_log) == pytest.approx(dp, rel=1e-8)
+
+
+def test_step_doubling_check_can_fail(colton, monkeypatch):
+    # from 64 steps (error 7e-10 at k = 40) the n / 2n check runs four times
+    monkeypatch.setattr(forward, "steps_for", lambda *args: 64)
+    d, _, _, _, log_factor = _colton_closed_form(40.0)
+    cv = characteristic(colton, 40.0)
+    assert cv.d * np.exp(cv.scale_log - log_factor) == pytest.approx(complex(d), rel=1e-11)
+    monkeypatch.setattr(forward, "_MAX_STEPS", 128)
+    with pytest.raises(StepUnderflow):
+        characteristic(colton, 40.0)
+
+
+def test_solve_ivp_array_matches_scalar_calls(colton):
+    ks = np.array([0.5, 7.0, 20.0 + 3.0j, 35.0])
+    bv = solve_ivp(colton, ks)
+    assert bv.y1.shape == bv.dy1.shape == bv.scale_log.shape == ks.shape
+    for i, k in enumerate(ks):
+        one = solve_ivp(colton, k)
+        for got, ref in ((bv.y1[i], one.y1), (bv.dy1[i], one.dy1)):
+            assert got * np.exp(bv.scale_log[i]) == pytest.approx(ref * np.exp(one.scale_log),
+                                                                  rel=1e-10, abs=1e-12)
+    empty = solve_ivp(colton, np.zeros(0))
+    assert empty.y1.size == empty.dy1.size == empty.scale_log.size == 0
 
 
 def test_large_imaginary_part_no_overflow(colton):

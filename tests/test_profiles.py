@@ -153,10 +153,40 @@ def test_q_is_bit_reproducible_across_processes():
     assert _run_python(code) == _run_python(code)
 
 
-def test_import_leaves_scipy_interpolate_unloaded():
+@pytest.mark.parametrize("module", ["scipy.interpolate", "scipy.integrate"])
+def test_import_leaves_scipy_module_unloaded(module):
     code = ("import sys, tevp, tevp.cli\n"
-            "print('scipy.interpolate' in sys.modules)")
+            f"print({module!r} in sys.modules)")
     assert _run_python(code) == "False"
+
+
+def _quad_reference(profile, absolute=False, panels=16):
+    """int_0^1 q sqrt(eta) dr (of |q| with ``absolute``) by panelwise quad."""
+    def f(r):
+        e, d1, d2 = (float(profile.eta(r, n)) for n in range(3))
+        q = d2 / (4.0 * e * e) - 5.0 / 16.0 * d1**2 / e**3
+        return (abs(q) if absolute else q) * math.sqrt(e)
+    edges = np.linspace(0.0, 1.0, panels + 1)
+    return sum(integrate.quad(f, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=400)[0]
+               for lo, hi in zip(edges[:-1], edges[1:]))
+
+
+@pytest.mark.parametrize("name", ["colton_example", "raised_cosine", "slow_core", "const4"])
+def test_q_integrals_match_quad(name):
+    p = get_profile(name)
+    lv = liouville_transform(p)
+    assert abs(lv.q_mean - _quad_reference(p)) <= 1e-13
+    assert abs(lv.q_abs_integral() - _quad_reference(p, absolute=True)) <= 1e-11
+
+
+@pytest.mark.parametrize("degree, amplitude", [(60, 0.02), (100, 0.01)])
+def test_q_mean_of_high_degree_chebyshev_profile(degree, amplitude):
+    # 2 + 0.2 T_3 + amplitude T_degree: q sqrt(eta) needs 1281 Chebyshev nodes
+    coeffs = np.zeros(degree + 1)
+    coeffs[[0, 3, degree]] = 2.0, 0.2, amplitude
+    p = ChebyshevProfile(coeffs)
+    ref = _quad_reference(p, panels=128)
+    assert abs(liouville_transform(p).q_mean - ref) <= 1e-12 * abs(ref)
 
 
 @pytest.mark.parametrize("degree, amplitude", [(250, 0.01), (400, 0.005)])
