@@ -39,6 +39,8 @@ import numpy as np
 from .errors import NoConvergence
 from .profiles import LiouvilleData
 
+_ROW_BLOCK = 64          # rows per block of the lower-triangle cumulative trapezoid
+
 __all__ = [
     "KernelGrid",
     "solve_kernel",
@@ -66,6 +68,19 @@ def _cumtrapz_rows(G, out, delta):
     np.cumsum(tail, axis=1, out=tail)
     out *= delta
     out[:, 0] = 0.0
+
+
+def _q_cumtrapz_lower(K, q, W, delta):
+    """W = q*C with C the row-wise cumulative trapezoid of K, on the lower triangle.
+
+    Rows go in blocks of _ROW_BLOCK, each stopping at its last diagonal column;
+    entries right of that are left as they are.  Row sums run in the same
+    order as over whole rows, so the triangle has the same bits.
+    """
+    for i0 in range(0, len(K), _ROW_BLOCK):
+        rows, cols = slice(i0, i0 + _ROW_BLOCK), slice(0, i0 + _ROW_BLOCK)
+        _cumtrapz_rows(K[rows, cols], W[rows, cols], delta)
+        W[rows, cols] *= q[rows, None]
 
 
 @dataclass
@@ -120,8 +135,9 @@ class _SweepPlan:
     """Row-major int32 flat indices for grid size M (see the module docstring).
 
     ``diag[r, s]`` is W[2r + s, s], ``anti[r, m]`` is W[r + m, r - m]; past the
-    end of a line both point at W[0, M], always 0 as row 0 of K is.  The even
-    nodes index K (``even``), A[hp, j] (``even_a``) and B[hc, hp] (``even_b``).
+    end of a line both point at W[0, M], always 0 as row 0 and the upper
+    triangle of K are.  The even nodes index K (``even``), A[hp, j]
+    (``even_a``) and B[hc, hp] (``even_b``).
     """
 
     def __init__(self, M: int):
@@ -181,8 +197,7 @@ def solve_kernel(liouville: LiouvilleData, h: float | None = None,
 
     last = math.inf
     for it in range(1, max_iter + 1):
-        _cumtrapz_rows(K, W, delta)       # C, then W = q*C
-        W *= q[:, None]
+        _q_cumtrapz_lower(K, q, W, delta)
         Dv = _cumtrapz(np.diagonal(W), delta)
         _cumtrapz_rows(W.ravel()[plan.diag], Apad, delta)
         _cumtrapz_rows(W.ravel()[plan.anti], Bpad, delta)

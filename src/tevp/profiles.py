@@ -46,6 +46,7 @@ _N_CHEB = 161              # first node count of the optical-map series
 _N_CHEB_MAX = 8193         # node counts beyond this raise QuadratureFailure
 _CHEB_TAIL = 1e-13         # resolved: upper-half coefficients below this of the max
 _N_SEED = 129              # equispaced x(r) values seeding the inverse
+_ROOT_WIDTH = 1e-8         # bracket width at which q_abs_integral stops bisecting
 _GRID_CACHE_SIZE = 16      # per-profile arrays kept by grid_cached()
 
 
@@ -440,12 +441,25 @@ class LiouvilleData:
     def q_abs_integral(self) -> float:
         """int_0^a |q(x)| dx = sum |F(r_i+1) - F(r_i)| with F' = q sqrt(eta).
 
-        q keeps its sign between the series' real roots, and an extra split
-        point changes nothing, so every root's real part in (0, 1) is one.
+        The r_i are the sign changes of the series between 4 (degree + 1) + 1
+        Chebyshev points of [0, 1], bisected to width _ROOT_WIDTH and ended
+        with one secant step.  F is stationary at a root, so a split point
+        off by e moves the sum by O(e^2), and an extra one changes nothing.
         """
-        r = self.q_series.roots().real
-        r = np.r_[0.0, np.sort(r[(r > 0.0) & (r < 1.0)]), 1.0]
-        return float(np.sum(np.abs(np.diff(self.q_series.integ()(r)))))
+        g = self.q_series
+        m = 4 * (g.degree() + 1)
+        r = 0.5 - 0.5 * np.cos(np.pi * np.arange(m + 1) / m)
+        v = g(r)
+        i = np.flatnonzero(np.sign(v[:-1]) != np.sign(v[1:]))
+        lo, hi, v_lo, v_hi = r[i], r[i + 1], v[i], v[i + 1]
+        while np.any(hi - lo > _ROOT_WIDTH):
+            mid = 0.5 * (lo + hi)
+            v_mid = g(mid)
+            left = np.sign(v_mid) != np.sign(v_lo)     # the sign changes in [lo, mid]
+            lo, v_lo = np.where(left, lo, mid), np.where(left, v_lo, v_mid)
+            hi, v_hi = np.where(left, mid, hi), np.where(left, v_mid, v_hi)
+        r = np.r_[0.0, lo - v_lo * (hi - lo) / (v_hi - v_lo), 1.0]
+        return float(np.sum(np.abs(np.diff(g.integ()(r)))))
 
 
 def _q_of_r(profile: RefractiveProfile, r):

@@ -7,8 +7,16 @@ iteration for clusters.  A multiple zero (or a cluster that floating-point
 noise has split below the resolution floor) is reported once, at the
 centroid, with the contour-certified multiplicity.
 
-All contour evaluations are funneled through a batching service so that a
-whole subdivision level costs a handful of vectorized ODE sweeps.
+All evaluations of one search go through its batching service, so that a
+whole subdivision level costs a handful of vectorized ODE sweeps.  The
+service also caches every contour segment's 12-node integral of d'/d, keyed
+by its endpoints and the grid's step count: a child cell's edges that its
+parent already integrated, the split line two siblings share, and a refined
+segment's halves (the next round's coarse rules) are each evaluated once.
+Edges are bisected at 0.5 (a + b), so these keys are bit-equal.  One
+``_winding_many`` call integrates all its contours on one grid, so each
+closed contour integrates one analytic function d_h and its count is exact;
+a cached segment is only read at the grid it was computed on.
 """
 
 from __future__ import annotations
@@ -40,6 +48,10 @@ _MMAX_DEFAULT = 4
 _CLUSTER_DIAM = 0.4          # cells at most this wide become refinement clusters
 _SPLIT_FLOOR = 2e-3          # clusters cohesive at this radius count as one multiple zero
 _GL_NODES = np.polynomial.legendre.leggauss(12)
+_SEG_LEN = 1.5               # longest first-round segment of a contour edge
+_COARSE_PER_RADIAN = 3.5     # grid steps per radian of phase for winding counts
+_MAX_SPLITS = 128            # segments one contour may split in one round
+_PHASES = ("count", "subdivide", "refine")
 _REAL_STRIP = 0.5            # height of the strip real_zeros searches
 
 
@@ -60,6 +72,11 @@ class SpectralZero:
 
 @dataclass
 class SearchReport:
+    """Zeros of one search and its ``stats``: ``evals`` (points propagated),
+    ``phase_evals`` (their split over count / subdivide / refine), ``batches``
+    (engine calls), ``ksteps`` (points times grid steps), ``segments_reused``
+    (segment rules the cache, or the same batch, already held), ``clusters``,
+    ``duplicates_removed`` and ``noteworthy_multiple_nonreal``."""
     rect: tuple
     zeros: list
     total_count_by_argument_principle: int
@@ -72,31 +89,68 @@ class SearchReport:
 
 
 class _Service:
-    """Caches profile constants and batches d'/d evaluations.
+    """Batches d'/d evaluations for one search and caches its contour segments.
 
-    ``coarse`` sweeps (~3.5 grid steps per radian of phase) are ample for
-    integer winding counts; ``fine`` sweeps back Newton polish and centroid
-    quadrature.
+    ``segments`` maps (a, b, n) to the 12-node Gauss-Legendre integral of d'/d
+    from a to b and the max |D| at its nodes, both on the n-step grid.  The
+    endpoints are in canonical order (a before b by (re, im)); a segment
+    traversed from b to a reads the negated integral.
     """
 
     def __init__(self, profile: RefractiveProfile):
         self.profile = profile
         self.a = travel_time(profile)
-        self.stats = {"batches": 0, "evals": 0}
+        self.segments = {}
+        self.phase = "count"
+        self.stats = {"batches": 0, "evals": 0, "ksteps": 0, "segments_reused": 0,
+                      "phase_evals": dict.fromkeys(_PHASES, 0)}
 
-    def eval(self, ks, fine: bool = False):
-        """Return (logderiv, absD) at the given complex points."""
+    def eval(self, ks, n_steps=None):
+        """Return (logderiv, absD) at the given complex points.
+
+        ``n_steps`` None is the fine grid (8 steps per radian at max |k|) that
+        backs Newton polish and circle quadrature.
+        """
         ks = np.asarray(ks, dtype=complex).ravel()
         if ks.size == 0:
             return np.zeros(0, complex), np.zeros(0)
-        n = grid_steps(self.profile, float(np.abs(ks).max()), 8.0 if fine else 3.5)
-        d_s, dp_s, scale_log = characteristic_batch(self.profile, ks, n_steps=n)
+        if n_steps is None:
+            n_steps = grid_steps(self.profile, float(np.abs(ks).max()), 8.0)
+        d_s, dp_s, scale_log = characteristic_batch(self.profile, ks, n_steps=n_steps)
         self.stats["batches"] += 1
         self.stats["evals"] += ks.size
+        self.stats["ksteps"] += ks.size * n_steps
+        self.stats["phase_evals"][self.phase] += ks.size
         with np.errstate(divide="ignore", invalid="ignore"):
             ld = dp_s / d_s
         absD = np.abs(d_s * ks) * np.exp(scale_log - (1.0 + self.a) * np.abs(ks.imag))
         return ld, absD
+
+    def rules(self, pieces, n_steps):
+        """12-node integrals of d'/d along oriented pieces (a, b), and max |D| on each.
+
+        Only pieces missing from ``segments`` at this grid are evaluated, in
+        one batch; a piece given twice, or in both orientations, once.
+        """
+        keys, signs = [], []
+        for a, b in pieces:
+            forward = (a.real, a.imag) < (b.real, b.imag)
+            keys.append((a, b, n_steps) if forward else (b, a, n_steps))
+            signs.append(1.0 if forward else -1.0)
+        cache = self.segments
+        new = list(dict.fromkeys(k for k in keys if k not in cache))
+        self.stats["segments_reused"] += len(keys) - len(new)
+        if new:
+            a, b = np.array([k[0] for k in new]), np.array([k[1] for k in new])
+            c, h = 0.5 * (a + b), 0.5 * (b - a)
+            x_gl, w_gl = _GL_NODES
+            ld, absD = self.eval((c[:, None] + h[:, None] * x_gl).ravel(), n_steps)
+            with np.errstate(invalid="ignore"):
+                ints = (ld.reshape(len(new), -1) @ w_gl) * h
+            mx = absD.reshape(len(new), -1).max(axis=1)
+            cache.update(zip(new, zip(ints.tolist(), mx.tolist())))
+        ints, mx = zip(*map(cache.__getitem__, keys))
+        return np.array(ints) * signs, np.array(mx)
 
 
 # ---------------------------------------------------------------------------
@@ -109,77 +163,76 @@ def _rect_corners(rect):
     return [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
 
 
+def _edge_pieces(c0, c1):
+    """The edge c0 -> c1 bisected at 0.5 (a + b) until no piece exceeds _SEG_LEN.
+
+    A half edge of a split cell bisects into bit-equal pieces of the whole
+    edge, so a child cell finds its parent's segments in the cache.
+    """
+    pts = [c0, c1]
+    while abs(pts[1] - pts[0]) > _SEG_LEN:
+        mids = [0.5 * (a + b) for a, b in zip(pts, pts[1:])]
+        pts = [p for pair in zip(pts, mids) for p in pair] + [c1]
+    return list(zip(pts, pts[1:]))
+
+
 def _winding_many(service, rects, seg_tol=1e-3, max_rounds=18):
     """Winding numbers of d over rectangle boundaries, several at once.
 
-    Returns a list of (count:int|None, max_absD:float); count None marks a
-    contour-too-close failure (non-integer defect or unconverged segment).
-    """
-    segments = []   # (rect_index, z0, z1, depth)
-    for idx, rect in enumerate(rects):
-        cs = _rect_corners(rect)
-        for c0, c1 in zip(cs, cs[1:] + cs[:1]):
-            L = abs(c1 - c0)
-            nseg = max(1, int(math.ceil(L / 1.5)))
-            for j in range(nseg):
-                segments.append((idx, c0 + (c1 - c0) * j / nseg,
-                                 c0 + (c1 - c0) * (j + 1) / nseg, 0))
-    totals = np.zeros(len(rects), dtype=complex)
-    max_absD = np.zeros(len(rects))
-    failed = [False] * len(rects)
-    x_gl, w_gl = _GL_NODES
+    Every contour of one call is integrated on one grid, sized for the largest
+    |k| of all corners, so each closed contour integrates one analytic d_h.  A
+    segment is accepted when its 12-node rule agrees with the sum over its two
+    halves to ``seg_tol``, and otherwise replaced by the halves, whose rules
+    are then already cached.
 
-    for _ in range(max_rounds):
-        if not segments:
+    Returns a list of (count:int|None, max_absD:float, winding:complex); count
+    None marks a contour-too-close failure (non-integer defect or unconverged
+    segment).
+    """
+    corners = [_rect_corners(rect) for rect in rects]
+    n_steps = grid_steps(service.profile, max(abs(c) for cs in corners for c in cs),
+                         _COARSE_PER_RADIAN)
+    owner, z0, z1 = [], [], []
+    for idx, cs in enumerate(corners):
+        for c0, c1 in zip(cs, cs[1:] + cs[:1]):
+            for a, b in _edge_pieces(c0, c1):
+                owner.append(idx)
+                z0.append(a)
+                z1.append(b)
+    m = len(rects)
+    totals = np.zeros(m, dtype=complex)
+    max_absD = np.zeros(m)
+    failed = np.zeros(m, dtype=bool)
+
+    for depth in range(max_rounds):
+        if not owner:
             break
-        nodes = []
-        for (_, z0, z1, _) in segments:
-            mid = 0.5 * (z0 + z1)
-            for (a, b) in ((z0, z1), (z0, mid), (mid, z1)):
-                c, h = 0.5 * (a + b), 0.5 * (b - a)
-                nodes.append(c + h * x_gl)
-        ld, absD = service.eval(np.concatenate(nodes))
-        ld = ld.reshape(len(segments), 3, 12)
-        absD = absD.reshape(len(segments), 3, 12)
-        next_segments = []
-        n_pending = [0] * len(rects)
-        for i, (ri, z0, z1, depth) in enumerate(segments):
-            np.maximum.at(max_absD, ri, absD[i].max())
-            mid = 0.5 * (z0 + z1)
-            half = [(z0, z1), (z0, mid), (mid, z1)]
-            with np.errstate(invalid="ignore"):
-                ints = [np.sum(w_gl * ld[i, j]) * 0.5 * (b - a)
-                        for j, (a, b) in enumerate(half)]
-            coarse, fine = ints[0], ints[1] + ints[2]
-            gap = abs(coarse - fine)
-            if failed[ri]:
-                continue
-            if not np.isfinite(gap):
-                # a node hit a zero of d dead-on: this contour is unusable
-                failed[ri] = True
-            elif gap <= seg_tol:
-                totals[ri] += fine
-            elif depth >= max_rounds - 1 or n_pending[ri] > 256:
-                failed[ri] = True
-            else:
-                n_pending[ri] += 2
-                next_segments.append((ri, z0, mid, depth + 1))
-                next_segments.append((ri, mid, z1, depth + 1))
-        segments = [s for s in next_segments if not failed[s[0]]]
-    for (ri, *_rest) in segments:
-        failed[ri] = True
+        mid = [0.5 * (a + b) for a, b in zip(z0, z1)]
+        ints, mx = service.rules([*zip(z0, z1), *zip(z0, mid), *zip(mid, z1)], n_steps)
+        coarse, left, right = ints.reshape(3, -1)
+        idx = np.array(owner)
+        np.maximum.at(max_absD, idx, mx.reshape(3, -1).max(axis=0))
+        fine = left + right
+        gap = np.abs(coarse - fine)
+        # a node hit a zero of d dead-on: this contour is unusable
+        failed[idx[~np.isfinite(gap)]] = True
+        done = gap <= seg_tol
+        np.add.at(totals, idx[done], fine[done])
+        split = np.isfinite(gap) & ~done
+        if depth == max_rounds - 1:
+            failed[idx[split]] = True
+        failed |= np.bincount(idx[split], minlength=m) > _MAX_SPLITS
+        keep = np.flatnonzero(split & ~failed[idx])
+        owner = np.repeat(idx[keep], 2).tolist()
+        z0 = [z for i in keep for z in (z0[i], mid[i])]
+        z1 = [z for i in keep for z in (mid[i], z1[i])]
 
     out = []
-    for i in range(len(rects)):
-        if failed[i]:
-            out.append((None, max_absD[i]))
-            continue
+    for i in range(m):
         w = totals[i] / (2j * np.pi)
         n = int(round(w.real))
-        if abs(w - n) > 0.25 or n < 0:
-            out.append((None, max_absD[i]))
-        else:
-            out.append((n, max_absD[i]))
+        ok = not failed[i] and abs(w - n) <= 0.25 and n >= 0
+        out.append((n if ok else None, max_absD[i], w))
     return out
 
 
@@ -194,7 +247,7 @@ def _circle_many(service, circles, n_nodes=96):
     theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
     unit = np.exp(1j * theta)
     ks = np.concatenate([c + r * unit for (c, r) in circles])
-    ld, absD = service.eval(ks, fine=True)
+    ld, absD = service.eval(ks)
     ld = ld.reshape(m, n_nodes)
     absD = absD.reshape(m, n_nodes)
     out = []
@@ -235,7 +288,7 @@ def _count_with_perturbation(service, rect):
     tried = rect
     worst_mx = 0.0
     for j in range(6):
-        (n, mx), = _winding_many(service, [tried])
+        (n, mx, _w), = _winding_many(service, [tried])
         worst_mx = max(worst_mx, mx)
         if worst_mx < DEGENERACY_FLOOR:
             raise DegenerateCharacteristic(
@@ -309,7 +362,7 @@ def _subdivide(service, root: _Cell, mmax, cluster_diam):
         batch, pending = pending, []
         results = _winding_many(service, [c.rect for c in batch])
         retry_parents = set()
-        for cell, (n, _mx) in zip(batch, results):
+        for cell, (n, _mx, _w) in zip(batch, results):
             cell.count = n
         for cell in batch:
             parent = cell.parent
@@ -361,7 +414,7 @@ def _newton_polish(service, cands, tol):
         if not active:
             return
         ks = np.array([c.k for c in active])
-        ld, absD = service.eval(ks, fine=True)
+        ld, absD = service.eval(ks)
         still = []
         for c, l, aD in zip(active, ld, absD):
             if np.isinf(l):
@@ -488,7 +541,7 @@ def _refine_clusters(service, clusters, tol, depth=0):
 
     final = simple + multi
     if final:
-        _, absD = service.eval(np.array([c.k for c in final]), fine=True)
+        _, absD = service.eval(np.array([c.k for c in final]))
         for c, aD in zip(final, absD):
             c.residual = float(aD)
         # final small-contour verification
@@ -552,7 +605,9 @@ def find_zeros(profile: RefractiveProfile, rect, tol: float = 1e-9,
     service = _Service(profile)
     total, used_rect = _count_with_perturbation(service, search_rect)
     root = _Cell(used_rect, count=total)
+    service.phase = "subdivide"
     clusters = _subdivide(service, root, mmax, cluster_diam)
+    service.phase = "refine"
     refined = _refine_clusters(service, clusters, tol, depth=_depth)
     zeros, removed = _canonicalize(refined)
     noteworthy = [z.k for z in zeros if z.cls == "nonreal" and z.multiplicity > 1]

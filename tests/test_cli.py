@@ -67,6 +67,9 @@ def test_spectrum_outputs_and_determinism(tmp_path, capsys):
     assert len(lines) == 3          # zeros at pi and 2 pi
     report = json.loads((tmp_path / "run1.csv.json").read_text())
     assert report["count"] == 6
+    stats = report["stats"]
+    assert sum(stats["phase_evals"].values()) == stats["evals"] > 0
+    assert stats["ksteps"] > 0 and stats["segments_reused"] > 0
 
     scatter = (tmp_path / "run1.csv.scatter.csv").read_text().splitlines()
     assert scatter[0] == "re,im"

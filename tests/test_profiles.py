@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import integrate
+from scipy import integrate, optimize
 
 import tevp
 from tevp.errors import MassOutOfRange, QuadratureFailure
@@ -177,6 +177,28 @@ def test_q_integrals_match_quad(name):
     lv = liouville_transform(p)
     assert abs(lv.q_mean - _quad_reference(p)) <= 1e-13
     assert abs(lv.q_abs_integral() - _quad_reference(p, absolute=True)) <= 1e-11
+
+
+def test_q_abs_integral_of_high_degree_chebyshev_profile():
+    # 2 + 0.2 T_3 + 0.02 T_60: q sqrt(eta) is a degree-1277 series with 58 sign
+    # changes in (0, 1).  The reference splits quad at brentq roots of q sqrt(eta).
+    coeffs = np.zeros(61)
+    coeffs[[0, 3, 60]] = 2.0, 0.2, 0.02
+    p = ChebyshevProfile(coeffs)
+
+    def f(r):
+        e, d1, d2 = (float(p.eta(r, n)) for n in range(3))
+        return (d2 / (4.0 * e * e) - 5.0 / 16.0 * d1**2 / e**3) * math.sqrt(e)
+
+    grid = np.linspace(0.0, 1.0, 2001)
+    vals = np.array([f(r) for r in grid])
+    roots = [optimize.brentq(f, grid[i], grid[i + 1], xtol=1e-15)
+             for i in np.flatnonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))]
+    edges = np.r_[0.0, roots, 1.0]
+    ref = sum(abs(integrate.quad(f, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)[0])
+              for lo, hi in zip(edges[:-1], edges[1:]))
+    assert len(roots) == 58
+    assert abs(liouville_transform(p).q_abs_integral() - ref) <= 1e-11
 
 
 @pytest.mark.parametrize("degree, amplitude", [(60, 0.02), (100, 0.01)])

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,8 +10,9 @@ from tevp.errors import DegenerateCharacteristic
 from tevp.forward import scaled_characteristic
 from tevp.profiles import ConstantProfile, get_profile
 from tevp.zeros import (SearchReport, SpectralZero, _Candidate, _newton_polish,
-                        count_zeros, find_zeros, real_zeros, report_to_json,
-                        write_report_json, write_zeros_csv)
+                        _Service, _winding_many, count_zeros, find_zeros,
+                        real_zeros, report_to_json, write_report_json,
+                        write_zeros_csv)
 
 CONST4 = ConstantProfile(4.0)
 CONST1 = ConstantProfile(1.0)
@@ -157,3 +159,100 @@ def test_newton_accepts_an_exact_zero():
     assert cand.done and not cand.stalled
     assert cand.residual == 0.0
     assert cand.k == 2.0 + 1.0j
+
+
+# ---------------------------------------------------------------------------
+# the segment cache of the winding quadrature
+# ---------------------------------------------------------------------------
+
+
+def _evals(service, rects):
+    """Points ``_winding_many`` propagates for ``rects``, and its results."""
+    before = service.stats["evals"]
+    out = _winding_many(service, rects)
+    return service.stats["evals"] - before, out
+
+
+def test_cached_contour_costs_no_evaluations(colton):
+    service = _Service(colton)
+    rect = (0.3, 12.0, -0.15, 6.0)
+    cost, first = _evals(service, [rect])
+    assert cost > 0
+    assert _evals(service, [rect]) == (0, first)
+
+
+def test_cache_is_never_read_at_another_grid(colton):
+    small, far = (0.3, 3.0, 0.5, 2.0), (30.0, 31.0, 1.0, 2.0)
+    warm = _Service(colton)
+    _evals(warm, [small])               # cached on the grid for |k| <= 3.6
+    warm_cost, warm_out = _evals(warm, [small, far])
+    fresh_cost, fresh_out = _evals(_Service(colton), [small, far])
+    assert warm_cost == fresh_cost
+    assert warm_out == fresh_out
+    assert len({n for (_a, _b, n) in warm.segments}) == 2
+
+
+def test_warmed_service_counts_like_a_fresh_one(colton):
+    x0, x1, y0, y1 = 0.3, 12.0, -0.15, 6.0
+    xm = 0.5 * (x0 + x1)
+    children = [(x0, xm, y0, y1), (xm, x1, y0, y1)]
+    warm = _Service(colton)
+    _evals(warm, [(x0, x1, y0, y1)])
+    warm_cost, warm_out = _evals(warm, children)
+    fresh_cost, fresh_out = _evals(_Service(colton), children)
+    # the children's outer edges are the parent's; only the split line is new
+    assert 0 < warm_cost < fresh_cost / 4
+    assert [n for n, _, _ in warm_out] == [n for n, _, _ in fresh_out] == [1, 2]
+    for (_, mx_w, w_w), (_, mx_f, w_f) in zip(warm_out, fresh_out):
+        assert abs(w_w - w_f) <= 1e-12
+        assert mx_w == mx_f
+
+
+def test_siblings_evaluate_their_split_line_once(colton):
+    x0, x1, y0, y1 = 0.3, 12.0, -0.15, 6.0
+    xm = 0.5 * (x0 + x1)
+    siblings = [(x0, xm, y0, y1), (xm, x1, y0, y1)]
+    service = _Service(colton)
+    together, _ = _evals(service, siblings)
+    apart = sum(_evals(_Service(colton), [rect])[0] for rect in siblings)
+    assert together < apart
+    # every segment is stored once, whichever way the contours run along it
+    assert all((a.real, a.imag) < (b.real, b.imag) for (a, b, _n) in service.segments)
+
+
+def test_search_stats_account_for_every_evaluation(const4):
+    rect = (0.5, 7.0, 0.0, 1.0)
+    stats = find_zeros(const4, rect).stats
+    assert find_zeros(const4, rect).stats == stats
+    assert set(stats["phase_evals"]) == {"count", "subdivide", "refine"}
+    assert all(v > 0 for v in stats["phase_evals"].values())
+    assert sum(stats["phase_evals"].values()) == stats["evals"]
+    assert stats["ksteps"] >= 64 * stats["evals"]
+    assert stats["segments_reused"] > 0
+
+
+# ---------------------------------------------------------------------------
+# every colton_example zero against the closed form
+# ---------------------------------------------------------------------------
+
+
+def _colton_d(k):
+    """d(k) of colton_example: q = 1/4 and a = ln 3 give it in closed form."""
+    mu = mpmath.sqrt(k * k - mpmath.mpf(1) / 4)
+    a = mpmath.log(3)
+    return mpmath.sqrt(3) / 2 * (mpmath.cos(mu * a) * mpmath.sin(k) / k
+                                 - mpmath.sin(mu * a) * mpmath.cos(k) / mu)
+
+
+@pytest.mark.parametrize("fixture, n_zeros", [("colton_spectrum_40", 13),
+                                              ("colton_spectrum_150", 51)])
+def test_zeros_are_roots_of_the_closed_form(request, fixture, n_zeros):
+    zeros = request.getfixturevalue(fixture).zeros
+    assert len(zeros) == n_zeros
+    roots = []
+    with mpmath.workdps(30):
+        for z in zeros:
+            root = complex(mpmath.findroot(_colton_d, mpmath.mpc(z.k)))
+            assert abs(root - z.k) <= 1e-8, (z.k, root)
+            assert all(abs(root - r) > 1e-8 for r in roots), f"two zeros share {root}"
+            roots.append(root)
