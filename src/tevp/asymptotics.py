@@ -32,6 +32,7 @@ __all__ = [
     "predict_real",
     "match",
     "counting_check",
+    "nonreal_count",
     "write_match_csv",
 ]
 
@@ -240,8 +241,7 @@ def match(zeros, case: AsymptoticCase, n_window=None,
     the asymptotics, so a global shift in {-1, 0, +1} is chosen to minimize
     the total residual and reported.
     """
-    zlist = [z for z in (zeros.zeros if hasattr(zeros, "zeros") else zeros)
-             if z.cls == "nonreal"]
+    zlist = _nonreal(zeros)
     if not zlist:
         return MatchReport([], [], [], 0)
     if n_window is None:
@@ -292,18 +292,27 @@ def _greedy_match(zlist, preds):
 # ---------------------------------------------------------------------------
 
 
-def counting_check(zeros, radii):
-    """Rows (r, N(r), N(r)*pi/(4r)) for the non-real counting law.
+def _nonreal(zeros):
+    """The non-real zeros of a SearchReport or of a list of SpectralZero."""
+    return [z for z in getattr(zeros, "zeros", zeros) if z.cls == "nonreal"]
 
-    N(r) counts all four symmetric copies {k, -k, conj k, -conj k} of each
+
+def nonreal_count(zeros, r, select=None):
+    """N(r): all four symmetric copies {k, -k, conj k, -conj k} of each
     non-real zero, with multiplicity, in |k| <= r.
+
+    ``zeros`` is a SearchReport or a list of SpectralZero; ``select``
+    filters the canonical zeros (default: all non-real).
     """
-    zlist = [z for z in (zeros.zeros if hasattr(zeros, "zeros") else zeros)
-             if z.cls == "nonreal"]
+    return sum(z.multiplicity * len(z.symmetric_copies()) for z in _nonreal(zeros)
+               if abs(z.k) <= r and (select is None or select(z)))
+
+
+def counting_check(zeros, radii):
+    """Rows (r, N(r), N(r)*pi/(4r)) for the non-real counting law."""
     rows = []
     for r in radii:
-        N = sum(z.multiplicity * len(z.symmetric_copies())
-                for z in zlist if abs(z.k) <= r)
+        N = nonreal_count(zeros, r)
         rows.append((float(r), N, N * math.pi / (4.0 * r)))
     return rows
 

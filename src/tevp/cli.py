@@ -105,12 +105,16 @@ def cmd_profile_info(args):
     return EXIT_OK
 
 
-def cmd_spectrum(args):
-    profile = load_profile(args.profile)
+def _search(args, profile):
+    """The find_zeros report over --rect, at --tol (default 1e-9)."""
     if args.rect is None:
-        raise ValueError("spectrum requires --rect x0,x1,y0,y1")
-    rect = _parse_rect(args.rect)
-    report = zmod.find_zeros(profile, rect, tol=args.tol)
+        raise ValueError(f"{args.cmd} requires --rect x0,x1,y0,y1")
+    tol = 1e-9 if args.tol is None else args.tol
+    return zmod.find_zeros(profile, _parse_rect(args.rect), tol)
+
+
+def cmd_spectrum(args):
+    report = _search(args, load_profile(args.profile))
     lines = [f"zeros found: {len(report.zeros)} "
              f"(count {report.total_count_by_argument_principle} with multiplicity)"]
     for z in report.zeros:
@@ -131,14 +135,12 @@ def cmd_spectrum(args):
 
 
 def cmd_asymptotics(args):
+    if args.spectrum and (args.rect is not None or args.tol is not None):
+        raise ValueError("--spectrum reads its zeros from a file: "
+                         "--rect and --tol would be ignored")
     profile = load_profile(args.profile)
     case = asym.case_from_profile(profile)
-    if args.spectrum:
-        zeros = _read_zeros_csv(args.spectrum)
-    else:
-        if args.rect is None:
-            raise ValueError("asymptotics requires --rect or --spectrum")
-        zeros = zmod.find_zeros(profile, _parse_rect(args.rect), tol=args.tol).zeros
+    zeros = _read_zeros_csv(args.spectrum) if args.spectrum else _search(args, profile).zeros
     nonreal = [z for z in zeros if z.cls == "nonreal"]
     if nonreal and case.regime == "a_eq_1":
         raise RegimeError("spectrum regime check failed for a = 1")
@@ -205,6 +207,8 @@ def cmd_kernel_check(args):
 
 def cmd_inverse_check(args):
     if args.scenario:
+        if args.profile is not None:
+            raise ValueError("--scenario names its own profiles: --profile would be ignored")
         sc = inv.load_scenario(args.scenario)
     else:
         profile_ref = args.profile or "colton_example"
@@ -254,7 +258,7 @@ def _build_parser():
         sp.add_argument("--profile", required=False,
                         help="profile registry name or JSON path")
         if tol:
-            sp.add_argument("--tol", type=float, default=1e-9, help="zero-search tolerance")
+            sp.add_argument("--tol", type=float, help="zero-search tolerance (default 1e-9)")
         sp.add_argument("--out", help="output path")
         sp.add_argument("--json", action="store_true",
                         help="machine-readable JSON to stdout")

@@ -25,6 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import _rk8
+from .asymptotics import nonreal_count
 from .errors import RegimeError
 from .forward import _integrate_batch, _rk8_polynomials
 from .profiles import (RefractiveProfile, liouville_transform, load_profile,
@@ -193,18 +194,8 @@ def theorem4_threshold(a: float, b: float) -> float:
 
 
 def density_estimate(zeros, r: float, select: Callable | None = None) -> float:
-    """alpha_hat = N_D(r) * pi / (2r) for a subset D of non-real zeros.
-
-    Counts all four symmetric copies with multiplicity in |k| <= r.
-    ``select`` filters the canonical zeros (default: all non-real).
-    """
-    zlist = [z for z in (zeros.zeros if hasattr(zeros, "zeros") else zeros)
-             if z.cls == "nonreal"]
-    if select is not None:
-        zlist = [z for z in zlist if select(z)]
-    N = sum(z.multiplicity * len(z.symmetric_copies())
-            for z in zlist if abs(z.k) <= r)
-    return N * math.pi / (2.0 * r)
+    """alpha_hat = N_D(r) * pi / (2r), N_D = ``nonreal_count(zeros, r, select)``."""
+    return nonreal_count(zeros, r, select) * math.pi / (2.0 * r)
 
 
 def density_report(zeros, r: float, a: float, b: float,

@@ -61,7 +61,6 @@ class RefractiveProfile:
 
     name: str = "profile"
     max_deriv: Optional[int] = None
-    smoothness_m: Optional[int] = None
 
     def __init__(self, normalized_tail: bool = False):
         self.eta_min, self.eta_max = self._certify_positive()
@@ -139,7 +138,6 @@ class ConstantProfile(RefractiveProfile):
     """eta(r) = value everywhere; Liouville potential q = 0, a = sqrt(value)."""
 
     max_deriv = None
-    smoothness_m = None
 
     def __init__(self, value: float = 1.0, normalized_tail: bool = False):
         if value <= 0:
@@ -163,7 +161,6 @@ class ColtonExampleProfile(RefractiveProfile):
     """
 
     max_deriv = 4
-    smoothness_m = 0
 
     def __init__(self, normalized_tail: bool = True):
         self.name = "colton_example"
@@ -200,7 +197,6 @@ class RaisedCosineProfile(RefractiveProfile):
     """
 
     max_deriv = 4
-    smoothness_m = 2
 
     def __init__(self, amplitude: float = 1.0, normalized_tail: bool = True):
         if amplitude <= -1.0:
@@ -235,7 +231,6 @@ class SlowCoreProfile(RefractiveProfile):
     """
 
     max_deriv = 4
-    smoothness_m = 0
 
     def __init__(self, core: float = 0.5, beta: float = 40.0,
                  normalized_tail: bool = True):
@@ -268,10 +263,8 @@ class SlowCoreProfile(RefractiveProfile):
 class ChebyshevProfile(RefractiveProfile):
     """User data as a Chebyshev series on [0,1], differentiable to deriv_order."""
 
-    smoothness_m = None
-
     def __init__(self, coeffs: Sequence[float], deriv_order: int = 4,
-                 normalized_tail: bool = False, smoothness_m: Optional[int] = None):
+                 normalized_tail: bool = False):
         self.series = Chebyshev(np.asarray(coeffs, dtype=float), domain=[0.0, 1.0])
         self.max_deriv = int(deriv_order)
         self._derivs = [self.series]
@@ -279,7 +272,6 @@ class ChebyshevProfile(RefractiveProfile):
             self._derivs.append(self._derivs[-1].deriv())
         self.name = "chebyshev"
         self.params = list(map(float, coeffs))
-        self.smoothness_m = smoothness_m
         super().__init__(normalized_tail=normalized_tail)
 
     def _eval(self, r, deriv):
@@ -317,25 +309,32 @@ def get_profile(name: str, params: Optional[Sequence[float]] = None,
     return NAMED_PROFILES[name](*args, **kwargs)
 
 
+_SPEC_KEYS = {"named": {"kind", "name", "params", "normalized_tail"},
+              "chebyshev": {"kind", "coeffs", "deriv_order", "normalized_tail"}}
+
+
 def profile_from_dict(spec: dict) -> RefractiveProfile:
     """Build a profile from its JSON representation.
 
     ``{"kind":"named","name":...}`` or
     ``{"kind":"chebyshev","coeffs":[...],"deriv_order":n}``,
     optionally with ``"normalized_tail": true`` and ``"params": [...]``.
+    Any other key raises ValueError.
     """
     kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in _SPEC_KEYS:
+        raise ValueError(f"unknown profile kind {kind!r}")
+    unknown = set(spec) - _SPEC_KEYS[kind]
+    if unknown:
+        raise ValueError(f"unknown key(s) {sorted(unknown)} for profile kind {kind!r}")
     tail = spec.get("normalized_tail")
     if kind == "named":
         return get_profile(spec["name"], spec.get("params"), normalized_tail=tail)
-    if kind == "chebyshev":
-        return ChebyshevProfile(
-            spec["coeffs"],
-            deriv_order=spec.get("deriv_order", 4),
-            normalized_tail=bool(tail) if tail is not None else False,
-            smoothness_m=spec.get("smoothness_m"),
-        )
-    raise ValueError(f"unknown profile kind {kind!r}")
+    return ChebyshevProfile(
+        spec["coeffs"],
+        deriv_order=spec.get("deriv_order", 4),
+        normalized_tail=bool(tail) if tail is not None else False,
+    )
 
 
 def profile_to_dict(profile: RefractiveProfile) -> dict:

@@ -1,11 +1,16 @@
 """Zero localization for the characteristic function d(k).
 
 Strategy: argument-principle winding counts over rectangle contours,
-recursive subdivision until each cell isolates at most one zero cluster,
-then Newton refinement for simple zeros and circle-contour centroid
-iteration for clusters.  A multiple zero (or a cluster that floating-point
-noise has split below the resolution floor) is reported once, at the
-centroid, with the contour-certified multiplicity.
+subdivision until every nonempty cell is small and holds few zeros, then
+refinement, in a loop: a cell that refinement cannot certify goes back to
+the subdivision, so counting smaller cells is the only way zeros are
+separated.  A count-1 cell is refined by Newton from its circle centroid.
+A cell with count m >= 2 is one zero of multiplicity m only if circles of
+its own size and of radius _SPLIT_FLOOR around its centroid both count m:
+a multiple zero, or a cluster that floating-point noise has split below
+that floor, is reported once, at the centroid of its verification circle.
+Any other cell, and a count-1 cell whose Newton iteration stalls, is split
+again; one narrower than _SPLIT_FLOOR raises NewtonStall instead.
 
 All evaluations of one search go through its batching service, so that a
 whole subdivision level costs a handful of vectorized ODE sweeps.  The
@@ -44,7 +49,7 @@ __all__ = [
 
 DEGENERACY_FLOOR = 1e-9      # max |D| on a contour below which d is treated as == 0
 _REAL_CLASS_TOL = 1e-9       # |Im k| <= tol*(1+|Re k|) classifies a zero as real
-_MMAX_DEFAULT = 4
+_MMAX = 4                    # cells holding more zeros are always split
 _CLUSTER_DIAM = 0.4          # cells at most this wide become refinement clusters
 _SPLIT_FLOOR = 2e-3          # clusters cohesive at this radius count as one multiple zero
 _GL_NODES = np.polynomial.legendre.leggauss(12)
@@ -52,6 +57,7 @@ _SEG_LEN = 1.5               # longest first-round segment of a contour edge
 _COARSE_PER_RADIAN = 3.5     # grid steps per radian of phase for winding counts
 _MAX_SPLITS = 128            # segments one contour may split in one round
 _PHASES = ("count", "subdivide", "refine")
+_RETRIES = ("inflate", "jitter", "resplit")
 _REAL_STRIP = 0.5            # height of the strip real_zeros searches
 
 
@@ -75,7 +81,10 @@ class SearchReport:
     """Zeros of one search and its ``stats``: ``evals`` (points propagated),
     ``phase_evals`` (their split over count / subdivide / refine), ``batches``
     (engine calls), ``ksteps`` (points times grid steps), ``segments_reused``
-    (segment rules the cache, or the same batch, already held), ``clusters``,
+    (segment rules the cache, or the same batch, already held), ``retries``
+    (``inflate``: outer contours inflated off a zero; ``jitter``: cells split
+    again on a shifted line; ``resplit``: cells refinement handed back to the
+    subdivision), ``clusters`` (cells refined, handed-back ones included),
     ``duplicates_removed`` and ``noteworthy_multiple_nonreal``."""
     rect: tuple
     zeros: list
@@ -103,7 +112,8 @@ class _Service:
         self.segments = {}
         self.phase = "count"
         self.stats = {"batches": 0, "evals": 0, "ksteps": 0, "segments_reused": 0,
-                      "phase_evals": dict.fromkeys(_PHASES, 0)}
+                      "phase_evals": dict.fromkeys(_PHASES, 0),
+                      "retries": dict.fromkeys(_RETRIES, 0)}
 
     def eval(self, ks, n_steps=None):
         """Return (logderiv, absD) at the given complex points.
@@ -247,9 +257,7 @@ def _circle_many(service, circles, n_nodes=96):
     theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
     unit = np.exp(1j * theta)
     ks = np.concatenate([c + r * unit for (c, r) in circles])
-    ld, absD = service.eval(ks)
-    ld = ld.reshape(m, n_nodes)
-    absD = absD.reshape(m, n_nodes)
+    ld, absD = (v.reshape(m, n_nodes) for v in service.eval(ks))
     out = []
     for i, (c, r) in enumerate(circles):
         dz = 1j * r * unit            # dk/dtheta
@@ -295,6 +303,7 @@ def _count_with_perturbation(service, rect):
                 f"max |D| on contour {worst_mx:.3e} below the degeneracy floor")
         if n is not None:
             return n, tried
+        service.stats["retries"]["inflate"] += 1
         tried = _inflate(rect, 1.0 + 2.0 ** (-(j + 1)))
     raise ContourTooClose(f"winding defect > 0.25 for rect {rect} after 5 perturbations")
 
@@ -305,8 +314,7 @@ def count_zeros(profile: RefractiveProfile, rect) -> int:
     ``rect`` is (x0, x1, y0, y1) anywhere in the plane.  Edges passing too
     close to a zero are auto-perturbed by slight inflation.
     """
-    n, _ = _count_with_perturbation(_Service(profile), rect)
-    return n
+    return _count_with_perturbation(_Service(profile), rect)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -341,44 +349,36 @@ def _split(cell: _Cell):
     return cell.children
 
 
-def _subdivide(service, root: _Cell, mmax, cluster_diam):
-    """Split until every nonempty cell holds <= mmax zeros in a small cell."""
+def _subdivide(service, cells):
+    """Split ``cells``, then their parts, until every nonempty part holds at
+    most _MMAX zeros in a cell at most _CLUSTER_DIAM wide; return those parts."""
     clusters = []
-    pending = []     # cells whose count is known but need a decision
+    pending = [part for cell in cells for part in _split(cell)]
 
     def decide(cell):
         x0, x1, y0, y1 = cell.rect
         if cell.count == 0:
             return
-        if cell.count <= mmax and (x1 - x0) <= cluster_diam and (y1 - y0) <= cluster_diam:
+        if cell.count <= _MMAX and max(x1 - x0, y1 - y0) <= _CLUSTER_DIAM:
             clusters.append(cell)
         else:
             pending.extend(_split(cell))
 
-    decide(root)
     rounds = 0
     while pending and rounds < 200:
         rounds += 1
         batch, pending = pending, []
-        results = _winding_many(service, [c.rect for c in batch])
-        retry_parents = set()
-        for cell, (n, _mx, _w) in zip(batch, results):
+        for cell, (n, _mx, _w) in zip(batch, _winding_many(service, [c.rect for c in batch])):
             cell.count = n
-        for cell in batch:
-            parent = cell.parent
-            if parent in retry_parents:
-                continue
-            sib = [c for c in parent.children]
-            if any(c.count is None for c in sib):
-                retry_parents.add(parent)
-                continue
-            if cell is not sib[0]:
-                continue   # handle each sibling pair once
-            if sum(c.count for c in sib) != parent.count:
-                retry_parents.add(parent)
-                continue
-            for c in sib:
-                decide(c)
+        retry_parents = []
+        for parent in dict.fromkeys(c.parent for c in batch):
+            counts = [c.count for c in parent.children]
+            if None in counts or sum(counts) != parent.count:
+                retry_parents.append(parent)
+            else:
+                for c in parent.children:
+                    decide(c)
+        service.stats["retries"]["jitter"] += len(retry_parents)
         for parent in retry_parents:
             parent.jitter += 1
             if parent.jitter >= len(_JITTERS):
@@ -398,7 +398,7 @@ def _subdivide(service, root: _Cell, mmax, cluster_diam):
 class _Candidate:
     __slots__ = ("k", "rho", "mult", "residual", "done", "stalled")
 
-    def __init__(self, k, rho, mult=None):
+    def __init__(self, k, rho, mult):
         self.k = complex(k)
         self.rho = float(rho)
         self.mult = mult
@@ -436,126 +436,56 @@ def _newton_polish(service, cands, tol):
         c.stalled = True
 
 
-def _centroid_refine(service, cands):
-    """Circle-contour centroid iteration for multiple zeros / clusters.
+def _refine_clusters(service, clusters, tol):
+    """Refine the zeros of counted cells, as the module docstring sets out.
 
-    Keeps the circle at a moderate radius: too small a circle would sit in
-    the floating-point noise floor of a near-multiple zero.
+    Returns (candidates, cells to split again).
     """
-    active = [c for c in cands if not c.done]
-    n_nodes = {id(c): 96 for c in active}
-    for _ in range(40):
-        if not active:
-            return
-        by_nodes = {}
-        for c in active:
-            by_nodes.setdefault(n_nodes[id(c)], []).append(c)
-        still = []
-        for nn, group in by_nodes.items():
-            res = _circle_many(service, [(c.k, c.rho) for c in group], n_nodes=nn)
-            for c, (cnt, centroid, _minD) in zip(group, res):
-                if cnt is None:
-                    if nn < 768:
-                        n_nodes[id(c)] = nn * 2
-                    else:
-                        c.rho *= 1.3
-                    still.append(c)
-                    continue
-                if cnt == 0:
-                    c.rho *= 1.8        # lost the zero; widen
-                    still.append(c)
-                    continue
-                if c.mult is not None and cnt != c.mult:
-                    if cnt < c.mult:
-                        c.rho *= 1.5
-                        still.append(c)
-                        continue
-                    # more zeros entered the circle than the cell certified
-                    c.rho *= 0.6
-                    still.append(c)
-                    continue
-                if c.mult is None:
-                    c.mult = cnt
-                moved = abs(centroid - c.k)
-                c.k = complex(centroid)
-                if c.rho <= 0.045 and moved < 1e-10 * (1.0 + abs(c.k)):
-                    c.done = True
-                else:
-                    c.rho = max(0.5 * c.rho, 0.04)
-                    still.append(c)
-        active = still
-    for c in active:
-        c.stalled = True
-
-
-def _refine_clusters(service, clusters, tol, depth=0):
-    """Turn counted cells into refined zeros."""
-    zeros = []
     cands = []
     for cell in clusters:
         x0, x1, y0, y1 = cell.rect
         c0 = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
-        rho = 0.6 * math.hypot(x1 - x0, y1 - y0)
-        cands.append(_Candidate(c0, rho, cell.count))
+        cands.append(_Candidate(c0, 0.6 * math.hypot(x1 - x0, y1 - y0), cell.count))
 
-    multi = [c for c in cands if c.mult and c.mult > 1]
-    simple = [c for c in cands if c.mult == 1]
-
-    # Simple zeros: centroid once to land near the zero, then Newton.
-    if simple:
-        res = _circle_many(service, [(c.k, c.rho) for c in simple], n_nodes=128)
-        for c, (cnt, centroid, _) in zip(simple, res):
-            if cnt == 1:
-                c.k = complex(centroid)
-        _newton_polish(service, simple, tol)
-        fallback = [c for c in simple if c.stalled]
-        for c in fallback:
-            c.stalled, c.done = False, False
-        _centroid_refine(service, fallback)
-
-    _centroid_refine(service, multi)
-
-    stalled = [c for c in cands if c.stalled]
-    if stalled:
-        raise NewtonStall(f"{len(stalled)} candidate(s) failed to refine: "
-                          f"{[c.k for c in stalled]}")
-
-    # split check + residual for multiple zeros
+    res = _circle_many(service, [(c.k, c.rho) for c in cands], n_nodes=128)
+    for c, (cnt, centroid, _) in zip(cands, res):
+        if cnt == c.mult:
+            c.k = complex(centroid)
+        elif c.mult > 1:
+            c.stalled = True
+    _newton_polish(service, [c for c in cands if c.mult == 1], tol)
+    multi = [c for c in cands if c.mult > 1 and not c.stalled]
     if multi:
         res = _circle_many(service, [(c.k, _SPLIT_FLOOR) for c in multi], n_nodes=192)
         for c, (cnt, _, _) in zip(multi, res):
-            if cnt is not None and 0 < cnt < c.mult and depth < 2:
-                # cluster of distinct zeros: re-search a small box around it
-                pad = 3.0 * 0.05
-                sub = find_zeros(service.profile,
-                                 (c.k.real - pad, c.k.real + pad,
-                                  c.k.imag - pad, c.k.imag + pad),
-                                 tol=tol, cluster_diam=4.0 * _SPLIT_FLOOR,
-                                 _depth=depth + 1, _allow_any_rect=True)
-                for z in sub.zeros:
-                    sc = _Candidate(z.k, _SPLIT_FLOOR, z.multiplicity)
-                    sc.residual = z.residual
-                    zeros.append(sc)
-                c.mult = 0          # consumed
-        multi = [c for c in multi if c.mult]
+            c.stalled = cnt != c.mult
 
-    final = simple + multi
+    back = [cell for cell, c in zip(clusters, cands) if c.stalled]
+    for cell in back:
+        x0, x1, y0, y1 = cell.rect
+        if max(x1 - x0, y1 - y0) < _SPLIT_FLOOR:
+            raise NewtonStall(f"{cell.count} zero(s) in cell {cell.rect}, narrower "
+                              f"than {_SPLIT_FLOOR}, could not be refined")
+    service.stats["retries"]["resplit"] += len(back)
+
+    final = [c for c in cands if not c.stalled]
     if final:
-        _, absD = service.eval(np.array([c.k for c in final]))
-        for c, aD in zip(final, absD):
-            c.residual = float(aD)
         # final small-contour verification
         res = _circle_many(
             service,
             [(c.k, max(1e-3, 0.02 * abs(c.k) * 1e-2) if c.mult == 1 else 0.05)
              for c in final],
             n_nodes=192)
-        for c, (cnt, _, _) in zip(final, res):
+        for c, (cnt, centroid, _) in zip(final, res):
             if cnt is not None and cnt != c.mult:
                 raise NewtonStall(
                     f"verification count {cnt} != multiplicity {c.mult} at {c.k}")
-    zeros.extend(final)
-    return zeros
+            if cnt and c.mult > 1:
+                c.k = complex(centroid)
+        _, absD = service.eval(np.array([c.k for c in final]))
+        for c, aD in zip(final, absD):
+            c.residual = float(aD)
+    return final, back
 
 
 # ---------------------------------------------------------------------------
@@ -585,9 +515,7 @@ def _canonicalize(cands):
     return out, removed
 
 
-def find_zeros(profile: RefractiveProfile, rect, tol: float = 1e-9,
-               mmax: int = _MMAX_DEFAULT, cluster_diam: float = _CLUSTER_DIAM,
-               _depth: int = 0, _allow_any_rect: bool = False) -> SearchReport:
+def find_zeros(profile: RefractiveProfile, rect, tol: float = 1e-9) -> SearchReport:
     """All zeros of d (with multiplicity) in a first-quadrant rectangle.
 
     A rect flush with the real axis is padded slightly below it so that
@@ -596,23 +524,25 @@ def find_zeros(profile: RefractiveProfile, rect, tol: float = 1e-9,
     x0, x1, y0, y1 = map(float, rect)
     if not (x1 > x0 and y1 > y0):
         raise ValueError(f"empty rect {rect}")
-    if not _allow_any_rect and (x0 < -1e-9 or y0 < -1e-9):
+    if x0 < -1e-9 or y0 < -1e-9:
         raise ValueError("rect must lie in the closed first quadrant")
-    search_rect = (x0, x1, y0, y1)
-    if not _allow_any_rect and y0 <= 1e-9:
-        search_rect = (x0, x1, -min(0.15, 0.5 * (y1 - y0)), y1)
+    search_rect = (x0, x1, -min(0.15, 0.5 * (y1 - y0)) if y0 <= 1e-9 else y0, y1)
 
     service = _Service(profile)
     total, used_rect = _count_with_perturbation(service, search_rect)
-    root = _Cell(used_rect, count=total)
-    service.phase = "subdivide"
-    clusters = _subdivide(service, root, mmax, cluster_diam)
-    service.phase = "refine"
-    refined = _refine_clusters(service, clusters, tol, depth=_depth)
+    cells = [_Cell(used_rect, count=total)] if total else []
+    refined, n_clusters = [], 0
+    while cells:
+        service.phase = "subdivide"
+        clusters = _subdivide(service, cells)
+        service.phase = "refine"
+        found, cells = _refine_clusters(service, clusters, tol)
+        refined += found
+        n_clusters += len(clusters)
     zeros, removed = _canonicalize(refined)
     noteworthy = [z.k for z in zeros if z.cls == "nonreal" and z.multiplicity > 1]
     stats = dict(service.stats)
-    stats.update(clusters=len(clusters), duplicates_removed=removed,
+    stats.update(clusters=n_clusters, duplicates_removed=removed,
                  noteworthy_multiple_nonreal=noteworthy)
     return SearchReport(rect=used_rect, zeros=zeros,
                         total_count_by_argument_principle=total - removed,

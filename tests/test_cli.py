@@ -154,3 +154,27 @@ def test_tol_only_on_subcommands_that_read_it(capsys):
     assert main(["inverse-check", "--fast", "--tol", "1e-3"]) == EXIT_INPUT
     assert main(["spectrum", "--profile", "const4", "--rect", "0.5,7,0,1",
                  "--tol", "1e-9"]) == EXIT_OK
+
+
+def test_asymptotics_rejects_search_flags_with_a_spectrum_file(tmp_path):
+    # the zeros come from the file, so --rect and --tol would be ignored
+    csv_path = tmp_path / "zeros.csv"
+    write_zeros_csv(csv_path, [])
+    base = ["asymptotics", "--profile", "colton_example", "--spectrum", str(csv_path)]
+    assert main(base + ["--rect", "0.3,10,0,6"]) == EXIT_INPUT
+    assert main(base + ["--tol", "1e-9"]) == EXIT_INPUT
+
+
+def test_inverse_check_rejects_profile_with_a_scenario(tmp_path):
+    sc = {"q": "colton_example", "q_tilde": "colton_example", "agree_from": 0.6}
+    p = tmp_path / "sc.json"
+    p.write_text(json.dumps(sc))
+    assert main(["inverse-check", "--fast", "--scenario", str(p),
+                 "--profile", "slow_core"]) == EXIT_INPUT
+
+
+def test_unknown_profile_key_is_an_input_error(tmp_path, capsys):
+    p = tmp_path / "prof.json"
+    p.write_text(json.dumps({"kind": "chebyshev", "coeffs": [2, 0.1], "smoothness_m": 7}))
+    assert main(["profile-info", "--profile", str(p)]) == EXIT_INPUT
+    assert "smoothness_m" in capsys.readouterr().err

@@ -121,6 +121,13 @@ def test_profile_dict_roundtrip(tmp_path):
     assert abs(travel_time(p3) - math.log(3.0)) <= 1e-10
 
 
+def test_unknown_profile_key_raises():
+    with pytest.raises(ValueError, match="smoothness_m"):
+        profile_from_dict({"kind": "chebyshev", "coeffs": [2, 0.1], "smoothness_m": 7})
+    with pytest.raises(ValueError, match="coeffs"):
+        profile_from_dict({"kind": "named", "name": "constant", "coeffs": [4.0]})
+
+
 def test_load_profile_errors(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_profile("definitely_not_a_profile_or_file")

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import math
 
@@ -148,7 +149,7 @@ def test_report_json_keeps_residuals_and_stats():
 class _ExactZeroService:
     """Every iterate is an exact zero: d = 0, so d'/d is infinite."""
 
-    def eval(self, ks, fine=False):
+    def eval(self, ks, n_steps=None):
         n = np.size(ks)
         return np.full(n, complex(np.inf, np.inf)), np.zeros(n)
 
@@ -229,6 +230,69 @@ def test_search_stats_account_for_every_evaluation(const4):
     assert sum(stats["phase_evals"].values()) == stats["evals"]
     assert stats["ksteps"] >= 64 * stats["evals"]
     assert stats["segments_reused"] > 0
+    assert stats["retries"] == {"inflate": 0, "jitter": 0, "resplit": 0}
+    assert stats["clusters"] == 2
+
+
+@pytest.mark.parametrize("rect, retries", [
+    # the first split line, Re k = pi, runs through the triple zero
+    ((1.0, 2.0 * math.pi - 1.0, 0.0, 0.5), {"inflate": 0, "jitter": 1, "resplit": 0}),
+    # the left edge runs through it, so the outer contour is inflated
+    ((math.pi, 5.0, 0.0, 0.5), {"inflate": 1, "jitter": 0, "resplit": 0}),
+])
+def test_retry_counters_record_contour_repairs(const4, rect, retries):
+    rep = find_zeros(const4, rect)
+    assert rep.stats["retries"] == retries
+    assert [(z.multiplicity, z.cls) for z in rep.zeros] == [(3, "real")]
+    assert abs(rep.zeros[0].k - math.pi) <= 1e-8
+
+
+def test_search_options_are_module_constants():
+    assert list(inspect.signature(find_zeros).parameters) == ["profile", "rect", "tol"]
+
+
+# ---------------------------------------------------------------------------
+# near-collisions of zeros: eta = 4 + eps splits the triple zero at pi
+# ---------------------------------------------------------------------------
+
+
+def _constant_d(c):
+    """d(k) of the constant medium eta = c, up to a constant factor."""
+    s = mpmath.sqrt(c)
+    return lambda k: (mpmath.cos(s * k) * mpmath.sin(k) / k
+                      - mpmath.sin(s * k) * mpmath.cos(k) / (s * k))
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-5, 1e-4, 1e-3, 1e-2])
+def test_split_triple_zero_is_resolved(eps):
+    # the real zero and the non-real pair are all farther apart than the
+    # split floor, so each is reported once, as a simple zero
+    rep = find_zeros(ConstantProfile(4.0 + eps), (2.5, 3.8, 0.0, 0.5))
+    assert [(z.cls, z.multiplicity) for z in rep.zeros] == [("real", 1), ("nonreal", 1)]
+    assert rep.stats["retries"]["resplit"] >= 1
+    d = _constant_d(mpmath.mpf(4) + mpmath.mpf(eps))
+    roots = []
+    with mpmath.workdps(30):
+        for z in rep.zeros:
+            root = complex(mpmath.findroot(d, mpmath.mpc(z.k)))
+            assert abs(root - z.k) <= 1e-8, (z.k, root)
+            assert all(abs(root - r) > 1e-8 for r in roots), f"two zeros share {root}"
+            roots.append(root)
+
+
+def test_cluster_below_the_split_floor_is_one_multiple_zero():
+    # eta = 4 + 1e-8: the three zeros lie about 1.6e-3 from pi, inside the floor
+    eps = 1e-8
+    rep = find_zeros(ConstantProfile(4.0 + eps), (2.5, 3.8, 0.0, 0.5))
+    assert [(z.cls, z.multiplicity) for z in rep.zeros] == [("real", 3)]
+    d = _constant_d(mpmath.mpf(4) + mpmath.mpf(eps))
+    delta = 1.578e-3                   # cube-root spread of the split
+    with mpmath.workdps(40):
+        roots = [complex(mpmath.findroot(d, mpmath.mpc(math.pi + delta * w)))
+                 for w in (-1.0, 0.5 + 0.866j, 0.5 - 0.866j)]
+    assert min(abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1:]) > 1e-3
+    assert max(abs(r - math.pi) for r in roots) < 2e-3
+    assert abs(rep.zeros[0].k - sum(roots) / 3) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
