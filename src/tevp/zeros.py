@@ -4,17 +4,22 @@ Strategy: argument-principle winding counts over rectangle contours,
 subdivision until every nonempty cell is small and holds few zeros, then
 refinement, in a loop: a cell that refinement cannot certify goes back to
 the subdivision, so counting smaller cells is the only way zeros are
-separated.  A count-1 cell is refined by Newton from its circle centroid.
-A cell with count m >= 2 is one zero of multiplicity m only if circles of
-its own size and of radius _SPLIT_FLOOR around its centroid both count m:
-a multiple zero, or a cluster that floating-point noise has split below
-that floor, is reported once, at the centroid of its verification circle.
-Any other cell, and a count-1 cell whose Newton iteration stalls, is split
-again; one narrower than _SPLIT_FLOOR raises NewtonStall instead.
+separated.  The rectangle rule is the only contour quadrature: with the
+integral of d'/d it takes that of k d'/d from the same nodes, so each
+counted cell also has the centroid of its zeros at no extra evaluation.  A
+count-1 cell is refined by Newton from that centroid, and its zero stands
+only if a square of half-width max(1e-3, 2e-4 |k|) around it, counted on
+the fine grid, holds exactly one zero.  A cell with count m >= 2 is one zero
+of multiplicity m only if the square of half-width _SPLIT_FLOOR around its
+centroid counts m: a multiple zero, or a cluster that floating-point noise
+has split below that floor, is reported once, at that square's centroid.
+Any other cell, including one whose square count does not converge or whose
+Newton iteration stalls, is split again; one narrower than _SPLIT_FLOOR
+raises NewtonStall instead.
 
 All evaluations of one search go through its batching service, so that a
 whole subdivision level costs a handful of vectorized ODE sweeps.  The
-service also caches every contour segment's 12-node integral of d'/d, keyed
+service also caches every contour segment's 12-node integrals, keyed
 by its endpoints and the grid's step count: a child cell's edges that its
 parent already integrated, the split line two siblings share, and a refined
 segment's halves (the next round's coarse rules) are each evaluated once.
@@ -55,6 +60,7 @@ _SPLIT_FLOOR = 2e-3          # clusters cohesive at this radius count as one mul
 _GL_NODES = np.polynomial.legendre.leggauss(12)
 _SEG_LEN = 1.5               # longest first-round segment of a contour edge
 _COARSE_PER_RADIAN = 3.5     # grid steps per radian of phase for winding counts
+_FINE_PER_RADIAN = 8.0       # ... for Newton and the verification squares
 _MAX_SPLITS = 128            # segments one contour may split in one round
 _PHASES = ("count", "subdivide", "refine")
 _RETRIES = ("inflate", "jitter", "resplit")
@@ -79,12 +85,14 @@ class SpectralZero:
 @dataclass
 class SearchReport:
     """Zeros of one search and its ``stats``: ``evals`` (points propagated),
-    ``phase_evals`` (their split over count / subdivide / refine), ``batches``
-    (engine calls), ``ksteps`` (points times grid steps), ``segments_reused``
-    (segment rules the cache, or the same batch, already held), ``retries``
-    (``inflate``: outer contours inflated off a zero; ``jitter``: cells split
-    again on a shifted line; ``resplit``: cells refinement handed back to the
-    subdivision), ``clusters`` (cells refined, handed-back ones included),
+    ``phase_evals`` (their split over count / subdivide / refine; refine is
+    Newton and the verification squares), ``batches`` (engine calls),
+    ``ksteps`` (points times grid steps), ``segments_reused`` (segment rules
+    the cache, or the same batch, already held), ``retries`` (``inflate``:
+    outer contours padded off a zero; ``jitter``: cells split again on a
+    shifted line; ``resplit``: cells refinement handed back to the
+    subdivision because Newton stalled or a verification square did not count
+    the cell's zeros), ``clusters`` (cells refined, handed-back ones included),
     ``duplicates_removed`` and ``noteworthy_multiple_nonreal``."""
     rect: tuple
     zeros: list
@@ -100,10 +108,10 @@ class SearchReport:
 class _Service:
     """Batches d'/d evaluations for one search and caches its contour segments.
 
-    ``segments`` maps (a, b, n) to the 12-node Gauss-Legendre integral of d'/d
-    from a to b and the max |D| at its nodes, both on the n-step grid.  The
-    endpoints are in canonical order (a before b by (re, im)); a segment
-    traversed from b to a reads the negated integral.
+    ``segments`` maps (a, b, n) to the 12-node Gauss-Legendre integrals of d'/d
+    and of k d'/d from a to b and the max |D| at their nodes, all on the n-step
+    grid.  The endpoints are in canonical order (a before b by (re, im)); a
+    segment traversed from b to a reads the negated integrals.
     """
 
     def __init__(self, profile: RefractiveProfile):
@@ -118,14 +126,14 @@ class _Service:
     def eval(self, ks, n_steps=None):
         """Return (logderiv, absD) at the given complex points.
 
-        ``n_steps`` None is the fine grid (8 steps per radian at max |k|) that
-        backs Newton polish and circle quadrature.
+        ``n_steps`` None is the fine grid (_FINE_PER_RADIAN at max |k|) that
+        backs Newton polish.
         """
         ks = np.asarray(ks, dtype=complex).ravel()
         if ks.size == 0:
             return np.zeros(0, complex), np.zeros(0)
         if n_steps is None:
-            n_steps = grid_steps(self.profile, float(np.abs(ks).max()), 8.0)
+            n_steps = grid_steps(self.profile, float(np.abs(ks).max()), _FINE_PER_RADIAN)
         d_s, dp_s, scale_log = characteristic_batch(self.profile, ks, n_steps=n_steps)
         self.stats["batches"] += 1
         self.stats["evals"] += ks.size
@@ -137,7 +145,8 @@ class _Service:
         return ld, absD
 
     def rules(self, pieces, n_steps):
-        """12-node integrals of d'/d along oriented pieces (a, b), and max |D| on each.
+        """12-node integrals of d'/d and k d'/d along oriented pieces (a, b),
+        and max |D| on each.
 
         Only pieces missing from ``segments`` at this grid are evaluated, in
         one batch; a piece given twice, or in both orientations, once.
@@ -154,13 +163,16 @@ class _Service:
             a, b = np.array([k[0] for k in new]), np.array([k[1] for k in new])
             c, h = 0.5 * (a + b), 0.5 * (b - a)
             x_gl, w_gl = _GL_NODES
-            ld, absD = self.eval((c[:, None] + h[:, None] * x_gl).ravel(), n_steps)
+            nodes = c[:, None] + h[:, None] * x_gl
+            ld, absD = self.eval(nodes.ravel(), n_steps)
+            ld = ld.reshape(nodes.shape)
             with np.errstate(invalid="ignore"):
-                ints = (ld.reshape(len(new), -1) @ w_gl) * h
-            mx = absD.reshape(len(new), -1).max(axis=1)
-            cache.update(zip(new, zip(ints.tolist(), mx.tolist())))
-        ints, mx = zip(*map(cache.__getitem__, keys))
-        return np.array(ints) * signs, np.array(mx)
+                ints = (ld @ w_gl) * h
+                moms = ((nodes * ld) @ w_gl) * h
+            mx = absD.reshape(nodes.shape).max(axis=1)
+            cache.update(zip(new, zip(ints.tolist(), moms.tolist(), mx.tolist())))
+        ints, moms, mx = zip(*map(cache.__getitem__, keys))
+        return np.array(ints) * signs, np.array(moms) * signs, np.array(mx)
 
 
 # ---------------------------------------------------------------------------
@@ -186,22 +198,27 @@ def _edge_pieces(c0, c1):
     return list(zip(pts, pts[1:]))
 
 
-def _winding_many(service, rects, seg_tol=1e-3, max_rounds=18):
-    """Winding numbers of d over rectangle boundaries, several at once.
+def _winding_many(service, rects, per_radian=_COARSE_PER_RADIAN, seg_tol=1e-3,
+                  max_rounds=18):
+    """Winding numbers and zero centroids of d over rectangle boundaries.
 
-    Every contour of one call is integrated on one grid, sized for the largest
-    |k| of all corners, so each closed contour integrates one analytic d_h.  A
-    segment is accepted when its 12-node rule agrees with the sum over its two
-    halves to ``seg_tol``, and otherwise replaced by the halves, whose rules
-    are then already cached.
+    Every contour of one call is integrated on one grid, ``per_radian`` steps
+    per radian at the largest |k| of all corners, so each closed contour
+    integrates one analytic d_h.  A segment is accepted when its 12-node rule
+    agrees with the sum over its two halves to ``seg_tol``, and otherwise
+    replaced by the halves, whose rules are then already cached.
 
-    Returns a list of (count:int|None, max_absD:float, winding:complex); count
-    None marks a contour-too-close failure (non-integer defect or unconverged
-    segment).
+    Returns a list of (count:int|None, max_absD:float, winding:complex,
+    centroid:complex); count None marks a contour-too-close failure
+    (non-integer defect or unconverged segment).  The centroid is the mean of
+    the zeros inside, c + (M - c T) / (2 pi i n) from T = the integral of d'/d,
+    M = that of k d'/d and c the rect centre (Delves & Lyness, Math. Comp. 21,
+    1967); a rect without a counted zero returns its centre.
     """
     corners = [_rect_corners(rect) for rect in rects]
-    n_steps = grid_steps(service.profile, max(abs(c) for cs in corners for c in cs),
-                         _COARSE_PER_RADIAN)
+    n_steps = grid_steps(service.profile,
+                         max((abs(c) for cs in corners for c in cs), default=0.0),
+                         per_radian)
     owner, z0, z1 = [], [], []
     for idx, cs in enumerate(corners):
         for c0, c1 in zip(cs, cs[1:] + cs[:1]):
@@ -211,6 +228,7 @@ def _winding_many(service, rects, seg_tol=1e-3, max_rounds=18):
                 z1.append(b)
     m = len(rects)
     totals = np.zeros(m, dtype=complex)
+    moments = np.zeros(m, dtype=complex)
     max_absD = np.zeros(m)
     failed = np.zeros(m, dtype=bool)
 
@@ -218,8 +236,10 @@ def _winding_many(service, rects, seg_tol=1e-3, max_rounds=18):
         if not owner:
             break
         mid = [0.5 * (a + b) for a, b in zip(z0, z1)]
-        ints, mx = service.rules([*zip(z0, z1), *zip(z0, mid), *zip(mid, z1)], n_steps)
+        ints, moms, mx = service.rules([*zip(z0, z1), *zip(z0, mid), *zip(mid, z1)],
+                                       n_steps)
         coarse, left, right = ints.reshape(3, -1)
+        _, m_left, m_right = moms.reshape(3, -1)
         idx = np.array(owner)
         np.maximum.at(max_absD, idx, mx.reshape(3, -1).max(axis=0))
         fine = left + right
@@ -228,6 +248,7 @@ def _winding_many(service, rects, seg_tol=1e-3, max_rounds=18):
         failed[idx[~np.isfinite(gap)]] = True
         done = gap <= seg_tol
         np.add.at(totals, idx[done], fine[done])
+        np.add.at(moments, idx[done], (m_left + m_right)[done])
         split = np.isfinite(gap) & ~done
         if depth == max_rounds - 1:
             failed[idx[split]] = True
@@ -238,41 +259,14 @@ def _winding_many(service, rects, seg_tol=1e-3, max_rounds=18):
         z1 = [z for i in keep for z in (mid[i], z1[i])]
 
     out = []
-    for i in range(m):
+    for i, (x0, x1, y0, y1) in enumerate(rects):
         w = totals[i] / (2j * np.pi)
         n = int(round(w.real))
         ok = not failed[i] and abs(w - n) <= 0.25 and n >= 0
-        out.append((n if ok else None, max_absD[i], w))
-    return out
-
-
-def _circle_many(service, circles, n_nodes=96):
-    """Trapezoid winding + centroid over circles (c, rho), batched.
-
-    Returns list of (count:int|None, centroid:complex, min_absD).  The
-    half-node estimate provides the convergence certificate; the centroid
-    uses the shifted moment integral around c for conditioning.
-    """
-    m = len(circles)
-    theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
-    unit = np.exp(1j * theta)
-    ks = np.concatenate([c + r * unit for (c, r) in circles])
-    ld, absD = (v.reshape(m, n_nodes) for v in service.eval(ks))
-    out = []
-    for i, (c, r) in enumerate(circles):
-        dz = 1j * r * unit            # dk/dtheta
-        f = ld[i] * dz
-        w_full = f.mean() / 1j        # (1/2pi) * 2pi*mean / ... -> count
-        w_half = f[::2].mean() / 1j
-        g = ld[i] * (r * unit) * dz   # (k - c) d'/d
-        mom_full = g.mean() / 1j
-        if not (np.isfinite(w_full) and np.isfinite(mom_full)):
-            out.append((None, c, absD[i].min()))
-            continue
-        n = int(round(w_full.real))
-        ok = (abs(w_full - n) <= 0.05 and abs(w_full - w_half) <= 0.05 and n >= 0)
-        centroid = c + (mom_full / n if n > 0 else 0.0)
-        out.append((n if ok else None, centroid, absD[i].min()))
+        c = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
+        if ok and n:
+            c += complex((moments[i] - c * totals[i]) / (2j * np.pi * n))
+        out.append((n if ok else None, max_absD[i], w, c))
     return out
 
 
@@ -281,22 +275,15 @@ def _circle_many(service, circles, n_nodes=96):
 # ---------------------------------------------------------------------------
 
 
-def _inflate(rect, factor):
-    x0, x1, y0, y1 = rect
-    cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-    return (cx + (x0 - cx) * factor, cx + (x1 - cx) * factor,
-            cy + (y0 - cy) * factor, cy + (y1 - cy) * factor)
-
-
 def _count_with_perturbation(service, rect):
-    """Winding count with up to 5 contour-inflation retries.
+    """Winding count with up to 5 retries on contours padded outward.
 
-    Returns (count, rect_used).
+    Retry j moves every edge out by 1e-2 * 2**j.  Returns (count, rect_used).
     """
-    tried = rect
+    x0, x1, y0, y1 = tried = rect
     worst_mx = 0.0
     for j in range(6):
-        (n, mx, _w), = _winding_many(service, [tried])
+        (n, mx, _w, _c), = _winding_many(service, [tried])
         worst_mx = max(worst_mx, mx)
         if worst_mx < DEGENERACY_FLOOR:
             raise DegenerateCharacteristic(
@@ -304,15 +291,17 @@ def _count_with_perturbation(service, rect):
         if n is not None:
             return n, tried
         service.stats["retries"]["inflate"] += 1
-        tried = _inflate(rect, 1.0 + 2.0 ** (-(j + 1)))
+        pad = 1e-2 * 2.0 ** j
+        tried = (x0 - pad, x1 + pad, y0 - pad, y1 + pad)
     raise ContourTooClose(f"winding defect > 0.25 for rect {rect} after 5 perturbations")
 
 
 def count_zeros(profile: RefractiveProfile, rect) -> int:
     """Number of zeros of d (with multiplicity) inside the rectangle.
 
-    ``rect`` is (x0, x1, y0, y1) anywhere in the plane.  Edges passing too
-    close to a zero are auto-perturbed by slight inflation.
+    ``rect`` is (x0, x1, y0, y1) anywhere in the plane.  If an edge passes too
+    close to a zero for the winding quadrature, every edge is moved outward by
+    1e-2, then 2e-2, ... (at most 0.16) until the count converges.
     """
     return _count_with_perturbation(_Service(profile), rect)[0]
 
@@ -323,11 +312,12 @@ def count_zeros(profile: RefractiveProfile, rect) -> int:
 
 
 class _Cell:
-    __slots__ = ("rect", "count", "parent", "jitter", "children")
+    __slots__ = ("rect", "count", "centroid", "parent", "jitter", "children")
 
     def __init__(self, rect, count=None, parent=None):
         self.rect = rect
         self.count = count
+        self.centroid = None
         self.parent = parent
         self.jitter = 0
         self.children = None
@@ -368,8 +358,9 @@ def _subdivide(service, cells):
     while pending and rounds < 200:
         rounds += 1
         batch, pending = pending, []
-        for cell, (n, _mx, _w) in zip(batch, _winding_many(service, [c.rect for c in batch])):
-            cell.count = n
+        for cell, (n, _mx, _w, centroid) in zip(
+                batch, _winding_many(service, [c.rect for c in batch])):
+            cell.count, cell.centroid = n, centroid
         retry_parents = []
         for parent in dict.fromkeys(c.parent for c in batch):
             counts = [c.count for c in parent.children]
@@ -444,21 +435,20 @@ def _refine_clusters(service, clusters, tol):
     cands = []
     for cell in clusters:
         x0, x1, y0, y1 = cell.rect
-        c0 = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
-        cands.append(_Candidate(c0, 0.6 * math.hypot(x1 - x0, y1 - y0), cell.count))
-
-    res = _circle_many(service, [(c.k, c.rho) for c in cands], n_nodes=128)
-    for c, (cnt, centroid, _) in zip(cands, res):
-        if cnt == c.mult:
-            c.k = complex(centroid)
-        elif c.mult > 1:
-            c.stalled = True
+        cands.append(_Candidate(cell.centroid, 0.6 * math.hypot(x1 - x0, y1 - y0),
+                                cell.count))
     _newton_polish(service, [c for c in cands if c.mult == 1], tol)
-    multi = [c for c in cands if c.mult > 1 and not c.stalled]
-    if multi:
-        res = _circle_many(service, [(c.k, _SPLIT_FLOOR) for c in multi], n_nodes=192)
-        for c, (cnt, _, _) in zip(multi, res):
-            c.stalled = cnt != c.mult
+
+    live = [c for c in cands if not c.stalled]
+    squares = []
+    for c in live:
+        h = max(1e-3, 2e-4 * abs(c.k)) if c.mult == 1 else _SPLIT_FLOOR
+        squares.append((c.k.real - h, c.k.real + h, c.k.imag - h, c.k.imag + h))
+    for c, (n, _mx, _w, centroid) in zip(
+            live, _winding_many(service, squares, _FINE_PER_RADIAN)):
+        c.stalled = n != c.mult
+        if c.mult > 1:
+            c.k = centroid
 
     back = [cell for cell, c in zip(clusters, cands) if c.stalled]
     for cell in back:
@@ -469,22 +459,9 @@ def _refine_clusters(service, clusters, tol):
     service.stats["retries"]["resplit"] += len(back)
 
     final = [c for c in cands if not c.stalled]
-    if final:
-        # final small-contour verification
-        res = _circle_many(
-            service,
-            [(c.k, max(1e-3, 0.02 * abs(c.k) * 1e-2) if c.mult == 1 else 0.05)
-             for c in final],
-            n_nodes=192)
-        for c, (cnt, centroid, _) in zip(final, res):
-            if cnt is not None and cnt != c.mult:
-                raise NewtonStall(
-                    f"verification count {cnt} != multiplicity {c.mult} at {c.k}")
-            if cnt and c.mult > 1:
-                c.k = complex(centroid)
-        _, absD = service.eval(np.array([c.k for c in final]))
-        for c, aD in zip(final, absD):
-            c.residual = float(aD)
+    _, absD = service.eval(np.array([c.k for c in final]))
+    for c, aD in zip(final, absD):
+        c.residual = float(aD)
     return final, back
 
 
@@ -526,6 +503,9 @@ def find_zeros(profile: RefractiveProfile, rect, tol: float = 1e-9) -> SearchRep
         raise ValueError(f"empty rect {rect}")
     if x0 < -1e-9 or y0 < -1e-9:
         raise ValueError("rect must lie in the closed first quadrant")
+    if x0 <= 0.0 and y0 <= 1e-9:
+        raise ValueError(f"rect {rect} contains k = 0, a zero of d for every profile "
+                         "(d(0) = y'(1,0) - y(1,0) = 0); start it at Re k > 0")
     search_rect = (x0, x1, -min(0.15, 0.5 * (y1 - y0)) if y0 <= 1e-9 else y0, y1)
 
     service = _Service(profile)
@@ -551,12 +531,13 @@ def find_zeros(profile: RefractiveProfile, rect, tol: float = 1e-9) -> SearchRep
 
 def real_zeros(profile: RefractiveProfile, kmax: float,
                tol: float = 1e-9) -> list:
-    """Real zeros of d in [k_lo, kmax], k_lo = max(tol, 0.05).
+    """Real zeros of d in [0.05, kmax], found to ``tol``.
 
-    A ``find_zeros`` search on the strip k_lo <= Re k <= kmax,
-    0 <= Im k <= _REAL_STRIP, so every multiplicity comes from a contour count.
+    A ``find_zeros`` search on the strip 0.05 <= Re k <= kmax,
+    0 <= Im k <= _REAL_STRIP, so every multiplicity comes from a contour count;
+    the strip starts off k = 0, a zero of d for every profile.
     """
-    k_lo = max(tol, 0.05)
+    k_lo = 0.05
     rep = find_zeros(profile, (k_lo, kmax, 0.0, _REAL_STRIP), tol)
     return [z for z in rep.zeros
             if z.cls == "real" and k_lo <= z.k.real <= kmax]

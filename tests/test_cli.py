@@ -44,6 +44,12 @@ def test_spectrum_rect_validation():
                  "--rect", "1,2,a,b"]) == EXIT_INPUT
 
 
+def test_spectrum_rect_containing_the_trivial_zero(capsys):
+    rc = main(["spectrum", "--profile", "colton_example", "--rect", "0,5,0,2"])
+    assert rc == EXIT_INPUT
+    assert "k = 0" in capsys.readouterr().err
+
+
 def test_spectrum_degenerate_exit_code(capsys):
     rc = main(["spectrum", "--profile", "const1", "--rect", "0.5,20,0,2"])
     assert rc == EXIT_NUMERIC

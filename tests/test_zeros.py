@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import tevp.zeros as zeros_module
 from tevp.errors import DegenerateCharacteristic
 from tevp.forward import scaled_characteristic
 from tevp.profiles import ConstantProfile, get_profile
@@ -76,12 +77,43 @@ def test_rect_validation():
         find_zeros(CONST4, (-3.0, 1.0, 0.0, 1.0))      # leaves quadrant
 
 
+def test_rect_containing_the_trivial_zero_is_rejected(colton):
+    # d(0) = y'(1,0) - y(1,0) = 0 for every profile
+    with pytest.raises(ValueError, match="k = 0"):
+        find_zeros(colton, (0.0, 5.0, 0.0, 2.0))
+    assert find_zeros(colton, (0.0, 5.0, 1.0, 2.0)).zeros == []
+
+
+@pytest.mark.parametrize("x0, first", [(math.pi, 1), (2.0 * math.pi, 2)])
+def test_padded_outer_contour_stays_near_the_rect(const4, x0, first):
+    # the left edge runs through a triple zero; padding it must neither pull
+    # in k = 0 nor the triple zero at 7 pi, past the right edge
+    rep = find_zeros(const4, (x0, 20.0, 0.0, 0.5))
+    assert rep.stats["retries"]["inflate"] == 1
+    assert rep.total_count_by_argument_principle == 3 * (7 - first)
+    assert [(z.multiplicity, z.cls) for z in rep.zeros] == [(3, "real")] * (7 - first)
+    for n, z in enumerate(rep.zeros, start=first):
+        assert abs(z.k - n * math.pi) <= 1e-8
+
+
 def test_real_zeros_triple_multiplicity(const4):
     zs = real_zeros(const4, 20.0)
     assert [z.multiplicity for z in zs] == [3] * 6
     for n, z in enumerate(zs, start=1):
         assert abs(z.k.real - n * math.pi) <= 1e-8
         assert z.k.imag == 0.0
+
+
+def test_real_zeros_strip_starts_at_a_fixed_abscissa(const4, monkeypatch):
+    rects = []
+
+    def record(profile, rect, tol):
+        rects.append((rect, tol))
+        return SearchReport(rect=rect, zeros=[], total_count_by_argument_principle=0)
+
+    monkeypatch.setattr(zeros_module, "find_zeros", record)
+    real_zeros(const4, 20.0, tol=0.1)
+    assert rects == [((0.05, 20.0, 0.0, 0.5), 0.1)]
 
 
 @pytest.mark.parametrize("name, kmax", [("const4", 20.0), ("slow_core", 30.0)])
@@ -203,8 +235,8 @@ def test_warmed_service_counts_like_a_fresh_one(colton):
     fresh_cost, fresh_out = _evals(_Service(colton), children)
     # the children's outer edges are the parent's; only the split line is new
     assert 0 < warm_cost < fresh_cost / 4
-    assert [n for n, _, _ in warm_out] == [n for n, _, _ in fresh_out] == [1, 2]
-    for (_, mx_w, w_w), (_, mx_f, w_f) in zip(warm_out, fresh_out):
+    assert [n for n, _, _, _ in warm_out] == [n for n, _, _, _ in fresh_out] == [1, 2]
+    for (_, mx_w, w_w, _), (_, mx_f, w_f, _) in zip(warm_out, fresh_out):
         assert abs(w_w - w_f) <= 1e-12
         assert mx_w == mx_f
 
@@ -219,6 +251,56 @@ def test_siblings_evaluate_their_split_line_once(colton):
     assert together < apart
     # every segment is stored once, whichever way the contours run along it
     assert all((a.real, a.imag) < (b.real, b.imag) for (a, b, _n) in service.segments)
+
+
+def test_centroid_of_a_triple_zero(const4):
+    (n, _mx, _w, centroid), = _winding_many(_Service(const4), [(2.5, 3.8, -0.5, 0.5)])
+    assert n == 3
+    assert abs(centroid - math.pi) <= 1e-10
+
+
+def test_centroid_of_a_simple_zero(colton):
+    (n, _mx, _w, centroid), = _winding_many(_Service(colton), [(4.2, 4.6, 2.7, 3.1)])
+    assert n == 1
+    with mpmath.workdps(30):
+        root = complex(mpmath.findroot(_colton_d, mpmath.mpc(4.4 + 2.9j)))
+    assert abs(centroid - root) <= 1e-6
+
+
+def test_centroid_of_an_empty_rect_is_its_centre(const4):
+    (n, _mx, _w, centroid), = _winding_many(_Service(const4), [(0.5, 2.5, 0.5, 2.0)])
+    assert (n, centroid) == (0, 1.5 + 1.25j)
+
+
+def _shift_first(cands):
+    cands[0].k += 0.01                 # off its 1e-3 verification square
+
+
+def _stall_all(cands):
+    for c in cands:
+        c.stalled = True
+
+
+@pytest.mark.parametrize("spoil, resplit", [(_shift_first, 1), (_stall_all, 3)])
+def test_refinement_hands_back_zeros_it_cannot_verify(colton, monkeypatch, spoil,
+                                                      resplit):
+    rect = (0.3, 12.0, 0.0, 6.0)
+    clean = find_zeros(colton, rect).zeros
+    polish, calls = zeros_module._newton_polish, []
+
+    def spoil_once(service, cands, tol):
+        polish(service, cands, tol)
+        if not calls:
+            spoil(cands)
+        calls.append(len(cands))
+
+    monkeypatch.setattr(zeros_module, "_newton_polish", spoil_once)
+    rep = find_zeros(colton, rect)
+    assert len(calls) == 2
+    assert rep.stats["retries"]["resplit"] == resplit
+    assert [z.multiplicity for z in rep.zeros] == [z.multiplicity for z in clean]
+    for z, ref in zip(rep.zeros, clean, strict=True):
+        assert abs(z.k - ref.k) <= 1e-10
 
 
 def test_search_stats_account_for_every_evaluation(const4):
