@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 _REGIMES = ("a_gt_1", "a_lt_1", "a_eq_1")
+_MAX_ORDER = 4           # highest eta derivative at r = 1 searched for the contact order
 
 
 @dataclass
@@ -72,12 +73,11 @@ class AsymptoticCase:
 
 
 def case_from_profile(profile: RefractiveProfile,
-                      liouville: LiouvilleData | None = None,
-                      max_order: int = 4) -> AsymptoticCase:
+                      liouville: LiouvilleData | None = None) -> AsymptoticCase:
     """Build the prediction inputs from a profile's boundary derivatives."""
     a = travel_time(profile)
     m = None
-    for j in range(2, max_order + 1):
+    for j in range(2, _MAX_ORDER + 1):
         dj = float(profile.eta(1.0, deriv=j))
         if abs(dj) > 1e-10:
             m = j - 2
@@ -85,7 +85,7 @@ def case_from_profile(profile: RefractiveProfile,
             break
     if m is None:
         raise ValueError(
-            f"eta^(j)(1) = 0 for j = 2..{max_order}: contact order out of reach")
+            f"eta^(j)(1) = 0 for j = 2..{_MAX_ORDER}: contact order out of reach")
     regime = ("a_gt_1" if a > 1.0 + 1e-9
               else "a_lt_1" if a < 1.0 - 1e-9 else "a_eq_1")
     q_mean = 0.0

@@ -106,11 +106,10 @@ def cmd_profile_info(args):
 
 
 def _search(args, profile):
-    """The find_zeros report over --rect, at --tol (default 1e-9)."""
+    """The find_zeros report over --rect."""
     if args.rect is None:
         raise ValueError(f"{args.cmd} requires --rect x0,x1,y0,y1")
-    tol = 1e-9 if args.tol is None else args.tol
-    return zmod.find_zeros(profile, _parse_rect(args.rect), tol)
+    return zmod.find_zeros(profile, _parse_rect(args.rect))
 
 
 def cmd_spectrum(args):
@@ -135,9 +134,8 @@ def cmd_spectrum(args):
 
 
 def cmd_asymptotics(args):
-    if args.spectrum and (args.rect is not None or args.tol is not None):
-        raise ValueError("--spectrum reads its zeros from a file: "
-                         "--rect and --tol would be ignored")
+    if args.spectrum and args.rect is not None:
+        raise ValueError("--spectrum reads its zeros from a file: --rect would be ignored")
     profile = load_profile(args.profile)
     case = asym.case_from_profile(profile)
     zeros = _read_zeros_csv(args.spectrum) if args.spectrum else _search(args, profile).zeros
@@ -254,11 +252,9 @@ def _build_parser():
         description="Transmission eigenvalues of spherically stratified media")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def common(sp, tol=False):
+    def common(sp):
         sp.add_argument("--profile", required=False,
                         help="profile registry name or JSON path")
-        if tol:
-            sp.add_argument("--tol", type=float, help="zero-search tolerance (default 1e-9)")
         sp.add_argument("--out", help="output path")
         sp.add_argument("--json", action="store_true",
                         help="machine-readable JSON to stdout")
@@ -268,12 +264,12 @@ def _build_parser():
     sp.set_defaults(fn=cmd_profile_info)
 
     sp = sub.add_parser("spectrum", help="zeros of d in a rectangle")
-    common(sp, tol=True)
+    common(sp)
     sp.add_argument("--rect", help="x0,x1,y0,y1")
     sp.set_defaults(fn=cmd_spectrum)
 
     sp = sub.add_parser("asymptotics", help="match zeros against predictions")
-    common(sp, tol=True)
+    common(sp)
     sp.add_argument("--rect", help="x0,x1,y0,y1")
     sp.add_argument("--spectrum", help="zeros CSV from a previous spectrum run")
     sp.set_defaults(fn=cmd_asymptotics)

@@ -34,7 +34,11 @@ class ContourTooClose(TevpError):
 
 
 class NewtonStall(TevpError):
-    """Newton refinement failed to reach the residual tolerance."""
+    """Refinement could not certify the zeros of a cell narrower than the split floor.
+
+    Its verification square did not count the cell's zeros, or a simple
+    zero's Newton step |d/d'| at the square's centroid was too large.
+    """
 
 
 class DegenerateCharacteristic(TevpError):

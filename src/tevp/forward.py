@@ -38,7 +38,6 @@ __all__ = [
     "solve_ivp",
     "characteristic",
     "characteristic_batch",
-    "log_derivative_batch",
     "scaled_characteristic",
 ]
 
@@ -215,36 +214,28 @@ def _shoot(profile: RefractiveProfile, k: np.ndarray, n_steps: int, init=(0.0, 1
     return _integrate_batch(coef, k, growth, init)
 
 
-def characteristic_batch(profile: RefractiveProfile, k, tol: float = 1e-11,
-                         n_steps: int | None = None):
+def characteristic_batch(profile: RefractiveProfile, k, *, n_steps: int | None = None):
     """Evaluate d and d' at an array of k on a shared fixed grid.
 
-    Returns (d_s, dp_s, scale_log) with true d = d_s * exp(scale_log);
-    d'/d = dp_s/d_s, independent of the scale.
+    ``n_steps`` None is ``steps_for(profile, max |k|)``.  Returns (d_s, dp_s,
+    scale_log) with true d = d_s * exp(scale_log); d'/d = dp_s/d_s,
+    independent of the scale.
     """
     k = np.asarray(k, dtype=complex).ravel()
     if k.size == 0:
         return k.copy(), k.copy(), np.zeros(0)
     if n_steps is None:
-        n_steps = steps_for(profile, float(np.abs(k).max()), tol)
+        n_steps = steps_for(profile, float(np.abs(k).max()))
     u, log_scale = _shoot(profile, k, n_steps)
     d_s, dp_s = _characteristic_from(u, _scaled_trig(k))
     return d_s, dp_s, log_scale + np.abs(k.imag)
 
 
-def log_derivative_batch(profile: RefractiveProfile, k, tol: float = 1e-11,
-                         n_steps: int | None = None):
-    """d'(k)/d(k) over an array of k (scale factors cancel exactly)."""
-    d_s, dp_s, _ = characteristic_batch(profile, k, tol, n_steps)
-    return dp_s / d_s
-
-
-def scaled_characteristic(profile: RefractiveProfile, k, tol: float = 1e-11,
-                          n_steps: int | None = None):
+def scaled_characteristic(profile: RefractiveProfile, k, *, n_steps: int | None = None):
     """D(k) = d(k) * k * exp(-(1+a)|Im k|), the overflow-safe search target."""
     a = travel_time(profile)
     k = np.asarray(k, dtype=complex).ravel()
-    d_s, _, scale_log = characteristic_batch(profile, k, tol, n_steps)
+    d_s, _, scale_log = characteristic_batch(profile, k, n_steps=n_steps)
     return d_s * k * np.exp(scale_log - (1.0 + a) * np.abs(k.imag))
 
 

@@ -40,6 +40,7 @@ from .errors import NoConvergence
 from .profiles import LiouvilleData
 
 _ROW_BLOCK = 64          # rows per block of the lower-triangle cumulative trapezoid
+_MAX_SWEEPS = 200        # Picard sweeps before the kernel iteration gives up
 
 __all__ = [
     "KernelGrid",
@@ -118,18 +119,6 @@ class KernelGrid:
         """max |2 K(x,x) - Q(x)| with the grid's own cumulative (machine-0)."""
         return float(np.max(np.abs(2.0 * np.diagonal(self.K) - self.Q)))
 
-    def at(self, x: float, t: float) -> float:
-        """Bilinear interpolation of K at (x, t), 0 <= t <= x <= a."""
-        if not (0.0 <= t <= x <= self.a + 1e-12):
-            raise ValueError(f"point ({x}, {t}) outside the kernel triangle")
-        fi, fj = x / self.delta, t / self.delta
-        i0 = min(int(fi), self.K.shape[0] - 2)
-        j0 = min(int(fj), self.K.shape[0] - 2)
-        si, sj = fi - i0, fj - j0
-        Km = self.K
-        return float((1 - si) * (1 - sj) * Km[i0, j0] + si * (1 - sj) * Km[i0 + 1, j0]
-                     + (1 - si) * sj * Km[i0, j0 + 1] + si * sj * Km[i0 + 1, j0 + 1])
-
 
 class _SweepPlan:
     """Row-major int32 flat indices for grid size M (see the module docstring).
@@ -170,7 +159,7 @@ def _fill_odd(K, plan):
 
 
 def solve_kernel(liouville: LiouvilleData, h: float | None = None,
-                 tol: float = 1e-12, max_iter: int = 200) -> KernelGrid:
+                 tol: float = 1e-12) -> KernelGrid:
     """Picard iteration for the transmutation kernel.
 
     ``h`` is the coarse resolution target (default a/400); storage runs on
@@ -196,7 +185,7 @@ def solve_kernel(liouville: LiouvilleData, h: float | None = None,
     Bpad = np.empty(plan.anti.shape)      # Bpad[hc, m] = B_c at x = (hc+m) delta
 
     last = math.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_SWEEPS + 1):
         _q_cumtrapz_lower(K, q, W, delta)
         Dv = _cumtrapz(np.diagonal(W), delta)
         _cumtrapz_rows(W.ravel()[plan.diag], Apad, delta)

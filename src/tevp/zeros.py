@@ -6,16 +6,17 @@ refinement, in a loop: a cell that refinement cannot certify goes back to
 the subdivision, so counting smaller cells is the only way zeros are
 separated.  The rectangle rule is the only contour quadrature: with the
 integral of d'/d it takes that of k d'/d from the same nodes, so each
-counted cell also has the centroid of its zeros at no extra evaluation.  A
-count-1 cell is refined by Newton from that centroid, and its zero stands
-only if a square of half-width max(1e-3, 2e-4 |k|) around it, counted on
-the fine grid, holds exactly one zero.  A cell with count m >= 2 is one zero
-of multiplicity m only if the square of half-width _SPLIT_FLOOR around its
-centroid counts m: a multiple zero, or a cluster that floating-point noise
-has split below that floor, is reported once, at that square's centroid.
-Any other cell, including one whose square count does not converge or whose
-Newton iteration stalls, is split again; one narrower than _SPLIT_FLOOR
-raises NewtonStall instead.
+counted cell also has the centroid of its zeros at no extra evaluation.
+Refinement counts one square around each cell's centroid on the fine grid,
+of half-width max(1e-3, 2e-4 |c|) for a count-1 cell and _SPLIT_FLOOR for a
+cell with count m >= 2, and reports the cell's zeros at that square's own
+centroid if the square counts them all.  A simple zero also needs the
+certificate |d/d'| <= 1e-10 (1 + |k|) there, from the same fine-grid
+evaluation that gives its residual: a Newton step that would still move it
+means the centroid is not the zero.  A multiple zero, or a cluster that
+floating-point noise has split below the floor, is reported once.  Any
+other cell, including one whose square count does not converge, is split
+again; one narrower than _SPLIT_FLOOR raises NewtonStall instead.
 
 All evaluations of one search go through its batching service, so that a
 whole subdivision level costs a handful of vectorized ODE sweeps.  The
@@ -60,11 +61,15 @@ _SPLIT_FLOOR = 2e-3          # clusters cohesive at this radius count as one mul
 _GL_NODES = np.polynomial.legendre.leggauss(12)
 _SEG_LEN = 1.5               # longest first-round segment of a contour edge
 _COARSE_PER_RADIAN = 3.5     # grid steps per radian of phase for winding counts
-_FINE_PER_RADIAN = 8.0       # ... for Newton and the verification squares
+_FINE_PER_RADIAN = 8.0       # ... for the verification squares and the certificate
+_SEG_TOL = 1e-3              # a segment rule must match its two halves' sum to this
+_MAX_ROUNDS = 18             # segment-bisection rounds before a contour fails
+_STEP_CERT = 1e-10           # a simple zero needs |d/d'| <= _STEP_CERT (1 + |k|)
 _MAX_SPLITS = 128            # segments one contour may split in one round
 _PHASES = ("count", "subdivide", "refine")
 _RETRIES = ("inflate", "jitter", "resplit")
 _REAL_STRIP = 0.5            # height of the strip real_zeros searches
+_TRIVIAL_CLEARANCE = 1e-2    # least distance from k = 0 of a search rect's corner (x0, y0)
 
 
 @dataclass
@@ -86,14 +91,16 @@ class SpectralZero:
 class SearchReport:
     """Zeros of one search and its ``stats``: ``evals`` (points propagated),
     ``phase_evals`` (their split over count / subdivide / refine; refine is
-    Newton and the verification squares), ``batches`` (engine calls),
+    the verification squares and the residual and certificate evaluation at
+    their centroids), ``batches`` (engine calls),
     ``ksteps`` (points times grid steps), ``segments_reused`` (segment rules
     the cache, or the same batch, already held), ``retries`` (``inflate``:
     outer contours padded off a zero; ``jitter``: cells split again on a
     shifted line; ``resplit``: cells refinement handed back to the
-    subdivision because Newton stalled or a verification square did not count
-    the cell's zeros), ``clusters`` (cells refined, handed-back ones included),
-    ``duplicates_removed`` and ``noteworthy_multiple_nonreal``."""
+    subdivision because a verification square did not count the cell's zeros
+    or a simple zero failed its certificate), ``clusters`` (cells refined,
+    handed-back ones included), ``duplicates_removed`` and
+    ``noteworthy_multiple_nonreal``."""
     rect: tuple
     zeros: list
     total_count_by_argument_principle: int
@@ -126,8 +133,8 @@ class _Service:
     def eval(self, ks, n_steps=None):
         """Return (logderiv, absD) at the given complex points.
 
-        ``n_steps`` None is the fine grid (_FINE_PER_RADIAN at max |k|) that
-        backs Newton polish.
+        ``n_steps`` None is the fine grid (_FINE_PER_RADIAN at max |k|) of the
+        residual and certificate evaluation.
         """
         ks = np.asarray(ks, dtype=complex).ravel()
         if ks.size == 0:
@@ -198,14 +205,13 @@ def _edge_pieces(c0, c1):
     return list(zip(pts, pts[1:]))
 
 
-def _winding_many(service, rects, per_radian=_COARSE_PER_RADIAN, seg_tol=1e-3,
-                  max_rounds=18):
+def _winding_many(service, rects, per_radian=_COARSE_PER_RADIAN):
     """Winding numbers and zero centroids of d over rectangle boundaries.
 
     Every contour of one call is integrated on one grid, ``per_radian`` steps
     per radian at the largest |k| of all corners, so each closed contour
     integrates one analytic d_h.  A segment is accepted when its 12-node rule
-    agrees with the sum over its two halves to ``seg_tol``, and otherwise
+    agrees with the sum over its two halves to _SEG_TOL, and otherwise
     replaced by the halves, whose rules are then already cached.
 
     Returns a list of (count:int|None, max_absD:float, winding:complex,
@@ -232,7 +238,7 @@ def _winding_many(service, rects, per_radian=_COARSE_PER_RADIAN, seg_tol=1e-3,
     max_absD = np.zeros(m)
     failed = np.zeros(m, dtype=bool)
 
-    for depth in range(max_rounds):
+    for depth in range(_MAX_ROUNDS):
         if not owner:
             break
         mid = [0.5 * (a + b) for a, b in zip(z0, z1)]
@@ -246,11 +252,11 @@ def _winding_many(service, rects, per_radian=_COARSE_PER_RADIAN, seg_tol=1e-3,
         gap = np.abs(coarse - fine)
         # a node hit a zero of d dead-on: this contour is unusable
         failed[idx[~np.isfinite(gap)]] = True
-        done = gap <= seg_tol
+        done = gap <= _SEG_TOL
         np.add.at(totals, idx[done], fine[done])
         np.add.at(moments, idx[done], (m_left + m_right)[done])
         split = np.isfinite(gap) & ~done
-        if depth == max_rounds - 1:
+        if depth == _MAX_ROUNDS - 1:
             failed[idx[split]] = True
         failed |= np.bincount(idx[split], minlength=m) > _MAX_SPLITS
         keep = np.flatnonzero(split & ~failed[idx])
@@ -278,7 +284,9 @@ def _winding_many(service, rects, per_radian=_COARSE_PER_RADIAN, seg_tol=1e-3,
 def _count_with_perturbation(service, rect):
     """Winding count with up to 5 retries on contours padded outward.
 
-    Retry j moves every edge out by 1e-2 * 2**j.  Returns (count, rect_used).
+    Retry j moves every edge out by 1e-2 * 2**j, except that a left (bottom)
+    edge at x0 > 0 (y0 > 0) moves at most x0 / 2 (y0 / 2): padding never
+    carries it across the axis to k = 0.  Returns (count, rect_used).
     """
     x0, x1, y0, y1 = tried = rect
     worst_mx = 0.0
@@ -292,7 +300,8 @@ def _count_with_perturbation(service, rect):
             return n, tried
         service.stats["retries"]["inflate"] += 1
         pad = 1e-2 * 2.0 ** j
-        tried = (x0 - pad, x1 + pad, y0 - pad, y1 + pad)
+        tried = (x0 - (min(pad, 0.5 * x0) if x0 > 0 else pad), x1 + pad,
+                 y0 - (min(pad, 0.5 * y0) if y0 > 0 else pad), y1 + pad)
     raise ContourTooClose(f"winding defect > 0.25 for rect {rect} after 5 perturbations")
 
 
@@ -301,7 +310,8 @@ def count_zeros(profile: RefractiveProfile, rect) -> int:
 
     ``rect`` is (x0, x1, y0, y1) anywhere in the plane.  If an edge passes too
     close to a zero for the winding quadrature, every edge is moved outward by
-    1e-2, then 2e-2, ... (at most 0.16) until the count converges.
+    1e-2, then 2e-2, ... (at most 0.16) until the count converges; a left or
+    bottom edge off the axis moves at most half its distance to it.
     """
     return _count_with_perturbation(_Service(profile), rect)[0]
 
@@ -386,83 +396,37 @@ def _subdivide(service, cells):
 # ---------------------------------------------------------------------------
 
 
-class _Candidate:
-    __slots__ = ("k", "rho", "mult", "residual", "done", "stalled")
-
-    def __init__(self, k, rho, mult):
-        self.k = complex(k)
-        self.rho = float(rho)
-        self.mult = mult
-        self.residual = math.inf
-        self.done = False
-        self.stalled = False
-
-
-def _newton_polish(service, cands, tol):
-    """Batched Newton iteration k <- k - m/(d'/d) for candidates."""
-    active = [c for c in cands if not c.done]
-    for _ in range(60):
-        if not active:
-            return
-        ks = np.array([c.k for c in active])
-        ld, absD = service.eval(ks)
-        still = []
-        for c, l, aD in zip(active, ld, absD):
-            if np.isinf(l):
-                # d vanishes at the iterate to working precision: converged
-                c.residual, c.done = 0.0, True
-                continue
-            step = c.mult / l
-            if not np.isfinite(step) or abs(step) > 4.0 * c.rho + 0.5:
-                c.stalled = True
-                continue
-            c.k -= step
-            c.residual = float(aD)
-            if abs(step) < max(1e-12, 0.01 * tol) * (1.0 + abs(c.k)):
-                c.done = True
-            else:
-                still.append(c)
-        active = still
-    for c in active:
-        c.stalled = True
-
-
-def _refine_clusters(service, clusters, tol):
+def _refine_clusters(service, clusters):
     """Refine the zeros of counted cells, as the module docstring sets out.
 
-    Returns (candidates, cells to split again).
+    Returns ((k, multiplicity, residual) per certified zero, cells to split
+    again).
     """
-    cands = []
-    for cell in clusters:
-        x0, x1, y0, y1 = cell.rect
-        cands.append(_Candidate(cell.centroid, 0.6 * math.hypot(x1 - x0, y1 - y0),
-                                cell.count))
-    _newton_polish(service, [c for c in cands if c.mult == 1], tol)
-
-    live = [c for c in cands if not c.stalled]
     squares = []
-    for c in live:
-        h = max(1e-3, 2e-4 * abs(c.k)) if c.mult == 1 else _SPLIT_FLOOR
-        squares.append((c.k.real - h, c.k.real + h, c.k.imag - h, c.k.imag + h))
-    for c, (n, _mx, _w, centroid) in zip(
-            live, _winding_many(service, squares, _FINE_PER_RADIAN)):
-        c.stalled = n != c.mult
-        if c.mult > 1:
-            c.k = centroid
+    for cell in clusters:
+        c = cell.centroid
+        h = max(1e-3, 2e-4 * abs(c)) if cell.count == 1 else _SPLIT_FLOOR
+        squares.append((c.real - h, c.real + h, c.imag - h, c.imag + h))
+    counted = [(cell, k) for cell, (n, _mx, _w, k) in zip(
+        clusters, _winding_many(service, squares, _FINE_PER_RADIAN)) if n == cell.count]
+    ld, absD = service.eval(np.array([k for _cell, k in counted]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the Newton step |d/d'|; d'/d infinite means d vanishes at k to working precision
+        step = np.where(np.isinf(ld), 0.0, np.abs(1.0 / ld))
+    found, verified = [], set()
+    for (cell, k), s, aD in zip(counted, step, absD):
+        if cell.count > 1 or s <= _STEP_CERT * (1.0 + abs(k)):
+            found.append((complex(k), cell.count, float(aD)))
+            verified.add(cell)
 
-    back = [cell for cell, c in zip(clusters, cands) if c.stalled]
+    back = [cell for cell in clusters if cell not in verified]
     for cell in back:
         x0, x1, y0, y1 = cell.rect
         if max(x1 - x0, y1 - y0) < _SPLIT_FLOOR:
             raise NewtonStall(f"{cell.count} zero(s) in cell {cell.rect}, narrower "
                               f"than {_SPLIT_FLOOR}, could not be refined")
     service.stats["retries"]["resplit"] += len(back)
-
-    final = [c for c in cands if not c.stalled]
-    _, absD = service.eval(np.array([c.k for c in final]))
-    for c, aD in zip(final, absD):
-        c.residual = float(aD)
-    return final, back
+    return found, back
 
 
 # ---------------------------------------------------------------------------
@@ -470,29 +434,29 @@ def _refine_clusters(service, clusters, tol):
 # ---------------------------------------------------------------------------
 
 
-def _canonicalize(cands):
-    """Map to the closed first quadrant, classify, merge duplicates.
+def _canonicalize(found):
+    """Map (k, multiplicity, residual) to the closed first quadrant, classify,
+    merge duplicates.
 
     Returns (zeros, duplicates_removed_multiplicity).
     """
     out = []
     removed = 0
-    for c in sorted(cands, key=lambda c: (abs(c.k.real), abs(c.k.imag))):
-        k = complex(abs(c.k.real), abs(c.k.imag))
+    for k, mult, residual in sorted(found, key=lambda f: (abs(f[0].real), abs(f[0].imag))):
+        k = complex(abs(k.real), abs(k.imag))
         cls = "real" if k.imag <= _REAL_CLASS_TOL * (1.0 + abs(k.real)) else "nonreal"
         if cls == "real":
             k = complex(k.real, 0.0)
         dup = next((z for z in out if abs(z.k - k) < 5e-7 * (1.0 + abs(k))), None)
         if dup is not None:
-            removed += c.mult
+            removed += mult
             continue
-        out.append(SpectralZero(k=k, multiplicity=c.mult, cls=cls,
-                                residual=c.residual))
+        out.append(SpectralZero(k=k, multiplicity=mult, cls=cls, residual=residual))
     out.sort(key=lambda z: (z.k.real, z.k.imag))
     return out, removed
 
 
-def find_zeros(profile: RefractiveProfile, rect, tol: float = 1e-9) -> SearchReport:
+def find_zeros(profile: RefractiveProfile, rect) -> SearchReport:
     """All zeros of d (with multiplicity) in a first-quadrant rectangle.
 
     A rect flush with the real axis is padded slightly below it so that
@@ -503,9 +467,10 @@ def find_zeros(profile: RefractiveProfile, rect, tol: float = 1e-9) -> SearchRep
         raise ValueError(f"empty rect {rect}")
     if x0 < -1e-9 or y0 < -1e-9:
         raise ValueError("rect must lie in the closed first quadrant")
-    if x0 <= 0.0 and y0 <= 1e-9:
-        raise ValueError(f"rect {rect} contains k = 0, a zero of d for every profile "
-                         "(d(0) = y'(1,0) - y(1,0) = 0); start it at Re k > 0")
+    if math.hypot(x0, y0) < _TRIVIAL_CLEARANCE:
+        raise ValueError(f"rect {rect} comes within {_TRIVIAL_CLEARANCE} of k = 0, a zero "
+                         "of d for every profile (d(0) = y'(1,0) - y(1,0) = 0); keep its "
+                         f"corner (x0, y0) at least {_TRIVIAL_CLEARANCE} from it")
     search_rect = (x0, x1, -min(0.15, 0.5 * (y1 - y0)) if y0 <= 1e-9 else y0, y1)
 
     service = _Service(profile)
@@ -516,7 +481,7 @@ def find_zeros(profile: RefractiveProfile, rect, tol: float = 1e-9) -> SearchRep
         service.phase = "subdivide"
         clusters = _subdivide(service, cells)
         service.phase = "refine"
-        found, cells = _refine_clusters(service, clusters, tol)
+        found, cells = _refine_clusters(service, clusters)
         refined += found
         n_clusters += len(clusters)
     zeros, removed = _canonicalize(refined)
@@ -529,16 +494,15 @@ def find_zeros(profile: RefractiveProfile, rect, tol: float = 1e-9) -> SearchRep
                         stats=stats)
 
 
-def real_zeros(profile: RefractiveProfile, kmax: float,
-               tol: float = 1e-9) -> list:
-    """Real zeros of d in [0.05, kmax], found to ``tol``.
+def real_zeros(profile: RefractiveProfile, kmax: float) -> list:
+    """Real zeros of d in [0.05, kmax].
 
     A ``find_zeros`` search on the strip 0.05 <= Re k <= kmax,
     0 <= Im k <= _REAL_STRIP, so every multiplicity comes from a contour count;
     the strip starts off k = 0, a zero of d for every profile.
     """
     k_lo = 0.05
-    rep = find_zeros(profile, (k_lo, kmax, 0.0, _REAL_STRIP), tol)
+    rep = find_zeros(profile, (k_lo, kmax, 0.0, _REAL_STRIP))
     return [z for z in rep.zeros
             if z.cls == "real" and k_lo <= z.k.real <= kmax]
 

@@ -45,9 +45,12 @@ def test_spectrum_rect_validation():
 
 
 def test_spectrum_rect_containing_the_trivial_zero(capsys):
-    rc = main(["spectrum", "--profile", "colton_example", "--rect", "0,5,0,2"])
-    assert rc == EXIT_INPUT
-    assert "k = 0" in capsys.readouterr().err
+    # a rect within 1e-2 of k = 0, as well as one containing it, is an input error
+    for profile, rect in [("colton_example", "0,5,0,2"), ("colton_example", "1e-4,5,0,2"),
+                          ("const4", f"0.005,{math.pi},0,0.5")]:
+        rc = main(["spectrum", "--profile", profile, "--rect", rect])
+        assert rc == EXIT_INPUT
+        assert "k = 0" in capsys.readouterr().err
 
 
 def test_spectrum_degenerate_exit_code(capsys):
@@ -154,21 +157,22 @@ def test_inverse_check_json(capsys):
 
 
 def test_tol_only_on_subcommands_that_read_it(capsys):
-    # kernel-check, profile-info and inverse-check never read a tolerance
+    # no subcommand reads a tolerance, so none accepts --tol
     assert main(["kernel-check", "--profile", "colton_example", "--tol", "1e-3"]) == EXIT_INPUT
     assert main(["profile-info", "--profile", "colton_example", "--tol", "1e-3"]) == EXIT_INPUT
     assert main(["inverse-check", "--fast", "--tol", "1e-3"]) == EXIT_INPUT
     assert main(["spectrum", "--profile", "const4", "--rect", "0.5,7,0,1",
-                 "--tol", "1e-9"]) == EXIT_OK
+                 "--tol", "1e-9"]) == EXIT_INPUT
+    assert main(["asymptotics", "--profile", "colton_example", "--rect", "0.3,10,0,6",
+                 "--tol", "1e-9"]) == EXIT_INPUT
 
 
 def test_asymptotics_rejects_search_flags_with_a_spectrum_file(tmp_path):
-    # the zeros come from the file, so --rect and --tol would be ignored
+    # the zeros come from the file, so --rect would be ignored
     csv_path = tmp_path / "zeros.csv"
     write_zeros_csv(csv_path, [])
     base = ["asymptotics", "--profile", "colton_example", "--spectrum", str(csv_path)]
     assert main(base + ["--rect", "0.3,10,0,6"]) == EXIT_INPUT
-    assert main(base + ["--tol", "1e-9"]) == EXIT_INPUT
 
 
 def test_inverse_check_rejects_profile_with_a_scenario(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import trapezoid
+from scipy.interpolate import RegularGridInterpolator
 
 from tevp.forward import solve_ivp
 from tevp.kernel import (boundary_traces, representation_boundary,
@@ -46,11 +47,11 @@ def test_trace_sum_identity(colton_lv):
     kg = solve_kernel(colton_lv, h=colton_lv.a / 400)
     a = colton_lv.a
     t, K1, K2 = boundary_traces(kg)
+    K = RegularGridInterpolator((kg.x, kg.x), kg.K)     # bilinear in (x, t)
     for idx in (len(t) // 4, len(t) // 2, 3 * len(t) // 4):
         tt = t[idx]
         taus = np.linspace(0.5 * (a + tt), a, 801)
-        vals = colton_lv.q(taus) * np.array(
-            [kg.at(x, a + tt - x) for x in taus])
+        vals = colton_lv.q(taus) * K(np.column_stack([taus, a + tt - taus]))
         rhs = 0.5 * float(colton_lv.q(0.5 * (a + tt))) + trapezoid(vals, taus)
         assert K1[idx] + K2[idx] == pytest.approx(rhs, abs=1e-6)
 
@@ -67,14 +68,6 @@ def test_representation_matches_ivp(colton, colton_lv):
         bv = solve_ivp(colton, float(k), tol=1e-13)
         assert abs(y[i] - bv.y1 * np.exp(bv.scale_log)) <= 1e-5
         assert abs(dy[i] - bv.dy1 * np.exp(bv.scale_log)) <= 1e-5
-
-
-def test_kernel_interpolation_consistency(colton_lv):
-    kg = solve_kernel(colton_lv, h=colton_lv.a / 200)
-    # interpolation at grid nodes returns the stored values
-    assert kg.at(kg.x[20], kg.x[8]) == pytest.approx(kg.K[20, 8], abs=1e-15)
-    with pytest.raises(ValueError):
-        kg.at(0.1, 0.2)     # t > x is outside the triangle
 
 
 def test_csv_dump(tmp_path, colton_lv):

@@ -11,10 +11,9 @@ import tevp.zeros as zeros_module
 from tevp.errors import DegenerateCharacteristic
 from tevp.forward import scaled_characteristic
 from tevp.profiles import ConstantProfile, get_profile
-from tevp.zeros import (SearchReport, SpectralZero, _Candidate, _newton_polish,
-                        _Service, _winding_many, count_zeros, find_zeros,
-                        real_zeros, report_to_json, write_report_json,
-                        write_zeros_csv)
+from tevp.zeros import (SearchReport, SpectralZero, _Cell, _refine_clusters, _Service,
+                        _winding_many, count_zeros, find_zeros, real_zeros,
+                        report_to_json, write_report_json, write_zeros_csv)
 
 CONST4 = ConstantProfile(4.0)
 CONST1 = ConstantProfile(1.0)
@@ -77,11 +76,35 @@ def test_rect_validation():
         find_zeros(CONST4, (-3.0, 1.0, 0.0, 1.0))      # leaves quadrant
 
 
-def test_rect_containing_the_trivial_zero_is_rejected(colton):
-    # d(0) = y'(1,0) - y(1,0) = 0 for every profile
-    with pytest.raises(ValueError, match="k = 0"):
-        find_zeros(colton, (0.0, 5.0, 0.0, 2.0))
+def test_rect_containing_the_trivial_zero_is_rejected(colton, const4):
+    # d(0) = y'(1,0) - y(1,0) = 0 for every profile; a corner within 1e-2 of
+    # it would let the double zero pass half inside the padded contour
+    for profile, rect in [(colton, (0.0, 5.0, 0.0, 2.0)), (colton, (1e-4, 5.0, 0.0, 2.0)),
+                          (const4, (0.005, math.pi, 0.0, 0.5))]:
+        with pytest.raises(ValueError, match="k = 0"):
+            find_zeros(profile, rect)
     assert find_zeros(colton, (0.0, 5.0, 1.0, 2.0)).zeros == []
+
+
+@pytest.mark.parametrize("rect", [(0.0, 4.4133980251658, 0.01, 4.0),
+                                  (0.01, 4.4133980251658, 0.0, 4.0)])
+def test_padding_keeps_the_contour_off_the_trivial_zero(colton, rect):
+    # the right edge runs through a zero, so the contour is padded; its left
+    # or bottom edge, 1e-2 from k = 0, may move only halfway towards it
+    rep = find_zeros(colton, rect)
+    assert rep.stats["retries"]["inflate"] == 1
+    assert rep.total_count_by_argument_principle == 1
+    assert [(z.multiplicity, z.cls) for z in rep.zeros] == [(1, "nonreal")]
+    with mpmath.workdps(30):
+        root = complex(mpmath.findroot(_colton_d, mpmath.mpc(4.4134 + 2.9042j)))
+    assert abs(rep.zeros[0].k - root) <= 1e-8
+
+
+def test_padding_near_the_trivial_zero_keeps_a_triple_zero(const4):
+    rep = find_zeros(const4, (0.01, math.pi, 0.0, 0.5))
+    assert rep.total_count_by_argument_principle == 3
+    assert [(z.multiplicity, z.cls) for z in rep.zeros] == [(3, "real")]
+    assert abs(rep.zeros[0].k - math.pi) <= 1e-8
 
 
 @pytest.mark.parametrize("x0, first", [(math.pi, 1), (2.0 * math.pi, 2)])
@@ -107,13 +130,13 @@ def test_real_zeros_triple_multiplicity(const4):
 def test_real_zeros_strip_starts_at_a_fixed_abscissa(const4, monkeypatch):
     rects = []
 
-    def record(profile, rect, tol):
-        rects.append((rect, tol))
+    def record(profile, rect):
+        rects.append(rect)
         return SearchReport(rect=rect, zeros=[], total_count_by_argument_principle=0)
 
     monkeypatch.setattr(zeros_module, "find_zeros", record)
-    real_zeros(const4, 20.0, tol=0.1)
-    assert rects == [((0.05, 20.0, 0.0, 0.5), 0.1)]
+    real_zeros(const4, 20.0)
+    assert rects == [(0.05, 20.0, 0.0, 0.5)]
 
 
 @pytest.mark.parametrize("name, kmax", [("const4", 20.0), ("slow_core", 30.0)])
@@ -161,12 +184,6 @@ def test_serialization(tmp_path, const4):
     assert json.load(open(json_path))["count"] == 6
 
 
-def test_two_tolerances_agree(const4):
-    k1 = find_zeros(const4, (2.5, 4.0, 0.0, 0.5), tol=1e-9).zeros[0].k
-    k2 = find_zeros(const4, (2.5, 4.0, 0.0, 0.5), tol=1e-11).zeros[0].k
-    assert abs(k1 - k2) <= 1e-9
-
-
 def test_report_json_keeps_residuals_and_stats():
     rep = SearchReport(rect=(0.0, 1.0, 0.0, 1.0),
                        zeros=[SpectralZero(k=1 + 2j, multiplicity=2, cls="nonreal",
@@ -178,20 +195,31 @@ def test_report_json_keeps_residuals_and_stats():
     assert d["stats"] == {"evals": 5, "noteworthy_multiple_nonreal": [[1.0, 2.0]]}
 
 
-class _ExactZeroService:
-    """Every iterate is an exact zero: d = 0, so d'/d is infinite."""
+class _GivenLogDerivative:
+    """d'/d at the refined points is ``ld``, in order, and |D| is 0."""
+
+    def __init__(self, ld):
+        self.ld = np.array(ld)
+        self.stats = {"retries": {"resplit": 0}}
 
     def eval(self, ks, n_steps=None):
-        n = np.size(ks)
-        return np.full(n, complex(np.inf, np.inf)), np.zeros(n)
+        return self.ld[:np.size(ks)], np.zeros(np.size(ks))
 
 
-def test_newton_accepts_an_exact_zero():
-    cand = _Candidate(2.0 + 1.0j, 0.1, 1)
-    _newton_polish(_ExactZeroService(), [cand], 1e-9)
-    assert cand.done and not cand.stalled
-    assert cand.residual == 0.0
-    assert cand.k == 2.0 + 1.0j
+def test_certificate_passes_an_exact_zero_and_fails_a_nan(monkeypatch):
+    # every square counts its cell's zero; only the certificate decides
+    monkeypatch.setattr(zeros_module, "_winding_many", lambda service, rects, per_radian: [
+        (1, 1.0, 1.0, complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))) for x0, x1, y0, y1 in rects])
+    cells = [_Cell((2.0, 2.2, 1.0, 1.2), count=1), _Cell((5.0, 5.2, 1.0, 1.2), count=1)]
+    for cell in cells:
+        cell.centroid = complex(cell.rect[0] + 0.1, cell.rect[2] + 0.1)
+    # d = 0 at the first centroid (d'/d infinite), d'/d undefined at the second
+    service = _GivenLogDerivative([complex(np.inf, np.inf), complex(np.nan, np.nan)])
+    found, back = _refine_clusters(service, cells)
+    assert [(m, r) for _k, m, r in found] == [(1, 0.0)]
+    assert abs(found[0][0] - (2.1 + 1.1j)) <= 1e-12
+    assert back == [cells[1]]
+    assert service.stats["retries"]["resplit"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -272,32 +300,55 @@ def test_centroid_of_an_empty_rect_is_its_centre(const4):
     assert (n, centroid) == (0, 1.5 + 1.25j)
 
 
-def _shift_first(cands):
-    cands[0].k += 0.01                 # off its 1e-3 verification square
+def _shift_first(cells):
+    cells[0].centroid += 0.01          # its verification square misses the zero
 
 
-def _stall_all(cands):
-    for c in cands:
-        c.stalled = True
+def _shift_all(cells):
+    for cell in cells:
+        cell.centroid += 0.01
 
 
-@pytest.mark.parametrize("spoil, resplit", [(_shift_first, 1), (_stall_all, 3)])
+@pytest.mark.parametrize("spoil, resplit", [(_shift_first, 1), (_shift_all, 3)])
 def test_refinement_hands_back_zeros_it_cannot_verify(colton, monkeypatch, spoil,
                                                       resplit):
     rect = (0.3, 12.0, 0.0, 6.0)
     clean = find_zeros(colton, rect).zeros
-    polish, calls = zeros_module._newton_polish, []
+    refine, calls = zeros_module._refine_clusters, []
 
-    def spoil_once(service, cands, tol):
-        polish(service, cands, tol)
+    def spoil_once(service, clusters):
         if not calls:
-            spoil(cands)
-        calls.append(len(cands))
+            spoil(clusters)
+        calls.append(len(clusters))
+        return refine(service, clusters)
 
-    monkeypatch.setattr(zeros_module, "_newton_polish", spoil_once)
+    monkeypatch.setattr(zeros_module, "_refine_clusters", spoil_once)
     rep = find_zeros(colton, rect)
     assert len(calls) == 2
     assert rep.stats["retries"]["resplit"] == resplit
+    assert [z.multiplicity for z in rep.zeros] == [z.multiplicity for z in clean]
+    for z, ref in zip(rep.zeros, clean, strict=True):
+        assert abs(z.k - ref.k) <= 1e-10
+
+
+def test_certificate_hands_back_a_centroid_off_its_zero(colton, monkeypatch):
+    # the square still counts the zero, but a Newton step of 1e-6 remains
+    rect = (0.3, 12.0, 0.0, 6.0)
+    clean = find_zeros(colton, rect).zeros
+    winding, moved = zeros_module._winding_many, []
+
+    def move_once(service, rects, per_radian=zeros_module._COARSE_PER_RADIAN):
+        out = winding(service, rects, per_radian)
+        if per_radian == zeros_module._FINE_PER_RADIAN and not moved:
+            n, mx, w, centroid = out[0]
+            out[0] = (n, mx, w, centroid + 1e-6)
+            moved.append(n)
+        return out
+
+    monkeypatch.setattr(zeros_module, "_winding_many", move_once)
+    rep = find_zeros(colton, rect)
+    assert moved == [1]
+    assert rep.stats["retries"]["resplit"] >= 1
     assert [z.multiplicity for z in rep.zeros] == [z.multiplicity for z in clean]
     for z, ref in zip(rep.zeros, clean, strict=True):
         assert abs(z.k - ref.k) <= 1e-10
@@ -330,7 +381,8 @@ def test_retry_counters_record_contour_repairs(const4, rect, retries):
 
 
 def test_search_options_are_module_constants():
-    assert list(inspect.signature(find_zeros).parameters) == ["profile", "rect", "tol"]
+    assert list(inspect.signature(find_zeros).parameters) == ["profile", "rect"]
+    assert list(inspect.signature(real_zeros).parameters) == ["profile", "kmax"]
 
 
 # ---------------------------------------------------------------------------
