@@ -207,11 +207,11 @@ def _integrate_batch(coef: np.ndarray, k: np.ndarray, growth: float,
     return (state, log_scale, np.array(ys), np.array(ys_log)) if path else (state, log_scale)
 
 
-def _shoot(profile: RefractiveProfile, k: np.ndarray, n_steps: int, init=(0.0, 1.0)):
+def _shoot(profile: RefractiveProfile, k: np.ndarray, n_steps: int):
     """``_integrate_batch`` over r in [0, 1] on n_steps equal steps (the r-form)."""
     coef = profile.grid_cached(("rk8", n_steps), lambda: _step_polynomials(profile, n_steps))
     growth = np.sqrt(profile.eta_max) * np.abs(np.imag(k)).max() / n_steps
-    return _integrate_batch(coef, k, growth, init)
+    return _integrate_batch(coef, k, growth)
 
 
 def characteristic_batch(profile: RefractiveProfile, k, *, n_steps: int | None = None):
@@ -244,7 +244,7 @@ def scaled_characteristic(profile: RefractiveProfile, k, *, n_steps: int | None 
 # ---------------------------------------------------------------------------
 
 
-def _checked_shoot(profile: RefractiveProfile, k: np.ndarray, tol: float, init=(0.0, 1.0)):
+def _checked_shoot(profile: RefractiveProfile, k: np.ndarray, tol: float):
     """``_shoot`` from steps_for(max|k|) on, doubling the steps until they agree.
 
     The state on 2n steps is returned once, for every k, it differs from the
@@ -256,9 +256,9 @@ def _checked_shoot(profile: RefractiveProfile, k: np.ndarray, tol: float, init=(
     if k.size == 0:
         return np.zeros((4, 0), dtype=complex), np.zeros(0)
     n = steps_for(profile, float(np.abs(k).max()), tol)
-    coarse, coarse_log = _shoot(profile, k, n, init)
+    coarse, coarse_log = _shoot(profile, k, n)
     while 2 * n <= _MAX_STEPS:
-        fine, fine_log = _shoot(profile, k, 2 * n, init)
+        fine, fine_log = _shoot(profile, k, 2 * n)
         common = np.maximum(coarse_log, fine_log)     # scale factors <= 1 cannot overflow
         fine_c = fine * np.exp(fine_log - common)
         err = np.abs(coarse * np.exp(coarse_log - common) - fine_c).max(axis=0)
@@ -269,15 +269,14 @@ def _checked_shoot(profile: RefractiveProfile, k: np.ndarray, tol: float, init=(
                         f"{_MAX_STEPS} RK8 steps at max|k|={float(np.abs(k).max()):g}")
 
 
-def solve_ivp(profile: RefractiveProfile, k, tol: float = 1e-12,
-              init=None) -> BoundaryValues:
-    """Boundary values y(1,k), y'(1,k) of the shooting solution.
+def solve_ivp(profile: RefractiveProfile, k, tol: float = 1e-12) -> BoundaryValues:
+    """Boundary values y(1,k), y'(1,k) of the shooting solution, y(0) = 0, y'(0) = 1.
 
     ``k`` is a scalar or a 1-D array; the fields are scalars or arrays to
-    match.  ``init`` overrides the initial data (y(0), y'(0)); default (0, 1).
+    match.
     """
     ks = np.asarray(k, dtype=complex)
-    u, scale_log = _checked_shoot(profile, ks.ravel(), tol, (0.0, 1.0) if init is None else init)
+    u, scale_log = _checked_shoot(profile, ks.ravel(), tol)
     if ks.ndim == 0:
         return BoundaryValues(complex(u[0, 0]), complex(u[1, 0]), float(scale_log[0]))
     return BoundaryValues(y1=u[0], dy1=u[1], scale_log=scale_log)

@@ -39,7 +39,6 @@ __all__ = [
     "wronskian_g",
     "theorem4_threshold",
     "density_estimate",
-    "density_report",
     "load_scenario",
 ]
 
@@ -196,24 +195,6 @@ def theorem4_threshold(a: float, b: float) -> float:
 def density_estimate(zeros, r: float, select: Callable | None = None) -> float:
     """alpha_hat = N_D(r) * pi / (2r), N_D = ``nonreal_count(zeros, r, select)``."""
     return nonreal_count(zeros, r, select) * math.pi / (2.0 * r)
-
-
-def density_report(zeros, r: float, a: float, b: float,
-                   select: Callable | None = None) -> dict:
-    """Finite-r density estimate against the Theorem-4 style threshold.
-
-    The hypothesis concerns the r -> infinity limit; this is an estimate at
-    one radius and is labeled as such.
-    """
-    alpha_hat = density_estimate(zeros, r, select)
-    thr = theorem4_threshold(a, b)
-    return {
-        "r": float(r),
-        "alpha_hat": alpha_hat,
-        "threshold": thr,
-        "would_satisfy_at_this_r": bool(alpha_hat > thr),
-        "note": "finite-radius estimate of an asymptotic density",
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -115,10 +115,6 @@ class KernelGrid:
         """
         return float(np.max(np.abs(2.0 * np.diagonal(self.K) - self.Q_ref)))
 
-    def discrete_diagonal_defect(self) -> float:
-        """max |2 K(x,x) - Q(x)| with the grid's own cumulative (machine-0)."""
-        return float(np.max(np.abs(2.0 * np.diagonal(self.K) - self.Q)))
-
 
 class _SweepPlan:
     """Row-major int32 flat indices for grid size M (see the module docstring).

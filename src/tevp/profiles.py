@@ -182,12 +182,6 @@ class ColtonExampleProfile(RefractiveProfile):
             return 1152.0 / u**4 - 4608.0 * du**2 / u**5 + 1920.0 * du**4 / u**6
         raise DerivativeUnavailable(f"order {deriv}")
 
-    @staticmethod
-    def x_exact(r):
-        """Closed-form cumulative map int_0^r sqrt(eta) = ln(3(1+r)/(3-r))."""
-        r = np.asarray(r, dtype=float)
-        return np.log(3.0 * (1.0 + r) / (3.0 - r))
-
 
 class RaisedCosineProfile(RefractiveProfile):
     """eta(r) = 1 + A (1 + cos(pi r))^2 / 4: a smooth bump flat at r=1.

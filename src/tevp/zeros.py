@@ -7,27 +7,28 @@ the subdivision, so counting smaller cells is the only way zeros are
 separated.  The rectangle rule is the only contour quadrature: with the
 integral of d'/d it takes that of k d'/d from the same nodes, so each
 counted cell also has the centroid of its zeros at no extra evaluation.
-Refinement counts one square around each cell's centroid on the fine grid,
-of half-width max(1e-3, 2e-4 |c|) for a count-1 cell and _SPLIT_FLOOR for a
-cell with count m >= 2, and reports the cell's zeros at that square's own
-centroid if the square counts them all.  A simple zero also needs the
-certificate |d/d'| <= 1e-10 (1 + |k|) there, from the same fine-grid
-evaluation that gives its residual: a Newton step that would still move it
-means the centroid is not the zero.  A multiple zero, or a cluster that
-floating-point noise has split below the floor, is reported once.  Any
-other cell, including one whose square count does not converge, is split
-again; one narrower than _SPLIT_FLOOR raises NewtonStall instead.
+Refinement counts one square around each cell's centroid, of half-width
+max(1e-3, 2e-4 |c|) for a count-1 cell and _SPLIT_FLOOR for a cell with
+count m >= 2, and reports the cell's zeros at that square's own centroid if
+the square counts them all.  A simple zero also needs the certificate
+|d/d'| <= 1e-10 (1 + |k|) there, from the same evaluation that gives its
+residual: a Newton step that would still move it means the centroid is not
+the zero.  A multiple zero, or a cluster that floating-point noise has split
+below the floor, is reported once.  Any other cell, including one whose
+square count does not converge, is split again.  One narrower than
+_SPLIT_FLOOR raises NewtonStall, unless it touches the outer contour: the
+discretised d_h may split a multiple zero that the contour runs through, so
+the search restarts on the next padded outer contour instead.
 
-All evaluations of one search go through its batching service, so that a
-whole subdivision level costs a handful of vectorized ODE sweeps.  The
-service also caches every contour segment's 12-node integrals, keyed
-by its endpoints and the grid's step count: a child cell's edges that its
+All evaluations of one search go through its batching service, on one RK8
+grid: _PER_RADIAN steps per radian at the largest |k| any contour of the
+search can reach.  Every count, centroid and certificate of the search is
+therefore exact for one analytic function d_h, and every cached segment is
+valid for every later contour.  The service caches each contour segment's
+12-node integrals, keyed by its endpoints: a child cell's edges that its
 parent already integrated, the split line two siblings share, and a refined
 segment's halves (the next round's coarse rules) are each evaluated once.
-Edges are bisected at 0.5 (a + b), so these keys are bit-equal.  One
-``_winding_many`` call integrates all its contours on one grid, so each
-closed contour integrates one analytic function d_h and its count is exact;
-a cached segment is only read at the grid it was computed on.
+Edges are bisected at 0.5 (a + b), so these keys are bit-equal.
 """
 
 from __future__ import annotations
@@ -60,8 +61,7 @@ _CLUSTER_DIAM = 0.4          # cells at most this wide become refinement cluster
 _SPLIT_FLOOR = 2e-3          # clusters cohesive at this radius count as one multiple zero
 _GL_NODES = np.polynomial.legendre.leggauss(12)
 _SEG_LEN = 1.5               # longest first-round segment of a contour edge
-_COARSE_PER_RADIAN = 3.5     # grid steps per radian of phase for winding counts
-_FINE_PER_RADIAN = 8.0       # ... for the verification squares and the certificate
+_PER_RADIAN = 3.5            # grid steps per radian of phase at a search's largest |k|
 _SEG_TOL = 1e-3              # a segment rule must match its two halves' sum to this
 _MAX_ROUNDS = 18             # segment-bisection rounds before a contour fails
 _STEP_CERT = 1e-10           # a simple zero needs |d/d'| <= _STEP_CERT (1 + |k|)
@@ -70,6 +70,7 @@ _PHASES = ("count", "subdivide", "refine")
 _RETRIES = ("inflate", "jitter", "resplit")
 _REAL_STRIP = 0.5            # height of the strip real_zeros searches
 _TRIVIAL_CLEARANCE = 1e-2    # least distance from k = 0 of a search rect's corner (x0, y0)
+_PADS = (1e-2, 2e-2, 4e-2, 8e-2, 0.16)   # outward moves of an outer contour's edges
 
 
 @dataclass
@@ -95,12 +96,12 @@ class SearchReport:
     their centroids), ``batches`` (engine calls),
     ``ksteps`` (points times grid steps), ``segments_reused`` (segment rules
     the cache, or the same batch, already held), ``retries`` (``inflate``:
-    outer contours padded off a zero; ``jitter``: cells split again on a
-    shifted line; ``resplit``: cells refinement handed back to the
-    subdivision because a verification square did not count the cell's zeros
-    or a simple zero failed its certificate), ``clusters`` (cells refined,
-    handed-back ones included), ``duplicates_removed`` and
-    ``noteworthy_multiple_nonreal``."""
+    outer contours padded off a zero or off a cell stalled on the contour;
+    ``jitter``: cells split again on a shifted line; ``resplit``: cells
+    refinement handed back to the subdivision because a verification square
+    did not count the cell's zeros or a simple zero failed its certificate),
+    ``clusters`` (cells refined, handed-back ones included),
+    ``duplicates_removed`` and ``noteworthy_multiple_nonreal``."""
     rect: tuple
     zeros: list
     total_count_by_argument_principle: int
@@ -115,13 +116,21 @@ class SearchReport:
 class _Service:
     """Batches d'/d evaluations for one search and caches its contour segments.
 
-    ``segments`` maps (a, b, n) to the 12-node Gauss-Legendre integrals of d'/d
-    and of k d'/d from a to b and the max |D| at their nodes, all on the n-step
-    grid.  The endpoints are in canonical order (a before b by (re, im)); a
+    Every evaluation runs on one grid, ``n_steps``, sized by ``grid_steps`` at
+    _PER_RADIAN for the largest |k| a contour of the search on ``rect`` can
+    reach: a corner of its widest padded rect plus a verification square's
+    half-width.  ``segments`` maps (a, b) to the 12-node Gauss-Legendre
+    integrals of d'/d and of k d'/d from a to b and the max |D| at their
+    nodes.  The endpoints are in canonical order (a before b by (re, im)); a
     segment traversed from b to a reads the negated integrals.
     """
 
-    def __init__(self, profile: RefractiveProfile):
+    def __init__(self, profile: RefractiveProfile, rect):
+        x0, x1, y0, y1 = _padded_rects(rect)[-1]
+        reach = math.hypot(max(abs(x0), abs(x1)), max(abs(y0), abs(y1)))
+        # a square centred in a cell reaches past it by at most sqrt(2) half-widths
+        self.n_steps = grid_steps(profile, reach + 2.0 * max(_SPLIT_FLOOR, 2e-4 * reach),
+                                  _PER_RADIAN)
         self.profile = profile
         self.a = travel_time(profile)
         self.segments = {}
@@ -130,38 +139,32 @@ class _Service:
                       "phase_evals": dict.fromkeys(_PHASES, 0),
                       "retries": dict.fromkeys(_RETRIES, 0)}
 
-    def eval(self, ks, n_steps=None):
-        """Return (logderiv, absD) at the given complex points.
-
-        ``n_steps`` None is the fine grid (_FINE_PER_RADIAN at max |k|) of the
-        residual and certificate evaluation.
-        """
+    def eval(self, ks):
+        """Return (logderiv, absD) at the given complex points."""
         ks = np.asarray(ks, dtype=complex).ravel()
         if ks.size == 0:
             return np.zeros(0, complex), np.zeros(0)
-        if n_steps is None:
-            n_steps = grid_steps(self.profile, float(np.abs(ks).max()), _FINE_PER_RADIAN)
-        d_s, dp_s, scale_log = characteristic_batch(self.profile, ks, n_steps=n_steps)
+        d_s, dp_s, scale_log = characteristic_batch(self.profile, ks, n_steps=self.n_steps)
         self.stats["batches"] += 1
         self.stats["evals"] += ks.size
-        self.stats["ksteps"] += ks.size * n_steps
+        self.stats["ksteps"] += ks.size * self.n_steps
         self.stats["phase_evals"][self.phase] += ks.size
         with np.errstate(divide="ignore", invalid="ignore"):
             ld = dp_s / d_s
         absD = np.abs(d_s * ks) * np.exp(scale_log - (1.0 + self.a) * np.abs(ks.imag))
         return ld, absD
 
-    def rules(self, pieces, n_steps):
+    def rules(self, pieces):
         """12-node integrals of d'/d and k d'/d along oriented pieces (a, b),
         and max |D| on each.
 
-        Only pieces missing from ``segments`` at this grid are evaluated, in
-        one batch; a piece given twice, or in both orientations, once.
+        Only pieces missing from ``segments`` are evaluated, in one batch; a
+        piece given twice, or in both orientations, once.
         """
         keys, signs = [], []
         for a, b in pieces:
             forward = (a.real, a.imag) < (b.real, b.imag)
-            keys.append((a, b, n_steps) if forward else (b, a, n_steps))
+            keys.append((a, b) if forward else (b, a))
             signs.append(1.0 if forward else -1.0)
         cache = self.segments
         new = list(dict.fromkeys(k for k in keys if k not in cache))
@@ -171,7 +174,7 @@ class _Service:
             c, h = 0.5 * (a + b), 0.5 * (b - a)
             x_gl, w_gl = _GL_NODES
             nodes = c[:, None] + h[:, None] * x_gl
-            ld, absD = self.eval(nodes.ravel(), n_steps)
+            ld, absD = self.eval(nodes.ravel())
             ld = ld.reshape(nodes.shape)
             with np.errstate(invalid="ignore"):
                 ints = (ld @ w_gl) * h
@@ -205,14 +208,13 @@ def _edge_pieces(c0, c1):
     return list(zip(pts, pts[1:]))
 
 
-def _winding_many(service, rects, per_radian=_COARSE_PER_RADIAN):
+def _winding_many(service, rects):
     """Winding numbers and zero centroids of d over rectangle boundaries.
 
-    Every contour of one call is integrated on one grid, ``per_radian`` steps
-    per radian at the largest |k| of all corners, so each closed contour
-    integrates one analytic d_h.  A segment is accepted when its 12-node rule
-    agrees with the sum over its two halves to _SEG_TOL, and otherwise
-    replaced by the halves, whose rules are then already cached.
+    Every contour is integrated on the service's one grid, so each closed
+    contour integrates the same analytic d_h.  A segment is accepted when its
+    12-node rule agrees with the sum over its two halves to _SEG_TOL, and
+    otherwise replaced by the halves, whose rules are then already cached.
 
     Returns a list of (count:int|None, max_absD:float, winding:complex,
     centroid:complex); count None marks a contour-too-close failure
@@ -221,12 +223,8 @@ def _winding_many(service, rects, per_radian=_COARSE_PER_RADIAN):
     M = that of k d'/d and c the rect centre (Delves & Lyness, Math. Comp. 21,
     1967); a rect without a counted zero returns its centre.
     """
-    corners = [_rect_corners(rect) for rect in rects]
-    n_steps = grid_steps(service.profile,
-                         max((abs(c) for cs in corners for c in cs), default=0.0),
-                         per_radian)
     owner, z0, z1 = [], [], []
-    for idx, cs in enumerate(corners):
+    for idx, cs in enumerate(map(_rect_corners, rects)):
         for c0, c1 in zip(cs, cs[1:] + cs[:1]):
             for a, b in _edge_pieces(c0, c1):
                 owner.append(idx)
@@ -242,8 +240,7 @@ def _winding_many(service, rects, per_radian=_COARSE_PER_RADIAN):
         if not owner:
             break
         mid = [0.5 * (a + b) for a, b in zip(z0, z1)]
-        ints, moms, mx = service.rules([*zip(z0, z1), *zip(z0, mid), *zip(mid, z1)],
-                                       n_steps)
+        ints, moms, mx = service.rules([*zip(z0, z1), *zip(z0, mid), *zip(mid, z1)])
         coarse, left, right = ints.reshape(3, -1)
         _, m_left, m_right = moms.reshape(3, -1)
         idx = np.array(owner)
@@ -281,28 +278,37 @@ def _winding_many(service, rects, per_radian=_COARSE_PER_RADIAN):
 # ---------------------------------------------------------------------------
 
 
-def _count_with_perturbation(service, rect):
-    """Winding count with up to 5 retries on contours padded outward.
+def _padded_rects(rect):
+    """``rect``, then ``rect`` with every edge moved out by each of _PADS.
 
-    Retry j moves every edge out by 1e-2 * 2**j, except that a left (bottom)
-    edge at x0 > 0 (y0 > 0) moves at most x0 / 2 (y0 / 2): padding never
-    carries it across the axis to k = 0.  Returns (count, rect_used).
+    A left (bottom) edge at x0 > 0 (y0 > 0) moves at most x0 / 2 (y0 / 2):
+    padding never carries it across the axis to k = 0.
     """
-    x0, x1, y0, y1 = tried = rect
+    x0, x1, y0, y1 = rect
+    return [rect] + [(x0 - (min(pad, 0.5 * x0) if x0 > 0 else pad), x1 + pad,
+                      y0 - (min(pad, 0.5 * y0) if y0 > 0 else pad), y1 + pad)
+                     for pad in _PADS]
+
+
+def _count_with_perturbation(service, rects):
+    """Winding count on the first of ``rects`` whose contour converges.
+
+    Each contour passed over is an ``inflate`` retry.  Returns (count,
+    rect_used).
+    """
     worst_mx = 0.0
-    for j in range(6):
-        (n, mx, _w, _c), = _winding_many(service, [tried])
+    for j, rect in enumerate(rects):
+        if j:
+            service.stats["retries"]["inflate"] += 1
+        (n, mx, _w, _c), = _winding_many(service, [rect])
         worst_mx = max(worst_mx, mx)
         if worst_mx < DEGENERACY_FLOOR:
             raise DegenerateCharacteristic(
                 f"max |D| on contour {worst_mx:.3e} below the degeneracy floor")
         if n is not None:
-            return n, tried
-        service.stats["retries"]["inflate"] += 1
-        pad = 1e-2 * 2.0 ** j
-        tried = (x0 - (min(pad, 0.5 * x0) if x0 > 0 else pad), x1 + pad,
-                 y0 - (min(pad, 0.5 * y0) if y0 > 0 else pad), y1 + pad)
-    raise ContourTooClose(f"winding defect > 0.25 for rect {rect} after 5 perturbations")
+            return n, rect
+    raise ContourTooClose(f"winding defect > 0.25 for rect {rects[0]} and "
+                          f"{len(rects) - 1} padded contours")
 
 
 def count_zeros(profile: RefractiveProfile, rect) -> int:
@@ -313,7 +319,7 @@ def count_zeros(profile: RefractiveProfile, rect) -> int:
     1e-2, then 2e-2, ... (at most 0.16) until the count converges; a left or
     bottom edge off the axis moves at most half its distance to it.
     """
-    return _count_with_perturbation(_Service(profile), rect)[0]
+    return _count_with_perturbation(_Service(profile, rect), _padded_rects(rect))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +414,7 @@ def _refine_clusters(service, clusters):
         h = max(1e-3, 2e-4 * abs(c)) if cell.count == 1 else _SPLIT_FLOOR
         squares.append((c.real - h, c.real + h, c.imag - h, c.imag + h))
     counted = [(cell, k) for cell, (n, _mx, _w, k) in zip(
-        clusters, _winding_many(service, squares, _FINE_PER_RADIAN)) if n == cell.count]
+        clusters, _winding_many(service, squares)) if n == cell.count]
     ld, absD = service.eval(np.array([k for _cell, k in counted]))
     with np.errstate(divide="ignore", invalid="ignore"):
         # the Newton step |d/d'|; d'/d infinite means d vanishes at k to working precision
@@ -420,11 +426,6 @@ def _refine_clusters(service, clusters):
             verified.add(cell)
 
     back = [cell for cell in clusters if cell not in verified]
-    for cell in back:
-        x0, x1, y0, y1 = cell.rect
-        if max(x1 - x0, y1 - y0) < _SPLIT_FLOOR:
-            raise NewtonStall(f"{cell.count} zero(s) in cell {cell.rect}, narrower "
-                              f"than {_SPLIT_FLOOR}, could not be refined")
     service.stats["retries"]["resplit"] += len(back)
     return found, back
 
@@ -473,8 +474,9 @@ def find_zeros(profile: RefractiveProfile, rect) -> SearchReport:
                          f"corner (x0, y0) at least {_TRIVIAL_CLEARANCE} from it")
     search_rect = (x0, x1, -min(0.15, 0.5 * (y1 - y0)) if y0 <= 1e-9 else y0, y1)
 
-    service = _Service(profile)
-    total, used_rect = _count_with_perturbation(service, search_rect)
+    service = _Service(profile, search_rect)
+    outer = _padded_rects(search_rect)
+    total, used_rect = _count_with_perturbation(service, outer)
     cells = [_Cell(used_rect, count=total)] if total else []
     refined, n_clusters = [], 0
     while cells:
@@ -484,6 +486,20 @@ def find_zeros(profile: RefractiveProfile, rect) -> SearchReport:
         found, cells = _refine_clusters(service, clusters)
         refined += found
         n_clusters += len(clusters)
+        stalled = [c.rect for c in cells if max(c.rect[1] - c.rect[0],
+                                                c.rect[3] - c.rect[2]) < _SPLIT_FLOOR]
+        if stalled:
+            rest = outer[outer.index(used_rect) + 1:]
+            on_edge = all(any(a == b for a, b in zip(r, used_rect)) for r in stalled)
+            if not (rest and on_edge):
+                raise NewtonStall(f"zeros in cell {stalled[0]}, narrower than "
+                                  f"{_SPLIT_FLOOR}, could not be refined")
+            # d_h may split a multiple zero that the outer contour runs through
+            service.stats["retries"]["inflate"] += 1
+            service.phase = "count"
+            total, used_rect = _count_with_perturbation(service, rest)
+            cells = [_Cell(used_rect, count=total)] if total else []
+            refined = []
     zeros, removed = _canonicalize(refined)
     noteworthy = [z.k for z in zeros if z.cls == "nonreal" and z.multiplicity > 1]
     stats = dict(service.stats)

@@ -241,7 +241,7 @@ def test_scaled_characteristic_bounded_on_rays(colton):
     assert np.all(np.abs(D) < 50.0)
 
 
-def test_solve_ivp_boundary_values_and_init():
+def test_solve_ivp_boundary_values():
     # eta == 1: y = sin(kr)/k, y' = cos(kr)
     p1 = ConstantProfile(1.0)
     k = 3.7
@@ -250,11 +250,6 @@ def test_solve_ivp_boundary_values_and_init():
                                                          abs=1e-11)
     assert bv.dy1 * np.exp(bv.scale_log) == pytest.approx(math.cos(k),
                                                           abs=1e-11)
-    # second solution via init override: y2 = cos(kr), Wronskian = -k... use
-    # y2(0)=1, y2'(0)=0 -> y2 = cos(kr); W(y1,y2) = y1 y2' - y1' y2 = -1
-    bv2 = solve_ivp(p1, k, tol=1e-13, init=(1.0, 0.0))
-    W = bv.y1 * bv2.dy1 - bv.dy1 * bv2.y1
-    assert W == pytest.approx(-1.0, abs=1e-10)
 
 
 def test_tol_validation():

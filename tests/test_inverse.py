@@ -5,9 +5,9 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 
 from tevp.errors import MassOutOfRange, RegimeError
-from tevp.inverse import (UniquenessScenario, density_estimate, density_report,
-                          load_scenario, smooth_bump, theorem3_epsilon,
-                          theorem4_threshold, wronskian_g)
+from tevp.inverse import (UniquenessScenario, density_estimate, load_scenario,
+                          smooth_bump, theorem3_epsilon, theorem4_threshold,
+                          wronskian_g)
 from tevp.profiles import get_profile, subinterval_boundary, travel_time
 
 
@@ -188,14 +188,6 @@ def test_density_estimate_counts_copies(colton_spectrum_40):
     half = density_estimate(colton_spectrum_40, r,
                             select=lambda z: z.k.real <= 20.0)
     assert 0.0 < half < alpha
-
-
-def test_density_report_fields(colton_spectrum_40):
-    a = math.log(3.0)
-    rep = density_report(colton_spectrum_40, 40.0, a, 0.5 * (a - 1.0))
-    assert rep["threshold"] == 2.0
-    assert rep["would_satisfy_at_this_r"] == (rep["alpha_hat"] > 2.0)
-    assert "finite-radius" in rep["note"]
 
 
 def test_load_scenario_errors(tmp_path):

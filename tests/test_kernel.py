@@ -23,7 +23,7 @@ def test_zero_potential_gives_zero_kernel():
 def test_discrete_diagonal_identity(colton_lv):
     kg = solve_kernel(colton_lv, h=colton_lv.a / 200)
     # the scheme reproduces 2K(x,x) = Q(x) to machine precision
-    assert kg.discrete_diagonal_defect() <= 1e-13
+    assert np.max(np.abs(2.0 * np.diagonal(kg.K) - kg.Q)) <= 1e-13
     assert np.max(np.abs(kg.K[:, 0])) == 0.0
 
 

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import tevp.zeros as zeros_module
-from tevp.errors import DegenerateCharacteristic
-from tevp.forward import scaled_characteristic
+from tevp.cli import EXIT_NUMERIC, main
+from tevp.errors import DegenerateCharacteristic, NewtonStall
+from tevp.forward import characteristic_batch, scaled_characteristic
 from tevp.profiles import ConstantProfile, get_profile
 from tevp.zeros import (SearchReport, SpectralZero, _Cell, _refine_clusters, _Service,
                         _winding_many, count_zeros, find_zeros, real_zeros,
@@ -33,6 +34,42 @@ def test_count_perturbs_contour_through_zero():
     # the right edge passes exactly through the triple zero at 2*pi
     n = count_zeros(CONST4, (4.0, 2.0 * math.pi, -0.5, 0.5))
     assert n in (0, 3)      # inflation moves the edge off the zero
+    # on the RK8 grid the triple zero splits by about 1e-4, and two of its
+    # zeros lie inside this contour: the count is exact for d_h
+    assert count_zeros(CONST4, (4.0, 2.0 * math.pi, -0.15, 0.5)) == 2
+
+
+@pytest.mark.parametrize("rect, zeros", [
+    ((4.0, 2.0 * math.pi, 0.0, 0.5), [2.0 * math.pi]),
+    ((2.0, 2.0 * math.pi, 0.0, 1.0), [math.pi, 2.0 * math.pi]),
+])
+def test_outer_edge_through_a_multiple_zero_restarts_on_a_padded_contour(const4, rect,
+                                                                         zeros):
+    # the right edge splits the triple zero at 2 pi and d_h's outer count
+    # takes two of its zeros, but no cell of those 2 zeros can be certified
+    rep = find_zeros(const4, rect)
+    assert rep.stats["retries"]["inflate"] == 1
+    assert rep.total_count_by_argument_principle == 3 * len(zeros)
+    assert [(z.multiplicity, z.cls) for z in rep.zeros] == [(3, "real")] * len(zeros)
+    for z, k in zip(rep.zeros, zeros):
+        assert abs(z.k - k) <= 1e-8
+
+
+def test_uncertifiable_interior_cell_raises_newton_stall(colton, monkeypatch):
+    # a verification square that never counts its cell's zero
+    winding = zeros_module._winding_many
+
+    def miscount(service, rects):
+        out = winding(service, rects)
+        if service.phase == "refine":
+            out = [(None if n is None else n + 1, mx, w, c) for n, mx, w, c in out]
+        return out
+
+    monkeypatch.setattr(zeros_module, "_winding_many", miscount)
+    with pytest.raises(NewtonStall):
+        find_zeros(colton, (4.0, 5.0, 2.5, 3.5))
+    assert main(["spectrum", "--profile", "colton_example",
+                 "--rect", "4,5,2.5,3.5"]) == EXIT_NUMERIC
 
 
 def test_find_zeros_triple(const4):
@@ -202,13 +239,13 @@ class _GivenLogDerivative:
         self.ld = np.array(ld)
         self.stats = {"retries": {"resplit": 0}}
 
-    def eval(self, ks, n_steps=None):
+    def eval(self, ks):
         return self.ld[:np.size(ks)], np.zeros(np.size(ks))
 
 
 def test_certificate_passes_an_exact_zero_and_fails_a_nan(monkeypatch):
     # every square counts its cell's zero; only the certificate decides
-    monkeypatch.setattr(zeros_module, "_winding_many", lambda service, rects, per_radian: [
+    monkeypatch.setattr(zeros_module, "_winding_many", lambda service, rects: [
         (1, 1.0, 1.0, complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))) for x0, x1, y0, y1 in rects])
     cells = [_Cell((2.0, 2.2, 1.0, 1.2), count=1), _Cell((5.0, 5.2, 1.0, 1.2), count=1)]
     for cell in cells:
@@ -235,32 +272,45 @@ def _evals(service, rects):
 
 
 def test_cached_contour_costs_no_evaluations(colton):
-    service = _Service(colton)
     rect = (0.3, 12.0, -0.15, 6.0)
+    service = _Service(colton, rect)
     cost, first = _evals(service, [rect])
     assert cost > 0
     assert _evals(service, [rect]) == (0, first)
 
 
-def test_cache_is_never_read_at_another_grid(colton):
-    small, far = (0.3, 3.0, 0.5, 2.0), (30.0, 31.0, 1.0, 2.0)
-    warm = _Service(colton)
-    _evals(warm, [small])               # cached on the grid for |k| <= 3.6
-    warm_cost, warm_out = _evals(warm, [small, far])
-    fresh_cost, fresh_out = _evals(_Service(colton), [small, far])
-    assert warm_cost == fresh_cost
-    assert warm_out == fresh_out
-    assert len({n for (_a, _b, n) in warm.segments}) == 2
+@pytest.mark.parametrize("search, rect", [
+    # the left edge runs through the triple zero at pi: the outer contour inflates
+    (find_zeros, (math.pi, 5.0, 0.0, 0.5)),
+    (find_zeros, (2.0 * math.pi, 20.0, 0.0, 0.5)),
+    # the right edge splits the triple zero at 2 pi: the search restarts padded
+    (find_zeros, (4.0, 2.0 * math.pi, 0.0, 0.5)),
+    (count_zeros, (4.0, 2.0 * math.pi, -0.5, 0.5)),
+])
+def test_one_search_evaluates_on_one_grid(const4, monkeypatch, search, rect):
+    calls = []
+
+    def record(profile, k, *, n_steps):
+        calls.append((n_steps, float(np.abs(k).max())))
+        return characteristic_batch(profile, k, n_steps=n_steps)
+
+    monkeypatch.setattr(zeros_module, "characteristic_batch", record)
+    search(const4, rect)
+    assert len({n for n, _k in calls}) == 1
+    n_steps = calls[0][0]
+    # every |k| lies within the kmax that grid_steps sized the grid for
+    per_radian_at = zeros_module._PER_RADIAN * math.sqrt(const4.eta_max)
+    assert all(kmax * per_radian_at <= n_steps for _n, kmax in calls)
 
 
 def test_warmed_service_counts_like_a_fresh_one(colton):
     x0, x1, y0, y1 = 0.3, 12.0, -0.15, 6.0
     xm = 0.5 * (x0 + x1)
     children = [(x0, xm, y0, y1), (xm, x1, y0, y1)]
-    warm = _Service(colton)
+    warm = _Service(colton, (x0, x1, y0, y1))
     _evals(warm, [(x0, x1, y0, y1)])
     warm_cost, warm_out = _evals(warm, children)
-    fresh_cost, fresh_out = _evals(_Service(colton), children)
+    fresh_cost, fresh_out = _evals(_Service(colton, (x0, x1, y0, y1)), children)
     # the children's outer edges are the parent's; only the split line is new
     assert 0 < warm_cost < fresh_cost / 4
     assert [n for n, _, _, _ in warm_out] == [n for n, _, _, _ in fresh_out] == [1, 2]
@@ -273,22 +323,24 @@ def test_siblings_evaluate_their_split_line_once(colton):
     x0, x1, y0, y1 = 0.3, 12.0, -0.15, 6.0
     xm = 0.5 * (x0 + x1)
     siblings = [(x0, xm, y0, y1), (xm, x1, y0, y1)]
-    service = _Service(colton)
+    service = _Service(colton, (x0, x1, y0, y1))
     together, _ = _evals(service, siblings)
-    apart = sum(_evals(_Service(colton), [rect])[0] for rect in siblings)
+    apart = sum(_evals(_Service(colton, (x0, x1, y0, y1)), [rect])[0] for rect in siblings)
     assert together < apart
     # every segment is stored once, whichever way the contours run along it
-    assert all((a.real, a.imag) < (b.real, b.imag) for (a, b, _n) in service.segments)
+    assert all((a.real, a.imag) < (b.real, b.imag) for (a, b) in service.segments)
 
 
 def test_centroid_of_a_triple_zero(const4):
-    (n, _mx, _w, centroid), = _winding_many(_Service(const4), [(2.5, 3.8, -0.5, 0.5)])
+    rect = (2.5, 3.8, -0.5, 0.5)
+    (n, _mx, _w, centroid), = _winding_many(_Service(const4, rect), [rect])
     assert n == 3
     assert abs(centroid - math.pi) <= 1e-10
 
 
 def test_centroid_of_a_simple_zero(colton):
-    (n, _mx, _w, centroid), = _winding_many(_Service(colton), [(4.2, 4.6, 2.7, 3.1)])
+    rect = (4.2, 4.6, 2.7, 3.1)
+    (n, _mx, _w, centroid), = _winding_many(_Service(colton, rect), [rect])
     assert n == 1
     with mpmath.workdps(30):
         root = complex(mpmath.findroot(_colton_d, mpmath.mpc(4.4 + 2.9j)))
@@ -296,7 +348,8 @@ def test_centroid_of_a_simple_zero(colton):
 
 
 def test_centroid_of_an_empty_rect_is_its_centre(const4):
-    (n, _mx, _w, centroid), = _winding_many(_Service(const4), [(0.5, 2.5, 0.5, 2.0)])
+    rect = (0.5, 2.5, 0.5, 2.0)
+    (n, _mx, _w, centroid), = _winding_many(_Service(const4, rect), [rect])
     assert (n, centroid) == (0, 1.5 + 1.25j)
 
 
@@ -337,9 +390,9 @@ def test_certificate_hands_back_a_centroid_off_its_zero(colton, monkeypatch):
     clean = find_zeros(colton, rect).zeros
     winding, moved = zeros_module._winding_many, []
 
-    def move_once(service, rects, per_radian=zeros_module._COARSE_PER_RADIAN):
-        out = winding(service, rects, per_radian)
-        if per_radian == zeros_module._FINE_PER_RADIAN and not moved:
+    def move_once(service, rects):
+        out = winding(service, rects)
+        if service.phase == "refine" and not moved:
             n, mx, w, centroid = out[0]
             out[0] = (n, mx, w, centroid + 1e-6)
             moved.append(n)
