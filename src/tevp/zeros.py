@@ -1,34 +1,42 @@
 """Zero localization for the characteristic function d(k).
 
 Strategy: argument-principle winding counts over rectangle contours,
-subdivision until every nonempty cell is small and holds few zeros, then
-refinement, in a loop: a cell that refinement cannot certify goes back to
-the subdivision, so counting smaller cells is the only way zeros are
-separated.  The rectangle rule is the only contour quadrature: with the
-integral of d'/d it takes that of k d'/d from the same nodes, so each
+subdivision until every nonempty cell holds at most _MMAX zeros and is
+narrow enough for its count, then refinement, in a loop: a cell that
+refinement cannot certify goes back to the subdivision, so counting smaller
+cells is the only way zeros are separated.  The width a cell must reach
+depends on its count: a count-1 cell is refined once it is at most
+_SIMPLE_DIAM (8) wide, because its centroid is its zero and the verification
+square and certificate below reject a bad one; a cell of count 2 .. _MMAX
+only at _CLUSTER_DIAM (0.4), because its centroid is a mean of zeros that
+may still be apart.  The rectangle rule is the only contour quadrature: with
+the integral of d'/d it takes that of k d'/d from the same nodes, so each
 counted cell also has the centroid of its zeros at no extra evaluation.
 Refinement counts one square around each cell's centroid, of half-width
 max(1e-3, 2e-4 |c|) for a count-1 cell and _SPLIT_FLOOR for a cell with
 count m >= 2, and reports the cell's zeros at that square's own centroid if
-the square counts them all.  A simple zero also needs the certificate
-|d/d'| <= 1e-10 (1 + |k|) there, from the same evaluation that gives its
-residual: a Newton step that would still move it means the centroid is not
-the zero.  A multiple zero, or a cluster that floating-point noise has split
-below the floor, is reported once.  Any other cell, including one whose
-square count does not converge, is split again.  One narrower than
-_SPLIT_FLOOR raises NewtonStall, unless it touches the outer contour: the
-discretised d_h may split a multiple zero that the contour runs through, so
-the search restarts on the next padded outer contour instead.
+the square counts them all.  A simple zero also needs the certificate |d/d'|
+<= 1e-10 (1 + |k|) there, from the same evaluation that gives its residual:
+a Newton step that would still move it means the centroid is not the zero.
+A multiple zero, or a cluster that floating-point noise has split below the
+floor, is reported once.  Any other cell, including one whose square count
+does not converge, is split again.  One narrower than _SPLIT_FLOOR raises
+NewtonStall, unless it touches the outer contour: the discretised d_h may
+split a multiple zero that the contour runs through, so the search restarts
+on the next padded outer contour instead.
 
 All evaluations of one search go through its batching service, on one RK8
 grid: _PER_RADIAN steps per radian at the largest |k| any contour of the
 search can reach.  Every count, centroid and certificate of the search is
 therefore exact for one analytic function d_h, and every cached segment is
-valid for every later contour.  The service caches each contour segment's
-12-node integrals, keyed by its endpoints: a child cell's edges that its
-parent already integrated, the split line two siblings share, and a refined
-segment's halves (the next round's coarse rules) are each evaluated once.
-Edges are bisected at 0.5 (a + b), so these keys are bit-equal.
+valid for every later contour.  A contour edge starts as pieces at most
+_SEG_LEN (6) long; a piece whose 12-node rule disagrees with its two halves
+is bisected, so only rough stretches of an edge pay for short pieces.  The
+service caches each contour segment's 12-node integrals, keyed by its
+endpoints: a child cell's edges that its parent already integrated, the split
+line two siblings share, and a refined segment's halves (the next round's
+coarse rules) are each evaluated once.  Edges are bisected at 0.5 (a + b), so
+these keys are bit-equal.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -45,6 +53,7 @@ from .forward import characteristic_batch, grid_steps
 from .profiles import RefractiveProfile, travel_time
 
 __all__ = [
+    "Certificate",
     "SpectralZero",
     "SearchReport",
     "count_zeros",
@@ -57,10 +66,11 @@ __all__ = [
 DEGENERACY_FLOOR = 1e-9      # max |D| on a contour below which d is treated as == 0
 _REAL_CLASS_TOL = 1e-9       # |Im k| <= tol*(1+|Re k|) classifies a zero as real
 _MMAX = 4                    # cells holding more zeros are always split
-_CLUSTER_DIAM = 0.4          # cells at most this wide become refinement clusters
+_SIMPLE_DIAM = 8.0           # count-1 cells at most this wide go to refinement
+_CLUSTER_DIAM = 0.4          # cells of count 2 .. _MMAX at most this wide do
 _SPLIT_FLOOR = 2e-3          # clusters cohesive at this radius count as one multiple zero
 _GL_NODES = np.polynomial.legendre.leggauss(12)
-_SEG_LEN = 1.5               # longest first-round segment of a contour edge
+_SEG_LEN = 6.0               # longest first-round segment of a contour edge
 _PER_RADIAN = 3.5            # grid steps per radian of phase at a search's largest |k|
 _SEG_TOL = 1e-3              # a segment rule must match its two halves' sum to this
 _MAX_ROUNDS = 18             # segment-bisection rounds before a contour fails
@@ -73,6 +83,16 @@ _TRIVIAL_CLEARANCE = 1e-2    # least distance from k = 0 of a search rect's corn
 _PADS = (1e-2, 2e-2, 4e-2, 8e-2, 0.16)   # outward moves of an outer contour's edges
 
 
+@dataclass(frozen=True)
+class Certificate:
+    """The numbers that accepted a zero: its verification square's half-width,
+    that square's winding defect |w - n|, and the Newton step |d/d'| at the
+    zero (None for a multiple zero, which no step certifies)."""
+    half_width: float
+    defect: float
+    step: float | None
+
+
 @dataclass
 class SpectralZero:
     """A zero of d(k), canonical representative in the closed first quadrant."""
@@ -80,6 +100,7 @@ class SpectralZero:
     multiplicity: int
     cls: str                 # "real" | "nonreal"
     residual: float          # |D(k)| at the refined point
+    certificate: Certificate | None = None   # None for a zero read back from a table
 
     def symmetric_copies(self):
         """The distinct members of the orbit {k, -k, conj k, -conj k}."""
@@ -94,14 +115,16 @@ class SearchReport:
     ``phase_evals`` (their split over count / subdivide / refine; refine is
     the verification squares and the residual and certificate evaluation at
     their centroids), ``batches`` (engine calls),
-    ``ksteps`` (points times grid steps), ``segments_reused`` (segment rules
+    ``ksteps`` (points times grid steps), ``phase_ksteps`` (their split over
+    the same phases), ``segments_reused`` (segment rules
     the cache, or the same batch, already held), ``retries`` (``inflate``:
     outer contours padded off a zero or off a cell stalled on the contour;
     ``jitter``: cells split again on a shifted line; ``resplit``: cells
     refinement handed back to the subdivision because a verification square
     did not count the cell's zeros or a simple zero failed its certificate),
     ``clusters`` (cells refined, handed-back ones included),
-    ``duplicates_removed`` and ``noteworthy_multiple_nonreal``."""
+    ``duplicates_removed`` and ``noteworthy_multiple_nonreal``.  Each zero
+    carries the ``certificate`` that accepted it (see ``Certificate``)."""
     rect: tuple
     zeros: list
     total_count_by_argument_principle: int
@@ -137,6 +160,7 @@ class _Service:
         self.phase = "count"
         self.stats = {"batches": 0, "evals": 0, "ksteps": 0, "segments_reused": 0,
                       "phase_evals": dict.fromkeys(_PHASES, 0),
+                      "phase_ksteps": dict.fromkeys(_PHASES, 0),
                       "retries": dict.fromkeys(_RETRIES, 0)}
 
     def eval(self, ks):
@@ -149,6 +173,7 @@ class _Service:
         self.stats["evals"] += ks.size
         self.stats["ksteps"] += ks.size * self.n_steps
         self.stats["phase_evals"][self.phase] += ks.size
+        self.stats["phase_ksteps"][self.phase] += ks.size * self.n_steps
         with np.errstate(divide="ignore", invalid="ignore"):
             ld = dp_s / d_s
         absD = np.abs(d_s * ks) * np.exp(scale_log - (1.0 + self.a) * np.abs(ks.imag))
@@ -198,8 +223,11 @@ def _rect_corners(rect):
 def _edge_pieces(c0, c1):
     """The edge c0 -> c1 bisected at 0.5 (a + b) until no piece exceeds _SEG_LEN.
 
-    A half edge of a split cell bisects into bit-equal pieces of the whole
-    edge, so a child cell finds its parent's segments in the cache.
+    These are the first-round pieces of ``_winding_many``: at _SEG_LEN = 6 a
+    smooth edge is accepted in one round from few pieces, and a rough piece
+    is bisected there.  A half edge of a split cell bisects into bit-equal
+    pieces of the whole edge, so a child cell finds its parent's segments in
+    the cache.
     """
     pts = [c0, c1]
     while abs(pts[1] - pts[0]) > _SEG_LEN:
@@ -357,7 +385,13 @@ def _split(cell: _Cell):
 
 def _subdivide(service, cells):
     """Split ``cells``, then their parts, until every nonempty part holds at
-    most _MMAX zeros in a cell at most _CLUSTER_DIAM wide; return those parts."""
+    most _MMAX zeros and is narrow enough for its count; return those parts.
+
+    A part of count 1 is narrow enough at _SIMPLE_DIAM wide: refinement
+    verifies its centroid with a square and the Newton-step certificate, and
+    hands it back if either fails.  A part of count 2 .. _MMAX must be at most
+    _CLUSTER_DIAM wide, so that zeros still apart are separated by counts.
+    """
     clusters = []
     pending = [part for cell in cells for part in _split(cell)]
 
@@ -365,7 +399,8 @@ def _subdivide(service, cells):
         x0, x1, y0, y1 = cell.rect
         if cell.count == 0:
             return
-        if cell.count <= _MMAX and max(x1 - x0, y1 - y0) <= _CLUSTER_DIAM:
+        diam = _SIMPLE_DIAM if cell.count == 1 else _CLUSTER_DIAM
+        if cell.count <= _MMAX and max(x1 - x0, y1 - y0) <= diam:
             clusters.append(cell)
         else:
             pending.extend(_split(cell))
@@ -405,24 +440,27 @@ def _subdivide(service, cells):
 def _refine_clusters(service, clusters):
     """Refine the zeros of counted cells, as the module docstring sets out.
 
-    Returns ((k, multiplicity, residual) per certified zero, cells to split
-    again).
+    Returns ((k, multiplicity, residual, Certificate) per certified zero,
+    cells to split again).
     """
-    squares = []
+    squares, widths = [], []
     for cell in clusters:
         c = cell.centroid
         h = max(1e-3, 2e-4 * abs(c)) if cell.count == 1 else _SPLIT_FLOOR
         squares.append((c.real - h, c.real + h, c.imag - h, c.imag + h))
-    counted = [(cell, k) for cell, (n, _mx, _w, k) in zip(
-        clusters, _winding_many(service, squares)) if n == cell.count]
-    ld, absD = service.eval(np.array([k for _cell, k in counted]))
+        widths.append(h)
+    counted = [(cell, h, k, abs(w - n)) for cell, h, (n, _mx, w, k) in zip(
+        clusters, widths, _winding_many(service, squares)) if n == cell.count]
+    ld, absD = service.eval(np.array([k for _cell, _h, k, _defect in counted]))
     with np.errstate(divide="ignore", invalid="ignore"):
         # the Newton step |d/d'|; d'/d infinite means d vanishes at k to working precision
         step = np.where(np.isinf(ld), 0.0, np.abs(1.0 / ld))
     found, verified = [], set()
-    for (cell, k), s, aD in zip(counted, step, absD):
+    for (cell, h, k, defect), s, aD in zip(counted, step, absD):
         if cell.count > 1 or s <= _STEP_CERT * (1.0 + abs(k)):
-            found.append((complex(k), cell.count, float(aD)))
+            cert = Certificate(float(h), float(defect),
+                               float(s) if cell.count == 1 else None)
+            found.append((complex(k), cell.count, float(aD), cert))
             verified.add(cell)
 
     back = [cell for cell in clusters if cell not in verified]
@@ -436,14 +474,15 @@ def _refine_clusters(service, clusters):
 
 
 def _canonicalize(found):
-    """Map (k, multiplicity, residual) to the closed first quadrant, classify,
-    merge duplicates.
+    """Map (k, multiplicity, residual, certificate) to the closed first
+    quadrant, classify, merge duplicates.
 
     Returns (zeros, duplicates_removed_multiplicity).
     """
     out = []
     removed = 0
-    for k, mult, residual in sorted(found, key=lambda f: (abs(f[0].real), abs(f[0].imag))):
+    for k, mult, residual, cert in sorted(found,
+                                          key=lambda f: (abs(f[0].real), abs(f[0].imag))):
         k = complex(abs(k.real), abs(k.imag))
         cls = "real" if k.imag <= _REAL_CLASS_TOL * (1.0 + abs(k.real)) else "nonreal"
         if cls == "real":
@@ -452,7 +491,8 @@ def _canonicalize(found):
         if dup is not None:
             removed += mult
             continue
-        out.append(SpectralZero(k=k, multiplicity=mult, cls=cls, residual=residual))
+        out.append(SpectralZero(k=k, multiplicity=mult, cls=cls, residual=residual,
+                                certificate=cert))
     out.sort(key=lambda z: (z.k.real, z.k.imag))
     return out, removed
 
@@ -540,7 +580,9 @@ def report_to_json(report: SearchReport) -> dict:
     return {
         "rect": [x0, x1, y0, y1],
         "zeros": [{"re": z.k.real, "im": z.k.imag, "mult": z.multiplicity,
-                   "class": z.cls, "residual": z.residual} for z in report.zeros],
+                   "class": z.cls, "residual": z.residual,
+                   "certificate": z.certificate and asdict(z.certificate)}
+                  for z in report.zeros],
         "count": report.total_count_by_argument_principle,
         "stats": {key: _jsonable(v) for key, v in report.stats.items()},
     }

@@ -33,6 +33,12 @@ def colton_spectrum_150(colton):
     return find_zeros(colton, (0.3, 150.5, 0.0, 8.0))
 
 
+@pytest.fixture(scope="session")
+def colton_band_150(colton):
+    """Zeros of the example profile in the top strip of the |k| <= 150 search."""
+    return find_zeros(colton, (145.0, 150.5, 0.0, 8.0))
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)

@@ -78,7 +78,11 @@ def test_spectrum_outputs_and_determinism(tmp_path, capsys):
     assert report["count"] == 6
     stats = report["stats"]
     assert sum(stats["phase_evals"].values()) == stats["evals"] > 0
-    assert stats["ksteps"] > 0 and stats["segments_reused"] > 0
+    assert sum(stats["phase_ksteps"].values()) == stats["ksteps"] > 0
+    assert stats["segments_reused"] > 0
+    for z in report["zeros"]:       # triple zeros: no Newton step certifies them
+        assert set(z["certificate"]) == {"half_width", "defect", "step"}
+        assert z["certificate"]["step"] is None and z["certificate"]["defect"] <= 0.25
 
     scatter = (tmp_path / "run1.csv.scatter.csv").read_text().splitlines()
     assert scatter[0] == "re,im"

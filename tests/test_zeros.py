@@ -12,9 +12,9 @@ from tevp.cli import EXIT_NUMERIC, main
 from tevp.errors import DegenerateCharacteristic, NewtonStall
 from tevp.forward import characteristic_batch, scaled_characteristic
 from tevp.profiles import ConstantProfile, get_profile
-from tevp.zeros import (SearchReport, SpectralZero, _Cell, _refine_clusters, _Service,
-                        _winding_many, count_zeros, find_zeros, real_zeros,
-                        report_to_json, write_report_json, write_zeros_csv)
+from tevp.zeros import (Certificate, SearchReport, SpectralZero, _Cell, _refine_clusters,
+                        _Service, _subdivide, _winding_many, count_zeros, find_zeros,
+                        real_zeros, report_to_json, write_report_json, write_zeros_csv)
 
 CONST4 = ConstantProfile(4.0)
 CONST1 = ConstantProfile(1.0)
@@ -253,8 +253,9 @@ def test_certificate_passes_an_exact_zero_and_fails_a_nan(monkeypatch):
     # d = 0 at the first centroid (d'/d infinite), d'/d undefined at the second
     service = _GivenLogDerivative([complex(np.inf, np.inf), complex(np.nan, np.nan)])
     found, back = _refine_clusters(service, cells)
-    assert [(m, r) for _k, m, r in found] == [(1, 0.0)]
+    assert [(m, r) for _k, m, r, _cert in found] == [(1, 0.0)]
     assert abs(found[0][0] - (2.1 + 1.1j)) <= 1e-12
+    assert found[0][3] == Certificate(half_width=1e-3, defect=0.0, step=0.0)
     assert back == [cells[1]]
     assert service.stats["retries"]["resplit"] == 1
 
@@ -414,6 +415,9 @@ def test_search_stats_account_for_every_evaluation(const4):
     assert set(stats["phase_evals"]) == {"count", "subdivide", "refine"}
     assert all(v > 0 for v in stats["phase_evals"].values())
     assert sum(stats["phase_evals"].values()) == stats["evals"]
+    assert set(stats["phase_ksteps"]) == set(stats["phase_evals"])
+    assert all(v > 0 for v in stats["phase_ksteps"].values())
+    assert sum(stats["phase_ksteps"].values()) == stats["ksteps"]
     assert stats["ksteps"] >= 64 * stats["evals"]
     assert stats["segments_reused"] > 0
     assert stats["retries"] == {"inflate": 0, "jitter": 0, "resplit": 0}
@@ -431,6 +435,69 @@ def test_retry_counters_record_contour_repairs(const4, rect, retries):
     assert rep.stats["retries"] == retries
     assert [(z.multiplicity, z.cls) for z in rep.zeros] == [(3, "real")]
     assert abs(rep.zeros[0].k - math.pi) <= 1e-8
+
+
+def test_certificates_of_the_k40_search(colton_spectrum_40):
+    for z in colton_spectrum_40.zeros:
+        cert = z.certificate
+        assert cert.defect <= 0.25
+        # sized at the cell's centroid, which lies within the square of the zero
+        assert math.isclose(cert.half_width, max(1e-3, 2e-4 * abs(z.k)), rel_tol=1e-3)
+        assert cert.step <= 1e-10 * (1.0 + abs(z.k))
+    d = json.loads(json.dumps(report_to_json(colton_spectrum_40)))
+    assert [z["certificate"]["step"] for z in d["zeros"]] == \
+        [z.certificate.step for z in colton_spectrum_40.zeros]
+
+
+def test_multiple_zero_certificate_has_no_newton_step(const4):
+    (z,) = find_zeros(const4, (0.5, 4.0, 0.0, 1.0)).zeros
+    assert z.multiplicity == 3
+    assert z.certificate.step is None
+    assert z.certificate.defect <= 0.25
+    assert z.certificate.half_width == zeros_module._SPLIT_FLOOR
+
+
+@pytest.mark.parametrize("fixture, budget", [("colton_spectrum_40", 4_500),
+                                             ("colton_band_150", 800),
+                                             ("colton_spectrum_150", 18_975)])
+def test_search_evaluation_budget(request, fixture, budget):
+    assert request.getfixturevalue(fixture).stats["evals"] <= budget
+
+
+def _counting_winding(zs):
+    """A stand-in for ``_winding_many`` that counts the points ``zs``."""
+    def winding(service, rects):
+        out = []
+        for x0, x1, y0, y1 in rects:
+            inside = [z for z in zs if x0 < z.real < x1 and y0 < z.imag < y1]
+            c = sum(inside) / len(inside) if inside else complex(0.5 * (x0 + x1),
+                                                                 0.5 * (y0 + y1))
+            out.append((len(inside), 1.0, complex(len(inside)), c))
+        return out
+    return winding
+
+
+class _RetryStats:
+    def __init__(self):
+        self.stats = {"retries": {"jitter": 0}}
+
+
+def test_subdivision_width_depends_on_the_count(monkeypatch):
+    # one zero: the 8-wide half that holds it goes to refinement unsplit
+    monkeypatch.setattr(zeros_module, "_winding_many", _counting_winding([3 + 0.5j]))
+    (cell,) = _subdivide(_RetryStats(), [_Cell((0.0, 16.0, 0.0, 1.0), count=1)])
+    assert (cell.rect, cell.count, cell.children) == ((0.0, 8.0, 0.0, 1.0), 1, None)
+    # two zeros: the 1-wide half that holds both is split down to _CLUSTER_DIAM
+    monkeypatch.setattr(zeros_module, "_winding_many",
+                        _counting_winding([0.3 + 0.5j, 0.35 + 0.5j]))
+    parent = _Cell((0.0, 2.0, 0.0, 1.0), count=2)
+    (cell,) = _subdivide(_RetryStats(), [parent])
+    half = parent.children[0]
+    assert (half.rect, half.count) == ((0.0, 1.0, 0.0, 1.0), 2)
+    assert half.children is not None
+    assert cell.count == 2
+    x0, x1, y0, y1 = cell.rect
+    assert max(x1 - x0, y1 - y0) <= zeros_module._CLUSTER_DIAM
 
 
 def test_search_options_are_module_constants():
@@ -496,6 +563,7 @@ def _colton_d(k):
 
 
 @pytest.mark.parametrize("fixture, n_zeros", [("colton_spectrum_40", 13),
+                                              ("colton_band_150", 2),
                                               ("colton_spectrum_150", 51)])
 def test_zeros_are_roots_of_the_closed_form(request, fixture, n_zeros):
     zeros = request.getfixturevalue(fixture).zeros
