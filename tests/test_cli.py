@@ -81,8 +81,9 @@ def test_spectrum_outputs_and_determinism(tmp_path, capsys):
     assert sum(stats["phase_ksteps"].values()) == stats["ksteps"] > 0
     assert stats["segments_reused"] > 0
     for z in report["zeros"]:       # triple zeros: no Newton step certifies them
-        assert set(z["certificate"]) == {"half_width", "defect", "step"}
-        assert z["certificate"]["step"] is None and z["certificate"]["defect"] <= 0.25
+        cert = z["certificate"]
+        assert cert == {"half_width": 2e-3, "defect": cert["defect"], "step": None}
+        assert cert["defect"] <= 0.25
 
     scatter = (tmp_path / "run1.csv.scatter.csv").read_text().splitlines()
     assert scatter[0] == "re,im"
