@@ -179,7 +179,7 @@ def predict_nonreal(case: AsymptoticCase, n: int, branch,
         arg = 4.0 * (2.0 * npi * 1j) ** (m + 2) / (sgn_m * ed)
         return npi + s * 0.5j * cmath.log(arg)
     if case.regime == "a_lt_1":
-        arg = -4.0 * (2.0 * npi * 1j) ** (m + 2) / (sgn_m * ed)
+        arg = -4.0 * (2.0 * npi / case.a * 1j) ** (m + 2) / (sgn_m * ed)    # k ~ n pi / a
         return npi / case.a + s * 0.5j / case.a * cmath.log(arg)
     sgn_m1 = (1.0 if s == 1 else (-1.0) ** (m + 1))
     arg = -8.0 * (2.0 * npi * 1j) ** (m + 1) * case.q_mean / (sgn_m1 * ed)

@@ -10,13 +10,15 @@ solves the variational system v'' + k^2 eta v = -2 k eta y.
 One fixed-step RK8 engine, ``_integrate_batch``, propagates arrays of k.
 Each step of y'' = (s - k^2 c) y is a 2x2 matrix P whose entries are
 polynomials of degree 6 in lam = k^2, built from c and s at the stage nodes
-(``_rk8_polynomials``); a batch evaluates P and dP/dlam for a block of steps
-with one matrix product, then applies u -> P u, v -> P v + 2k P' u (RK8 on
-the variational system).  The r-form (c = eta, s = 0 on [0, 1], cached per
-profile and step count) serves ``characteristic_batch`` on the search's own
-grid, and ``characteristic`` and ``solve_ivp``, which check their accuracy
-by step doubling (``_checked_shoot``); the x-form (c = 1, s = q on [0, a])
-serves ``inverse.wronskian_g``.
+(``_rk8_polynomials``); the engine evaluates P and dP/dk for a block of rows
+with one matrix product, then applies u -> P u, v -> P v + P' u.  The r-form
+(c = eta, s = 0 on [0, 1]) composes 8 steps into one row of degree 48 in
+mu = lam h^2, where the coefficients stay representable (``_composed_steps``,
+cached per profile and step count).  A row spans < 2.3 rad on a search grid,
+so its monomial sum loses under a digit, and the loop runs n/8 times at the
+same flop count.  It serves ``characteristic_batch``, ``characteristic`` and
+``solve_ivp`` (the last two double the steps until they agree); the x-form
+(c = 1, s = q on [0, a]), one row per step, serves ``inverse.wronskian_g``.
 
 All boundary quantities are stored with a common ``scale_log`` so that
 true value = stored value * exp(scale_log); this keeps magnitudes
@@ -44,6 +46,8 @@ __all__ = [
 _RESCALE_LIMIT = 1e50     # renormalization threshold between blocks of the batch engine
 _SMALL_K = 1e-3           # below this |k|, trig ratios switch to series
 _DEGREE = 6               # RK8 step-matrix entries are polynomials of this degree in k^2
+_GROUP = 8                # r-form RK8 steps composed into one matrix polynomial (2**3)
+_K_CHUNK = 512            # k per engine call of the r-form, bounding its table of powers
 _BUILD_CHUNK = 128        # steps per chunk when building the step polynomials
 _BLOCK_POINTS = 8192      # (step, k) pairs evaluated per block of the batch engine
 _BLOCK_GROWTH = 115.0     # bound on the log growth of the state within one block
@@ -162,24 +166,44 @@ def _step_polynomials(profile: RefractiveProfile, n_steps: int, degree: int = _D
     return _rk8_polynomials(np.asarray(eta, dtype=float), np.full(n_steps, h), degree=degree)
 
 
+def _composed_steps(profile: RefractiveProfile, n_steps: int) -> np.ndarray:
+    """The r-form step polynomials composed ``_GROUP`` at a time, in mu = lam h^2.
+
+    Identity steps pad n_steps to a multiple of _GROUP; row i spans steps
+    _GROUP i ... _GROUP (i + 1) - 1.  In lam its top coefficients would underflow.
+    """
+    coef = _step_polynomials(profile, n_steps) * float(n_steps) ** (2 * np.arange(_DEGREE + 1))
+    eye = np.eye(2).reshape(4, 1) * (np.arange(_DEGREE + 1) == 0)
+    pad = np.broadcast_to(eye, (-n_steps % _GROUP,) + eye.shape)
+    m = np.concatenate([coef, pad]).reshape(-1, 2, 2, _DEGREE + 1)
+    for _ in range(3):                      # b @ a, b the later step: 2**3 = _GROUP steps
+        a, b = m[0::2], m[1::2]
+        m = np.zeros(a.shape[:-1] + (2 * a.shape[-1] - 1,))
+        for p in range(b.shape[-1]):
+            m[..., p:p + a.shape[-1]] += np.einsum("nij,njkq->nikq", b[..., p], a)
+    return m.reshape(len(m), 4, -1)
+
+
 def _integrate_batch(coef: np.ndarray, k: np.ndarray, growth: float,
-                     init=(0.0, 1.0), path: bool = False):
+                     init=(0.0, 1.0), path: bool = False, lam_scale: float = 1.0):
     """Propagate (y, y', v, v') = (y, y', dy/dk, dy'/dk) from ``init`` = (y, y').
 
-    ``coef`` holds step polynomials, shape (n_steps, 4, [G,] degree+1) for G
-    equations side by side, and ``growth`` bounds the log growth of the
-    state over one step.  Blocks of at most ``_BLOCK_POINTS`` (step, column)
-    pairs grow the state by less than exp(_BLOCK_GROWTH); each column is
+    ``coef`` holds step polynomials in mu = lam_scale k^2, shape (n_steps, 4,
+    [G,] degree+1) for G equations side by side, and ``growth`` bounds the log
+    growth of the state over one step.  Blocks of at most ``_BLOCK_POINTS``
+    (step, column) pairs grow the state by less than exp(_BLOCK_GROWTH); each column is
     renormalized jointly between blocks, so ratios such as d'/d are exact.
     Returns (u, log_scale) with u of shape (4, [G,] len(k)) and true values
     u * exp(log_scale); ``path`` adds y and its log scale at every edge.
     """
     k = np.asarray(k, dtype=complex).ravel()
-    n_steps, group = coef.shape[0], coef.shape[2:-1]
-    powers = np.cumprod([np.ones(k.size)] + [k * k] * _DEGREE, axis=0)     # lam^p
-    dpowers = np.zeros_like(powers)                                        # 2k d(lam^p)/dlam
-    dpowers[1:] = (2.0 * np.arange(1, _DEGREE + 1))[:, None] * k * powers[:-1]
-    powers = np.concatenate([powers, dpowers], axis=1).view(float)
+    n_steps, group, degree = coef.shape[0], coef.shape[2:-1], coef.shape[-1] - 1
+    powers = np.zeros((degree + 1, 2 * k.size), dtype=complex)   # mu^p, then d(mu^p)/dk
+    powers[0, :k.size] = 1.0
+    np.cumprod(np.broadcast_to(lam_scale * k * k, (degree, k.size)), 0, out=powers[1:, :k.size])
+    np.multiply((2.0 * lam_scale * np.arange(1, degree + 1))[:, None] * k,
+                powers[:-1, :k.size], out=powers[1:, k.size:])
+    powers = powers.view(float)
     block = max(1, min(_BLOCK_POINTS // (k.size * int(np.prod(group))),
                        int(_BLOCK_GROWTH / max(growth, 1e-9))))
     state = np.zeros((4,) + group + (k.size,), dtype=complex)
@@ -188,7 +212,7 @@ def _integrate_batch(coef: np.ndarray, k: np.ndarray, growth: float,
     ys, ys_log = [state[0]], [log_scale.copy()]      # y at every edge, kept with ``path``
     for i0 in range(0, n_steps, block):
         i1 = min(i0 + block, n_steps)
-        mats = (coef[i0:i1].reshape(-1, _DEGREE + 1) @ powers).view(complex)
+        mats = (coef[i0:i1].reshape(-1, degree + 1) @ powers).view(complex)
         u, v = state[:2], state[2:]
         for m in mats.reshape((i1 - i0, 2, 2) + group + (2 * k.size,)):
             P, dP = m[..., :k.size], m[..., k.size:]
@@ -208,10 +232,12 @@ def _integrate_batch(coef: np.ndarray, k: np.ndarray, growth: float,
 
 
 def _shoot(profile: RefractiveProfile, k: np.ndarray, n_steps: int):
-    """``_integrate_batch`` over r in [0, 1] on n_steps equal steps (the r-form)."""
-    coef = profile.grid_cached(("rk8", n_steps), lambda: _step_polynomials(profile, n_steps))
-    growth = np.sqrt(profile.eta_max) * np.abs(np.imag(k)).max() / n_steps
-    return _integrate_batch(coef, k, growth)
+    """The r-form on n_steps equal steps of [0, 1]: ``_composed_steps``, _K_CHUNK k at a time."""
+    coef = profile.grid_cached(("rk8", n_steps), lambda: _composed_steps(profile, n_steps))
+    growth = _GROUP * np.sqrt(profile.eta_max) * np.abs(np.imag(k)).max() / n_steps
+    parts = [_integrate_batch(coef, k[i:i + _K_CHUNK], growth, lam_scale=float(n_steps) ** -2)
+             for i in range(0, k.size, _K_CHUNK)]
+    return tuple(np.concatenate(z, axis=-1) for z in zip(*parts))
 
 
 def characteristic_batch(profile: RefractiveProfile, k, *, n_steps: int | None = None):

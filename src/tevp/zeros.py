@@ -44,6 +44,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -124,11 +125,13 @@ class SearchReport:
     did not count the cell's zeros or a simple zero failed its certificate),
     ``clusters`` (cells refined, handed-back ones included),
     ``duplicates_removed`` and ``noteworthy_multiple_nonreal``.  Each zero
-    carries the ``certificate`` that accepted it (see ``Certificate``)."""
+    carries the ``certificate`` that accepted it (see ``Certificate``).
+    ``timings``: wall seconds per phase, out of ``stats`` as they vary by run."""
     rect: tuple
     zeros: list
     total_count_by_argument_principle: int
     stats: dict = field(default_factory=dict)
+    timings: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -157,11 +160,18 @@ class _Service:
         self.profile = profile
         self.a = travel_time(profile)
         self.segments = {}
-        self.phase = "count"
+        self.phase, self._since = "count", time.perf_counter()
+        self.timings = dict.fromkeys(_PHASES, 0.0)
         self.stats = {"batches": 0, "evals": 0, "ksteps": 0, "segments_reused": 0,
                       "phase_evals": dict.fromkeys(_PHASES, 0),
                       "phase_ksteps": dict.fromkeys(_PHASES, 0),
                       "retries": dict.fromkeys(_RETRIES, 0)}
+
+    def enter(self, phase):
+        """Switch to ``phase``, charging the wall time since the last switch to the old one."""
+        now = time.perf_counter()
+        self.timings[self.phase] += now - self._since
+        self.phase, self._since = phase, now
 
     def eval(self, ks):
         """Return (logderiv, absD) at the given complex points."""
@@ -520,9 +530,9 @@ def find_zeros(profile: RefractiveProfile, rect) -> SearchReport:
     cells = [_Cell(used_rect, count=total)] if total else []
     refined, n_clusters = [], 0
     while cells:
-        service.phase = "subdivide"
+        service.enter("subdivide")
         clusters = _subdivide(service, cells)
-        service.phase = "refine"
+        service.enter("refine")
         found, cells = _refine_clusters(service, clusters)
         refined += found
         n_clusters += len(clusters)
@@ -536,10 +546,11 @@ def find_zeros(profile: RefractiveProfile, rect) -> SearchReport:
                                   f"{_SPLIT_FLOOR}, could not be refined")
             # d_h may split a multiple zero that the outer contour runs through
             service.stats["retries"]["inflate"] += 1
-            service.phase = "count"
+            service.enter("count")
             total, used_rect = _count_with_perturbation(service, rest)
             cells = [_Cell(used_rect, count=total)] if total else []
             refined = []
+    service.enter(service.phase)        # charge the last phase
     zeros, removed = _canonicalize(refined)
     noteworthy = [z.k for z in zeros if z.cls == "nonreal" and z.multiplicity > 1]
     stats = dict(service.stats)
@@ -547,7 +558,7 @@ def find_zeros(profile: RefractiveProfile, rect) -> SearchReport:
                  noteworthy_multiple_nonreal=noteworthy)
     return SearchReport(rect=used_rect, zeros=zeros,
                         total_count_by_argument_principle=total - removed,
-                        stats=stats)
+                        stats=stats, timings=service.timings)
 
 
 def real_zeros(profile: RefractiveProfile, kmax: float) -> list:
@@ -585,6 +596,7 @@ def report_to_json(report: SearchReport) -> dict:
                   for z in report.zeros],
         "count": report.total_count_by_argument_principle,
         "stats": {key: _jsonable(v) for key, v in report.stats.items()},
+        "timings": dict(report.timings),
     }
 
 
@@ -598,6 +610,8 @@ def write_zeros_csv(path, zeros):
 
 
 def write_report_json(path, report: SearchReport):
+    """``report_to_json`` without the run-dependent ``timings``, so reruns write equal files."""
+    payload = {key: v for key, v in report_to_json(report).items() if key != "timings"}
     with open(path, "w") as fh:
-        json.dump(report_to_json(report), fh, indent=2)
+        json.dump(payload, fh, indent=2)
         fh.write("\n")

@@ -10,6 +10,7 @@ from tevp.asymptotics import (AsymptoticCase, case_from_profile,
                               write_match_csv)
 from tevp.errors import CaseMismatch, RegimeError
 from tevp.profiles import get_profile, liouville_transform
+from tevp.zeros import find_zeros
 from tevp.zeros import SpectralZero
 
 
@@ -110,6 +111,34 @@ def test_a_lt_1_spacing():
     k1 = predict_nonreal(case, 30, "+", refine=False)
     k2 = predict_nonreal(case, 31, "+", refine=False)
     assert (k2 - k1).real == pytest.approx(math.pi / case.a, rel=1e-3)
+
+
+@pytest.mark.parametrize("beta", [40.0, 4.0])
+def test_a_lt_1_residual_decays(beta):
+    # the a < 1 zeros sit near n pi / a, so (2i n pi / a)^(m+2) enters the log;
+    # with (2i n pi)^(m+2) the residual stalls near (1/a) log(1/a)
+    profile = get_profile("slow_core", [0.5, beta])
+    case = case_from_profile(profile)
+    worst = []
+    for x0 in (70.0, 230.0):
+        rep = find_zeros(profile, (x0, x0 + 12.0, 0.0, 10.0))
+        window = (int(case.a * x0 / math.pi) - 2, int(case.a * (x0 + 12.0) / math.pi) + 3)
+        paired = match(rep, case, n_window=window)
+        assert paired.matched and not paired.unmatched_zeros
+        worst.append(max(p.residual for p in paired.matched))
+    assert worst[1] < worst[0] < 0.2
+
+
+def test_a_gt_1_predictions_frozen(colton):
+    case = case_from_profile(colton)
+    frozen = {(3, "+", False): 7.853981633974483 + 3.6296365356374003j,
+              (17, "+", False): 51.83627878423159 + 5.364237591025507j,
+              (17, "-", False): 54.977871437821385 - 5.364237591025507j,
+              (17, "+", True): 51.73346577724544 + 5.3376938351733285j,
+              (17, "-", True): 54.879858050509995 - 5.3962517803984555j,
+              (60, "+", True): 186.88936936009338 + 6.6174376769509005j}
+    for (n, branch, refine), k in frozen.items():
+        assert predict_nonreal(case, n, branch, refine=refine) == k
 
 
 def test_predict_real_trivial_and_regime():

@@ -90,6 +90,19 @@ def test_spectrum_outputs_and_determinism(tmp_path, capsys):
     assert len(scatter) == 1 + 2 * 2    # real zeros contribute +/-k copies
 
 
+def test_spectrum_json_reports_phase_timings(tmp_path, capsys):
+    out = tmp_path / "zeros.csv"
+    rc = main(["spectrum", "--profile", "const4", "--rect", "0.5,4,0,1", "--json",
+               "--out", str(out)])
+    assert rc == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload["timings"]) == {"count", "subdivide", "refine"}
+    assert all(t >= 0.0 for t in payload["timings"].values())
+    assert "timings" not in payload["stats"]
+    # the artifact stays equal from run to run: no wall times in it
+    assert "timings" not in json.loads((tmp_path / "zeros.csv.json").read_text())
+
+
 def test_asymptotics_from_spectrum_csv(tmp_path, capsys, colton_spectrum_40):
     csv_path = tmp_path / "zeros.csv"
     write_zeros_csv(csv_path, colton_spectrum_40.zeros)

@@ -11,7 +11,7 @@ from tevp import _rk8, forward
 from tevp.errors import StepUnderflow
 from tevp.forward import (_DEGREE, _integrate_batch, _rk8_polynomials, _step_polynomials,
                           characteristic, characteristic_batch, scaled_characteristic,
-                          solve_ivp, steps_for)
+                          grid_steps, solve_ivp, steps_for)
 from tevp.profiles import ConstantProfile, get_profile
 
 
@@ -114,6 +114,49 @@ def test_batch_matches_colton_closed_form(colton, size):
     factor = np.exp(scale - log_factor)
     assert np.max(np.abs(d_s * factor - d) / size_d) <= 1e-11
     assert np.max(np.abs(dp_s * factor - dp) / size_dp) <= 1e-11
+
+
+def _one_step_at_a_time(profile, k, n_steps):
+    """The state (y, y', v, v') at r = 1 and its log scale, one RK8 step polynomial per step."""
+    growth = np.sqrt(profile.eta_max) * np.abs(k.imag).max() / n_steps
+    return _integrate_batch(_step_polynomials(profile, n_steps), k, growth)
+
+
+@pytest.mark.parametrize("name", ["colton_example", "slow_core"])
+@pytest.mark.parametrize("size", [1, 64, 600])
+def test_composed_steps_match_one_step_at_a_time(name, size):
+    # the search grid density, n_steps not a multiple of the 8 steps composed; a k
+    # below _SMALL_K and one whose growth forces rescaling between blocks; 600
+    # points cross the 512-point chunk boundary
+    profile = get_profile(name)
+    n_steps = 8 * (grid_steps(profile, 260.0, 3.5) // 8) + 3
+    special = np.array([5e-4, 20.0 + 250.0j])
+    assert abs(special[0]) < forward._SMALL_K
+    if size == 1:
+        batches = [special[:1], special[1:], np.array([37.0]), np.array([90.0 + 3.0j])]
+    else:
+        k = np.linspace(0.5, 140.0, size) + 1j * np.array([0.0, 2.0, 8.0])[np.arange(size) % 3]
+        batches = [np.r_[special, k[2:]]]
+    for k in batches:
+        d_s, dp_s, scale = characteristic_batch(profile, k, n_steps=n_steps)
+        u, log_scale = _one_step_at_a_time(profile, k, n_steps)
+        if k[0] == special[1]:                # both engines rescaled between blocks
+            assert log_scale[0] > 0.0 and scale[0] > abs(k[0].imag)
+        trig = forward._scaled_trig(k)
+        d_ref, dp_ref = forward._characteristic_from(u, trig)
+        factor = np.exp(scale - log_scale - np.abs(k.imag))
+        d, dp = d_s * factor, dp_s * factor
+        # d and d' are sums of terms of the state's size; near k = 0 and at large
+        # |Im k| they cancel, so agreement is measured against those terms
+        y1, dy1, v1, dv1 = np.abs(u)
+        sin_s, cos_s, sinc_s, sprime_s = map(np.abs, trig)
+        size_d = dy1 * sinc_s + y1 * cos_s
+        size_dp = dv1 * sinc_s + dy1 * sprime_s + v1 * cos_s + y1 * sin_s
+        assert np.all(np.abs(d - d_ref) <= 1e-12 * size_d)
+        assert np.all(np.abs(dp - dp_ref) <= 1e-12 * size_dp)
+        ld_ref = dp_ref / d_ref
+        assert np.all(np.abs(dp / d - ld_ref) * np.abs(d_ref)
+                      <= 1e-12 * (size_dp + (1.0 + np.abs(ld_ref)) * size_d))
 
 
 def test_step_polynomials_drop_only_zero_powers(colton):

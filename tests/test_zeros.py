@@ -2,6 +2,7 @@ import csv
 import inspect
 import json
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -230,6 +231,17 @@ def test_report_json_keeps_residuals_and_stats():
     d = json.loads(json.dumps(report_to_json(rep)))
     assert d["zeros"][0]["residual"] == 3e-10
     assert d["stats"] == {"evals": 5, "noteworthy_multiple_nonreal": [[1.0, 2.0]]}
+
+
+def test_phase_timings_stay_outside_the_stats(colton):
+    start = time.perf_counter()
+    rep = find_zeros(colton, (0.3, 12.0, 0.0, 4.0))
+    wall = time.perf_counter() - start
+    assert set(rep.timings) == {"count", "subdivide", "refine"}
+    assert all(t >= 0.0 for t in rep.timings.values())
+    assert sum(rep.timings.values()) <= wall
+    assert "timings" not in rep.stats
+    assert report_to_json(rep)["timings"] == rep.timings
 
 
 class _GivenLogDerivative:
