@@ -245,8 +245,10 @@ def match(zeros, case: AsymptoticCase, n_window=None,
     if not zlist:
         return MatchReport([], [], [], 0)
     if n_window is None:
-        lo = max(1, int(min(z.k.real for z in zlist) / math.pi) - 2)
-        hi = int(max(z.k.real for z in zlist) / math.pi) + 3
+        # the a < 1 zeros sit near n pi / a, the others near n pi
+        a = case.a if case.regime == "a_lt_1" else 1.0
+        lo = max(1, int(a * min(z.k.real for z in zlist) / math.pi) - 2)
+        hi = int(a * max(z.k.real for z in zlist) / math.pi) + 3
     else:
         lo, hi = n_window
 

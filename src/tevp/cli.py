@@ -199,7 +199,9 @@ def cmd_kernel_check(args):
             for name, resid, bound in checks]
     lines = [f"[{'PASS' if c['pass'] else 'FAIL'}] {c['name']}: "
              f"residual {c['residual']:.3e} (bound {c['bound']:.1e})" for c in rows]
-    _emit(args, {"checks": rows}, lines)
+    solves = [{"M": g.x.size - 1, "sweeps": g.iterations, "final_delta": g.final_delta}
+              for g in (kg, kg2)]
+    _emit(args, {"checks": rows, "solves": solves}, lines)
     return EXIT_OK if all(c["pass"] for c in rows) else EXIT_NUMERIC
 
 

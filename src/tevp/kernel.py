@@ -14,14 +14,31 @@ the equation collapses (after cancelling telescoping D-terms) to
     2 K(x,t) = [Q(c/2) - Q(u/2)] + [D(c/2) - D(u/2)]
                - A_u(x) - B_u(u) + B_c(x),        u = x-t,  c = x+t.
 
-On the half-step grid delta = a/M, M = 2n, every integrand argument above is
-a grid node when i+j is even (x = i delta, t = j delta).  Such a node is
-(i, j) = (hp + hc, hc - hp) with u = 2hp delta, c = 2hc delta; it reads A_u on
-the diagonal W[2hp + s, s] and B_c on the antidiagonal W[hc + m, hc - m] of
-W = q*C.  One int32 index plan per M gathers all these lines into two padded
-arrays, so a sweep is a row-wise cumulative trapezoid of each, one gather and
-one scatter.  Odd nodes average their t neighbours, which are even, so the
-parity fill is exact in one assignment.  The traces sum the same lines of q*K.
+On the half-step grid delta = a/M, M = 2n, every line this equation reads
+passes only through the even nodes (x, t) = (i delta, j delta), i + j even,
+where u = 2p delta and c = 2h delta are on-grid.  The solve stores only
+those, in characteristic coordinates:
+
+    L[p, i] = K(i delta, (i - 2p) delta),   shape (n+1, M+1),
+
+zero where i <= 2p (t <= 0).  A diagonal u = const is the row p; an x-row
+is the column i, read bottom-up (j grows as p falls); an antidiagonal
+c = const is the column h of the strided view V[p, h] = L[p, p + h], one
+``as_strided`` with row stride M + 2 over a buffer that carries n trailing
+zeros.  Entries of V past the end of its line fall in the zero padding.
+
+A sweep is three cumulative sums and a few elementwise passes, with no
+gathers.  The column sum S of L gives the x-row trapezoid
+C = delta (2S - K - K_first/2): an odd node is the average of its t
+neighbours, so the fine trapezoid equals the coarse one; K_first is the
+x-row's first node, zero on even rows.  The sweep drops K_first/2, because
+a term f(x) added to C cancels: with F = int q f it adds
+[F(c/2) - F(u/2)] - [F(x) - F(u)] - [F(u) - F(u/2)] + [F(x) - F(c/2)] = 0,
+and the trapezoid sums telescope the same way.  A row sum of W = q C gives
+A_u and a view-column sum gives B_c.  Both end at the node, so their end
+terms W(node)/2 cancel, and B_u(u) is the view-column sum at t = 0.  The
+traces read the same lines of q L.  The full grid ``KernelGrid.K``, odd
+nodes included, is built only on demand.
 
 Verification (``tevp kernel-check``): 2K(x,x) = int_0^x q against a finer
 reference integral, and y(1,k), y'(1,k) from the boundary traces
@@ -32,14 +49,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import NoConvergence
 from .profiles import LiouvilleData
 
-_ROW_BLOCK = 64          # rows per block of the lower-triangle cumulative trapezoid
 _MAX_SWEEPS = 200        # Picard sweeps before the kernel iteration gives up
 
 __all__ = [
@@ -55,33 +72,17 @@ def _cumtrapz(v, delta):
     return np.concatenate(([0.0], np.cumsum(0.5 * (v[1:] + v[:-1])))) * delta
 
 
-def _trapezoid_rows(lines, step, last=-1):
-    """Row-wise trapezoid sums: line sum less half of sample 0 and sample ``last``."""
-    ends = lines[:, 0] + lines[np.arange(len(lines)), last]
-    return (lines.sum(axis=1) - 0.5 * ends) * step
+def _trapezoid_rows(lines, step):
+    """Row-wise trapezoid sums: line sum less half of its first and last sample."""
+    return (lines.sum(axis=1) - 0.5 * (lines[:, 0] + lines[:, -1])) * step
 
 
-def _cumtrapz_rows(G, out, delta):
-    """Row-wise cumulative trapezoid of G into ``out`` (same bits as _cumtrapz)."""
-    tail = out[:, 1:]
-    np.add(G[:, 1:], G[:, :-1], out=tail)
-    tail *= 0.5
-    np.cumsum(tail, axis=1, out=tail)
-    out *= delta
-    out[:, 0] = 0.0
-
-
-def _q_cumtrapz_lower(K, q, W, delta):
-    """W = q*C with C the row-wise cumulative trapezoid of K, on the lower triangle.
-
-    Rows go in blocks of _ROW_BLOCK, each stopping at its last diagonal column;
-    entries right of that are left as they are.  Row sums run in the same
-    order as over whole rows, so the triangle has the same bits.
-    """
-    for i0 in range(0, len(K), _ROW_BLOCK):
-        rows, cols = slice(i0, i0 + _ROW_BLOCK), slice(0, i0 + _ROW_BLOCK)
-        _cumtrapz_rows(K[rows, cols], W[rows, cols], delta)
-        W[rows, cols] *= q[rows, None]
+def _lattice(n):
+    """A zero lattice (n+1, 2n+1) and its antidiagonal view V[p, h] = L[p, p+h]."""
+    M1 = 2 * n + 1
+    buf = np.zeros((n + 1) * M1 + n)
+    V = as_strided(buf, shape=(n + 1, M1), strides=((M1 + 1) * buf.itemsize, buf.itemsize))
+    return buf[:(n + 1) * M1].reshape(n + 1, M1), V
 
 
 @dataclass
@@ -92,10 +93,27 @@ class KernelGrid:
     x: np.ndarray        # grid nodes, length 2n+1
     q: np.ndarray        # q samples on the grid
     Q: np.ndarray        # cumulative trapezoid of q
-    K: np.ndarray        # (2n+1, 2n+1), entries with j > i are zero
+    L: np.ndarray        # (n+1, 2n+1) even-node lattice, see the module docstring
     iterations: int
     final_delta: float   # last sup-norm Picard update
     liouville: LiouvilleData | None = None   # source of the fine reference
+
+    @cached_property
+    def K(self) -> np.ndarray:
+        """(2n+1, 2n+1) grid K[i, j] = K(x_i, x_j), zero for j > i and j = 0.
+
+        Odd nodes average their t neighbours, which are even nodes.
+        """
+        M1 = self.x.size
+        K = np.zeros((M1, M1))
+        p, i = np.indices(self.L.shape)
+        on = i >= 2 * p
+        K[i[on], (i - 2 * p)[on]] = self.L[on]
+        i, j = np.tril_indices(M1, -1)
+        odd = ((i + j) % 2 == 1) & (j > 0)
+        i, j = i[odd], j[odd]
+        K[i, j] = 0.5 * (K[i, j - 1] + K[i, j + 1])
+        return K
 
     @cached_property
     def Q_ref(self) -> np.ndarray:
@@ -113,45 +131,7 @@ class KernelGrid:
         the trapezoid error, O(delta^2) — it shrinks by ~4 when the
         resolution is halved.
         """
-        return float(np.max(np.abs(2.0 * np.diagonal(self.K) - self.Q_ref)))
-
-
-class _SweepPlan:
-    """Row-major int32 flat indices for grid size M (see the module docstring).
-
-    ``diag[r, s]`` is W[2r + s, s], ``anti[r, m]`` is W[r + m, r - m]; past the
-    end of a line both point at W[0, M], always 0 as row 0 and the upper
-    triangle of K are.  The even nodes index K (``even``), A[hp, j]
-    (``even_a``) and B[hc, hp] (``even_b``).
-    """
-
-    def __init__(self, M: int):
-        n, M1 = M // 2, M + 1
-        dtype = np.int32 if M1 * M1 < 2**31 else np.int64  # flat indices must not wrap
-        r = np.arange(n + 1, dtype=dtype)[:, None]         # line number
-        s = np.arange(M1, dtype=dtype)                     # position on the line
-        self.diag = np.where(s <= M - 2 * r, (2 * r + s) * M1 + s, M)
-        r, m = s[:, None], s[:n + 1]
-        self.anti = np.where(m <= np.minimum(r, M - r), (r + m) * M1 + r - m, M)
-        # row i, column j = i % 2 + 2k: (i, j) has even parity, (i, j + 1) odd
-        i = np.broadcast_to(r, (M1, n + 1))
-        j = i % 2 + 2 * m
-        even, odd = j <= i, j + 1 < i
-        self.odd = i[odd] * M1 + j[odd] + 1
-        i, j = i[even], j[even]
-        self.hp, self.hc = (i - j) // 2, (i + j) // 2
-        self.even, self.even_a = i * M1 + j, self.hp * M1 + j
-        self.even_b = self.hc * (n + 1) + self.hp
-
-
-_sweep_plan = lru_cache(maxsize=2)(_SweepPlan)     # kernel-check uses M = 400, 800
-
-
-def _fill_odd(K, plan):
-    """Average odd-parity nodes in t (their neighbours are even); K(x, 0) = 0."""
-    Kf = K.ravel()
-    Kf[plan.odd] = 0.5 * (Kf[plan.odd - 1] + Kf[plan.odd + 1])
-    K[:, 0] = 0.0
+        return float(np.max(np.abs(2.0 * self.L[0] - self.Q_ref)))
 
 
 def solve_kernel(liouville: LiouvilleData, h: float | None = None,
@@ -170,31 +150,37 @@ def solve_kernel(liouville: LiouvilleData, h: float | None = None,
     x = np.linspace(0.0, a, M + 1)
     q = np.asarray(liouville.q(x), dtype=float)
     Q = _cumtrapz(q, delta)
-    plan = _sweep_plan(M)
+    Qh = 0.5 * Q
+    valid = (np.arange(M + 1) > 2 * np.arange(n + 1)[:, None]).astype(float)   # t > 0
+    qmask = (0.5 * delta * delta) * q * valid    # W = (delta/2) q C, masked
 
     # zeroth iterate: K0(x,t) = [Q((x+t)/2) - Q((x-t)/2)] / 2
-    Q0 = Q[plan.hc] - Q[plan.hp]
-    K, Knew, W = (np.zeros((M + 1, M + 1)) for _ in range(3))   # W = q*C
-    K.ravel()[plan.even] = 0.5 * Q0
-    _fill_odd(K, plan)
-    Apad = np.empty(plan.diag.shape)      # Apad[hp, j] = A_u(x), u = 2 hp delta
-    Bpad = np.empty(plan.anti.shape)      # Bpad[hc, m] = B_c at x = (hc+m) delta
+    (K, KV), (Knew, KnewV), (W, WV) = _lattice(n), _lattice(n), _lattice(n)
+    np.subtract(Qh, Qh[:n + 1, None], out=KV)
+    K *= valid
+    S = np.empty_like(K)
 
     last = math.inf
     for it in range(1, _MAX_SWEEPS + 1):
-        _q_cumtrapz_lower(K, q, W, delta)
-        Dv = _cumtrapz(np.diagonal(W), delta)
-        _cumtrapz_rows(W.ravel()[plan.diag], Apad, delta)
-        _cumtrapz_rows(W.ravel()[plan.anti], Bpad, delta)
-        val = Q0 + (Dv[plan.hc] - Dv[plan.hp]) - Apad.ravel()[plan.even_a] \
-            - np.diagonal(Bpad)[plan.hp] + Bpad.ravel()[plan.even_b]
-        Knew.ravel()[plan.even] = 0.5 * val
-        _fill_odd(Knew, plan)
+        # C = delta (2S - K) as bottom-up sums of neighbour pairs
+        np.add(K[1:], K[:-1], out=S[:-1])
+        S[-1] = K[-1]
+        np.cumsum(S[::-1], axis=0, out=W[::-1])
+        W *= qmask
+        np.cumsum(W, axis=1, out=S)       # (A_u(x) + W(node)) / 2
+        # (B_c(x) + W(node) + Q(c/2) + D(c/2)) / 2 on the antidiagonal c, less
+        # its value at t = 0 on the diagonal u, where it is at c = u
+        E = Qh + _cumtrapz(W[0], 1.0) - 0.5 * W[0]
+        np.cumsum(WV, axis=0, out=KnewV)
+        KnewV += E
+        KnewV -= np.diagonal(KnewV).copy()[:, None]
+        Knew -= S
+        Knew *= valid
         np.subtract(Knew, K, out=W)       # W is scratch until the next sweep
         diff = float(np.max(np.abs(W, out=W)))
-        K, Knew = Knew, K
+        K, KV, Knew, KnewV = Knew, KnewV, K, KV
         if diff <= tol * (1.0 + max(float(K.max()), -float(K.min()))):
-            return KernelGrid(a=a, delta=delta, x=x, q=q, Q=Q, K=K,
+            return KernelGrid(a=a, delta=delta, x=x, q=q, Q=Q, L=K,
                               iterations=it, final_delta=diff, liouville=liouville)
         if it > 10 and diff > 10.0 * last:
             break
@@ -208,19 +194,23 @@ def boundary_traces(kg: KernelGrid):
 
     Returns (t, K1, K2) with t of spacing 2*delta.  Evaluation nodes are
     those where all integrand arguments are grid-exact, which is t = j*delta
-    with M - j even.  With b = M - j, c = M + j, the integrals of q K over
-    I1: (tau, tau + t - a), tau in [a-t, a]   (diagonal b),
+    with M - j even.  With b = M - j = 2 hb, c = M + j, the integrals of q K
+    over
+    I1: (tau, tau + t - a), tau in [a-t, a]   (diagonal b: row hb of q L),
     I2: (tau, a - t - tau), tau in [(a-t)/2, a-t]   (antidiagonal b),
     I3: (tau, a + t - tau), tau in [(a+t)/2, a]   (antidiagonal c)
-    are trapezoid sums: the line sum less half its two end samples.
+    are trapezoid sums: the line sum less half its two end samples.  The
+    antidiagonals are the view columns hb and M - hb, whose entries past
+    p = hb are zero padding.
     """
-    M, delta, q = kg.K.shape[0] - 1, kg.delta, kg.q
-    n, plan = M // 2, _sweep_plan(M)
-    qK = (q[:, None] * kg.K).ravel()
+    n, M, delta, q = kg.L.shape[0] - 1, kg.x.size - 1, kg.delta, kg.q
+    qL, V = _lattice(n)
+    np.multiply(q, kg.L, out=qL)
+    rows, cols = qL.sum(axis=1), V.sum(axis=0)
     hb = np.arange(n, -1, -1)          # b = M - j, j = 0, 2, ..., M
-    I1 = _trapezoid_rows(qK[plan.diag[hb]], delta, 2 * (n - hb))
-    I2 = _trapezoid_rows(qK[plan.anti[hb]], delta, hb)
-    I3 = _trapezoid_rows(qK[plan.anti[M - hb]], delta, hb)
+    I1 = (rows[hb] - 0.5 * (qL[hb, 2 * hb] + qL[hb, M])) * delta
+    I2 = (cols[hb] - 0.5 * (qL[0, hb] + qL[hb, 2 * hb])) * delta
+    I3 = (cols[M - hb] - 0.5 * (qL[0, M - hb] + qL[hb, M])) * delta
     qa_plus, qa_minus = q[M - hb], q[hb]
     K1 = 0.25 * (qa_plus - qa_minus) + 0.5 * (I1 - I2 + I3)
     K2 = 0.25 * (qa_plus + qa_minus) + 0.5 * (-I1 + I2 + I3)

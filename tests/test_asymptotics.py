@@ -129,6 +129,15 @@ def test_a_lt_1_residual_decays(beta):
     assert worst[1] < worst[0] < 0.2
 
 
+def test_a_lt_1_default_window_pairs_every_zero():
+    # without n_window, match takes the index window from a Re k / pi
+    profile = get_profile("slow_core", [0.5, 40.0])
+    rep = find_zeros(profile, (70.0, 82.0, 0.0, 10.0))
+    paired = match(rep, case_from_profile(profile))
+    assert len(paired.matched) == sum(1 for z in rep.zeros if z.cls == "nonreal") > 0
+    assert not paired.unmatched_zeros
+
+
 def test_a_gt_1_predictions_frozen(colton):
     case = case_from_profile(colton)
     frozen = {(3, "+", False): 7.853981633974483 + 3.6296365356374003j,

@@ -163,6 +163,18 @@ def test_kernel_check_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert [c["pass"] for c in payload["checks"]] == [True] * 2
     assert all(c["residual"] <= max(c["bound"], 1e-15) for c in payload["checks"])
+    assert [s["M"] for s in payload["solves"]] == [400, 800]
+    assert all(0 < s["sweeps"] < 50 and 0.0 <= s["final_delta"] <= 1e-11
+               for s in payload["solves"])
+
+
+def test_kernel_check_json_is_deterministic(capsys):
+    outputs = []
+    for _ in range(2):
+        assert main(["kernel-check", "--profile", "slow_core", "--json"]) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "solves" in json.loads(outputs[0])
 
 
 def test_inverse_check_json(capsys):
