@@ -246,9 +246,9 @@ def match(zeros, case: AsymptoticCase, n_window=None,
         return MatchReport([], [], [], 0)
     if n_window is None:
         # the a < 1 zeros sit near n pi / a, the others near n pi
-        a = case.a if case.regime == "a_lt_1" else 1.0
-        lo = max(1, int(a * min(z.k.real for z in zlist) / math.pi) - 2)
-        hi = int(a * max(z.k.real for z in zlist) / math.pi) + 3
+        rate = case.a if case.regime == "a_lt_1" else 1.0
+        lo = max(1, int(rate * min(z.k.real for z in zlist) / math.pi) - 2)
+        hi = int(rate * max(z.k.real for z in zlist) / math.pi) + 3
     else:
         lo, hi = n_window
 
