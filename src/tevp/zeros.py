@@ -15,9 +15,15 @@ counted cell also has the centroid of its zeros at no extra evaluation.
 Refinement counts one square around each cell's centroid, of half-width
 max(1e-3, 2e-4 |c|) for a count-1 cell and _SPLIT_FLOOR for a cell with
 count m >= 2, and reports the cell's zeros at that square's own centroid if
-the square counts them all.  A simple zero also needs the certificate |d/d'|
-<= 1e-10 (1 + |k|) there, from the same evaluation that gives its residual:
-a Newton step that would still move it means the centroid is not the zero.
+the square counts them all.  A count-1 square is centred on its zero, so the
+pole of d'/d stays a half-width from every edge and one 12-node rule per
+edge gives its winding to about 1e-9: it costs 48 evaluations, not the 144
+of the adaptive rule below, and is accepted if that winding is within
+_SQUARE_TOL of 1.  A square that misses, and every count >= 2 square, is
+counted by the adaptive rule, which finds the single rules cached.  A simple
+zero also needs the certificate |d/d'| <= 1e-10 (1 + |k|) there, from the
+same evaluation that gives its residual: a Newton step that would still
+move it means the centroid is not the zero.
 A multiple zero, or a cluster that floating-point noise has split below the
 floor, is reported once.  Any other cell, including one whose square count
 does not converge, is split again.  One narrower than _SPLIT_FLOOR raises
@@ -76,6 +82,7 @@ _PER_RADIAN = 3.5            # grid steps per radian of phase at a search's larg
 _SEG_TOL = 1e-3              # a segment rule must match its two halves' sum to this
 _MAX_ROUNDS = 18             # segment-bisection rounds before a contour fails
 _STEP_CERT = 1e-10           # a simple zero needs |d/d'| <= _STEP_CERT (1 + |k|)
+_SQUARE_TOL = 1e-6           # a simple zero's square counts from one rule per edge to this
 _MAX_SPLITS = 128            # segments one contour may split in one round
 _PHASES = ("count", "subdivide", "refine")
 _RETRIES = ("inflate", "jitter", "resplit")
@@ -87,11 +94,13 @@ _PADS = (1e-2, 2e-2, 4e-2, 8e-2, 0.16)   # outward moves of an outer contour's e
 @dataclass(frozen=True)
 class Certificate:
     """The numbers that accepted a zero: its verification square's half-width,
-    that square's winding defect |w - n|, and the Newton step |d/d'| at the
-    zero (None for a multiple zero, which no step certifies)."""
+    that square's winding defect |w - n|, the Newton step |d/d'| at the zero
+    (None for a multiple zero, which no step certifies), and the least |D| at
+    the square's quadrature nodes."""
     half_width: float
     defect: float
     step: float | None
+    min_abs_d: float
 
 
 @dataclass
@@ -115,7 +124,8 @@ class SearchReport:
     """Zeros of one search and its ``stats``: ``evals`` (points propagated),
     ``phase_evals`` (their split over count / subdivide / refine; refine is
     the verification squares and the residual and certificate evaluation at
-    their centroids), ``batches`` (engine calls),
+    their centroids: 49 per simple zero whose square meets _SQUARE_TOL with
+    one 12-node rule per edge), ``batches`` (engine calls),
     ``ksteps`` (points times grid steps), ``phase_ksteps`` (their split over
     the same phases), ``segments_reused`` (segment rules
     the cache, or the same batch, already held), ``retries`` (``inflate``:
@@ -146,8 +156,8 @@ class _Service:
     _PER_RADIAN for the largest |k| a contour of the search on ``rect`` can
     reach: a corner of its widest padded rect plus a verification square's
     half-width.  ``segments`` maps (a, b) to the 12-node Gauss-Legendre
-    integrals of d'/d and of k d'/d from a to b and the max |D| at their
-    nodes.  The endpoints are in canonical order (a before b by (re, im)); a
+    integrals of d'/d and of k d'/d from a to b and the max and min |D| at
+    their nodes.  The endpoints are in canonical order (a before b by (re, im)); a
     segment traversed from b to a reads the negated integrals.
     """
 
@@ -191,7 +201,7 @@ class _Service:
 
     def rules(self, pieces):
         """12-node integrals of d'/d and k d'/d along oriented pieces (a, b),
-        and max |D| on each.
+        and max and min |D| on each.
 
         Only pieces missing from ``segments`` are evaluated, in one batch; a
         piece given twice, or in both orientations, once.
@@ -214,10 +224,11 @@ class _Service:
             with np.errstate(invalid="ignore"):
                 ints = (ld @ w_gl) * h
                 moms = ((nodes * ld) @ w_gl) * h
-            mx = absD.reshape(nodes.shape).max(axis=1)
-            cache.update(zip(new, zip(ints.tolist(), moms.tolist(), mx.tolist())))
-        ints, moms, mx = zip(*map(cache.__getitem__, keys))
-        return np.array(ints) * signs, np.array(moms) * signs, np.array(mx)
+            absD = absD.reshape(nodes.shape)
+            cache.update(zip(new, zip(ints.tolist(), moms.tolist(),
+                                      absD.max(axis=1).tolist(), absD.min(axis=1).tolist())))
+        ints, moms, mx, mn = zip(*map(cache.__getitem__, keys))
+        return np.array(ints) * signs, np.array(moms) * signs, np.array(mx), np.array(mn)
 
 
 # ---------------------------------------------------------------------------
@@ -246,19 +257,26 @@ def _edge_pieces(c0, c1):
     return list(zip(pts, pts[1:]))
 
 
-def _winding_many(service, rects):
+def _winding_many(service, rects, expect=None):
     """Winding numbers and zero centroids of d over rectangle boundaries.
 
     Every contour is integrated on the service's one grid, so each closed
     contour integrates the same analytic d_h.  A segment is accepted when its
     12-node rule agrees with the sum over its two halves to _SEG_TOL, and
     otherwise replaced by the halves, whose rules are then already cached.
+    ``expect`` gives the count expected in each rect, if known.  A rect
+    expected to hold one zero (a verification square, whose edges are single
+    pieces) is first counted from one rule per piece, without its halves: it
+    is done if that winding is within _SQUARE_TOL of 1, and otherwise its
+    pieces go through the rounds above (one fewer of them), which find their
+    coarse rules cached.
 
-    Returns a list of (count:int|None, max_absD:float, winding:complex,
-    centroid:complex); count None marks a contour-too-close failure
-    (non-integer defect or unconverged segment).  The centroid is the mean of
-    the zeros inside, c + (M - c T) / (2 pi i n) from T = the integral of d'/d,
-    M = that of k d'/d and c the rect centre (Delves & Lyness, Math. Comp. 21,
+    Returns a list of (count:int|None, (min_absD, max_absD):(float, float),
+    winding:complex, centroid:complex) with |D| over every node evaluated
+    for the rect; count None marks a contour-too-close failure (non-integer
+    defect or unconverged segment).  The centroid is the mean of the zeros
+    inside, c + (M - c T) / (2 pi i n) from T = the integral of d'/d, M =
+    that of k d'/d and c the rect centre (Delves & Lyness, Math. Comp. 21,
     1967); a rect without a counted zero returns its centre.
     """
     owner, z0, z1 = [], [], []
@@ -272,32 +290,43 @@ def _winding_many(service, rects):
     totals = np.zeros(m, dtype=complex)
     moments = np.zeros(m, dtype=complex)
     max_absD = np.zeros(m)
+    min_absD = np.full(m, np.inf)
     failed = np.zeros(m, dtype=bool)
+    whole = np.equal(expect, 1) if expect is not None else np.zeros(m, dtype=bool)
 
     for depth in range(_MAX_ROUNDS):
         if not owner:
             break
-        mid = [0.5 * (a + b) for a, b in zip(z0, z1)]
-        ints, moms, mx = service.rules([*zip(z0, z1), *zip(z0, mid), *zip(mid, z1)])
-        coarse, left, right = ints.reshape(3, -1)
-        _, m_left, m_right = moms.reshape(3, -1)
         idx = np.array(owner)
-        np.maximum.at(max_absD, idx, mx.reshape(3, -1).max(axis=0))
-        fine = left + right
+        halve = np.flatnonzero(~whole[idx])
+        mid = [0.5 * (a + b) for a, b in zip(z0, z1)]
+        ints, moms, mx, mn = service.rules([*zip(z0, z1), *((z0[i], mid[i]) for i in halve),
+                                            *((mid[i], z1[i]) for i in halve)])
+        n, ridx = len(idx), np.concatenate([idx, idx[halve], idx[halve]])
+        np.maximum.at(max_absD, ridx, mx)
+        np.minimum.at(min_absD, ridx, mn)
+        (left, right), (m_left, m_right) = ints[n:].reshape(2, -1), moms[n:].reshape(2, -1)
+        coarse, fine, m_fine = ints[:n], ints[:n].copy(), moms[:n].copy()
+        fine[halve], m_fine[halve] = left + right, m_left + m_right
         gap = np.abs(coarse - fine)
         # a node hit a zero of d dead-on: this contour is unusable
         failed[idx[~np.isfinite(gap)]] = True
         done = gap <= _SEG_TOL
         np.add.at(totals, idx[done], fine[done])
-        np.add.at(moments, idx[done], (m_left + m_right)[done])
+        np.add.at(moments, idx[done], m_fine[done])
         split = np.isfinite(gap) & ~done
         if depth == _MAX_ROUNDS - 1:
             failed[idx[split]] = True
         failed |= np.bincount(idx[split], minlength=m) > _MAX_SPLITS
+        # a one-rule square off its gate is counted again from its coarse pieces
+        again = whole & ~failed & (np.abs(totals / (2j * np.pi) - 1.0) > _SQUARE_TOL)
+        totals[again] = moments[again] = 0.0
+        whole[:] = False
         keep = np.flatnonzero(split & ~failed[idx])
-        owner = np.repeat(idx[keep], 2).tolist()
-        z0 = [z for i in keep for z in (z0[i], mid[i])]
-        z1 = [z for i in keep for z in (mid[i], z1[i])]
+        redo = np.flatnonzero(again[idx])
+        owner = np.repeat(idx[keep], 2).tolist() + idx[redo].tolist()
+        z0 = [z for i in keep for z in (z0[i], mid[i])] + [z0[i] for i in redo]
+        z1 = [z for i in keep for z in (mid[i], z1[i])] + [z1[i] for i in redo]
 
     out = []
     for i, (x0, x1, y0, y1) in enumerate(rects):
@@ -307,7 +336,7 @@ def _winding_many(service, rects):
         c = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
         if ok and n:
             c += complex((moments[i] - c * totals[i]) / (2j * np.pi * n))
-        out.append((n if ok else None, max_absD[i], w, c))
+        out.append((n if ok else None, (min_absD[i], max_absD[i]), w, c))
     return out
 
 
@@ -338,7 +367,7 @@ def _count_with_perturbation(service, rects):
     for j, rect in enumerate(rects):
         if j:
             service.stats["retries"]["inflate"] += 1
-        (n, mx, _w, _c), = _winding_many(service, [rect])
+        (n, (_mn, mx), _w, _c), = _winding_many(service, [rect])
         worst_mx = max(worst_mx, mx)
         if worst_mx < DEGENERACY_FLOOR:
             raise DegenerateCharacteristic(
@@ -419,7 +448,7 @@ def _subdivide(service, cells):
     while pending and rounds < 200:
         rounds += 1
         batch, pending = pending, []
-        for cell, (n, _mx, _w, centroid) in zip(
+        for cell, (n, _abs_d, _w, centroid) in zip(
                 batch, _winding_many(service, [c.rect for c in batch])):
             cell.count, cell.centroid = n, centroid
         retry_parents = []
@@ -459,17 +488,18 @@ def _refine_clusters(service, clusters):
         h = max(1e-3, 2e-4 * abs(c)) if cell.count == 1 else _SPLIT_FLOOR
         squares.append((c.real - h, c.real + h, c.imag - h, c.imag + h))
         widths.append(h)
-    counted = [(cell, h, k, abs(w - n)) for cell, h, (n, _mx, w, k) in zip(
-        clusters, widths, _winding_many(service, squares)) if n == cell.count]
-    ld, absD = service.eval(np.array([k for _cell, _h, k, _defect in counted]))
+    counted = [(cell, h, k, abs(w - n), mn) for cell, h, (n, (mn, _mx), w, k) in zip(
+        clusters, widths, _winding_many(service, squares, [c.count for c in clusters]))
+        if n == cell.count]
+    ld, absD = service.eval(np.array([k for _cell, _h, k, _defect, _mn in counted]))
     with np.errstate(divide="ignore", invalid="ignore"):
         # the Newton step |d/d'|; d'/d infinite means d vanishes at k to working precision
         step = np.where(np.isinf(ld), 0.0, np.abs(1.0 / ld))
     found, verified = [], set()
-    for (cell, h, k, defect), s, aD in zip(counted, step, absD):
+    for (cell, h, k, defect, mn), s, aD in zip(counted, step, absD):
         if cell.count > 1 or s <= _STEP_CERT * (1.0 + abs(k)):
             cert = Certificate(float(h), float(defect),
-                               float(s) if cell.count == 1 else None)
+                               float(s) if cell.count == 1 else None, float(mn))
             found.append((complex(k), cell.count, float(aD), cert))
             verified.add(cell)
 

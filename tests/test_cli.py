@@ -82,8 +82,10 @@ def test_spectrum_outputs_and_determinism(tmp_path, capsys):
     assert stats["segments_reused"] > 0
     for z in report["zeros"]:       # triple zeros: no Newton step certifies them
         cert = z["certificate"]
-        assert cert == {"half_width": 2e-3, "defect": cert["defect"], "step": None}
+        assert cert == {"half_width": 2e-3, "defect": cert["defect"], "step": None,
+                        "min_abs_d": cert["min_abs_d"]}
         assert cert["defect"] <= 0.25
+        assert cert["min_abs_d"] > 0.0
 
     scatter = (tmp_path / "run1.csv.scatter.csv").read_text().splitlines()
     assert scatter[0] == "re,im"

@@ -60,8 +60,8 @@ def test_uncertifiable_interior_cell_raises_newton_stall(colton, monkeypatch):
     # a verification square that never counts its cell's zero
     winding = zeros_module._winding_many
 
-    def miscount(service, rects):
-        out = winding(service, rects)
+    def miscount(service, rects, expect=None):
+        out = winding(service, rects, expect)
         if service.phase == "refine":
             out = [(None if n is None else n + 1, mx, w, c) for n, mx, w, c in out]
         return out
@@ -257,8 +257,9 @@ class _GivenLogDerivative:
 
 def test_certificate_passes_an_exact_zero_and_fails_a_nan(monkeypatch):
     # every square counts its cell's zero; only the certificate decides
-    monkeypatch.setattr(zeros_module, "_winding_many", lambda service, rects: [
-        (1, 1.0, 1.0, complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))) for x0, x1, y0, y1 in rects])
+    monkeypatch.setattr(zeros_module, "_winding_many", lambda service, rects, expect: [
+        (1, (0.5, 1.0), 1.0, complex(0.5 * (x0 + x1), 0.5 * (y0 + y1)))
+        for x0, x1, y0, y1 in rects])
     cells = [_Cell((2.0, 2.2, 1.0, 1.2), count=1), _Cell((5.0, 5.2, 1.0, 1.2), count=1)]
     for cell in cells:
         cell.centroid = complex(cell.rect[0] + 0.1, cell.rect[2] + 0.1)
@@ -267,7 +268,7 @@ def test_certificate_passes_an_exact_zero_and_fails_a_nan(monkeypatch):
     found, back = _refine_clusters(service, cells)
     assert [(m, r) for _k, m, r, _cert in found] == [(1, 0.0)]
     assert abs(found[0][0] - (2.1 + 1.1j)) <= 1e-12
-    assert found[0][3] == Certificate(half_width=1e-3, defect=0.0, step=0.0)
+    assert found[0][3] == Certificate(half_width=1e-3, defect=0.0, step=0.0, min_abs_d=0.5)
     assert back == [cells[1]]
     assert service.stats["retries"]["resplit"] == 1
 
@@ -403,8 +404,8 @@ def test_certificate_hands_back_a_centroid_off_its_zero(colton, monkeypatch):
     clean = find_zeros(colton, rect).zeros
     winding, moved = zeros_module._winding_many, []
 
-    def move_once(service, rects):
-        out = winding(service, rects)
+    def move_once(service, rects, expect=None):
+        out = winding(service, rects, expect)
         if service.phase == "refine" and not moved:
             n, mx, w, centroid = out[0]
             out[0] = (n, mx, w, centroid + 1e-6)
@@ -452,7 +453,7 @@ def test_retry_counters_record_contour_repairs(const4, rect, retries):
 def test_certificates_of_the_k40_search(colton_spectrum_40):
     for z in colton_spectrum_40.zeros:
         cert = z.certificate
-        assert cert.defect <= 0.25
+        assert cert.defect <= zeros_module._SQUARE_TOL
         # the square is sized at the cell's centroid, a little off the zero
         assert math.isclose(cert.half_width, max(1e-3, 2e-4 * abs(z.k)), rel_tol=1e-3)
         assert cert.step <= 1e-10 * (1.0 + abs(z.k))
@@ -461,11 +462,69 @@ def test_certificates_of_the_k40_search(colton_spectrum_40):
         [z.certificate.step for z in colton_spectrum_40.zeros]
 
 
-@pytest.mark.parametrize("fixture, budget", [("colton_spectrum_40", 4_500),
-                                             ("colton_band_150", 800),
-                                             ("colton_spectrum_150", 18_975)])
+@pytest.mark.parametrize("fixture, budget", [("colton_spectrum_40", 3_050),
+                                             ("colton_band_150", 500),
+                                             ("colton_spectrum_150", 13_400)])
 def test_search_evaluation_budget(request, fixture, budget):
-    assert request.getfixturevalue(fixture).stats["evals"] <= budget
+    rep = request.getfixturevalue(fixture)
+    assert rep.stats["evals"] <= budget
+    # every zero is simple: 4 edges x 12 nodes for its square, 1 for its residual
+    assert rep.stats["phase_evals"]["refine"] == 49 * len(rep.zeros)
+
+
+@pytest.mark.parametrize("profile, rect, evals, batches", [
+    (get_profile("slow_core"), (0.3, 30.0, 0.0, 6.0), 4_233, 20),
+    (get_profile("raised_cosine"), (0.3, 30.0, 0.0, 6.0), 2_971, 15),
+    (CONST4, (0.5, 31.0, 0.0, 1.0), 9_585, 28),
+    (ConstantProfile(4.0 + 1e-8), (2.5, 3.8, 0.0, 0.5), 973, 12),
+    (ConstantProfile(4.0 + 1e-6), (2.5, 3.8, 0.0, 0.5), 3_783, 40),
+    (ConstantProfile(4.0 + 1e-5), (2.5, 3.8, 0.0, 0.5), 3_435, 35),
+    (ConstantProfile(4.0 + 1e-4), (2.5, 3.8, 0.0, 0.5), 1_491, 15),
+    (ConstantProfile(4.0 + 1e-3), (2.5, 3.8, 0.0, 0.5), 1_299, 13),
+    (ConstantProfile(4.0 + 1e-2), (2.5, 3.8, 0.0, 0.5), 1_395, 16),
+])
+def test_search_costs_no_more_than_the_adaptive_squares(profile, rect, evals, batches):
+    # evals and batches when every verification square was counted adaptively
+    stats = find_zeros(profile, rect).stats
+    assert stats["evals"] <= evals
+    assert stats["batches"] <= batches
+
+
+@pytest.mark.parametrize("shift, cost", [(0.5, 144), (0.9, 192)])
+def test_square_off_its_gate_is_counted_by_the_adaptive_rule(colton, shift, cost):
+    # the zero lies (1 - shift) half-widths inside the square's right edge, so
+    # one 12-node rule per edge misses _SQUARE_TOL
+    with mpmath.workdps(30):
+        root = complex(mpmath.findroot(_colton_d, mpmath.mpc(4.4134 + 2.9042j)))
+    h = 1e-3
+    c = root - shift * h
+    square = (c.real - h, c.real + h, c.imag - h, c.imag + h)
+    adaptive_cost, adaptive = _evals(_Service(colton, square), [square])
+    service = _Service(colton, square)
+    out = _winding_many(service, [square], [1])
+    assert out == adaptive
+    assert out[0][0] == 1
+    # the one-rule pass evaluated the 48 coarse nodes the adaptive rounds then reuse
+    assert service.stats["evals"] == adaptive_cost == cost
+
+
+def test_certificate_records_the_least_abs_d_on_its_square(colton, monkeypatch):
+    rect = (0.3, 12.0, 0.0, 6.0)
+    clean = find_zeros(colton, rect)
+    winding, squares = zeros_module._winding_many, {}
+
+    def record(service, rects, expect=None):
+        out = winding(service, rects, expect)
+        if service.phase == "refine":
+            squares.update(abs_d for _n, abs_d, _w, _c in out)     # min |D| -> max |D|
+        return out
+
+    monkeypatch.setattr(zeros_module, "_winding_many", record)
+    rep = find_zeros(colton, rect)
+    mins = [z.certificate.min_abs_d for z in rep.zeros]
+    assert mins == [z.certificate.min_abs_d for z in clean.zeros]
+    assert all(0.0 < mn <= squares[mn] for mn in mins)
+    assert [z["certificate"]["min_abs_d"] for z in report_to_json(rep)["zeros"]] == mins
 
 
 def _counting_winding(zs):
