@@ -157,8 +157,8 @@ class _Service:
     reach: a corner of its widest padded rect plus a verification square's
     half-width.  ``segments`` maps (a, b) to the 12-node Gauss-Legendre
     integrals of d'/d and of k d'/d from a to b and the max and min |D| at
-    their nodes.  The endpoints are in canonical order (a before b by (re, im)); a
-    segment traversed from b to a reads the negated integrals.
+    their nodes.  The endpoints are in canonical order (a before b by
+    (re, im)); a segment traversed from b to a reads the negated integrals.
     """
 
     def __init__(self, profile: RefractiveProfile, rect):

@@ -13,9 +13,10 @@ from tevp.cli import EXIT_NUMERIC, main
 from tevp.errors import DegenerateCharacteristic, NewtonStall
 from tevp.forward import characteristic_batch, scaled_characteristic
 from tevp.profiles import ConstantProfile, get_profile
-from tevp.zeros import (Certificate, SearchReport, SpectralZero, _Cell, _refine_clusters,
-                        _Service, _subdivide, _winding_many, count_zeros, find_zeros,
-                        real_zeros, report_to_json, write_report_json, write_zeros_csv)
+from tevp.zeros import (Certificate, SearchReport, SpectralZero, _Cell, _rect_corners,
+                        _refine_clusters, _Service, _subdivide, _winding_many, count_zeros,
+                        find_zeros, real_zeros, report_to_json, write_report_json,
+                        write_zeros_csv)
 
 CONST4 = ConstantProfile(4.0)
 CONST1 = ConstantProfile(1.0)
@@ -511,20 +512,26 @@ def test_square_off_its_gate_is_counted_by_the_adaptive_rule(colton, shift, cost
 def test_certificate_records_the_least_abs_d_on_its_square(colton, monkeypatch):
     rect = (0.3, 12.0, 0.0, 6.0)
     clean = find_zeros(colton, rect)
-    winding, squares = zeros_module._winding_many, {}
+    winding, squares = zeros_module._winding_many, []
 
     def record(service, rects, expect=None):
-        out = winding(service, rects, expect)
         if service.phase == "refine":
-            squares.update(abs_d for _n, abs_d, _w, _c in out)     # min |D| -> max |D|
-        return out
+            squares.extend((service, square) for square in rects)
+        return winding(service, rects, expect)
 
     monkeypatch.setattr(zeros_module, "_winding_many", record)
     rep = find_zeros(colton, rect)
     mins = [z.certificate.min_abs_d for z in rep.zeros]
     assert mins == [z.certificate.min_abs_d for z in clean.zeros]
-    assert all(0.0 < mn <= squares[mn] for mn in mins)
     assert [z["certificate"]["min_abs_d"] for z in report_to_json(rep)["zeros"]] == mins
+    x_gl, _w = zeros_module._GL_NODES
+    for z in rep.zeros:
+        (service, square), = [(s, (x0, x1, y0, y1)) for s, (x0, x1, y0, y1) in squares
+                              if x0 < z.k.real < x1 and y0 < z.k.imag < y1]
+        cs = _rect_corners(square)
+        nodes = [0.5 * (a + b) + 0.5 * (b - a) * x_gl for a, b in zip(cs, cs[1:] + cs[:1])]
+        _ld, abs_d = service.eval(np.concatenate(nodes))
+        assert 0.0 < z.certificate.min_abs_d == abs_d.min() < abs_d.max()
 
 
 def _counting_winding(zs):
