@@ -20,7 +20,6 @@ from .kernel import KernelGrid, boundary_traces, representation_boundary, solve_
 from .profiles import (ConstantProfile, LiouvilleData, RefractiveProfile, get_profile,
                        liouville_transform, load_profile, profile_from_dict,
                        subinterval_boundary, travel_time)
-from .zeros import (SearchReport, SpectralZero, count_zeros, find_zeros,
-                    real_zeros)
+from .zeros import SearchReport, SpectralZero, count_zeros, find_zeros
 
 __version__ = "0.1.0"

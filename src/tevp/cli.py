@@ -21,8 +21,8 @@ from . import inverse as inv
 from . import kernel as ker
 from . import zeros as zmod
 from .errors import (CaseMismatch, ContourTooClose, DegenerateCharacteristic,
-                     IterationDiverged, MassOutOfRange, NewtonStall,
-                     NoConvergence, QuadratureFailure, RegimeError,
+                     DerivativeUnavailable, IterationDiverged, MassOutOfRange,
+                     NewtonStall, NoConvergence, QuadratureFailure, RegimeError,
                      StepUnderflow)
 from .forward import solve_ivp
 from .profiles import (liouville_transform, load_profile,
@@ -38,7 +38,7 @@ _NUMERIC_ERRORS = (ContourTooClose, NewtonStall, StepUnderflow, NoConvergence,
                    DegenerateCharacteristic, IterationDiverged,
                    QuadratureFailure)
 _INPUT_ERRORS = (ValueError, KeyError, OSError, json.JSONDecodeError,
-                 MassOutOfRange)
+                 MassOutOfRange, DerivativeUnavailable)
 
 
 def _parse_rect(text):
@@ -182,7 +182,8 @@ def cmd_kernel_check(args):
     a = lv.a
     kg = ker.solve_kernel(lv, h=a / 200.0)
     kg2 = ker.solve_kernel(lv, h=a / 400.0)
-    scale = max(1.0, lv.q_abs_integral())
+    # the bound's scale int |q|: two digits suffice, so the trapezoid on the kernel grid
+    scale = max(1.0, float(ker._trapezoid_rows(np.abs(kg2.q)[None], kg2.delta)[0]))
     checks = [("diagonal identity 2K(x,x)=Q(x)", kg2.diagonal_residual(), 5e-4 * scale)]
     ks = np.array([1.0, math.pi, 7.3, 15.0])
     y_h, dy_h = ker.representation_boundary(lv, kg, ks)

@@ -17,8 +17,11 @@ mu = lam h^2, where the coefficients stay representable (``_composed_steps``,
 cached per profile and step count).  A row spans < 2.3 rad on a search grid,
 so its monomial sum loses under a digit, and the loop runs n/8 times at the
 same flop count.  It serves ``characteristic_batch``, ``characteristic`` and
-``solve_ivp`` (the last two double the steps until they agree); the x-form
-(c = 1, s = q on [0, a]), one row per step, serves ``inverse.wronskian_g``.
+``solve_ivp``: one step-count rule, 8 steps per radian at max |k|, sizes the
+default grid of the first and the start of the last two, which double the
+steps until they agree.  The x-form (c = 1, s = q on [0, a]), one row per
+step, serves ``inverse.wronskian_g``.  Every propagation starts from y = 0,
+y' = 1.
 
 All boundary quantities are stored with a common ``scale_log`` so that
 true value = stored value * exp(scale_log); this keeps magnitudes
@@ -52,6 +55,7 @@ _BUILD_CHUNK = 128        # steps per chunk when building the step polynomials
 _BLOCK_POINTS = 8192      # (step, k) pairs evaluated per block of the batch engine
 _BLOCK_GROWTH = 115.0     # bound on the log growth of the state within one block
 _MAX_STEPS = 2**16        # finest grid the accuracy check of the single-point path may use
+_PER_RADIAN = 8.0         # steps per radian at max|k|: the default grid, the first check level
 
 
 @dataclass
@@ -122,11 +126,6 @@ def grid_steps(profile: RefractiveProfile, kmax: float, per_radian: float) -> in
     return max(64, int(np.ceil(per_radian * kmax * np.sqrt(profile.eta_max))))
 
 
-def steps_for(profile: RefractiveProfile, kmax: float, tol: float = 1e-11) -> int:
-    """Fixed step count resolving the fastest oscillation at ~8 steps/radian."""
-    return grid_steps(profile, kmax, 8.0 if tol >= 1e-12 else 11.0)
-
-
 def _rk8_polynomials(c: np.ndarray, h: np.ndarray, s: np.ndarray | None = None,
                      degree: int = _DEGREE) -> np.ndarray:
     """Coefficients P[i, entry, p] of the RK8 step matrices of y'' = (s - lam c) y.
@@ -184,9 +183,9 @@ def _composed_steps(profile: RefractiveProfile, n_steps: int) -> np.ndarray:
     return m.reshape(len(m), 4, -1)
 
 
-def _integrate_batch(coef: np.ndarray, k: np.ndarray, growth: float,
-                     init=(0.0, 1.0), path: bool = False, lam_scale: float = 1.0):
-    """Propagate (y, y', v, v') = (y, y', dy/dk, dy'/dk) from ``init`` = (y, y').
+def _integrate_batch(coef: np.ndarray, k: np.ndarray, growth: float, *,
+                     path: bool = False, lam_scale: float = 1.0):
+    """Propagate (y, y', v, v') = (y, y', dy/dk, dy'/dk) from y = 0, y' = 1.
 
     ``coef`` holds step polynomials in mu = lam_scale k^2, shape (n_steps, 4,
     [G,] degree+1) for G equations side by side, and ``growth`` bounds the log
@@ -207,7 +206,7 @@ def _integrate_batch(coef: np.ndarray, k: np.ndarray, growth: float,
     block = max(1, min(_BLOCK_POINTS // (k.size * int(np.prod(group))),
                        int(_BLOCK_GROWTH / max(growth, 1e-9))))
     state = np.zeros((4,) + group + (k.size,), dtype=complex)
-    state[0], state[1] = init
+    state[1] = 1.0
     log_scale = np.zeros(group + (k.size,))
     ys, ys_log = [state[0]], [log_scale.copy()]      # y at every edge, kept with ``path``
     for i0 in range(0, n_steps, block):
@@ -243,7 +242,7 @@ def _shoot(profile: RefractiveProfile, k: np.ndarray, n_steps: int):
 def characteristic_batch(profile: RefractiveProfile, k, *, n_steps: int | None = None):
     """Evaluate d and d' at an array of k on a shared fixed grid.
 
-    ``n_steps`` None is ``steps_for(profile, max |k|)``.  Returns (d_s, dp_s,
+    ``n_steps`` None is ``grid_steps`` at _PER_RADIAN for max |k|.  Returns (d_s, dp_s,
     scale_log) with true d = d_s * exp(scale_log); d'/d = dp_s/d_s,
     independent of the scale.
     """
@@ -251,7 +250,7 @@ def characteristic_batch(profile: RefractiveProfile, k, *, n_steps: int | None =
     if k.size == 0:
         return k.copy(), k.copy(), np.zeros(0)
     if n_steps is None:
-        n_steps = steps_for(profile, float(np.abs(k).max()))
+        n_steps = grid_steps(profile, float(np.abs(k).max()), _PER_RADIAN)
     u, log_scale = _shoot(profile, k, n_steps)
     d_s, dp_s = _characteristic_from(u, _scaled_trig(k))
     return d_s, dp_s, log_scale + np.abs(k.imag)
@@ -271,17 +270,20 @@ def scaled_characteristic(profile: RefractiveProfile, k, *, n_steps: int | None 
 
 
 def _checked_shoot(profile: RefractiveProfile, k: np.ndarray, tol: float):
-    """``_shoot`` from steps_for(max|k|) on, doubling the steps until they agree.
+    """``_shoot`` from n = ``grid_steps`` at _PER_RADIAN for max|k| on, doubling n
+    until the steps agree.
 
-    The state on 2n steps is returned once, for every k, it differs from the
-    state on n steps by at most ``tol`` times its largest entry (both on one
-    scale).  Otherwise n doubles while 2n stays within _MAX_STEPS.
+    The start is the same for every ``tol``: the check alone decides how far
+    to refine.  The state on 2n steps is returned once, for every k, it
+    differs from the state on n steps by at most ``tol`` times its largest
+    entry (both on one scale).  Otherwise n doubles while 2n stays within
+    _MAX_STEPS.
     """
     if not (1e-13 <= tol <= 1e-6):
         raise ValueError("tol must lie in [1e-13, 1e-6]")
     if k.size == 0:
         return np.zeros((4, 0), dtype=complex), np.zeros(0)
-    n = steps_for(profile, float(np.abs(k).max()), tol)
+    n = grid_steps(profile, float(np.abs(k).max()), _PER_RADIAN)
     coarse, coarse_log = _shoot(profile, k, n)
     while 2 * n <= _MAX_STEPS:
         fine, fine_log = _shoot(profile, k, 2 * n)

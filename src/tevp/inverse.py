@@ -161,10 +161,11 @@ def wronskian_g(scenario: UniquenessScenario, k):
     nodes, weights_dq, coef, h_max, q_max = scenario._wronskian_grid(n_panels)
     # the state grows by at most exp(h (|Im k| + sqrt(max |q|))) over a step of width h
     growth = h_max * (np.abs(ks.imag).max() + np.sqrt(q_max))
-    u, log_scale, phi, phi_log = _integrate_batch(coef, ks.ravel(), growth,
-                                                  (0.0, scenario.phi_slope), path=True)
-    g_int = weights_dq @ (phi[nodes, 0] * phi[nodes, 1] * np.exp(phi_log[nodes].sum(axis=1)))
-    g_wron = (u[1, 1] * u[0, 0] - u[0, 1] * u[1, 0]) * np.exp(log_scale.sum(axis=0))
+    u, log_scale, phi, phi_log = _integrate_batch(coef, ks.ravel(), growth, path=True)
+    norm = scenario.phi_slope ** 2      # phi, phi~ start from slope 1; g is bilinear in them
+    g_int = norm * (weights_dq @ (phi[nodes, 0] * phi[nodes, 1]
+                                  * np.exp(phi_log[nodes].sum(axis=1))))
+    g_wron = norm * (u[1, 1] * u[0, 0] - u[0, 1] * u[1, 0]) * np.exp(log_scale.sum(axis=0))
     if ks.ndim == 0:
         return complex(g_int[0]), complex(g_wron[0])
     return g_int.reshape(ks.shape), g_wron.reshape(ks.shape)

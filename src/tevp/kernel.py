@@ -40,9 +40,10 @@ terms W(node)/2 cancel, and B_u(u) is the view-column sum at t = 0.  The
 traces read the same lines of q L.  The full grid ``KernelGrid.K``, odd
 nodes included, is built only on demand.
 
-Verification (``tevp kernel-check``): 2K(x,x) = int_0^x q against a finer
-reference integral, and y(1,k), y'(1,k) from the boundary traces
-K1 = K_x(a,.), K2 = K_t(a,.) against the shooting solver.
+Verification (``tevp kernel-check``): 2K(x,x) = int_0^x q against the
+antiderivative of the Liouville series of q sqrt(eta), and y(1,k), y'(1,k)
+from the boundary traces K1 = K_x(a,.), K2 = K_t(a,.) against the shooting
+solver.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ __all__ = [
     "solve_kernel",
     "boundary_traces",
     "representation_boundary",
-    "write_kernel_csv",
 ]
 
 
@@ -96,7 +96,7 @@ class KernelGrid:
     L: np.ndarray        # (n+1, 2n+1) even-node lattice, see the module docstring
     iterations: int
     final_delta: float   # last sup-norm Picard update
-    liouville: LiouvilleData | None = None   # source of the fine reference
+    liouville: LiouvilleData   # source of the reference integral Q_ref
 
     @cached_property
     def K(self) -> np.ndarray:
@@ -117,19 +117,20 @@ class KernelGrid:
 
     @cached_property
     def Q_ref(self) -> np.ndarray:
-        """int_0^x q, trapezoid on an 8x finer grid (error ~ delta^2/64)."""
-        if self.liouville is None:
-            return self.Q
-        x_fine = np.linspace(0.0, self.a, 8 * self.x.size - 7)
-        return _cumtrapz(np.asarray(self.liouville.q(x_fine), dtype=float), self.delta / 8.0)[::8]
+        """int_0^x q as F(r(x)), with F the antiderivative of the Liouville
+        series of q sqrt(eta) in r: exact to series accuracy, from one
+        inversion of the optical map at the grid nodes and no q sample."""
+        lv = self.liouville
+        return lv.q_series.integ(lbnd=0.0)(lv.profile.cumulative_map().inverse(self.x))
 
     def diagonal_residual(self) -> float:
-        """max |2 K(x,x) - int_0^x q| against the fine reference integral.
+        """max |2 K(x,x) - int_0^x q| against the series reference ``Q_ref``.
 
-        The discrete scheme satisfies 2K(x,x) = Q(x) (trapezoid cumulative)
-        to machine precision, so the residual against the true integral is
-        the trapezoid error, O(delta^2) — it shrinks by ~4 when the
-        resolution is halved.
+        The discrete scheme satisfies 2K(x,x) = Q(x) (trapezoid cumulative of
+        the grid's q samples) to machine precision, so the residual is the
+        trapezoid error, O(delta^2): it shrinks by ~4 when the resolution is
+        halved.  A kernel solved from a potential other than the series' one
+        misses the reference by the difference of their integrals.
         """
         return float(np.max(np.abs(2.0 * self.L[0] - self.Q_ref)))
 
@@ -241,13 +242,3 @@ def representation_boundary(liouville: LiouvilleData, kg: KernelGrid, k):
                  + i2 / (k * k))
     dy1 = pref * (np.cos(k * a) + np.sin(k * a) / (2.0 * k) * intq + i1 / k)
     return y1, dy1
-
-
-def write_kernel_csv(path, kg: KernelGrid, stride: int = 1):
-    """Dump the kernel triangle as rows x, t, K."""
-    idx = np.arange(0, kg.K.shape[0], stride)
-    r, c = np.tril_indices(idx.size)
-    i, j = idx[r], idx[c]
-    np.savetxt(path, np.column_stack((kg.x[i], kg.x[j], kg.K[i, j])),
-               fmt=("%.10e", "%.10e", "%.12e"), delimiter=",", newline="\r\n",
-               header="x,t,K", comments="")

@@ -12,6 +12,7 @@ on [0, a], where a = int_0^1 sqrt(eta) dr is the travel time.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -35,7 +36,6 @@ __all__ = [
     "subinterval_boundary",
     "load_profile",
     "profile_from_dict",
-    "profile_to_dict",
     "get_profile",
     "NAMED_PROFILES",
 ]
@@ -46,7 +46,6 @@ _N_CHEB = 161              # first node count of the optical-map series
 _N_CHEB_MAX = 8193         # node counts beyond this raise QuadratureFailure
 _CHEB_TAIL = 1e-13         # resolved: upper-half coefficients below this of the max
 _N_SEED = 129              # equispaced x(r) values seeding the inverse
-_ROOT_WIDTH = 1e-8         # bracket width at which q_abs_integral stops bisecting
 _GRID_CACHE_SIZE = 16      # per-profile arrays kept by grid_cached()
 
 
@@ -62,7 +61,7 @@ class RefractiveProfile:
     name: str = "profile"
     max_deriv: Optional[int] = None
 
-    def __init__(self, normalized_tail: bool = False):
+    def __init__(self, *, normalized_tail: bool = False):
         self.eta_min, self.eta_max = self._certify_positive()
         self.normalized_tail = bool(normalized_tail)
         if self.normalized_tail:
@@ -139,7 +138,7 @@ class ConstantProfile(RefractiveProfile):
 
     max_deriv = None
 
-    def __init__(self, value: float = 1.0, normalized_tail: bool = False):
+    def __init__(self, value: float = 1.0, *, normalized_tail: bool = False):
         if value <= 0:
             raise ValueError("constant eta must be positive")
         self.value = float(value)
@@ -162,7 +161,7 @@ class ColtonExampleProfile(RefractiveProfile):
 
     max_deriv = 4
 
-    def __init__(self, normalized_tail: bool = True):
+    def __init__(self, *, normalized_tail: bool = True):
         self.name = "colton_example"
         self.params = []
         super().__init__(normalized_tail=normalized_tail)
@@ -192,7 +191,7 @@ class RaisedCosineProfile(RefractiveProfile):
 
     max_deriv = 4
 
-    def __init__(self, amplitude: float = 1.0, normalized_tail: bool = True):
+    def __init__(self, amplitude: float = 1.0, *, normalized_tail: bool = True):
         if amplitude <= -1.0:
             raise ValueError("amplitude must exceed -1 for positivity")
         self.amplitude = float(amplitude)
@@ -226,7 +225,7 @@ class SlowCoreProfile(RefractiveProfile):
 
     max_deriv = 4
 
-    def __init__(self, core: float = 0.5, beta: float = 40.0,
+    def __init__(self, core: float = 0.5, beta: float = 40.0, *,
                  normalized_tail: bool = True):
         if not (0 < core) or beta <= 0:
             raise ValueError("need core > 0 and beta > 0")
@@ -257,7 +256,7 @@ class SlowCoreProfile(RefractiveProfile):
 class ChebyshevProfile(RefractiveProfile):
     """User data as a Chebyshev series on [0,1], differentiable to deriv_order."""
 
-    def __init__(self, coeffs: Sequence[float], deriv_order: int = 4,
+    def __init__(self, coeffs: Sequence[float], deriv_order: int = 4, *,
                  normalized_tail: bool = False):
         self.series = Chebyshev(np.asarray(coeffs, dtype=float), domain=[0.0, 1.0])
         self.max_deriv = int(deriv_order)
@@ -289,7 +288,11 @@ _ALIASES = {
 
 def get_profile(name: str, params: Optional[Sequence[float]] = None,
                 normalized_tail: Optional[bool] = None) -> RefractiveProfile:
-    """Instantiate a registered named profile."""
+    """Instantiate a registered named profile.
+
+    ``params`` fill the constructor's positional parameters; more of them
+    than it has raise ValueError.
+    """
     args = list(params) if params else []
     if name in _ALIASES:
         name, default_args = _ALIASES[name]
@@ -297,6 +300,11 @@ def get_profile(name: str, params: Optional[Sequence[float]] = None,
     if name not in NAMED_PROFILES:
         raise KeyError(f"unknown profile name {name!r}; "
                        f"known: {sorted(NAMED_PROFILES) + sorted(_ALIASES)}")
+    expected = [p.name for p in inspect.signature(NAMED_PROFILES[name]).parameters.values()
+                if p.kind is p.POSITIONAL_OR_KEYWORD]
+    if len(args) > len(expected):
+        raise ValueError(f"profile {name!r} takes at most {len(expected)} params "
+                         f"{expected}, got {len(args)}: {args}")
     kwargs = {}
     if normalized_tail is not None:
         kwargs["normalized_tail"] = normalized_tail
@@ -329,20 +337,6 @@ def profile_from_dict(spec: dict) -> RefractiveProfile:
         deriv_order=spec.get("deriv_order", 4),
         normalized_tail=bool(tail) if tail is not None else False,
     )
-
-
-def profile_to_dict(profile: RefractiveProfile) -> dict:
-    if isinstance(profile, ChebyshevProfile):
-        out = {"kind": "chebyshev", "coeffs": profile.params,
-               "deriv_order": profile.max_deriv}
-    else:
-        base = profile.name.split("(")[0]
-        out = {"kind": "named", "name": base}
-        if profile.params:
-            out["params"] = profile.params
-    if profile.normalized_tail:
-        out["normalized_tail"] = True
-    return out
 
 
 def load_profile(path_or_name: str) -> RefractiveProfile:
@@ -423,36 +417,14 @@ class _CumulativeMap:
 
 @dataclass
 class LiouvilleData:
-    """Travel time, potential q(x), ``q_mean`` = int_0^a q dx and q sqrt(eta) in r."""
+    """Travel time, potential q(x), ``q_mean`` = int_0^a q dx and ``q_series``,
+    q sqrt(eta) in r, whose antiderivative at r(x) is int_0^x q."""
 
     a: float
     q: Callable
     q_mean: float
     profile: RefractiveProfile = field(repr=False)
     q_series: Chebyshev = field(repr=False)
-
-    def q_abs_integral(self) -> float:
-        """int_0^a |q(x)| dx = sum |F(r_i+1) - F(r_i)| with F' = q sqrt(eta).
-
-        The r_i are the sign changes of the series between 4 (degree + 1) + 1
-        Chebyshev points of [0, 1], bisected to width _ROOT_WIDTH and ended
-        with one secant step.  F is stationary at a root, so a split point
-        off by e moves the sum by O(e^2), and an extra one changes nothing.
-        """
-        g = self.q_series
-        m = 4 * (g.degree() + 1)
-        r = 0.5 - 0.5 * np.cos(np.pi * np.arange(m + 1) / m)
-        v = g(r)
-        i = np.flatnonzero(np.sign(v[:-1]) != np.sign(v[1:]))
-        lo, hi, v_lo, v_hi = r[i], r[i + 1], v[i], v[i + 1]
-        while np.any(hi - lo > _ROOT_WIDTH):
-            mid = 0.5 * (lo + hi)
-            v_mid = g(mid)
-            left = np.sign(v_mid) != np.sign(v_lo)     # the sign changes in [lo, mid]
-            lo, v_lo = np.where(left, lo, mid), np.where(left, v_lo, v_mid)
-            hi, v_hi = np.where(left, mid, hi), np.where(left, v_mid, v_hi)
-        r = np.r_[0.0, lo - v_lo * (hi - lo) / (v_hi - v_lo), 1.0]
-        return float(np.sum(np.abs(np.diff(g.integ()(r)))))
 
 
 def _q_of_r(profile: RefractiveProfile, r):

@@ -65,7 +65,6 @@ __all__ = [
     "SearchReport",
     "count_zeros",
     "find_zeros",
-    "real_zeros",
     "report_to_json",
     "write_zeros_csv",
 ]
@@ -86,7 +85,6 @@ _SQUARE_TOL = 1e-6           # a simple zero's square counts from one rule per e
 _MAX_SPLITS = 128            # segments one contour may split in one round
 _PHASES = ("count", "subdivide", "refine")
 _RETRIES = ("inflate", "jitter", "resplit")
-_REAL_STRIP = 0.5            # height of the strip real_zeros searches
 _TRIVIAL_CLEARANCE = 1e-2    # least distance from k = 0 of a search rect's corner (x0, y0)
 _PADS = (1e-2, 2e-2, 4e-2, 8e-2, 0.16)   # outward moves of an outer contour's edges
 
@@ -381,11 +379,14 @@ def _count_with_perturbation(service, rects):
 def count_zeros(profile: RefractiveProfile, rect) -> int:
     """Number of zeros of d (with multiplicity) inside the rectangle.
 
-    ``rect`` is (x0, x1, y0, y1) anywhere in the plane.  If an edge passes too
+    ``rect`` is (x0, x1, y0, y1) anywhere in the plane; a non-finite entry
+    raises ValueError, as it does in ``find_zeros``.  If an edge passes too
     close to a zero for the winding quadrature, every edge is moved outward by
     1e-2, then 2e-2, ... (at most 0.16) until the count converges; a left or
     bottom edge off the axis moves at most half its distance to it.
     """
+    if not all(map(math.isfinite, rect)):
+        raise ValueError(f"rect {rect} is not finite")
     return _count_with_perturbation(_Service(profile, rect), _padded_rects(rect))[0]
 
 
@@ -538,12 +539,14 @@ def _canonicalize(found):
 
 
 def find_zeros(profile: RefractiveProfile, rect) -> SearchReport:
-    """All zeros of d (with multiplicity) in a first-quadrant rectangle.
+    """All zeros of d (with multiplicity) in a finite first-quadrant rectangle.
 
     A rect flush with the real axis is padded slightly below it so that
     real zeros are captured; canonical representatives are reported once.
     """
     x0, x1, y0, y1 = map(float, rect)
+    if not all(map(math.isfinite, (x0, x1, y0, y1))):
+        raise ValueError(f"rect {rect} is not finite")
     if not (x1 > x0 and y1 > y0):
         raise ValueError(f"empty rect {rect}")
     if x0 < -1e-9 or y0 < -1e-9:
@@ -589,19 +592,6 @@ def find_zeros(profile: RefractiveProfile, rect) -> SearchReport:
     return SearchReport(rect=used_rect, zeros=zeros,
                         total_count_by_argument_principle=total - removed,
                         stats=stats, timings=service.timings)
-
-
-def real_zeros(profile: RefractiveProfile, kmax: float) -> list:
-    """Real zeros of d in [0.05, kmax].
-
-    A ``find_zeros`` search on the strip 0.05 <= Re k <= kmax,
-    0 <= Im k <= _REAL_STRIP, so every multiplicity comes from a contour count;
-    the strip starts off k = 0, a zero of d for every profile.
-    """
-    k_lo = 0.05
-    rep = find_zeros(profile, (k_lo, kmax, 0.0, _REAL_STRIP))
-    return [z for z in rep.zeros
-            if z.cls == "real" and k_lo <= z.k.real <= kmax]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from tevp import inverse
+from tevp import forward, inverse
 from tevp.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_REGIME, main
 from tevp.zeros import write_zeros_csv
 
@@ -220,3 +220,44 @@ def test_unknown_profile_key_is_an_input_error(tmp_path, capsys):
     p.write_text(json.dumps({"kind": "chebyshev", "coeffs": [2, 0.1], "smoothness_m": 7}))
     assert main(["profile-info", "--profile", str(p)]) == EXIT_INPUT
     assert "smoothness_m" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", [["profile-info"], ["kernel-check"],
+                                 ["asymptotics", "--rect", "0.3,10,0,6"]])
+def test_missing_profile_derivative_is_an_input_error(tmp_path, capsys, cmd):
+    # q needs eta'', which a deriv_order-1 series cannot supply
+    p = tmp_path / "prof.json"
+    p.write_text(json.dumps({"kind": "chebyshev", "coeffs": [1.5, 0.3, 0.1], "deriv_order": 1}))
+    assert main(cmd + ["--profile", str(p)]) == EXIT_INPUT
+    assert "input error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rect", ["1,inf,0,1", "1,5,0,inf"])
+def test_spectrum_non_finite_rect_is_an_input_error(capsys, rect):
+    assert main(["spectrum", "--profile", "const4", "--rect", rect]) == EXIT_INPUT
+    assert "input error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "named", "name": "slow_core", "params": [0.5, 40, 7, 8]},
+    {"kind": "named", "name": "raised_cosine", "params": [1.0, 0]},
+])
+def test_surplus_named_params_are_an_input_error(tmp_path, capsys, spec):
+    p = tmp_path / "prof.json"
+    p.write_text(json.dumps(spec))
+    assert main(["profile-info", "--profile", str(p)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "input error:" in err and "params" in err
+
+
+def test_kernel_check_pass_builds_few_composed_tables(monkeypatch, capsys):
+    # one step-count rule: the reference shooting starts at 8 steps per radian
+    # for every tol, so four profiles build 22 tables (26 from 11 per radian)
+    built = []
+    composed = forward._composed_steps
+    monkeypatch.setattr(forward, "_composed_steps",
+                        lambda profile, n: built.append(n) or composed(profile, n))
+    codes = [main(["kernel-check", "--profile", name, "--json"])
+             for name in ("colton_example", "raised_cosine", "slow_core", "const4")]
+    assert codes == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_NUMERIC]
+    assert len(built) <= 22

@@ -11,7 +11,7 @@ from tevp import _rk8, forward
 from tevp.errors import StepUnderflow
 from tevp.forward import (_DEGREE, _integrate_batch, _rk8_polynomials, _step_polynomials,
                           characteristic, characteristic_batch, scaled_characteristic,
-                          grid_steps, solve_ivp, steps_for)
+                          grid_steps, solve_ivp)
 from tevp.profiles import ConstantProfile, get_profile
 
 
@@ -201,12 +201,11 @@ def test_r_form_step_polynomials_bit_identical(name):
 
 @pytest.mark.parametrize("size", [1, 12])
 def test_x_form_matches_colton_closed_form(colton, colton_lv, size):
-    # q == 1/4: phi = phi'(0) sin(mu x)/mu, phi' = phi'(0) cos(mu x), mu = sqrt(k^2 - 1/4)
+    # q == 1/4: phi = sin(mu x)/mu, phi' = cos(mu x), mu = sqrt(k^2 - 1/4)
     pinned = np.array([0.7, 5.0, 30.0 + 3.0j, 12.0 + 40.0j])
     others = np.linspace(1.0, 40.0, 8) + 1j * np.linspace(0.0, 6.0, 8)
     batches = [pinned[i:i + 1] for i in range(4)] if size == 1 else [np.r_[pinned, others]]
     a = colton_lv.a
-    slope = float(colton.eta(0.0)) ** -0.25
     for k in batches:
         n_steps = int(np.ceil(8.0 * np.abs(k).max() * a))
         h = np.full(n_steps, a / n_steps)
@@ -214,9 +213,9 @@ def test_x_form_matches_colton_closed_form(colton, colton_lv, size):
         q = colton_lv.q(np.minimum(x, a))
         coef = _rk8_polynomials(np.ones_like(q), h, q)
         growth = h[0] * (np.abs(k.imag).max() + 0.5)
-        u, log_scale = _integrate_batch(coef, k, growth, (0.0, slope))
+        u, log_scale = _integrate_batch(coef, k, growth)
         mu = np.sqrt(k * k - 0.25)
-        phi, dphi = slope * np.sin(mu * a) / mu, slope * np.cos(mu * a)
+        phi, dphi = np.sin(mu * a) / mu, np.cos(mu * a)
         scale = np.exp(log_scale)
         assert_allclose(u[0] * scale, phi, rtol=1e-11)
         assert_allclose(u[1] * scale, dphi, rtol=1e-11)
@@ -245,7 +244,7 @@ def test_adaptive_overflow_fallback_matches_dop853(colton):
 
 def test_step_doubling_check_can_fail(colton, monkeypatch):
     # from 64 steps (error 7e-10 at k = 40) the n / 2n check runs four times
-    monkeypatch.setattr(forward, "steps_for", lambda *args: 64)
+    monkeypatch.setattr(forward, "grid_steps", lambda *args: 64)
     d, _, _, _, log_factor = _colton_closed_form(40.0)
     cv = characteristic(colton, 40.0)
     assert cv.d * np.exp(cv.scale_log - log_factor) == pytest.approx(complex(d), rel=1e-11)
@@ -303,5 +302,22 @@ def test_tol_validation():
 
 
 def test_steps_scale_with_k():
-    assert steps_for(CONST4, 100.0) >= 2 * steps_for(CONST4, 50.0) - 1
-    assert steps_for(CONST4, 0.1) == 64   # floor
+    assert grid_steps(CONST4, 100.0, 8.0) >= 2 * grid_steps(CONST4, 50.0, 8.0) - 1
+    assert grid_steps(CONST4, 0.1, 8.0) == 64   # floor
+
+
+@pytest.mark.parametrize("tol", [1e-13, 1e-12, 1e-9])
+def test_step_doubling_starts_from_one_grid_for_every_tol(colton, monkeypatch, tol):
+    # every tol starts at 8 steps per radian, the default grid of characteristic_batch;
+    # the n / 2n check alone decides how far to double
+    k = np.array([15.0])
+    sizes = []
+    shoot = forward._shoot
+    monkeypatch.setattr(forward, "_shoot",
+                        lambda p, k, n: sizes.append(n) or shoot(p, k, n))
+    forward._checked_shoot(colton, k, tol)
+    assert sizes[0] == grid_steps(colton, 15.0, 8.0)
+    assert sizes == [sizes[0] * 2 ** i for i in range(len(sizes))]
+    sizes.clear()
+    characteristic_batch(colton, k)
+    assert sizes == [grid_steps(colton, 15.0, 8.0)]

@@ -8,8 +8,7 @@ from scipy.integrate import trapezoid
 from scipy.interpolate import RegularGridInterpolator
 
 from tevp.forward import solve_ivp
-from tevp.kernel import (boundary_traces, representation_boundary,
-                         solve_kernel, write_kernel_csv)
+from tevp.kernel import boundary_traces, representation_boundary, solve_kernel
 from tevp.profiles import ConstantProfile, get_profile, liouville_transform
 
 
@@ -68,15 +67,6 @@ def test_representation_matches_ivp(colton, colton_lv):
         bv = solve_ivp(colton, float(k), tol=1e-13)
         assert abs(y[i] - bv.y1 * np.exp(bv.scale_log)) <= 1e-5
         assert abs(dy[i] - bv.dy1 * np.exp(bv.scale_log)) <= 1e-5
-
-
-def test_csv_dump(tmp_path, colton_lv):
-    kg = solve_kernel(colton_lv, h=colton_lv.a / 20)
-    out = tmp_path / "kernel.csv"
-    write_kernel_csv(out, kg, stride=4)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "x,t,K"
-    assert len(lines) > 10
 
 
 def test_convergence_reported(colton_lv):
@@ -209,21 +199,24 @@ def test_traces_match_loop_traces(name, div):
         assert np.max(np.abs(new - old)) <= 1e-14 * np.max(np.abs(old))
 
 
-def test_fine_reference_is_computed_on_demand(colton_lv):
-    sizes = []
+def test_diagonal_reference_is_the_q_series_antiderivative(colton_lv):
+    # the reference F(r(x)), F' = q sqrt(eta) in r, samples no q; colton has q = 1/4
+    calls = []
 
     def q(x):
-        sizes.append(np.size(x))
+        calls.append(np.size(x))
         return 0.25 + 0.1 * np.asarray(x) ** 2
 
     kg = solve_kernel(replace(colton_lv, q=q), h=colton_lv.a / 50)
-    M = kg.K.shape[0] - 1
-    assert sizes == [M + 1]                 # the solve samples the grid only
-    x_fine = np.linspace(0.0, kg.a, 8 * M + 1)
-    q_fine = 0.25 + 0.1 * x_fine ** 2
-    ref = (np.concatenate(([0.0], np.cumsum(0.5 * (q_fine[1:] + q_fine[:-1]))))
-           * (kg.delta / 8.0))[::8]
-    expected = float(np.max(np.abs(2.0 * np.diagonal(kg.K) - ref)))
+    M = kg.x.size - 1
+    assert calls == [M + 1]                 # the solve samples the grid only
+    r = colton_lv.profile.cumulative_map().inverse(kg.x)
+    F = colton_lv.q_series.integ(lbnd=0.0)(r)
+    assert np.max(np.abs(F - 0.25 * kg.x)) <= 1e-13
+    expected = float(np.max(np.abs(2.0 * np.diagonal(kg.K) - F)))
     assert kg.diagonal_residual() == expected
     assert kg.diagonal_residual() == expected
-    assert sizes == [M + 1, 8 * M + 1]      # sampled once, on first use
+    assert calls == [M + 1]                 # the check makes no q call
+    # the kernel of the other q misses the reference by int 0.1 x^2: the check fails
+    assert expected == pytest.approx(0.1 * kg.a ** 3 / 3.0, rel=1e-3)
+    assert expected > 5e-4

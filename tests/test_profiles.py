@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,15 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import integrate, optimize
+from scipy import integrate
 
 import tevp
+from tevp.cli import main as cli_main
 from tevp.errors import MassOutOfRange, QuadratureFailure
 from tevp.profiles import (ChebyshevProfile, ColtonExampleProfile,
                            ConstantProfile, RefractiveProfile, get_profile,
                            liouville_transform, load_profile,
-                           profile_from_dict, profile_to_dict,
-                           subinterval_boundary, travel_time)
+                           profile_from_dict, subinterval_boundary,
+                           travel_time)
 
 
 def test_registry_and_aliases():
@@ -109,13 +111,26 @@ def test_normalized_tail_enforced():
         ConstantProfile(4.0, normalized_tail=True)  # eta(1) = 4 != 1
 
 
-def test_profile_dict_roundtrip(tmp_path):
-    p = get_profile("raised_cosine")
-    d = profile_to_dict(p)
-    p2 = profile_from_dict(d)
-    r = np.linspace(0, 1, 17)
-    assert_allclose(p2.eta(r), p.eta(r), rtol=1e-14)
+@pytest.mark.parametrize("name, params, expected", [
+    ("colton_example", [0.0], "[]"),
+    ("raised_cosine", [1.0, 0], "['amplitude']"),
+    ("slow_core", [0.5, 40, 7, 8], "['core', 'beta']"),
+    ("const4", [4.0, 1], "['value']"),
+])
+def test_named_params_never_bind_to_normalized_tail(name, params, expected):
+    # a surplus param used to fill normalized_tail (silently turning the
+    # tail check off) or to raise TypeError; it names the expected params now
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        get_profile(name, params)
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        profile_from_dict({"kind": "named", "name": name, "params": params})
+    with pytest.raises(TypeError):
+        ConstantProfile(1.0, True)
+    assert get_profile("raised_cosine", [0.5]).normalized_tail
+    assert not get_profile("colton_example", normalized_tail=False).normalized_tail
 
+
+def test_profile_dict_roundtrip(tmp_path):
     path = tmp_path / "prof.json"
     path.write_text(json.dumps({"kind": "named", "name": "colton_example"}))
     p3 = load_profile(str(path))
@@ -184,29 +199,16 @@ def test_q_integrals_match_quad(name):
     p = get_profile(name)
     lv = liouville_transform(p)
     assert abs(lv.q_mean - _quad_reference(p)) <= 1e-13
-    assert abs(lv.q_abs_integral() - _quad_reference(p, absolute=True)) <= 1e-11
 
 
-def test_q_abs_integral_of_high_degree_chebyshev_profile():
-    # 2 + 0.2 T_3 + 0.02 T_60: q sqrt(eta) is a degree-1277 series with 58 sign
-    # changes in (0, 1).  The reference splits quad at brentq roots of q sqrt(eta).
-    coeffs = np.zeros(61)
-    coeffs[[0, 3, 60]] = 2.0, 0.2, 0.02
-    p = ChebyshevProfile(coeffs)
-
-    def f(r):
-        e, d1, d2 = (float(p.eta(r, n)) for n in range(3))
-        return (d2 / (4.0 * e * e) - 5.0 / 16.0 * d1**2 / e**3) * math.sqrt(e)
-
-    grid = np.linspace(0.0, 1.0, 2001)
-    vals = np.array([f(r) for r in grid])
-    roots = [optimize.brentq(f, grid[i], grid[i + 1], xtol=1e-15)
-             for i in np.flatnonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))]
-    edges = np.r_[0.0, roots, 1.0]
-    ref = sum(abs(integrate.quad(f, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)[0])
-              for lo, hi in zip(edges[:-1], edges[1:]))
-    assert len(roots) == 58
-    assert abs(liouville_transform(p).q_abs_integral() - ref) <= 1e-11
+def test_kernel_check_bound_scale_is_the_integral_of_abs_q(capsys):
+    # the diagonal bound 5e-4 max(1, int |q|) takes int |q| from the kernel's
+    # own q samples; slow_core is the profile with int |q| > 1
+    assert cli_main(["kernel-check", "--profile", "slow_core", "--json"]) == 0
+    bound = json.loads(capsys.readouterr().out)["checks"][0]["bound"]
+    ref = _quad_reference(get_profile("slow_core"), absolute=True)
+    assert ref > 1.0
+    assert bound == pytest.approx(5e-4 * ref, rel=1e-5)
 
 
 @pytest.mark.parametrize("degree, amplitude", [(60, 0.02), (100, 0.01)])

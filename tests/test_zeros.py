@@ -15,7 +15,7 @@ from tevp.forward import characteristic_batch, scaled_characteristic
 from tevp.profiles import ConstantProfile, get_profile
 from tevp.zeros import (Certificate, SearchReport, SpectralZero, _Cell, _rect_corners,
                         _refine_clusters, _Service, _subdivide, _winding_many, count_zeros,
-                        find_zeros, real_zeros, report_to_json, write_report_json,
+                        find_zeros, report_to_json, write_report_json,
                         write_zeros_csv)
 
 CONST4 = ConstantProfile(4.0)
@@ -105,7 +105,7 @@ def test_degenerate_profile_raises():
     with pytest.raises(DegenerateCharacteristic):
         find_zeros(CONST1, (0.5, 20.0, 0.0, 2.0))
     with pytest.raises(DegenerateCharacteristic):
-        real_zeros(CONST1, 30.0)
+        find_zeros(CONST1, (0.05, 30.0, 0.0, 0.5))
 
 
 def test_rect_validation():
@@ -113,6 +113,15 @@ def test_rect_validation():
         find_zeros(CONST4, (5.0, 1.0, 0.0, 1.0))       # empty
     with pytest.raises(ValueError):
         find_zeros(CONST4, (-3.0, 1.0, 0.0, 1.0))      # leaves quadrant
+
+
+@pytest.mark.parametrize("rect", [(1.0, math.inf, 0.0, 1.0), (1.0, 5.0, 0.0, math.inf),
+                                  (-math.inf, 5.0, 0.0, 1.0), (1.0, 5.0, 0.0, math.nan)])
+def test_non_finite_rect_is_rejected(rect):
+    # an infinite corner used to reach grid_steps and raise OverflowError
+    for search in (find_zeros, count_zeros):
+        with pytest.raises(ValueError, match="not finite"):
+            search(CONST4, rect)
 
 
 def test_rect_containing_the_trivial_zero_is_rejected(colton, const4):
@@ -158,31 +167,25 @@ def test_padded_outer_contour_stays_near_the_rect(const4, x0, first):
         assert abs(z.k - n * math.pi) <= 1e-8
 
 
+def _real_zeros(profile, kmax):
+    """The real zeros of a find_zeros search on the strip [0.05, kmax] x [0, 0.5]."""
+    return [z for z in find_zeros(profile, (0.05, kmax, 0.0, 0.5)).zeros
+            if z.cls == "real" and 0.05 <= z.k.real <= kmax]
+
+
 def test_real_zeros_triple_multiplicity(const4):
-    zs = real_zeros(const4, 20.0)
+    zs = _real_zeros(const4, 20.0)
     assert [z.multiplicity for z in zs] == [3] * 6
     for n, z in enumerate(zs, start=1):
         assert abs(z.k.real - n * math.pi) <= 1e-8
         assert z.k.imag == 0.0
 
 
-def test_real_zeros_strip_starts_at_a_fixed_abscissa(const4, monkeypatch):
-    rects = []
-
-    def record(profile, rect):
-        rects.append(rect)
-        return SearchReport(rect=rect, zeros=[], total_count_by_argument_principle=0)
-
-    monkeypatch.setattr(zeros_module, "find_zeros", record)
-    real_zeros(const4, 20.0)
-    assert rects == [(0.05, 20.0, 0.0, 0.5)]
-
-
 @pytest.mark.parametrize("name, kmax", [("const4", 20.0), ("slow_core", 30.0)])
 def test_real_zeros_account_for_the_axis_count(name, kmax):
-    # every real zero in [k_lo, kmax] is found, with its contour multiplicity
+    # every real zero in [0.05, kmax] is found, with its contour multiplicity
     p = get_profile(name)
-    zs = real_zeros(p, kmax)
+    zs = _real_zeros(p, kmax)
     assert zs and all(z.cls == "real" for z in zs)
     assert sum(z.multiplicity for z in zs) == count_zeros(p, (0.05, kmax, -0.01, 0.01))
 
@@ -572,7 +575,7 @@ def test_subdivision_width_depends_on_the_count(monkeypatch):
 
 def test_search_options_are_module_constants():
     assert list(inspect.signature(find_zeros).parameters) == ["profile", "rect"]
-    assert list(inspect.signature(real_zeros).parameters) == ["profile", "kmax"]
+    assert list(inspect.signature(count_zeros).parameters) == ["profile", "rect"]
 
 
 # ---------------------------------------------------------------------------
