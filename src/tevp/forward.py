@@ -15,8 +15,10 @@ with one matrix product, then applies u -> P u, v -> P v + P' u.  The r-form
 (c = eta, s = 0 on [0, 1]) composes 8 steps into one row of degree 48 in
 mu = lam h^2, where the coefficients stay representable (``_composed_steps``,
 cached per profile and step count).  A row spans < 2.3 rad on a search grid,
-so its monomial sum loses under a digit, and the loop runs n/8 times at the
-same flop count.  It serves ``characteristic_batch``, ``characteristic`` and
+so its monomial sum loses under a digit, and the loop runs n/8 times.  Each
+call evaluates the rows only to the degree its max |mu| needs
+(``_degree_needed``): at most 12 of the 48 on a search grid, all of them
+when |mu| is large.  It serves ``characteristic_batch``, ``characteristic`` and
 ``solve_ivp``: one step-count rule, 8 steps per radian at max |k|, sizes the
 default grid of the first and the start of the last two, which double the
 steps until they agree.  The x-form (c = 1, s = q on [0, a]), one row per
@@ -158,11 +160,14 @@ def _rk8_polynomials(c: np.ndarray, h: np.ndarray, s: np.ndarray | None = None,
     return out
 
 
-def _step_polynomials(profile: RefractiveProfile, n_steps: int, degree: int = _DEGREE):
-    """Step polynomials of the r-form y'' = -lam eta y on n_steps equal steps of [0, 1]."""
+def _step_polynomials(profile: RefractiveProfile, n_steps: int, degree: int = _DEGREE,
+                      steps: slice = slice(None)):
+    """Step polynomials of the r-form y'' = -lam eta y on n_steps equal steps of [0, 1],
+    of the steps ``steps`` selects (default all)."""
     h = 1.0 / n_steps
-    eta = profile.eta(np.clip((np.arange(n_steps)[:, None] + _rk8.C) * h, 0.0, 1.0))
-    return _rk8_polynomials(np.asarray(eta, dtype=float), np.full(n_steps, h), degree=degree)
+    i = np.arange(n_steps)[steps]
+    eta = profile.eta(np.clip((i[:, None] + _rk8.C) * h, 0.0, 1.0))
+    return _rk8_polynomials(np.asarray(eta, dtype=float), np.full(i.size, h), degree=degree)
 
 
 def _composed_steps(profile: RefractiveProfile, n_steps: int) -> np.ndarray:
@@ -170,17 +175,37 @@ def _composed_steps(profile: RefractiveProfile, n_steps: int) -> np.ndarray:
 
     Identity steps pad n_steps to a multiple of _GROUP; row i spans steps
     _GROUP i ... _GROUP (i + 1) - 1.  In lam its top coefficients would underflow.
+    Built ``_BUILD_CHUNK`` rows at a time, so the build needs little more memory
+    than the table.
     """
-    coef = _step_polynomials(profile, n_steps) * float(n_steps) ** (2 * np.arange(_DEGREE + 1))
+    scale = float(n_steps) ** (2 * np.arange(_DEGREE + 1))
     eye = np.eye(2).reshape(4, 1) * (np.arange(_DEGREE + 1) == 0)
-    pad = np.broadcast_to(eye, (-n_steps % _GROUP,) + eye.shape)
-    m = np.concatenate([coef, pad]).reshape(-1, 2, 2, _DEGREE + 1)
-    for _ in range(3):                      # b @ a, b the later step: 2**3 = _GROUP steps
-        a, b = m[0::2], m[1::2]
-        m = np.zeros(a.shape[:-1] + (2 * a.shape[-1] - 1,))
-        for p in range(b.shape[-1]):
-            m[..., p:p + a.shape[-1]] += np.einsum("nij,njkq->nikq", b[..., p], a)
-    return m.reshape(len(m), 4, -1)
+    span = _BUILD_CHUNK * _GROUP
+    out = np.empty((-(-n_steps // _GROUP), 4, _GROUP * _DEGREE + 1))
+    for start in range(0, n_steps, span):
+        coef = _step_polynomials(profile, n_steps, steps=slice(start, start + span)) * scale
+        pad = np.broadcast_to(eye, (-len(coef) % _GROUP,) + eye.shape)
+        m = np.concatenate([coef, pad]).reshape(-1, 2, 2, _DEGREE + 1)
+        for _ in range(3):                  # b @ a, b the later step: 2**3 = _GROUP steps
+            a, b = m[0::2], m[1::2]
+            m = np.zeros(a.shape[:-1] + (2 * a.shape[-1] - 1,))
+            for p in range(b.shape[-1]):
+                m[..., p:p + a.shape[-1]] += np.einsum("nij,njkq->nikq", b[..., p], a)
+        out[start // _GROUP:start // _GROUP + len(m)] = m.reshape(len(m), 4, -1)
+    return out
+
+
+def _degree_needed(size: np.ndarray, mu_max: float) -> int:
+    """Smallest degree D that rows with per-degree sizes ``size`` need at |mu| <= mu_max.
+
+    ``size[e, p]`` is the largest |coefficient| of entry e at degree p over the
+    table's rows.  Degrees above D are dropped when, for every entry, their sum
+    sum_{p>D} size[e, p] mu_max^p is at most 2^-54 of the entry's largest term:
+    below the rounding of the full sum.
+    """
+    terms = size * mu_max ** np.arange(size.shape[-1])
+    tail = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]             # tail[e, p] = sum_{q>=p}
+    return int((tail > 2.0**-54 * terms.max(axis=1, keepdims=True)).sum(axis=1).max()) - 1
 
 
 def _integrate_batch(coef: np.ndarray, k: np.ndarray, growth: float, *,
@@ -230,9 +255,17 @@ def _integrate_batch(coef: np.ndarray, k: np.ndarray, growth: float, *,
     return (state, log_scale, np.array(ys), np.array(ys_log)) if path else (state, log_scale)
 
 
+def _composed_table(profile: RefractiveProfile, n_steps: int):
+    """``_composed_steps`` and the largest |coefficient| per entry and degree over its rows."""
+    coef = _composed_steps(profile, n_steps)
+    return coef, np.abs(coef).max(axis=0)
+
+
 def _shoot(profile: RefractiveProfile, k: np.ndarray, n_steps: int):
-    """The r-form on n_steps equal steps of [0, 1]: ``_composed_steps``, _K_CHUNK k at a time."""
-    coef = profile.grid_cached(("rk8", n_steps), lambda: _composed_steps(profile, n_steps))
+    """The r-form on n_steps equal steps of [0, 1]: ``_composed_steps`` to the degree
+    ``_degree_needed`` for max|k|, _K_CHUNK k at a time."""
+    coef, size = profile.grid_cached(("rk8", n_steps), lambda: _composed_table(profile, n_steps))
+    coef = coef[..., :_degree_needed(size, float(np.abs(k).max() / n_steps) ** 2) + 1]
     growth = _GROUP * np.sqrt(profile.eta_max) * np.abs(np.imag(k)).max() / n_steps
     parts = [_integrate_batch(coef, k[i:i + _K_CHUNK], growth, lam_scale=float(n_steps) ** -2)
              for i in range(0, k.size, _K_CHUNK)]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -290,9 +291,12 @@ def get_profile(name: str, params: Optional[Sequence[float]] = None,
                 normalized_tail: Optional[bool] = None) -> RefractiveProfile:
     """Instantiate a registered named profile.
 
-    ``params`` fill the constructor's positional parameters; more of them
-    than it has raise ValueError.
+    ``params`` fill the constructor's positional parameters; a ``params`` that
+    is not a list of numbers, or more of them than it has, raise ValueError.
     """
+    if params is not None and not (isinstance(params, (list, tuple)) and all(
+            isinstance(p, numbers.Real) and not isinstance(p, bool) for p in params)):
+        raise ValueError(f"profile params must be a list of numbers, got {params!r}")
     args = list(params) if params else []
     if name in _ALIASES:
         name, default_args = _ALIASES[name]
@@ -321,8 +325,10 @@ def profile_from_dict(spec: dict) -> RefractiveProfile:
     ``{"kind":"named","name":...}`` or
     ``{"kind":"chebyshev","coeffs":[...],"deriv_order":n}``,
     optionally with ``"normalized_tail": true`` and ``"params": [...]``.
-    Any other key raises ValueError.
+    Any other key, or a ``spec`` that is not a dict, raises ValueError.
     """
+    if not isinstance(spec, dict):
+        raise ValueError(f"a profile spec is a JSON object, got {type(spec).__name__}")
     kind = spec.get("kind")
     if not isinstance(kind, str) or kind not in _SPEC_KEYS:
         raise ValueError(f"unknown profile kind {kind!r}")

@@ -250,6 +250,19 @@ def test_surplus_named_params_are_an_input_error(tmp_path, capsys, spec):
     assert "input error:" in err and "params" in err
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "named", "name": "raised_cosine", "params": 2},
+    {"kind": "named", "name": "raised_cosine", "params": ["x"]},
+    [{"kind": "named", "name": "raised_cosine"}],
+])
+def test_malformed_profile_json_is_an_input_error(tmp_path, capsys, spec):
+    # each once escaped main as a TypeError or AttributeError traceback
+    p = tmp_path / "prof.json"
+    p.write_text(json.dumps(spec))
+    assert main(["profile-info", "--profile", str(p)]) == EXIT_INPUT
+    assert "input error:" in capsys.readouterr().err
+
+
 def test_kernel_check_pass_builds_few_composed_tables(monkeypatch, capsys):
     # one step-count rule: the reference shooting starts at 8 steps per radian
     # for every tol, so four profiles build 22 tables (26 from 11 per radian)

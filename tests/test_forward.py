@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from tevp.forward import (_DEGREE, _integrate_batch, _rk8_polynomials, _step_pol
                           characteristic, characteristic_batch, scaled_characteristic,
                           grid_steps, solve_ivp)
 from tevp.profiles import ConstantProfile, get_profile
+from tevp.zeros import find_zeros
 
 
 def _d_const4(k):
@@ -157,6 +159,105 @@ def test_composed_steps_match_one_step_at_a_time(name, size):
         ld_ref = dp_ref / d_ref
         assert np.all(np.abs(dp / d - ld_ref) * np.abs(d_ref)
                       <= 1e-12 * (size_dp + (1.0 + np.abs(ld_ref)) * size_d))
+
+
+def _full_degree(size, mu_max):
+    """A stand-in for ``forward._degree_needed`` that keeps every degree."""
+    return size.shape[-1] - 1
+
+
+@pytest.mark.parametrize("name", ["colton_example", "raised_cosine"])
+def test_degree_rule_keeps_every_degree_at_large_mu(name):
+    # 400 rad over 64 steps: mu = 39 per row, where the top terms dominate
+    _, size = forward._composed_table(get_profile(name), 64)
+    assert forward._degree_needed(size, (400.0 / 64) ** 2) == 8 * _DEGREE
+
+
+@pytest.mark.parametrize("rect", [(0.3, 40.0, 0.0, 6.0), (145.0, 150.5, 0.0, 8.0),
+                                  (0.3, 150.5, 0.0, 8.0)])
+def test_search_grids_need_low_degree(colton, monkeypatch, rect):
+    # every evaluation of the k40, band150 and headline searches, on the grid of
+    # their _Service, needs at most a third of the 48 degrees of a row
+    degrees = []
+    rule = forward._degree_needed
+    monkeypatch.setattr(forward, "_degree_needed",
+                        lambda size, mu_max: degrees.append(rule(size, mu_max)) or degrees[-1])
+    find_zeros(colton, rect)
+    assert degrees and max(degrees) <= 16
+
+
+@pytest.mark.parametrize("profile", [get_profile("colton_example"), get_profile("slow_core"),
+                                     CONST4], ids=lambda p: p.name)
+def test_truncated_rows_match_full_degree(profile, monkeypatch):
+    # the k sets of test_composed_steps_match_one_step_at_a_time: a k below
+    # _SMALL_K, one that rescales between blocks, single points and a chunked batch
+    n_steps = 8 * (grid_steps(profile, 260.0, 3.5) // 8) + 3
+    special = np.array([5e-4, 20.0 + 250.0j])
+    assert abs(special[0]) < forward._SMALL_K
+    k = np.linspace(0.5, 140.0, 600) + 1j * np.array([0.0, 2.0, 8.0])[np.arange(600) % 3]
+    batches = [special[:1], special[1:], np.array([37.0]), np.array([90.0 + 3.0j]),
+               np.r_[special, k[2:62]], np.r_[special, k[2:]]]
+    for k in batches:
+        u, log_scale = forward._shoot(profile, k, n_steps)
+        with monkeypatch.context() as m:
+            m.setattr(forward, "_degree_needed", _full_degree)
+            u_full, log_full = forward._shoot(profile, k, n_steps)
+        common = np.maximum(log_scale, log_full)
+        u, u_full = u * np.exp(log_scale - common), u_full * np.exp(log_full - common)
+        trig = forward._scaled_trig(k)
+        d, dp = forward._characteristic_from(u, trig)
+        d_full, dp_full = forward._characteristic_from(u_full, trig)
+        y1, dy1, v1, dv1 = np.abs(u_full)
+        sin_s, cos_s, sinc_s, sprime_s = map(np.abs, trig)
+        assert np.all(np.abs(d - d_full) <= 1e-13 * (dy1 * sinc_s + y1 * cos_s))
+        assert np.all(np.abs(dp - dp_full)
+                      <= 1e-13 * (dv1 * sinc_s + dy1 * sprime_s + v1 * cos_s + y1 * sin_s))
+
+
+@pytest.mark.parametrize("fixture, rect", [("colton_spectrum_40", (0.3, 40.0, 0.0, 6.0)),
+                                           ("colton_band_150", (145.0, 150.5, 0.0, 8.0))])
+def test_searches_do_not_see_the_degree_rule(request, colton, monkeypatch, fixture, rect):
+    rep = request.getfixturevalue(fixture)
+    monkeypatch.setattr(forward, "_degree_needed", _full_degree)
+    full = find_zeros(colton, rect)
+    assert [z.multiplicity for z in full.zeros] == [z.multiplicity for z in rep.zeros]
+    assert full.stats["evals"] == rep.stats["evals"]
+    for z, z_full in zip(rep.zeros, full.zeros):
+        assert abs(z.k - z_full.k) <= 1e-12 * (1.0 + abs(z.k))
+
+
+def _composed_steps_one_shot(profile, n_steps):
+    """``forward._composed_steps`` as it was before it built slice by slice."""
+    coef = _step_polynomials(profile, n_steps) * float(n_steps) ** (2 * np.arange(_DEGREE + 1))
+    eye = np.eye(2).reshape(4, 1) * (np.arange(_DEGREE + 1) == 0)
+    pad = np.broadcast_to(eye, (-n_steps % 8,) + eye.shape)
+    m = np.concatenate([coef, pad]).reshape(-1, 2, 2, _DEGREE + 1)
+    for _ in range(3):
+        a, b = m[0::2], m[1::2]
+        m = np.zeros(a.shape[:-1] + (2 * a.shape[-1] - 1,))
+        for p in range(b.shape[-1]):
+            m[..., p:p + a.shape[-1]] += np.einsum("nij,njkq->nikq", b[..., p], a)
+    return m.reshape(len(m), 4, -1)
+
+
+@pytest.mark.parametrize("name", ["colton_example", "raised_cosine", "slow_core"])
+@pytest.mark.parametrize("chunk", [5, forward._BUILD_CHUNK])
+def test_composed_steps_built_in_slices_are_bit_identical(name, chunk, monkeypatch):
+    # 1,003 steps: 25 slices of 40 steps and a padded one with chunk 5, one slice by default
+    profile = get_profile(name)
+    old = _composed_steps_one_shot(profile, 1003)
+    monkeypatch.setattr(forward, "_BUILD_CHUNK", chunk)
+    assert forward._composed_steps(profile, 1003).tobytes() == old.tobytes()
+
+
+def test_composed_steps_build_needs_little_more_than_the_table(colton):
+    tracemalloc.start()
+    try:
+        table = forward._composed_steps(colton, 16_384)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * table.nbytes
 
 
 def test_step_polynomials_drop_only_zero_powers(colton):
