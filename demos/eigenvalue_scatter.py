@@ -24,10 +24,11 @@ print(f"found {len(report.zeros)} canonical zeros "
 case = case_from_profile(profile)
 m = match(report, case)
 print(f"\nmatched {len(m.matched)} zeros, global index shift {m.index_shift}")
-print(f"{'n':>3} br {'computed k':>28} {'|computed - predicted|':>24}")
-for p in sorted(m.matched, key=lambda p: (p.n, p.branch)):
-    print(f"{p.n:>3} {p.branch:>2} {p.computed.real:>15.8f}"
+print(f"{'n':>3} {'computed k':>28} {'|computed - predicted|':>24}")
+for p in sorted(m.matched, key=lambda p: p.n):
+    print(f"{p.n:>3} {p.computed.real:>15.8f}"
           f" {p.computed.imag:>+12.8f}j {p.residual:>24.3e}")
+print(f"predictions with no zero: n = {m.unmatched_predictions}")
 
 print("\ncounting law N(r)*pi/(4r):")
 for r, N, ratio in counting_check(report, [20.0, 40.0, 60.0]):

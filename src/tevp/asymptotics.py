@@ -1,15 +1,13 @@
 """Closed-form spectral predictions and their comparison against computed zeros.
 
 Covers: the transcendental equation z - lambda*log z = w whose solution
-drives the non-real eigenvalue asymptotics, the per-regime prediction
-formulas (travel time a > 1, a < 1, a = 1), the two-term real-eigenvalue
-asymptotics, the counting law N(r) ~ 4r/pi, and a matcher that pairs
-computed zeros with predictions and tracks the residual sequence.
+drives the non-real eigenvalue asymptotics, the prediction formulas of the
+travel-time regimes a > 1, a < 1 and a = 1 (``regime(a)``), the two-term
+real-eigenvalue asymptotics, the counting law N(r) ~ 4r/pi, and a matcher
+that pairs computed zeros with predictions and tracks the residual sequence.
 
-Branch convention: the '+' sequence lies in the upper half-plane and the
-'-' sequence is its lower-half mirror.  Computed zeros are canonical
-first-quadrant representatives, so the matcher compares them against the
-'+' predictions and the conjugated '-' predictions.
+The non-real zeros come in orbits {k, -k, conj k, -conj k}; the formulas
+predict one sequence k_n, in the first quadrant where the canonical zeros lie.
 """
 
 from __future__ import annotations
@@ -19,8 +17,9 @@ import csv
 import math
 from dataclasses import dataclass
 
-from .errors import CaseMismatch, IterationDiverged, RegimeError
-from .profiles import LiouvilleData, RefractiveProfile, travel_time
+from .errors import IterationDiverged, RegimeError
+from .profiles import (LiouvilleData, RefractiveProfile, liouville_transform,
+                       travel_time)
 
 __all__ = [
     "AsymptoticCase",
@@ -31,13 +30,18 @@ __all__ = [
     "predict_nonreal",
     "predict_real",
     "match",
+    "regime",
     "counting_check",
     "nonreal_count",
     "write_match_csv",
 ]
 
-_REGIMES = ("a_gt_1", "a_lt_1", "a_eq_1")
 _MAX_ORDER = 4           # highest eta derivative at r = 1 searched for the contact order
+
+
+def regime(a: float) -> str:
+    """The travel-time regime tag of a: "a_gt_1", "a_lt_1", or "a_eq_1" within 1e-9."""
+    return "a_gt_1" if a > 1.0 + 1e-9 else "a_lt_1" if a < 1.0 - 1e-9 else "a_eq_1"
 
 
 @dataclass
@@ -48,15 +52,12 @@ class AsymptoticCase:
     u = 1..m+1 and eta_deriv = eta^(m+2)(1) != 0.  ``q_mean`` (the full
     integral of the transformed potential) enters only when a = 1.
     """
-    regime: str
     m: int
     eta_deriv: float
     a: float
     q_mean: float = 0.0
 
     def __post_init__(self):
-        if self.regime not in _REGIMES:
-            raise ValueError(f"regime must be one of {_REGIMES}")
         if self.m < 0:
             raise ValueError("m must be a nonnegative integer")
         if self.eta_deriv == 0.0:
@@ -64,36 +65,25 @@ class AsymptoticCase:
         if self.regime == "a_eq_1" and self.q_mean == 0.0:
             raise ValueError("the a = 1 regime requires a nonzero q_mean")
 
-    def check_regime(self):
-        tag = ("a_gt_1" if self.a > 1.0 + 1e-9
-               else "a_lt_1" if self.a < 1.0 - 1e-9 else "a_eq_1")
-        if tag != self.regime:
-            raise CaseMismatch(
-                f"travel time a={self.a} inconsistent with regime {self.regime}")
+    @property
+    def regime(self) -> str:
+        return regime(self.a)
 
 
 def case_from_profile(profile: RefractiveProfile,
                       liouville: LiouvilleData | None = None) -> AsymptoticCase:
     """Build the prediction inputs from a profile's boundary derivatives."""
     a = travel_time(profile)
-    m = None
-    for j in range(2, _MAX_ORDER + 1):
-        dj = float(profile.eta(1.0, deriv=j))
-        if abs(dj) > 1e-10:
-            m = j - 2
-            eta_deriv = dj
+    for m in range(_MAX_ORDER - 1):
+        eta_deriv = float(profile.eta(1.0, deriv=m + 2))
+        if abs(eta_deriv) > 1e-10:
             break
-    if m is None:
+    else:
         raise ValueError(
             f"eta^(j)(1) = 0 for j = 2..{_MAX_ORDER}: contact order out of reach")
-    regime = ("a_gt_1" if a > 1.0 + 1e-9
-              else "a_lt_1" if a < 1.0 - 1e-9 else "a_eq_1")
-    q_mean = 0.0
-    if regime == "a_eq_1":
-        from .profiles import liouville_transform
-        q_mean = (liouville or liouville_transform(profile)).q_mean
-    return AsymptoticCase(regime=regime, m=m, eta_deriv=eta_deriv, a=a,
-                          q_mean=q_mean)
+    q_mean = ((liouville or liouville_transform(profile)).q_mean
+              if regime(a) == "a_eq_1" else 0.0)
+    return AsymptoticCase(m=m, eta_deriv=eta_deriv, a=a, q_mean=q_mean)
 
 
 # ---------------------------------------------------------------------------
@@ -139,51 +129,32 @@ def solve_transcendental(lam: float, w: complex, tol: float = 1e-12) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _branch_sign(branch) -> int:
-    if branch in (1, "+", "plus"):
-        return 1
-    if branch in (-1, "-", "minus"):
-        return -1
-    raise ValueError(f"branch must be '+' or '-', got {branch!r}")
-
-
-def predict_nonreal(case: AsymptoticCase, n: int, branch,
-                    refine: bool = False) -> complex:
-    """Leading-order non-real zero prediction k_n^branch, principal log.
+def predict_nonreal(case: AsymptoticCase, n: int, refine: bool = False) -> complex:
+    """Leading-order prediction of the first-quadrant non-real zero k_n, principal log.
 
     With ``refine=True`` (supported for a > 1 with even m), the prediction
     is sharpened by solving the exact transcendental reduction
-    z -/+ ((m+2)/2) log z = w_n instead of dropping the residual term.
+    z + ((m+2)/2) log z = w_n instead of dropping the residual term.
     """
     if n < 1:
         raise ValueError("index n must be >= 1")
-    case.check_regime()
-    s = _branch_sign(branch)
     m, ed = case.m, case.eta_deriv
-    sgn_m = (1.0 if s == 1 else (-1.0) ** m)
+    tag = case.regime
 
-    if refine and case.regime == "a_gt_1" and m % 2 == 0:
-        mu = 0.5 * (m + 2)
+    if refine and tag == "a_gt_1" and m % 2 == 0:
         L = cmath.log((2.0 ** (m + 4)) / ed)
         try:
-            if s == 1:
-                z = solve_transcendental(-mu, n * math.pi * 1j - 0.5 * L)
-            else:
-                z = solve_transcendental(mu, n * math.pi * 1j + 0.5 * L)
-            return -1j * z
+            return -1j * solve_transcendental(-0.5 * (m + 2), n * math.pi * 1j - 0.5 * L)
         except ValueError:
             pass  # |w| too small; fall through to the leading-order formula
 
     npi = n * math.pi
-    if case.regime == "a_gt_1":
-        arg = 4.0 * (2.0 * npi * 1j) ** (m + 2) / (sgn_m * ed)
-        return npi + s * 0.5j * cmath.log(arg)
-    if case.regime == "a_lt_1":
-        arg = -4.0 * (2.0 * npi / case.a * 1j) ** (m + 2) / (sgn_m * ed)    # k ~ n pi / a
-        return npi / case.a + s * 0.5j / case.a * cmath.log(arg)
-    sgn_m1 = (1.0 if s == 1 else (-1.0) ** (m + 1))
-    arg = -8.0 * (2.0 * npi * 1j) ** (m + 1) * case.q_mean / (sgn_m1 * ed)
-    return npi + s * 0.5j * cmath.log(arg)
+    if tag == "a_gt_1":
+        return npi + 0.5j * cmath.log(4.0 * (2.0 * npi * 1j) ** (m + 2) / ed)
+    if tag == "a_lt_1":
+        arg = -4.0 * (2.0 * npi / case.a * 1j) ** (m + 2) / ed    # k ~ n pi / a
+        return npi / case.a + 0.5j / case.a * cmath.log(arg)
+    return npi + 0.5j * cmath.log(-8.0 * (2.0 * npi * 1j) ** (m + 1) * case.q_mean / ed)
 
 
 def predict_real(liouville: LiouvilleData, n: int) -> float:
@@ -205,7 +176,6 @@ def predict_real(liouville: LiouvilleData, n: int) -> float:
 @dataclass
 class MatchedPair:
     n: int
-    branch: str
     predicted: complex
     computed: complex
     residual: float
@@ -215,21 +185,12 @@ class MatchedPair:
 class MatchReport:
     matched: list
     unmatched_zeros: list          # computed non-real zeros left unpaired
-    unmatched_predictions: list    # (n, branch) indices left unpaired
+    unmatched_predictions: list    # indices n left unpaired
     index_shift: int               # global shift applied to the formula index
 
     def max_residual(self, n_lo: int, n_hi: int) -> float:
         vals = [p.residual for p in self.matched if n_lo <= p.n <= n_hi]
         return max(vals) if vals else 0.0
-
-
-def _predictions(case, n_lo, n_hi, refine):
-    preds = {}
-    for n in range(n_lo, n_hi + 1):
-        preds[(n, "+")] = predict_nonreal(case, n, "+", refine=refine)
-        km = predict_nonreal(case, n, "-", refine=refine)
-        preds[(n, "-")] = km.conjugate()      # first-quadrant representative
-    return preds
 
 
 def match(zeros, case: AsymptoticCase, n_window=None,
@@ -239,8 +200,12 @@ def match(zeros, case: AsymptoticCase, n_window=None,
     ``zeros`` is a SearchReport or a list of SpectralZero.  The absolute
     offset between the formula index and the zero ordering is not fixed by
     the asymptotics, so a global shift in {-1, 0, +1} is chosen to minimize
-    the total residual and reported.
+    the total residual and reported.  ``n_window = (lo, hi)`` with
+    1 <= lo <= hi fixes the predicted indices; by default they span the
+    zeros' real parts.
     """
+    if n_window is not None and not 1 <= n_window[0] <= n_window[1]:
+        raise ValueError(f"n_window wants 1 <= lo <= hi, got {n_window}")
     zlist = _nonreal(zeros)
     if not zlist:
         return MatchReport([], [], [], 0)
@@ -256,12 +221,13 @@ def match(zeros, case: AsymptoticCase, n_window=None,
     for shift in (-1, 0, 1):
         if lo + shift < 1:
             continue
-        preds = _predictions(case, lo + shift, hi + shift, refine)
+        preds = {n: predict_nonreal(case, n, refine=refine)
+                 for n in range(lo + shift, hi + shift + 1)}
         pairs, un_z = _greedy_match(zlist, preds)
         total = sum(p.residual for p in pairs) + 10.0 * len(un_z)
         if best is None or total < best[0]:
-            used = {(p.n, p.branch) for p in pairs}
-            un_p = sorted(k for k in preds if k not in used)
+            used = {p.n for p in pairs}
+            un_p = [n for n in preds if n not in used]
             best = (total, MatchReport(pairs, un_z, un_p, shift))
     return best[1]
 
@@ -272,19 +238,18 @@ def _greedy_match(zlist, preds):
     taken = set()
     pairs, unmatched = [], []
     for z in sorted(zlist, key=lambda z: z.k.real):
-        best_key, best_d = None, math.inf
-        for key, pk in items:
-            if key in taken:
+        best_n, best_d = None, math.inf
+        for n, pk in items:
+            if n in taken:
                 continue
             d = abs(z.k - pk)
             if d < best_d - 1e-15:
-                best_key, best_d = key, d
-        if best_key is None or best_d > 0.5 * math.pi:
+                best_n, best_d = n, d
+        if best_n is None or best_d > 0.5 * math.pi:
             unmatched.append(z)
             continue
-        taken.add(best_key)
-        pairs.append(MatchedPair(n=best_key[0], branch=best_key[1],
-                                 predicted=preds[best_key], computed=z.k,
+        taken.add(best_n)
+        pairs.append(MatchedPair(n=best_n, predicted=preds[best_n], computed=z.k,
                                  residual=best_d))
     return pairs, unmatched
 
@@ -322,10 +287,9 @@ def counting_check(zeros, radii):
 def write_match_csv(path, report: MatchReport):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["n", "branch", "re_pred", "im_pred",
-                    "re_comp", "im_comp", "abs_residual"])
-        for p in sorted(report.matched, key=lambda p: (p.n, p.branch)):
-            w.writerow([p.n, p.branch,
+        w.writerow(["n", "re_pred", "im_pred", "re_comp", "im_comp", "abs_residual"])
+        for p in sorted(report.matched, key=lambda p: p.n):
+            w.writerow([p.n,
                         f"{p.predicted.real:.12e}", f"{p.predicted.imag:.12e}",
                         f"{p.computed.real:.12e}", f"{p.computed.imag:.12e}",
                         f"{p.residual:.6e}"])

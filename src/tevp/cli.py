@@ -20,7 +20,7 @@ from . import asymptotics as asym
 from . import inverse as inv
 from . import kernel as ker
 from . import zeros as zmod
-from .errors import (CaseMismatch, ContourTooClose, DegenerateCharacteristic,
+from .errors import (ContourTooClose, DegenerateCharacteristic,
                      DerivativeUnavailable, IterationDiverged, MassOutOfRange,
                      NewtonStall, NoConvergence, QuadratureFailure, RegimeError,
                      StepUnderflow)
@@ -33,7 +33,6 @@ EXIT_INPUT = 2
 EXIT_REGIME = 3
 EXIT_NUMERIC = 4
 
-_REGIME_ERRORS = (RegimeError, CaseMismatch)
 _NUMERIC_ERRORS = (ContourTooClose, NewtonStall, StepUnderflow, NoConvergence,
                    DegenerateCharacteristic, IterationDiverged,
                    QuadratureFailure)
@@ -70,7 +69,7 @@ def cmd_profile_info(args):
     profile = load_profile(args.profile)
     a = travel_time(profile)
     lv = liouville_transform(profile)
-    regime = "a_gt_1" if a > 1 + 1e-9 else "a_lt_1" if a < 1 - 1e-9 else "a_eq_1"
+    regime = asym.regime(a)
     payload = {"profile": args.profile, "a": a, "q_mean": lv.q_mean,
                "regime": regime}
     lines = [f"a        = {a:.12g}",
@@ -85,7 +84,7 @@ def cmd_profile_info(args):
         lines.append("m        = indeterminate (boundary derivatives vanish)")
     if regime == "a_eq_1":
         lines.append("warning: a = 1 — degenerate travel time regime")
-    if a > 1 + 1e-9:
+    if regime == "a_gt_1":
         eps = subinterval_boundary(profile, 0.5 * (a - 1.0))
         # representative b strictly above the minimum mass (a-1)/2
         b2 = 0.75 * (a - 1.0)
@@ -148,7 +147,8 @@ def cmd_asymptotics(args):
     max_res = max((p.residual for p in report.matched), default=0.0)
     lines = [f"matched {len(report.matched)} zeros "
              f"(shift {report.index_shift}), max residual {max_res:.3e}",
-             f"unmatched zeros: {len(report.unmatched_zeros)}"]
+             f"unmatched zeros: {len(report.unmatched_zeros)}",
+             f"unmatched predictions: n = {report.unmatched_predictions}"]
     for r, N, ratio in counting:
         lines.append(f"  counting r={r:8.3f}  N={N:4d}  N*pi/(4r)={ratio:.4f}")
     if args.out:
@@ -158,6 +158,7 @@ def cmd_asymptotics(args):
         "index_shift": report.index_shift,
         "matched": len(report.matched),
         "unmatched_zeros": len(report.unmatched_zeros),
+        "unmatched_predictions": report.unmatched_predictions,
         "max_residual": max_res,
         "counting": [{"r": r, "N": N, "ratio": ratio} for r, N, ratio in counting],
     }
@@ -301,7 +302,7 @@ def main(argv=None) -> int:
         if args.profile is None and args.fn is not cmd_inverse_check:
             raise ValueError("--profile is required for this subcommand")
         return args.fn(args)
-    except _REGIME_ERRORS as exc:
+    except RegimeError as exc:
         print(f"regime error: {exc}", file=sys.stderr)
         return EXIT_REGIME
     except _NUMERIC_ERRORS as exc:

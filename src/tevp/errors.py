@@ -51,9 +51,5 @@ class IterationDiverged(TevpError):
     """Fixed-point iteration for z - lambda*log z = w did not contract."""
 
 
-class CaseMismatch(TevpError):
-    """Asymptotic regime tag inconsistent with the travel time."""
-
-
 class RegimeError(TevpError):
     """Operation requires a different travel-time regime."""

@@ -128,17 +128,16 @@ def grid_steps(profile: RefractiveProfile, kmax: float, per_radian: float) -> in
     return max(64, int(np.ceil(per_radian * kmax * np.sqrt(profile.eta_max))))
 
 
-def _rk8_polynomials(c: np.ndarray, h: np.ndarray, s: np.ndarray | None = None,
-                     degree: int = _DEGREE) -> np.ndarray:
+def _rk8_polynomials(c: np.ndarray, h: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
     """Coefficients P[i, entry, p] of the RK8 step matrices of y'' = (s - lam c) y.
 
     ``c`` and ``s`` (None: s = 0) are sampled at the stage nodes of each step, shape
     (n_steps, N_STAGES), and ``h`` holds the step widths.  Step i maps (y, y') across
     its width by the 2x2 matrix with entry (row, col) = sum_p P[i, 2*row + col, p] lam^p,
-    built stage by stage, ``_BUILD_CHUNK`` steps at a time; powers above ``degree`` vanish.
+    built stage by stage, ``_BUILD_CHUNK`` steps at a time, to the degree ``_DEGREE``.
     """
-    eye = np.eye(2)[:, :, None] * (np.arange(degree + 1) == 0)   # the polynomial matrix I
-    out = np.empty((len(h), 4, degree + 1))
+    eye = np.eye(2)[:, :, None] * (np.arange(_DEGREE + 1) == 0)   # the polynomial matrix I
+    out = np.empty((len(h), 4, _DEGREE + 1))
     for start in range(0, len(h), _BUILD_CHUNK):
         i = slice(start, start + _BUILD_CHUNK)
         hi = h[i, None, None, None]
@@ -156,18 +155,17 @@ def _rk8_polynomials(c: np.ndarray, h: np.ndarray, s: np.ndarray | None = None,
             stages.append(f)
             if _rk8.B[st]:
                 step += (hi * _rk8.B[st]) * f
-        out[i] = step.reshape(-1, 4, degree + 1)
+        out[i] = step.reshape(-1, 4, _DEGREE + 1)
     return out
 
 
-def _step_polynomials(profile: RefractiveProfile, n_steps: int, degree: int = _DEGREE,
-                      steps: slice = slice(None)):
+def _step_polynomials(profile: RefractiveProfile, n_steps: int, steps: slice = slice(None)):
     """Step polynomials of the r-form y'' = -lam eta y on n_steps equal steps of [0, 1],
     of the steps ``steps`` selects (default all)."""
     h = 1.0 / n_steps
     i = np.arange(n_steps)[steps]
     eta = profile.eta(np.clip((i[:, None] + _rk8.C) * h, 0.0, 1.0))
-    return _rk8_polynomials(np.asarray(eta, dtype=float), np.full(i.size, h), degree=degree)
+    return _rk8_polynomials(np.asarray(eta, dtype=float), np.full(i.size, h))
 
 
 def _composed_steps(profile: RefractiveProfile, n_steps: int) -> np.ndarray:

@@ -287,6 +287,12 @@ _ALIASES = {
 }
 
 
+def _real_numbers(values) -> bool:
+    """Whether ``values`` is a list or tuple of real numbers, bools excluded."""
+    return isinstance(values, (list, tuple)) and all(
+        isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values)
+
+
 def get_profile(name: str, params: Optional[Sequence[float]] = None,
                 normalized_tail: Optional[bool] = None) -> RefractiveProfile:
     """Instantiate a registered named profile.
@@ -294,8 +300,7 @@ def get_profile(name: str, params: Optional[Sequence[float]] = None,
     ``params`` fill the constructor's positional parameters; a ``params`` that
     is not a list of numbers, or more of them than it has, raise ValueError.
     """
-    if params is not None and not (isinstance(params, (list, tuple)) and all(
-            isinstance(p, numbers.Real) and not isinstance(p, bool) for p in params)):
+    if params is not None and not _real_numbers(params):
         raise ValueError(f"profile params must be a list of numbers, got {params!r}")
     args = list(params) if params else []
     if name in _ALIASES:
@@ -325,7 +330,9 @@ def profile_from_dict(spec: dict) -> RefractiveProfile:
     ``{"kind":"named","name":...}`` or
     ``{"kind":"chebyshev","coeffs":[...],"deriv_order":n}``,
     optionally with ``"normalized_tail": true`` and ``"params": [...]``.
-    Any other key, or a ``spec`` that is not a dict, raises ValueError.
+    Any other key, a ``spec`` that is not a dict, ``coeffs`` that are not a
+    non-empty list of numbers or a ``deriv_order`` that is not an integer
+    >= 0 raise ValueError.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"a profile spec is a JSON object, got {type(spec).__name__}")
@@ -338,11 +345,13 @@ def profile_from_dict(spec: dict) -> RefractiveProfile:
     tail = spec.get("normalized_tail")
     if kind == "named":
         return get_profile(spec["name"], spec.get("params"), normalized_tail=tail)
-    return ChebyshevProfile(
-        spec["coeffs"],
-        deriv_order=spec.get("deriv_order", 4),
-        normalized_tail=bool(tail) if tail is not None else False,
-    )
+    coeffs, order = spec.get("coeffs"), spec.get("deriv_order", 4)
+    if not (coeffs and _real_numbers(coeffs)):
+        raise ValueError(f"chebyshev coeffs must be a non-empty list of numbers, got {coeffs!r}")
+    if not isinstance(order, numbers.Integral) or isinstance(order, bool) or order < 0:
+        raise ValueError(f"deriv_order must be an integer >= 0, got {order!r}")
+    return ChebyshevProfile(coeffs, deriv_order=order,
+                            normalized_tail=bool(tail) if tail is not None else False)
 
 
 def load_profile(path_or_name: str) -> RefractiveProfile:

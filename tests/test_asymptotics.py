@@ -6,9 +6,9 @@ import pytest
 
 from tevp.asymptotics import (AsymptoticCase, case_from_profile,
                               counting_check, match, predict_nonreal,
-                              predict_real, solve_transcendental,
+                              predict_real, regime, solve_transcendental,
                               write_match_csv)
-from tevp.errors import CaseMismatch, RegimeError
+from tevp.errors import RegimeError
 from tevp.profiles import get_profile, liouville_transform
 from tevp.zeros import find_zeros
 from tevp.zeros import SpectralZero
@@ -49,20 +49,32 @@ def test_case_from_profile(colton):
 
 def test_case_validation():
     with pytest.raises(ValueError):
-        AsymptoticCase(regime="a_gt_1", m=0, eta_deriv=0.0, a=2.0)
+        AsymptoticCase(m=0, eta_deriv=0.0, a=2.0)
     with pytest.raises(ValueError):
-        AsymptoticCase(regime="a_eq_1", m=0, eta_deriv=1.0, a=1.0, q_mean=0.0)
+        AsymptoticCase(m=-1, eta_deriv=1.0, a=2.0)
     with pytest.raises(ValueError):
-        AsymptoticCase(regime="sideways", m=0, eta_deriv=1.0, a=2.0)
-    case = AsymptoticCase(regime="a_lt_1", m=0, eta_deriv=1.0, a=2.0)
-    with pytest.raises(CaseMismatch):
-        predict_nonreal(case, 5, "+")
+        AsymptoticCase(m=0, eta_deriv=1.0, a=1.0, q_mean=0.0)
+
+
+def test_regime_follows_the_travel_time():
+    assert AsymptoticCase(m=0, eta_deriv=1.0, a=0.5).regime == "a_lt_1"
+    assert AsymptoticCase(m=0, eta_deriv=1.0, a=2.0).regime == "a_gt_1"
+    assert AsymptoticCase(m=0, eta_deriv=1.0, a=1.0, q_mean=0.3).regime == "a_eq_1"
+    # a = 1 to within 1e-9 is the a = 1 regime, which needs a nonzero q_mean
+    for a in (1.0, 1.0 + 1e-10, 1.0 - 1e-10):
+        assert regime(a) == "a_eq_1"
+        with pytest.raises(ValueError):
+            AsymptoticCase(m=0, eta_deriv=1.0, a=a, q_mean=0.0)
+    assert regime(1.0 + 2e-9) == "a_gt_1" and regime(1.0 - 2e-9) == "a_lt_1"
+    case = AsymptoticCase(m=0, eta_deriv=1.0, a=0.5)
+    with pytest.raises(AttributeError):
+        case.regime = "a_gt_1"
 
 
 def test_predict_nonreal_frozen_value(colton):
-    # independent evaluation of the a>1, m=0 formula at n=5, branch +
+    # independent evaluation of the a>1, m=0 formula at n=5
     case = case_from_profile(colton)
-    k5 = predict_nonreal(case, 5, "+", refine=False)
+    k5 = predict_nonreal(case, 5, refine=False)
     expect = 5 * math.pi + 0.5j * cmath.log(4.0 * (10.0 * math.pi * 1j) ** 2)
     assert k5 == pytest.approx(expect, abs=1e-13)
     # frozen digits from the formula
@@ -73,33 +85,23 @@ def test_predict_nonreal_frozen_value(colton):
 def test_predict_imaginary_growth(colton):
     case = case_from_profile(colton)
     for n in (10, 40, 200):
-        kp = predict_nonreal(case, n, "+", refine=False)
+        kp = predict_nonreal(case, n, refine=False)
         assert kp.imag == pytest.approx(0.5 * math.log(16 * n * n * math.pi ** 2),
                                         rel=1e-12)
-
-
-def test_branch_conjugate_structure(colton):
-    case = case_from_profile(colton)
-    for n in (5, 12):
-        kp = predict_nonreal(case, n, "+", refine=False)
-        km = predict_nonreal(case, n, "-", refine=False)
-        # the '-' branch sits in the lower half-plane, Re shifted by +pi
-        assert km.imag == pytest.approx(-kp.imag, abs=1e-12)
-        assert km.real - kp.real == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_refined_prediction_consistent(colton):
     case = case_from_profile(colton)
     for n in (8, 20):
-        lead = predict_nonreal(case, n, "+", refine=False)
-        ref = predict_nonreal(case, n, "+", refine=True)
+        lead = predict_nonreal(case, n, refine=False)
+        ref = predict_nonreal(case, n, refine=True)
         assert abs(ref - lead) < 0.5        # small correction
         assert abs(ref - lead) > 1e-6       # but a genuine one
 
 
 def test_principal_log_continuity(colton):
     case = case_from_profile(colton)
-    ks = [predict_nonreal(case, n, "+", refine=False) for n in range(1, 1001)]
+    ks = [predict_nonreal(case, n, refine=False) for n in range(1, 1001)]
     gaps = np.diff(np.array(ks))
     assert np.all(np.abs(gaps - math.pi) <= 2.0)
 
@@ -108,8 +110,8 @@ def test_a_lt_1_spacing():
     p = get_profile("slow_core")
     case = case_from_profile(p)
     assert case.regime == "a_lt_1"
-    k1 = predict_nonreal(case, 30, "+", refine=False)
-    k2 = predict_nonreal(case, 31, "+", refine=False)
+    k1 = predict_nonreal(case, 30, refine=False)
+    k2 = predict_nonreal(case, 31, refine=False)
     assert (k2 - k1).real == pytest.approx(math.pi / case.a, rel=1e-3)
 
 
@@ -140,14 +142,12 @@ def test_a_lt_1_default_window_pairs_every_zero():
 
 def test_a_gt_1_predictions_frozen(colton):
     case = case_from_profile(colton)
-    frozen = {(3, "+", False): 7.853981633974483 + 3.6296365356374003j,
-              (17, "+", False): 51.83627878423159 + 5.364237591025507j,
-              (17, "-", False): 54.977871437821385 - 5.364237591025507j,
-              (17, "+", True): 51.73346577724544 + 5.3376938351733285j,
-              (17, "-", True): 54.879858050509995 - 5.3962517803984555j,
-              (60, "+", True): 186.88936936009338 + 6.6174376769509005j}
-    for (n, branch, refine), k in frozen.items():
-        assert predict_nonreal(case, n, branch, refine=refine) == k
+    frozen = {(3, False): 7.853981633974483 + 3.6296365356374003j,
+              (17, False): 51.83627878423159 + 5.364237591025507j,
+              (17, True): 51.73346577724544 + 5.3376938351733285j,
+              (60, True): 186.88936936009338 + 6.6174376769509005j}
+    for (n, refine), k in frozen.items():
+        assert predict_nonreal(case, n, refine=refine) == k
 
 
 def test_predict_real_trivial_and_regime():
@@ -160,16 +160,24 @@ def test_predict_real_trivial_and_regime():
 
 
 def test_match_empty():
-    case = AsymptoticCase(regime="a_gt_1", m=0, eta_deriv=1.0, a=2.0)
+    case = AsymptoticCase(m=0, eta_deriv=1.0, a=2.0)
     rep = match([], case)
     assert rep.matched == [] and rep.unmatched_zeros == []
+
+
+@pytest.mark.parametrize("window", [(-1, 6), (0, 6), (7, 3)])
+def test_match_rejects_an_unusable_n_window(colton, colton_spectrum_40, window):
+    # (-1, 6) once raised TypeError, since no shift kept lo + shift >= 1;
+    # (7, 3) matched nothing
+    with pytest.raises(ValueError, match="n_window"):
+        match(colton_spectrum_40, case_from_profile(colton), n_window=window)
 
 
 def test_match_recovers_index_shift(colton):
     # synthetic zeros placed exactly at predictions with index n+1 must be
     # matched via the global shift, not greedily across indices
     case = case_from_profile(colton)
-    fake = [SpectralZero(k=predict_nonreal(case, n + 1, "+", refine=False),
+    fake = [SpectralZero(k=predict_nonreal(case, n + 1, refine=False),
                          multiplicity=1, cls="nonreal", residual=0.0)
             for n in range(8, 16)]
     rep = match(fake, case, n_window=(8, 15), refine=False)
@@ -201,4 +209,14 @@ def test_match_csv(tmp_path, colton, colton_spectrum_40):
     out = tmp_path / "match.csv"
     write_match_csv(out, rep)
     header = out.read_text().splitlines()[0]
-    assert header == "n,branch,re_pred,im_pred,re_comp,im_comp,abs_residual"
+    assert header == "n,re_pred,im_pred,re_comp,im_comp,abs_residual"
+    assert len(out.read_text().splitlines()) == 1 + len(rep.matched)
+
+
+@pytest.mark.parametrize("spectrum", ["colton_spectrum_40", "colton_spectrum_150"])
+def test_no_unmatched_prediction_inside_the_matched_range(colton, spectrum, request):
+    # one prediction per first-quadrant zero, so inside the matched indices
+    # every prediction has its zero
+    rep = match(request.getfixturevalue(spectrum), case_from_profile(colton))
+    lo, hi = min(p.n for p in rep.matched), max(p.n for p in rep.matched)
+    assert [n for n in rep.unmatched_predictions if lo <= n <= hi] == []

@@ -4,7 +4,9 @@ import math
 import pytest
 
 from tevp import forward, inverse
+from tevp.asymptotics import case_from_profile, match
 from tevp.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_REGIME, main
+from tevp.profiles import get_profile
 from tevp.zeros import write_zeros_csv
 
 
@@ -116,8 +118,14 @@ def test_asymptotics_from_spectrum_csv(tmp_path, capsys, colton_spectrum_40):
     assert payload["unmatched_zeros"] == 0
     assert payload["matched"] > 5
     assert payload["counting"]
+    # one prediction per zero, so the unmatched ones lie outside the matched run
+    expect = match(colton_spectrum_40, case_from_profile(get_profile("colton_example")))
+    assert payload["unmatched_predictions"] == expect.unmatched_predictions == [1, 14, 15]
     header = (tmp_path / "match.csv").read_text().splitlines()[0]
-    assert header == "n,branch,re_pred,im_pred,re_comp,im_comp,abs_residual"
+    assert header == "n,re_pred,im_pred,re_comp,im_comp,abs_residual"
+    assert main(["asymptotics", "--profile", "colton_example",
+                 "--spectrum", str(csv_path)]) == EXIT_OK
+    assert "unmatched predictions: n = [1, 14, 15]" in capsys.readouterr().out
 
 
 def test_kernel_check_passes(capsys):
@@ -254,9 +262,13 @@ def test_surplus_named_params_are_an_input_error(tmp_path, capsys, spec):
     {"kind": "named", "name": "raised_cosine", "params": 2},
     {"kind": "named", "name": "raised_cosine", "params": ["x"]},
     [{"kind": "named", "name": "raised_cosine"}],
+    {"kind": "chebyshev", "coeffs": [2.0, None]},
+    {"kind": "chebyshev", "coeffs": [1.5, 0.3, 0.1], "deriv_order": 2.5},
+    {"kind": "chebyshev", "coeffs": [1.5, 0.3, 0.1], "deriv_order": -1},
 ])
 def test_malformed_profile_json_is_an_input_error(tmp_path, capsys, spec):
-    # each once escaped main as a TypeError or AttributeError traceback
+    # each once escaped main as a TypeError or AttributeError traceback, was
+    # truncated (deriv_order 2.5 ran as 2), or failed later (-1)
     p = tmp_path / "prof.json"
     p.write_text(json.dumps(spec))
     assert main(["profile-info", "--profile", str(p)]) == EXIT_INPUT

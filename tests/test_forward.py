@@ -260,12 +260,6 @@ def test_composed_steps_build_needs_little_more_than_the_table(colton):
     assert peak <= 2 * table.nbytes
 
 
-def test_step_polynomials_drop_only_zero_powers(colton):
-    full = _step_polynomials(colton, 96, degree=12)
-    assert np.all(full[..., _DEGREE + 1:] == 0.0)
-    assert np.array_equal(full[..., :_DEGREE + 1], _step_polynomials(colton, 96))
-
-
 def _step_polynomials_before_x_form(profile, n_steps, degree=_DEGREE):
     """The r-form builder as it was before it took stage samples and widths."""
     h = 1.0 / n_steps

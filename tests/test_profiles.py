@@ -144,6 +144,23 @@ def test_unknown_profile_key_raises():
         profile_from_dict({"kind": "named", "name": "constant", "coeffs": [4.0]})
 
 
+@pytest.mark.parametrize("fields, name", [
+    ({"coeffs": [2.0, None]}, "coeffs"),
+    ({"coeffs": []}, "coeffs"),
+    ({"coeffs": [True, 0.1]}, "coeffs"),
+    ({"coeffs": "2.0"}, "coeffs"),
+    ({}, "coeffs"),
+    ({"coeffs": [1.5, 0.3, 0.1], "deriv_order": 2.5}, "deriv_order"),
+    ({"coeffs": [1.5, 0.3, 0.1], "deriv_order": -1}, "deriv_order"),
+    ({"coeffs": [1.5, 0.3, 0.1], "deriv_order": True}, "deriv_order"),
+])
+def test_chebyshev_spec_names_its_bad_field(fields, name):
+    # 2.5 was truncated to 2, -1 failed later as "derivative order 0 > -1",
+    # None escaped as TypeError
+    with pytest.raises(ValueError, match=name):
+        profile_from_dict({"kind": "chebyshev", **fields})
+
+
 def test_load_profile_errors(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_profile("definitely_not_a_profile_or_file")
