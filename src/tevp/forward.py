@@ -12,10 +12,12 @@ Each step of y'' = (s - k^2 c) y is a 2x2 matrix P whose entries are
 polynomials of degree 6 in lam = k^2, built from c and s at the stage nodes
 (``_rk8_polynomials``); the engine evaluates P and dP/dk for a block of rows
 with one matrix product, then applies u -> P u, v -> P v + P' u.  The r-form
-(c = eta, s = 0 on [0, 1]) composes 8 steps into one row of degree 48 in
-mu = lam h^2, where the coefficients stay representable (``_composed_steps``,
-cached per profile and step count).  A row spans < 2.3 rad on a search grid,
-so its monomial sum loses under a digit, and the loop runs n/8 times.  Each
+(c = eta, s = 0 on [0, 1]) takes n steps uniform in optical depth, each of
+phase k a / n (``_step_nodes``), and composes 8 into one row of degree 48 in
+mu = (k u)^2, u = a/n rounded to a power of two, where the coefficients stay
+representable (``_composed_steps``, cached per profile and step count).  Every
+row spans 8/3.5 = 2.29 rad at the largest |k| of a search grid, so its
+monomial sum loses under a digit, and the loop runs n/8 times.  Each
 call evaluates the rows only to the degree its max |mu| needs
 (``_degree_needed``): at most 12 of the 48 on a search grid, all of them
 when |mu| is large.  It serves ``characteristic_batch``, ``characteristic`` and
@@ -124,8 +126,8 @@ def _characteristic_from(u, trig):
 
 
 def grid_steps(profile: RefractiveProfile, kmax: float, per_radian: float) -> int:
-    """Fixed step count giving ``per_radian`` steps per radian of phase at kmax."""
-    return max(64, int(np.ceil(per_radian * kmax * np.sqrt(profile.eta_max))))
+    """``per_radian`` steps per radian of the phase kmax a (a the travel time), at least 64."""
+    return max(64, int(np.ceil(per_radian * kmax * travel_time(profile))))
 
 
 def _rk8_polynomials(c: np.ndarray, h: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
@@ -159,29 +161,41 @@ def _rk8_polynomials(c: np.ndarray, h: np.ndarray, s: np.ndarray | None = None) 
     return out
 
 
-def _step_polynomials(profile: RefractiveProfile, n_steps: int, steps: slice = slice(None)):
-    """Step polynomials of the r-form y'' = -lam eta y on n_steps equal steps of [0, 1],
-    of the steps ``steps`` selects (default all)."""
-    h = 1.0 / n_steps
-    i = np.arange(n_steps)[steps]
-    eta = profile.eta(np.clip((i[:, None] + _rk8.C) * h, 0.0, 1.0))
-    return _rk8_polynomials(np.asarray(eta, dtype=float), np.full(i.size, h))
+def _step_nodes(profile: RefractiveProfile, n_steps: int) -> np.ndarray:
+    """Edges 0 = r_0 < ... < r_n = 1 of n_steps steps of optical depth a / n_steps each."""
+    r = profile.cumulative_map().inverse(np.linspace(0.0, travel_time(profile), n_steps + 1))
+    r[0], r[-1] = 0.0, 1.0
+    return r
+
+
+def _mu_unit(profile: RefractiveProfile, n_steps: int) -> float:
+    """a / n_steps, the phase per step at k = 1, rounded to a power of two: exact to scale by."""
+    return 2.0 ** -round(np.log2(n_steps / travel_time(profile)))
+
+
+def _step_polynomials(profile: RefractiveProfile, r: np.ndarray):
+    """Step polynomials of the r-form y'' = -lam eta y between consecutive edges ``r``."""
+    h = np.diff(r)
+    eta = profile.eta(np.clip(r[:-1, None] + _rk8.C * h[:, None], 0.0, 1.0))
+    return _rk8_polynomials(np.asarray(eta, dtype=float), h)
 
 
 def _composed_steps(profile: RefractiveProfile, n_steps: int) -> np.ndarray:
-    """The r-form step polynomials composed ``_GROUP`` at a time, in mu = lam h^2.
+    """The r-form step polynomials on ``_step_nodes`` composed ``_GROUP`` at a time,
+    in mu = lam u^2, u = ``_mu_unit``: within a factor 2 of the squared phase per step.
 
     Identity steps pad n_steps to a multiple of _GROUP; row i spans steps
     _GROUP i ... _GROUP (i + 1) - 1.  In lam its top coefficients would underflow.
-    Built ``_BUILD_CHUNK`` rows at a time, so the build needs little more memory
-    than the table.
+    Built ``_BUILD_CHUNK`` rows at a time from slices of one node array, so the build
+    needs little more memory than the table and equals a one-shot build.
     """
-    scale = float(n_steps) ** (2 * np.arange(_DEGREE + 1))
+    r = _step_nodes(profile, n_steps)
+    scale = _mu_unit(profile, n_steps) ** (-2 * np.arange(_DEGREE + 1))
     eye = np.eye(2).reshape(4, 1) * (np.arange(_DEGREE + 1) == 0)
     span = _BUILD_CHUNK * _GROUP
     out = np.empty((-(-n_steps // _GROUP), 4, _GROUP * _DEGREE + 1))
     for start in range(0, n_steps, span):
-        coef = _step_polynomials(profile, n_steps, steps=slice(start, start + span)) * scale
+        coef = _step_polynomials(profile, r[start:start + span + 1]) * scale
         pad = np.broadcast_to(eye, (-len(coef) % _GROUP,) + eye.shape)
         m = np.concatenate([coef, pad]).reshape(-1, 2, 2, _DEGREE + 1)
         for _ in range(3):                  # b @ a, b the later step: 2**3 = _GROUP steps
@@ -260,12 +274,13 @@ def _composed_table(profile: RefractiveProfile, n_steps: int):
 
 
 def _shoot(profile: RefractiveProfile, k: np.ndarray, n_steps: int):
-    """The r-form on n_steps equal steps of [0, 1]: ``_composed_steps`` to the degree
-    ``_degree_needed`` for max|k|, _K_CHUNK k at a time."""
+    """The r-form on n_steps steps of phase k a / n_steps: ``_composed_steps`` at
+    mu = (k u)^2 to the degree ``_degree_needed`` for max|k|, _K_CHUNK k at a time."""
     coef, size = profile.grid_cached(("rk8", n_steps), lambda: _composed_table(profile, n_steps))
-    coef = coef[..., :_degree_needed(size, float(np.abs(k).max() / n_steps) ** 2) + 1]
-    growth = _GROUP * np.sqrt(profile.eta_max) * np.abs(np.imag(k)).max() / n_steps
-    parts = [_integrate_batch(coef, k[i:i + _K_CHUNK], growth, lam_scale=float(n_steps) ** -2)
+    unit = _mu_unit(profile, n_steps)
+    coef = coef[..., :_degree_needed(size, float(np.abs(k).max() * unit) ** 2) + 1]
+    growth = _GROUP * travel_time(profile) / n_steps * np.abs(np.imag(k)).max()
+    parts = [_integrate_batch(coef, k[i:i + _K_CHUNK], growth, lam_scale=unit ** 2)
              for i in range(0, k.size, _K_CHUNK)]
     return tuple(np.concatenate(z, axis=-1) for z in zip(*parts))
 

@@ -55,15 +55,14 @@ class RefractiveProfile:
 
     Subclasses implement ``_eval(r, deriv)`` (numpy-vectorized) and set
     ``max_deriv`` (None means any order).  Construction certifies positivity
-    on a derivative-refined grid and records ``eta_min`` and the largest
-    sampled value ``eta_max``.
+    on a derivative-refined grid and records the bound ``eta_min``.
     """
 
     name: str = "profile"
     max_deriv: Optional[int] = None
 
     def __init__(self, *, normalized_tail: bool = False):
-        self.eta_min, self.eta_max = self._certify_positive()
+        self.eta_min = self._certify_positive()
         self.normalized_tail = bool(normalized_tail)
         if self.normalized_tail:
             e1 = float(self.eta(1.0))
@@ -92,7 +91,7 @@ class RefractiveProfile:
 
     # -- positivity certificate -----------------------------------------------
 
-    def _certify_positive(self) -> tuple[float, float]:
+    def _certify_positive(self) -> float:
         r = np.linspace(0.0, 1.0, _CERT_GRID)
         vals = np.asarray(self._eval(r, 0), dtype=float)
         if not np.all(np.isfinite(vals)):
@@ -107,7 +106,7 @@ class RefractiveProfile:
         lo = float(min(vals.min(), cell_lo.min()))
         if lo <= 0.0:
             raise ValueError(f"{self.name}: eta is not certifiably positive (bound {lo})")
-        return lo, float(vals.max())
+        return lo
 
     # -- cached Liouville machinery -------------------------------------------
 

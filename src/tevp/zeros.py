@@ -32,8 +32,8 @@ split a multiple zero that the contour runs through, so the search restarts
 on the next padded outer contour instead.
 
 All evaluations of one search go through its batching service, on one RK8
-grid: _PER_RADIAN steps per radian at the largest |k| any contour of the
-search can reach.  Every count, centroid and certificate of the search is
+grid: _PER_RADIAN steps per radian of phase at the largest |k| any contour of
+the search can reach.  Every count, centroid and certificate of the search is
 therefore exact for one analytic function d_h, and every cached segment is
 valid for every later contour.  A contour edge starts as pieces at most
 _SEG_LEN (6) long; a piece whose 12-node rule disagrees with its two halves
@@ -150,10 +150,10 @@ class SearchReport:
 class _Service:
     """Batches d'/d evaluations for one search and caches its contour segments.
 
-    Every evaluation runs on one grid, ``n_steps``, sized by ``grid_steps`` at
-    _PER_RADIAN for the largest |k| a contour of the search on ``rect`` can
-    reach: a corner of its widest padded rect plus a verification square's
-    half-width.  ``segments`` maps (a, b) to the 12-node Gauss-Legendre
+    Every evaluation runs on one grid of ``n_steps`` steps uniform in optical
+    depth, each at most 1/_PER_RADIAN rad at the largest |k| a contour of the
+    search on ``rect`` can reach: a corner of its widest padded rect plus a
+    verification square's half-width.  ``segments`` maps (a, b) to the 12-node Gauss-Legendre
     integrals of d'/d and of k d'/d from a to b and the max and min |D| at
     their nodes.  The endpoints are in canonical order (a before b by
     (re, im)); a segment traversed from b to a reads the negated integrals.

@@ -13,8 +13,8 @@ from tevp.errors import StepUnderflow
 from tevp.forward import (_DEGREE, _integrate_batch, _rk8_polynomials, _step_polynomials,
                           characteristic, characteristic_batch, scaled_characteristic,
                           grid_steps, solve_ivp)
-from tevp.profiles import ConstantProfile, get_profile
-from tevp.zeros import find_zeros
+from tevp.profiles import ConstantProfile, get_profile, travel_time
+from tevp.zeros import _Service, find_zeros
 
 
 def _d_const4(k):
@@ -118,10 +118,19 @@ def test_batch_matches_colton_closed_form(colton, size):
     assert np.max(np.abs(dp_s * factor - dp) / size_dp) <= 1e-11
 
 
+def _equal_phase_nodes(profile, n_steps):
+    """The edges r_i = x^-1(i a / n_steps) of n_steps steps of equal optical depth."""
+    cum = profile.cumulative_map()
+    r = cum.inverse(np.linspace(0.0, cum.total, n_steps + 1))
+    r[0], r[-1] = 0.0, 1.0
+    return r
+
+
 def _one_step_at_a_time(profile, k, n_steps):
     """The state (y, y', v, v') at r = 1 and its log scale, one RK8 step polynomial per step."""
-    growth = np.sqrt(profile.eta_max) * np.abs(k.imag).max() / n_steps
-    return _integrate_batch(_step_polynomials(profile, n_steps), k, growth)
+    growth = travel_time(profile) * np.abs(k.imag).max() / n_steps
+    return _integrate_batch(_step_polynomials(profile, _equal_phase_nodes(profile, n_steps)),
+                            k, growth)
 
 
 @pytest.mark.parametrize("name", ["colton_example", "slow_core"])
@@ -168,9 +177,12 @@ def _full_degree(size, mu_max):
 
 @pytest.mark.parametrize("name", ["colton_example", "raised_cosine"])
 def test_degree_rule_keeps_every_degree_at_large_mu(name):
-    # 400 rad over 64 steps: mu = 39 per row, where the top terms dominate
-    _, size = forward._composed_table(get_profile(name), 64)
-    assert forward._degree_needed(size, (400.0 / 64) ** 2) == 8 * _DEGREE
+    # k = 400 over 64 steps: a phase of 400 a / 64 ~ 7 rad per step, where the top terms
+    # dominate; mu is (k u)^2, u the phase per step at k = 1 rounded to a power of two
+    profile = get_profile(name)
+    _, size = forward._composed_table(profile, 64)
+    assert 400.0 * travel_time(profile) / 64 > 6.5
+    assert forward._degree_needed(size, (400.0 * forward._mu_unit(profile, 64)) ** 2) == 8 * _DEGREE
 
 
 @pytest.mark.parametrize("rect", [(0.3, 40.0, 0.0, 6.0), (145.0, 150.5, 0.0, 8.0),
@@ -228,7 +240,9 @@ def test_searches_do_not_see_the_degree_rule(request, colton, monkeypatch, fixtu
 
 def _composed_steps_one_shot(profile, n_steps):
     """``forward._composed_steps`` as it was before it built slice by slice."""
-    coef = _step_polynomials(profile, n_steps) * float(n_steps) ** (2 * np.arange(_DEGREE + 1))
+    unit = 2.0 ** -round(math.log2(n_steps / travel_time(profile)))
+    scale = unit ** (-2 * np.arange(_DEGREE + 1))
+    coef = _step_polynomials(profile, _equal_phase_nodes(profile, n_steps)) * scale
     eye = np.eye(2).reshape(4, 1) * (np.arange(_DEGREE + 1) == 0)
     pad = np.broadcast_to(eye, (-n_steps % 8,) + eye.shape)
     m = np.concatenate([coef, pad]).reshape(-1, 2, 2, _DEGREE + 1)
@@ -261,26 +275,30 @@ def test_composed_steps_build_needs_little_more_than_the_table(colton):
 
 
 def _step_polynomials_before_x_form(profile, n_steps, degree=_DEGREE):
-    """The r-form builder as it was before it took stage samples and widths."""
-    h = 1.0 / n_steps
+    """The r-form builder as it was before it took stage samples and widths, on the
+    equal-phase grid."""
+    r = _equal_phase_nodes(profile, n_steps)
+    h = np.diff(r)
     A, B, C = _rk8.A, _rk8.B, _rk8.C
     eye = np.eye(2)[:, :, None] * (np.arange(degree + 1) == 0)
     out = np.empty((n_steps, 4, degree + 1))
     for start in range(0, n_steps, 128):
         i = np.arange(start, min(start + 128, n_steps))
-        eta = np.asarray(profile.eta(np.clip((i[:, None] + C) * h, 0.0, 1.0)), dtype=float)
+        hi = h[i, None, None, None]
+        eta = np.asarray(profile.eta(np.clip(r[i, None] + C * h[i, None], 0.0, 1.0)),
+                         dtype=float)
         stages = []
         step = np.broadcast_to(eye, (i.size,) + eye.shape).copy()
         for s in range(_rk8.N_STAGES):
             w = np.broadcast_to(eye, step.shape).copy()
             for j in np.nonzero(A[s, :s])[0]:
-                w += (h * A[s, j]) * stages[j]
+                w += (hi * A[s, j]) * stages[j]
             f = np.zeros_like(w)
             f[:, 0] = w[:, 1]
             f[:, 1, :, 1:] = -eta[:, s, None, None] * w[:, 0, :, :-1]
             stages.append(f)
             if B[s]:
-                step += (h * B[s]) * f
+                step += (hi * B[s]) * f
         out[i] = step.reshape(i.size, 4, degree + 1)
     return out
 
@@ -291,7 +309,8 @@ def test_r_form_step_polynomials_bit_identical(name):
     profile = get_profile(name)
     for n_steps in (64, 129, 700):
         old = _step_polynomials_before_x_form(profile, n_steps)
-        assert _step_polynomials(profile, n_steps).tobytes() == old.tobytes()
+        new = _step_polynomials(profile, forward._step_nodes(profile, n_steps))
+        assert new.tobytes() == old.tobytes()
 
 
 @pytest.mark.parametrize("size", [1, 12])
@@ -320,7 +339,7 @@ def test_adaptive_overflow_fallback_matches_dop853(colton):
     # a large |Im k|: d ~ exp((1 + a)|Im k|) ~ 1e237 here, near the end of the
     # float range; y itself stays representable, so DOP853 can check the engine
     k = 5.0 + 260.0j
-    assert (1.0 + math.sqrt(colton.eta_max)) * k.imag > 600.0
+    assert (1.0 + _A_COLTON) * k.imag > 545.0
     cv = characteristic(colton, k)
 
     def rhs(r, w):
@@ -399,6 +418,61 @@ def test_tol_validation():
 def test_steps_scale_with_k():
     assert grid_steps(CONST4, 100.0, 8.0) >= 2 * grid_steps(CONST4, 50.0, 8.0) - 1
     assert grid_steps(CONST4, 0.1, 8.0) == 64   # floor
+
+
+@pytest.mark.parametrize("name, n_steps", [("colton_example", 581), ("raised_cosine", 1003),
+                                           ("slow_core", 64), ("constant", 219),
+                                           ("colton_example", forward._MAX_STEPS)])
+def test_steps_carry_equal_optical_depth(name, n_steps):
+    profile = CONST4 if name == "constant" else get_profile(name)
+    r = forward._step_nodes(profile, n_steps)
+    assert r.shape == (n_steps + 1,)
+    assert r[0] == 0.0 and r[-1] == 1.0 and np.all(np.diff(r) > 0.0)
+    cum = profile.cumulative_map()
+    assert np.abs(np.diff(cum(r)) - cum.total / n_steps).max() <= 1e-12 * cum.total
+
+
+def test_grid_steps_count_phase_in_optical_depth(colton):
+    # 3.5 steps per radian of k a, a = ln 3: the band150 search grid (705 when sized by
+    # sqrt(max eta))
+    assert grid_steps(colton, 150.88, 3.5) == 581
+    assert grid_steps(colton, 40.0, 8.0) == math.ceil(8.0 * 40.0 * _A_COLTON)
+
+
+def _d_long_double(profile, k, n_steps):
+    """d_h on n_steps steps, ``_step_polynomials`` applied one step at a time in extended
+    precision, and the size its terms y' sinc k and y cos k take when the state's
+    rounding falls on either component: (|y'| + |k y|) (|sinc k| + |cos k / k|)."""
+    coef = _step_polynomials(profile, forward._step_nodes(profile, n_steps))
+    k = k.astype(np.clongdouble)
+    powers = np.cumprod(np.broadcast_to(k * k, (_DEGREE, k.size)), axis=0)
+    powers = np.concatenate([np.ones((1, k.size), dtype=np.clongdouble), powers])
+    y, dy = np.zeros_like(k), np.ones_like(k)
+    for m in coef.astype(np.longdouble) @ powers:
+        y, dy = m[0] * y + m[1] * dy, m[2] * y + m[3] * dy
+    sinc, cos = np.sin(k) / k, np.cos(k)
+    return dy * sinc - y * cos, (np.abs(dy) + np.abs(k * y)) * (np.abs(sinc) + np.abs(cos / k))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double is no wider than double here, so it cannot "
+                           "measure double-precision rounding")
+@pytest.mark.parametrize("rect, bound", [((145.0, 150.5, 0.0, 8.0), 2e-14),
+                                         ((0.5, 499.0, 0.0, 10.0), 3e-14)])
+def test_engine_rounding_against_long_double(colton, rect, bound):
+    # the composed rows, their scaling and truncation round only in the last digits of
+    # d_h: measured against the same steps one at a time in extended precision, on the
+    # grid a search on rect uses (581 and 1,921 steps).  Rows of 32 steps miss the
+    # bounds 7- to 70-fold.  Near the real axis, where sinc k and y(1, k) can vanish
+    # together, |y' sinc k| + |y cos k| alone would make the measure ill-conditioned.
+    x0, x1, y0, y1 = rect
+    rng = np.random.default_rng(1)
+    k = rng.uniform(x0, x1, 60) + 1j * rng.uniform(y0, y1, 60)
+    n_steps = _Service(colton, rect).n_steps
+    d_s, _, scale = characteristic_batch(colton, k, n_steps=n_steps)
+    d_ref, size = _d_long_double(colton, k, n_steps)
+    err = np.abs(d_s * np.exp(scale) - d_ref.astype(complex)) / size.astype(float)
+    assert err.max() <= bound
 
 
 @pytest.mark.parametrize("tol", [1e-13, 1e-12, 1e-9])

@@ -12,7 +12,7 @@ import tevp.zeros as zeros_module
 from tevp.cli import EXIT_NUMERIC, main
 from tevp.errors import DegenerateCharacteristic, NewtonStall
 from tevp.forward import characteristic_batch, scaled_characteristic
-from tevp.profiles import ConstantProfile, get_profile
+from tevp.profiles import ConstantProfile, get_profile, travel_time
 from tevp.zeros import (Certificate, SearchReport, SpectralZero, _Cell, _rect_corners,
                         _refine_clusters, _Service, _subdivide, _winding_many, count_zeros,
                         find_zeros, report_to_json, write_report_json,
@@ -317,7 +317,7 @@ def test_one_search_evaluates_on_one_grid(const4, monkeypatch, search, rect):
     assert len({n for n, _k in calls}) == 1
     n_steps = calls[0][0]
     # every |k| lies within the kmax that grid_steps sized the grid for
-    per_radian_at = zeros_module._PER_RADIAN * math.sqrt(const4.eta_max)
+    per_radian_at = zeros_module._PER_RADIAN * travel_time(const4)
     assert all(kmax * per_radian_at <= n_steps for _n, kmax in calls)
 
 
