@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 _MAX_ORDER = 4           # highest eta derivative at r = 1 searched for the contact order
+_TAIL_TOL = 1e-12        # the formulas need |eta(1) - 1| and |eta'(1)| at most this
+_SOLVE_TOL = 1e-12       # residual of z - lambda log z = w that solve_transcendental reaches
 
 
 def regime(a: float) -> str:
@@ -72,7 +74,15 @@ class AsymptoticCase:
 
 def case_from_profile(profile: RefractiveProfile,
                       liouville: LiouvilleData | None = None) -> AsymptoticCase:
-    """Build the prediction inputs from a profile's boundary derivatives."""
+    """Build the prediction inputs from a profile's boundary derivatives.
+
+    The formulas assume a matched tail, eta(1) = 1 and eta'(1) = 0, to
+    _TAIL_TOL; a profile without it raises ValueError.
+    """
+    e1, d1 = float(profile.eta(1.0)), float(profile.eta(1.0, deriv=1))
+    if abs(e1 - 1.0) > _TAIL_TOL or abs(d1) > _TAIL_TOL:
+        raise ValueError(f"the asymptotic formulas need eta(1) = 1 and eta'(1) = 0; "
+                         f"got eta(1) = {e1!r}, eta'(1) = {d1!r}")
     a = travel_time(profile)
     for m in range(_MAX_ORDER - 1):
         eta_deriv = float(profile.eta(1.0, deriv=m + 2))
@@ -91,7 +101,7 @@ def case_from_profile(profile: RefractiveProfile,
 # ---------------------------------------------------------------------------
 
 
-def solve_transcendental(lam: float, w: complex, tol: float = 1e-12) -> complex:
+def solve_transcendental(lam: float, w: complex) -> complex:
     """Solve z - lam*log z = w by fixed point z <- w + lam*log z.
 
     Principal branch throughout; seeded by z0 = w + lam*log w, valid in the
@@ -105,7 +115,7 @@ def solve_transcendental(lam: float, w: complex, tol: float = 1e-12) -> complex:
     z = w + lam * cmath.log(w)
     for _ in range(100):
         z_new = w + lam * cmath.log(z)
-        if abs(z_new - z) <= 0.1 * tol * (1.0 + abs(z_new)):
+        if abs(z_new - z) <= 0.1 * _SOLVE_TOL * (1.0 + abs(z_new)):
             z = z_new
             break
         z = z_new
@@ -114,11 +124,11 @@ def solve_transcendental(lam: float, w: complex, tol: float = 1e-12) -> complex:
     # it (f' = 1 - lam/z is ~1 in the asymptotic regime).
     for _ in range(50):
         f = z - lam * cmath.log(z) - w
-        if abs(f) <= tol:
+        if abs(f) <= _SOLVE_TOL:
             break
         z = z - f / (1.0 - lam / z)
     resid = abs(z - lam * cmath.log(z) - w)
-    if resid > tol:
+    if resid > _SOLVE_TOL:
         raise IterationDiverged(
             f"iteration stalled: residual {resid:.3e} for lam={lam}, w={w}")
     return z
@@ -264,15 +274,14 @@ def _nonreal(zeros):
     return [z for z in getattr(zeros, "zeros", zeros) if z.cls == "nonreal"]
 
 
-def nonreal_count(zeros, r, select=None):
+def nonreal_count(zeros, r):
     """N(r): all four symmetric copies {k, -k, conj k, -conj k} of each
     non-real zero, with multiplicity, in |k| <= r.
 
-    ``zeros`` is a SearchReport or a list of SpectralZero; ``select``
-    filters the canonical zeros (default: all non-real).
+    ``zeros`` is a SearchReport or a list of SpectralZero.
     """
     return sum(z.multiplicity * len(z.symmetric_copies()) for z in _nonreal(zeros)
-               if abs(z.k) <= r and (select is None or select(z)))
+               if abs(z.k) <= r)
 
 
 def counting_check(zeros, radii):

@@ -80,8 +80,8 @@ def cmd_profile_info(args):
         payload["m"] = case.m
         payload["eta_deriv"] = case.eta_deriv
         lines.append(f"m        = {case.m} (eta^({case.m + 2})(1) = {case.eta_deriv:.6g})")
-    except ValueError:
-        lines.append("m        = indeterminate (boundary derivatives vanish)")
+    except ValueError as exc:
+        lines.append(f"m        = indeterminate ({exc})")
     if regime == "a_eq_1":
         lines.append("warning: a = 1 — degenerate travel time regime")
     if regime == "a_gt_1":
@@ -137,7 +137,7 @@ def cmd_asymptotics(args):
         raise ValueError("--spectrum reads its zeros from a file: --rect would be ignored")
     profile = load_profile(args.profile)
     case = asym.case_from_profile(profile)
-    zeros = _read_zeros_csv(args.spectrum) if args.spectrum else _search(args, profile).zeros
+    zeros = zmod.read_zeros_csv(args.spectrum) if args.spectrum else _search(args, profile).zeros
     nonreal = [z for z in zeros if z.cls == "nonreal"]
     if nonreal and case.regime == "a_eq_1":
         raise RegimeError("spectrum regime check failed for a = 1")
@@ -164,17 +164,6 @@ def cmd_asymptotics(args):
     }
     _print(args, payload, lines)
     return EXIT_OK
-
-
-def _read_zeros_csv(path):
-    zeros = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            zeros.append(zmod.SpectralZero(
-                k=complex(float(row["re_k"]), float(row["im_k"])),
-                multiplicity=int(row["multiplicity"]),
-                cls=row["class"], residual=float(row["residual"])))
-    return zeros
 
 
 def cmd_kernel_check(args):

@@ -193,9 +193,9 @@ def theorem4_threshold(a: float, b: float) -> float:
     return thr
 
 
-def density_estimate(zeros, r: float, select: Callable | None = None) -> float:
-    """alpha_hat = N_D(r) * pi / (2r), N_D = ``nonreal_count(zeros, r, select)``."""
-    return nonreal_count(zeros, r, select) * math.pi / (2.0 * r)
+def density_estimate(zeros, r: float) -> float:
+    """alpha_hat = N_D(r) * pi / (2r), N_D = ``nonreal_count(zeros, r)``."""
+    return nonreal_count(zeros, r) * math.pi / (2.0 * r)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,7 @@ from .errors import NoConvergence
 from .profiles import LiouvilleData
 
 _MAX_SWEEPS = 200        # Picard sweeps before the kernel iteration gives up
+_SWEEP_TOL = 1e-12       # a sweep moving K by at most this (1 + max|K|) ends the iteration
 
 __all__ = [
     "KernelGrid",
@@ -135,16 +136,13 @@ class KernelGrid:
         return float(np.max(np.abs(2.0 * self.L[0] - self.Q_ref)))
 
 
-def solve_kernel(liouville: LiouvilleData, h: float | None = None,
-                 tol: float = 1e-12) -> KernelGrid:
+def solve_kernel(liouville: LiouvilleData, h: float) -> KernelGrid:
     """Picard iteration for the transmutation kernel.
 
-    ``h`` is the coarse resolution target (default a/400); storage runs on
-    the half grid delta = h/2 so that midpoint arguments stay on-grid.
+    ``h`` is the coarse resolution target; storage runs on the half grid
+    delta = h/2 so that midpoint arguments stay on-grid.
     """
     a = liouville.a
-    if h is None:
-        h = a / 400.0
     n = max(8, int(round(a / h)))
     M = 2 * n
     delta = a / M
@@ -180,7 +178,7 @@ def solve_kernel(liouville: LiouvilleData, h: float | None = None,
         np.subtract(Knew, K, out=W)       # W is scratch until the next sweep
         diff = float(np.max(np.abs(W, out=W)))
         K, KV, Knew, KnewV = Knew, KnewV, K, KV
-        if diff <= tol * (1.0 + max(float(K.max()), -float(K.min()))):
+        if diff <= _SWEEP_TOL * (1.0 + max(float(K.max()), -float(K.min()))):
             return KernelGrid(a=a, delta=delta, x=x, q=q, Q=Q, L=K,
                               iterations=it, final_delta=diff, liouville=liouville)
         if it > 10 and diff > 10.0 * last:

@@ -42,7 +42,6 @@ __all__ = [
 ]
 
 _CERT_GRID = 2001          # positivity certificate sample count
-_TAIL_TOL = 1e-12          # |eta(1)-1|, |eta'(1)| for the normalized-tail flag
 _N_CHEB = 161              # first node count of the optical-map series
 _N_CHEB_MAX = 8193         # node counts beyond this raise QuadratureFailure
 _CHEB_TAIL = 1e-13         # resolved: upper-half coefficients below this of the max
@@ -61,17 +60,8 @@ class RefractiveProfile:
     name: str = "profile"
     max_deriv: Optional[int] = None
 
-    def __init__(self, *, normalized_tail: bool = False):
+    def __init__(self):
         self.eta_min = self._certify_positive()
-        self.normalized_tail = bool(normalized_tail)
-        if self.normalized_tail:
-            e1 = float(self.eta(1.0))
-            d1 = float(self.eta(1.0, 1))
-            if abs(e1 - 1.0) > _TAIL_TOL or abs(d1) > _TAIL_TOL:
-                raise ValueError(
-                    f"normalized_tail requires eta(1)=1, eta'(1)=0; "
-                    f"got eta(1)={e1!r}, eta'(1)={d1!r}"
-                )
         self._cum: Optional[_CumulativeMap] = None
         self._grid_cache: dict = {}
 
@@ -138,13 +128,12 @@ class ConstantProfile(RefractiveProfile):
 
     max_deriv = None
 
-    def __init__(self, value: float = 1.0, *, normalized_tail: bool = False):
+    def __init__(self, value: float = 1.0):
         if value <= 0:
             raise ValueError("constant eta must be positive")
         self.value = float(value)
         self.name = f"constant({value:g})"
-        self.params = [self.value]
-        super().__init__(normalized_tail=normalized_tail)
+        super().__init__()
 
     def _eval(self, r, deriv):
         if deriv == 0:
@@ -159,12 +148,8 @@ class ColtonExampleProfile(RefractiveProfile):
     sqrt(eta) = 4/((1+r)(3-r)) has antiderivative ln((1+r)/(3-r)).
     """
 
+    name = "colton_example"
     max_deriv = 4
-
-    def __init__(self, *, normalized_tail: bool = True):
-        self.name = "colton_example"
-        self.params = []
-        super().__init__(normalized_tail=normalized_tail)
 
     def _eval(self, r, deriv):
         u = r * r - 2.0 * r - 3.0        # (r+1)(r-3)
@@ -191,13 +176,12 @@ class RaisedCosineProfile(RefractiveProfile):
 
     max_deriv = 4
 
-    def __init__(self, amplitude: float = 1.0, *, normalized_tail: bool = True):
+    def __init__(self, amplitude: float = 1.0):
         if amplitude <= -1.0:
             raise ValueError("amplitude must exceed -1 for positivity")
         self.amplitude = float(amplitude)
         self.name = f"raised_cosine({amplitude:g})"
-        self.params = [self.amplitude]
-        super().__init__(normalized_tail=normalized_tail)
+        super().__init__()
 
     def _eval(self, r, deriv):
         A = self.amplitude
@@ -225,15 +209,13 @@ class SlowCoreProfile(RefractiveProfile):
 
     max_deriv = 4
 
-    def __init__(self, core: float = 0.5, beta: float = 40.0, *,
-                 normalized_tail: bool = True):
+    def __init__(self, core: float = 0.5, beta: float = 40.0):
         if not (0 < core) or beta <= 0:
             raise ValueError("need core > 0 and beta > 0")
         self.core = float(core)
         self.beta = float(beta)
         self.name = f"slow_core({core:g},{beta:g})"
-        self.params = [self.core, self.beta]
-        super().__init__(normalized_tail=normalized_tail)
+        super().__init__()
 
     def _eval(self, r, deriv):
         b = self.beta
@@ -256,16 +238,14 @@ class SlowCoreProfile(RefractiveProfile):
 class ChebyshevProfile(RefractiveProfile):
     """User data as a Chebyshev series on [0,1], differentiable to deriv_order."""
 
-    def __init__(self, coeffs: Sequence[float], deriv_order: int = 4, *,
-                 normalized_tail: bool = False):
+    def __init__(self, coeffs: Sequence[float], deriv_order: int = 4):
         self.series = Chebyshev(np.asarray(coeffs, dtype=float), domain=[0.0, 1.0])
         self.max_deriv = int(deriv_order)
         self._derivs = [self.series]
         for _ in range(self.max_deriv):
             self._derivs.append(self._derivs[-1].deriv())
         self.name = "chebyshev"
-        self.params = list(map(float, coeffs))
-        super().__init__(normalized_tail=normalized_tail)
+        super().__init__()
 
     def _eval(self, r, deriv):
         if deriv >= len(self._derivs):
@@ -292,8 +272,7 @@ def _real_numbers(values) -> bool:
         isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values)
 
 
-def get_profile(name: str, params: Optional[Sequence[float]] = None,
-                normalized_tail: Optional[bool] = None) -> RefractiveProfile:
+def get_profile(name: str, params: Optional[Sequence[float]] = None) -> RefractiveProfile:
     """Instantiate a registered named profile.
 
     ``params`` fill the constructor's positional parameters; a ``params`` that
@@ -313,14 +292,11 @@ def get_profile(name: str, params: Optional[Sequence[float]] = None,
     if len(args) > len(expected):
         raise ValueError(f"profile {name!r} takes at most {len(expected)} params "
                          f"{expected}, got {len(args)}: {args}")
-    kwargs = {}
-    if normalized_tail is not None:
-        kwargs["normalized_tail"] = normalized_tail
-    return NAMED_PROFILES[name](*args, **kwargs)
+    return NAMED_PROFILES[name](*args)
 
 
-_SPEC_KEYS = {"named": {"kind", "name", "params", "normalized_tail"},
-              "chebyshev": {"kind", "coeffs", "deriv_order", "normalized_tail"}}
+_SPEC_KEYS = {"named": {"kind", "name", "params"},
+              "chebyshev": {"kind", "coeffs", "deriv_order"}}
 
 
 def profile_from_dict(spec: dict) -> RefractiveProfile:
@@ -328,7 +304,7 @@ def profile_from_dict(spec: dict) -> RefractiveProfile:
 
     ``{"kind":"named","name":...}`` or
     ``{"kind":"chebyshev","coeffs":[...],"deriv_order":n}``,
-    optionally with ``"normalized_tail": true`` and ``"params": [...]``.
+    a named one optionally with ``"params": [...]``.
     Any other key, a ``spec`` that is not a dict, ``coeffs`` that are not a
     non-empty list of numbers or a ``deriv_order`` that is not an integer
     >= 0 raise ValueError.
@@ -341,16 +317,14 @@ def profile_from_dict(spec: dict) -> RefractiveProfile:
     unknown = set(spec) - _SPEC_KEYS[kind]
     if unknown:
         raise ValueError(f"unknown key(s) {sorted(unknown)} for profile kind {kind!r}")
-    tail = spec.get("normalized_tail")
     if kind == "named":
-        return get_profile(spec["name"], spec.get("params"), normalized_tail=tail)
+        return get_profile(spec["name"], spec.get("params"))
     coeffs, order = spec.get("coeffs"), spec.get("deriv_order", 4)
     if not (coeffs and _real_numbers(coeffs)):
         raise ValueError(f"chebyshev coeffs must be a non-empty list of numbers, got {coeffs!r}")
     if not isinstance(order, numbers.Integral) or isinstance(order, bool) or order < 0:
         raise ValueError(f"deriv_order must be an integer >= 0, got {order!r}")
-    return ChebyshevProfile(coeffs, deriv_order=order,
-                            normalized_tail=bool(tail) if tail is not None else False)
+    return ChebyshevProfile(coeffs, deriv_order=order)
 
 
 def load_profile(path_or_name: str) -> RefractiveProfile:

@@ -35,14 +35,14 @@ All evaluations of one search go through its batching service, on one RK8
 grid: _PER_RADIAN steps per radian of phase at the largest |k| any contour of
 the search can reach.  Every count, centroid and certificate of the search is
 therefore exact for one analytic function d_h, and every cached segment is
-valid for every later contour.  A contour edge starts as pieces at most
-_SEG_LEN (6) long; a piece whose 12-node rule disagrees with its two halves
-is bisected, so only rough stretches of an edge pay for short pieces.  The
-service caches each contour segment's 12-node integrals, keyed by its
-endpoints: a child cell's edges that its parent already integrated, the split
-line two siblings share, and a refined segment's halves (the next round's
-coarse rules) are each evaluated once.  Edges are bisected at 0.5 (a + b), so
-these keys are bit-equal.
+valid for every later contour.  Contour pieces are rows of numpy arrays
+(owner rect, start, end).  An edge starts as pieces at most _SEG_LEN (6)
+long; a piece whose 12-node rule disagrees with its two halves is bisected,
+so only rough stretches of an edge pay for short pieces.  A segment's table
+row (integrals of d'/d and k d'/d, max and min |D|) is keyed by its ends: a
+child cell's edges that its parent integrated, the split line two siblings
+share and a refined segment's halves (the next round's coarse rules) are each
+evaluated once.  _bisect halves every piece at 0.5 (a + b), so the keys are bit-equal.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ __all__ = [
     "count_zeros",
     "find_zeros",
     "report_to_json",
+    "read_zeros_csv",
     "write_zeros_csv",
 ]
 
@@ -153,10 +154,10 @@ class _Service:
     Every evaluation runs on one grid of ``n_steps`` steps uniform in optical
     depth, each at most 1/_PER_RADIAN rad at the largest |k| a contour of the
     search on ``rect`` can reach: a corner of its widest padded rect plus a
-    verification square's half-width.  ``segments`` maps (a, b) to the 12-node Gauss-Legendre
-    integrals of d'/d and of k d'/d from a to b and the max and min |D| at
-    their nodes.  The endpoints are in canonical order (a before b by
-    (re, im)); a segment traversed from b to a reads the negated integrals.
+    verification square's half-width.  ``segments`` maps a segment (a, b),
+    a before b by (re, im), to its row of ``table``: the 12-node integrals
+    of d'/d and of k d'/d from a to b, and the max and min |D| at the nodes.
+    A segment traversed from b to a reads the negated integrals.
     """
 
     def __init__(self, profile: RefractiveProfile, rect):
@@ -167,7 +168,7 @@ class _Service:
                                   _PER_RADIAN)
         self.profile = profile
         self.a = travel_time(profile)
-        self.segments = {}
+        self.segments, self.table = {}, np.zeros((0, 4), dtype=complex)
         self.phase, self._since = "count", time.perf_counter()
         self.timings = dict.fromkeys(_PHASES, 0.0)
         self.stats = {"batches": 0, "evals": 0, "ksteps": 0, "segments_reused": 0,
@@ -197,36 +198,30 @@ class _Service:
         absD = np.abs(d_s * ks) * np.exp(scale_log - (1.0 + self.a) * np.abs(ks.imag))
         return ld, absD
 
-    def rules(self, pieces):
-        """12-node integrals of d'/d and k d'/d along oriented pieces (a, b),
+    def rules(self, a, b):
+        """12-node integrals of d'/d and k d'/d along the pieces a -> b (arrays),
         and max and min |D| on each.
 
-        Only pieces missing from ``segments`` are evaluated, in one batch; a
-        piece given twice, or in both orientations, once.
+        Only pieces missing from ``segments`` are evaluated, in one batch, in
+        the order first seen; a piece given twice, or in both orientations, once.
         """
-        keys, signs = [], []
-        for a, b in pieces:
-            forward = (a.real, a.imag) < (b.real, b.imag)
-            keys.append((a, b) if forward else (b, a))
-            signs.append(1.0 if forward else -1.0)
-        cache = self.segments
-        new = list(dict.fromkeys(k for k in keys if k not in cache))
-        self.stats["segments_reused"] += len(keys) - len(new)
-        if new:
-            a, b = np.array([k[0] for k in new]), np.array([k[1] for k in new])
-            c, h = 0.5 * (a + b), 0.5 * (b - a)
+        forward = (a.real < b.real) | ((a.real == b.real) & (a.imag < b.imag))
+        lo, hi = np.where(forward, a, b), np.where(forward, b, a)
+        rows, start = self.segments, len(self.segments)
+        row = [rows.setdefault(key, len(rows)) for key in zip(lo.tolist(), hi.tolist())]
+        self.stats["segments_reused"] += len(row) - (len(rows) - start)
+        if len(rows) > start:
+            lo, hi = np.array(list(rows)[start:]).T
+            c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
             x_gl, w_gl = _GL_NODES
             nodes = c[:, None] + h[:, None] * x_gl
-            ld, absD = self.eval(nodes.ravel())
-            ld = ld.reshape(nodes.shape)
+            ld, absD = (v.reshape(nodes.shape) for v in self.eval(nodes.ravel()))
             with np.errstate(invalid="ignore"):
-                ints = (ld @ w_gl) * h
-                moms = ((nodes * ld) @ w_gl) * h
-            absD = absD.reshape(nodes.shape)
-            cache.update(zip(new, zip(ints.tolist(), moms.tolist(),
-                                      absD.max(axis=1).tolist(), absD.min(axis=1).tolist())))
-        ints, moms, mx, mn = zip(*map(cache.__getitem__, keys))
-        return np.array(ints) * signs, np.array(moms) * signs, np.array(mx), np.array(mn)
+                new = [(ld @ w_gl) * h, ((nodes * ld) @ w_gl) * h, absD.max(1), absD.min(1)]
+            self.table = np.concatenate([self.table, np.array(new).T])
+        ints, moms, mx, mn = self.table[row].T
+        sign = np.where(forward, 1.0, -1.0)
+        return ints * sign, moms * sign, mx.real, mn.real
 
 
 # ---------------------------------------------------------------------------
@@ -234,25 +229,33 @@ class _Service:
 # ---------------------------------------------------------------------------
 
 
-def _rect_corners(rect):
-    x0, x1, y0, y1 = rect
-    return [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
+def _bisect(owner, a, b, sel):
+    """Pieces (owner, a, b) with each selected piece replaced, in place, by its halves at
+    0.5 (a + b): the one bisection rule, so halves of one edge are bit-equal in any round."""
+    n = 1 + sel
+    owner, a, b = owner.repeat(n), a.repeat(n), b.repeat(n)
+    left = sel.repeat(n).nonzero()[0][::2]
+    a[left + 1] = b[left] = 0.5 * (a[left] + b[left])
+    return owner, a, b
 
 
-def _edge_pieces(c0, c1):
-    """The edge c0 -> c1 bisected at 0.5 (a + b) until no piece exceeds _SEG_LEN.
+def _contour_pieces(rects):
+    """The first-round pieces (owner, a, b) of ``_winding_many``: every rect's
+    four edges, counter-clockwise from (x0, y0), with all pieces of an edge
+    bisected while its first piece exceeds _SEG_LEN.
 
-    These are the first-round pieces of ``_winding_many``: at _SEG_LEN = 6 a
-    smooth edge is accepted in one round from few pieces, and a rough piece
-    is bisected there.  A half edge of a split cell bisects into bit-equal
-    pieces of the whole edge, so a child cell finds its parent's segments in
-    the cache.
+    At _SEG_LEN = 6 a smooth edge is accepted in one round from few pieces.  A
+    half edge of a split cell bisects into bit-equal pieces of the whole edge,
+    so a child cell finds its parent's segments in the cache.
     """
-    pts = [c0, c1]
-    while abs(pts[1] - pts[0]) > _SEG_LEN:
-        mids = [0.5 * (a + b) for a, b in zip(pts, pts[1:])]
-        pts = [p for pair in zip(pts, mids) for p in pair] + [c1]
-    return list(zip(pts, pts[1:]))
+    xy = np.array(rects, dtype=float).reshape(-1, 4)
+    # the corners (x0, y0), (x1, y0), (x1, y1), (x0, y1), and the next corner of each
+    a = np.take(xy, [0, 2, 1, 2, 1, 3, 0, 3], axis=1).view(complex).ravel()
+    b = np.take(xy, [1, 2, 1, 3, 0, 3, 0, 2], axis=1).view(complex).ravel()
+    edge = edges = np.arange(a.size)
+    while (long := np.abs(b - a)[np.searchsorted(edge, edges)] > _SEG_LEN).any():
+        edge, a, b = _bisect(edge, a, b, long[edge])
+    return edge // 4, a, b
 
 
 def _winding_many(service, rects, expect=None):
@@ -277,13 +280,7 @@ def _winding_many(service, rects, expect=None):
     that of k d'/d and c the rect centre (Delves & Lyness, Math. Comp. 21,
     1967); a rect without a counted zero returns its centre.
     """
-    owner, z0, z1 = [], [], []
-    for idx, cs in enumerate(map(_rect_corners, rects)):
-        for c0, c1 in zip(cs, cs[1:] + cs[:1]):
-            for a, b in _edge_pieces(c0, c1):
-                owner.append(idx)
-                z0.append(a)
-                z1.append(b)
+    idx, z0, z1 = _contour_pieces(rects)
     m = len(rects)
     totals = np.zeros(m, dtype=complex)
     moments = np.zeros(m, dtype=complex)
@@ -293,14 +290,14 @@ def _winding_many(service, rects, expect=None):
     whole = np.equal(expect, 1) if expect is not None else np.zeros(m, dtype=bool)
 
     for depth in range(_MAX_ROUNDS):
-        if not owner:
+        if not idx.size:
             break
-        idx = np.array(owner)
-        halve = np.flatnonzero(~whole[idx])
-        mid = [0.5 * (a + b) for a, b in zip(z0, z1)]
-        ints, moms, mx, mn = service.rules([*zip(z0, z1), *((z0[i], mid[i]) for i in halve),
-                                            *((mid[i], z1[i]) for i in halve)])
-        n, ridx = len(idx), np.concatenate([idx, idx[halve], idx[halve]])
+        halve = (~whole[idx]).nonzero()[0]
+        # every piece, then the left and the right halves of each piece in ``halve``
+        _own, h0, h1 = _bisect(idx[halve], z0[halve], z1[halve], np.full(halve.size, True))
+        ints, moms, mx, mn = service.rules(np.concatenate([z0, h0[::2], h0[1::2]]),
+                                           np.concatenate([z1, h1[::2], h1[1::2]]))
+        n, ridx = idx.size, np.concatenate([idx, idx[halve], idx[halve]])
         np.maximum.at(max_absD, ridx, mx)
         np.minimum.at(min_absD, ridx, mn)
         (left, right), (m_left, m_right) = ints[n:].reshape(2, -1), moms[n:].reshape(2, -1)
@@ -320,11 +317,10 @@ def _winding_many(service, rects, expect=None):
         again = whole & ~failed & (np.abs(totals / (2j * np.pi) - 1.0) > _SQUARE_TOL)
         totals[again] = moments[again] = 0.0
         whole[:] = False
-        keep = np.flatnonzero(split & ~failed[idx])
-        redo = np.flatnonzero(again[idx])
-        owner = np.repeat(idx[keep], 2).tolist() + idx[redo].tolist()
-        z0 = [z for i in keep for z in (z0[i], mid[i])] + [z0[i] for i in redo]
-        z1 = [z for i in keep for z in (mid[i], z1[i])] + [z1[i] for i in redo]
+        # the split pieces' halves, in place, then the pieces of the squares counted again
+        keep = split & ~failed[idx]
+        order = np.concatenate([keep.nonzero()[0], again[idx].nonzero()[0]])
+        idx, z0, z1 = _bisect(idx[order], z0[order], z1[order], keep[order])
 
     out = []
     for i, (x0, x1, y0, y1) in enumerate(rects):
@@ -399,12 +395,9 @@ class _Cell:
     __slots__ = ("rect", "count", "centroid", "parent", "jitter", "children")
 
     def __init__(self, rect, count=None, parent=None):
-        self.rect = rect
-        self.count = count
-        self.centroid = None
-        self.parent = parent
+        self.rect, self.count, self.parent = rect, count, parent
+        self.centroid = self.children = None
         self.jitter = 0
-        self.children = None
 
 
 _JITTERS = (0.0, 0.08, -0.08, 0.16, -0.16)
@@ -627,6 +620,13 @@ def write_zeros_csv(path, zeros):
         for z in zeros:
             w.writerow([f"{z.k.real:.12e}", f"{z.k.imag:.12e}",
                         z.multiplicity, z.cls, f"{z.residual:.3e}"])
+
+
+def read_zeros_csv(path):
+    """The zeros of a ``write_zeros_csv`` table, without certificates."""
+    with open(path, newline="") as fh:
+        return [SpectralZero(complex(float(r["re_k"]), float(r["im_k"])), int(r["multiplicity"]),
+                             r["class"], float(r["residual"])) for r in csv.DictReader(fh)]
 
 
 def write_report_json(path, report: SearchReport):

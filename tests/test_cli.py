@@ -228,6 +228,21 @@ def test_unknown_profile_key_is_an_input_error(tmp_path, capsys):
     p.write_text(json.dumps({"kind": "chebyshev", "coeffs": [2, 0.1], "smoothness_m": 7}))
     assert main(["profile-info", "--profile", str(p)]) == EXIT_INPUT
     assert "smoothness_m" in capsys.readouterr().err
+    # the tail check moved to the asymptotics, and its flag with it
+    p.write_text(json.dumps({"kind": "named", "name": "colton_example", "normalized_tail": True}))
+    assert main(["profile-info", "--profile", str(p)]) == EXIT_INPUT
+    assert "normalized_tail" in capsys.readouterr().err
+
+
+def test_asymptotics_of_an_unmatched_tail_is_an_input_error(tmp_path, capsys):
+    # eta(1) = 1.5 and eta'(1) = 1: the formulas' tail assumption fails
+    p = tmp_path / "prof.json"
+    p.write_text(json.dumps({"kind": "chebyshev", "coeffs": [1.6, -0.3, 0.2]}))
+    assert main(["asymptotics", "--profile", str(p), "--rect", "0.3,10,0,6"]) == EXIT_INPUT
+    assert "input error: the asymptotic formulas need eta(1) = 1" in capsys.readouterr().err
+    assert main(["profile-info", "--profile", str(p)]) == EXIT_OK
+    assert ("m        = indeterminate (the asymptotic formulas need eta(1) = 1"
+            in capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("cmd", [["profile-info"], ["kernel-check"],

@@ -1,0 +1,25 @@
+"""``tools/gate_searches.py`` prints the same line for a search on every run."""
+
+import importlib.util
+import json
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("gate_searches",
+                                               ROOT / "tools" / "gate_searches.py")
+gate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gate)
+
+
+def test_gate_lines_repeat():
+    cheap = [s for s in gate.SEARCHES
+             if s[2] == (145.0, 150.5, 0.0, 8.0) or s[:2] == ("constant", [4.0])]
+    assert len(gate.SEARCHES) == 17 and len(cheap) == 2
+    first = [gate.gate_line(*search) for search in cheap]
+    assert [gate.gate_line(*search) for search in cheap] == first
+    for line, (name, params, rect) in zip(first, cheap):
+        record = json.loads(line)
+        assert (record["profile"], record["params"], record["rect"]) == (name, params,
+                                                                        list(rect))
+        assert record["zeros"] >= 1 and len(record["md5"]) == 32
+        assert record["stats"]["evals"] > 0

@@ -185,8 +185,7 @@ def test_density_estimate_counts_copies(colton_spectrum_40):
     assert alpha == pytest.approx(expect, rel=1e-14)
     assert 1.0 < alpha < 3.0
     # a filtered subset can only lower the count
-    half = density_estimate(colton_spectrum_40, r,
-                            select=lambda z: z.k.real <= 20.0)
+    half = density_estimate([z for z in colton_spectrum_40.zeros if z.k.real <= 20.0], r)
     assert 0.0 < half < alpha
 
 

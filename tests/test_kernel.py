@@ -70,7 +70,7 @@ def test_representation_matches_ivp(colton, colton_lv):
 
 
 def test_convergence_reported(colton_lv):
-    kg = solve_kernel(colton_lv, h=colton_lv.a / 100, tol=1e-12)
+    kg = solve_kernel(colton_lv, h=colton_lv.a / 100)
     assert kg.final_delta <= 1e-12 * (1.0 + np.max(np.abs(kg.K)))
     assert kg.iterations < 50
 

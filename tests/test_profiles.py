@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 from scipy import integrate
 
 import tevp
+from tevp.asymptotics import case_from_profile
 from tevp.cli import main as cli_main
 from tevp.errors import MassOutOfRange, QuadratureFailure
 from tevp.profiles import (ChebyshevProfile, ColtonExampleProfile,
@@ -95,7 +96,7 @@ def test_chebyshev_profile_matches_function():
     xs = np.linspace(0, 1, 9)
     coeffs = np.polynomial.chebyshev.Chebyshev.fit(
         xs, 2 - xs ** 2, 2, domain=[0, 1]).coef
-    p = ChebyshevProfile(coeffs, normalized_tail=False)
+    p = ChebyshevProfile(coeffs)
     r = np.linspace(0, 1, 33)
     assert_allclose(p.eta(r), 2 - r ** 2, atol=1e-12)
     assert_allclose(p.eta(r, deriv=1), -2 * r, atol=1e-10)
@@ -107,8 +108,13 @@ def test_positivity_rejected():
 
 
 def test_normalized_tail_enforced():
-    with pytest.raises(ValueError):
-        ConstantProfile(4.0, normalized_tail=True)  # eta(1) = 4 != 1
+    # the asymptotics assume eta(1) = 1 and eta'(1) = 0; this profile has
+    # eta(1) = 1.5 and eta'(1) = 1, and used to get m = 0 from eta''(1) = 3.2
+    with pytest.raises(ValueError, match=r"eta\(1\) = 1\.5.*eta'\(1\) = 1\.0"):
+        case_from_profile(ChebyshevProfile([1.6, -0.3, 0.2]))
+    with pytest.raises(ValueError, match=r"eta\(1\) = 4\.0"):
+        case_from_profile(ConstantProfile(4.0))
+    assert case_from_profile(get_profile("colton_example")).m == 0
 
 
 @pytest.mark.parametrize("name, params, expected", [
@@ -126,8 +132,6 @@ def test_named_params_never_bind_to_normalized_tail(name, params, expected):
         profile_from_dict({"kind": "named", "name": name, "params": params})
     with pytest.raises(TypeError):
         ConstantProfile(1.0, True)
-    assert get_profile("raised_cosine", [0.5]).normalized_tail
-    assert not get_profile("colton_example", normalized_tail=False).normalized_tail
 
 
 def test_profile_dict_roundtrip(tmp_path):

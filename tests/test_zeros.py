@@ -13,9 +13,9 @@ from tevp.cli import EXIT_NUMERIC, main
 from tevp.errors import DegenerateCharacteristic, NewtonStall
 from tevp.forward import characteristic_batch, scaled_characteristic
 from tevp.profiles import ConstantProfile, get_profile, travel_time
-from tevp.zeros import (Certificate, SearchReport, SpectralZero, _Cell, _rect_corners,
+from tevp.zeros import (Certificate, SearchReport, SpectralZero, _Cell, _contour_pieces,
                         _refine_clusters, _Service, _subdivide, _winding_many, count_zeros,
-                        find_zeros, report_to_json, write_report_json,
+                        find_zeros, read_zeros_csv, report_to_json, write_report_json,
                         write_zeros_csv)
 
 CONST4 = ConstantProfile(4.0)
@@ -226,6 +226,21 @@ def test_serialization(tmp_path, const4):
     assert json.load(open(json_path))["count"] == 6
 
 
+def test_zeros_csv_round_trip(tmp_path, colton_spectrum_40, const4):
+    zeros = colton_spectrum_40.zeros + find_zeros(const4, (0.5, 7.0, 0.0, 1.0)).zeros
+    path = tmp_path / "zeros.csv"
+    write_zeros_csv(path, zeros)
+    back = read_zeros_csv(path)
+    assert len(back) == len(zeros) == 15
+    for z, b in zip(zeros, back):
+        assert b.k.real == pytest.approx(z.k.real, rel=1e-12, abs=0.0)
+        assert b.k.imag == pytest.approx(z.k.imag, rel=1e-12, abs=0.0)
+        # the table keeps three digits of the residual, and no certificate
+        assert (b.multiplicity, b.cls, b.residual) == (z.multiplicity, z.cls,
+                                                      float(f"{z.residual:.3e}"))
+        assert b.certificate is None
+
+
 def test_report_json_keeps_residuals_and_stats():
     rep = SearchReport(rect=(0.0, 1.0, 0.0, 1.0),
                        zeros=[SpectralZero(k=1 + 2j, multiplicity=2, cls="nonreal",
@@ -287,6 +302,45 @@ def _evals(service, rects):
     before = service.stats["evals"]
     out = _winding_many(service, rects)
     return service.stats["evals"] - before, out
+
+
+def _list_rule_pieces(rects):
+    """The first-round pieces as the earlier list-based rule built them, edge by
+    edge: every piece of an edge halved while its first piece exceeds _SEG_LEN."""
+    owner, z0, z1 = [], [], []
+    for idx, (x0, x1, y0, y1) in enumerate(rects):
+        cs = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
+        for c0, c1 in zip(cs, cs[1:] + cs[:1]):
+            pts = [c0, c1]
+            while abs(pts[1] - pts[0]) > zeros_module._SEG_LEN:
+                mids = [0.5 * (a + b) for a, b in zip(pts, pts[1:])]
+                pts = [p for pair in zip(pts, mids) for p in pair] + [c1]
+            owner += [idx] * (len(pts) - 1)
+            z0 += pts[:-1]
+            z1 += pts[1:]
+    return np.array(owner), np.array(z0, dtype=complex), np.array(z1, dtype=complex)
+
+
+def test_contour_pieces_match_the_list_rule_bit_for_bit():
+    # edges within a few ulps of 6 * 2**j are where halving each piece by its
+    # own length, instead of by its edge's first piece, gives other pieces
+    rng = np.random.default_rng(20)
+    rects = []
+    for i in range(2000):
+        x0, y0 = rng.uniform(-300.0, 300.0, 2)
+        if i % 2:
+            w, h = rng.uniform(1e-3, 200.0, 2)
+        else:
+            w, h = 6.0 * 2.0 ** rng.integers(-1, 6, 2)
+        x1, y1 = x0 + w, y0 + h
+        x1 += rng.integers(-3, 4) * np.spacing(x1)
+        y1 += rng.integers(-3, 4) * np.spacing(y1)
+        rects.append((float(x0), float(x1), float(y0), float(y1)))
+    owner, a, b = _contour_pieces(rects)
+    want_owner, want_a, want_b = _list_rule_pieces(rects)
+    assert np.array_equal(owner, want_owner)
+    assert np.array_equal(a.view(np.uint64), want_a.view(np.uint64))
+    assert np.array_equal(b.view(np.uint64), want_b.view(np.uint64))
 
 
 def test_cached_contour_costs_no_evaluations(colton):
@@ -531,9 +585,10 @@ def test_certificate_records_the_least_abs_d_on_its_square(colton, monkeypatch):
     for z in rep.zeros:
         (service, square), = [(s, (x0, x1, y0, y1)) for s, (x0, x1, y0, y1) in squares
                               if x0 < z.k.real < x1 and y0 < z.k.imag < y1]
-        cs = _rect_corners(square)
-        nodes = [0.5 * (a + b) + 0.5 * (b - a) * x_gl for a, b in zip(cs, cs[1:] + cs[:1])]
-        _ld, abs_d = service.eval(np.concatenate(nodes))
+        _owner, a, b = _contour_pieces([square])
+        assert a.size == 4
+        nodes = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * x_gl
+        _ld, abs_d = service.eval(nodes)
         assert 0.0 < z.certificate.min_abs_d == abs_d.min() < abs_d.max()
 
 

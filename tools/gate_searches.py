@@ -1,0 +1,54 @@
+"""Print one JSON line per gate search, to check that a change leaves them bit-identical.
+
+Each line holds the profile, the rect, the zero count, an md5 over every
+zero's ``float.hex`` parts, multiplicity, class, residual and certificate
+fields, and ``report_to_json``'s ``stats``.  Run it on two trees and diff:
+
+    PYTHONPATH=src python tools/gate_searches.py > gate.jsonl
+"""
+
+import hashlib
+import json
+import math
+
+from tevp.profiles import get_profile
+from tevp.zeros import find_zeros, report_to_json
+
+# (profile name, params or None, rect)
+SEARCHES = [
+    ("colton_example", None, (0.3, 40.0, 0.0, 6.0)),
+    ("colton_example", None, (0.3, 40.5, 0.0, 6.0)),
+    ("colton_example", None, (145.0, 150.5, 0.0, 8.0)),
+    ("colton_example", None, (0.3, 150.5, 0.0, 8.0)),
+    ("slow_core", None, (0.3, 30.0, 0.0, 6.0)),
+    ("raised_cosine", None, (0.3, 30.0, 0.0, 6.0)),
+    ("const4", None, (0.5, 31.0, 0.0, 1.0)),
+    ("const4", None, (4.0, 2.0 * math.pi, 0.0, 0.5)),
+    ("const4", None, (2.0, 2.0 * math.pi, 0.0, 1.0)),
+    ("const4", None, (math.pi, 20.0, 0.0, 0.5)),
+] + [("constant", [4.0 + eps], (2.5, 3.8, 0.0, 0.5))
+     for eps in (0.0, 1e-8, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)]
+
+
+def _hex(value):
+    return None if value is None else float(value).hex()
+
+
+def gate_line(name, params, rect):
+    """The JSON line of one search."""
+    report = find_zeros(get_profile(name, params), rect)
+    digest = hashlib.md5()
+    for z in report.zeros:
+        cert = z.certificate
+        parts = [_hex(z.k.real), _hex(z.k.imag), z.multiplicity, z.cls, _hex(z.residual),
+                 _hex(cert.half_width), _hex(cert.defect), _hex(cert.step),
+                 _hex(cert.min_abs_d)]
+        digest.update(repr(parts).encode())
+    return json.dumps({"profile": name, "params": params, "rect": list(rect),
+                       "zeros": len(report.zeros), "md5": digest.hexdigest(),
+                       "stats": report_to_json(report)["stats"]})
+
+
+if __name__ == "__main__":
+    for search in SEARCHES:
+        print(gate_line(*search), flush=True)
