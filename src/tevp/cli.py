@@ -216,7 +216,7 @@ def cmd_inverse_check(args):
             "agree_from": x0,
         })
     # the regime check is cheap and can fail, so it runs before the Wronskian
-    thr = None if sc.b is None else inv.theorem4_threshold(sc.a if sc.a > 1 else 2.0, sc.b)
+    thr = None if sc.b is None else inv.theorem4_threshold(sc.a, sc.b)
     rng = np.random.default_rng(args.seed)
     n_k = 12 if args.fast else 50
     ks = np.array([complex(rng.uniform(-30.0, 30.0), rng.uniform(0.0, 3.0)) for _ in range(n_k)])

@@ -36,8 +36,8 @@ class ContourTooClose(TevpError):
 class NewtonStall(TevpError):
     """Refinement could not certify the zeros of a cell narrower than the split floor.
 
-    Its verification square did not count the cell's zeros, or a simple
-    zero's Newton step |d/d'| at the square's centroid was too large, and
+    Its verification circle did not count the cell's zeros, or a simple
+    zero's Newton step |d/d'| at the circle's centroid was too large, and
     the cell lies inside the search rect or every padded outer contour has
     been tried.
     """

@@ -7,26 +7,21 @@ refinement cannot certify goes back to the subdivision, so counting smaller
 cells is the only way zeros are separated.  The width a cell must reach
 depends on its count: a count-1 cell is refined once it is at most
 _SIMPLE_DIAM (8) wide, because its centroid is its zero and the verification
-square and certificate below reject a bad one; a cell of count 2 .. _MMAX
+circle and certificate below reject a bad one; a cell of count 2 .. _MMAX
 only at _CLUSTER_DIAM (0.4), because its centroid is a mean of zeros that
-may still be apart.  The rectangle rule is the only contour quadrature: with
-the integral of d'/d it takes that of k d'/d from the same nodes, so each
+may still be apart.  The rectangle rule, which counts and subdivides, takes
+the integral of k d'/d with that of d'/d from the same nodes, so each
 counted cell also has the centroid of its zeros at no extra evaluation.
-Refinement counts one square around each cell's centroid, of half-width
-max(1e-3, 2e-4 |c|) for a count-1 cell and _SPLIT_FLOOR for a cell with
-count m >= 2, and reports the cell's zeros at that square's own centroid if
-the square counts them all.  A count-1 square is centred on its zero, so the
-pole of d'/d stays a half-width from every edge and one 12-node rule per
-edge gives its winding to about 1e-9: it costs 48 evaluations, not the 144
-of the adaptive rule below, and is accepted if that winding is within
-_SQUARE_TOL of 1.  A square that misses, and every count >= 2 square, is
-counted by the adaptive rule, which finds the single rules cached.  A simple
-zero also needs the certificate |d/d'| <= 1e-10 (1 + |k|) there, from the
-same evaluation that gives its residual: a Newton step that would still
-move it means the centroid is not the zero.
+Refinement checks each cell on one circle about its centroid (_circles), of
+radius max(1e-3, 2e-4 |c|) for count 1 and _SPLIT_FLOOR for count m >= 2,
+and reports its zeros at the circle's own centroid if the circle counts
+them all; a count-1 circle is centred on its zero, so 8 nodes suffice.  A
+simple zero also needs the certificate |d/d'| <= 1e-10 (1 + |k|) there,
+from the evaluation that gives its residual (9 evaluations in all): a
+Newton step that would still move it means the centroid is not the zero.
 A multiple zero, or a cluster that floating-point noise has split below the
-floor, is reported once.  Any other cell, including one whose square count
-does not converge, is split again.  One narrower than _SPLIT_FLOOR raises
+floor, is reported once.  Any other cell, including one whose circle does
+not count its zeros, is split again.  One narrower than _SPLIT_FLOOR raises
 NewtonStall, unless it touches the outer contour: the discretised d_h may
 split a multiple zero that the contour runs through, so the search restarts
 on the next padded outer contour instead.
@@ -82,7 +77,7 @@ _PER_RADIAN = 3.5            # grid steps per radian of phase at a search's larg
 _SEG_TOL = 1e-3              # a segment rule must match its two halves' sum to this
 _MAX_ROUNDS = 18             # segment-bisection rounds before a contour fails
 _STEP_CERT = 1e-10           # a simple zero needs |d/d'| <= _STEP_CERT (1 + |k|)
-_SQUARE_TOL = 1e-6           # a simple zero's square counts from one rule per edge to this
+_CIRCLE_TOL = 1e-6           # a simple zero's circle must wind within this of 1
 _MAX_SPLITS = 128            # segments one contour may split in one round
 _PHASES = ("count", "subdivide", "refine")
 _RETRIES = ("inflate", "jitter", "resplit")
@@ -92,11 +87,11 @@ _PADS = (1e-2, 2e-2, 4e-2, 8e-2, 0.16)   # outward moves of an outer contour's e
 
 @dataclass(frozen=True)
 class Certificate:
-    """The numbers that accepted a zero: its verification square's half-width,
-    that square's winding defect |w - n|, the Newton step |d/d'| at the zero
+    """The numbers that accepted a zero: its verification circle's radius,
+    that circle's winding defect |w - n|, the Newton step |d/d'| at the zero
     (None for a multiple zero, which no step certifies), and the least |D| at
-    the square's quadrature nodes."""
-    half_width: float
+    the circle's nodes."""
+    radius: float
     defect: float
     step: float | None
     min_abs_d: float
@@ -122,20 +117,19 @@ class SpectralZero:
 class SearchReport:
     """Zeros of one search and its ``stats``: ``evals`` (points propagated),
     ``phase_evals`` (their split over count / subdivide / refine; refine is
-    the verification squares and the residual and certificate evaluation at
-    their centroids: 49 per simple zero whose square meets _SQUARE_TOL with
-    one 12-node rule per edge), ``batches`` (engine calls),
+    the verification circles and the residual and certificate evaluation at
+    their centroids: 9 per simple zero), ``batches`` (engine calls),
     ``ksteps`` (points times grid steps), ``phase_ksteps`` (their split over
-    the same phases), ``segments_reused`` (segment rules
-    the cache, or the same batch, already held), ``retries`` (``inflate``:
-    outer contours padded off a zero or off a cell stalled on the contour;
-    ``jitter``: cells split again on a shifted line; ``resplit``: cells
-    refinement handed back to the subdivision because a verification square
-    did not count the cell's zeros or a simple zero failed its certificate),
-    ``clusters`` (cells refined, handed-back ones included),
-    ``duplicates_removed`` and ``noteworthy_multiple_nonreal``.  Each zero
-    carries the ``certificate`` that accepted it (see ``Certificate``).
-    ``timings``: wall seconds per phase, out of ``stats`` as they vary by run."""
+    the same phases), ``segments_reused`` (segment rules the cache, or the
+    same batch, already held), ``retries`` (``inflate``: outer contours
+    padded off a zero or off a cell stalled on the contour; ``jitter``: cells
+    split again on a shifted line; ``resplit``: cells refinement handed back
+    to the subdivision because a verification circle did not count the
+    cell's zeros or a simple zero failed its certificate), ``clusters``
+    (cells refined, handed-back ones included), ``duplicates_removed`` and
+    ``noteworthy_multiple_nonreal``.  Each zero carries the ``certificate``
+    that accepted it (see ``Certificate``).  ``timings``: wall seconds per
+    phase, out of ``stats`` as they vary by run."""
     rect: tuple
     zeros: list
     total_count_by_argument_principle: int
@@ -154,7 +148,7 @@ class _Service:
     Every evaluation runs on one grid of ``n_steps`` steps uniform in optical
     depth, each at most 1/_PER_RADIAN rad at the largest |k| a contour of the
     search on ``rect`` can reach: a corner of its widest padded rect plus a
-    verification square's half-width.  ``segments`` maps a segment (a, b),
+    verification circle's radius.  ``segments`` maps a segment (a, b),
     a before b by (re, im), to its row of ``table``: the 12-node integrals
     of d'/d and of k d'/d from a to b, and the max and min |D| at the nodes.
     A segment traversed from b to a reads the negated integrals.
@@ -163,7 +157,7 @@ class _Service:
     def __init__(self, profile: RefractiveProfile, rect):
         x0, x1, y0, y1 = _padded_rects(rect)[-1]
         reach = math.hypot(max(abs(x0), abs(x1)), max(abs(y0), abs(y1)))
-        # a square centred in a cell reaches past it by at most sqrt(2) half-widths
+        # a verification circle reaches one radius past its centroid; the pad is twice that
         self.n_steps = grid_steps(profile, reach + 2.0 * max(_SPLIT_FLOOR, 2e-4 * reach),
                                   _PER_RADIAN)
         self.profile = profile
@@ -258,19 +252,13 @@ def _contour_pieces(rects):
     return edge // 4, a, b
 
 
-def _winding_many(service, rects, expect=None):
+def _winding_many(service, rects):
     """Winding numbers and zero centroids of d over rectangle boundaries.
 
     Every contour is integrated on the service's one grid, so each closed
     contour integrates the same analytic d_h.  A segment is accepted when its
     12-node rule agrees with the sum over its two halves to _SEG_TOL, and
     otherwise replaced by the halves, whose rules are then already cached.
-    ``expect`` gives the count expected in each rect, if known.  A rect
-    expected to hold one zero (a verification square, whose edges are single
-    pieces) is first counted from one rule per piece, without its halves: it
-    is done if that winding is within _SQUARE_TOL of 1, and otherwise its
-    pieces go through the rounds above (one fewer of them), which find their
-    coarse rules cached.
 
     Returns a list of (count:int|None, (min_absD, max_absD):(float, float),
     winding:complex, centroid:complex) with |D| over every node evaluated
@@ -287,22 +275,19 @@ def _winding_many(service, rects, expect=None):
     max_absD = np.zeros(m)
     min_absD = np.full(m, np.inf)
     failed = np.zeros(m, dtype=bool)
-    whole = np.equal(expect, 1) if expect is not None else np.zeros(m, dtype=bool)
 
     for depth in range(_MAX_ROUNDS):
         if not idx.size:
             break
-        halve = (~whole[idx]).nonzero()[0]
-        # every piece, then the left and the right halves of each piece in ``halve``
-        _own, h0, h1 = _bisect(idx[halve], z0[halve], z1[halve], np.full(halve.size, True))
-        ints, moms, mx, mn = service.rules(np.concatenate([z0, h0[::2], h0[1::2]]),
-                                           np.concatenate([z1, h1[::2], h1[1::2]]))
-        n, ridx = idx.size, np.concatenate([idx, idx[halve], idx[halve]])
+        # every piece, then its left and its right half, split as _bisect splits it
+        mid = 0.5 * (z0 + z1)
+        ints, moms, mx, mn = service.rules(np.concatenate([z0, z0, mid]),
+                                           np.concatenate([z1, mid, z1]))
+        ridx = np.tile(idx, 3)
         np.maximum.at(max_absD, ridx, mx)
         np.minimum.at(min_absD, ridx, mn)
-        (left, right), (m_left, m_right) = ints[n:].reshape(2, -1), moms[n:].reshape(2, -1)
-        coarse, fine, m_fine = ints[:n], ints[:n].copy(), moms[:n].copy()
-        fine[halve], m_fine[halve] = left + right, m_left + m_right
+        (coarse, left, right), (_m, m_left, m_right) = ints.reshape(3, -1), moms.reshape(3, -1)
+        fine, m_fine = left + right, m_left + m_right
         gap = np.abs(coarse - fine)
         # a node hit a zero of d dead-on: this contour is unusable
         failed[idx[~np.isfinite(gap)]] = True
@@ -313,14 +298,9 @@ def _winding_many(service, rects, expect=None):
         if depth == _MAX_ROUNDS - 1:
             failed[idx[split]] = True
         failed |= np.bincount(idx[split], minlength=m) > _MAX_SPLITS
-        # a one-rule square off its gate is counted again from its coarse pieces
-        again = whole & ~failed & (np.abs(totals / (2j * np.pi) - 1.0) > _SQUARE_TOL)
-        totals[again] = moments[again] = 0.0
-        whole[:] = False
-        # the split pieces' halves, in place, then the pieces of the squares counted again
+        # the split pieces' halves, in place
         keep = split & ~failed[idx]
-        order = np.concatenate([keep.nonzero()[0], again[idx].nonzero()[0]])
-        idx, z0, z1 = _bisect(idx[order], z0[order], z1[order], keep[order])
+        idx, z0, z1 = _bisect(idx[keep], z0[keep], z1[keep], keep[keep])
 
     out = []
     for i, (x0, x1, y0, y1) in enumerate(rects):
@@ -421,7 +401,7 @@ def _subdivide(service, cells):
     most _MMAX zeros and is narrow enough for its count; return those parts.
 
     A part of count 1 is narrow enough at _SIMPLE_DIAM wide: refinement
-    verifies its centroid with a square and the Newton-step certificate, and
+    verifies its centroid with a circle and the Newton-step certificate, and
     hands it back if either fails.  A part of count 2 .. _MMAX must be at most
     _CLUSTER_DIAM wide, so that zeros still apart are separated by counts.
     """
@@ -470,21 +450,40 @@ def _subdivide(service, cells):
 # ---------------------------------------------------------------------------
 
 
+def _circles(service, centres, radii, counts):
+    """``_winding_many``'s tuples for circles of ``radii`` about ``centres`` (arrays).
+
+    A circle of count m has 8 m trapezoid nodes z = c + h e^(2 pi i j / 8m),
+    every circle in one batch; w = mean(d'/d (z - c)) and the centroid is
+    c + mean(d'/d (z - c)^2) / w (Trefethen & Weideman, SIAM Review 56, 2014).
+    The count is m if |w - m| <= _CIRCLE_TOL (m = 1) or 0.25 (m >= 2), and
+    None otherwise; |D| is taken over the circle's nodes.
+    """
+    n = 8 * counts
+    start = np.cumsum(n) - n
+    owner = np.repeat(np.arange(n.size), n)
+    u = radii[owner] * np.exp(2j * np.pi * (np.arange(n.sum()) - start[owner]) / n[owner])
+    ld, absD = service.eval(centres[owner] + u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.add.reduceat(ld * u, start) / n
+        k = centres + np.add.reduceat(ld * u * u, start) / (n * w)
+    ok = np.abs(w - counts) <= np.where(counts == 1, _CIRCLE_TOL, 0.25)
+    mn, mx = np.minimum.reduceat(absD, start), np.maximum.reduceat(absD, start)
+    return [(int(m) if good else None, (lo, hi), wi, ki)
+            for m, good, lo, hi, wi, ki in zip(counts, ok, mn, mx, w, k)]
+
+
 def _refine_clusters(service, clusters):
     """Refine the zeros of counted cells, as the module docstring sets out.
 
     Returns ((k, multiplicity, residual, Certificate) per certified zero,
     cells to split again).
     """
-    squares, widths = [], []
-    for cell in clusters:
-        c = cell.centroid
-        h = max(1e-3, 2e-4 * abs(c)) if cell.count == 1 else _SPLIT_FLOOR
-        squares.append((c.real - h, c.real + h, c.imag - h, c.imag + h))
-        widths.append(h)
+    centres = np.array([cell.centroid for cell in clusters], dtype=complex)
+    counts = np.array([cell.count for cell in clusters], dtype=int)
+    radii = np.where(counts == 1, np.maximum(1e-3, 2e-4 * np.abs(centres)), _SPLIT_FLOOR)
     counted = [(cell, h, k, abs(w - n), mn) for cell, h, (n, (mn, _mx), w, k) in zip(
-        clusters, widths, _winding_many(service, squares, [c.count for c in clusters]))
-        if n == cell.count]
+        clusters, radii, _circles(service, centres, radii, counts)) if n == cell.count]
     ld, absD = service.eval(np.array([k for _cell, _h, k, _defect, _mn in counted]))
     with np.errstate(divide="ignore", invalid="ignore"):
         # the Newton step |d/d'|; d'/d infinite means d vanishes at k to working precision

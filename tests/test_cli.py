@@ -84,7 +84,7 @@ def test_spectrum_outputs_and_determinism(tmp_path, capsys):
     assert stats["segments_reused"] > 0
     for z in report["zeros"]:       # triple zeros: no Newton step certifies them
         cert = z["certificate"]
-        assert cert == {"half_width": 2e-3, "defect": cert["defect"], "step": None,
+        assert cert == {"radius": 2e-3, "defect": cert["defect"], "step": None,
                         "min_abs_d": cert["min_abs_d"]}
         assert cert["defect"] <= 0.25
         assert cert["min_abs_d"] > 0.0
@@ -155,6 +155,22 @@ def test_inverse_check_regime_exit(tmp_path, capsys, monkeypatch):
     rc = main(["inverse-check", "--fast", "--scenario", str(p)])
     assert rc == EXIT_REGIME
     assert "regime error" in capsys.readouterr().err
+
+
+def test_inverse_check_threshold_needs_a_above_one(tmp_path, capsys, monkeypatch):
+    # slow_core has a = 0.577: no threshold a + 1 - 2b exists, whatever b is
+    sc = {"q": "slow_core", "q_tilde": "slow_core", "agree_from": 0.3, "b": 0.6}
+    p = tmp_path / "sc.json"
+    p.write_text(json.dumps(sc))
+
+    def no_wronskian(*args, **kwargs):
+        raise AssertionError("the Wronskian check ran before the regime check")
+
+    monkeypatch.setattr(inverse, "wronskian_g", no_wronskian)
+    rc = main(["inverse-check", "--fast", "--scenario", str(p)])
+    assert rc == EXIT_REGIME
+    captured = capsys.readouterr()
+    assert "regime error" in captured.err and "threshold" not in captured.out
 
 
 def test_spectrum_json_reports_residuals_and_stats(capsys):

@@ -22,4 +22,7 @@ def test_gate_lines_repeat():
         assert (record["profile"], record["params"], record["rect"]) == (name, params,
                                                                         list(rect))
         assert record["zeros"] >= 1 and len(record["md5"]) == 32
+        assert len(record["zero_list"]) == record["zeros"]
+        assert all(isinstance(re, float) and isinstance(im, float) and mult >= 1
+                   and cls in ("real", "nonreal") for re, im, mult, cls in record["zero_list"])
         assert record["stats"]["evals"] > 0

@@ -58,16 +58,14 @@ def test_outer_edge_through_a_multiple_zero_restarts_on_a_padded_contour(const4,
 
 
 def test_uncertifiable_interior_cell_raises_newton_stall(colton, monkeypatch):
-    # a verification square that never counts its cell's zero
-    winding = zeros_module._winding_many
+    # a verification circle that never counts its cell's zero
+    circles = zeros_module._circles
 
-    def miscount(service, rects, expect=None):
-        out = winding(service, rects, expect)
-        if service.phase == "refine":
-            out = [(None if n is None else n + 1, mx, w, c) for n, mx, w, c in out]
-        return out
+    def miscount(service, centres, radii, counts):
+        return [(None if n is None else n + 1, mx, w, c)
+                for n, mx, w, c in circles(service, centres, radii, counts)]
 
-    monkeypatch.setattr(zeros_module, "_winding_many", miscount)
+    monkeypatch.setattr(zeros_module, "_circles", miscount)
     with pytest.raises(NewtonStall):
         find_zeros(colton, (4.0, 5.0, 2.5, 3.5))
     assert main(["spectrum", "--profile", "colton_example",
@@ -275,10 +273,9 @@ class _GivenLogDerivative:
 
 
 def test_certificate_passes_an_exact_zero_and_fails_a_nan(monkeypatch):
-    # every square counts its cell's zero; only the certificate decides
-    monkeypatch.setattr(zeros_module, "_winding_many", lambda service, rects, expect: [
-        (1, (0.5, 1.0), 1.0, complex(0.5 * (x0 + x1), 0.5 * (y0 + y1)))
-        for x0, x1, y0, y1 in rects])
+    # every circle counts its cell's zero at its centre; only the certificate decides
+    monkeypatch.setattr(zeros_module, "_circles", lambda service, centres, radii, counts: [
+        (1, (0.5, 1.0), 1.0, c) for c in centres])
     cells = [_Cell((2.0, 2.2, 1.0, 1.2), count=1), _Cell((5.0, 5.2, 1.0, 1.2), count=1)]
     for cell in cells:
         cell.centroid = complex(cell.rect[0] + 0.1, cell.rect[2] + 0.1)
@@ -287,7 +284,7 @@ def test_certificate_passes_an_exact_zero_and_fails_a_nan(monkeypatch):
     found, back = _refine_clusters(service, cells)
     assert [(m, r) for _k, m, r, _cert in found] == [(1, 0.0)]
     assert abs(found[0][0] - (2.1 + 1.1j)) <= 1e-12
-    assert found[0][3] == Certificate(half_width=1e-3, defect=0.0, step=0.0, min_abs_d=0.5)
+    assert found[0][3] == Certificate(radius=1e-3, defect=0.0, step=0.0, min_abs_d=0.5)
     assert back == [cells[1]]
     assert service.stats["retries"]["resplit"] == 1
 
@@ -426,7 +423,7 @@ def test_centroid_of_an_empty_rect_is_its_centre(const4):
 
 
 def _shift_first(cells):
-    cells[0].centroid += 0.01          # its verification square misses the zero
+    cells[0].centroid += 0.01          # its verification circle misses the zero
 
 
 def _shift_all(cells):
@@ -457,20 +454,20 @@ def test_refinement_hands_back_zeros_it_cannot_verify(colton, monkeypatch, spoil
 
 
 def test_certificate_hands_back_a_centroid_off_its_zero(colton, monkeypatch):
-    # the square still counts the zero, but a Newton step of 1e-6 remains
+    # the circle still counts the zero, but a Newton step of 1e-6 remains
     rect = (0.3, 12.0, 0.0, 6.0)
     clean = find_zeros(colton, rect).zeros
-    winding, moved = zeros_module._winding_many, []
+    circles, moved = zeros_module._circles, []
 
-    def move_once(service, rects, expect=None):
-        out = winding(service, rects, expect)
-        if service.phase == "refine" and not moved:
+    def move_once(service, centres, radii, counts):
+        out = circles(service, centres, radii, counts)
+        if not moved:
             n, mx, w, centroid = out[0]
             out[0] = (n, mx, w, centroid + 1e-6)
             moved.append(n)
         return out
 
-    monkeypatch.setattr(zeros_module, "_winding_many", move_once)
+    monkeypatch.setattr(zeros_module, "_circles", move_once)
     rep = find_zeros(colton, rect)
     assert moved == [1]
     assert rep.stats["retries"]["resplit"] >= 1
@@ -511,83 +508,79 @@ def test_retry_counters_record_contour_repairs(const4, rect, retries):
 def test_certificates_of_the_k40_search(colton_spectrum_40):
     for z in colton_spectrum_40.zeros:
         cert = z.certificate
-        assert cert.defect <= zeros_module._SQUARE_TOL
-        # the square is sized at the cell's centroid, a little off the zero
-        assert math.isclose(cert.half_width, max(1e-3, 2e-4 * abs(z.k)), rel_tol=1e-3)
+        assert cert.defect <= zeros_module._CIRCLE_TOL
+        # the circle is sized at the cell's centroid, a little off the zero
+        assert math.isclose(cert.radius, max(1e-3, 2e-4 * abs(z.k)), rel_tol=1e-3)
         assert cert.step <= 1e-10 * (1.0 + abs(z.k))
     d = json.loads(json.dumps(report_to_json(colton_spectrum_40)))
     assert [z["certificate"]["step"] for z in d["zeros"]] == \
         [z.certificate.step for z in colton_spectrum_40.zeros]
 
 
-@pytest.mark.parametrize("fixture, budget", [("colton_spectrum_40", 3_050),
-                                             ("colton_band_150", 500),
-                                             ("colton_spectrum_150", 13_400)])
+@pytest.mark.parametrize("fixture, budget", [("colton_spectrum_40", 2_500),
+                                             ("colton_band_150", 420),
+                                             ("colton_spectrum_150", 11_300)])
 def test_search_evaluation_budget(request, fixture, budget):
     rep = request.getfixturevalue(fixture)
     assert rep.stats["evals"] <= budget
-    # every zero is simple: 4 edges x 12 nodes for its square, 1 for its residual
-    assert rep.stats["phase_evals"]["refine"] == 49 * len(rep.zeros)
+    # every zero is simple: 8 nodes for its circle, 1 for its residual
+    assert rep.stats["phase_evals"]["refine"] == 9 * len(rep.zeros)
 
 
 @pytest.mark.parametrize("profile, rect, evals, batches", [
-    (get_profile("slow_core"), (0.3, 30.0, 0.0, 6.0), 4_233, 20),
-    (get_profile("raised_cosine"), (0.3, 30.0, 0.0, 6.0), 2_971, 15),
-    (CONST4, (0.5, 31.0, 0.0, 1.0), 9_585, 28),
-    (ConstantProfile(4.0 + 1e-8), (2.5, 3.8, 0.0, 0.5), 973, 12),
-    (ConstantProfile(4.0 + 1e-6), (2.5, 3.8, 0.0, 0.5), 3_783, 40),
-    (ConstantProfile(4.0 + 1e-5), (2.5, 3.8, 0.0, 0.5), 3_435, 35),
-    (ConstantProfile(4.0 + 1e-4), (2.5, 3.8, 0.0, 0.5), 1_491, 15),
-    (ConstantProfile(4.0 + 1e-3), (2.5, 3.8, 0.0, 0.5), 1_299, 13),
-    (ConstantProfile(4.0 + 1e-2), (2.5, 3.8, 0.0, 0.5), 1_395, 16),
+    (get_profile("slow_core"), (0.3, 30.0, 0.0, 6.0), 3_009, 20),
+    (get_profile("raised_cosine"), (0.3, 30.0, 0.0, 6.0), 2_019, 15),
+    (CONST4, (0.5, 31.0, 0.0, 1.0), 8_505, 28),
+    (ConstantProfile(4.0 + 1e-8), (2.5, 3.8, 0.0, 0.5), 709, 12),
+    (ConstantProfile(4.0 + 1e-6), (2.5, 3.8, 0.0, 0.5), 2_167, 40),
+    (ConstantProfile(4.0 + 1e-5), (2.5, 3.8, 0.0, 0.5), 2_139, 35),
+    (ConstantProfile(4.0 + 1e-4), (2.5, 3.8, 0.0, 0.5), 955, 15),
+    (ConstantProfile(4.0 + 1e-3), (2.5, 3.8, 0.0, 0.5), 763, 13),
+    (ConstantProfile(4.0 + 1e-2), (2.5, 3.8, 0.0, 0.5), 859, 16),
 ])
-def test_search_costs_no_more_than_the_adaptive_squares(profile, rect, evals, batches):
-    # evals and batches when every verification square was counted adaptively
+def test_search_cost_bounds(profile, rect, evals, batches):
+    # evals with every cell verified on one circle; batches as when every
+    # verification square was counted by the adaptive rectangle rule
     stats = find_zeros(profile, rect).stats
     assert stats["evals"] <= evals
     assert stats["batches"] <= batches
 
 
-@pytest.mark.parametrize("shift, cost", [(0.5, 144), (0.9, 192)])
-def test_square_off_its_gate_is_counted_by_the_adaptive_rule(colton, shift, cost):
-    # the zero lies (1 - shift) half-widths inside the square's right edge, so
-    # one 12-node rule per edge misses _SQUARE_TOL
+def test_circle_off_its_zero_hands_the_cell_back(colton):
     with mpmath.workdps(30):
         root = complex(mpmath.findroot(_colton_d, mpmath.mpc(4.4134 + 2.9042j)))
-    h = 1e-3
-    c = root - shift * h
-    square = (c.real - h, c.real + h, c.imag - h, c.imag + h)
-    adaptive_cost, adaptive = _evals(_Service(colton, square), [square])
-    service = _Service(colton, square)
-    out = _winding_many(service, [square], [1])
-    assert out == adaptive
-    assert out[0][0] == 1
-    # the one-rule pass evaluated the 48 coarse nodes the adaptive rounds then reuse
-    assert service.stats["evals"] == adaptive_cost == cost
+    h = max(1e-3, 2e-4 * abs(root))
+    centred, off = _Cell((4.0, 5.0, 2.5, 3.5), count=1), _Cell((4.0, 5.0, 2.5, 3.5), count=1)
+    centred.centroid, off.centroid = root, root - 0.9 * h
+    service = _Service(colton, centred.rect)
+    found, back = _refine_clusters(service, [centred, off])
+    # the zero is 0.9 radius off the second circle's centre: its 8 nodes miss _CIRCLE_TOL
+    assert back == [off] and service.stats["retries"]["resplit"] == 1
+    (k, mult, _res, cert), = found
+    assert (mult, cert.radius) == (1, h) and cert.defect <= zeros_module._CIRCLE_TOL
+    assert abs(k - root) <= 1e-12
+    (n, _abs_d, w, _c), = zeros_module._circles(
+        service, np.array([off.centroid]), np.array([h]), np.array([1]))
+    assert n is None and abs(w - 1.0) > 0.1
 
 
-def test_certificate_records_the_least_abs_d_on_its_square(colton, monkeypatch):
+def test_certificate_records_the_least_abs_d_on_its_circle(colton, monkeypatch):
     rect = (0.3, 12.0, 0.0, 6.0)
     clean = find_zeros(colton, rect)
-    winding, squares = zeros_module._winding_many, []
+    circles, drawn = zeros_module._circles, []
 
-    def record(service, rects, expect=None):
-        if service.phase == "refine":
-            squares.extend((service, square) for square in rects)
-        return winding(service, rects, expect)
+    def record(service, centres, radii, counts):
+        drawn.extend((service, c, h) for c, h in zip(centres, radii))
+        return circles(service, centres, radii, counts)
 
-    monkeypatch.setattr(zeros_module, "_winding_many", record)
+    monkeypatch.setattr(zeros_module, "_circles", record)
     rep = find_zeros(colton, rect)
     mins = [z.certificate.min_abs_d for z in rep.zeros]
     assert mins == [z.certificate.min_abs_d for z in clean.zeros]
     assert [z["certificate"]["min_abs_d"] for z in report_to_json(rep)["zeros"]] == mins
-    x_gl, _w = zeros_module._GL_NODES
     for z in rep.zeros:
-        (service, square), = [(s, (x0, x1, y0, y1)) for s, (x0, x1, y0, y1) in squares
-                              if x0 < z.k.real < x1 and y0 < z.k.imag < y1]
-        _owner, a, b = _contour_pieces([square])
-        assert a.size == 4
-        nodes = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * x_gl
+        (service, c, h), = [(s, c, h) for s, c, h in drawn if abs(z.k - c) < h]
+        nodes = c + h * np.exp(2j * np.pi * np.arange(8) / 8)
         _ld, abs_d = service.eval(nodes)
         assert 0.0 < z.certificate.min_abs_d == abs_d.min() < abs_d.max()
 

@@ -1,8 +1,11 @@
-"""Print one JSON line per gate search, to check that a change leaves them bit-identical.
+"""Print one JSON line per gate search, to check what a change does to the zeros.
 
-Each line holds the profile, the rect, the zero count, an md5 over every
-zero's ``float.hex`` parts, multiplicity, class, residual and certificate
-fields, and ``report_to_json``'s ``stats``.  Run it on two trees and diff:
+Each line holds the profile, the rect, the zero count, the zeros as
+[re, im, multiplicity, class] (plain JSON floats, which round-trip exactly),
+an md5 over every zero's ``float.hex`` parts, multiplicity, class, residual
+and certificate fields, and ``report_to_json``'s ``stats``.  Run it on two
+trees and diff for bit-identity, or compare the zero lists within a
+tolerance (see the README):
 
     PYTHONPATH=src python tools/gate_searches.py > gate.jsonl
 """
@@ -41,11 +44,14 @@ def gate_line(name, params, rect):
     for z in report.zeros:
         cert = z.certificate
         parts = [_hex(z.k.real), _hex(z.k.imag), z.multiplicity, z.cls, _hex(z.residual),
-                 _hex(cert.half_width), _hex(cert.defect), _hex(cert.step),
+                 _hex(cert.radius), _hex(cert.defect), _hex(cert.step),
                  _hex(cert.min_abs_d)]
         digest.update(repr(parts).encode())
     return json.dumps({"profile": name, "params": params, "rect": list(rect),
-                       "zeros": len(report.zeros), "md5": digest.hexdigest(),
+                       "zeros": len(report.zeros),
+                       "zero_list": [[z.k.real, z.k.imag, z.multiplicity, z.cls]
+                                     for z in report.zeros],
+                       "md5": digest.hexdigest(),
                        "stats": report_to_json(report)["stats"]})
 
 
