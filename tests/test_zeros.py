@@ -546,6 +546,21 @@ def test_search_cost_bounds(profile, rect, evals, batches):
     assert stats["batches"] <= batches
 
 
+@pytest.mark.parametrize("shift, cost", [(0.5, 144), (0.9, 192)])
+def test_square_off_its_gate_is_counted_by_the_adaptive_rule(colton, shift, cost):
+    # the zero lies (1 - shift) half-widths inside the square's right edge; the
+    # adaptive rule still counts it, refining the edges next to it
+    with mpmath.workdps(30):
+        root = complex(mpmath.findroot(_colton_d, mpmath.mpc(4.4134 + 2.9042j)))
+    h = 1e-3
+    c = root - shift * h
+    square = (c.real - h, c.real + h, c.imag - h, c.imag + h)
+    service = _Service(colton, square)
+    adaptive_cost, out = _evals(service, [square])
+    assert out[0][0] == 1
+    assert service.stats["evals"] == adaptive_cost == cost
+
+
 def test_circle_off_its_zero_hands_the_cell_back(colton):
     with mpmath.workdps(30):
         root = complex(mpmath.findroot(_colton_d, mpmath.mpc(4.4134 + 2.9042j)))
