@@ -36,10 +36,10 @@ class ContourTooClose(TevpError):
 class NewtonStall(TevpError):
     """Refinement could not certify the zeros of a cell narrower than the split floor.
 
-    Its verification circle did not count the cell's zeros, or a simple
-    zero's Newton step |d/d'| at the circle's centroid was too large, and
-    the cell lies inside the search rect or every padded outer contour has
-    been tried.
+    Its moments gave no usable zeros, a zero's verification circle did not
+    count it, or a simple zero's Newton step |d/d'| at the circle's centroid
+    was too large, and the cell lies inside the search rect or every padded
+    outer contour has been tried.
     """
 
 

@@ -290,11 +290,13 @@ def characteristic_batch(profile: RefractiveProfile, k, *, n_steps: int | None =
 
     ``n_steps`` None is ``grid_steps`` at _PER_RADIAN for max |k|.  Returns (d_s, dp_s,
     scale_log) with true d = d_s * exp(scale_log); d'/d = dp_s/d_s,
-    independent of the scale.
+    independent of the scale.  A non-finite k raises ValueError.
     """
     k = np.asarray(k, dtype=complex).ravel()
     if k.size == 0:
         return k.copy(), k.copy(), np.zeros(0)
+    if not np.isfinite(k).all():
+        raise ValueError(f"k must be finite, got {k[~np.isfinite(k)][0]}")
     if n_steps is None:
         n_steps = grid_steps(profile, float(np.abs(k).max()), _PER_RADIAN)
     u, log_scale = _shoot(profile, k, n_steps)

@@ -1,43 +1,26 @@
 """Zero localization for the characteristic function d(k).
 
 Strategy: argument-principle winding counts over rectangle contours,
-subdivision until every nonempty cell holds at most _MMAX zeros and is
-narrow enough for its count, then refinement, in a loop: a cell that
-refinement cannot certify goes back to the subdivision, so counting smaller
-cells is the only way zeros are separated.  The width a cell must reach
-depends on its count: a count-1 cell is refined once it is at most
-_SIMPLE_DIAM (8) wide, because its centroid is its zero and the verification
-circle and certificate below reject a bad one; a cell of count 2 .. _MMAX
-only at _CLUSTER_DIAM (0.4), because its centroid is a mean of zeros that
-may still be apart.  The rectangle rule, which counts and subdivides, takes
-the integral of k d'/d with that of d'/d from the same nodes, so each
-counted cell also has the centroid of its zeros at no extra evaluation.
-Refinement checks each cell on one circle about its centroid (_circles), of
-radius max(1e-3, 2e-4 |c|) for count 1 and _SPLIT_FLOOR for count m >= 2,
-and reports its zeros at the circle's own centroid if the circle counts
-them all; a count-1 circle is centred on its zero, so 8 nodes suffice.  A
-simple zero also needs the certificate |d/d'| <= 1e-10 (1 + |k|) there,
-from the evaluation that gives its residual (9 evaluations in all): a
-Newton step that would still move it means the centroid is not the zero.
-A multiple zero, or a cluster that floating-point noise has split below the
-floor, is reported once.  Any other cell, including one whose circle does
-not count its zeros, is split again.  One narrower than _SPLIT_FLOOR raises
-NewtonStall, unless it touches the outer contour: the discretised d_h may
-split a multiple zero that the contour runs through, so the search restarts
-on the next padded outer contour instead.
+subdivision until every nonempty cell holds at most _MMAX zeros and is at
+most _CELL_WIDTH (8) wide, then refinement, in a loop: a cell that
+refinement cannot certify is split again.  Refinement reads a cell's
+distinct zeros and multiplicities off the Hankel pencil of the moments its
+count gave (_pencil) and verifies each on a circle and, if simple, by a
+Newton-step certificate (_refine_clusters); a cell is accepted only if all
+its zeros are, so the pencil can cost evaluations but not give a wrong
+zero.  A cell narrower than _SPLIT_FLOOR raises NewtonStall, unless it
+touches the outer contour: the discretised d_h may split a multiple zero
+that the contour runs through, so the search restarts on the next padded
+outer contour instead.
 
 All evaluations of one search go through its batching service, on one RK8
 grid: _PER_RADIAN steps per radian of phase at the largest |k| any contour of
-the search can reach.  Every count, centroid and certificate of the search is
-therefore exact for one analytic function d_h, and every cached segment is
-valid for every later contour.  Contour pieces are rows of numpy arrays
-(owner rect, start, end).  An edge starts as pieces at most _SEG_LEN (6)
-long; a piece whose 12-node rule disagrees with its two halves is bisected,
-so only rough stretches of an edge pay for short pieces.  A segment's table
-row (integrals of d'/d and k d'/d, max and min |D|) is keyed by its ends: a
-child cell's edges that its parent integrated, the split line two siblings
-share and a refined segment's halves (the next round's coarse rules) are each
-evaluated once.  _bisect halves every piece at 0.5 (a + b), so the keys are bit-equal.
+the search can reach.  Every count, moment and certificate is therefore
+exact for one analytic function d_h, and every cached segment is valid for
+every later contour.  Contour pieces are rows of numpy arrays (owner rect,
+start, end), at most _SEG_LEN (6) long at first; a piece whose 12-node rule
+disagrees with its two halves is bisected at 0.5 (a + b), so the halves of
+one edge are bit-equal in any round and found in the cache.
 """
 
 from __future__ import annotations
@@ -68,8 +51,8 @@ __all__ = [
 DEGENERACY_FLOOR = 1e-9      # max |D| on a contour below which d is treated as == 0
 _REAL_CLASS_TOL = 1e-9       # |Im k| <= tol*(1+|Re k|) classifies a zero as real
 _MMAX = 4                    # cells holding more zeros are always split
-_SIMPLE_DIAM = 8.0           # count-1 cells at most this wide go to refinement
-_CLUSTER_DIAM = 0.4          # cells of count 2 .. _MMAX at most this wide do
+_CELL_WIDTH = 8.0            # cells of count 1 .. _MMAX at most this wide go to refinement
+_RANK_TOL = 1e-8             # singular values of H0 below this share of the largest are 0
 _SPLIT_FLOOR = 2e-3          # clusters cohesive at this radius count as one multiple zero
 _GL_NODES = np.polynomial.legendre.leggauss(12)
 _SEG_LEN = 6.0               # longest first-round segment of a contour edge
@@ -116,20 +99,19 @@ class SpectralZero:
 @dataclass
 class SearchReport:
     """Zeros of one search and its ``stats``: ``evals`` (points propagated),
-    ``phase_evals`` (their split over count / subdivide / refine; refine is
-    the verification circles and the residual and certificate evaluation at
-    their centroids: 9 per simple zero), ``batches`` (engine calls),
-    ``ksteps`` (points times grid steps), ``phase_ksteps`` (their split over
-    the same phases), ``segments_reused`` (segment rules the cache, or the
-    same batch, already held), ``retries`` (``inflate``: outer contours
-    padded off a zero or off a cell stalled on the contour; ``jitter``: cells
-    split again on a shifted line; ``resplit``: cells refinement handed back
-    to the subdivision because a verification circle did not count the
-    cell's zeros or a simple zero failed its certificate), ``clusters``
-    (cells refined, handed-back ones included), ``duplicates_removed`` and
-    ``noteworthy_multiple_nonreal``.  Each zero carries the ``certificate``
-    that accepted it (see ``Certificate``).  ``timings``: wall seconds per
-    phase, out of ``stats`` as they vary by run."""
+    ``phase_evals`` (their split over count / subdivide / refine; refine is the
+    verification circles and the residual and certificate evaluation at their
+    centroids: 9 per simple zero), ``batches`` (engine calls), ``ksteps``
+    (points times grid steps), ``phase_ksteps`` (their split over the same
+    phases), ``segments_reused`` (segment rules the cache, or the same batch,
+    already held), ``retries`` (``inflate``: outer contours padded off a zero
+    or off a cell stalled on the contour; ``jitter``: cells split again on a
+    shifted line; ``resplit``: cells handed back to the subdivision because
+    their pencil gave no usable zeros or a zero failed its circle or
+    certificate), ``clusters`` (cells resolved from their moments, handed-back
+    ones included), ``duplicates_removed`` and ``noteworthy_multiple_nonreal``.
+    Each zero carries the ``certificate`` that accepted it.  ``timings``: wall
+    seconds per phase, out of ``stats`` as they vary by run."""
     rect: tuple
     zeros: list
     total_count_by_argument_principle: int
@@ -148,11 +130,10 @@ class _Service:
     Every evaluation runs on one grid of ``n_steps`` steps uniform in optical
     depth, each at most 1/_PER_RADIAN rad at the largest |k| a contour of the
     search on ``rect`` can reach: a corner of its widest padded rect plus a
-    verification circle's radius.  ``segments`` maps a segment (a, b),
-    a before b by (re, im), to its row of ``table``: the 12-node integrals
-    of d'/d and of k d'/d from a to b, and the max and min |D| at the nodes.
-    A segment traversed from b to a reads the negated integrals.
-    """
+    verification circle's radius.  ``segments`` maps a segment (a, b), a before
+    b by (re, im), to its row of ``nodes`` (12 Gauss-Legendre nodes), ``wld``
+    (d'/d there times the weights, so the row sums to the integral from a to b)
+    and ``peak`` (max |D|); cells take their moments from them."""
 
     def __init__(self, profile: RefractiveProfile, rect):
         x0, x1, y0, y1 = _padded_rects(rect)[-1]
@@ -162,7 +143,8 @@ class _Service:
                                   _PER_RADIAN)
         self.profile = profile
         self.a = travel_time(profile)
-        self.segments, self.table = {}, np.zeros((0, 4), dtype=complex)
+        self.segments, self.peak = {}, np.zeros(0)
+        self.nodes = self.wld = np.zeros((0, _GL_NODES[0].size), dtype=complex)
         self.phase, self._since = "count", time.perf_counter()
         self.timings = dict.fromkeys(_PHASES, 0.0)
         self.stats = {"batches": 0, "evals": 0, "ksteps": 0, "segments_reused": 0,
@@ -193,12 +175,9 @@ class _Service:
         return ld, absD
 
     def rules(self, a, b):
-        """12-node integrals of d'/d and k d'/d along the pieces a -> b (arrays),
-        and max and min |D| on each.
-
-        Only pieces missing from ``segments`` are evaluated, in one batch, in
-        the order first seen; a piece given twice, or in both orientations, once.
-        """
+        """Each piece a -> b's (arrays) rows of nodes and of weighted d'/d, oriented
+        a -> b, and its max |D|.  Only pieces missing from ``segments`` are
+        evaluated, in one batch; a piece given twice, or both ways, once."""
         forward = (a.real < b.real) | ((a.real == b.real) & (a.imag < b.imag))
         lo, hi = np.where(forward, a, b), np.where(forward, b, a)
         rows, start = self.segments, len(self.segments)
@@ -210,12 +189,12 @@ class _Service:
             x_gl, w_gl = _GL_NODES
             nodes = c[:, None] + h[:, None] * x_gl
             ld, absD = (v.reshape(nodes.shape) for v in self.eval(nodes.ravel()))
+            self.nodes = np.concatenate([self.nodes, nodes])
             with np.errstate(invalid="ignore"):
-                new = [(ld @ w_gl) * h, ((nodes * ld) @ w_gl) * h, absD.max(1), absD.min(1)]
-            self.table = np.concatenate([self.table, np.array(new).T])
-        ints, moms, mx, mn = self.table[row].T
+                self.wld = np.concatenate([self.wld, ld * (w_gl * h[:, None])])
+            self.peak = np.concatenate([self.peak, absD.max(1)])
         sign = np.where(forward, 1.0, -1.0)
-        return ints * sign, moms * sign, mx.real, mn.real
+        return self.nodes[row], self.wld[row] * sign[:, None], self.peak[row]
 
 
 # ---------------------------------------------------------------------------
@@ -253,27 +232,22 @@ def _contour_pieces(rects):
 
 
 def _winding_many(service, rects):
-    """Winding numbers and zero centroids of d over rectangle boundaries.
+    """Winding numbers and moments of d'/d over rectangle boundaries.
 
-    Every contour is integrated on the service's one grid, so each closed
-    contour integrates the same analytic d_h.  A segment is accepted when its
-    12-node rule agrees with the sum over its two halves to _SEG_TOL, and
-    otherwise replaced by the halves, whose rules are then already cached.
-
-    Returns a list of (count:int|None, (min_absD, max_absD):(float, float),
-    winding:complex, centroid:complex) with |D| over every node evaluated
-    for the rect; count None marks a contour-too-close failure (non-integer
-    defect or unconverged segment).  The centroid is the mean of the zeros
-    inside, c + (M - c T) / (2 pi i n) from T = the integral of d'/d, M =
-    that of k d'/d and c the rect centre (Delves & Lyness, Math. Comp. 21,
-    1967); a rect without a counted zero returns its centre.
+    A segment is accepted when its 12-node rule agrees with the sum over its
+    two halves to _SEG_TOL, and otherwise replaced by the halves, whose rules
+    are then already cached.  Returns a list of (count:int|None, max_absD,
+    moments): moments[p] = (1/2 pi i) integral of ((k - c)/r)^p d'/d, p <
+    2 _MMAX, about the rect's centre c and scaled by its half-width r, as raw
+    k^p moments lose every digit at |k| = 150; moments[0] is the winding
+    number.  Count None marks a non-integer defect or unconverged segment.
     """
     idx, z0, z1 = _contour_pieces(rects)
     m = len(rects)
-    totals = np.zeros(m, dtype=complex)
-    moments = np.zeros(m, dtype=complex)
+    x0, x1, y0, y1 = np.array(rects, dtype=float).reshape(-1, 4).T
+    centre, half = 0.5 * (x0 + x1) + 0.5j * (y0 + y1), 0.5 * np.maximum(x1 - x0, y1 - y0)
+    moments = np.zeros((m, 2 * _MMAX), dtype=complex)
     max_absD = np.zeros(m)
-    min_absD = np.full(m, np.inf)
     failed = np.zeros(m, dtype=bool)
 
     for depth in range(_MAX_ROUNDS):
@@ -281,19 +255,25 @@ def _winding_many(service, rects):
             break
         # every piece, then its left and its right half, split as _bisect splits it
         mid = 0.5 * (z0 + z1)
-        ints, moms, mx, mn = service.rules(np.concatenate([z0, z0, mid]),
-                                           np.concatenate([z1, mid, z1]))
+        nodes, wld, mx = service.rules(np.concatenate([z0, z0, mid]),
+                                       np.concatenate([z1, mid, z1]))
         ridx = np.tile(idx, 3)
         np.maximum.at(max_absD, ridx, mx)
-        np.minimum.at(min_absD, ridx, mn)
-        (coarse, left, right), (_m, m_left, m_right) = ints.reshape(3, -1), moms.reshape(3, -1)
-        fine, m_fine = left + right, m_left + m_right
-        gap = np.abs(coarse - fine)
+        with np.errstate(invalid="ignore"):
+            coarse, left, right = wld.sum(1).reshape(3, -1)
+            gap = np.abs(coarse - (left + right))
         # a node hit a zero of d dead-on: this contour is unusable
         failed[idx[~np.isfinite(gap)]] = True
         done = gap <= _SEG_TOL
-        np.add.at(totals, idx[done], fine[done])
-        np.add.at(moments, idx[done], m_fine[done])
+        # the accepted pieces' halves, about their rect's centre and scaled by its half-width
+        halves = np.concatenate([np.zeros_like(done), done, done])
+        owner = ridx[halves]
+        u = (nodes[halves] - centre[owner, None]) / half[owner, None]
+        term, parts = wld[halves], []
+        for _p in range(2 * _MMAX):
+            parts.append(term.sum(1))
+            term = term * u
+        np.add.at(moments, owner, np.array(parts).T)
         split = np.isfinite(gap) & ~done
         if depth == _MAX_ROUNDS - 1:
             failed[idx[split]] = True
@@ -302,16 +282,10 @@ def _winding_many(service, rects):
         keep = split & ~failed[idx]
         idx, z0, z1 = _bisect(idx[keep], z0[keep], z1[keep], keep[keep])
 
-    out = []
-    for i, (x0, x1, y0, y1) in enumerate(rects):
-        w = totals[i] / (2j * np.pi)
-        n = int(round(w.real))
-        ok = not failed[i] and abs(w - n) <= 0.25 and n >= 0
-        c = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
-        if ok and n:
-            c += complex((moments[i] - c * totals[i]) / (2j * np.pi * n))
-        out.append((n if ok else None, (min_absD[i], max_absD[i]), w, c))
-    return out
+    moments /= 2j * np.pi
+    n = np.round(moments[:, 0].real).astype(int)
+    ok = ~failed & (np.abs(moments[:, 0] - n) <= 0.25) & (n >= 0)
+    return [(int(c) if good else None, mx, s) for c, good, mx, s in zip(n, ok, max_absD, moments)]
 
 
 # ---------------------------------------------------------------------------
@@ -332,16 +306,13 @@ def _padded_rects(rect):
 
 
 def _count_with_perturbation(service, rects):
-    """Winding count on the first of ``rects`` whose contour converges.
-
-    Each contour passed over is an ``inflate`` retry.  Returns (count,
-    rect_used).
-    """
+    """(count, rect_used) of the first of ``rects`` whose contour converges;
+    each contour passed over is an ``inflate`` retry."""
     worst_mx = 0.0
     for j, rect in enumerate(rects):
         if j:
             service.stats["retries"]["inflate"] += 1
-        (n, (_mn, mx), _w, _c), = _winding_many(service, [rect])
+        (n, mx, _moments), = _winding_many(service, [rect])
         worst_mx = max(worst_mx, mx)
         if worst_mx < DEGENERACY_FLOOR:
             raise DegenerateCharacteristic(
@@ -372,11 +343,11 @@ def count_zeros(profile: RefractiveProfile, rect) -> int:
 
 
 class _Cell:
-    __slots__ = ("rect", "count", "centroid", "parent", "jitter", "children")
+    __slots__ = ("rect", "count", "moments", "parent", "jitter", "children")
 
     def __init__(self, rect, count=None, parent=None):
         self.rect, self.count, self.parent = rect, count, parent
-        self.centroid = self.children = None
+        self.moments = self.children = None
         self.jitter = 0
 
 
@@ -398,33 +369,16 @@ def _split(cell: _Cell):
 
 def _subdivide(service, cells):
     """Split ``cells``, then their parts, until every nonempty part holds at
-    most _MMAX zeros and is narrow enough for its count; return those parts.
-
-    A part of count 1 is narrow enough at _SIMPLE_DIAM wide: refinement
-    verifies its centroid with a circle and the Newton-step certificate, and
-    hands it back if either fails.  A part of count 2 .. _MMAX must be at most
-    _CLUSTER_DIAM wide, so that zeros still apart are separated by counts.
-    """
+    most _MMAX zeros and is at most _CELL_WIDTH wide; return those parts."""
     clusters = []
     pending = [part for cell in cells for part in _split(cell)]
-
-    def decide(cell):
-        x0, x1, y0, y1 = cell.rect
-        if cell.count == 0:
-            return
-        diam = _SIMPLE_DIAM if cell.count == 1 else _CLUSTER_DIAM
-        if cell.count <= _MMAX and max(x1 - x0, y1 - y0) <= diam:
-            clusters.append(cell)
-        else:
-            pending.extend(_split(cell))
-
     rounds = 0
     while pending and rounds < 200:
         rounds += 1
         batch, pending = pending, []
-        for cell, (n, _abs_d, _w, centroid) in zip(
+        for cell, (n, _abs_d, moments) in zip(
                 batch, _winding_many(service, [c.rect for c in batch])):
-            cell.count, cell.centroid = n, centroid
+            cell.count, cell.moments = n, moments
         retry_parents = []
         for parent in dict.fromkeys(c.parent for c in batch):
             counts = [c.count for c in parent.children]
@@ -432,7 +386,11 @@ def _subdivide(service, cells):
                 retry_parents.append(parent)
             else:
                 for c in parent.children:
-                    decide(c)
+                    x0, x1, y0, y1 = c.rect
+                    if c.count and c.count <= _MMAX and max(x1 - x0, y1 - y0) <= _CELL_WIDTH:
+                        clusters.append(c)
+                    elif c.count:
+                        pending.extend(_split(c))
         service.stats["retries"]["jitter"] += len(retry_parents)
         for parent in retry_parents:
             parent.jitter += 1
@@ -450,15 +408,53 @@ def _subdivide(service, cells):
 # ---------------------------------------------------------------------------
 
 
-def _circles(service, centres, radii, counts):
-    """``_winding_many``'s tuples for circles of ``radii`` about ``centres`` (arrays).
+def _pencil(cell):
+    """The distinct zeros of a counted cell as (k, multiplicity, circle radius),
+    or [] if its moments give no usable ones.
 
-    A circle of count m has 8 m trapezoid nodes z = c + h e^(2 pi i j / 8m),
-    every circle in one batch; w = mean(d'/d (z - c)) and the centroid is
-    c + mean(d'/d (z - c)^2) / w (Trefethen & Weideman, SIAM Review 56, 2014).
-    The count is m if |w - m| <= _CIRCLE_TOL (m = 1) or 0.25 (m >= 2), and
-    None otherwise; |D| is taken over the circle's nodes.
-    """
+    A cell of count m with distinct zeros u_j = (k_j - c)/r of multiplicity
+    nu_j has the moments s_p = sum_j nu_j u_j^p.  Their number n is the rank
+    of H0 = [s_(i+j)], i, j < m (singular values above _RANK_TOL times the
+    largest), the u_j are the eigenvalues of the pencil of the leading n x n
+    blocks of H0 and H1 = [s_(i+j+1)] and the nu_j solve sum_j nu_j u_j^p =
+    s_p, p < n (Kravanja, Sakurai & Van Barel, BIT 39, 1999).  Points with
+    |nu_j| <= 0.25 are dropped; if the rest lie within _SPLIT_FLOOR of the
+    centroid s_1/s_0, noise has split one multiple zero there.  [] unless the
+    multiplicities are positive integers (to 0.25) summing to m, each zero is
+    within its radius of the cell and no two circles overlap (both could
+    count one zero)."""
+    m, s = cell.count, cell.moments
+    x0, x1, y0, y1 = cell.rect
+    c, r = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1)), 0.5 * max(x1 - x0, y1 - y0)
+    ij = np.add.outer(np.arange(m), np.arange(m))
+    try:
+        sv = np.linalg.svd(s[ij], compute_uv=False)
+        n = int((sv > _RANK_TOL * sv[0]).sum())
+        u = np.linalg.eigvals(np.linalg.solve(s[ij[:n, :n]], s[ij[:n, :n] + 1]))
+        nu = np.linalg.solve(u ** np.arange(n)[:, None], s[:n])
+    except np.linalg.LinAlgError:      # no SVD, a singular block or two coinciding points
+        return []
+    weighty = np.abs(nu) > 0.25        # a point of weight 0 is no zero
+    k, w, centroid = c + r * u[weighty], nu[weighty], c + r * s[1] / s[0]
+    if np.all(np.abs(k - centroid) <= _SPLIT_FLOOR):
+        k, w = np.array([centroid]), s[:1]
+    mult = np.round(w.real)
+    h = np.where(mult == 1, np.maximum(1e-3, 2e-4 * np.abs(k)), _SPLIT_FLOOR)
+    inside = (x0 - h <= k.real) & (k.real <= x1 + h) & (y0 - h <= k.imag) & (k.imag <= y1 + h)
+    apart = (np.abs(k[:, None] - k) > h[:, None] + h) | np.eye(len(k), dtype=bool)
+    if (not np.isfinite(np.append(u, nu)).all() or np.abs(w - mult).max() > 0.25
+            or mult.min() < 1 or mult.sum() != m or not inside.all() or not apart.all()):
+        return []
+    return list(zip(k.tolist(), mult.astype(int).tolist(), h.tolist()))
+
+
+def _circles(service, centres, radii, counts):
+    """(count:int|None, min_absD, winding, centroid) of circles of ``radii``
+    about ``centres`` (arrays), with 8 m trapezoid nodes z = c + h e^(2 pi i
+    j / 8m) for count m, all in one batch; w = mean(d'/d (z - c)) and the
+    centroid is c + mean(d'/d (z - c)^2) / w (Trefethen & Weideman, SIAM
+    Review 56, 2014).  The count is m if |w - m| <= _CIRCLE_TOL (m = 1) or
+    0.25 (m >= 2), and None otherwise."""
     n = 8 * counts
     start = np.cumsum(n) - n
     owner = np.repeat(np.arange(n.size), n)
@@ -468,37 +464,38 @@ def _circles(service, centres, radii, counts):
         w = np.add.reduceat(ld * u, start) / n
         k = centres + np.add.reduceat(ld * u * u, start) / (n * w)
     ok = np.abs(w - counts) <= np.where(counts == 1, _CIRCLE_TOL, 0.25)
-    mn, mx = np.minimum.reduceat(absD, start), np.maximum.reduceat(absD, start)
-    return [(int(m) if good else None, (lo, hi), wi, ki)
-            for m, good, lo, hi, wi, ki in zip(counts, ok, mn, mx, w, k)]
+    return [(int(m) if good else None, mn, wi, ki) for m, good, mn, wi, ki
+            in zip(counts, ok, np.minimum.reduceat(absD, start), w, k)]
 
 
 def _refine_clusters(service, clusters):
-    """Refine the zeros of counted cells, as the module docstring sets out.
-
-    Returns ((k, multiplicity, residual, Certificate) per certified zero,
-    cells to split again).
-    """
-    centres = np.array([cell.centroid for cell in clusters], dtype=complex)
-    counts = np.array([cell.count for cell in clusters], dtype=int)
-    radii = np.where(counts == 1, np.maximum(1e-3, 2e-4 * np.abs(centres)), _SPLIT_FLOOR)
-    counted = [(cell, h, k, abs(w - n), mn) for cell, h, (n, (mn, _mx), w, k) in zip(
-        clusters, radii, _circles(service, centres, radii, counts)) if n == cell.count]
-    ld, absD = service.eval(np.array([k for _cell, _h, k, _defect, _mn in counted]))
+    """Verify the zeros ``_pencil`` reads off each counted cell: one of multiplicity
+    m passes if its circle counts m zeros (radius max(1e-3, 2e-4 |k|) for m = 1,
+    centred on its zero so that 8 nodes suffice, and _SPLIT_FLOOR for m >= 2)
+    and, if simple, |d/d'| <= _STEP_CERT (1 + |k|) at the circle's centroid,
+    where it is placed: a Newton step that would still move it means the pencil
+    point is not the zero (9 evaluations with its residual).  Returns the (k,
+    multiplicity, residual, Certificate) of cells whose zeros all pass, and the rest."""
+    zeros = [(cell, *zero) for cell in clusters for zero in _pencil(cell)]
+    cells, ks, ms, hs = zip(*zeros) if zeros else ((),) * 4
+    circles = _circles(service, np.array(ks, dtype=complex), np.array(hs), np.array(ms, dtype=int))
+    failed = set(clusters) - set(cells)
+    failed |= {cell for cell, m, (n, *_rest) in zip(cells, ms, circles) if n != m}
+    counted = [(cell, m, h, k, abs(w - n), mn) for cell, m, h, (n, mn, w, k)
+               in zip(cells, ms, hs, circles) if cell not in failed]
+    ld, absD = service.eval(np.array([k for _cell, _m, _h, k, _defect, _mn in counted]))
     with np.errstate(divide="ignore", invalid="ignore"):
         # the Newton step |d/d'|; d'/d infinite means d vanishes at k to working precision
         step = np.where(np.isinf(ld), 0.0, np.abs(1.0 / ld))
-    found, verified = [], set()
-    for (cell, h, k, defect, mn), s, aD in zip(counted, step, absD):
-        if cell.count > 1 or s <= _STEP_CERT * (1.0 + abs(k)):
-            cert = Certificate(float(h), float(defect),
-                               float(s) if cell.count == 1 else None, float(mn))
-            found.append((complex(k), cell.count, float(aD), cert))
-            verified.add(cell)
-
-    back = [cell for cell in clusters if cell not in verified]
+    found = []
+    for (cell, m, h, k, defect, mn), s, aD in zip(counted, step, absD):
+        if m == 1 and not s <= _STEP_CERT * (1.0 + abs(k)):
+            failed.add(cell)
+        cert = Certificate(float(h), float(defect), float(s) if m == 1 else None, float(mn))
+        found.append((cell, (complex(k), m, float(aD), cert)))
+    back = [cell for cell in clusters if cell in failed]
     service.stats["retries"]["resplit"] += len(back)
-    return found, back
+    return [zero for cell, zero in found if cell not in failed], back
 
 
 # ---------------------------------------------------------------------------

@@ -415,6 +415,14 @@ def test_tol_validation():
         characteristic(CONST4, 1.0, tol=1e-16)
 
 
+@pytest.mark.parametrize("n_steps", [None, 128])
+def test_non_finite_k_is_rejected(colton, n_steps):
+    # one NaN used to size the whole batch's degree (IndexError) or its grid
+    for bad in (complex(math.nan, 0.0), complex(1.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            characteristic_batch(colton, [1.0 + 1.0j, bad], n_steps=n_steps)
+
+
 def test_steps_scale_with_k():
     assert grid_steps(CONST4, 100.0, 8.0) >= 2 * grid_steps(CONST4, 50.0, 8.0) - 1
     assert grid_steps(CONST4, 0.1, 8.0) == 64   # floor

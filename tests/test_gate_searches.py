@@ -1,4 +1,6 @@
-"""``tools/gate_searches.py`` prints the same line for a search on every run."""
+"""``tools/gate_searches.py`` prints the same line for a search on every run, and
+its searches find the zeros of ``gate_reference.jsonl``: the lines printed when
+cells of 2 .. _MMAX zeros were split down to 0.4 wide (commit 3cb4d7b)."""
 
 import importlib.util
 import json
@@ -26,3 +28,18 @@ def test_gate_lines_repeat():
         assert all(isinstance(re, float) and isinstance(im, float) and mult >= 1
                    and cls in ("real", "nonreal") for re, im, mult, cls in record["zero_list"])
         assert record["stats"]["evals"] > 0
+
+
+def test_gate_searches_find_the_reference_zeros():
+    # counts, multiplicities and classes as in the reference, zeros within
+    # 1e-9 (1 + |k|); evaluations are free to change
+    lines = (ROOT / "tests" / "gate_reference.jsonl").read_text().splitlines()
+    refs = [json.loads(line) for line in lines]
+    assert [(r["profile"], r["params"], r["rect"]) for r in refs] == \
+        [(name, params, list(rect)) for name, params, rect in gate.SEARCHES]
+    for ref in refs:
+        record = json.loads(gate.gate_line(ref["profile"], ref["params"], tuple(ref["rect"])))
+        assert [z[2:] for z in record["zero_list"]] == [z[2:] for z in ref["zero_list"]], ref
+        for (re, im, *_), (re0, im0, *_) in zip(record["zero_list"], ref["zero_list"]):
+            k0 = complex(re0, im0)
+            assert abs(complex(re, im) - k0) <= 1e-9 * (1.0 + abs(k0)), ref

@@ -261,6 +261,21 @@ def test_phase_timings_stay_outside_the_stats(colton):
     assert report_to_json(rep)["timings"] == rep.timings
 
 
+def _moments(rect, zs):
+    """The moments ``_winding_many`` gives a rect holding the simple zeros ``zs``."""
+    x0, x1, y0, y1 = rect
+    u = (np.array(zs, dtype=complex) - complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))) \
+        / (0.5 * max(x1 - x0, y1 - y0))
+    return (u[:, None] ** np.arange(2 * zeros_module._MMAX)).sum(0)
+
+
+def _counted(rect, zs):
+    """A cell of ``rect`` counted and moment-resolved as holding the simple zeros ``zs``."""
+    cell = _Cell(rect, count=len(zs))
+    cell.moments = _moments(rect, zs)
+    return cell
+
+
 class _GivenLogDerivative:
     """d'/d at the refined points is ``ld``, in order, and |D| is 0."""
 
@@ -275,11 +290,10 @@ class _GivenLogDerivative:
 def test_certificate_passes_an_exact_zero_and_fails_a_nan(monkeypatch):
     # every circle counts its cell's zero at its centre; only the certificate decides
     monkeypatch.setattr(zeros_module, "_circles", lambda service, centres, radii, counts: [
-        (1, (0.5, 1.0), 1.0, c) for c in centres])
-    cells = [_Cell((2.0, 2.2, 1.0, 1.2), count=1), _Cell((5.0, 5.2, 1.0, 1.2), count=1)]
-    for cell in cells:
-        cell.centroid = complex(cell.rect[0] + 0.1, cell.rect[2] + 0.1)
-    # d = 0 at the first centroid (d'/d infinite), d'/d undefined at the second
+        (1, 0.5, 1.0, c) for c in centres])
+    cells = [_counted(rect, [complex(rect[0] + 0.1, rect[2] + 0.1)])
+             for rect in [(2.0, 2.2, 1.0, 1.2), (5.0, 5.2, 1.0, 1.2)]]
+    # d = 0 at the first pencil point (d'/d infinite), d'/d undefined at the second
     service = _GivenLogDerivative([complex(np.inf, np.inf), complex(np.nan, np.nan)])
     found, back = _refine_clusters(service, cells)
     assert [(m, r) for _k, m, r, _cert in found] == [(1, 0.0)]
@@ -343,9 +357,10 @@ def test_contour_pieces_match_the_list_rule_bit_for_bit():
 def test_cached_contour_costs_no_evaluations(colton):
     rect = (0.3, 12.0, -0.15, 6.0)
     service = _Service(colton, rect)
-    cost, first = _evals(service, [rect])
+    cost, ((n, mx, moments),) = _evals(service, [rect])
     assert cost > 0
-    assert _evals(service, [rect]) == (0, first)
+    again, ((n2, mx2, moments2),) = _evals(service, [rect])
+    assert (again, n2, mx2) == (0, n, mx) and np.array_equal(moments2, moments)
 
 
 @pytest.mark.parametrize("search, rect", [
@@ -382,9 +397,9 @@ def test_warmed_service_counts_like_a_fresh_one(colton):
     fresh_cost, fresh_out = _evals(_Service(colton, (x0, x1, y0, y1)), children)
     # the children's outer edges are the parent's; only the split line is new
     assert 0 < warm_cost < fresh_cost / 4
-    assert [n for n, _, _, _ in warm_out] == [n for n, _, _, _ in fresh_out] == [1, 2]
-    for (_, mx_w, w_w, _), (_, mx_f, w_f, _) in zip(warm_out, fresh_out):
-        assert abs(w_w - w_f) <= 1e-12
+    assert [n for n, _, _ in warm_out] == [n for n, _, _ in fresh_out] == [1, 2]
+    for (_, mx_w, s_w), (_, mx_f, s_f) in zip(warm_out, fresh_out):
+        assert np.abs(s_w - s_f).max() <= 1e-12
         assert mx_w == mx_f
 
 
@@ -400,38 +415,54 @@ def test_siblings_evaluate_their_split_line_once(colton):
     assert all((a.real, a.imag) < (b.real, b.imag) for (a, b) in service.segments)
 
 
+def _pencil_of(profile, rect):
+    """The count of ``rect`` and the zeros ``_pencil`` reads off its moments."""
+    (n, _mx, moments), = _winding_many(_Service(profile, rect), [rect])
+    cell = _Cell(rect, count=n)
+    cell.moments = moments
+    return n, zeros_module._pencil(cell)
+
+
 def test_centroid_of_a_triple_zero(const4):
-    rect = (2.5, 3.8, -0.5, 0.5)
-    (n, _mx, _w, centroid), = _winding_many(_Service(const4, rect), [rect])
-    assert n == 3
-    assert abs(centroid - math.pi) <= 1e-10
+    # the rank of H0 is 1: one zero, at the centroid s_1/s_0 of the three
+    n, [(k, mult, radius)] = _pencil_of(const4, (2.5, 3.8, -0.5, 0.5))
+    assert (n, mult, radius) == (3, 3, zeros_module._SPLIT_FLOOR)
+    assert abs(k - math.pi) <= 1e-10
 
 
 def test_centroid_of_a_simple_zero(colton):
-    rect = (4.2, 4.6, 2.7, 3.1)
-    (n, _mx, _w, centroid), = _winding_many(_Service(colton, rect), [rect])
-    assert n == 1
+    n, [(k, mult, radius)] = _pencil_of(colton, (4.2, 4.6, 2.7, 3.1))
+    assert (n, mult) == (1, 1)
     with mpmath.workdps(30):
         root = complex(mpmath.findroot(_colton_d, mpmath.mpc(4.4 + 2.9j)))
-    assert abs(centroid - root) <= 1e-6
+    assert abs(k - root) <= 1e-6
+    assert radius == max(1e-3, 2e-4 * abs(k))
 
 
-def test_centroid_of_an_empty_rect_is_its_centre(const4):
+def test_moments_of_an_empty_rect_vanish(const4):
     rect = (0.5, 2.5, 0.5, 2.0)
-    (n, _mx, _w, centroid), = _winding_many(_Service(const4, rect), [rect])
-    assert (n, centroid) == (0, 1.5 + 1.25j)
+    (n, _mx, moments), = _winding_many(_Service(const4, rect), [rect])
+    assert n == 0 and np.abs(moments).max() <= 1e-12
+
+
+def _shifted(cell, delta):
+    """Move every zero of ``cell``'s moments by ``delta``: u^p -> (u + t)^p, binomially."""
+    x0, x1, y0, y1 = cell.rect
+    t, s = delta / (0.5 * max(x1 - x0, y1 - y0)), cell.moments
+    cell.moments = np.array([sum(math.comb(p, q) * s[q] * t ** (p - q) for q in range(p + 1))
+                             for p in range(s.size)])
 
 
 def _shift_first(cells):
-    cells[0].centroid += 0.01          # its verification circle misses the zero
+    _shifted(cells[0], 0.01)           # its verification circles miss the zeros
 
 
 def _shift_all(cells):
     for cell in cells:
-        cell.centroid += 0.01
+        _shifted(cell, 0.01)
 
 
-@pytest.mark.parametrize("spoil, resplit", [(_shift_first, 1), (_shift_all, 3)])
+@pytest.mark.parametrize("spoil, resplit", [(_shift_first, 1), (_shift_all, 2)])
 def test_refinement_hands_back_zeros_it_cannot_verify(colton, monkeypatch, spoil,
                                                       resplit):
     rect = (0.3, 12.0, 0.0, 6.0)
@@ -539,11 +570,32 @@ def test_search_evaluation_budget(request, fixture, budget):
     (ConstantProfile(4.0 + 1e-2), (2.5, 3.8, 0.0, 0.5), 859, 16),
 ])
 def test_search_cost_bounds(profile, rect, evals, batches):
-    # evals with every cell verified on one circle; batches as when every
-    # verification square was counted by the adaptive rectangle rule
+    # the costs when cells of 2 .. _MMAX zeros were split down to 0.4 wide;
+    # test_moment_search_costs holds the present ones
     stats = find_zeros(profile, rect).stats
     assert stats["evals"] <= evals
     assert stats["batches"] <= batches
+
+
+@pytest.mark.parametrize("search, evals, batches", [
+    ("colton_spectrum_40", 1_725, 13),
+    ("colton_band_150", 270, 4),
+    ("colton_spectrum_150", 9_123, 23),
+    ((get_profile("slow_core"), (0.3, 30.0, 0.0, 6.0)), 1_737, 8),
+    ((get_profile("raised_cosine"), (0.3, 30.0, 0.0, 6.0)), 1_623, 11),
+    ((CONST4, (0.5, 31.0, 0.0, 1.0)), 2_409, 13),
+    ((ConstantProfile(4.0 + 1e-8), (2.5, 3.8, 0.0, 0.5)), 493, 9),
+    ((ConstantProfile(4.0 + 1e-6), (2.5, 3.8, 0.0, 0.5)), 543, 10),
+    ((ConstantProfile(4.0 + 1e-5), (2.5, 3.8, 0.0, 0.5)), 975, 13),
+    ((ConstantProfile(4.0 + 1e-4), (2.5, 3.8, 0.0, 0.5)), 591, 9),
+    ((ConstantProfile(4.0 + 1e-3), (2.5, 3.8, 0.0, 0.5)), 447, 8),
+    ((ConstantProfile(4.0 + 1e-2), (2.5, 3.8, 0.0, 0.5)), 495, 9),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_moment_search_costs(request, search, evals, batches):
+    # every cell of at most _MMAX zeros stops at 8 wide and is resolved from its moments
+    rep = request.getfixturevalue(search) if isinstance(search, str) else find_zeros(*search)
+    assert rep.stats["evals"] <= evals
+    assert rep.stats["batches"] <= batches
 
 
 @pytest.mark.parametrize("shift, cost", [(0.5, 144), (0.9, 192)])
@@ -561,12 +613,41 @@ def test_square_off_its_gate_is_counted_by_the_adaptive_rule(colton, shift, cost
     assert service.stats["evals"] == adaptive_cost == cost
 
 
+@pytest.mark.parametrize("zs, usable", [
+    ([100.0 + 1.0j, 100.3 + 1.2j], True),
+    ([100.0 + 1.0j, 100.005 + 1.0j], False),   # each radius-0.02 circle would hold both
+    ([101.0 + 1.0j], False),                    # outside the cell
+])
+def test_pencil_gives_only_zeros_one_circle_each_can_verify(zs, usable):
+    cell = _counted((99.5, 100.5, 0.5, 1.5), zs)
+    zeros = zeros_module._pencil(cell)
+    assert bool(zeros) == usable
+    for (k, mult, radius), z in zip(sorted(zeros, key=lambda t: t[0].real), zs):
+        assert abs(k - z) <= 1e-9 and mult == 1 and math.isclose(radius, 2e-4 * abs(k))
+
+
+def test_nan_pencil_hands_its_cell_back_unevaluated(colton, monkeypatch):
+    rect = (4.0, 5.0, 2.5, 3.5)
+    service = _Service(colton, rect)
+    (n, _mx, moments), = _winding_many(service, [rect])
+    cell = _Cell(rect, count=n)
+    cell.moments = moments
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.full(len(a), complex(np.nan)))
+
+    def engine(*args, **kwargs):
+        raise AssertionError("a cell without usable zeros was evaluated")
+
+    monkeypatch.setattr(zeros_module, "characteristic_batch", engine)
+    found, back = _refine_clusters(service, [cell])
+    assert (n, found, back, service.stats["retries"]["resplit"]) == (1, [], [cell], 1)
+
+
 def test_circle_off_its_zero_hands_the_cell_back(colton):
     with mpmath.workdps(30):
         root = complex(mpmath.findroot(_colton_d, mpmath.mpc(4.4134 + 2.9042j)))
     h = max(1e-3, 2e-4 * abs(root))
-    centred, off = _Cell((4.0, 5.0, 2.5, 3.5), count=1), _Cell((4.0, 5.0, 2.5, 3.5), count=1)
-    centred.centroid, off.centroid = root, root - 0.9 * h
+    centred, off = _counted((4.0, 5.0, 2.5, 3.5), [root]), _counted((4.0, 5.0, 2.5, 3.5),
+                                                                     [root - 0.9 * h])
     service = _Service(colton, centred.rect)
     found, back = _refine_clusters(service, [centred, off])
     # the zero is 0.9 radius off the second circle's centre: its 8 nodes miss _CIRCLE_TOL
@@ -575,7 +656,7 @@ def test_circle_off_its_zero_hands_the_cell_back(colton):
     assert (mult, cert.radius) == (1, h) and cert.defect <= zeros_module._CIRCLE_TOL
     assert abs(k - root) <= 1e-12
     (n, _abs_d, w, _c), = zeros_module._circles(
-        service, np.array([off.centroid]), np.array([h]), np.array([1]))
+        service, np.array([root - 0.9 * h]), np.array([h]), np.array([1]))
     assert n is None and abs(w - 1.0) > 0.1
 
 
@@ -606,9 +687,7 @@ def _counting_winding(zs):
         out = []
         for x0, x1, y0, y1 in rects:
             inside = [z for z in zs if x0 < z.real < x1 and y0 < z.imag < y1]
-            c = sum(inside) / len(inside) if inside else complex(0.5 * (x0 + x1),
-                                                                 0.5 * (y0 + y1))
-            out.append((len(inside), 1.0, complex(len(inside)), c))
+            out.append((len(inside), 1.0, _moments((x0, x1, y0, y1), inside)))
         return out
     return winding
 
@@ -618,22 +697,23 @@ class _RetryStats:
         self.stats = {"retries": {"jitter": 0}}
 
 
-def test_subdivision_width_depends_on_the_count(monkeypatch):
-    # one zero: the 8-wide half that holds it goes to refinement unsplit
-    monkeypatch.setattr(zeros_module, "_winding_many", _counting_winding([3 + 0.5j]))
-    (cell,) = _subdivide(_RetryStats(), [_Cell((0.0, 16.0, 0.0, 1.0), count=1)])
-    assert (cell.rect, cell.count, cell.children) == ((0.0, 8.0, 0.0, 1.0), 1, None)
-    # two zeros: the 1-wide half that holds both is split down to _CLUSTER_DIAM
-    monkeypatch.setattr(zeros_module, "_winding_many",
-                        _counting_winding([0.3 + 0.5j, 0.35 + 0.5j]))
-    parent = _Cell((0.0, 2.0, 0.0, 1.0), count=2)
-    (cell,) = _subdivide(_RetryStats(), [parent])
-    half = parent.children[0]
-    assert (half.rect, half.count) == ((0.0, 1.0, 0.0, 1.0), 2)
-    assert half.children is not None
-    assert cell.count == 2
-    x0, x1, y0, y1 = cell.rect
-    assert max(x1 - x0, y1 - y0) <= zeros_module._CLUSTER_DIAM
+@pytest.mark.parametrize("count", [1, 2, zeros_module._MMAX])
+def test_subdivision_stops_every_count_at_one_width(monkeypatch, count):
+    # up to _MMAX zeros, however close: the 8-wide half that holds them goes
+    # to refinement unsplit, with the moments of its zeros
+    zs = [3.01 + 0.5j + 0.05 * j for j in range(count)]
+    monkeypatch.setattr(zeros_module, "_winding_many", _counting_winding(zs))
+    (cell,) = _subdivide(_RetryStats(), [_Cell((0.0, 16.0, 0.0, 1.0), count=count)])
+    assert (cell.rect, cell.count, cell.children) == ((0.0, 8.0, 0.0, 1.0), count, None)
+    assert np.array_equal(cell.moments, _moments(cell.rect, zs))
+
+
+def test_subdivision_splits_more_zeros_than_a_pencil_takes(monkeypatch):
+    zs = [3.01 + 0.5j + 0.05 * j for j in range(zeros_module._MMAX + 1)]
+    monkeypatch.setattr(zeros_module, "_winding_many", _counting_winding(zs))
+    cells = _subdivide(_RetryStats(), [_Cell((0.0, 16.0, 0.0, 1.0), count=len(zs))])
+    assert sum(c.count for c in cells) == len(zs)
+    assert all(c.count <= zeros_module._MMAX and c.rect[1] - c.rect[0] < 8.0 for c in cells)
 
 
 def test_search_options_are_module_constants():
@@ -659,7 +739,6 @@ def test_split_triple_zero_is_resolved(eps):
     # split floor, so each is reported once, as a simple zero
     rep = find_zeros(ConstantProfile(4.0 + eps), (2.5, 3.8, 0.0, 0.5))
     assert [(z.cls, z.multiplicity) for z in rep.zeros] == [("real", 1), ("nonreal", 1)]
-    assert rep.stats["retries"]["resplit"] >= 1
     d = _constant_d(mpmath.mpf(4) + mpmath.mpf(eps))
     roots = []
     with mpmath.workdps(30):
@@ -668,6 +747,37 @@ def test_split_triple_zero_is_resolved(eps):
             assert abs(root - z.k) <= 1e-8, (z.k, root)
             assert all(abs(root - r) > 1e-8 for r in roots), f"two zeros share {root}"
             roots.append(root)
+
+
+def test_one_cell_resolves_a_split_triple_zero():
+    # eta = 4 + 1e-6 splits the triple zero at pi into three about 7e-3 apart;
+    # the pencil of one cell around them gives all three, none handed back
+    rect = (3.1, 3.2, -0.05, 0.05)
+    service = _Service(ConstantProfile(4.0 + 1e-6), rect)
+    (n, _mx, moments), = _winding_many(service, [rect])
+    cell = _Cell(rect, count=n)
+    cell.moments = moments
+    found, back = _refine_clusters(service, [cell])
+    assert (n, back, [mult for _k, mult, _res, _cert in found]) == (3, [], [1, 1, 1])
+    d = _constant_d(mpmath.mpf(4) + mpmath.mpf(1e-6))
+    with mpmath.workdps(30):
+        roots = [complex(mpmath.findroot(d, mpmath.mpc(k))) for k, *_ in found]
+    assert all(abs(root - k) <= 1e-8 for root, (k, *_) in zip(roots, found))
+    assert min(abs(a - b) for i, a in enumerate(roots) for b in roots[:i]) > 5e-3
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-6])
+@pytest.mark.parametrize("scale", [0.01, 100.0])
+def test_rank_tolerance_does_not_change_the_zeros(monkeypatch, eps, scale):
+    # a rank too high or too low costs evaluations (merged points, a hand-back), not zeros
+    def search():
+        return find_zeros(ConstantProfile(4.0 + eps), (2.5, 3.8, 0.0, 0.5)).zeros
+
+    ref = search()
+    monkeypatch.setattr(zeros_module, "_RANK_TOL", scale * zeros_module._RANK_TOL)
+    zeros = search()
+    assert [(z.multiplicity, z.cls) for z in zeros] == [(z.multiplicity, z.cls) for z in ref]
+    assert all(abs(z.k - r.k) <= 1e-10 for z, r in zip(zeros, ref))
 
 
 def test_cluster_below_the_split_floor_is_one_multiple_zero():
