@@ -11,13 +11,15 @@ One fixed-step RK8 engine, ``_integrate_batch``, propagates arrays of k.
 Each step of y'' = (s - k^2 c) y is a 2x2 matrix P whose entries are
 polynomials of degree 6 in lam = k^2, built from c and s at the stage nodes
 (``_rk8_polynomials``); the engine evaluates P and dP/dk for a block of rows
-with one matrix product, then applies u -> P u, v -> P v + P' u.  The r-form
+with one matrix product, then applies u -> P u, v -> P v + P' u.  A block of at
+most ``_FOLD_POINTS`` columns first folds its rows pairwise into one: log2(rows)
+rounds of numpy calls instead of a round per row.  The r-form
 (c = eta, s = 0 on [0, 1]) takes n steps uniform in optical depth, each of
 phase k a / n (``_step_nodes``), and composes 8 into one row of degree 48 in
 mu = (k u)^2, u = a/n rounded to a power of two, where the coefficients stay
 representable (``_composed_steps``, cached per profile and step count).  Every
 row spans 8/3.5 = 2.29 rad at the largest |k| of a search grid, so its
-monomial sum loses under a digit, and the loop runs n/8 times.  Each
+monomial sum loses under a digit, and a large batch's loop runs n/8 times.  Each
 call evaluates the rows only to the degree its max |mu| needs
 (``_degree_needed``): at most 12 of the 48 on a search grid, all of them
 when |mu| is large.  It serves ``characteristic_batch``, ``characteristic`` and
@@ -56,7 +58,9 @@ _DEGREE = 6               # RK8 step-matrix entries are polynomials of this degr
 _GROUP = 8                # r-form RK8 steps composed into one matrix polynomial (2**3)
 _K_CHUNK = 512            # k per engine call of the r-form, bounding its table of powers
 _BUILD_CHUNK = 128        # steps per chunk when building the step polynomials
-_BLOCK_POINTS = 8192      # (step, k) pairs evaluated per block of the batch engine
+_BLOCK_POINTS = 2048      # (step, k) pairs per engine block: 256 KB of matrices, which the
+                          # allocator reuses; a 1 MB block took fresh pages on every search
+_FOLD_POINTS = 64         # columns up to which the engine folds a block's rows pairwise
 _BLOCK_GROWTH = 115.0     # bound on the log growth of the state within one block
 _MAX_STEPS = 2**16        # finest grid the accuracy check of the single-point path may use
 _PER_RADIAN = 8.0         # steps per radian at max|k|: the default grid, the first check level
@@ -220,6 +224,11 @@ def _degree_needed(size: np.ndarray, mu_max: float) -> int:
     return int((tail > 2.0**-54 * terms.max(axis=1, keepdims=True)).sum(axis=1).max()) - 1
 
 
+def _times(b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The 2x2 products b a of stacked rows, axes (row, 2, 2, ...) of broadcasting shapes."""
+    return b[:, :, 0, None] * a[:, None, 0] + b[:, :, 1, None] * a[:, None, 1]
+
+
 def _integrate_batch(coef: np.ndarray, k: np.ndarray, growth: float, *,
                      path: bool = False, lam_scale: float = 1.0):
     """Propagate (y, y', v, v') = (y, y', dy/dk, dy'/dk) from y = 0, y' = 1.
@@ -228,7 +237,10 @@ def _integrate_batch(coef: np.ndarray, k: np.ndarray, growth: float, *,
     [G,] degree+1) for G equations side by side, and ``growth`` bounds the log
     growth of the state over one step.  Blocks of at most ``_BLOCK_POINTS``
     (step, column) pairs grow the state by less than exp(_BLOCK_GROWTH); each column is
-    renormalized jointly between blocks, so ratios such as d'/d are exact.
+    renormalized jointly between blocks, so ratios such as d'/d are exact.  Without
+    ``path``, a block of at most ``_FOLD_POINTS`` columns first folds its rows pairwise,
+    an odd last row carried: 24 complex products per pair against 12 per row, which only
+    dispatch-bound small batches repay.  A k's state matches a larger batch's to rounding.
     Returns (u, log_scale) with u of shape (4, [G,] len(k)) and true values
     u * exp(log_scale); ``path`` adds y and its log scale at every edge.
     """
@@ -240,8 +252,9 @@ def _integrate_batch(coef: np.ndarray, k: np.ndarray, growth: float, *,
     np.multiply((2.0 * lam_scale * np.arange(1, degree + 1))[:, None] * k,
                 powers[:-1, :k.size], out=powers[1:, k.size:])
     powers = powers.view(float)
-    block = max(1, min(_BLOCK_POINTS // (k.size * int(np.prod(group))),
-                       int(_BLOCK_GROWTH / max(growth, 1e-9))))
+    columns = k.size * int(np.prod(group))
+    block = max(1, min(_BLOCK_POINTS // columns, int(_BLOCK_GROWTH / max(growth, 1e-9))))
+    fold = columns <= _FOLD_POINTS and not path
     state = np.zeros((4,) + group + (k.size,), dtype=complex)
     state[1] = 1.0
     log_scale = np.zeros(group + (k.size,))
@@ -249,9 +262,15 @@ def _integrate_batch(coef: np.ndarray, k: np.ndarray, growth: float, *,
     for i0 in range(0, n_steps, block):
         i1 = min(i0 + block, n_steps)
         mats = (coef[i0:i1].reshape(-1, degree + 1) @ powers).view(complex)
+        mats = mats.reshape((i1 - i0, 2, 2) + group + (2, k.size))     # rows of [P | P']
+        while fold and len(mats) > 1:   # [B | B'] after [A | A'] -> [B A | B' A + B A']
+            a, b = mats[0:-1:2], mats[1::2]
+            pair = _times(b[..., :1, :], a)
+            pair[..., 1:, :] += _times(b[..., 1:, :], a[..., :1, :])
+            mats = np.concatenate([pair, mats[-1:]]) if len(mats) % 2 else pair
         u, v = state[:2], state[2:]
-        for m in mats.reshape((i1 - i0, 2, 2) + group + (2 * k.size,)):
-            P, dP = m[..., :k.size], m[..., k.size:]
+        for m in mats:
+            P, dP = m[..., 0, :], m[..., 1, :]
             v = P[:, 0] * v[0] + P[:, 1] * v[1] + dP[:, 0] * u[0] + dP[:, 1] * u[1]
             u = P[:, 0] * u[0] + P[:, 1] * u[1]
             if path:

@@ -10,7 +10,7 @@ from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 from tevp import _rk8, forward
 from tevp.errors import StepUnderflow
-from tevp.forward import (_DEGREE, _integrate_batch, _rk8_polynomials, _step_polynomials,
+from tevp.forward import (_DEGREE, _integrate_batch, _rk8_polynomials, _step_polynomials, _times,
                           characteristic, characteristic_batch, scaled_characteristic,
                           grid_steps, solve_ivp)
 from tevp.profiles import ConstantProfile, get_profile, travel_time
@@ -168,6 +168,109 @@ def test_composed_steps_match_one_step_at_a_time(name, size):
         ld_ref = dp_ref / d_ref
         assert np.all(np.abs(dp / d - ld_ref) * np.abs(d_ref)
                       <= 1e-12 * (size_dp + (1.0 + np.abs(ld_ref)) * size_d))
+
+
+def _row_loop(coef, k, lam_scale=1.0):
+    """The engine's row loop alone: rows evaluated as the engine evaluates them, then
+    u <- P u, v <- P v + P' u one row at a time, the state rescaled by a power of two
+    (exactly) after every row."""
+    degree, group = coef.shape[-1] - 1, coef.shape[2:-1]
+    powers = np.zeros((degree + 1, 2 * k.size), dtype=complex)    # mu^p, then d(mu^p)/dk
+    powers[0, :k.size] = 1.0
+    np.cumprod(np.broadcast_to(lam_scale * k * k, (degree, k.size)), 0, out=powers[1:, :k.size])
+    np.multiply((2.0 * lam_scale * np.arange(1, degree + 1))[:, None] * k,
+                powers[:-1, :k.size], out=powers[1:, k.size:])
+    state = np.zeros((4,) + group + k.shape, dtype=complex)
+    state[1] = 1.0
+    exponent = np.zeros(group + k.shape, dtype=int)
+    for row in coef:
+        m = (row.reshape(-1, degree + 1) @ powers.view(float)).view(complex)
+        m = m.reshape((2, 2) + group + (2 * k.size,))
+        P, dP, u, v = m[..., :k.size], m[..., k.size:], state[:2], state[2:]
+        state = np.concatenate([P[:, 0] * u[0] + P[:, 1] * u[1],
+                                P[:, 0] * v[0] + P[:, 1] * v[1] + dP[:, 0] * u[0] + dP[:, 1] * u[1]])
+        e = np.frexp(np.abs(state).max(axis=0))[1]
+        state *= 2.0 ** -e
+        exponent += e
+    return state, exponent * math.log(2.0)
+
+
+def _same_state(got, ref):
+    """True when two (state, log scale) pairs agree to 1e-13 of each column's largest entry."""
+    (u, u_log), (r, r_log) = got, ref
+    common = np.maximum(u_log, r_log)
+    u, r = u * np.exp(u_log - common), r * np.exp(r_log - common)
+    return bool(np.all(np.abs(u - r).max(axis=0) <= 1e-13 * np.abs(r).max(axis=0)))
+
+
+def _random_rows(rng, n_rows, group=()):
+    """Rows I + X of degree 3 in mu, X random and about 0.3: no two of them commute."""
+    coef = 0.3 * rng.standard_normal((n_rows, 4) + group + (4,)) / [1.0, 1.0, 2.0, 6.0]
+    coef[:, [0, 3], ..., 0] += 1.0
+    return coef
+
+
+def _random_k(rng, size):
+    """``size`` complex k of modulus about 0.5, so that |mu| = |k|^2 stays below 1."""
+    return 0.35 * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+
+
+@pytest.mark.parametrize("n_rows", [1, 2, 3, 8, 73])
+@pytest.mark.parametrize("size", [1, forward._FOLD_POINTS])
+def test_folded_rows_match_the_row_loop(n_rows, size):
+    # a pair folded as A B instead of B A fails; 73 rows of 64 columns fold in 3 blocks
+    rng = np.random.default_rng(100 * n_rows + size)
+    coef, k = _random_rows(rng, n_rows), _random_k(rng, size)
+    assert _same_state(_integrate_batch(coef, k, 0.5), _row_loop(coef, k))
+
+
+def test_folded_rows_of_two_equations_match_the_row_loop():
+    # G = 2 equations side by side, as the x-form runs them without ``path``
+    rng = np.random.default_rng(2)
+    coef, k = _random_rows(rng, 73, group=(2,)), _random_k(rng, forward._FOLD_POINTS // 2)
+    assert _same_state(_integrate_batch(coef, k, 0.5), _row_loop(coef, k))
+
+
+def test_folded_blocks_are_renormalised_between_them(colton):
+    # |Im k| = 250 grows the state by about exp(275) over 73 rows of 8 steps: the
+    # growth bound cuts them into blocks, and the state is rescaled between them
+    n_steps, k = 581, np.array([20.0 + 250.0j])
+    coef, unit = forward._composed_steps(colton, n_steps), forward._mu_unit(colton, n_steps)
+    growth = forward._GROUP * travel_time(colton) / n_steps * abs(k[0].imag)
+    got = _integrate_batch(coef, k, growth, lam_scale=unit ** 2)
+    assert got[1][0] > 0.0
+    assert _same_state(got, _row_loop(coef, k, unit ** 2))
+
+
+def _shot_d(profile, k, n_steps):
+    """The state, its log scale, d and d' (scaled) and the sizes of their terms."""
+    u, log_scale = forward._shoot(profile, k, n_steps)
+    trig = forward._scaled_trig(k)
+    y1, dy1, v1, dv1 = np.abs(u)
+    sin_s, cos_s, sinc_s, sprime_s = map(np.abs, trig)
+    return (u, log_scale, *forward._characteristic_from(u, trig), dy1 * sinc_s + y1 * cos_s,
+            dv1 * sinc_s + dy1 * sprime_s + v1 * cos_s + y1 * sin_s)
+
+
+def test_folded_and_looped_batches_agree(colton, monkeypatch):
+    # _FOLD_POINTS k fold their rows, more run the row loop.  The state of one k agrees
+    # between the two to 1e-13 of its largest entry, not bit for bit, and so do d and d'
+    # to 1e-13 of their terms: at Im k = 8 d is 1e5 times smaller than its terms
+    folds = []
+    monkeypatch.setattr(forward, "_times", lambda b, a: folds.append(1) or _times(b, a))
+    x, y = np.meshgrid(np.linspace(145.0, 150.5, 20), np.linspace(0.0, 8.0, 10))
+    k = (x + 1j * y).ravel()
+    u, log_u, d, dp, size_d, size_dp = _shot_d(colton, k, 581)
+    assert not folds
+    few = forward._FOLD_POINTS
+    for i in range(0, k.size, few):
+        part = slice(i, i + few)
+        fu, log_fu, fd, fdp = _shot_d(colton, k[part], 581)[:4]
+        assert _same_state((fu, log_fu), (u[:, part], log_u[part]))
+        factor = np.exp(log_fu - log_u[part])
+        assert np.all(np.abs(fd * factor - d[part]) <= 1e-13 * size_d[part])
+        assert np.all(np.abs(fdp * factor - dp[part]) <= 1e-13 * size_dp[part])
+    assert folds
 
 
 def _full_degree(size, mu_max):
