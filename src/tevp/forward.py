@@ -17,7 +17,7 @@ rounds of numpy calls instead of a round per row.  The r-form
 (c = eta, s = 0 on [0, 1]) takes n steps uniform in optical depth, each of
 phase k a / n (``_step_nodes``), and composes 8 into one row of degree 48 in
 mu = (k u)^2, u = a/n rounded to a power of two, where the coefficients stay
-representable (``_composed_steps``, cached per profile and step count).  Every
+representable (``_composed_steps``; ``_composed_table`` keeps the last 16 tables).  Every
 row spans 8/3.5 = 2.29 rad at the largest |k| of a search grid, so its
 monomial sum loses under a digit, and a large batch's loop runs n/8 times.  Each
 call evaluates the rows only to the degree its max |mu| needs
@@ -35,6 +35,7 @@ representable when |Im k| is large (d grows like exp((1+a)|Im k|)).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,6 @@ _RESCALE_LIMIT = 1e50     # renormalization threshold between blocks of the batc
 _SMALL_K = 1e-3           # below this |k|, trig ratios switch to series
 _DEGREE = 6               # RK8 step-matrix entries are polynomials of this degree in k^2
 _GROUP = 8                # r-form RK8 steps composed into one matrix polynomial (2**3)
-_K_CHUNK = 512            # k per engine call of the r-form, bounding its table of powers
 _BUILD_CHUNK = 128        # steps per chunk when building the step polynomials
 _BLOCK_POINTS = 2048      # (step, k) pairs per engine block: 256 KB of matrices, which the
                           # allocator reuses; a 1 MB block took fresh pages on every search
@@ -286,22 +286,22 @@ def _integrate_batch(coef: np.ndarray, k: np.ndarray, growth: float, *,
     return (state, log_scale, np.array(ys), np.array(ys_log)) if path else (state, log_scale)
 
 
+@functools.lru_cache(maxsize=16)
 def _composed_table(profile: RefractiveProfile, n_steps: int):
-    """``_composed_steps`` and the largest |coefficient| per entry and degree over its rows."""
+    """``_composed_steps`` and the largest |coefficient| per entry and degree over its rows,
+    memoized for the last 16 (profile, n_steps) pairs."""
     coef = _composed_steps(profile, n_steps)
     return coef, np.abs(coef).max(axis=0)
 
 
 def _shoot(profile: RefractiveProfile, k: np.ndarray, n_steps: int):
     """The r-form on n_steps steps of phase k a / n_steps: ``_composed_steps`` at
-    mu = (k u)^2 to the degree ``_degree_needed`` for max|k|, _K_CHUNK k at a time."""
-    coef, size = profile.grid_cached(("rk8", n_steps), lambda: _composed_table(profile, n_steps))
+    mu = (k u)^2 to the degree ``_degree_needed`` for max|k|, in one engine call."""
+    coef, size = _composed_table(profile, n_steps)
     unit = _mu_unit(profile, n_steps)
     coef = coef[..., :_degree_needed(size, float(np.abs(k).max() * unit) ** 2) + 1]
     growth = _GROUP * travel_time(profile) / n_steps * np.abs(np.imag(k)).max()
-    parts = [_integrate_batch(coef, k[i:i + _K_CHUNK], growth, lam_scale=unit ** 2)
-             for i in range(0, k.size, _K_CHUNK)]
-    return tuple(np.concatenate(z, axis=-1) for z in zip(*parts))
+    return _integrate_batch(coef, k, growth, lam_scale=unit ** 2)
 
 
 def characteristic_batch(profile: RefractiveProfile, k, *, n_steps: int | None = None):
@@ -309,8 +309,11 @@ def characteristic_batch(profile: RefractiveProfile, k, *, n_steps: int | None =
 
     ``n_steps`` None is ``grid_steps`` at _PER_RADIAN for max |k|.  Returns (d_s, dp_s,
     scale_log) with true d = d_s * exp(scale_log); d'/d = dp_s/d_s,
-    independent of the scale.  A non-finite k raises ValueError.
+    independent of the scale.  A non-finite k, or an ``n_steps`` other than None
+    or a positive integer, raises ValueError.
     """
+    if n_steps is not None and not (isinstance(n_steps, (int, np.integer)) and n_steps > 0):
+        raise ValueError(f"n_steps must be a positive integer, got {n_steps!r}")
     k = np.asarray(k, dtype=complex).ravel()
     if k.size == 0:
         return k.copy(), k.copy(), np.zeros(0)

@@ -140,8 +140,11 @@ def solve_kernel(liouville: LiouvilleData, h: float) -> KernelGrid:
     """Picard iteration for the transmutation kernel.
 
     ``h`` is the coarse resolution target; storage runs on the half grid
-    delta = h/2 so that midpoint arguments stay on-grid.
+    delta = h/2 so that midpoint arguments stay on-grid.  An ``h`` that is not
+    finite and positive raises ValueError.
     """
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"h must be finite and positive, got {h!r}")
     a = liouville.a
     n = max(8, int(round(a / h)))
     M = 2 * n

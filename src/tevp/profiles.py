@@ -46,7 +46,6 @@ _N_CHEB = 161              # first node count of the optical-map series
 _N_CHEB_MAX = 8193         # node counts beyond this raise QuadratureFailure
 _CHEB_TAIL = 1e-13         # resolved: upper-half coefficients below this of the max
 _N_SEED = 129              # equispaced x(r) values seeding the inverse
-_GRID_CACHE_SIZE = 16      # per-profile arrays kept by grid_cached()
 
 
 class RefractiveProfile:
@@ -63,7 +62,6 @@ class RefractiveProfile:
     def __init__(self):
         self.eta_min = self._certify_positive()
         self._cum: Optional[_CumulativeMap] = None
-        self._grid_cache: dict = {}
 
     # -- representation hooks -------------------------------------------------
 
@@ -104,15 +102,6 @@ class RefractiveProfile:
         if self._cum is None:
             self._cum = _CumulativeMap(self)
         return self._cum
-
-    def grid_cached(self, key, build):
-        """``build()`` memoized under ``key``; the oldest entry goes first."""
-        cache = self._grid_cache
-        if key not in cache:
-            if len(cache) >= _GRID_CACHE_SIZE:
-                cache.pop(next(iter(cache)))
-            cache[key] = build()
-        return cache[key]
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name!r} eta_min={self.eta_min:.6g}>"

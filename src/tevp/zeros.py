@@ -1,8 +1,8 @@
 """Zero localization for the characteristic function d(k).
 
 Strategy: argument-principle winding counts over rectangle contours,
-subdivision until every nonempty cell holds at most _MMAX zeros and is at
-most _CELL_WIDTH (8) wide, then refinement, in a loop: a cell that
+subdivision until every nonempty cell, the outer one included, holds at
+most _MMAX zeros, at any width, then refinement, in a loop: a cell that
 refinement cannot certify is split again.  Refinement reads a cell's
 distinct zeros and multiplicities off the Hankel pencil of the moments its
 count gave (_pencil) and verifies each on a circle and, if simple, by a
@@ -50,8 +50,7 @@ __all__ = [
 
 DEGENERACY_FLOOR = 1e-9      # max |D| on a contour below which d is treated as == 0
 _REAL_CLASS_TOL = 1e-9       # |Im k| <= tol*(1+|Re k|) classifies a zero as real
-_MMAX = 4                    # cells holding more zeros are always split
-_CELL_WIDTH = 8.0            # cells of count 1 .. _MMAX at most this wide go to refinement
+_MMAX = 4                    # cells of 1 .. _MMAX zeros go to refinement, larger ones are split
 _RANK_TOL = 1e-8             # singular values of H0 below this share of the largest are 0
 _SPLIT_FLOOR = 2e-3          # clusters cohesive at this radius count as one multiple zero
 _GL_NODES = np.polynomial.legendre.leggauss(12)
@@ -306,19 +305,19 @@ def _padded_rects(rect):
 
 
 def _count_with_perturbation(service, rects):
-    """(count, rect_used) of the first of ``rects`` whose contour converges;
-    each contour passed over is an ``inflate`` retry."""
+    """The first of ``rects`` whose contour converges, as a ``_Cell`` with its
+    count and moments; each contour passed over is an ``inflate`` retry."""
     worst_mx = 0.0
     for j, rect in enumerate(rects):
         if j:
             service.stats["retries"]["inflate"] += 1
-        (n, mx, _moments), = _winding_many(service, [rect])
+        (n, mx, moments), = _winding_many(service, [rect])
         worst_mx = max(worst_mx, mx)
         if worst_mx < DEGENERACY_FLOOR:
             raise DegenerateCharacteristic(
                 f"max |D| on contour {worst_mx:.3e} below the degeneracy floor")
         if n is not None:
-            return n, rect
+            return _Cell(rect, count=n, moments=moments)
     raise ContourTooClose(f"winding defect > 0.25 for rect {rects[0]} and "
                           f"{len(rects) - 1} padded contours")
 
@@ -334,7 +333,7 @@ def count_zeros(profile: RefractiveProfile, rect) -> int:
     """
     if not all(map(math.isfinite, rect)):
         raise ValueError(f"rect {rect} is not finite")
-    return _count_with_perturbation(_Service(profile, rect), _padded_rects(rect))[0]
+    return _count_with_perturbation(_Service(profile, rect), _padded_rects(rect)).count
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +342,13 @@ def count_zeros(profile: RefractiveProfile, rect) -> int:
 
 
 class _Cell:
+    """A search rect; ``count`` and ``moments`` as ``_winding_many`` gives them,
+    None until counted, and the cells of its last split."""
     __slots__ = ("rect", "count", "moments", "parent", "jitter", "children")
 
-    def __init__(self, rect, count=None, parent=None):
-        self.rect, self.count, self.parent = rect, count, parent
-        self.moments = self.children = None
-        self.jitter = 0
+    def __init__(self, rect, count=None, parent=None, moments=None):
+        self.rect, self.count, self.parent, self.moments = rect, count, parent, moments
+        self.children, self.jitter = None, 0
 
 
 _JITTERS = (0.0, 0.08, -0.08, 0.16, -0.16)
@@ -368,39 +368,32 @@ def _split(cell: _Cell):
 
 
 def _subdivide(service, cells):
-    """Split ``cells``, then their parts, until every nonempty part holds at
-    most _MMAX zeros and is at most _CELL_WIDTH wide; return those parts."""
-    clusters = []
-    pending = [part for cell in cells for part in _split(cell)]
-    rounds = 0
-    while pending and rounds < 200:
-        rounds += 1
-        batch, pending = pending, []
+    """Count those of ``cells`` not yet counted and split every cell of more than
+    _MMAX zeros, then its parts, until each nonempty part holds at most _MMAX
+    zeros; return those parts.  Parts whose counts do not add up to their
+    parent's are dropped, and the parent is split again on a shifted line."""
+    clusters, pending = [], cells
+    for _round in range(200):
+        fresh = [c for c in pending if c.count is None]
         for cell, (n, _abs_d, moments) in zip(
-                batch, _winding_many(service, [c.rect for c in batch])):
+                fresh, _winding_many(service, [c.rect for c in fresh])):
             cell.count, cell.moments = n, moments
-        retry_parents = []
-        for parent in dict.fromkeys(c.parent for c in batch):
-            counts = [c.count for c in parent.children]
-            if None in counts or sum(counts) != parent.count:
-                retry_parents.append(parent)
-            else:
-                for c in parent.children:
-                    x0, x1, y0, y1 = c.rect
-                    if c.count and c.count <= _MMAX and max(x1 - x0, y1 - y0) <= _CELL_WIDTH:
-                        clusters.append(c)
-                    elif c.count:
-                        pending.extend(_split(c))
-        service.stats["retries"]["jitter"] += len(retry_parents)
-        for parent in retry_parents:
+        retry = [p for p in dict.fromkeys(c.parent for c in fresh)
+                 if None in (counts := [c.count for c in p.children])
+                 or sum(counts) != p.count]
+        service.stats["retries"]["jitter"] += len(retry)
+        for parent in retry:
             parent.jitter += 1
             if parent.jitter >= len(_JITTERS):
                 raise ContourTooClose(
                     f"could not find a clean split line for cell {parent.rect}")
-            pending.extend(_split(parent))
-    if pending:
-        raise ContourTooClose("subdivision did not terminate")
-    return clusters
+        counted = [c for c in pending if c.parent not in retry]
+        clusters += [c for c in counted if 0 < c.count <= _MMAX]
+        pending = [part for c in [c for c in counted if c.count > _MMAX] + retry
+                   for part in _split(c)]
+        if not pending:
+            return clusters
+    raise ContourTooClose("subdivision did not terminate")
 
 
 # ---------------------------------------------------------------------------
@@ -548,38 +541,37 @@ def find_zeros(profile: RefractiveProfile, rect) -> SearchReport:
 
     service = _Service(profile, search_rect)
     outer = _padded_rects(search_rect)
-    total, used_rect = _count_with_perturbation(service, outer)
-    cells = [_Cell(used_rect, count=total)] if total else []
-    refined, n_clusters = [], 0
+    top = _count_with_perturbation(service, outer)
+    cells, refined, n_clusters = [top], [], 0
     while cells:
         service.enter("subdivide")
         clusters = _subdivide(service, cells)
         service.enter("refine")
-        found, cells = _refine_clusters(service, clusters)
+        found, back = _refine_clusters(service, clusters)
         refined += found
         n_clusters += len(clusters)
-        stalled = [c.rect for c in cells if max(c.rect[1] - c.rect[0],
-                                                c.rect[3] - c.rect[2]) < _SPLIT_FLOOR]
+        cells = [part for cell in back for part in _split(cell)]
+        stalled = [c.rect for c in back if max(c.rect[1] - c.rect[0],
+                                               c.rect[3] - c.rect[2]) < _SPLIT_FLOOR]
         if stalled:
-            rest = outer[outer.index(used_rect) + 1:]
-            on_edge = all(any(a == b for a, b in zip(r, used_rect)) for r in stalled)
+            rest = outer[outer.index(top.rect) + 1:]
+            on_edge = all(any(a == b for a, b in zip(r, top.rect)) for r in stalled)
             if not (rest and on_edge):
                 raise NewtonStall(f"zeros in cell {stalled[0]}, narrower than "
                                   f"{_SPLIT_FLOOR}, could not be refined")
             # d_h may split a multiple zero that the outer contour runs through
             service.stats["retries"]["inflate"] += 1
             service.enter("count")
-            total, used_rect = _count_with_perturbation(service, rest)
-            cells = [_Cell(used_rect, count=total)] if total else []
-            refined = []
+            top = _count_with_perturbation(service, rest)
+            cells, refined = [top], []
     service.enter(service.phase)        # charge the last phase
     zeros, removed = _canonicalize(refined)
     noteworthy = [z.k for z in zeros if z.cls == "nonreal" and z.multiplicity > 1]
     stats = dict(service.stats)
     stats.update(clusters=n_clusters, duplicates_removed=removed,
                  noteworthy_multiple_nonreal=noteworthy)
-    return SearchReport(rect=used_rect, zeros=zeros,
-                        total_count_by_argument_principle=total - removed,
+    return SearchReport(rect=top.rect, zeros=zeros,
+                        total_count_by_argument_principle=top.count - removed,
                         stats=stats, timings=service.timings)
 
 

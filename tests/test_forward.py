@@ -138,7 +138,7 @@ def _one_step_at_a_time(profile, k, n_steps):
 def test_composed_steps_match_one_step_at_a_time(name, size):
     # the search grid density, n_steps not a multiple of the 8 steps composed; a k
     # below _SMALL_K and one whose growth forces rescaling between blocks; 600
-    # points cross the 512-point chunk boundary
+    # points run in one engine call
     profile = get_profile(name)
     n_steps = 8 * (grid_steps(profile, 260.0, 3.5) // 8) + 3
     special = np.array([5e-4, 20.0 + 250.0j])
@@ -273,6 +273,34 @@ def test_folded_and_looped_batches_agree(colton, monkeypatch):
     assert folds
 
 
+def test_large_batch_is_one_engine_call(colton, monkeypatch):
+    # 600 k, more than the 512 the engine once took per call: one call, and each k's
+    # state matches the same k run in two calls to 1e-13 of its largest entry
+    x, y = np.meshgrid(np.linspace(0.5, 150.5, 60), np.linspace(0.0, 8.0, 10))
+    k = (x + 1j * y).ravel()
+    calls = []
+    engine = forward._integrate_batch
+    monkeypatch.setattr(forward, "_integrate_batch",
+                        lambda coef, k, *args, **kwargs: calls.append(k.size)
+                        or engine(coef, k, *args, **kwargs))
+    whole = forward._shoot(colton, k, 581)
+    assert calls == [600]
+    parts = [forward._shoot(colton, k[:512], 581), forward._shoot(colton, k[512:], 581)]
+    assert _same_state(whole, tuple(np.concatenate(z, axis=-1) for z in zip(*parts)))
+
+
+@pytest.mark.parametrize("n_steps", [0, -3, 2.5, "64"])
+def test_characteristic_batch_rejects_a_bad_step_count(colton, n_steps):
+    with pytest.raises(ValueError, match="n_steps"):
+        characteristic_batch(colton, [1.0 + 1.0j], n_steps=n_steps)
+
+
+@pytest.mark.parametrize("n_steps", [0, -3, 2.5])
+def test_scaled_characteristic_rejects_a_bad_step_count(colton, n_steps):
+    with pytest.raises(ValueError, match="n_steps"):
+        scaled_characteristic(colton, [1.0 + 1.0j], n_steps=n_steps)
+
+
 def _full_degree(size, mu_max):
     """A stand-in for ``forward._degree_needed`` that keeps every degree."""
     return size.shape[-1] - 1
@@ -305,7 +333,7 @@ def test_search_grids_need_low_degree(colton, monkeypatch, rect):
                                      CONST4], ids=lambda p: p.name)
 def test_truncated_rows_match_full_degree(profile, monkeypatch):
     # the k sets of test_composed_steps_match_one_step_at_a_time: a k below
-    # _SMALL_K, one that rescales between blocks, single points and a chunked batch
+    # _SMALL_K, one that rescales between blocks, single points and a 600-point batch
     n_steps = 8 * (grid_steps(profile, 260.0, 3.5) // 8) + 3
     special = np.array([5e-4, 20.0 + 250.0j])
     assert abs(special[0]) < forward._SMALL_K

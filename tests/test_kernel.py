@@ -220,3 +220,9 @@ def test_diagonal_reference_is_the_q_series_antiderivative(colton_lv):
     # the kernel of the other q misses the reference by int 0.1 x^2: the check fails
     assert expected == pytest.approx(0.1 * kg.a ** 3 / 3.0, rel=1e-3)
     assert expected > 5e-4
+
+
+@pytest.mark.parametrize("h", [0.0, -0.1, math.nan, math.inf])
+def test_solve_kernel_rejects_a_bad_resolution(colton_lv, h):
+    with pytest.raises(ValueError, match="h must be finite and positive"):
+        solve_kernel(colton_lv, h)

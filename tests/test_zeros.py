@@ -20,6 +20,7 @@ from tevp.zeros import (Certificate, SearchReport, SpectralZero, _Cell, _contour
 
 CONST4 = ConstantProfile(4.0)
 CONST1 = ConstantProfile(1.0)
+_K1 = 20.08500253221 + 4.54787798154j     # a zero of colton_example, to 1e-11
 
 
 def test_count_triple_zeros():
@@ -465,7 +466,8 @@ def _shift_all(cells):
 @pytest.mark.parametrize("spoil, resplit", [(_shift_first, 1), (_shift_all, 2)])
 def test_refinement_hands_back_zeros_it_cannot_verify(colton, monkeypatch, spoil,
                                                       resplit):
-    rect = (0.3, 12.0, 0.0, 6.0)
+    # 5 zeros: the outer cell is split, and its first refinement holds 2 cells
+    rect = (0.3, 20.0, 0.0, 6.0)
     clean = find_zeros(colton, rect).zeros
     refine, calls = zeros_module._refine_clusters, []
 
@@ -477,7 +479,7 @@ def test_refinement_hands_back_zeros_it_cannot_verify(colton, monkeypatch, spoil
 
     monkeypatch.setattr(zeros_module, "_refine_clusters", spoil_once)
     rep = find_zeros(colton, rect)
-    assert len(calls) == 2
+    assert len(calls) == 2 and calls[0] == 2
     assert rep.stats["retries"]["resplit"] == resplit
     assert [z.multiplicity for z in rep.zeros] == [z.multiplicity for z in clean]
     for z, ref in zip(rep.zeros, clean, strict=True):
@@ -524,16 +526,36 @@ def test_search_stats_account_for_every_evaluation(const4):
 
 
 @pytest.mark.parametrize("rect, retries", [
-    # the first split line, Re k = pi, runs through the triple zero
-    ((1.0, 2.0 * math.pi - 1.0, 0.0, 0.5), {"inflate": 0, "jitter": 1, "resplit": 0}),
-    # the left edge runs through it, so the outer contour is inflated
-    ((math.pi, 5.0, 0.0, 0.5), {"inflate": 1, "jitter": 0, "resplit": 0}),
+    # 5 zeros, more than a pencil takes; the first split line, Re k = Re k1, runs
+    # through the middle one, k1 = 20.0850... + 4.5479...i
+    ((get_profile("colton_example"), _K1.real - 9.0, _K1.real + 9.0, 0.0, 6.0),
+     {"inflate": 0, "jitter": 1, "resplit": 0}),
+    # the left edge runs through the triple zero at pi, so the outer contour is inflated
+    ((CONST4, math.pi, 5.0, 0.0, 0.5), {"inflate": 1, "jitter": 0, "resplit": 0}),
 ])
-def test_retry_counters_record_contour_repairs(const4, rect, retries):
-    rep = find_zeros(const4, rect)
+def test_retry_counters_record_contour_repairs(rect, retries):
+    profile, *box = rect
+    rep = find_zeros(profile, box)
     assert rep.stats["retries"] == retries
-    assert [(z.multiplicity, z.cls) for z in rep.zeros] == [(3, "real")]
-    assert abs(rep.zeros[0].k - math.pi) <= 1e-8
+    if profile is CONST4:
+        assert [(z.multiplicity, z.cls) for z in rep.zeros] == [(3, "real")]
+        assert abs(rep.zeros[0].k - math.pi) <= 1e-8
+    else:
+        assert [z.multiplicity for z in rep.zeros] == [1] * 5
+        with mpmath.workdps(30):
+            k1 = complex(mpmath.findroot(_colton_d, mpmath.mpc(_K1)))
+        assert abs(rep.zeros[2].k - k1) <= 1e-10
+
+
+@pytest.mark.xfail(raises=NewtonStall, strict=True,
+                   reason="the first split line, Re k = 2 pi, runs through the triple zero "
+                          "that d_h splits by about 1e-4; its count converges, so no jitter "
+                          "fires, and each side keeps part of the cluster below _SPLIT_FLOOR")
+def test_split_line_through_a_multiple_zero(const4):
+    rep = find_zeros(const4, (1.0, 4.0 * math.pi - 1.0, 0.0, 0.5))
+    assert [(z.multiplicity, z.cls) for z in rep.zeros] == [(3, "real")] * 3
+    for z, n in zip(rep.zeros, (1, 2, 3)):
+        assert abs(z.k - n * math.pi) <= 1e-8
 
 
 def test_certificates_of_the_k40_search(colton_spectrum_40):
@@ -592,10 +614,41 @@ def test_search_cost_bounds(profile, rect, evals, batches):
     ((ConstantProfile(4.0 + 1e-2), (2.5, 3.8, 0.0, 0.5)), 495, 9),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_moment_search_costs(request, search, evals, batches):
-    # every cell of at most _MMAX zeros stops at 8 wide and is resolved from its moments
+    # the costs when cells of at most _MMAX zeros stopped at 8 wide;
+    # test_search_costs_at_any_width holds the present ones
     rep = request.getfixturevalue(search) if isinstance(search, str) else find_zeros(*search)
     assert rep.stats["evals"] <= evals
     assert rep.stats["batches"] <= batches
+
+
+@pytest.mark.parametrize("search, evals, batches", [
+    ("colton_spectrum_40", 1_437, 12),
+    ("colton_band_150", 234, 3),
+    ("colton_spectrum_150", 4_515, 10),
+    ((get_profile("slow_core"), (0.3, 30.0, 0.0, 6.0)), 1_665, 8),
+    ((get_profile("raised_cosine"), (0.3, 30.0, 0.0, 6.0)), 1_479, 10),
+    ((CONST4, (0.5, 31.0, 0.0, 1.0)), 2_409, 13),
+    ((ConstantProfile(4.0 + 1e-8), (2.5, 3.8, 0.0, 0.5)), 217, 4),
+    ((ConstantProfile(4.0 + 1e-6), (2.5, 3.8, 0.0, 0.5)), 219, 4),
+    ((ConstantProfile(4.0 + 1e-5), (2.5, 3.8, 0.0, 0.5)), 219, 4),
+    ((ConstantProfile(4.0 + 1e-4), (2.5, 3.8, 0.0, 0.5)), 219, 4),
+    ((ConstantProfile(4.0 + 1e-3), (2.5, 3.8, 0.0, 0.5)), 219, 4),
+    ((ConstantProfile(4.0 + 1e-2), (2.5, 3.8, 0.0, 0.5)), 363, 7),
+], ids=["k40", "band150", "headline", "slow_core", "raised_cosine", "const4",
+        "eps1e-8", "eps1e-6", "eps1e-5", "eps1e-4", "eps1e-3", "eps1e-2"])
+def test_search_costs_at_any_width(request, search, evals, batches):
+    # every counted cell of at most _MMAX zeros, the outer one included, is
+    # resolved from its moments, however wide
+    rep = request.getfixturevalue(search) if isinstance(search, str) else find_zeros(*search)
+    assert rep.stats["evals"] <= evals
+    assert rep.stats["batches"] <= batches
+
+
+def test_outer_cell_of_at_most_mmax_zeros_is_refined_unsplit(colton_band_150):
+    # the top strip of the |k| <= 150 search holds 2 zeros: no subdivision
+    stats = colton_band_150.stats
+    assert stats["phase_evals"]["subdivide"] == 0 and stats["clusters"] == 1
+    assert len(colton_band_150.zeros) == 2
 
 
 @pytest.mark.parametrize("shift, cost", [(0.5, 144), (0.9, 192)])
@@ -698,13 +751,16 @@ class _RetryStats:
 
 
 @pytest.mark.parametrize("count", [1, 2, zeros_module._MMAX])
-def test_subdivision_stops_every_count_at_one_width(monkeypatch, count):
-    # up to _MMAX zeros, however close: the 8-wide half that holds them goes
-    # to refinement unsplit, with the moments of its zeros
+def test_subdivision_refines_every_count_at_any_width(monkeypatch, count):
+    # up to _MMAX zeros, however close: a counted cell that holds them goes to
+    # refinement unsplit, and so does the 128-wide half of a split 256-wide cell,
+    # with the moments of its zeros
     zs = [3.01 + 0.5j + 0.05 * j for j in range(count)]
     monkeypatch.setattr(zeros_module, "_winding_many", _counting_winding(zs))
-    (cell,) = _subdivide(_RetryStats(), [_Cell((0.0, 16.0, 0.0, 1.0), count=count)])
-    assert (cell.rect, cell.count, cell.children) == ((0.0, 8.0, 0.0, 1.0), count, None)
+    whole = _Cell((0.0, 256.0, 0.0, 1.0), count=count)
+    assert _subdivide(_RetryStats(), [whole]) == [whole] and whole.children is None
+    (cell,) = _subdivide(_RetryStats(), list(zeros_module._split(whole)))
+    assert (cell.rect, cell.count, cell.children) == ((0.0, 128.0, 0.0, 1.0), count, None)
     assert np.array_equal(cell.moments, _moments(cell.rect, zs))
 
 
