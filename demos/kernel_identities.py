@@ -26,8 +26,8 @@ print(f"diagonal residual  max|2K(x,x) - Q(x)| = {kg.diagonal_residual():.3e}")
 
 ks = np.array([1.0, math.pi, 7.3, 15.0])
 kg_h = solve_kernel(lv, h=lv.a / 200.0)
-y_h, dy_h = representation_boundary(lv, kg_h, ks)
-y_h2, dy_h2 = representation_boundary(lv, kg, ks)
+y_h, dy_h = representation_boundary(kg_h, ks)
+y_h2, dy_h2 = representation_boundary(kg, ks)
 y = (4.0 * y_h2 - y_h) / 3.0
 dy = (4.0 * dy_h2 - dy_h) / 3.0
 print("\nboundary representation vs direct integration (Richardson h->h/2):")

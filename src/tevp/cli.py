@@ -176,8 +176,8 @@ def cmd_kernel_check(args):
     scale = max(1.0, float(ker._trapezoid_rows(np.abs(kg2.q)[None], kg2.delta)[0]))
     checks = [("diagonal identity 2K(x,x)=Q(x)", kg2.diagonal_residual(), 5e-4 * scale)]
     ks = np.array([1.0, math.pi, 7.3, 15.0])
-    y_h, dy_h = ker.representation_boundary(lv, kg, ks)
-    y_h2, dy_h2 = ker.representation_boundary(lv, kg2, ks)
+    y_h, dy_h = ker.representation_boundary(kg, ks)
+    y_h2, dy_h2 = ker.representation_boundary(kg2, ks)
     y_ex = (4.0 * y_h2 - y_h) / 3.0
     dy_ex = (4.0 * dy_h2 - dy_h) / 3.0
     worst = 0.0

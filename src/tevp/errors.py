@@ -30,7 +30,7 @@ class NoConvergence(TevpError):
 
 
 class ContourTooClose(TevpError):
-    """Contour integral defect stayed above 0.25 after perturbation attempts."""
+    """A contour's count, or its cell's split, failed on a search's last padded rect."""
 
 
 class NewtonStall(TevpError):
@@ -38,8 +38,8 @@ class NewtonStall(TevpError):
 
     Its moments gave no usable zeros, a zero's verification circle did not
     count it, or a simple zero's Newton step |d/d'| at the circle's centroid
-    was too large, and the cell lies inside the search rect or every padded
-    outer contour has been tried.
+    was too large.  A search raises it only from its last padded rect; on
+    every other one it starts again on the next.
     """
 
 

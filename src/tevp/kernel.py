@@ -219,8 +219,9 @@ def boundary_traces(kg: KernelGrid):
     return np.arange(0, M + 1, 2) * delta, K1, K2
 
 
-def representation_boundary(liouville: LiouvilleData, kg: KernelGrid, k):
-    """y(1,k), y'(1,k) from the trace representation formulas.
+def representation_boundary(kg: KernelGrid, k):
+    """y(1,k), y'(1,k) of the profile of ``kg.liouville``, from the trace
+    representation formulas.
 
     y  = eta0^{-1/4} [ sin(ka)/k - cos(ka)/(2k^2) * int q
                        + int_0^a K2(t) cos(kt)/k^2 dt ],
@@ -231,8 +232,7 @@ def representation_boundary(liouville: LiouvilleData, kg: KernelGrid, k):
     over two resolutions removes the leading error term.
     """
     k = np.asarray(k, dtype=complex).ravel()
-    a = liouville.a
-    eta0 = float(liouville.profile.eta(0.0))
+    a, eta0 = kg.a, float(kg.liouville.profile.eta(0.0))
     t, K1, K2 = boundary_traces(kg)
     intq = kg.Q[-1]
     kt = np.outer(k, t)

@@ -8,10 +8,10 @@ distinct zeros and multiplicities off the Hankel pencil of the moments its
 count gave (_pencil) and verifies each on a circle and, if simple, by a
 Newton-step certificate (_refine_clusters); a cell is accepted only if all
 its zeros are, so the pencil can cost evaluations but not give a wrong
-zero.  A cell narrower than _SPLIT_FLOOR raises NewtonStall, unless it
-touches the outer contour: the discretised d_h may split a multiple zero
-that the contour runs through, so the search restarts on the next padded
-outer contour instead.
+zero.  One repair: d_h may split a multiple zero that a contour or split
+line runs through, so a search whose count or split fails, or that is handed
+back a cell narrower than _SPLIT_FLOOR, starts again on the next padded rect
+(_padded_rects), whose split lines have moved.
 
 All evaluations of one search go through its batching service, on one RK8
 grid: _PER_RADIAN steps per radian of phase at the largest |k| any contour of
@@ -62,9 +62,9 @@ _STEP_CERT = 1e-10           # a simple zero needs |d/d'| <= _STEP_CERT (1 + |k|
 _CIRCLE_TOL = 1e-6           # a simple zero's circle must wind within this of 1
 _MAX_SPLITS = 128            # segments one contour may split in one round
 _PHASES = ("count", "subdivide", "refine")
-_RETRIES = ("inflate", "jitter", "resplit")
+_RETRIES = ("inflate", "resplit")
 _TRIVIAL_CLEARANCE = 1e-2    # least distance from k = 0 of a search rect's corner (x0, y0)
-_PADS = (1e-2, 2e-2, 4e-2, 8e-2, 0.16)   # outward moves of an outer contour's edges
+_PADS = (1e-2, 2e-2, 4e-2, 8e-2, 0.16)   # outward moves of a padded rect's right, top edges
 
 
 @dataclass(frozen=True)
@@ -103,12 +103,12 @@ class SearchReport:
     centroids: 9 per simple zero), ``batches`` (engine calls), ``ksteps``
     (points times grid steps), ``phase_ksteps`` (their split over the same
     phases), ``segments_reused`` (segment rules the cache, or the same batch,
-    already held), ``retries`` (``inflate``: outer contours padded off a zero
-    or off a cell stalled on the contour; ``jitter``: cells split again on a
-    shifted line; ``resplit``: cells handed back to the subdivision because
-    their pencil gave no usable zeros or a zero failed its circle or
-    certificate), ``clusters`` (cells resolved from their moments, handed-back
-    ones included), ``duplicates_removed`` and ``noteworthy_multiple_nonreal``.
+    already held), ``retries`` (``inflate``: rects given up for the next padded
+    one, because a contour or a split failed or a cell stalled; ``resplit``:
+    cells handed back to the subdivision because their pencil gave no usable
+    zeros or a zero failed its circle or certificate), ``clusters`` (cells
+    resolved from their moments on every rect tried, handed-back ones
+    included), ``duplicates_removed`` and ``noteworthy_multiple_nonreal``.
     Each zero carries the ``certificate`` that accepted it.  ``timings``: wall
     seconds per phase, out of ``stats`` as they vary by run."""
     rect: tuple
@@ -149,7 +149,7 @@ class _Service:
         self.stats = {"batches": 0, "evals": 0, "ksteps": 0, "segments_reused": 0,
                       "phase_evals": dict.fromkeys(_PHASES, 0),
                       "phase_ksteps": dict.fromkeys(_PHASES, 0),
-                      "retries": dict.fromkeys(_RETRIES, 0)}
+                      "retries": dict.fromkeys(_RETRIES, 0), "clusters": 0}
 
     def enter(self, phase):
         """Switch to ``phase``, charging the wall time since the last switch to the old one."""
@@ -293,47 +293,54 @@ def _winding_many(service, rects):
 
 
 def _padded_rects(rect):
-    """``rect``, then ``rect`` with every edge moved out by each of _PADS.
-
-    A left (bottom) edge at x0 > 0 (y0 > 0) moves at most x0 / 2 (y0 / 2):
-    padding never carries it across the axis to k = 0.
-    """
+    """``rect``, then ``rect`` with its right and top edges moved out by each of
+    _PADS and its left and bottom edges by half as much, at most halfway to an
+    axis they are off (never across it to k = 0): the centre, and with it
+    every split line, moves too."""
     x0, x1, y0, y1 = rect
-    return [rect] + [(x0 - (min(pad, 0.5 * x0) if x0 > 0 else pad), x1 + pad,
-                      y0 - (min(pad, 0.5 * y0) if y0 > 0 else pad), y1 + pad)
+    return [rect] + [(x0 - 0.5 * (min(pad, x0) if x0 > 0 else pad), x1 + pad,
+                      y0 - 0.5 * (min(pad, y0) if y0 > 0 else pad), y1 + pad)
                      for pad in _PADS]
 
 
-def _count_with_perturbation(service, rects):
-    """The first of ``rects`` whose contour converges, as a ``_Cell`` with its
-    count and moments; each contour passed over is an ``inflate`` retry."""
-    worst_mx = 0.0
-    for j, rect in enumerate(rects):
-        if j:
+def _on_padded_rects(service, rect, search):
+    """``search(service, r)`` on the first r of ``_padded_rects(rect)`` where it
+    raises neither ContourTooClose nor NewtonStall; each rect passed over is an
+    ``inflate`` retry.  Raises the last error if every rect fails."""
+    for padded in _padded_rects(rect):
+        try:
+            return search(service, padded)
+        except (ContourTooClose, NewtonStall) as err:
+            error = err
             service.stats["retries"]["inflate"] += 1
-        (n, mx, moments), = _winding_many(service, [rect])
-        worst_mx = max(worst_mx, mx)
-        if worst_mx < DEGENERACY_FLOOR:
-            raise DegenerateCharacteristic(
-                f"max |D| on contour {worst_mx:.3e} below the degeneracy floor")
-        if n is not None:
-            return _Cell(rect, count=n, moments=moments)
-    raise ContourTooClose(f"winding defect > 0.25 for rect {rects[0]} and "
-                          f"{len(rects) - 1} padded contours")
+    raise error
+
+
+def _count(service, rect):
+    """``rect`` as a counted ``_Cell``; ContourTooClose if its contour fails."""
+    (n, mx, moments), = _winding_many(service, [rect])
+    if mx < DEGENERACY_FLOOR:
+        raise DegenerateCharacteristic(f"max |D| on contour {mx:.3e} below the degeneracy floor")
+    if n is None:
+        raise ContourTooClose(f"winding defect > 0.25 for rect {rect}")
+    return _Cell(rect, n, moments)
 
 
 def count_zeros(profile: RefractiveProfile, rect) -> int:
     """Number of zeros of d (with multiplicity) inside the rectangle.
 
-    ``rect`` is (x0, x1, y0, y1) anywhere in the plane; a non-finite entry
-    raises ValueError, as it does in ``find_zeros``.  If an edge passes too
-    close to a zero for the winding quadrature, every edge is moved outward by
-    1e-2, then 2e-2, ... (at most 0.16) until the count converges; a left or
-    bottom edge off the axis moves at most half its distance to it.
+    ``rect`` is (x0, x1, y0, y1) anywhere in the plane, x1 > x0 and y1 > y0,
+    else ValueError, as in ``find_zeros``.  If an edge passes too close to a
+    zero for the winding quadrature, the right and top edges move out by
+    1e-2, 2e-2, ... (at most 0.16) and the left and bottom ones half as far
+    (at most half their distance to an axis they are off) until the count
+    converges.
     """
     if not all(map(math.isfinite, rect)):
         raise ValueError(f"rect {rect} is not finite")
-    return _count_with_perturbation(_Service(profile, rect), _padded_rects(rect)).count
+    if not (rect[1] > rect[0] and rect[3] > rect[2]):
+        raise ValueError(f"empty rect {rect}")
+    return _on_padded_rects(_Service(profile, rect), rect, _count).count
 
 
 # ---------------------------------------------------------------------------
@@ -342,57 +349,39 @@ def count_zeros(profile: RefractiveProfile, rect) -> int:
 
 
 class _Cell:
-    """A search rect; ``count`` and ``moments`` as ``_winding_many`` gives them,
-    None until counted, and the cells of its last split."""
-    __slots__ = ("rect", "count", "moments", "parent", "jitter", "children")
+    """A search rect with its ``count`` and ``moments`` as ``_winding_many`` gives them."""
+    __slots__ = ("rect", "count", "moments")
 
-    def __init__(self, rect, count=None, parent=None, moments=None):
-        self.rect, self.count, self.parent, self.moments = rect, count, parent, moments
-        self.children, self.jitter = None, 0
+    def __init__(self, rect, count, moments=None):
+        self.rect, self.count, self.moments = rect, count, moments
 
 
-_JITTERS = (0.0, 0.08, -0.08, 0.16, -0.16)
-
-
-def _split(cell: _Cell):
-    x0, x1, y0, y1 = cell.rect
-    off = _JITTERS[min(cell.jitter, len(_JITTERS) - 1)]
+def _halves(rect):
+    """The two halves of ``rect`` on either side of the midpoint of its longer side."""
+    x0, x1, y0, y1 = rect
     if (x1 - x0) >= (y1 - y0):
-        xm = 0.5 * (x0 + x1) + off * (x1 - x0)
-        a, b = (x0, xm, y0, y1), (xm, x1, y0, y1)
-    else:
-        ym = 0.5 * (y0 + y1) + off * (y1 - y0)
-        a, b = (x0, x1, y0, ym), (x0, x1, ym, y1)
-    cell.children = (_Cell(a, parent=cell), _Cell(b, parent=cell))
-    return cell.children
+        xm = 0.5 * (x0 + x1)
+        return (x0, xm, y0, y1), (xm, x1, y0, y1)
+    ym = 0.5 * (y0 + y1)
+    return (x0, x1, y0, ym), (x0, x1, ym, y1)
 
 
 def _subdivide(service, cells):
-    """Count those of ``cells`` not yet counted and split every cell of more than
-    _MMAX zeros, then its parts, until each nonempty part holds at most _MMAX
-    zeros; return those parts.  Parts whose counts do not add up to their
-    parent's are dropped, and the parent is split again on a shifted line."""
-    clusters, pending = [], cells
+    """Split each of ``cells`` into its halves and count them, then split every
+    half of more than _MMAX zeros, until each nonempty part holds at most
+    _MMAX zeros; return those parts.  ContourTooClose if a half's count fails
+    or two halves do not add up to their cell's count."""
+    clusters = []
     for _round in range(200):
-        fresh = [c for c in pending if c.count is None]
-        for cell, (n, _abs_d, moments) in zip(
-                fresh, _winding_many(service, [c.rect for c in fresh])):
-            cell.count, cell.moments = n, moments
-        retry = [p for p in dict.fromkeys(c.parent for c in fresh)
-                 if None in (counts := [c.count for c in p.children])
-                 or sum(counts) != p.count]
-        service.stats["retries"]["jitter"] += len(retry)
-        for parent in retry:
-            parent.jitter += 1
-            if parent.jitter >= len(_JITTERS):
-                raise ContourTooClose(
-                    f"could not find a clean split line for cell {parent.rect}")
-        counted = [c for c in pending if c.parent not in retry]
-        clusters += [c for c in counted if 0 < c.count <= _MMAX]
-        pending = [part for c in [c for c in counted if c.count > _MMAX] + retry
-                   for part in _split(c)]
-        if not pending:
+        if not cells:
             return clusters
+        rects = [half for cell in cells for half in _halves(cell.rect)]
+        parts = [_Cell(r, n, s) for r, (n, _abs_d, s) in zip(rects, _winding_many(service, rects))]
+        for cell, a, b in zip(cells, parts[::2], parts[1::2]):
+            if None in (a.count, b.count) or a.count + b.count != cell.count:
+                raise ContourTooClose(f"the halves of cell {cell.rect} do not count its zeros")
+        clusters += [part for part in parts if 0 < part.count <= _MMAX]
+        cells = [part for part in parts if part.count > _MMAX]
     raise ContourTooClose("subdivision did not terminate")
 
 
@@ -520,11 +509,37 @@ def _canonicalize(found):
     return out, removed
 
 
+def _search(service, rect):
+    """The counted cell of ``rect`` and the refined zeros inside it, with every
+    cell refined counted in the ``clusters`` stat.  ContourTooClose if a contour
+    or split fails, NewtonStall if refinement hands back a cell narrower than
+    _SPLIT_FLOOR."""
+    service.enter("count")
+    top = _count(service, rect)
+    clusters = [top] if 0 < top.count <= _MMAX else []
+    refined, cells = [], [top] if top.count > _MMAX else []
+    while clusters or cells:
+        service.enter("subdivide")
+        clusters += _subdivide(service, cells)
+        service.enter("refine")
+        service.stats["clusters"] += len(clusters)
+        found, cells = _refine_clusters(service, clusters)
+        refined, clusters = refined + found, []
+        stalled = [c.rect for c in cells if max(c.rect[1] - c.rect[0],
+                                                c.rect[3] - c.rect[2]) < _SPLIT_FLOOR]
+        if stalled:
+            raise NewtonStall(f"zeros in cell {stalled[0]}, narrower than "
+                              f"{_SPLIT_FLOOR}, could not be refined")
+    return top, refined
+
+
 def find_zeros(profile: RefractiveProfile, rect) -> SearchReport:
     """All zeros of d (with multiplicity) in a finite first-quadrant rectangle.
 
     A rect flush with the real axis is padded slightly below it so that
     real zeros are captured; canonical representatives are reported once.
+    A failed contour or split, or a stalled cell, restarts the search on the
+    next padded rect.
     """
     x0, x1, y0, y1 = map(float, rect)
     if not all(map(math.isfinite, (x0, x1, y0, y1))):
@@ -540,36 +555,12 @@ def find_zeros(profile: RefractiveProfile, rect) -> SearchReport:
     search_rect = (x0, x1, -min(0.15, 0.5 * (y1 - y0)) if y0 <= 1e-9 else y0, y1)
 
     service = _Service(profile, search_rect)
-    outer = _padded_rects(search_rect)
-    top = _count_with_perturbation(service, outer)
-    cells, refined, n_clusters = [top], [], 0
-    while cells:
-        service.enter("subdivide")
-        clusters = _subdivide(service, cells)
-        service.enter("refine")
-        found, back = _refine_clusters(service, clusters)
-        refined += found
-        n_clusters += len(clusters)
-        cells = [part for cell in back for part in _split(cell)]
-        stalled = [c.rect for c in back if max(c.rect[1] - c.rect[0],
-                                               c.rect[3] - c.rect[2]) < _SPLIT_FLOOR]
-        if stalled:
-            rest = outer[outer.index(top.rect) + 1:]
-            on_edge = all(any(a == b for a, b in zip(r, top.rect)) for r in stalled)
-            if not (rest and on_edge):
-                raise NewtonStall(f"zeros in cell {stalled[0]}, narrower than "
-                                  f"{_SPLIT_FLOOR}, could not be refined")
-            # d_h may split a multiple zero that the outer contour runs through
-            service.stats["retries"]["inflate"] += 1
-            service.enter("count")
-            top = _count_with_perturbation(service, rest)
-            cells, refined = [top], []
+    top, refined = _on_padded_rects(service, search_rect, _search)
     service.enter(service.phase)        # charge the last phase
     zeros, removed = _canonicalize(refined)
     noteworthy = [z.k for z in zeros if z.cls == "nonreal" and z.multiplicity > 1]
     stats = dict(service.stats)
-    stats.update(clusters=n_clusters, duplicates_removed=removed,
-                 noteworthy_multiple_nonreal=noteworthy)
+    stats.update(duplicates_removed=removed, noteworthy_multiple_nonreal=noteworthy)
     return SearchReport(rect=top.rect, zeros=zeros,
                         total_count_by_argument_principle=top.count - removed,
                         stats=stats, timings=service.timings)

@@ -124,8 +124,8 @@ def test_acceptance_07_boundary_representation(colton, colton_lv):
     kg_h = solve_kernel(colton_lv, h=colton_lv.a / 200.0)
     kg_h2 = solve_kernel(colton_lv, h=colton_lv.a / 400.0)
     ks = np.array([1.0, math.pi, 7.3, 15.0])
-    y_h, dy_h = representation_boundary(colton_lv, kg_h, ks)
-    y_h2, dy_h2 = representation_boundary(colton_lv, kg_h2, ks)
+    y_h, dy_h = representation_boundary(kg_h, ks)
+    y_h2, dy_h2 = representation_boundary(kg_h2, ks)
     y = (4.0 * y_h2 - y_h) / 3.0          # Richardson extrapolation, order 2
     dy = (4.0 * dy_h2 - dy_h) / 3.0
     for i, k in enumerate(ks):

@@ -1,6 +1,9 @@
 """``tools/gate_searches.py`` prints the same line for a search on every run, and
-its searches find the zeros of ``gate_reference.jsonl``: the lines printed when
-cells of 2 .. _MMAX zeros were split down to 0.4 wide (commit 3cb4d7b)."""
+its searches find the zeros of ``gate_reference.jsonl``: for the first 17, the
+lines printed when cells of 2 .. _MMAX zeros were split down to 0.4 wide (commit
+3cb4d7b); for the last two, whose first split line runs through a zero, the
+lines printed once every failed contour restarted on the next padded rect, with
+their zeros checked against colton_example's closed form and against n pi."""
 
 import importlib.util
 import json
@@ -16,7 +19,7 @@ _spec.loader.exec_module(gate)
 def test_gate_lines_repeat():
     cheap = [s for s in gate.SEARCHES
              if s[2] == (145.0, 150.5, 0.0, 8.0) or s[:2] == ("constant", [4.0])]
-    assert len(gate.SEARCHES) == 17 and len(cheap) == 2
+    assert len(gate.SEARCHES) == 19 and len(cheap) == 2
     first = [gate.gate_line(*search) for search in cheap]
     assert [gate.gate_line(*search) for search in cheap] == first
     for line, (name, params, rect) in zip(first, cheap):

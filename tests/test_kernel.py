@@ -59,8 +59,8 @@ def test_representation_matches_ivp(colton, colton_lv):
     kg_h = solve_kernel(colton_lv, h=colton_lv.a / 200)
     kg_h2 = solve_kernel(colton_lv, h=colton_lv.a / 400)
     ks = np.array([1.0, math.pi, 7.3, 15.0])
-    y_h, dy_h = representation_boundary(colton_lv, kg_h, ks)
-    y_h2, dy_h2 = representation_boundary(colton_lv, kg_h2, ks)
+    y_h, dy_h = representation_boundary(kg_h, ks)
+    y_h2, dy_h2 = representation_boundary(kg_h2, ks)
     y = (4.0 * y_h2 - y_h) / 3.0
     dy = (4.0 * dy_h2 - dy_h) / 3.0
     for i, k in enumerate(ks):
@@ -180,7 +180,7 @@ def test_full_grid_is_built_on_demand(name):
     lv = liouville_transform(get_profile(name))
     kg = solve_kernel(lv, h=lv.a / 8)
     kg.diagonal_residual()
-    representation_boundary(lv, kg, np.array([1.0, 7.3]))
+    representation_boundary(kg, np.array([1.0, 7.3]))
     assert "K" not in vars(kg)
     K_loop = _loop_solve_kernel(lv, h=lv.a / 8)[0]
     i, j = np.indices(K_loop.shape)

@@ -10,7 +10,7 @@ import pytest
 
 import tevp.zeros as zeros_module
 from tevp.cli import EXIT_NUMERIC, main
-from tevp.errors import DegenerateCharacteristic, NewtonStall
+from tevp.errors import ContourTooClose, DegenerateCharacteristic, NewtonStall
 from tevp.forward import characteristic_batch, scaled_characteristic
 from tevp.profiles import ConstantProfile, get_profile, travel_time
 from tevp.zeros import (Certificate, SearchReport, SpectralZero, _Cell, _contour_pieces,
@@ -121,6 +121,15 @@ def test_non_finite_rect_is_rejected(rect):
     for search in (find_zeros, count_zeros):
         with pytest.raises(ValueError, match="not finite"):
             search(CONST4, rect)
+
+
+@pytest.mark.parametrize("rect", [(10.0, 3.0, 2.0, 4.0), (10.0, 3.0, 4.0, 2.0),
+                                  (1.0, 1.0, 0.0, 1.0)])
+def test_count_zeros_rejects_an_empty_or_inverted_rect(colton, rect):
+    # these used to raise ContourTooClose, count 2 with the orientation flipped
+    # twice, and count 0
+    with pytest.raises(ValueError, match="empty rect"):
+        count_zeros(colton, rect)
 
 
 def test_rect_containing_the_trivial_zero_is_rejected(colton, const4):
@@ -521,17 +530,17 @@ def test_search_stats_account_for_every_evaluation(const4):
     assert sum(stats["phase_ksteps"].values()) == stats["ksteps"]
     assert stats["ksteps"] >= 64 * stats["evals"]
     assert stats["segments_reused"] > 0
-    assert stats["retries"] == {"inflate": 0, "jitter": 0, "resplit": 0}
+    assert stats["retries"] == {"inflate": 0, "resplit": 0}
     assert stats["clusters"] == 2
 
 
 @pytest.mark.parametrize("rect, retries", [
     # 5 zeros, more than a pencil takes; the first split line, Re k = Re k1, runs
-    # through the middle one, k1 = 20.0850... + 4.5479...i
+    # through the middle one, k1 = 20.0850... + 4.5479...i, so the search restarts
     ((get_profile("colton_example"), _K1.real - 9.0, _K1.real + 9.0, 0.0, 6.0),
-     {"inflate": 0, "jitter": 1, "resplit": 0}),
+     {"inflate": 1, "resplit": 0}),
     # the left edge runs through the triple zero at pi, so the outer contour is inflated
-    ((CONST4, math.pi, 5.0, 0.0, 0.5), {"inflate": 1, "jitter": 0, "resplit": 0}),
+    ((CONST4, math.pi, 5.0, 0.0, 0.5), {"inflate": 1, "resplit": 0}),
 ])
 def test_retry_counters_record_contour_repairs(rect, retries):
     profile, *box = rect
@@ -547,15 +556,30 @@ def test_retry_counters_record_contour_repairs(rect, retries):
         assert abs(rep.zeros[2].k - k1) <= 1e-10
 
 
-@pytest.mark.xfail(raises=NewtonStall, strict=True,
-                   reason="the first split line, Re k = 2 pi, runs through the triple zero "
-                          "that d_h splits by about 1e-4; its count converges, so no jitter "
-                          "fires, and each side keeps part of the cluster below _SPLIT_FLOOR")
-def test_split_line_through_a_multiple_zero(const4):
-    rep = find_zeros(const4, (1.0, 4.0 * math.pi - 1.0, 0.0, 0.5))
-    assert [(z.multiplicity, z.cls) for z in rep.zeros] == [(3, "real")] * 3
-    for z, n in zip(rep.zeros, (1, 2, 3)):
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_split_line_through_a_multiple_zero(const4, m):
+    # the first split line, Re k = m pi, runs through a triple zero that d_h
+    # splits by about 1e-4: each side keeps part of it, no circle certifies
+    # either part, and the search restarts on a padded rect, whose split line
+    # has moved off the zero
+    rep = find_zeros(const4, (1.0, 2.0 * m * math.pi - 1.0, 0.0, 0.5))
+    assert rep.stats["retries"]["inflate"] == 1
+    assert [(z.multiplicity, z.cls) for z in rep.zeros] == [(3, "real")] * (2 * m - 1)
+    for n, z in enumerate(rep.zeros, start=1):
         assert abs(z.k - n * math.pi) <= 1e-8
+
+
+@pytest.mark.parametrize("rect", [(1.0, 5.0, 0.5, 2.0), (2.0, 9.0, -0.15, 0.5)])
+def test_padding_moves_the_centre_and_every_split_line(rect):
+    # a left or bottom edge moves half as far as a right or top one, so the
+    # centre, and with it every split line, moves with each pad
+    x0, x1, y0, y1 = rect
+    padded = zeros_module._padded_rects(rect)
+    assert padded[0] == rect and len(padded) == 1 + len(zeros_module._PADS)
+    for (a0, a1, b0, b1), pad in zip(padded[1:], zeros_module._PADS):
+        assert (a1 - x1, b1 - y1) == pytest.approx((pad, pad), rel=1e-12)
+        assert (x0 - a0, y0 - b0) == pytest.approx((0.5 * pad, 0.5 * pad), rel=1e-12)
+        assert 0.5 * (a0 + a1) != 0.5 * (x0 + x1) and 0.5 * (b0 + b1) != 0.5 * (y0 + y1)
 
 
 def test_certificates_of_the_k40_search(colton_spectrum_40):
@@ -634,8 +658,17 @@ def test_moment_search_costs(request, search, evals, batches):
     ((ConstantProfile(4.0 + 1e-4), (2.5, 3.8, 0.0, 0.5)), 219, 4),
     ((ConstantProfile(4.0 + 1e-3), (2.5, 3.8, 0.0, 0.5)), 219, 4),
     ((ConstantProfile(4.0 + 1e-2), (2.5, 3.8, 0.0, 0.5)), 363, 7),
+    # searches that restart on a padded rect: an edge through a triple zero ...
+    ((CONST4, (4.0, 2.0 * math.pi, 0.0, 0.5)), 3_673, 64),
+    ((CONST4, (2.0, 2.0 * math.pi, 0.0, 1.0)), 4_279, 70),
+    ((CONST4, (math.pi, 20.0, 0.0, 0.5)), 4_074, 30),
+    # ... and a first split line through a simple and through a triple zero
+    ((get_profile("colton_example"), (_K1.real - 9.0, _K1.real + 9.0, 0.0, 6.0)), 2_445, 33),
+    ((CONST4, (1.0, 4.0 * math.pi - 1.0, 0.0, 0.5)), 7_517, 79),
 ], ids=["k40", "band150", "headline", "slow_core", "raised_cosine", "const4",
-        "eps1e-8", "eps1e-6", "eps1e-5", "eps1e-4", "eps1e-3", "eps1e-2"])
+        "eps1e-8", "eps1e-6", "eps1e-5", "eps1e-4", "eps1e-3", "eps1e-2",
+        "const4_right_edge", "const4_right_edge_tall", "const4_left_edge",
+        "colton_split_line", "const4_split_line"])
 def test_search_costs_at_any_width(request, search, evals, batches):
     # every counted cell of at most _MMAX zeros, the outer one included, is
     # resolved from its moments, however wide
@@ -745,31 +778,32 @@ def _counting_winding(zs):
     return winding
 
 
-class _RetryStats:
-    def __init__(self):
-        self.stats = {"retries": {"jitter": 0}}
-
-
 @pytest.mark.parametrize("count", [1, 2, zeros_module._MMAX])
 def test_subdivision_refines_every_count_at_any_width(monkeypatch, count):
-    # up to _MMAX zeros, however close: a counted cell that holds them goes to
-    # refinement unsplit, and so does the 128-wide half of a split 256-wide cell,
-    # with the moments of its zeros
-    zs = [3.01 + 0.5j + 0.05 * j for j in range(count)]
+    # up to _MMAX zeros, however close: the 128-wide half of a split 256-wide
+    # cell that holds them goes to refinement unsplit, with their moments
+    zs = [3.01 + 0.47j + 0.05 * j for j in range(count)]
     monkeypatch.setattr(zeros_module, "_winding_many", _counting_winding(zs))
-    whole = _Cell((0.0, 256.0, 0.0, 1.0), count=count)
-    assert _subdivide(_RetryStats(), [whole]) == [whole] and whole.children is None
-    (cell,) = _subdivide(_RetryStats(), list(zeros_module._split(whole)))
-    assert (cell.rect, cell.count, cell.children) == ((0.0, 128.0, 0.0, 1.0), count, None)
+    (cell,) = _subdivide(None, [_Cell((0.0, 256.0, 0.0, 1.0), count=count)])
+    assert (cell.rect, cell.count) == ((0.0, 128.0, 0.0, 1.0), count)
     assert np.array_equal(cell.moments, _moments(cell.rect, zs))
 
 
 def test_subdivision_splits_more_zeros_than_a_pencil_takes(monkeypatch):
-    zs = [3.01 + 0.5j + 0.05 * j for j in range(zeros_module._MMAX + 1)]
+    zs = [3.01 + 0.47j + 0.05 * j for j in range(zeros_module._MMAX + 1)]
     monkeypatch.setattr(zeros_module, "_winding_many", _counting_winding(zs))
-    cells = _subdivide(_RetryStats(), [_Cell((0.0, 16.0, 0.0, 1.0), count=len(zs))])
+    cells = _subdivide(None, [_Cell((0.0, 16.0, 0.0, 1.0), count=len(zs))])
     assert sum(c.count for c in cells) == len(zs)
     assert all(c.count <= zeros_module._MMAX and c.rect[1] - c.rect[0] < 8.0 for c in cells)
+
+
+def test_subdivision_raises_on_a_zero_on_its_split_line(monkeypatch):
+    # the zeros lie on the split line Im k = 0.5 of the cell (3, 3.5, 0, 1),
+    # so neither half counts them: the search must restart on a padded rect
+    zs = [3.01 + 0.5j + 0.05 * j for j in range(zeros_module._MMAX + 1)]
+    monkeypatch.setattr(zeros_module, "_winding_many", _counting_winding(zs))
+    with pytest.raises(ContourTooClose, match="halves of cell"):
+        _subdivide(None, [_Cell((0.0, 16.0, 0.0, 1.0), count=len(zs))])
 
 
 def test_search_options_are_module_constants():
