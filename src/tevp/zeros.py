@@ -2,25 +2,28 @@
 
 Strategy: argument-principle winding counts over rectangle contours,
 subdivision until every nonempty cell, the outer one included, holds at
-most _MMAX zeros, at any width, then refinement, in a loop: a cell that
-refinement cannot certify is split again.  Refinement reads a cell's
-distinct zeros and multiplicities off the Hankel pencil of the moments its
-count gave (_pencil) and verifies each on a circle and, if simple, by a
-Newton-step certificate (_refine_clusters); a cell is accepted only if all
-its zeros are, so the pencil can cost evaluations but not give a wrong
-zero.  One repair: d_h may split a multiple zero that a contour or split
-line runs through, so a search whose count or split fails, or that is handed
-back a cell narrower than _SPLIT_FLOOR, starts again on the next padded rect
-(_padded_rects), whose split lines have moved.
+most _MMAX zeros, at any width, and refinement: a cell's distinct zeros and
+multiplicities are read off the Hankel pencil of the moments its count gave
+(_pencil), each is verified on a circle and, if simple, by a Newton-step
+certificate (_refine), and a cell is accepted only if all its zeros are and
+split again otherwise, so the pencil can cost evaluations but not give a
+wrong zero.  One repair: d_h may split a multiple zero that a contour or
+split line runs through, so a search whose count or split fails, or that
+must split a cell narrower than _SPLIT_FLOOR, starts again on the next
+padded rect (_padded_rects), whose split lines have moved.
 
-All evaluations of one search go through its batching service, on one RK8
-grid: _PER_RADIAN steps per radian of phase at the largest |k| any contour of
-the search can reach.  Every count, moment and certificate is therefore
-exact for one analytic function d_h, and every cached segment is valid for
-every later contour.  Contour pieces are rows of numpy arrays (owner rect,
-start, end), at most _SEG_LEN (6) long at first; a piece whose 12-node rule
-disagrees with its two halves is bisected at 0.5 (a + b), so the halves of
-one edge are bit-equal in any round and found in the cache.
+A search is one round loop (_search) and each round one engine batch, so
+``batches`` counts rounds: it carries every pending contour piece of every
+counting cell, every verification circle and every certificate point, all
+on one RK8 grid of _PER_RADIAN steps per radian of phase at the largest |k|
+any contour of the search can reach, so every count, moment and certificate
+is exact for one analytic function d_h.  Pieces are at most _SEG_LEN (6)
+long at first and live in one table, shared by every cell: pending,
+accepted (the 12-node rule matches its two halves') or split at 0.5 (a + b),
+so a round advances a pending piece once however many cells share it, and a
+new cell starts where its parent's pieces are.  A cell whose count after one
+round exceeds _MMAX is split at once (an early split); a counted cell's
+circles go in the next round and its certificates in the one after.
 """
 
 from __future__ import annotations
@@ -98,9 +101,10 @@ class SpectralZero:
 @dataclass
 class SearchReport:
     """Zeros of one search and its ``stats``: ``evals`` (points propagated),
-    ``phase_evals`` (their split over count / subdivide / refine; refine is the
-    verification circles and the residual and certificate evaluation at their
-    centroids: 9 per simple zero), ``batches`` (engine calls), ``ksteps``
+    ``phase_evals`` (their split over count / subdivide / refine: the outer
+    cell's contour pieces, the other cells', and the verification circles and
+    the residual and certificate evaluation at their centroids, 9 per simple
+    zero), ``batches`` (engine calls, one per round of the search), ``ksteps``
     (points times grid steps), ``phase_ksteps`` (their split over the same
     phases), ``segments_reused`` (segment rules the cache, or the same batch,
     already held), ``retries`` (``inflate``: rects given up for the next padded
@@ -108,9 +112,11 @@ class SearchReport:
     cells handed back to the subdivision because their pencil gave no usable
     zeros or a zero failed its circle or certificate), ``clusters`` (cells
     resolved from their moments on every rect tried, handed-back ones
-    included), ``duplicates_removed`` and ``noteworthy_multiple_nonreal``.
-    Each zero carries the ``certificate`` that accepted it.  ``timings``: wall
-    seconds per phase, out of ``stats`` as they vary by run."""
+    included), ``early_splits`` (cells split on the count after their first
+    round, before their contour converged), ``duplicates_removed`` and
+    ``noteworthy_multiple_nonreal``.  Each zero carries the ``certificate``
+    that accepted it.  ``timings``: wall seconds per phase, each round's shared
+    out by its points; out of ``stats`` as they vary by run."""
     rect: tuple
     zeros: list
     total_count_by_argument_principle: int
@@ -119,20 +125,22 @@ class SearchReport:
 
 
 # ---------------------------------------------------------------------------
-# batched evaluation service
+# batched evaluation service and the piece table
 # ---------------------------------------------------------------------------
 
 
 class _Service:
-    """Batches d'/d evaluations for one search and caches its contour segments.
+    """Batches d'/d evaluations for one search and holds its contour pieces.
 
     Every evaluation runs on one grid of ``n_steps`` steps uniform in optical
     depth, each at most 1/_PER_RADIAN rad at the largest |k| a contour of the
     search on ``rect`` can reach: a corner of its widest padded rect plus a
     verification circle's radius.  ``segments`` maps a segment (a, b), a before
     b by (re, im), to its row of ``nodes`` (12 Gauss-Legendre nodes), ``wld``
-    (d'/d there times the weights, so the row sums to the integral from a to b)
-    and ``peak`` (max |D|); cells take their moments from them."""
+    (d'/d there times the weights), ``whole`` (their sum) and ``peaks`` (max
+    |D|).  The piece table ``pieces`` maps a decided piece, keyed the same way,
+    to (state, max |D| of its rule and its halves'): True if its rule matches
+    its halves' sum to _SEG_TOL, False if split into them, None if failed."""
 
     def __init__(self, profile: RefractiveProfile, rect):
         x0, x1, y0, y1 = _padded_rects(rect)[-1]
@@ -142,68 +150,146 @@ class _Service:
                                   _PER_RADIAN)
         self.profile = profile
         self.a = travel_time(profile)
-        self.segments, self.peak = {}, np.zeros(0)
+        self.segments, self.pieces, self.whole, self.peaks = {}, {}, [], []
         self.nodes = self.wld = np.zeros((0, _GL_NODES[0].size), dtype=complex)
-        self.phase, self._since = "count", time.perf_counter()
+        self._since = time.perf_counter()
         self.timings = dict.fromkeys(_PHASES, 0.0)
         self.stats = {"batches": 0, "evals": 0, "ksteps": 0, "segments_reused": 0,
                       "phase_evals": dict.fromkeys(_PHASES, 0),
                       "phase_ksteps": dict.fromkeys(_PHASES, 0),
-                      "retries": dict.fromkeys(_RETRIES, 0), "clusters": 0}
+                      "retries": dict.fromkeys(_RETRIES, 0), "clusters": 0, "early_splits": 0}
 
-    def enter(self, phase):
-        """Switch to ``phase``, charging the wall time since the last switch to the old one."""
-        now = time.perf_counter()
-        self.timings[self.phase] += now - self._since
-        self.phase, self._since = phase, now
-
-    def eval(self, ks):
-        """Return (logderiv, absD) at the given complex points."""
+    def eval(self, ks, phases):
+        """Return (logderiv, absD) at the given complex points, in one engine call;
+        ``phases`` maps each phase to its number of points, and each is charged
+        them and their share of the wall time since the last call."""
         ks = np.asarray(ks, dtype=complex).ravel()
         if ks.size == 0:
             return np.zeros(0, complex), np.zeros(0)
         d_s, dp_s, scale_log = characteristic_batch(self.profile, ks, n_steps=self.n_steps)
+        now = time.perf_counter()
         self.stats["batches"] += 1
         self.stats["evals"] += ks.size
         self.stats["ksteps"] += ks.size * self.n_steps
-        self.stats["phase_evals"][self.phase] += ks.size
-        self.stats["phase_ksteps"][self.phase] += ks.size * self.n_steps
+        for phase, n in phases.items():
+            self.stats["phase_evals"][phase] += n
+            self.stats["phase_ksteps"][phase] += n * self.n_steps
+            self.timings[phase] += (now - self._since) * n / ks.size
+        self._since = now
         with np.errstate(divide="ignore", invalid="ignore"):
             ld = dp_s / d_s
         absD = np.abs(d_s * ks) * np.exp(scale_log - (1.0 + self.a) * np.abs(ks.imag))
         return ld, absD
 
-    def rules(self, a, b):
-        """Each piece a -> b's (arrays) rows of nodes and of weighted d'/d, oriented
-        a -> b, and its max |D|.  Only pieces missing from ``segments`` are
-        evaluated, in one batch; a piece given twice, or both ways, once."""
-        forward = (a.real < b.real) | ((a.real == b.real) & (a.imag < b.imag))
-        lo, hi = np.where(forward, a, b), np.where(forward, b, a)
-        rows, start = self.segments, len(self.segments)
-        row = [rows.setdefault(key, len(rows)) for key in zip(lo.tolist(), hi.tolist())]
-        self.stats["segments_reused"] += len(row) - (len(rows) - start)
-        if len(rows) > start:
-            lo, hi = np.array(list(rows)[start:]).T
-            c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            x_gl, w_gl = _GL_NODES
-            nodes = c[:, None] + h[:, None] * x_gl
-            ld, absD = (v.reshape(nodes.shape) for v in self.eval(nodes.ravel()))
-            self.nodes = np.concatenate([self.nodes, nodes])
-            with np.errstate(invalid="ignore"):
-                self.wld = np.concatenate([self.wld, ld * (w_gl * h[:, None])])
-            self.peak = np.concatenate([self.peak, absD.max(1)])
-        sign = np.where(forward, 1.0, -1.0)
-        return self.nodes[row], self.wld[row] * sign[:, None], self.peak[row]
+    def advance(self, cells, extra):
+        """One round, one batch: the rules the cache lacks of every pending piece
+        of the counting ``cells`` and of its halves, once however many cells
+        share it, and the point arrays ``extra``, whose (d'/d, |D|) it returns.
+        ContourTooClose if a cell's piece failed, or more than 2 _MAX_SPLITS of
+        them, or any after _MAX_ROUNDS rounds, are pending; DegenerateCharacteristic
+        if max |D| over an outer cell's pieces is below DEGENERACY_FLOOR."""
+        if new := [cell for cell in cells if cell.pending is None]:
+            owner, a, b = _contour_pieces([cell.rect for cell in new])
+            for cell in new:
+                cell.pending = []
+            for i, p, q in zip(owner.tolist(), a.tolist(), b.tolist()):
+                new[i].pending.append(((p, q), 1) if (p.real, p.imag) < (q.real, q.imag)
+                                      else ((q, p), -1))
+        todo = {}
+        for cell in cells:
+            for key, _sign in cell.pending:
+                if key not in self.pieces:
+                    todo.setdefault(key, cell.phase)
+        # every pending piece, then its left and its right half, split as _bisect splits it
+        rows, fresh, phases = [], [], dict.fromkeys(_PHASES, 0)
+        for (lo, hi), phase in todo.items():
+            for seg in ((lo, hi), (lo, mid := 0.5 * (lo + hi)), (mid, hi)):
+                rows.append(self.segments.setdefault(seg, n := len(self.segments)))
+                if rows[-1] == n:
+                    fresh.append(seg)
+                    phases[phase] += _GL_NODES[0].size
+        self.stats["segments_reused"] += len(rows) - len(fresh)
+        phases["refine"] += sum(map(len, extra))
+        lo, hi = np.array(fresh, dtype=complex).reshape(-1, 2).T
+        c, h = 0.5 * (lo + hi)[:, None], 0.5 * (hi - lo)[:, None]
+        nodes = c + h * _GL_NODES[0]
+        ld, absD = self.eval(np.concatenate([nodes.ravel(), *extra]), phases)
+        with np.errstate(invalid="ignore"):
+            wld = ld[:nodes.size].reshape(nodes.shape) * (_GL_NODES[1] * h)
+        self.nodes, self.wld = np.concatenate([self.nodes, nodes]), np.concatenate([self.wld, wld])
+        self.whole += wld.sum(1).tolist()
+        self.peaks += absD[:nodes.size].reshape(nodes.shape).max(1, initial=0.0).tolist()
+        for key, (r, left, right) in zip(todo, zip(*[iter(rows)] * 3)):
+            gap = abs(self.whole[r] - (self.whole[left] + self.whole[right]))
+            self.pieces[key] = (gap <= _SEG_TOL if math.isfinite(gap) else None,
+                                max(self.peaks[r], self.peaks[left], self.peaks[right]))
+        for cell in cells:
+            self._file(cell)
+            cell.rounds += 1
+            if cell.phase == "count" and cell.peak < DEGENERACY_FLOOR:
+                raise DegenerateCharacteristic(f"max |D| on contour {cell.peak:.3e} below "
+                                               "the degeneracy floor")
+            if (any(key in self.pieces for key, _sign in cell.pending)
+                    or len(cell.pending) > 2 * _MAX_SPLITS
+                    or cell.pending and cell.rounds >= _MAX_ROUNDS):
+                raise ContourTooClose(f"the contour of cell {cell.rect} failed")
+        self._settle([cell for cell in cells if not cell.pending])
+        ends = np.cumsum([nodes.size, *map(len, extra)]).tolist()
+        return [(ld[a:b], absD[a:b]) for a, b in zip(ends, ends[1:])]
 
+    def _file(self, cell):
+        """Replace ``cell.pending`` by what its pieces are in the table: the halves
+        of an accepted piece join ``cell.accepted`` as (row, sign), a split one
+        gives way to its halves, pending and failed ones stay pending."""
+        pending, stack = [], cell.pending[::-1]
+        while stack:
+            key, sign = stack.pop()
+            state, peak = self.pieces.get(key, (None, 0.0))
+            cell.peak = max(cell.peak, peak)
+            lo, hi = key
+            halves = (lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi)
+            if state:
+                cell.accepted += [(self.segments[half], sign) for half in halves]
+            elif state is None:
+                pending.append((key, sign))
+            else:
+                stack += [(half, sign) for half in halves[::-1]]
+        cell.pending = pending
 
-# ---------------------------------------------------------------------------
-# rectangle winding numbers (adaptive Gauss-Legendre, many rects at once)
-# ---------------------------------------------------------------------------
+    def _settle(self, cells):
+        """Give each of ``cells`` its ``moments``: moments[p] = (1/2 pi i) integral
+        of ((k - c)/r)^p d'/d, p < 2 _MMAX, over its accepted halves, about its
+        centre c and scaled by its half-width r, as raw k^p moments lose every
+        digit at |k| = 150; and its ``count``, the winding number moments[0] if
+        within 0.25 of an integer >= 0, else ContourTooClose."""
+        if not cells:
+            return
+        rows, sign = map(np.array, zip(*[half for cell in cells for half in sorted(cell.accepted)]))
+        sizes = [len(cell.accepted) for cell in cells]
+        owner = np.repeat(np.arange(len(cells)), sizes)
+        x0, x1, y0, y1 = np.array([cell.rect for cell in cells], dtype=float).T
+        centre, half = 0.5 * (x0 + x1) + 0.5j * (y0 + y1), 0.5 * np.maximum(x1 - x0, y1 - y0)
+        u = (self.nodes[rows] - centre[owner, None]) / half[owner, None]
+        term, parts = self.wld[rows] * sign[:, None], []
+        for _p in range(2 * _MMAX):
+            parts.append(term.sum(1))
+            term = term * u
+        moments = np.add.reduceat(np.array(parts), np.cumsum(sizes) - sizes, axis=1).T
+        for cell, s in zip(cells, moments / (2j * np.pi)):
+            if not (abs(s[0] - (n := round(s[0].real))) <= 0.25 and n >= 0):
+                raise ContourTooClose(f"winding defect > 0.25 for rect {cell.rect}")
+            cell.count, cell.moments = n, s
+
+    def provisional(self, cell):
+        """The winding number so far of a counting ``cell``: accepted plus pending pieces."""
+        return (sum(sign * self.whole[row] for row, sign in cell.accepted)
+                + sum(sign * self.whole[self.segments[key]] for key, sign in cell.pending)
+                ) / (2j * math.pi)
 
 
 def _bisect(owner, a, b, sel):
     """Pieces (owner, a, b) with each selected piece replaced, in place, by its halves at
-    0.5 (a + b): the one bisection rule, so halves of one edge are bit-equal in any round."""
+    0.5 (a + b), as the piece table splits, so halves of one edge are bit-equal."""
     n = 1 + sel
     owner, a, b = owner.repeat(n), a.repeat(n), b.repeat(n)
     left = sel.repeat(n).nonzero()[0][::2]
@@ -212,13 +298,13 @@ def _bisect(owner, a, b, sel):
 
 
 def _contour_pieces(rects):
-    """The first-round pieces (owner, a, b) of ``_winding_many``: every rect's
+    """The first pieces (owner, a, b) of the contours of new cells: every rect's
     four edges, counter-clockwise from (x0, y0), with all pieces of an edge
     bisected while its first piece exceeds _SEG_LEN.
 
     At _SEG_LEN = 6 a smooth edge is accepted in one round from few pieces.  A
     half edge of a split cell bisects into bit-equal pieces of the whole edge,
-    so a child cell finds its parent's segments in the cache.
+    so a child cell finds its parent's pieces in the table.
     """
     xy = np.array(rects, dtype=float).reshape(-1, 4)
     # the corners (x0, y0), (x1, y0), (x1, y1), (x0, y1), and the next corner of each
@@ -228,63 +314,6 @@ def _contour_pieces(rects):
     while (long := np.abs(b - a)[np.searchsorted(edge, edges)] > _SEG_LEN).any():
         edge, a, b = _bisect(edge, a, b, long[edge])
     return edge // 4, a, b
-
-
-def _winding_many(service, rects):
-    """Winding numbers and moments of d'/d over rectangle boundaries.
-
-    A segment is accepted when its 12-node rule agrees with the sum over its
-    two halves to _SEG_TOL, and otherwise replaced by the halves, whose rules
-    are then already cached.  Returns a list of (count:int|None, max_absD,
-    moments): moments[p] = (1/2 pi i) integral of ((k - c)/r)^p d'/d, p <
-    2 _MMAX, about the rect's centre c and scaled by its half-width r, as raw
-    k^p moments lose every digit at |k| = 150; moments[0] is the winding
-    number.  Count None marks a non-integer defect or unconverged segment.
-    """
-    idx, z0, z1 = _contour_pieces(rects)
-    m = len(rects)
-    x0, x1, y0, y1 = np.array(rects, dtype=float).reshape(-1, 4).T
-    centre, half = 0.5 * (x0 + x1) + 0.5j * (y0 + y1), 0.5 * np.maximum(x1 - x0, y1 - y0)
-    moments = np.zeros((m, 2 * _MMAX), dtype=complex)
-    max_absD = np.zeros(m)
-    failed = np.zeros(m, dtype=bool)
-
-    for depth in range(_MAX_ROUNDS):
-        if not idx.size:
-            break
-        # every piece, then its left and its right half, split as _bisect splits it
-        mid = 0.5 * (z0 + z1)
-        nodes, wld, mx = service.rules(np.concatenate([z0, z0, mid]),
-                                       np.concatenate([z1, mid, z1]))
-        ridx = np.tile(idx, 3)
-        np.maximum.at(max_absD, ridx, mx)
-        with np.errstate(invalid="ignore"):
-            coarse, left, right = wld.sum(1).reshape(3, -1)
-            gap = np.abs(coarse - (left + right))
-        # a node hit a zero of d dead-on: this contour is unusable
-        failed[idx[~np.isfinite(gap)]] = True
-        done = gap <= _SEG_TOL
-        # the accepted pieces' halves, about their rect's centre and scaled by its half-width
-        halves = np.concatenate([np.zeros_like(done), done, done])
-        owner = ridx[halves]
-        u = (nodes[halves] - centre[owner, None]) / half[owner, None]
-        term, parts = wld[halves], []
-        for _p in range(2 * _MMAX):
-            parts.append(term.sum(1))
-            term = term * u
-        np.add.at(moments, owner, np.array(parts).T)
-        split = np.isfinite(gap) & ~done
-        if depth == _MAX_ROUNDS - 1:
-            failed[idx[split]] = True
-        failed |= np.bincount(idx[split], minlength=m) > _MAX_SPLITS
-        # the split pieces' halves, in place
-        keep = split & ~failed[idx]
-        idx, z0, z1 = _bisect(idx[keep], z0[keep], z1[keep], keep[keep])
-
-    moments /= 2j * np.pi
-    n = np.round(moments[:, 0].real).astype(int)
-    ok = ~failed & (np.abs(moments[:, 0] - n) <= 0.25) & (n >= 0)
-    return [(int(c) if good else None, mx, s) for c, good, mx, s in zip(n, ok, max_absD, moments)]
 
 
 # ---------------------------------------------------------------------------
@@ -316,14 +345,12 @@ def _on_padded_rects(service, rect, search):
     raise error
 
 
-def _count(service, rect):
-    """``rect`` as a counted ``_Cell``; ContourTooClose if its contour fails."""
-    (n, mx, moments), = _winding_many(service, [rect])
-    if mx < DEGENERACY_FLOOR:
-        raise DegenerateCharacteristic(f"max |D| on contour {mx:.3e} below the degeneracy floor")
-    if n is None:
-        raise ContourTooClose(f"winding defect > 0.25 for rect {rect}")
-    return _Cell(rect, n, moments)
+def _count(service, *rects):
+    """``rects`` as counted outer ``_Cell``s, their contours advanced together."""
+    cells = [_Cell(rect, "count") for rect in rects]
+    while counting := [cell for cell in cells if cell.count is None]:
+        service.advance(counting, [])
+    return cells
 
 
 def count_zeros(profile: RefractiveProfile, rect) -> int:
@@ -340,7 +367,7 @@ def count_zeros(profile: RefractiveProfile, rect) -> int:
         raise ValueError(f"rect {rect} is not finite")
     if not (rect[1] > rect[0] and rect[3] > rect[2]):
         raise ValueError(f"empty rect {rect}")
-    return _on_padded_rects(_Service(profile, rect), rect, _count).count
+    return _on_padded_rects(_Service(profile, rect), rect, _count)[0].count
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +376,15 @@ def count_zeros(profile: RefractiveProfile, rect) -> int:
 
 
 class _Cell:
-    """A search rect with its ``count`` and ``moments`` as ``_winding_many`` gives them."""
-    __slots__ = ("rect", "count", "moments")
+    """A search rect: while its contour is counted, its ``pending`` pieces
+    ((a, b), sign), the (row, sign) of its ``accepted`` halves, its ``rounds``
+    and ``peak`` (max |D| over its decided pieces); then its ``count`` and
+    ``moments``.  ``phase`` is "count" for a search's outer cell."""
+    __slots__ = ("rect", "phase", "count", "moments", "pending", "accepted", "rounds", "peak")
 
-    def __init__(self, rect, count, moments=None):
-        self.rect, self.count, self.moments = rect, count, moments
+    def __init__(self, rect, phase="subdivide", count=None, moments=None):
+        self.rect, self.phase, self.count, self.moments = rect, phase, count, moments
+        self.pending, self.accepted, self.rounds, self.peak = None, [], 0, 0.0
 
 
 def _halves(rect):
@@ -364,25 +395,6 @@ def _halves(rect):
         return (x0, xm, y0, y1), (xm, x1, y0, y1)
     ym = 0.5 * (y0 + y1)
     return (x0, x1, y0, ym), (x0, x1, ym, y1)
-
-
-def _subdivide(service, cells):
-    """Split each of ``cells`` into its halves and count them, then split every
-    half of more than _MMAX zeros, until each nonempty part holds at most
-    _MMAX zeros; return those parts.  ContourTooClose if a half's count fails
-    or two halves do not add up to their cell's count."""
-    clusters = []
-    for _round in range(200):
-        if not cells:
-            return clusters
-        rects = [half for cell in cells for half in _halves(cell.rect)]
-        parts = [_Cell(r, n, s) for r, (n, _abs_d, s) in zip(rects, _winding_many(service, rects))]
-        for cell, a, b in zip(cells, parts[::2], parts[1::2]):
-            if None in (a.count, b.count) or a.count + b.count != cell.count:
-                raise ContourTooClose(f"the halves of cell {cell.rect} do not count its zeros")
-        clusters += [part for part in parts if 0 < part.count <= _MMAX]
-        cells = [part for part in parts if part.count > _MMAX]
-    raise ContourTooClose("subdivision did not terminate")
 
 
 # ---------------------------------------------------------------------------
@@ -430,18 +442,18 @@ def _pencil(cell):
     return list(zip(k.tolist(), mult.astype(int).tolist(), h.tolist()))
 
 
-def _circles(service, centres, radii, counts):
-    """(count:int|None, min_absD, winding, centroid) of circles of ``radii``
-    about ``centres`` (arrays), with 8 m trapezoid nodes z = c + h e^(2 pi i
-    j / 8m) for count m, all in one batch; w = mean(d'/d (z - c)) and the
-    centroid is c + mean(d'/d (z - c)^2) / w (Trefethen & Weideman, SIAM
-    Review 56, 2014).  The count is m if |w - m| <= _CIRCLE_TOL (m = 1) or
-    0.25 (m >= 2), and None otherwise."""
+def _circles(centres, radii, counts):
+    """Yield the 8 m trapezoid nodes z = c + h e^(2 pi i j / 8m) of circles of
+    ``radii`` h about ``centres`` c (arrays) for count m, receive (d'/d, |D|)
+    there and return (count:int|None, min_absD, winding, centroid) per circle:
+    w = mean(d'/d (z - c)) and the centroid is c + mean(d'/d (z - c)^2) / w
+    (Trefethen & Weideman, SIAM Review 56, 2014).  The count is m if |w - m| <=
+    _CIRCLE_TOL (m = 1) or 0.25 (m >= 2), and None otherwise."""
     n = 8 * counts
     start = np.cumsum(n) - n
     owner = np.repeat(np.arange(n.size), n)
     u = radii[owner] * np.exp(2j * np.pi * (np.arange(n.sum()) - start[owner]) / n[owner])
-    ld, absD = service.eval(centres[owner] + u)
+    ld, absD = yield centres[owner] + u
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.add.reduceat(ld * u, start) / n
         k = centres + np.add.reduceat(ld * u * u, start) / (n * w)
@@ -450,34 +462,30 @@ def _circles(service, centres, radii, counts):
             in zip(counts, ok, np.minimum.reduceat(absD, start), w, k)]
 
 
-def _refine_clusters(service, clusters):
-    """Verify the zeros ``_pencil`` reads off each counted cell: one of multiplicity
-    m passes if its circle counts m zeros (radius max(1e-3, 2e-4 |k|) for m = 1,
-    centred on its zero so that 8 nodes suffice, and _SPLIT_FLOOR for m >= 2)
-    and, if simple, |d/d'| <= _STEP_CERT (1 + |k|) at the circle's centroid,
-    where it is placed: a Newton step that would still move it means the pencil
-    point is not the zero (9 evaluations with its residual).  Returns the (k,
-    multiplicity, residual, Certificate) of cells whose zeros all pass, and the rest."""
-    zeros = [(cell, *zero) for cell in clusters for zero in _pencil(cell)]
-    cells, ks, ms, hs = zip(*zeros) if zeros else ((),) * 4
-    circles = _circles(service, np.array(ks, dtype=complex), np.array(hs), np.array(ms, dtype=int))
-    failed = set(clusters) - set(cells)
-    failed |= {cell for cell, m, (n, *_rest) in zip(cells, ms, circles) if n != m}
-    counted = [(cell, m, h, k, abs(w - n), mn) for cell, m, h, (n, mn, w, k)
-               in zip(cells, ms, hs, circles) if cell not in failed]
-    ld, absD = service.eval(np.array([k for _cell, _m, _h, k, _defect, _mn in counted]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # the Newton step |d/d'|; d'/d infinite means d vanishes at k to working precision
-        step = np.where(np.isinf(ld), 0.0, np.abs(1.0 / ld))
-    found = []
-    for (cell, m, h, k, defect, mn), s, aD in zip(counted, step, absD):
-        if m == 1 and not s <= _STEP_CERT * (1.0 + abs(k)):
-            failed.add(cell)
-        cert = Certificate(float(h), float(defect), float(s) if m == 1 else None, float(mn))
-        found.append((cell, (complex(k), m, float(aD), cert)))
-    back = [cell for cell in clusters if cell in failed]
-    service.stats["retries"]["resplit"] += len(back)
-    return [zero for cell, zero in found if cell not in failed], back
+def _refine(service, cell):
+    """Verify the zeros ``_pencil`` reads off a counted cell, yielding the points
+    to evaluate and receiving (d'/d, |D|) there: one of multiplicity m passes if
+    its circle counts m zeros (radius max(1e-3, 2e-4 |k|) for m = 1, centred on
+    its zero so that 8 nodes suffice, and _SPLIT_FLOOR for m >= 2) and, if
+    simple, |d/d'| <= _STEP_CERT (1 + |k|) at the circle's centroid, where it is
+    placed (9 evaluations with its residual).  Returns the (k, multiplicity,
+    residual, Certificate) of its zeros if all pass, else None (a ``resplit``)."""
+    service.stats["clusters"] += 1
+    if zeros := _pencil(cell):
+        ks, ms, hs = map(np.array, zip(*zeros))
+        circles = yield from _circles(ks, hs, ms)
+        ks = np.array([k for *_rest, k in circles])
+        if all(n == m for (n, *_rest), m in zip(circles, ms)):
+            ld, absD = yield ks
+            with np.errstate(divide="ignore", invalid="ignore"):
+                # the Newton step |d/d'|; d'/d infinite means d vanishes at k to working precision
+                step = np.where(np.isinf(ld), 0.0, np.abs(1.0 / ld))
+            if np.all((ms > 1) | (step <= _STEP_CERT * (1.0 + np.abs(ks)))):
+                return [(complex(k), int(m), float(aD), Certificate(
+                    float(h), float(abs(w - m)), float(s) if m == 1 else None, float(mn)))
+                    for (_n, mn, w, k), m, h, s, aD in zip(circles, ms, hs, step, absD)]
+    service.stats["retries"]["resplit"] += 1
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -510,27 +518,60 @@ def _canonicalize(found):
 
 
 def _search(service, rect):
-    """The counted cell of ``rect`` and the refined zeros inside it, with every
-    cell refined counted in the ``clusters`` stat.  ContourTooClose if a contour
-    or split fails, NewtonStall if refinement hands back a cell narrower than
+    """The counted cell of ``rect`` and the refined zeros inside it, each round
+    one ``advance`` of every counting cell and every refinement.  A cell is
+    split if the winding after its first round rounds to a count above _MMAX
+    (an early split; it is counted on, to check its halves add up to it), or
+    else once its count does; a counted cell of 1 .. _MMAX zeros is refined,
+    and split if handed back, once nothing else is in flight, as hand-backs
+    come in cascades that may stall.  ContourTooClose if a contour or a
+    halves-sum check fails, NewtonStall if a cell to split is narrower than
     _SPLIT_FLOOR."""
-    service.enter("count")
-    top = _count(service, rect)
-    clusters = [top] if 0 < top.count <= _MMAX else []
-    refined, cells = [], [top] if top.count > _MMAX else []
-    while clusters or cells:
-        service.enter("subdivide")
-        clusters += _subdivide(service, cells)
-        service.enter("refine")
-        service.stats["clusters"] += len(clusters)
-        found, cells = _refine_clusters(service, clusters)
-        refined, clusters = refined + found, []
-        stalled = [c.rect for c in cells if max(c.rect[1] - c.rect[0],
-                                                c.rect[3] - c.rect[2]) < _SPLIT_FLOOR]
-        if stalled:
-            raise NewtonStall(f"zeros in cell {stalled[0]}, narrower than "
+    top = _Cell(rect, "count")
+    counting, refining, back, pairs, halved, found = [top], [], [], [], set(), []
+
+    def split(cell):
+        x0, x1, y0, y1 = cell.rect
+        if max(x1 - x0, y1 - y0) < _SPLIT_FLOOR:
+            raise NewtonStall(f"zeros in cell {cell.rect}, narrower than "
                               f"{_SPLIT_FLOOR}, could not be refined")
-    return top, refined
+        halves = [_Cell(half) for half in _halves(cell.rect)]
+        counting.extend(halves)
+        pairs.append((cell, *halves))
+        halved.add(cell)
+
+    while counting or refining or back:
+        values = service.advance(counting, [points for _cell, _gen, points in refining])
+        steps = [(cell, gen, value) for (cell, gen, _points), value in zip(refining, values)]
+        waiting, counting, refining = counting, [], []
+        for cell in waiting:
+            if cell.count is None:
+                counting.append(cell)
+                w = service.provisional(cell) if cell.rounds == 1 else 0j
+                if abs(w - round(w.real)) <= 0.25 and round(w.real) > _MMAX:
+                    service.stats["early_splits"] += 1
+                    split(cell)
+            elif cell not in halved and cell.count > _MMAX:
+                split(cell)
+            elif cell not in halved and cell.count > 0:
+                steps.append((cell, _refine(service, cell), None))
+        for cell, gen, value in steps:
+            try:
+                refining.append((cell, gen, gen.send(value)))
+            except StopIteration as stop:
+                if stop.value is None:
+                    back.append(cell)
+                else:
+                    found += stop.value
+        if not (counting or refining):
+            for cell in back:
+                split(cell)
+            back = []
+        for parent, a, b in pairs:
+            if None not in (parent.count, a.count, b.count) and a.count + b.count != parent.count:
+                raise ContourTooClose(f"the halves of cell {parent.rect} do not count its zeros")
+        pairs = [pair for pair in pairs if None in (cell.count for cell in pair)]
+    return top, found
 
 
 def find_zeros(profile: RefractiveProfile, rect) -> SearchReport:
@@ -556,7 +597,6 @@ def find_zeros(profile: RefractiveProfile, rect) -> SearchReport:
 
     service = _Service(profile, search_rect)
     top, refined = _on_padded_rects(service, search_rect, _search)
-    service.enter(service.phase)        # charge the last phase
     zeros, removed = _canonicalize(refined)
     noteworthy = [z.k for z in zeros if z.cls == "nonreal" and z.multiplicity > 1]
     stats = dict(service.stats)

@@ -181,6 +181,8 @@ def test_spectrum_json_reports_residuals_and_stats(capsys):
     assert all(isinstance(z["residual"], float) for z in payload["zeros"])
     assert payload["stats"]["evals"] > 0
     assert payload["stats"]["noteworthy_multiple_nonreal"] == []
+    # the outer cell of 6 zeros is split on the count of its first round
+    assert payload["stats"]["early_splits"] == 1
 
 
 def test_kernel_check_json(capsys):

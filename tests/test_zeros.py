@@ -13,10 +13,9 @@ from tevp.cli import EXIT_NUMERIC, main
 from tevp.errors import ContourTooClose, DegenerateCharacteristic, NewtonStall
 from tevp.forward import characteristic_batch, scaled_characteristic
 from tevp.profiles import ConstantProfile, get_profile, travel_time
-from tevp.zeros import (Certificate, SearchReport, SpectralZero, _Cell, _contour_pieces,
-                        _refine_clusters, _Service, _subdivide, _winding_many, count_zeros,
-                        find_zeros, read_zeros_csv, report_to_json, write_report_json,
-                        write_zeros_csv)
+from tevp.zeros import (Certificate, SearchReport, SpectralZero, _Cell, _contour_pieces, _count,
+                        _refine, _search, _Service, count_zeros, find_zeros, read_zeros_csv,
+                        report_to_json, write_report_json, write_zeros_csv)
 
 CONST4 = ConstantProfile(4.0)
 CONST1 = ConstantProfile(1.0)
@@ -62,9 +61,9 @@ def test_uncertifiable_interior_cell_raises_newton_stall(colton, monkeypatch):
     # a verification circle that never counts its cell's zero
     circles = zeros_module._circles
 
-    def miscount(service, centres, radii, counts):
-        return [(None if n is None else n + 1, mx, w, c)
-                for n, mx, w, c in circles(service, centres, radii, counts)]
+    def miscount(centres, radii, counts):
+        out = yield from circles(centres, radii, counts)
+        return [(None if n is None else n + 1, mx, w, c) for n, mx, w, c in out]
 
     monkeypatch.setattr(zeros_module, "_circles", miscount)
     with pytest.raises(NewtonStall):
@@ -272,7 +271,7 @@ def test_phase_timings_stay_outside_the_stats(colton):
 
 
 def _moments(rect, zs):
-    """The moments ``_winding_many`` gives a rect holding the simple zeros ``zs``."""
+    """The moments ``_count`` gives a rect holding the simple zeros ``zs``."""
     x0, x1, y0, y1 = rect
     u = (np.array(zs, dtype=complex) - complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))) \
         / (0.5 * max(x1 - x0, y1 - y0))
@@ -286,26 +285,50 @@ def _counted(rect, zs):
     return cell
 
 
+def _refined(service, cells):
+    """Each of ``cells`` through ``_refine``, the points it asks for evaluated by
+    ``service``: the zeros found and the cells handed back."""
+    found, back = [], []
+    for cell in cells:
+        refinement, value = _refine(service, cell), None
+        try:
+            while True:
+                points = refinement.send(value)
+                value = service.eval(points, {"refine": len(points)})
+        except StopIteration as stop:
+            if stop.value is None:
+                back.append(cell)
+            else:
+                found += stop.value
+    return found, back
+
+
 class _GivenLogDerivative:
     """d'/d at the refined points is ``ld``, in order, and |D| is 0."""
 
     def __init__(self, ld):
         self.ld = np.array(ld)
-        self.stats = {"retries": {"resplit": 0}}
+        self.stats = {"retries": {"resplit": 0}, "clusters": 0}
 
-    def eval(self, ks):
-        return self.ld[:np.size(ks)], np.zeros(np.size(ks))
+    def eval(self, ks, phases):
+        ld, self.ld = self.ld[:np.size(ks)], self.ld[np.size(ks):]
+        return ld, np.zeros(np.size(ks))
+
+
+def _circles_counting_their_zero(centres, radii, counts):
+    """A stand-in for ``_circles``: every circle counts one zero at its centre, unevaluated."""
+    yield from ()
+    return [(1, 0.5, 1.0, c) for c in centres]
 
 
 def test_certificate_passes_an_exact_zero_and_fails_a_nan(monkeypatch):
     # every circle counts its cell's zero at its centre; only the certificate decides
-    monkeypatch.setattr(zeros_module, "_circles", lambda service, centres, radii, counts: [
-        (1, 0.5, 1.0, c) for c in centres])
+    monkeypatch.setattr(zeros_module, "_circles", _circles_counting_their_zero)
     cells = [_counted(rect, [complex(rect[0] + 0.1, rect[2] + 0.1)])
              for rect in [(2.0, 2.2, 1.0, 1.2), (5.0, 5.2, 1.0, 1.2)]]
     # d = 0 at the first pencil point (d'/d infinite), d'/d undefined at the second
     service = _GivenLogDerivative([complex(np.inf, np.inf), complex(np.nan, np.nan)])
-    found, back = _refine_clusters(service, cells)
+    found, back = _refined(service, cells)
     assert [(m, r) for _k, m, r, _cert in found] == [(1, 0.0)]
     assert abs(found[0][0] - (2.1 + 1.1j)) <= 1e-12
     assert found[0][3] == Certificate(radius=1e-3, defect=0.0, step=0.0, min_abs_d=0.5)
@@ -319,9 +342,9 @@ def test_certificate_passes_an_exact_zero_and_fails_a_nan(monkeypatch):
 
 
 def _evals(service, rects):
-    """Points ``_winding_many`` propagates for ``rects``, and its results."""
+    """Points ``_count`` propagates for ``rects``, and each one's (count, max |D|, moments)."""
     before = service.stats["evals"]
-    out = _winding_many(service, rects)
+    out = [(cell.count, cell.peak, cell.moments) for cell in _count(service, *rects)]
     return service.stats["evals"] - before, out
 
 
@@ -427,10 +450,8 @@ def test_siblings_evaluate_their_split_line_once(colton):
 
 def _pencil_of(profile, rect):
     """The count of ``rect`` and the zeros ``_pencil`` reads off its moments."""
-    (n, _mx, moments), = _winding_many(_Service(profile, rect), [rect])
-    cell = _Cell(rect, count=n)
-    cell.moments = moments
-    return n, zeros_module._pencil(cell)
+    cell, = _count(_Service(profile, rect), rect)
+    return cell.count, zeros_module._pencil(cell)
 
 
 def test_centroid_of_a_triple_zero(const4):
@@ -451,8 +472,8 @@ def test_centroid_of_a_simple_zero(colton):
 
 def test_moments_of_an_empty_rect_vanish(const4):
     rect = (0.5, 2.5, 0.5, 2.0)
-    (n, _mx, moments), = _winding_many(_Service(const4, rect), [rect])
-    assert n == 0 and np.abs(moments).max() <= 1e-12
+    cell, = _count(_Service(const4, rect), rect)
+    assert cell.count == 0 and np.abs(cell.moments).max() <= 1e-12
 
 
 def _shifted(cell, delta):
@@ -463,32 +484,37 @@ def _shifted(cell, delta):
                              for p in range(s.size)])
 
 
-def _shift_first(cells):
-    _shifted(cells[0], 0.01)           # its verification circles miss the zeros
+def _shift_first(refined):
+    """Whether to spoil the next cell refined: only the first."""
+    return not refined
 
 
-def _shift_all(cells):
-    for cell in cells:
-        _shifted(cell, 0.01)
+def _shift_all(refined):
+    """Whether to spoil the next cell refined: both halves of the outer cell."""
+    return len(refined) < 2
 
 
 @pytest.mark.parametrize("spoil, resplit", [(_shift_first, 1), (_shift_all, 2)])
 def test_refinement_hands_back_zeros_it_cannot_verify(colton, monkeypatch, spoil,
                                                       resplit):
-    # 5 zeros: the outer cell is split, and its first refinement holds 2 cells
+    # 5 zeros: the outer cell is split, and its halves, of 2 and 3 zeros, are
+    # refined first
     rect = (0.3, 20.0, 0.0, 6.0)
     clean = find_zeros(colton, rect).zeros
-    refine, calls = zeros_module._refine_clusters, []
+    refine, calls = zeros_module._refine, []
 
-    def spoil_once(service, clusters):
-        if not calls:
-            spoil(clusters)
-        calls.append(len(clusters))
-        return refine(service, clusters)
+    def spoil_once(service, cell):
+        if spoil(calls):
+            _shifted(cell, 0.01)       # its verification circles miss the zeros
+        calls.append((cell.rect, cell.count))
+        return refine(service, cell)
 
-    monkeypatch.setattr(zeros_module, "_refine_clusters", spoil_once)
+    monkeypatch.setattr(zeros_module, "_refine", spoil_once)
     rep = find_zeros(colton, rect)
-    assert len(calls) == 2 and calls[0] == 2
+    halves = zeros_module._halves((0.3, 20.0, -0.15, 6.0))
+    assert calls[:2] == [(halves[0], 2), (halves[1], 3)]
+    # each cell handed back is refined again as its two halves, of a zero or more each
+    assert len(calls) == rep.stats["clusters"] == 2 + 2 * resplit
     assert rep.stats["retries"]["resplit"] == resplit
     assert [z.multiplicity for z in rep.zeros] == [z.multiplicity for z in clean]
     for z, ref in zip(rep.zeros, clean, strict=True):
@@ -501,8 +527,8 @@ def test_certificate_hands_back_a_centroid_off_its_zero(colton, monkeypatch):
     clean = find_zeros(colton, rect).zeros
     circles, moved = zeros_module._circles, []
 
-    def move_once(service, centres, radii, counts):
-        out = circles(service, centres, radii, counts)
+    def move_once(centres, radii, counts):
+        out = yield from circles(centres, radii, counts)
         if not moved:
             n, mx, w, centroid = out[0]
             out[0] = (n, mx, w, centroid + 1e-6)
@@ -646,12 +672,12 @@ def test_moment_search_costs(request, search, evals, batches):
 
 
 @pytest.mark.parametrize("search, evals, batches", [
-    ("colton_spectrum_40", 1_437, 12),
+    ("colton_spectrum_40", 1_437, 7),
     ("colton_band_150", 234, 3),
-    ("colton_spectrum_150", 4_515, 10),
-    ((get_profile("slow_core"), (0.3, 30.0, 0.0, 6.0)), 1_665, 8),
-    ((get_profile("raised_cosine"), (0.3, 30.0, 0.0, 6.0)), 1_479, 10),
-    ((CONST4, (0.5, 31.0, 0.0, 1.0)), 2_409, 13),
+    ("colton_spectrum_150", 4_515, 7),
+    ((get_profile("slow_core"), (0.3, 30.0, 0.0, 6.0)), 1_665, 6),
+    ((get_profile("raised_cosine"), (0.3, 30.0, 0.0, 6.0)), 1_479, 7),
+    ((CONST4, (0.5, 31.0, 0.0, 1.0)), 2_409, 7),
     ((ConstantProfile(4.0 + 1e-8), (2.5, 3.8, 0.0, 0.5)), 217, 4),
     ((ConstantProfile(4.0 + 1e-6), (2.5, 3.8, 0.0, 0.5)), 219, 4),
     ((ConstantProfile(4.0 + 1e-5), (2.5, 3.8, 0.0, 0.5)), 219, 4),
@@ -661,10 +687,10 @@ def test_moment_search_costs(request, search, evals, batches):
     # searches that restart on a padded rect: an edge through a triple zero ...
     ((CONST4, (4.0, 2.0 * math.pi, 0.0, 0.5)), 3_673, 64),
     ((CONST4, (2.0, 2.0 * math.pi, 0.0, 1.0)), 4_279, 70),
-    ((CONST4, (math.pi, 20.0, 0.0, 0.5)), 4_074, 30),
+    ((CONST4, (math.pi, 20.0, 0.0, 0.5)), 4_074, 29),
     # ... and a first split line through a simple and through a triple zero
-    ((get_profile("colton_example"), (_K1.real - 9.0, _K1.real + 9.0, 0.0, 6.0)), 2_445, 33),
-    ((CONST4, (1.0, 4.0 * math.pi - 1.0, 0.0, 0.5)), 7_517, 79),
+    ((get_profile("colton_example"), (_K1.real - 9.0, _K1.real + 9.0, 0.0, 6.0)), 2_445, 31),
+    ((CONST4, (1.0, 4.0 * math.pi - 1.0, 0.0, 0.5)), 7_517, 73),
 ], ids=["k40", "band150", "headline", "slow_core", "raised_cosine", "const4",
         "eps1e-8", "eps1e-6", "eps1e-5", "eps1e-4", "eps1e-3", "eps1e-2",
         "const4_right_edge", "const4_right_edge_tall", "const4_left_edge",
@@ -675,6 +701,31 @@ def test_search_costs_at_any_width(request, search, evals, batches):
     rep = request.getfixturevalue(search) if isinstance(search, str) else find_zeros(*search)
     assert rep.stats["evals"] <= evals
     assert rep.stats["batches"] <= batches
+
+
+@pytest.mark.parametrize("fixture, early", [("colton_spectrum_40", 3), ("colton_band_150", 0)])
+def test_early_splits(request, fixture, early):
+    # k40's outer cell of 13 zeros and both its halves, of 6 and 7, are split on
+    # the provisional count of their first round; band150's 2 zeros are never split
+    assert request.getfixturevalue(fixture).stats["early_splits"] == early
+
+
+@pytest.mark.parametrize("rect", [(0.3, 40.0, 0.0, 6.0), (145.0, 150.5, 0.0, 8.0),
+                                  (_K1.real - 9.0, _K1.real + 9.0, 0.0, 6.0)],
+                         ids=["k40", "band150", "colton_split_line"])
+def test_every_engine_call_is_one_batch(colton, monkeypatch, rect):
+    # the bench tracer counts the calls of tevp.zeros.characteristic_batch as the
+    # search's batches: every round is one call, on every rect tried
+    calls = []
+
+    def engine(profile, k, *, n_steps):
+        calls.append(np.size(k))
+        return characteristic_batch(profile, k, n_steps=n_steps)
+
+    monkeypatch.setattr(zeros_module, "characteristic_batch", engine)
+    rep = find_zeros(colton, rect)
+    assert len(calls) == rep.stats["batches"] and sum(calls) == rep.stats["evals"]
+    assert all(calls)
 
 
 def test_outer_cell_of_at_most_mmax_zeros_is_refined_unsplit(colton_band_150):
@@ -715,17 +766,15 @@ def test_pencil_gives_only_zeros_one_circle_each_can_verify(zs, usable):
 def test_nan_pencil_hands_its_cell_back_unevaluated(colton, monkeypatch):
     rect = (4.0, 5.0, 2.5, 3.5)
     service = _Service(colton, rect)
-    (n, _mx, moments), = _winding_many(service, [rect])
-    cell = _Cell(rect, count=n)
-    cell.moments = moments
+    cell, = _count(service, rect)
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.full(len(a), complex(np.nan)))
 
     def engine(*args, **kwargs):
         raise AssertionError("a cell without usable zeros was evaluated")
 
     monkeypatch.setattr(zeros_module, "characteristic_batch", engine)
-    found, back = _refine_clusters(service, [cell])
-    assert (n, found, back, service.stats["retries"]["resplit"]) == (1, [], [cell], 1)
+    found, back = _refined(service, [cell])
+    assert (cell.count, found, back, service.stats["retries"]["resplit"]) == (1, [], [cell], 1)
 
 
 def test_circle_off_its_zero_hands_the_cell_back(colton):
@@ -735,14 +784,16 @@ def test_circle_off_its_zero_hands_the_cell_back(colton):
     centred, off = _counted((4.0, 5.0, 2.5, 3.5), [root]), _counted((4.0, 5.0, 2.5, 3.5),
                                                                      [root - 0.9 * h])
     service = _Service(colton, centred.rect)
-    found, back = _refine_clusters(service, [centred, off])
+    found, back = _refined(service, [centred, off])
     # the zero is 0.9 radius off the second circle's centre: its 8 nodes miss _CIRCLE_TOL
     assert back == [off] and service.stats["retries"]["resplit"] == 1
     (k, mult, _res, cert), = found
     assert (mult, cert.radius) == (1, h) and cert.defect <= zeros_module._CIRCLE_TOL
     assert abs(k - root) <= 1e-12
-    (n, _abs_d, w, _c), = zeros_module._circles(
-        service, np.array([root - 0.9 * h]), np.array([h]), np.array([1]))
+    circle = zeros_module._circles(np.array([root - 0.9 * h]), np.array([h]), np.array([1]))
+    with pytest.raises(StopIteration) as stop:
+        circle.send(service.eval(next(circle), {"refine": 8}))
+    (n, _abs_d, w, _c), = stop.value.value
     assert n is None and abs(w - 1.0) > 0.1
 
 
@@ -751,59 +802,77 @@ def test_certificate_records_the_least_abs_d_on_its_circle(colton, monkeypatch):
     clean = find_zeros(colton, rect)
     circles, drawn = zeros_module._circles, []
 
-    def record(service, centres, radii, counts):
-        drawn.extend((service, c, h) for c, h in zip(centres, radii))
-        return circles(service, centres, radii, counts)
+    def record(centres, radii, counts):
+        drawn.extend(zip(centres, radii))
+        return circles(centres, radii, counts)
 
     monkeypatch.setattr(zeros_module, "_circles", record)
     rep = find_zeros(colton, rect)
     mins = [z.certificate.min_abs_d for z in rep.zeros]
     assert mins == [z.certificate.min_abs_d for z in clean.zeros]
     assert [z["certificate"]["min_abs_d"] for z in report_to_json(rep)["zeros"]] == mins
+    # a service on the search's padded rect evaluates on the search's grid
+    service = _Service(colton, (0.3, 12.0, -0.15, 6.0))
     for z in rep.zeros:
-        (service, c, h), = [(s, c, h) for s, c, h in drawn if abs(z.k - c) < h]
+        (c, h), = [(c, h) for c, h in drawn if abs(z.k - c) < h]
         nodes = c + h * np.exp(2j * np.pi * np.arange(8) / 8)
-        _ld, abs_d = service.eval(nodes)
+        _ld, abs_d = service.eval(nodes, {"refine": nodes.size})
         assert 0.0 < z.certificate.min_abs_d == abs_d.min() < abs_d.max()
 
 
-def _counting_winding(zs):
-    """A stand-in for ``_winding_many`` that counts the points ``zs``."""
-    def winding(service, rects):
-        out = []
-        for x0, x1, y0, y1 in rects:
-            inside = [z for z in zs if x0 < z.real < x1 and y0 < z.imag < y1]
-            out.append((len(inside), 1.0, _moments((x0, x1, y0, y1), inside)))
-        return out
-    return winding
+class _PointZeros:
+    """A stand-in for ``_Service`` whose d has the simple zeros ``zs``: every
+    contour converges in its first round to the count and moments of the points
+    strictly inside it, and d'/d = sum 1/(k - z)."""
+
+    def __init__(self, zs):
+        self.zs = np.array(zs, dtype=complex)
+        self.stats = {"retries": {"resplit": 0}, "clusters": 0, "early_splits": 0}
+
+    def advance(self, cells, extra):
+        for cell in cells:
+            x0, x1, y0, y1 = cell.rect
+            inside = [z for z in self.zs if x0 < z.real < x1 and y0 < z.imag < y1]
+            cell.count, cell.moments = len(inside), _moments(cell.rect, inside)
+        with np.errstate(divide="ignore", invalid="ignore"):   # a centroid on its zero
+            return [((1.0 / (k[:, None] - self.zs)).sum(1), np.ones(k.size)) for k in extra]
+
+
+def _refined_cells(monkeypatch, zs, rect):
+    """The zeros ``_search`` finds in ``rect`` of a d with the simple zeros ``zs``,
+    and the cells it refines."""
+    refine, cells = zeros_module._refine, []
+    monkeypatch.setattr(zeros_module, "_refine",
+                        lambda service, cell: cells.append(cell) or refine(service, cell))
+    _top, found = _search(_PointZeros(zs), rect)
+    return sorted((k for k, _m, _res, _cert in found), key=lambda k: (k.real, k.imag)), cells
 
 
 @pytest.mark.parametrize("count", [1, 2, zeros_module._MMAX])
 def test_subdivision_refines_every_count_at_any_width(monkeypatch, count):
-    # up to _MMAX zeros, however close: the 128-wide half of a split 256-wide
-    # cell that holds them goes to refinement unsplit, with their moments
+    # up to _MMAX zeros, however close: the 256-wide cell that holds them goes
+    # to refinement unsplit, with their moments
     zs = [3.01 + 0.47j + 0.05 * j for j in range(count)]
-    monkeypatch.setattr(zeros_module, "_winding_many", _counting_winding(zs))
-    (cell,) = _subdivide(None, [_Cell((0.0, 256.0, 0.0, 1.0), count=count)])
-    assert (cell.rect, cell.count) == ((0.0, 128.0, 0.0, 1.0), count)
+    found, (cell, *_rest) = _refined_cells(monkeypatch, zs, (0.0, 256.0, 0.0, 1.0))
+    assert (cell.rect, cell.count) == ((0.0, 256.0, 0.0, 1.0), count)
     assert np.array_equal(cell.moments, _moments(cell.rect, zs))
+    assert len(found) == count and np.abs(np.array(found) - zs).max() <= 1e-9
 
 
 def test_subdivision_splits_more_zeros_than_a_pencil_takes(monkeypatch):
     zs = [3.01 + 0.47j + 0.05 * j for j in range(zeros_module._MMAX + 1)]
-    monkeypatch.setattr(zeros_module, "_winding_many", _counting_winding(zs))
-    cells = _subdivide(None, [_Cell((0.0, 16.0, 0.0, 1.0), count=len(zs))])
+    found, cells = _refined_cells(monkeypatch, zs, (0.0, 16.0, 0.0, 1.0))
     assert sum(c.count for c in cells) == len(zs)
     assert all(c.count <= zeros_module._MMAX and c.rect[1] - c.rect[0] < 8.0 for c in cells)
+    assert np.abs(np.array(found) - zs).max() <= 1e-9
 
 
 def test_subdivision_raises_on_a_zero_on_its_split_line(monkeypatch):
     # the zeros lie on the split line Im k = 0.5 of the cell (3, 3.5, 0, 1),
     # so neither half counts them: the search must restart on a padded rect
     zs = [3.01 + 0.5j + 0.05 * j for j in range(zeros_module._MMAX + 1)]
-    monkeypatch.setattr(zeros_module, "_winding_many", _counting_winding(zs))
     with pytest.raises(ContourTooClose, match="halves of cell"):
-        _subdivide(None, [_Cell((0.0, 16.0, 0.0, 1.0), count=len(zs))])
+        _refined_cells(monkeypatch, zs, (0.0, 16.0, 0.0, 1.0))
 
 
 def test_search_options_are_module_constants():
@@ -844,11 +913,9 @@ def test_one_cell_resolves_a_split_triple_zero():
     # the pencil of one cell around them gives all three, none handed back
     rect = (3.1, 3.2, -0.05, 0.05)
     service = _Service(ConstantProfile(4.0 + 1e-6), rect)
-    (n, _mx, moments), = _winding_many(service, [rect])
-    cell = _Cell(rect, count=n)
-    cell.moments = moments
-    found, back = _refine_clusters(service, [cell])
-    assert (n, back, [mult for _k, mult, _res, _cert in found]) == (3, [], [1, 1, 1])
+    cell, = _count(service, rect)
+    found, back = _refined(service, [cell])
+    assert (cell.count, back, [mult for _k, mult, _res, _cert in found]) == (3, [], [1, 1, 1])
     d = _constant_d(mpmath.mpf(4) + mpmath.mpf(1e-6))
     with mpmath.workdps(30):
         roots = [complex(mpmath.findroot(d, mpmath.mpc(k))) for k, *_ in found]
