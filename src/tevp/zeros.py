@@ -1,29 +1,25 @@
-"""Zero localization for the characteristic function d(k).
+"""Zero localization for an analytic function f, seen through f'/f and |F| only.
 
-Strategy: argument-principle winding counts over rectangle contours,
-subdivision until every nonempty cell, the outer one included, holds at
-most _MMAX zeros, at any width, and refinement: a cell's distinct zeros and
+``_Service`` evaluates them and ``_d_service`` builds one for d(k) on one RK8
+grid, d_h.  Strategy: argument-principle winding counts over rectangle contours,
+subdivision until every nonempty cell, the outer one included, holds at most
+_MMAX zeros, at any width, and refinement: a cell's distinct zeros and
 multiplicities are read off the Hankel pencil of the moments its count gave
 (_pencil), each is verified on a circle and, if simple, by a Newton-step
 certificate (_refine), and a cell is accepted only if all its zeros are and
-split again otherwise, so the pencil can cost evaluations but not give a
-wrong zero.  One repair: d_h may split a multiple zero that a contour or
-split line runs through, so a search whose count or split fails, or that
-must split a cell narrower than _SPLIT_FLOOR, starts again on the next
-padded rect (_padded_rects), whose split lines have moved.
+split again otherwise, so the pencil can cost evaluations but not give a wrong
+zero.  One repair: d_h may split a multiple zero that a contour or split line
+runs through, so a search whose count or split fails, or that must split a cell
+narrower than _SPLIT_FLOOR, restarts on the next padded rect (_padded_rects),
+whose split lines moved.
 
-A search is one round loop (_search) and each round one engine batch, so
-``batches`` counts rounds: it carries every pending contour piece of every
-counting cell, every verification circle and every certificate point, all
-on one RK8 grid of _PER_RADIAN steps per radian of phase at the largest |k|
-any contour of the search can reach, so every count, moment and certificate
-is exact for one analytic function d_h.  Pieces are at most _SEG_LEN (6)
-long at first and live in one table, shared by every cell: pending,
-accepted (the 12-node rule matches its two halves') or split at 0.5 (a + b),
-so a round advances a pending piece once however many cells share it, and a
-new cell starts where its parent's pieces are.  A cell whose count after one
-round exceeds _MMAX is split at once (an early split); a counted cell's
-circles go in the next round and its certificates in the one after.
+A search is one round loop (_search), each round one ``evaluate`` call that
+carries every pending contour piece of every counting cell, every verification
+circle and every certificate point (``batches`` counts rounds); for d_h they
+share one grid, so every count, moment and certificate is exact for one
+analytic function.  A cell whose count after one round exceeds _MMAX is split
+at once (an early split); a counted cell's circles go in the next round and its
+certificates in the one after.
 """
 
 from __future__ import annotations
@@ -130,26 +126,20 @@ class SearchReport:
 
 
 class _Service:
-    """Batches d'/d evaluations for one search and holds its contour pieces.
+    """Batches (f'/f, |F|) evaluations for one search and holds its contour pieces.
 
-    Every evaluation runs on one grid of ``n_steps`` steps uniform in optical
-    depth, each at most 1/_PER_RADIAN rad at the largest |k| a contour of the
-    search on ``rect`` can reach: a corner of its widest padded rect plus a
-    verification circle's radius.  ``segments`` maps a segment (a, b), a before
-    b by (re, im), to its row of ``nodes`` (12 Gauss-Legendre nodes), ``wld``
-    (d'/d there times the weights), ``whole`` (their sum) and ``peaks`` (max
-    |D|).  The piece table ``pieces`` maps a decided piece, keyed the same way,
-    to (state, max |D| of its rule and its halves'): True if its rule matches
-    its halves' sum to _SEG_TOL, False if split into them, None if failed."""
+    ``evaluate(ks)`` gives f'/f and |F| at a 1-D complex array, F a scaled f
+    (what DEGENERACY_FLOOR, residuals and ``min_abs_d`` read), at ``cost``
+    k-steps a point; ``_d_service`` builds the one for d_h.  ``segments`` maps
+    a segment (a, b), a before b by (re, im), to its row of ``nodes`` (12
+    Gauss-Legendre nodes), ``wld`` (f'/f there times the weights), ``whole``
+    (their sum) and ``peaks`` (max |F|).  The piece table ``pieces``, shared by
+    every cell, maps a decided piece, keyed the same way, to (state, max |F| of
+    its rule and its halves'): True if its rule matches its halves' sum to
+    _SEG_TOL, False if split into them, None if failed."""
 
-    def __init__(self, profile: RefractiveProfile, rect):
-        x0, x1, y0, y1 = _padded_rects(rect)[-1]
-        reach = math.hypot(max(abs(x0), abs(x1)), max(abs(y0), abs(y1)))
-        # a verification circle reaches one radius past its centroid; the pad is twice that
-        self.n_steps = grid_steps(profile, reach + 2.0 * max(_SPLIT_FLOOR, 2e-4 * reach),
-                                  _PER_RADIAN)
-        self.profile = profile
-        self.a = travel_time(profile)
+    def __init__(self, evaluate, cost):
+        self.evaluate, self.cost = evaluate, cost
         self.segments, self.pieces, self.whole, self.peaks = {}, {}, [], []
         self.nodes = self.wld = np.zeros((0, _GL_NODES[0].size), dtype=complex)
         self._since = time.perf_counter()
@@ -160,34 +150,31 @@ class _Service:
                       "retries": dict.fromkeys(_RETRIES, 0), "clusters": 0, "early_splits": 0}
 
     def eval(self, ks, phases):
-        """Return (logderiv, absD) at the given complex points, in one engine call;
+        """Return (f'/f, |F|) at the given complex points, in one ``evaluate`` call;
         ``phases`` maps each phase to its number of points, and each is charged
         them and their share of the wall time since the last call."""
         ks = np.asarray(ks, dtype=complex).ravel()
         if ks.size == 0:
             return np.zeros(0, complex), np.zeros(0)
-        d_s, dp_s, scale_log = characteristic_batch(self.profile, ks, n_steps=self.n_steps)
+        ld, absF = self.evaluate(ks)
         now = time.perf_counter()
         self.stats["batches"] += 1
         self.stats["evals"] += ks.size
-        self.stats["ksteps"] += ks.size * self.n_steps
+        self.stats["ksteps"] += ks.size * self.cost
         for phase, n in phases.items():
             self.stats["phase_evals"][phase] += n
-            self.stats["phase_ksteps"][phase] += n * self.n_steps
+            self.stats["phase_ksteps"][phase] += n * self.cost
             self.timings[phase] += (now - self._since) * n / ks.size
         self._since = now
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ld = dp_s / d_s
-        absD = np.abs(d_s * ks) * np.exp(scale_log - (1.0 + self.a) * np.abs(ks.imag))
-        return ld, absD
+        return ld, absF
 
     def advance(self, cells, extra):
         """One round, one batch: the rules the cache lacks of every pending piece
         of the counting ``cells`` and of its halves, once however many cells
-        share it, and the point arrays ``extra``, whose (d'/d, |D|) it returns.
+        share it, and the point arrays ``extra``, whose (f'/f, |F|) it returns.
         ContourTooClose if a cell's piece failed, or more than 2 _MAX_SPLITS of
         them, or any after _MAX_ROUNDS rounds, are pending; DegenerateCharacteristic
-        if max |D| over an outer cell's pieces is below DEGENERACY_FLOOR."""
+        if max |F| over an outer cell's pieces is below DEGENERACY_FLOOR."""
         if new := [cell for cell in cells if cell.pending is None]:
             owner, a, b = _contour_pieces([cell.rect for cell in new])
             for cell in new:
@@ -258,7 +245,7 @@ class _Service:
 
     def _settle(self, cells):
         """Give each of ``cells`` its ``moments``: moments[p] = (1/2 pi i) integral
-        of ((k - c)/r)^p d'/d, p < 2 _MMAX, over its accepted halves, about its
+        of ((k - c)/r)^p f'/f, p < 2 _MMAX, over its accepted halves, about its
         centre c and scaled by its half-width r, as raw k^p moments lose every
         digit at |k| = 150; and its ``count``, the winding number moments[0] if
         within 0.25 of an integer >= 0, else ContourTooClose."""
@@ -345,6 +332,24 @@ def _on_padded_rects(service, rect, search):
     raise error
 
 
+def _d_service(profile, rect):
+    """A ``_Service`` over d_h: d'/d and |D| = |d k| e^(-(1 + a)|Im k|), a the travel
+    time, from ``characteristic_batch`` looked up at each call, on the grid for the
+    largest |k| on ``rect``: a corner of its widest padded rect plus twice a circle's radius."""
+    x0, x1, y0, y1 = _padded_rects(rect)[-1]
+    reach = math.hypot(max(abs(x0), abs(x1)), max(abs(y0), abs(y1)))
+    n_steps = grid_steps(profile, reach + 2.0 * max(_SPLIT_FLOOR, 2e-4 * reach), _PER_RADIAN)
+    a = travel_time(profile)
+
+    def evaluate(ks):
+        d_s, dp_s, scale_log = characteristic_batch(profile, ks, n_steps=n_steps)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ld = dp_s / d_s
+        return ld, np.abs(d_s * ks) * np.exp(scale_log - (1.0 + a) * np.abs(ks.imag))
+
+    return _Service(evaluate, n_steps)
+
+
 def _count(service, *rects):
     """``rects`` as counted outer ``_Cell``s, their contours advanced together."""
     cells = [_Cell(rect, "count") for rect in rects]
@@ -367,7 +372,7 @@ def count_zeros(profile: RefractiveProfile, rect) -> int:
         raise ValueError(f"rect {rect} is not finite")
     if not (rect[1] > rect[0] and rect[3] > rect[2]):
         raise ValueError(f"empty rect {rect}")
-    return _on_padded_rects(_Service(profile, rect), rect, _count)[0].count
+    return _on_padded_rects(_d_service(profile, rect), rect, _count)[0].count
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +383,7 @@ def count_zeros(profile: RefractiveProfile, rect) -> int:
 class _Cell:
     """A search rect: while its contour is counted, its ``pending`` pieces
     ((a, b), sign), the (row, sign) of its ``accepted`` halves, its ``rounds``
-    and ``peak`` (max |D| over its decided pieces); then its ``count`` and
+    and ``peak`` (max |F| over its decided pieces); then its ``count`` and
     ``moments``.  ``phase`` is "count" for a search's outer cell."""
     __slots__ = ("rect", "phase", "count", "moments", "pending", "accepted", "rounds", "peak")
 
@@ -391,10 +396,8 @@ def _halves(rect):
     """The two halves of ``rect`` on either side of the midpoint of its longer side."""
     x0, x1, y0, y1 = rect
     if (x1 - x0) >= (y1 - y0):
-        xm = 0.5 * (x0 + x1)
-        return (x0, xm, y0, y1), (xm, x1, y0, y1)
-    ym = 0.5 * (y0 + y1)
-    return (x0, x1, y0, ym), (x0, x1, ym, y1)
+        return (x0, xm := 0.5 * (x0 + x1), y0, y1), (xm, x1, y0, y1)
+    return (x0, x1, y0, ym := 0.5 * (y0 + y1)), (x0, x1, ym, y1)
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +447,9 @@ def _pencil(cell):
 
 def _circles(centres, radii, counts):
     """Yield the 8 m trapezoid nodes z = c + h e^(2 pi i j / 8m) of circles of
-    ``radii`` h about ``centres`` c (arrays) for count m, receive (d'/d, |D|)
-    there and return (count:int|None, min_absD, winding, centroid) per circle:
-    w = mean(d'/d (z - c)) and the centroid is c + mean(d'/d (z - c)^2) / w
+    ``radii`` h about ``centres`` c (arrays) for count m, receive (f'/f, |F|)
+    there and return (count:int|None, min |F|, winding, centroid) per circle:
+    w = mean(f'/f (z - c)) and the centroid is c + mean(f'/f (z - c)^2) / w
     (Trefethen & Weideman, SIAM Review 56, 2014).  The count is m if |w - m| <=
     _CIRCLE_TOL (m = 1) or 0.25 (m >= 2), and None otherwise."""
     n = 8 * counts
@@ -464,10 +467,10 @@ def _circles(centres, radii, counts):
 
 def _refine(service, cell):
     """Verify the zeros ``_pencil`` reads off a counted cell, yielding the points
-    to evaluate and receiving (d'/d, |D|) there: one of multiplicity m passes if
+    to evaluate and receiving (f'/f, |F|) there: one of multiplicity m passes if
     its circle counts m zeros (radius max(1e-3, 2e-4 |k|) for m = 1, centred on
     its zero so that 8 nodes suffice, and _SPLIT_FLOOR for m >= 2) and, if
-    simple, |d/d'| <= _STEP_CERT (1 + |k|) at the circle's centroid, where it is
+    simple, |f/f'| <= _STEP_CERT (1 + |k|) at the circle's centroid, where it is
     placed (9 evaluations with its residual).  Returns the (k, multiplicity,
     residual, Certificate) of its zeros if all pass, else None (a ``resplit``)."""
     service.stats["clusters"] += 1
@@ -478,7 +481,7 @@ def _refine(service, cell):
         if all(n == m for (n, *_rest), m in zip(circles, ms)):
             ld, absD = yield ks
             with np.errstate(divide="ignore", invalid="ignore"):
-                # the Newton step |d/d'|; d'/d infinite means d vanishes at k to working precision
+                # the Newton step |f/f'|; f'/f infinite means f vanishes at k to working precision
                 step = np.where(np.isinf(ld), 0.0, np.abs(1.0 / ld))
             if np.all((ms > 1) | (step <= _STEP_CERT * (1.0 + np.abs(ks)))):
                 return [(complex(k), int(m), float(aD), Certificate(
@@ -499,16 +502,14 @@ def _canonicalize(found):
 
     Returns (zeros, duplicates_removed_multiplicity).
     """
-    out = []
-    removed = 0
+    out, removed = [], 0
     for k, mult, residual, cert in sorted(found,
                                           key=lambda f: (abs(f[0].real), abs(f[0].imag))):
         k = complex(abs(k.real), abs(k.imag))
         cls = "real" if k.imag <= _REAL_CLASS_TOL * (1.0 + abs(k.real)) else "nonreal"
         if cls == "real":
             k = complex(k.real, 0.0)
-        dup = next((z for z in out if abs(z.k - k) < 5e-7 * (1.0 + abs(k))), None)
-        if dup is not None:
+        if any(abs(z.k - k) < 5e-7 * (1.0 + abs(k)) for z in out):
             removed += mult
             continue
         out.append(SpectralZero(k=k, multiplicity=mult, cls=cls, residual=residual,
@@ -595,12 +596,11 @@ def find_zeros(profile: RefractiveProfile, rect) -> SearchReport:
                          f"corner (x0, y0) at least {_TRIVIAL_CLEARANCE} from it")
     search_rect = (x0, x1, -min(0.15, 0.5 * (y1 - y0)) if y0 <= 1e-9 else y0, y1)
 
-    service = _Service(profile, search_rect)
+    service = _d_service(profile, search_rect)
     top, refined = _on_padded_rects(service, search_rect, _search)
     zeros, removed = _canonicalize(refined)
     noteworthy = [z.k for z in zeros if z.cls == "nonreal" and z.multiplicity > 1]
-    stats = dict(service.stats)
-    stats.update(duplicates_removed=removed, noteworthy_multiple_nonreal=noteworthy)
+    stats = dict(service.stats, duplicates_removed=removed, noteworthy_multiple_nonreal=noteworthy)
     return SearchReport(rect=top.rect, zeros=zeros,
                         total_count_by_argument_principle=top.count - removed,
                         stats=stats, timings=service.timings)

@@ -14,7 +14,7 @@ from tevp.forward import (_DEGREE, _integrate_batch, _rk8_polynomials, _step_pol
                           characteristic, characteristic_batch, scaled_characteristic,
                           grid_steps, solve_ivp)
 from tevp.profiles import ConstantProfile, get_profile, travel_time
-from tevp.zeros import _Service, find_zeros
+from tevp.zeros import _d_service, find_zeros
 
 
 def _d_const4(k):
@@ -320,7 +320,7 @@ def test_degree_rule_keeps_every_degree_at_large_mu(name):
                                   (0.3, 150.5, 0.0, 8.0)])
 def test_search_grids_need_low_degree(colton, monkeypatch, rect):
     # every evaluation of the k40, band150 and headline searches, on the grid of
-    # their _Service, needs at most a third of the 48 degrees of a row
+    # their _d_service, needs at most a third of the 48 degrees of a row
     degrees = []
     rule = forward._degree_needed
     monkeypatch.setattr(forward, "_degree_needed",
@@ -607,7 +607,7 @@ def test_engine_rounding_against_long_double(colton, rect, bound):
     x0, x1, y0, y1 = rect
     rng = np.random.default_rng(1)
     k = rng.uniform(x0, x1, 60) + 1j * rng.uniform(y0, y1, 60)
-    n_steps = _Service(colton, rect).n_steps
+    n_steps = _d_service(colton, rect).cost
     d_s, _, scale = characteristic_batch(colton, k, n_steps=n_steps)
     d_ref, size = _d_long_double(colton, k, n_steps)
     err = np.abs(d_s * np.exp(scale) - d_ref.astype(complex)) / size.astype(float)

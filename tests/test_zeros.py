@@ -13,9 +13,9 @@ from tevp.cli import EXIT_NUMERIC, main
 from tevp.errors import ContourTooClose, DegenerateCharacteristic, NewtonStall
 from tevp.forward import characteristic_batch, scaled_characteristic
 from tevp.profiles import ConstantProfile, get_profile, travel_time
-from tevp.zeros import (Certificate, SearchReport, SpectralZero, _Cell, _contour_pieces, _count,
-                        _refine, _search, _Service, count_zeros, find_zeros, read_zeros_csv,
-                        report_to_json, write_report_json, write_zeros_csv)
+from tevp.zeros import (SearchReport, SpectralZero, _Cell, _contour_pieces, _count, _d_service,
+                        _on_padded_rects, _refine, _search, _Service, count_zeros, find_zeros,
+                        read_zeros_csv, report_to_json, write_report_json, write_zeros_csv)
 
 CONST4 = ConstantProfile(4.0)
 CONST1 = ConstantProfile(1.0)
@@ -303,36 +303,40 @@ def _refined(service, cells):
     return found, back
 
 
-class _GivenLogDerivative:
-    """d'/d at the refined points is ``ld``, in order, and |D| is 0."""
+def _exact(log_derivative, abs_f):
+    """A ``_Service`` over an exact f, given f'/f and |F|, at one k-step a point."""
+    def evaluate(ks):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return log_derivative(ks), abs_f(ks)
 
-    def __init__(self, ld):
-        self.ld = np.array(ld)
-        self.stats = {"retries": {"resplit": 0}, "clusters": 0}
-
-    def eval(self, ks, phases):
-        ld, self.ld = self.ld[:np.size(ks)], self.ld[np.size(ks):]
-        return ld, np.zeros(np.size(ks))
+    return _Service(evaluate, 1)
 
 
-def _circles_counting_their_zero(centres, radii, counts):
-    """A stand-in for ``_circles``: every circle counts one zero at its centre, unevaluated."""
-    yield from ()
-    return [(1, 0.5, 1.0, c) for c in centres]
+def _product(zs):
+    """A ``_Service`` over f = prod (k - z_j): f'/f = sum 1/(k - z_j), |F| = |f|."""
+    zs = np.array(zs, dtype=complex)
+    return _exact(lambda k: (1.0 / (k[:, None] - zs)).sum(1),
+                  lambda k: np.abs(k[:, None] - zs).prod(1))
 
 
-def test_certificate_passes_an_exact_zero_and_fails_a_nan(monkeypatch):
-    # every circle counts its cell's zero at its centre; only the certificate decides
-    monkeypatch.setattr(zeros_module, "_circles", _circles_counting_their_zero)
-    cells = [_counted(rect, [complex(rect[0] + 0.1, rect[2] + 0.1)])
-             for rect in [(2.0, 2.2, 1.0, 1.2), (5.0, 5.2, 1.0, 1.2)]]
-    # d = 0 at the first pencil point (d'/d infinite), d'/d undefined at the second
-    service = _GivenLogDerivative([complex(np.inf, np.inf), complex(np.nan, np.nan)])
-    found, back = _refined(service, cells)
-    assert [(m, r) for _k, m, r, _cert in found] == [(1, 0.0)]
-    assert abs(found[0][0] - (2.1 + 1.1j)) <= 1e-12
-    assert found[0][3] == Certificate(radius=1e-3, defect=0.0, step=0.0, min_abs_d=0.5)
-    assert back == [cells[1]]
+def _ks(found):
+    """The zeros of ``_search``'s (k, multiplicity, residual, certificate) list, sorted."""
+    return np.array(sorted((k for k, *_rest in found), key=lambda k: (k.real, k.imag)))
+
+
+def test_certificate_passes_an_exact_zero_and_fails_a_nan():
+    service = _product([2.1 + 1.1j, 5.1 + 1.1j])
+    cells = [_count(service, rect)[0] for rect in [(2.0, 2.2, 1.0, 1.2), (5.0, 5.2, 1.0, 1.2)]]
+    # the circle's centroid lands on the zero, where f'/f is infinite: a Newton step of 0
+    found, back = _refined(service, cells[:1])
+    (k, mult, residual, cert), = found
+    assert (k, mult, residual, back) == (2.1 + 1.1j, 1, 0.0, [])
+    assert (cert.radius, cert.step) == (1e-3, 0.0) and cert.defect <= 1e-12
+    assert cert.min_abs_d == pytest.approx(1e-3 * (3.0 - 1e-3), rel=1e-9)   # nearest z_2
+    # f'/f undefined at the second centroid: the circle passes, the certificate does not
+    exact = service.evaluate
+    service.evaluate = lambda ks: exact(ks) if ks.size > 1 else (ks * np.nan, ks.real * np.nan)
+    assert _refined(service, cells[1:]) == ([], cells[1:])
     assert service.stats["retries"]["resplit"] == 1
 
 
@@ -389,7 +393,7 @@ def test_contour_pieces_match_the_list_rule_bit_for_bit():
 
 def test_cached_contour_costs_no_evaluations(colton):
     rect = (0.3, 12.0, -0.15, 6.0)
-    service = _Service(colton, rect)
+    service = _d_service(colton, rect)
     cost, ((n, mx, moments),) = _evals(service, [rect])
     assert cost > 0
     again, ((n2, mx2, moments2),) = _evals(service, [rect])
@@ -424,10 +428,10 @@ def test_warmed_service_counts_like_a_fresh_one(colton):
     x0, x1, y0, y1 = 0.3, 12.0, -0.15, 6.0
     xm = 0.5 * (x0 + x1)
     children = [(x0, xm, y0, y1), (xm, x1, y0, y1)]
-    warm = _Service(colton, (x0, x1, y0, y1))
+    warm = _d_service(colton, (x0, x1, y0, y1))
     _evals(warm, [(x0, x1, y0, y1)])
     warm_cost, warm_out = _evals(warm, children)
-    fresh_cost, fresh_out = _evals(_Service(colton, (x0, x1, y0, y1)), children)
+    fresh_cost, fresh_out = _evals(_d_service(colton, (x0, x1, y0, y1)), children)
     # the children's outer edges are the parent's; only the split line is new
     assert 0 < warm_cost < fresh_cost / 4
     assert [n for n, _, _ in warm_out] == [n for n, _, _ in fresh_out] == [1, 2]
@@ -440,9 +444,9 @@ def test_siblings_evaluate_their_split_line_once(colton):
     x0, x1, y0, y1 = 0.3, 12.0, -0.15, 6.0
     xm = 0.5 * (x0 + x1)
     siblings = [(x0, xm, y0, y1), (xm, x1, y0, y1)]
-    service = _Service(colton, (x0, x1, y0, y1))
+    service = _d_service(colton, (x0, x1, y0, y1))
     together, _ = _evals(service, siblings)
-    apart = sum(_evals(_Service(colton, (x0, x1, y0, y1)), [rect])[0] for rect in siblings)
+    apart = sum(_evals(_d_service(colton, (x0, x1, y0, y1)), [rect])[0] for rect in siblings)
     assert together < apart
     # every segment is stored once, whichever way the contours run along it
     assert all((a.real, a.imag) < (b.real, b.imag) for (a, b) in service.segments)
@@ -450,7 +454,7 @@ def test_siblings_evaluate_their_split_line_once(colton):
 
 def _pencil_of(profile, rect):
     """The count of ``rect`` and the zeros ``_pencil`` reads off its moments."""
-    cell, = _count(_Service(profile, rect), rect)
+    cell, = _count(_d_service(profile, rect), rect)
     return cell.count, zeros_module._pencil(cell)
 
 
@@ -472,7 +476,7 @@ def test_centroid_of_a_simple_zero(colton):
 
 def test_moments_of_an_empty_rect_vanish(const4):
     rect = (0.5, 2.5, 0.5, 2.0)
-    cell, = _count(_Service(const4, rect), rect)
+    cell, = _count(_d_service(const4, rect), rect)
     assert cell.count == 0 and np.abs(cell.moments).max() <= 1e-12
 
 
@@ -630,47 +634,6 @@ def test_search_evaluation_budget(request, fixture, budget):
     assert rep.stats["phase_evals"]["refine"] == 9 * len(rep.zeros)
 
 
-@pytest.mark.parametrize("profile, rect, evals, batches", [
-    (get_profile("slow_core"), (0.3, 30.0, 0.0, 6.0), 3_009, 20),
-    (get_profile("raised_cosine"), (0.3, 30.0, 0.0, 6.0), 2_019, 15),
-    (CONST4, (0.5, 31.0, 0.0, 1.0), 8_505, 28),
-    (ConstantProfile(4.0 + 1e-8), (2.5, 3.8, 0.0, 0.5), 709, 12),
-    (ConstantProfile(4.0 + 1e-6), (2.5, 3.8, 0.0, 0.5), 2_167, 40),
-    (ConstantProfile(4.0 + 1e-5), (2.5, 3.8, 0.0, 0.5), 2_139, 35),
-    (ConstantProfile(4.0 + 1e-4), (2.5, 3.8, 0.0, 0.5), 955, 15),
-    (ConstantProfile(4.0 + 1e-3), (2.5, 3.8, 0.0, 0.5), 763, 13),
-    (ConstantProfile(4.0 + 1e-2), (2.5, 3.8, 0.0, 0.5), 859, 16),
-])
-def test_search_cost_bounds(profile, rect, evals, batches):
-    # the costs when cells of 2 .. _MMAX zeros were split down to 0.4 wide;
-    # test_moment_search_costs holds the present ones
-    stats = find_zeros(profile, rect).stats
-    assert stats["evals"] <= evals
-    assert stats["batches"] <= batches
-
-
-@pytest.mark.parametrize("search, evals, batches", [
-    ("colton_spectrum_40", 1_725, 13),
-    ("colton_band_150", 270, 4),
-    ("colton_spectrum_150", 9_123, 23),
-    ((get_profile("slow_core"), (0.3, 30.0, 0.0, 6.0)), 1_737, 8),
-    ((get_profile("raised_cosine"), (0.3, 30.0, 0.0, 6.0)), 1_623, 11),
-    ((CONST4, (0.5, 31.0, 0.0, 1.0)), 2_409, 13),
-    ((ConstantProfile(4.0 + 1e-8), (2.5, 3.8, 0.0, 0.5)), 493, 9),
-    ((ConstantProfile(4.0 + 1e-6), (2.5, 3.8, 0.0, 0.5)), 543, 10),
-    ((ConstantProfile(4.0 + 1e-5), (2.5, 3.8, 0.0, 0.5)), 975, 13),
-    ((ConstantProfile(4.0 + 1e-4), (2.5, 3.8, 0.0, 0.5)), 591, 9),
-    ((ConstantProfile(4.0 + 1e-3), (2.5, 3.8, 0.0, 0.5)), 447, 8),
-    ((ConstantProfile(4.0 + 1e-2), (2.5, 3.8, 0.0, 0.5)), 495, 9),
-], ids=lambda v: v if isinstance(v, str) else None)
-def test_moment_search_costs(request, search, evals, batches):
-    # the costs when cells of at most _MMAX zeros stopped at 8 wide;
-    # test_search_costs_at_any_width holds the present ones
-    rep = request.getfixturevalue(search) if isinstance(search, str) else find_zeros(*search)
-    assert rep.stats["evals"] <= evals
-    assert rep.stats["batches"] <= batches
-
-
 @pytest.mark.parametrize("search, evals, batches", [
     ("colton_spectrum_40", 1_437, 7),
     ("colton_band_150", 234, 3),
@@ -744,7 +707,7 @@ def test_square_off_its_gate_is_counted_by_the_adaptive_rule(colton, shift, cost
     h = 1e-3
     c = root - shift * h
     square = (c.real - h, c.real + h, c.imag - h, c.imag + h)
-    service = _Service(colton, square)
+    service = _d_service(colton, square)
     adaptive_cost, out = _evals(service, [square])
     assert out[0][0] == 1
     assert service.stats["evals"] == adaptive_cost == cost
@@ -763,32 +726,32 @@ def test_pencil_gives_only_zeros_one_circle_each_can_verify(zs, usable):
         assert abs(k - z) <= 1e-9 and mult == 1 and math.isclose(radius, 2e-4 * abs(k))
 
 
-def test_nan_pencil_hands_its_cell_back_unevaluated(colton, monkeypatch):
+def test_nan_pencil_hands_its_cell_back_unevaluated(monkeypatch):
     rect = (4.0, 5.0, 2.5, 3.5)
-    service = _Service(colton, rect)
+    service = _product([4.4 + 2.9j])
     cell, = _count(service, rect)
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.full(len(a), complex(np.nan)))
 
-    def engine(*args, **kwargs):
+    def evaluate(ks):
         raise AssertionError("a cell without usable zeros was evaluated")
 
-    monkeypatch.setattr(zeros_module, "characteristic_batch", engine)
+    service.evaluate = evaluate
     found, back = _refined(service, [cell])
     assert (cell.count, found, back, service.stats["retries"]["resplit"]) == (1, [], [cell], 1)
 
 
-def test_circle_off_its_zero_hands_the_cell_back(colton):
-    with mpmath.workdps(30):
-        root = complex(mpmath.findroot(_colton_d, mpmath.mpc(4.4134 + 2.9042j)))
+def test_circle_off_its_zero_hands_the_cell_back():
+    root = 4.4134 + 2.9042j
     h = max(1e-3, 2e-4 * abs(root))
     centred, off = _counted((4.0, 5.0, 2.5, 3.5), [root]), _counted((4.0, 5.0, 2.5, 3.5),
                                                                      [root - 0.9 * h])
-    service = _Service(colton, centred.rect)
+    service = _product([root])
     found, back = _refined(service, [centred, off])
     # the zero is 0.9 radius off the second circle's centre: its 8 nodes miss _CIRCLE_TOL
     assert back == [off] and service.stats["retries"]["resplit"] == 1
     (k, mult, _res, cert), = found
-    assert (mult, cert.radius) == (1, h) and cert.defect <= zeros_module._CIRCLE_TOL
+    assert (mult, cert.radius) == (1, pytest.approx(h, rel=1e-12))
+    assert cert.defect <= zeros_module._CIRCLE_TOL
     assert abs(k - root) <= 1e-12
     circle = zeros_module._circles(np.array([root - 0.9 * h]), np.array([h]), np.array([1]))
     with pytest.raises(StopIteration) as stop:
@@ -812,7 +775,7 @@ def test_certificate_records_the_least_abs_d_on_its_circle(colton, monkeypatch):
     assert mins == [z.certificate.min_abs_d for z in clean.zeros]
     assert [z["certificate"]["min_abs_d"] for z in report_to_json(rep)["zeros"]] == mins
     # a service on the search's padded rect evaluates on the search's grid
-    service = _Service(colton, (0.3, 12.0, -0.15, 6.0))
+    service = _d_service(colton, (0.3, 12.0, -0.15, 6.0))
     for z in rep.zeros:
         (c, h), = [(c, h) for c, h in drawn if abs(z.k - c) < h]
         nodes = c + h * np.exp(2j * np.pi * np.arange(8) / 8)
@@ -820,64 +783,100 @@ def test_certificate_records_the_least_abs_d_on_its_circle(colton, monkeypatch):
         assert 0.0 < z.certificate.min_abs_d == abs_d.min() < abs_d.max()
 
 
-class _PointZeros:
-    """A stand-in for ``_Service`` whose d has the simple zeros ``zs``: every
-    contour converges in its first round to the count and moments of the points
-    strictly inside it, and d'/d = sum 1/(k - z)."""
-
-    def __init__(self, zs):
-        self.zs = np.array(zs, dtype=complex)
-        self.stats = {"retries": {"resplit": 0}, "clusters": 0, "early_splits": 0}
-
-    def advance(self, cells, extra):
-        for cell in cells:
-            x0, x1, y0, y1 = cell.rect
-            inside = [z for z in self.zs if x0 < z.real < x1 and y0 < z.imag < y1]
-            cell.count, cell.moments = len(inside), _moments(cell.rect, inside)
-        with np.errstate(divide="ignore", invalid="ignore"):   # a centroid on its zero
-            return [((1.0 / (k[:, None] - self.zs)).sum(1), np.ones(k.size)) for k in extra]
-
-
 def _refined_cells(monkeypatch, zs, rect):
-    """The zeros ``_search`` finds in ``rect`` of a d with the simple zeros ``zs``,
-    and the cells it refines."""
-    refine, cells = zeros_module._refine, []
+    """``_search`` on ``rect`` for f = prod (k - z_j): its zeros, refined cells and service."""
+    refine, cells, service = zeros_module._refine, [], _product(zs)
     monkeypatch.setattr(zeros_module, "_refine",
                         lambda service, cell: cells.append(cell) or refine(service, cell))
-    _top, found = _search(_PointZeros(zs), rect)
-    return sorted((k for k, _m, _res, _cert in found), key=lambda k: (k.real, k.imag)), cells
+    _top, found = _search(service, rect)
+    return _ks(found), cells, service
 
 
 @pytest.mark.parametrize("count", [1, 2, zeros_module._MMAX])
 def test_subdivision_refines_every_count_at_any_width(monkeypatch, count):
-    # up to _MMAX zeros, however close: the 256-wide cell that holds them goes
-    # to refinement unsplit, with their moments
+    # up to _MMAX zeros 0.05 apart: the 256-wide cell that holds them is refined
+    # first, from its moments; two or more it reads too coarsely to verify, so it
+    # is handed back and split until every cell's circles and certificates pass
     zs = [3.01 + 0.47j + 0.05 * j for j in range(count)]
-    found, (cell, *_rest) = _refined_cells(monkeypatch, zs, (0.0, 256.0, 0.0, 1.0))
+    found, (cell, *_rest), service = _refined_cells(monkeypatch, zs, (0.0, 256.0, 0.0, 1.0))
     assert (cell.rect, cell.count) == ((0.0, 256.0, 0.0, 1.0), count)
-    assert np.array_equal(cell.moments, _moments(cell.rect, zs))
-    assert len(found) == count and np.abs(np.array(found) - zs).max() <= 1e-9
+    assert np.abs(cell.moments - _moments(cell.rect, zs)).max() <= 1e-9
+    stats = service.stats
+    assert stats["clusters"] - 1 == stats["retries"]["resplit"] == {1: 0, 2: 1, 4: 8}[count]
+    assert len(found) == count and np.abs(found - zs).max() <= 1e-14
 
 
 def test_subdivision_splits_more_zeros_than_a_pencil_takes(monkeypatch):
     zs = [3.01 + 0.47j + 0.05 * j for j in range(zeros_module._MMAX + 1)]
-    found, cells = _refined_cells(monkeypatch, zs, (0.0, 16.0, 0.0, 1.0))
+    found, cells, _service = _refined_cells(monkeypatch, zs, (0.0, 16.0, 0.0, 1.0))
     assert sum(c.count for c in cells) == len(zs)
     assert all(c.count <= zeros_module._MMAX and c.rect[1] - c.rect[0] < 8.0 for c in cells)
-    assert np.abs(np.array(found) - zs).max() <= 1e-9
+    assert np.abs(found - zs).max() <= 1e-14
 
 
 def test_subdivision_raises_on_a_zero_on_its_split_line(monkeypatch):
-    # the zeros lie on the split line Im k = 0.5 of the cell (3, 3.5, 0, 1),
-    # so neither half counts them: the search must restart on a padded rect
+    # the zeros lie on the split line Im k = 0.5 of the cell (3, 3.5, 0, 1), so
+    # the contour of its lower half fails and the search restarts on a padded rect
     zs = [3.01 + 0.5j + 0.05 * j for j in range(zeros_module._MMAX + 1)]
-    with pytest.raises(ContourTooClose, match="halves of cell"):
+    with pytest.raises(ContourTooClose, match=r"contour of cell \(3.0, 3.5, 0.0, 0.5\) failed"):
         _refined_cells(monkeypatch, zs, (0.0, 16.0, 0.0, 1.0))
+    service = _product(zs)
+    _top, found = _on_padded_rects(service, (0.0, 16.0, 0.0, 1.0), _search)
+    assert service.stats["retries"] == {"inflate": 1, "resplit": 0}
+    assert np.abs(_ks(found) - zs).max() <= 1e-14
 
 
 def test_search_options_are_module_constants():
     assert list(inspect.signature(find_zeros).parameters) == ["profile", "rect"]
     assert list(inspect.signature(count_zeros).parameters) == ["profile", "rect"]
+
+
+# ---------------------------------------------------------------------------
+# exact functions: d of const4 in closed form, and close pairs of simple zeros
+# ---------------------------------------------------------------------------
+
+
+def _minus_sine_cubed_over_k():
+    """A ``_Service`` over d of const4 in closed form, -sin^3 k / k: f'/f = 3 cot k
+    - 1/k and |F| = |D| = |sin k|^3 e^(-3 |Im k|)."""
+    return _exact(lambda k: 3.0 / np.tan(k) - 1.0 / k,
+                  lambda k: np.abs(np.sin(k)) ** 3 * np.exp(-3.0 * np.abs(k.imag)))
+
+
+@pytest.mark.parametrize("rect, n, inflate, evals, batches", [
+    ((0.5, 31.0, -0.15, 1.0), 9, 0, 2_409, 7),
+    # the first split line, Re k = 2 pi, runs through a triple zero: one restart;
+    # on d_h the same search costs 7,517 evaluations, for its noise
+    ((1.0, 4.0 * math.pi - 1.0, -0.15, 0.5), 3, 1, 2_679, 30),
+], ids=["const4", "const4_split_line"])
+def test_triple_zeros_of_the_exact_const4_d(rect, n, inflate, evals, batches):
+    service = _minus_sine_cubed_over_k()
+    top, found = _on_padded_rects(service, rect, _search)
+    assert top.count == 3 * n and [m for _k, m, *_rest in found] == [3] * n
+    assert np.abs(_ks(found) - math.pi * np.arange(1, n + 1)).max() <= 1e-11
+    assert service.stats["retries"] == {"inflate": inflate, "resplit": 0}
+    assert service.stats["evals"] <= evals and service.stats["batches"] <= batches
+
+
+_STALLS = pytest.mark.xfail(strict=True, raises=NewtonStall, reason="an 8-node circle's "
+                            "centroid errs by about h^8 / D^7 for a neighbour D away")
+
+
+@pytest.mark.parametrize("centre, gap, rect, mults", [
+    (3.3 + 0.4j, 3e-3, (2.0, 5.0, 0.0, 1.0), [2]),
+    (3.3 + 0.4j, 9e-3, (2.0, 5.0, 0.0, 1.0), [1, 1]),
+    pytest.param(3.3 + 0.4j, 7e-3, (2.0, 5.0, 0.0, 1.0), [1, 1], marks=_STALLS),
+    (100.3 + 1.4j, 0.2, (99.0, 102.0, 0.0, 2.0), [1, 1]),
+    pytest.param(100.3 + 1.4j, 0.1, (99.0, 102.0, 0.0, 2.0), [1, 1], marks=_STALLS),
+], ids=["3e-3", "9e-3", "7e-3", "0.2_at_100", "0.1_at_100"])
+def test_close_pair_of_simple_zeros(centre, gap, rect, mults):
+    # a pair within _SPLIT_FLOOR of its centroid is one double zero there; a simple
+    # zero is as close as its certificate's Newton step
+    zs = [centre - 0.5 * gap, centre + 0.5 * gap]
+    _top, found = _on_padded_rects(_product(zs), rect, _search)
+    assert [m for _k, m, *_rest in found] == mults
+    error = np.abs(_ks(found) - (zs if len(mults) == 2 else [centre])).max()
+    assert error <= zeros_module._STEP_CERT * (1.0 + abs(centre))
 
 
 # ---------------------------------------------------------------------------
@@ -912,7 +911,7 @@ def test_one_cell_resolves_a_split_triple_zero():
     # eta = 4 + 1e-6 splits the triple zero at pi into three about 7e-3 apart;
     # the pencil of one cell around them gives all three, none handed back
     rect = (3.1, 3.2, -0.05, 0.05)
-    service = _Service(ConstantProfile(4.0 + 1e-6), rect)
+    service = _d_service(ConstantProfile(4.0 + 1e-6), rect)
     cell, = _count(service, rect)
     found, back = _refined(service, [cell])
     assert (cell.count, back, [mult for _k, mult, _res, _cert in found]) == (3, [], [1, 1, 1])
