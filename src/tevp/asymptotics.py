@@ -203,9 +203,8 @@ class MatchReport:
         return max(vals) if vals else 0.0
 
 
-def match(zeros, case: AsymptoticCase, n_window=None,
-          refine: bool = True) -> MatchReport:
-    """Pair computed non-real zeros with Theorem-style predictions.
+def match(zeros, case: AsymptoticCase, n_window=None) -> MatchReport:
+    """Pair computed non-real zeros with ``predict_nonreal``'s refined predictions.
 
     ``zeros`` is a SearchReport or a list of SpectralZero.  The absolute
     offset between the formula index and the zero ordering is not fixed by
@@ -231,7 +230,7 @@ def match(zeros, case: AsymptoticCase, n_window=None,
     for shift in (-1, 0, 1):
         if lo + shift < 1:
             continue
-        preds = {n: predict_nonreal(case, n, refine=refine)
+        preds = {n: predict_nonreal(case, n, refine=True)
                  for n in range(lo + shift, hi + shift + 1)}
         pairs, un_z = _greedy_match(zlist, preds)
         total = sum(p.residual for p in pairs) + 10.0 * len(un_z)

@@ -28,7 +28,7 @@ from . import _rk8
 from .asymptotics import nonreal_count
 from .errors import RegimeError
 from .forward import _integrate_batch, _rk8_polynomials
-from .profiles import (RefractiveProfile, liouville_transform, load_profile,
+from .profiles import (RefractiveProfile, _known_keys, liouville_transform, load_profile,
                        subinterval_boundary, travel_time)
 
 __all__ = [
@@ -209,38 +209,37 @@ def _potential_from_ref(ref):
     Accepts a profile name/path (string), or a dict with either
     {"profile": ref} or {"base": ref, "bump": {"amplitude", "center",
     "width"}} adding a compactly supported perturbation to the base
-    potential.
+    potential; any other key is a ValueError.
     """
     if isinstance(ref, str):
         profile = load_profile(ref)
         lv = liouville_transform(profile)
-        slope = float(profile.eta(0.0)) ** (-0.25)
-        return lv.q, lv.a, slope
-    if isinstance(ref, dict):
-        if "profile" in ref:
-            return _potential_from_ref(ref["profile"])
-        if "base" in ref:
-            q0, a, slope = _potential_from_ref(ref["base"])
-            bump = ref.get("bump")
-            if bump is None:
-                return q0, a, slope
-            pert = smooth_bump(bump["amplitude"], bump["center"], bump["width"])
-            return (lambda x, q0=q0, pert=pert: np.asarray(q0(x)) + pert(x),
-                    a, slope)
-    raise ValueError(f"unrecognized potential reference {ref!r}")
+        return lv.q, lv.a, float(profile.eta(0.0)) ** (-0.25)
+    if not (isinstance(ref, dict) and {"profile", "base"} & set(ref)):
+        raise ValueError(f"unrecognized potential reference {ref!r}")
+    _known_keys(ref, {"profile"} if "profile" in ref else {"base", "bump"}, "a potential")
+    if "profile" in ref:
+        return _potential_from_ref(ref["profile"])
+    q0, a, slope = _potential_from_ref(ref["base"])
+    if (bump := ref.get("bump")) is None:
+        return q0, a, slope
+    _known_keys(bump, {"amplitude", "center", "width"}, "a bump")
+    pert = smooth_bump(bump["amplitude"], bump["center"], bump["width"])
+    return (lambda x: np.asarray(q0(x)) + pert(x)), a, slope
 
 
 def load_scenario(path_or_dict) -> UniquenessScenario:
     """Build a scenario from a JSON file or an equivalent dict.
 
-    Schema: {"q": ref, "q_tilde": ref, "agree_from": x0, "b": ..,
-    "alpha": ..}; see _potential_from_ref for the potential references.
+    Schema, any other key a ValueError: {"q": ref, "q_tilde": ref,
+    "agree_from": x0, "b": .., "alpha": ..}; see _potential_from_ref.
     """
     if isinstance(path_or_dict, dict):
         data = path_or_dict
     else:
         with open(path_or_dict) as fh:
             data = json.load(fh)
+    _known_keys(data, {"q", "q_tilde", "agree_from", "b", "alpha"}, "a scenario")
     q, a, slope = _potential_from_ref(data["q"])
     qt, a_t, slope_t = _potential_from_ref(data["q_tilde"])
     if abs(a - a_t) > 1e-10:

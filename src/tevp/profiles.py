@@ -288,6 +288,12 @@ _SPEC_KEYS = {"named": {"kind", "name", "params"},
               "chebyshev": {"kind", "coeffs", "deriv_order"}}
 
 
+def _known_keys(data, allowed, where):
+    """ValueError naming the keys of the dict ``data`` outside ``allowed``."""
+    if unknown := set(data) - allowed:
+        raise ValueError(f"unknown key(s) {sorted(unknown)} for {where}")
+
+
 def profile_from_dict(spec: dict) -> RefractiveProfile:
     """Build a profile from its JSON representation.
 
@@ -303,9 +309,7 @@ def profile_from_dict(spec: dict) -> RefractiveProfile:
     kind = spec.get("kind")
     if not isinstance(kind, str) or kind not in _SPEC_KEYS:
         raise ValueError(f"unknown profile kind {kind!r}")
-    unknown = set(spec) - _SPEC_KEYS[kind]
-    if unknown:
-        raise ValueError(f"unknown key(s) {sorted(unknown)} for profile kind {kind!r}")
+    _known_keys(spec, _SPEC_KEYS[kind], f"profile kind {kind!r}")
     if kind == "named":
         return get_profile(spec["name"], spec.get("params"))
     coeffs, order = spec.get("coeffs"), spec.get("deriv_order", 4)

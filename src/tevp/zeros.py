@@ -9,17 +9,19 @@ multiplicities are read off the Hankel pencil of the moments its count gave
 certificate (_refine), and a cell is accepted only if all its zeros are and
 split again otherwise, so the pencil can cost evaluations but not give a wrong
 zero.  One repair: d_h may split a multiple zero that a contour or split line
-runs through, so a search whose count or split fails, or that must split a cell
-narrower than _SPLIT_FLOOR, restarts on the next padded rect (_padded_rects),
-whose split lines moved.
+runs through, so a search whose count or split fails (a contour fails if still
+bisecting after _MAX_ROUNDS = 12 rounds), or that must split a cell narrower
+than _SPLIT_FLOOR, restarts on the next padded rect (_padded_rects), whose
+split lines moved.
 
 A search is one round loop (_search), each round one ``evaluate`` call that
 carries every pending contour piece of every counting cell, every verification
 circle and every certificate point (``batches`` counts rounds); for d_h they
 share one grid, so every count, moment and certificate is exact for one
-analytic function.  A cell whose count after one round exceeds _MMAX is split
-at once (an early split); a counted cell's circles go in the next round and its
-certificates in the one after.
+analytic function.  One split rule: a cell not yet split is split in the first
+round its count (while counting, its provisional winding: an early split)
+exceeds _MMAX, or in the round refinement hands it back.  A counted cell's
+circles go in the next round, its certificates in the one after.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ _GL_NODES = np.polynomial.legendre.leggauss(12)
 _SEG_LEN = 6.0               # longest first-round segment of a contour edge
 _PER_RADIAN = 3.5            # grid steps per radian of phase at a search's largest |k|
 _SEG_TOL = 1e-3              # a segment rule must match its two halves' sum to this
-_MAX_ROUNDS = 18             # segment-bisection rounds before a contour fails
+_MAX_ROUNDS = 12             # segment-bisection rounds before a contour fails
 _STEP_CERT = 1e-10           # a simple zero needs |d/d'| <= _STEP_CERT (1 + |k|)
 _CIRCLE_TOL = 1e-6           # a simple zero's circle must wind within this of 1
 _MAX_SPLITS = 128            # segments one contour may split in one round
@@ -108,8 +110,8 @@ class SearchReport:
     cells handed back to the subdivision because their pencil gave no usable
     zeros or a zero failed its circle or certificate), ``clusters`` (cells
     resolved from their moments on every rect tried, handed-back ones
-    included), ``early_splits`` (cells split on the count after their first
-    round, before their contour converged), ``duplicates_removed`` and
+    included), ``early_splits`` (cells split on their provisional count, in any
+    round before their contour converged), ``duplicates_removed`` and
     ``noteworthy_multiple_nonreal``.  Each zero carries the ``certificate``
     that accepted it.  ``timings``: wall seconds per phase, each round's shared
     out by its points; out of ``stats`` as they vary by run."""
@@ -520,16 +522,15 @@ def _canonicalize(found):
 
 def _search(service, rect):
     """The counted cell of ``rect`` and the refined zeros inside it, each round
-    one ``advance`` of every counting cell and every refinement.  A cell is
-    split if the winding after its first round rounds to a count above _MMAX
-    (an early split; it is counted on, to check its halves add up to it), or
-    else once its count does; a counted cell of 1 .. _MMAX zeros is refined,
-    and split if handed back, once nothing else is in flight, as hand-backs
-    come in cascades that may stall.  ContourTooClose if a contour or a
-    halves-sum check fails, NewtonStall if a cell to split is narrower than
-    _SPLIT_FLOOR."""
+    one ``advance`` of every counting cell and every refinement.  A cell not yet
+    split is split in the first round its count exceeds _MMAX, while counting
+    its provisional winding if within 0.25 of an integer (an early split, counted
+    on to check its halves add up to it), or in the round it is handed back; a
+    counted cell of 1 .. _MMAX zeros is refined.  ContourTooClose if a contour
+    (after _MAX_ROUNDS rounds) or a halves-sum check fails, NewtonStall if a
+    cell to split is narrower than _SPLIT_FLOOR."""
     top = _Cell(rect, "count")
-    counting, refining, back, pairs, halved, found = [top], [], [], [], set(), []
+    counting, refining, pairs, halved, found = [top], [], [], set(), []
 
     def split(cell):
         x0, x1, y0, y1 = cell.rect
@@ -541,14 +542,14 @@ def _search(service, rect):
         pairs.append((cell, *halves))
         halved.add(cell)
 
-    while counting or refining or back:
+    while counting or refining:
         values = service.advance(counting, [points for _cell, _gen, points in refining])
         steps = [(cell, gen, value) for (cell, gen, _points), value in zip(refining, values)]
         waiting, counting, refining = counting, [], []
         for cell in waiting:
             if cell.count is None:
                 counting.append(cell)
-                w = service.provisional(cell) if cell.rounds == 1 else 0j
+                w = 0j if cell in halved else service.provisional(cell)
                 if abs(w - round(w.real)) <= 0.25 and round(w.real) > _MMAX:
                     service.stats["early_splits"] += 1
                     split(cell)
@@ -561,13 +562,9 @@ def _search(service, rect):
                 refining.append((cell, gen, gen.send(value)))
             except StopIteration as stop:
                 if stop.value is None:
-                    back.append(cell)
+                    split(cell)
                 else:
                     found += stop.value
-        if not (counting or refining):
-            for cell in back:
-                split(cell)
-            back = []
         for parent, a, b in pairs:
             if None not in (parent.count, a.count, b.count) and a.count + b.count != parent.count:
                 raise ContourTooClose(f"the halves of cell {parent.rect} do not count its zeros")

@@ -47,6 +47,14 @@ def test_case_from_profile(colton):
     assert case.eta_deriv == pytest.approx(1.0, abs=1e-10)
 
 
+def test_case_from_profile_reads_a_higher_contact_order():
+    # raised_cosine is flat at r = 1 up to its third derivative: m = 2, and
+    # the fourth derivative there is 3 A pi^4 / 2 with A = 1
+    case = case_from_profile(get_profile("raised_cosine"))
+    assert case.m == 2
+    assert case.eta_deriv == pytest.approx(1.5 * math.pi ** 4, rel=1e-14)
+
+
 def test_case_validation():
     with pytest.raises(ValueError):
         AsymptoticCase(m=0, eta_deriv=0.0, a=2.0)
@@ -177,10 +185,10 @@ def test_match_recovers_index_shift(colton):
     # synthetic zeros placed exactly at predictions with index n+1 must be
     # matched via the global shift, not greedily across indices
     case = case_from_profile(colton)
-    fake = [SpectralZero(k=predict_nonreal(case, n + 1, refine=False),
+    fake = [SpectralZero(k=predict_nonreal(case, n + 1, refine=True),
                          multiplicity=1, cls="nonreal", residual=0.0)
             for n in range(8, 16)]
-    rep = match(fake, case, n_window=(8, 15), refine=False)
+    rep = match(fake, case, n_window=(8, 15))
     assert all(p.residual <= 1e-10 for p in rep.matched)
     assert len(rep.matched) == len(fake)
     assert rep.index_shift == 1

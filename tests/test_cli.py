@@ -252,6 +252,17 @@ def test_unknown_profile_key_is_an_input_error(tmp_path, capsys):
     assert "normalized_tail" in capsys.readouterr().err
 
 
+def test_unknown_scenario_key_is_an_input_error(tmp_path, capsys):
+    # "bmup" for "bump": read as no bump, g = 0 would pass every check
+    p = tmp_path / "sc.json"
+    p.write_text(json.dumps({"q": "colton_example", "agree_from": 0.6,
+                             "q_tilde": {"base": "colton_example", "bmup": {
+                                 "amplitude": 0.8, "center": 0.3, "width": 0.2}}}))
+    assert main(["inverse-check", "--fast", "--scenario", str(p)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "bmup" in captured.err and "[PASS]" not in captured.out
+
+
 def test_asymptotics_of_an_unmatched_tail_is_an_input_error(tmp_path, capsys):
     # eta(1) = 1.5 and eta'(1) = 1: the formulas' tail assumption fails
     p = tmp_path / "prof.json"

@@ -73,6 +73,22 @@ def _bump_scenario():
     })
 
 
+@pytest.mark.parametrize("change, unknown", [
+    (lambda sc: sc.update(agree_form=0.6), "agree_form"),
+    (lambda sc: sc["q_tilde"].update(bmup=sc["q_tilde"].pop("bump")), "bmup"),
+    (lambda sc: sc["q_tilde"]["bump"].update(centre=0.3), "centre"),
+    (lambda sc: sc.update(q={"profile": "colton_example", "bump": {}}), "bump"),
+], ids=["top_level", "base_reference", "bump", "profile_reference"])
+def test_scenario_rejects_unknown_keys(change, unknown):
+    # a misspelt key must not load silently: "bmup" for "bump" would give q_tilde = q
+    sc = {"q": "colton_example", "agree_from": 0.6,
+          "q_tilde": {"base": "colton_example",
+                      "bump": {"amplitude": 0.8, "center": 0.3, "width": 0.2}}}
+    change(sc)
+    with pytest.raises(ValueError, match=f"unknown key.*'{unknown}'"):
+        load_scenario(sc)
+
+
 def test_wronskian_identity_with_bump():
     sc = _bump_scenario()
     for k in (0.0, 1.0, 5.0, 2.0 + 1.0j, 0.5 + 2.5j):

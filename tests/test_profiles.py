@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -51,6 +52,26 @@ def test_colton_eta_values_and_boundary_derivatives():
     assert p.eta(1.0) == pytest.approx(1.0, abs=1e-14)
     assert p.eta(1.0, deriv=1) == pytest.approx(0.0, abs=1e-14)
     assert p.eta(1.0, deriv=2) == pytest.approx(1.0, abs=1e-12)
+
+
+_CLOSED_FORMS = {
+    "colton_example": lambda p, r: 16 / ((r + 1) ** 2 * (r - 3) ** 2),
+    "raised_cosine": lambda p, r: 1 + p.amplitude * (1 + mpmath.cos(mpmath.pi * r)) ** 2 / 4,
+    "slow_core": lambda p, r: p.core ** 2 + (1 - p.core ** 2) * mpmath.exp(-p.beta * (1 - r) ** 2),
+}
+
+
+@pytest.mark.parametrize("deriv", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", sorted(_CLOSED_FORMS))
+def test_named_profile_derivatives_match_the_closed_form(name, deriv):
+    # case_from_profile reads eta^(m+2)(1) up to the 4th derivative; each
+    # hand-written derivative against mpmath's of the closed form, to 30 digits
+    p = get_profile(name)
+    r = np.linspace(0.0, 1.0, 11)
+    with mpmath.workdps(30):
+        expect = np.array([float(mpmath.diff(lambda x: _CLOSED_FORMS[name](p, x),
+                                             mpmath.mpf(float(x)), deriv)) for x in r])
+    assert np.abs(p.eta(r, deriv) - expect).max() <= 1e-14 * np.abs(expect).max()
 
 
 def test_colton_map_roundtrip():
