@@ -20,8 +20,8 @@ print(f"travel time a = {lv.a:.12f} (= ln 3)")
 print(f"transformed potential is constant: q = {float(lv.q(0.3)):.6f}")
 
 kg = solve_kernel(lv, h=lv.a / 400.0)
-print(f"\nkernel grid {kg.K.shape}, {kg.iterations} fixed-point iterations,"
-      f" final update {kg.final_delta:.2e}")
+print(f"\nkernel grid {kg.K.shape}, one column march and {kg.iterations} verifying sweep,"
+      f" residual {kg.final_delta:.2e}")
 print(f"diagonal residual  max|2K(x,x) - Q(x)| = {kg.diagonal_residual():.3e}")
 
 ks = np.array([1.0, math.pi, 7.3, 15.0])

@@ -26,7 +26,7 @@ class StepUnderflow(TevpError):
 
 
 class NoConvergence(TevpError):
-    """Picard iteration for the transformation kernel stalled."""
+    """The kernel's column march failed its verifying sweep: residual not finite or too large."""
 
 
 class ContourTooClose(TevpError):

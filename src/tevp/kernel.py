@@ -1,7 +1,6 @@
 """Transmutation kernel K(x,t) of the Liouville-transformed problem.
 
-K solves a self-referential double-integral equation whose fixed point is
-reached by Picard iteration.  With the cumulatives
+K solves a double-integral equation of Volterra type.  With the cumulatives
 
     Q(x)   = int_0^x q,
     C(x,t) = int_0^t K(x,s) ds,
@@ -25,25 +24,25 @@ zero where i <= 2p (t <= 0).  A diagonal u = const is the row p; an x-row
 is the column i, read bottom-up (j grows as p falls); an antidiagonal
 c = const is the column h of the strided view V[p, h] = L[p, p + h], one
 ``as_strided`` with row stride M + 2 over a buffer that carries n trailing
-zeros.  Entries of V past the end of its line fall in the zero padding.
+zeros.  Entries of V past the end of its line fall where t < 0 or in the padding.
 
-A sweep is three cumulative sums and a few elementwise passes, with no
-gathers.  The column sum S of L gives the x-row trapezoid
-C = delta (2S - K - K_first/2): an odd node is the average of its t
-neighbours, so the fine trapezoid equals the coarse one; K_first is the
-x-row's first node, zero on even rows.  The sweep drops K_first/2, because
-a term f(x) added to C cancels: with F = int q f it adds
+The column sum S of L gives the x-row trapezoid C = delta (2S - K - K_first/2):
+an odd node is the average of its t neighbours, so the fine trapezoid equals
+the coarse one; K_first is the x-row's first node, zero on even rows.  The
+solve drops K_first/2, because a term f(x) added to C cancels: with F = int q f
 [F(c/2) - F(u/2)] - [F(x) - F(u)] - [F(u) - F(u/2)] + [F(x) - F(c/2)] = 0,
-and the trapezoid sums telescope the same way.  A row sum of W = q C gives
-A_u and a view-column sum gives B_c.  Both end at the node, so their end
-terms W(node)/2 cancel, and B_u(u) is the view-column sum at t = 0.  The
-traces read the same lines of q L.  The full grid ``KernelGrid.K``, odd
-nodes included, is built only on demand.
+and the trapezoid sums telescope the same way.  A row sum of W = q C gives A_u
+and a view-column sum gives B_c.  Both end at the node, so their end terms
+W(node)/2 cancel; D(c/2) ends where B_c starts, so theirs cancel too, and B_u(u)
+is the view-column sum at t = 0.  The rest reads W on columns before i only, so
+one forward march over the columns solves the discrete Volterra equation (Linz,
+SIAM 1985), and one lattice sweep (three cumulative sums, no gathers) checks it:
+its largest change of K is the discrete residual.  The traces read the same
+lines of q L; the full grid ``KernelGrid.K`` is built only on demand.
 
-Verification (``tevp kernel-check``): 2K(x,x) = int_0^x q against the
-antiderivative of the Liouville series of q sqrt(eta), and y(1,k), y'(1,k)
-from the boundary traces K1 = K_x(a,.), K2 = K_t(a,.) against the shooting
-solver.
+Verification (``tevp kernel-check``): 2K(x,x) = int_0^x q against the antiderivative
+of the Liouville series of q sqrt(eta), and y(1,k), y'(1,k) from the boundary
+traces K1 = K_x(a,.), K2 = K_t(a,.) against the shooting solver.
 """
 
 from __future__ import annotations
@@ -58,15 +57,9 @@ from numpy.lib.stride_tricks import as_strided
 from .errors import NoConvergence
 from .profiles import LiouvilleData
 
-_MAX_SWEEPS = 200        # Picard sweeps before the kernel iteration gives up
-_SWEEP_TOL = 1e-12       # a sweep moving K by at most this (1 + max|K|) ends the iteration
+_SWEEP_TOL = 1e-12       # a verifying sweep may move K by at most this (1 + max|K|)
 
-__all__ = [
-    "KernelGrid",
-    "solve_kernel",
-    "boundary_traces",
-    "representation_boundary",
-]
+__all__ = ["KernelGrid", "solve_kernel", "boundary_traces", "representation_boundary"]
 
 
 def _cumtrapz(v, delta):
@@ -95,8 +88,8 @@ class KernelGrid:
     q: np.ndarray        # q samples on the grid
     Q: np.ndarray        # cumulative trapezoid of q
     L: np.ndarray        # (n+1, 2n+1) even-node lattice, see the module docstring
-    iterations: int
-    final_delta: float   # last sup-norm Picard update
+    iterations: int      # lattice sweeps run: 1, the check of the column march
+    final_delta: float   # sup-norm change of K under that sweep: the equation's residual
     liouville: LiouvilleData   # source of the reference integral Q_ref
 
     @cached_property
@@ -136,12 +129,33 @@ class KernelGrid:
         return float(np.max(np.abs(2.0 * self.L[0] - self.Q_ref)))
 
 
+def _march(q, Qh, delta):
+    """L column by column: L[p, i] = F[i - p] - F[p] - R[p], with R[p] the W done
+    on the row p and F[h] = Q(h delta)/2 + sum_{j<h} W[0, j] + the W done on
+    the antidiagonal h."""
+    n = Qh.size // 2
+    L = np.zeros((n + 1, 2 * n + 1))
+    F, R, w0 = Qh.copy(), np.zeros(n + 1), 0.0    # w0 = sum_{j<i} W[0, j]
+    half = 0.5 * delta * delta * q
+    for i in range(1, 2 * n + 1):
+        m = (i + 1) // 2                  # nodes 2p < i
+        F[i] += w0
+        anti = F[i - m + 1:i + 1][::-1]   # F[i - p], p < m
+        L[:m, i] = col = anti - F[:m] - R[:m]
+        w = np.cumsum(col[::-1])[::-1]
+        w = half[i] * (w + w - col)       # W = (delta/2) q C, C = delta (2S - K)
+        R[:m] += w
+        anti += w
+        w0 += w[0]
+    return L
+
+
 def solve_kernel(liouville: LiouvilleData, h: float) -> KernelGrid:
-    """Picard iteration for the transmutation kernel.
+    """The transmutation kernel by one column march, checked by one lattice sweep.
 
     ``h`` is the coarse resolution target; storage runs on the half grid
     delta = h/2 so that midpoint arguments stay on-grid.  An ``h`` that is not
-    finite and positive raises ValueError.
+    finite and positive, or a q sample that is not finite, raises ValueError.
     """
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"h must be finite and positive, got {h!r}")
@@ -151,44 +165,30 @@ def solve_kernel(liouville: LiouvilleData, h: float) -> KernelGrid:
     delta = a / M
     x = np.linspace(0.0, a, M + 1)
     q = np.asarray(liouville.q(x), dtype=float)
-    Q = _cumtrapz(q, delta)
-    Qh = 0.5 * Q
-    valid = (np.arange(M + 1) > 2 * np.arange(n + 1)[:, None]).astype(float)   # t > 0
-    qmask = (0.5 * delta * delta) * q * valid    # W = (delta/2) q C, masked
-
-    # zeroth iterate: K0(x,t) = [Q((x+t)/2) - Q((x-t)/2)] / 2
-    (K, KV), (Knew, KnewV), (W, WV) = _lattice(n), _lattice(n), _lattice(n)
-    np.subtract(Qh, Qh[:n + 1, None], out=KV)
-    K *= valid
-    S = np.empty_like(K)
-
-    last = math.inf
-    for it in range(1, _MAX_SWEEPS + 1):
-        # C = delta (2S - K) as bottom-up sums of neighbour pairs
-        np.add(K[1:], K[:-1], out=S[:-1])
-        S[-1] = K[-1]
-        np.cumsum(S[::-1], axis=0, out=W[::-1])
-        W *= qmask
-        np.cumsum(W, axis=1, out=S)       # (A_u(x) + W(node)) / 2
-        # (B_c(x) + W(node) + Q(c/2) + D(c/2)) / 2 on the antidiagonal c, less
-        # its value at t = 0 on the diagonal u, where it is at c = u
-        E = Qh + _cumtrapz(W[0], 1.0) - 0.5 * W[0]
+    if not np.isfinite(q).all():
+        j = int(np.argmin(np.isfinite(q)))
+        raise ValueError(f"q is not finite at x = {x[j]:.17g} (sample {j} of {M + 1}): {q[j]}")
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow fails the check
+        Q = _cumtrapz(q, delta)
+        L = _march(q, 0.5 * Q, delta)
+        # one sweep from K = L: W = (delta/2) q C = delta^2 q (S - K/2), S bottom-up
+        (W, WV), (Knew, KnewV) = _lattice(n), _lattice(n)
+        np.cumsum(L[::-1], axis=0, out=W[::-1])
+        W -= 0.5 * L
+        W *= delta * delta * q
+        # (B_c(x) + W(node) + Q(c/2) + D(c/2)) / 2 on the antidiagonal c, less its value at c = u
         np.cumsum(WV, axis=0, out=KnewV)
-        KnewV += E
+        KnewV += 0.5 * Q + _cumtrapz(W[0], 1.0) - 0.5 * W[0]
         KnewV -= np.diagonal(KnewV).copy()[:, None]
-        Knew -= S
-        Knew *= valid
-        np.subtract(Knew, K, out=W)       # W is scratch until the next sweep
-        diff = float(np.max(np.abs(W, out=W)))
-        K, KV, Knew, KnewV = Knew, KnewV, K, KV
-        if diff <= _SWEEP_TOL * (1.0 + max(float(K.max()), -float(K.min()))):
-            return KernelGrid(a=a, delta=delta, x=x, q=q, Q=Q, L=K,
-                              iterations=it, final_delta=diff, liouville=liouville)
-        if it > 10 and diff > 10.0 * last:
-            break
-        last = diff
-    raise NoConvergence(
-        f"kernel Picard iteration stalled after {it} sweeps (delta={diff:.3e})")
+        Knew -= np.cumsum(W, axis=1, out=W)   # (A_u(x) + W(node)) / 2
+        t_pos = np.arange(M + 1) > 2 * np.arange(n + 1)[:, None]
+        Knew -= L
+        residual = float(np.max(np.abs(Knew, out=Knew), where=t_pos, initial=0.0))
+        bound = _SWEEP_TOL * (1.0 + float(np.max(np.abs(L))))
+    if not (math.isfinite(residual) and residual <= bound):
+        raise NoConvergence(f"kernel march residual {residual:.3e} (bound {bound:.3e})")
+    return KernelGrid(a=a, delta=delta, x=x, q=q, Q=Q, L=L,
+                      iterations=1, final_delta=residual, liouville=liouville)
 
 
 def boundary_traces(kg: KernelGrid):

@@ -1,9 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from tevp import forward, inverse
+from tevp import cli, forward, inverse
 from tevp.asymptotics import case_from_profile, match
 from tevp.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_REGIME, main
 from tevp.profiles import get_profile
@@ -194,6 +196,18 @@ def test_kernel_check_json(capsys):
     assert [s["M"] for s in payload["solves"]] == [400, 800]
     assert all(0 < s["sweeps"] < 50 and 0.0 <= s["final_delta"] <= 1e-11
                for s in payload["solves"])
+
+
+def test_kernel_check_non_finite_potential_is_an_input_error(monkeypatch, capsys):
+    transform = cli.liouville_transform
+
+    def nan_q(profile):
+        lv = transform(profile)
+        return replace(lv, q=lambda x: np.where(np.asarray(x) > 0.5, np.nan, lv.q(x)))
+
+    monkeypatch.setattr(cli, "liouville_transform", nan_q)
+    assert main(["kernel-check", "--profile", "colton_example"]) == EXIT_INPUT
+    assert "q is not finite at x = " in capsys.readouterr().err
 
 
 def test_kernel_check_json_is_deterministic(capsys):

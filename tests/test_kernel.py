@@ -7,6 +7,9 @@ from numpy.testing import assert_allclose
 from scipy.integrate import trapezoid
 from scipy.interpolate import RegularGridInterpolator
 
+from tevp import kernel
+from tevp.cli import EXIT_NUMERIC, main
+from tevp.errors import NoConvergence
 from tevp.forward import solve_ivp
 from tevp.kernel import boundary_traces, representation_boundary, solve_kernel
 from tevp.profiles import ConstantProfile, get_profile, liouville_transform
@@ -162,17 +165,52 @@ SWEEP_CASES = [(name, div) for name in ("colton_example", "raised_cosine", "slow
 
 
 @pytest.mark.parametrize("name,div", SWEEP_CASES)
-def test_sweep_bit_identical_to_loop_sweep(name, div):
-    # the lattice sweep sums in another order than the loop, so K agrees to rounding
+def test_march_matches_loop_sweep(name, div):
+    # the march sums in another order than the loop's fixed point, so K agrees to rounding
     lv = liouville_transform(get_profile(name))
     kg = solve_kernel(lv, h=lv.a / div)
-    K, iterations, final_delta = _loop_solve_kernel(lv, h=lv.a / div)
+    K, _, final_delta = _loop_solve_kernel(lv, h=lv.a / div)
     scale = np.max(np.abs(K))
     assert kg.K.shape == K.shape
     assert np.max(np.abs(kg.K - K)) <= 1e-14 * scale
-    assert kg.iterations == iterations
+    assert kg.iterations == 1                # the one verifying sweep
     for update in (kg.final_delta, final_delta):
         assert update <= 1e-12 * (1.0 + scale)
+
+
+def test_march_off_at_one_node_fails_the_check(monkeypatch, capsys, colton_lv):
+    march = kernel._march
+
+    def off(*args):
+        L = march(*args)
+        L[3, 40] += 1e-6                     # t > 0: column 40 holds rows p < 20
+        return L
+
+    monkeypatch.setattr(kernel, "_march", off)
+    with pytest.raises(NoConvergence, match="kernel march residual 1.000e-06"):
+        solve_kernel(colton_lv, h=colton_lv.a / 200)
+    assert main(["kernel-check", "--profile", "colton_example"]) == EXIT_NUMERIC
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_non_finite_potential_is_an_input_error(colton_lv):
+    def q(x):
+        v = np.array(colton_lv.q(x), dtype=float)
+        v[np.asarray(x) > 0.5] = np.nan
+        v[-1] = np.inf
+        return v
+
+    j = int(np.argmax(np.linspace(0.0, colton_lv.a, 801) > 0.5))
+    with pytest.raises(ValueError, match=f"q is not finite at x = .* [(]sample {j} of 801[)]: nan"):
+        solve_kernel(replace(colton_lv, q=q), h=colton_lv.a / 400)
+
+
+def test_overflowing_kernel_fails_the_check(colton_lv):
+    # W overflows to inf on the first columns; no RuntimeWarning escapes
+    # (the test config makes one an error), and the residual check fails
+    huge = replace(colton_lv, q=lambda x: np.full(np.shape(x), 1e200))
+    with pytest.raises(NoConvergence, match="kernel march residual (nan|inf)"):
+        solve_kernel(huge, h=huge.a / 400)
 
 
 @pytest.mark.parametrize("name", ["colton_example", "slow_core"])
