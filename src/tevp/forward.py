@@ -9,20 +9,20 @@ solves the variational system v'' + k^2 eta v = -2 k eta y.
 
 One fixed-step RK8 engine, ``_integrate_batch``, propagates arrays of k.
 Each step of y'' = (s - k^2 c) y is a 2x2 matrix P whose entries are
-polynomials of degree 6 in lam = k^2, built from c and s at the stage nodes
-(``_rk8_polynomials``); the engine evaluates P and dP/dk for a block of rows
-with one matrix product, then applies u -> P u, v -> P v + P' u.  A block of at
-most ``_FOLD_POINTS`` columns first folds its rows pairwise into one: log2(rows)
-rounds of numpy calls instead of a round per row.  The r-form
-(c = eta, s = 0 on [0, 1]) takes n steps uniform in optical depth, each of
-phase k a / n (``_step_nodes``), and composes 8 into one row of degree 48 in
-mu = (k u)^2, u = a/n rounded to a power of two, where the coefficients stay
-representable (``_composed_steps``; ``_composed_table`` keeps the last 16 tables).  Every
-row spans 8/3.5 = 2.29 rad at the largest |k| of a search grid, so its
-monomial sum loses under a digit, and a large batch's loop runs n/8 times.  Each
-call evaluates the rows only to the degree its max |mu| needs
-(``_degree_needed``): at most 12 of the 48 on a search grid, all of them
-when |mu| is large.  It serves ``characteristic_batch``, ``characteristic`` and
+polynomials of degree 6 in lam = k^2, built from c and s at the stage nodes, one
+contraction of the stacked stage derivatives per stage (``_rk8_polynomials``); the
+engine evaluates P and dP/dk for a block of rows with one matrix product, then
+applies u -> P u, v -> P v + P' u.  A block of at most ``_FOLD_POINTS`` columns
+first folds its rows pairwise into one: log2(rows) rounds of numpy calls instead of
+a round per row.  The r-form (c = eta, s = 0 on [0, 1]) takes n steps uniform in
+optical depth, each of phase k a / n (``_step_nodes``), and composes 8 into one row
+of degree 48 in mu = (k u)^2, u = a/n rounded to a power of two, where the
+coefficients stay representable (``_composed_steps``, 3 rounds of pairwise block
+contractions; ``_composed_table`` keeps the last 16 tables).  Every row spans 8/3.5
+= 2.29 rad at the largest |k| of a search grid, so its monomial sum loses under a
+digit, and a large batch's loop runs n/8 times.  Each call evaluates the rows only
+to the degree its max |mu| needs (``_degree_needed``): at most 12 of the 48 on a
+search grid, all of them when |mu| is large.  It serves ``characteristic_batch``, ``characteristic`` and
 ``solve_ivp``: one step-count rule, 8 steps per radian at max |k|, sizes the
 default grid of the first and the start of the last two, which double the
 steps until they agree.  The x-form (c = 1, s = q on [0, a]), one row per
@@ -140,28 +140,26 @@ def _rk8_polynomials(c: np.ndarray, h: np.ndarray, s: np.ndarray | None = None) 
     ``c`` and ``s`` (None: s = 0) are sampled at the stage nodes of each step, shape
     (n_steps, N_STAGES), and ``h`` holds the step widths.  Step i maps (y, y') across
     its width by the 2x2 matrix with entry (row, col) = sum_p P[i, 2*row + col, p] lam^p,
-    built stage by stage, ``_BUILD_CHUNK`` steps at a time, to the degree ``_DEGREE``.
+    built stage by stage, ``_BUILD_CHUNK`` steps at a time, to the degree ``_DEGREE``: with
+    the f_j stacked behind I, w = I + h sum_j a_ij f_j and the step are one contraction each.
     """
     eye = np.eye(2)[:, :, None] * (np.arange(_DEGREE + 1) == 0)   # the polynomial matrix I
+    tableau = np.vstack([_rk8.A, _rk8.B])                         # row N_STAGES: the step
     out = np.empty((len(h), 4, _DEGREE + 1))
     for start in range(0, len(h), _BUILD_CHUNK):
         i = slice(start, start + _BUILD_CHUNK)
-        hi = h[i, None, None, None]
-        stages = []
-        step = np.broadcast_to(eye, (len(hi),) + eye.shape).copy()
+        hi = h[i, None, None]
+        weights = np.ones((len(hi),) + (len(tableau),) * 2)
+        weights[..., 1:] = hi * tableau                   # 1 on I, then h a_ij and h b_j
+        f = np.zeros((len(tableau), len(hi)) + eye.shape)   # I, then f_0 ... f_11
+        f[0] = eye
         for st in range(_rk8.N_STAGES):
-            w = np.broadcast_to(eye, step.shape).copy()
-            for j in np.nonzero(_rk8.A[st, :st])[0]:
-                w += (hi * _rk8.A[st, j]) * stages[j]
-            f = np.zeros_like(w)
-            f[:, 0] = w[:, 1]
-            f[:, 1, :, 1:] = -c[i, st, None, None] * w[:, 0, :, :-1]
+            w = np.einsum("nj,jnabp->nabp", weights[:, st, :st + 1], f[:st + 1])
+            f[st + 1, :, 0] = w[:, 1]
+            f[st + 1, :, 1, :, 1:] = -c[i, st, None, None] * w[:, 0, :, :-1]
             if s is not None:
-                f[:, 1] += s[i, st, None, None] * w[:, 0]
-            stages.append(f)
-            if _rk8.B[st]:
-                step += (hi * _rk8.B[st]) * f
-        out[i] = step.reshape(-1, 4, _DEGREE + 1)
+                f[st + 1, :, 1] += s[i, st, None, None] * w[:, 0]
+        out[i] = np.einsum("nj,jnabp->nabp", weights[:, -1], f).reshape(-1, 4, _DEGREE + 1)
     return out
 
 
@@ -191,7 +189,8 @@ def _composed_steps(profile: RefractiveProfile, n_steps: int) -> np.ndarray:
     Identity steps pad n_steps to a multiple of _GROUP; row i spans steps
     _GROUP i ... _GROUP (i + 1) - 1.  In lam its top coefficients would underflow.
     Built ``_BUILD_CHUNK`` rows at a time from slices of one node array, so the build
-    needs little more memory than the table and equals a one-shot build.
+    needs little more memory than the table and equals a one-shot build.  A pairing round
+    forms b_p a for _DEGREE + 1 coefficients p at once and adds them in the order of p.
     """
     r = _step_nodes(profile, n_steps)
     scale = _mu_unit(profile, n_steps) ** (-2 * np.arange(_DEGREE + 1))
@@ -205,8 +204,10 @@ def _composed_steps(profile: RefractiveProfile, n_steps: int) -> np.ndarray:
         for _ in range(3):                  # b @ a, b the later step: 2**3 = _GROUP steps
             a, b = m[0::2], m[1::2]
             m = np.zeros(a.shape[:-1] + (2 * a.shape[-1] - 1,))
-            for p in range(b.shape[-1]):
-                m[..., p:p + a.shape[-1]] += np.einsum("nij,njkq->nikq", b[..., p], a)
+            for p0 in range(0, b.shape[-1], _DEGREE + 1):
+                block = np.einsum("nijp,njkq->pnikq", b[..., p0:p0 + _DEGREE + 1], a)
+                for p, term in enumerate(block, p0):
+                    m[..., p:p + a.shape[-1]] += term
         out[start // _GROUP:start // _GROUP + len(m)] = m.reshape(len(m), 4, -1)
     return out
 
@@ -347,12 +348,14 @@ def _checked_shoot(profile: RefractiveProfile, k: np.ndarray, tol: float):
     to refine.  The state on 2n steps is returned once, for every k, it
     differs from the state on n steps by at most ``tol`` times its largest
     entry (both on one scale).  Otherwise n doubles while 2n stays within
-    _MAX_STEPS.
+    _MAX_STEPS.  A non-finite k raises ValueError.
     """
     if not (1e-13 <= tol <= 1e-6):
         raise ValueError("tol must lie in [1e-13, 1e-6]")
     if k.size == 0:
         return np.zeros((4, 0), dtype=complex), np.zeros(0)
+    if not np.isfinite(k).all():
+        raise ValueError(f"k must be finite, got {k[~np.isfinite(k)][0]}")
     n = grid_steps(profile, float(np.abs(k).max()), _PER_RADIAN)
     coarse, coarse_log = _shoot(profile, k, n)
     while 2 * n <= _MAX_STEPS:

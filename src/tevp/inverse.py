@@ -151,11 +151,13 @@ def wronskian_g(scenario: UniquenessScenario, k):
     RK8 grid of ``UniquenessScenario._wronskian_grid``.  g_integral is the
     Gauss-Legendre quadrature of (q~ - q) phi phi~ over the grid's nodes in
     [0, x0], and g_wronskian = phi~'(a) phi(a) - phi~(a) phi'(a); their
-    difference is the identity check.
+    difference is the identity check.  A non-finite k raises ValueError.
     """
     ks = np.asarray(k, dtype=complex)
     if ks.size == 0:
         return ks.copy(), ks.copy()
+    if not np.isfinite(ks).all():
+        raise ValueError(f"k must be finite, got {ks[~np.isfinite(ks)][0]}")
     n_panels = int(np.ceil(scenario.x0 * max(_PANELS_PER_UNIT,
                                              _PANELS_PER_RADIAN * float(np.abs(ks).max()))))
     nodes, weights_dq, coef, h_max, q_max = scenario._wronskian_grid(n_panels)

@@ -130,23 +130,27 @@ class KernelGrid:
 
 
 def _march(q, Qh, delta):
-    """L column by column: L[p, i] = F[i - p] - F[p] - R[p], with R[p] the W done
-    on the row p and F[h] = Q(h delta)/2 + sum_{j<h} W[0, j] + the W done on
-    the antidiagonal h."""
+    """L column by column: L[p, i] = F[i - p] - G[p], with F[h] = Q(h delta)/2 + sum_{j<h}
+    W[0, j] + the W done on the antidiagonal h, and G[p] = F[p] + the W done on the row p,
+    seeded at column 2p + 1, where F[p] is final.  A column is 7 ufuncs into F, G, w, L."""
     n = Qh.size // 2
     L = np.zeros((n + 1, 2 * n + 1))
-    F, R, w0 = Qh.copy(), np.zeros(n + 1), 0.0    # w0 = sum_{j<i} W[0, j]
-    half = 0.5 * delta * delta * q
+    F, G, w, w0 = Qh.copy(), np.empty(n + 1), np.empty(n + 1), 0.0   # w0 = sum_{j<i} W[0, j]
+    Fr, wr, half = F[::-1], w[::-1], 0.5 * delta * delta * q
     for i in range(1, 2 * n + 1):
         m = (i + 1) // 2                  # nodes 2p < i
         F[i] += w0
-        anti = F[i - m + 1:i + 1][::-1]   # F[i - p], p < m
-        L[:m, i] = col = anti - F[:m] - R[:m]
-        w = np.cumsum(col[::-1])[::-1]
-        w = half[i] * (w + w - col)       # W = (delta/2) q C, C = delta (2S - K)
-        R[:m] += w
-        anti += w
-        w0 += w[0]
+        if i % 2:
+            G[m - 1] = F[m - 1]
+        anti, col, s, g = Fr[2 * n - i:2 * n - i + m], L[:m, i], w[:m], G[:m]   # anti[p] = F[i - p]
+        np.subtract(anti, g, out=col)
+        np.add.accumulate(col[::-1], out=wr[n + 1 - m:])   # S, the column summed bottom-up
+        np.add(s, s, out=s)
+        np.subtract(s, col, out=s)
+        np.multiply(s, half[i], out=s)    # W = (delta/2) q C, C = delta (2S - K)
+        np.add(g, s, out=g)
+        np.add(anti, s, out=anti)
+        w0 += s[0]
     return L
 
 

@@ -13,7 +13,7 @@ from tevp.errors import StepUnderflow
 from tevp.forward import (_DEGREE, _integrate_batch, _rk8_polynomials, _step_polynomials, _times,
                           characteristic, characteristic_batch, scaled_characteristic,
                           grid_steps, solve_ivp)
-from tevp.profiles import ConstantProfile, get_profile, travel_time
+from tevp.profiles import ConstantProfile, get_profile, liouville_transform, travel_time
 from tevp.zeros import _d_service, find_zeros
 
 
@@ -444,6 +444,43 @@ def test_r_form_step_polynomials_bit_identical(name):
         assert new.tobytes() == old.tobytes()
 
 
+def _rk8_polynomials_per_entry(c, h, s):
+    """``forward._rk8_polynomials`` as it was when it added one tableau entry at a time."""
+    eye = np.eye(2)[:, :, None] * (np.arange(_DEGREE + 1) == 0)
+    out = np.empty((len(h), 4, _DEGREE + 1))
+    for start in range(0, len(h), 128):
+        i = slice(start, start + 128)
+        hi = h[i, None, None, None]
+        stages = []
+        step = np.broadcast_to(eye, (len(hi),) + eye.shape).copy()
+        for st in range(_rk8.N_STAGES):
+            w = np.broadcast_to(eye, step.shape).copy()
+            for j in np.nonzero(_rk8.A[st, :st])[0]:
+                w += (hi * _rk8.A[st, j]) * stages[j]
+            f = np.zeros_like(w)
+            f[:, 0] = w[:, 1]
+            f[:, 1, :, 1:] = -c[i, st, None, None] * w[:, 0, :, :-1]
+            f[:, 1] += s[i, st, None, None] * w[:, 0]
+            stages.append(f)
+            if _rk8.B[st]:
+                step += (hi * _rk8.B[st]) * f
+        out[i] = step.reshape(-1, 4, _DEGREE + 1)
+    return out
+
+
+@pytest.mark.parametrize("name", ["colton_example", "raised_cosine"])
+def test_x_form_step_polynomials_match_the_per_entry_build(name):
+    # the x-form (c = 1, s = q) of the stage-contraction builder; each entry and degree
+    # is held to 1e-15 of its own largest |coefficient|, so small terms count too
+    lv = liouville_transform(get_profile(name))
+    for n_steps in (64, 129, 700):
+        h = np.full(n_steps, lv.a / n_steps)
+        q = lv.q(np.minimum((np.arange(n_steps)[:, None] + _rk8.C) * h[:, None], lv.a))
+        old = _rk8_polynomials_per_entry(np.ones_like(q), h, q)
+        new = _rk8_polynomials(np.ones_like(q), h, q)
+        assert np.all(np.abs(new - old) <= 1e-15 * np.abs(old).max(axis=0))
+
+
 @pytest.mark.parametrize("size", [1, 12])
 def test_x_form_matches_colton_closed_form(colton, colton_lv, size):
     # q == 1/4: phi = sin(mu x)/mu, phi' = cos(mu x), mu = sqrt(k^2 - 1/4)
@@ -552,6 +589,34 @@ def test_non_finite_k_is_rejected(colton, n_steps):
     for bad in (complex(math.nan, 0.0), complex(1.0, math.inf)):
         with pytest.raises(ValueError, match="finite"):
             characteristic_batch(colton, [1.0 + 1.0j, bad], n_steps=n_steps)
+
+
+@pytest.mark.parametrize("bad", [math.inf, complex(math.nan, 0.0), complex(1.0, -math.inf)])
+def test_solve_ivp_rejects_a_non_finite_k(colton, bad):
+    # inf used to raise OverflowError and NaN a bare "cannot convert float NaN to integer"
+    with pytest.raises(ValueError, match="k must be finite"):
+        solve_ivp(colton, bad)
+    with pytest.raises(ValueError, match="k must be finite"):
+        solve_ivp(colton, [1.0 + 1.0j, bad])
+
+
+@pytest.mark.parametrize("bad", [math.inf, complex(math.nan, 0.0), complex(1.0, -math.inf)])
+def test_characteristic_rejects_a_non_finite_k(colton, bad):
+    with pytest.raises(ValueError, match="k must be finite"):
+        characteristic(colton, bad)
+
+
+@pytest.mark.xfail(strict=True, reason="a batch of at most _FOLD_POINTS k folds its rows "
+                   "pairwise, a larger one runs the row loop: two paths, two roundings")
+def test_batch_size_does_not_change_d(colton):
+    # 64 k take the fold path, the same 64 among 65 the row loop; d and d' of one k
+    # differ by 8.3e-12 and 5.9e-11 relative, far above the rounding of one path
+    k = np.linspace(100.0, 120.0, 65) + 5.0j
+    d65, dp65, log65 = characteristic_batch(colton, k, n_steps=800)
+    d64, dp64, log64 = characteristic_batch(colton, k[:64], n_steps=800)
+    factor = np.exp(log64 - log65[:64])
+    assert np.max(np.abs(d64 * factor - d65[:64]) / np.abs(d65[:64])) <= 1e-13
+    assert np.max(np.abs(dp64 * factor - dp65[:64]) / np.abs(dp65[:64])) <= 1e-13
 
 
 def test_steps_scale_with_k():

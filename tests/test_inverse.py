@@ -142,6 +142,16 @@ def test_wronskian_array_matches_scalar_calls():
     assert g_int.shape == g_wron.shape == (0,)
 
 
+@pytest.mark.parametrize("bad", [math.inf, complex(math.nan, 0.0), complex(2.0, math.nan)])
+def test_wronskian_rejects_a_non_finite_k(bad):
+    # NaN used to give g = NaN without an error, inf an OverflowError
+    sc = _bump_scenario()
+    with pytest.raises(ValueError, match="k must be finite"):
+        wronskian_g(sc, bad)
+    with pytest.raises(ValueError, match="k must be finite"):
+        wronskian_g(sc, np.array([1.0, bad]))
+
+
 def test_wronskian_resolves_a_narrow_perturbation():
     # a bump 1/4 as wide as the usual one: the panels on [0, x0] must be refined
     sc = load_scenario({

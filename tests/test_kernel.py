@@ -193,6 +193,19 @@ def test_march_off_at_one_node_fails_the_check(monkeypatch, capsys, colton_lv):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_march_leaves_its_inputs_and_repeats_bit_for_bit(colton_lv):
+    # the march works in place on its own workspace: q and Q/2 stay as they were
+    M = 400
+    delta = colton_lv.a / M
+    q = np.asarray(colton_lv.q(np.linspace(0.0, colton_lv.a, M + 1)), dtype=float)
+    Qh = 0.5 * kernel._cumtrapz(q, delta)
+    q0, Qh0 = q.tobytes(), Qh.tobytes()
+    first = kernel._march(q, Qh, delta)
+    assert q.tobytes() == q0 and Qh.tobytes() == Qh0
+    assert first.shape == (M // 2 + 1, M + 1)
+    assert kernel._march(q, Qh, delta).tobytes() == first.tobytes()
+
+
 def test_non_finite_potential_is_an_input_error(colton_lv):
     def q(x):
         v = np.array(colton_lv.q(x), dtype=float)
