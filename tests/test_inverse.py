@@ -144,7 +144,8 @@ def test_wronskian_array_matches_scalar_calls():
 
 @pytest.mark.parametrize("bad", [math.inf, complex(math.nan, 0.0), complex(2.0, math.nan)])
 def test_wronskian_rejects_a_non_finite_k(bad):
-    # NaN used to give g = NaN without an error, inf an OverflowError
+    # a NaN real part used to give g = NaN without an error, a NaN imaginary part a bare
+    # "cannot convert float NaN to integer" and inf an OverflowError
     sc = _bump_scenario()
     with pytest.raises(ValueError, match="k must be finite"):
         wronskian_g(sc, bad)
