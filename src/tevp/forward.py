@@ -311,9 +311,10 @@ def characteristic_batch(profile: RefractiveProfile, k, *, n_steps: int | None =
     ``n_steps`` None is ``grid_steps`` at _PER_RADIAN for max |k|.  Returns (d_s, dp_s,
     scale_log) with true d = d_s * exp(scale_log); d'/d = dp_s/d_s,
     independent of the scale.  A non-finite k, or an ``n_steps`` other than None
-    or a positive integer, raises ValueError.
+    or a positive integer (a bool is not one), raises ValueError.
     """
-    if n_steps is not None and not (isinstance(n_steps, (int, np.integer)) and n_steps > 0):
+    if n_steps is not None and (isinstance(n_steps, bool) or not (
+            isinstance(n_steps, (int, np.integer)) and n_steps > 0)):
         raise ValueError(f"n_steps must be a positive integer, got {n_steps!r}")
     k = np.asarray(k, dtype=complex).ravel()
     if k.size == 0:

@@ -28,8 +28,8 @@ from . import _rk8
 from .asymptotics import nonreal_count
 from .errors import RegimeError
 from .forward import _integrate_batch, _rk8_polynomials
-from .profiles import (RefractiveProfile, _known_keys, liouville_transform, load_profile,
-                       subinterval_boundary, travel_time)
+from .profiles import (RefractiveProfile, _known_keys, _real_numbers, liouville_transform,
+                       load_profile, subinterval_boundary, travel_time)
 
 __all__ = [
     "UniquenessScenario",
@@ -45,6 +45,9 @@ __all__ = [
 
 def smooth_bump(amplitude: float, center: float, width: float) -> Callable:
     """C-infinity bump A*exp(-1/(1-t^2)), t = (x-center)/width, support |t|<1."""
+    if not _real_numbers([amplitude, center, width]):
+        raise ValueError("bump amplitude, center and width must be real numbers, "
+                         f"got {amplitude!r}, {center!r}, {width!r}")
     def bump(x):
         x = np.asarray(x, dtype=float)
         t = (x - center) / width
@@ -233,8 +236,8 @@ def _potential_from_ref(ref):
 def load_scenario(path_or_dict) -> UniquenessScenario:
     """Build a scenario from a JSON file or an equivalent dict.
 
-    Schema, any other key a ValueError: {"q": ref, "q_tilde": ref,
-    "agree_from": x0, "b": .., "alpha": ..}; see _potential_from_ref.
+    Schema, any other key or a number not real a ValueError: {"q": ref, "q_tilde": ref,
+    "agree_from": x0, "b": .., "alpha": ..}, b and alpha optional; see _potential_from_ref.
     """
     if isinstance(path_or_dict, dict):
         data = path_or_dict
@@ -242,6 +245,9 @@ def load_scenario(path_or_dict) -> UniquenessScenario:
         with open(path_or_dict) as fh:
             data = json.load(fh)
     _known_keys(data, {"q", "q_tilde", "agree_from", "b", "alpha"}, "a scenario")
+    for key in ("agree_from", "b", "alpha"):
+        if key in data and not _real_numbers([data[key]]):
+            raise ValueError(f"scenario {key!r} must be a real number, got {data[key]!r}")
     q, a, slope = _potential_from_ref(data["q"])
     qt, a_t, slope_t = _potential_from_ref(data["q_tilde"])
     if abs(a - a_t) > 1e-10:

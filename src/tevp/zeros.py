@@ -12,7 +12,7 @@ zero.  One repair: d_h may split a multiple zero that a contour or split line
 runs through, so a search whose count or split fails (a contour fails if still
 bisecting after _MAX_ROUNDS = 12 rounds), or that must split a cell narrower
 than _SPLIT_FLOOR, restarts on the next padded rect (_padded_rects), whose
-split lines moved.
+split lines moved.  One rule, the piece table's (_Service._file), cuts every edge.
 
 A search is one round loop (_search), each round one ``evaluate`` call that
 carries every pending contour piece of every counting cell, every verification
@@ -55,7 +55,7 @@ _MMAX = 4                    # cells of 1 .. _MMAX zeros go to refinement, large
 _RANK_TOL = 1e-8             # singular values of H0 below this share of the largest are 0
 _SPLIT_FLOOR = 2e-3          # clusters cohesive at this radius count as one multiple zero
 _GL_NODES = np.polynomial.legendre.leggauss(12)
-_SEG_LEN = 6.0               # longest first-round segment of a contour edge
+_SEG_LEN = 6.0               # longest contour piece evaluated; longer ones are halved unevaluated
 _PER_RADIAN = 3.5            # grid steps per radian of phase at a search's largest |k|
 _SEG_TOL = 1e-3              # a segment rule must match its two halves' sum to this
 _MAX_ROUNDS = 12             # segment-bisection rounds before a contour fails
@@ -177,19 +177,14 @@ class _Service:
         ContourTooClose if a cell's piece failed, or more than 2 _MAX_SPLITS of
         them, or any after _MAX_ROUNDS rounds, are pending; DegenerateCharacteristic
         if max |F| over an outer cell's pieces is below DEGENERACY_FLOOR."""
-        if new := [cell for cell in cells if cell.pending is None]:
-            owner, a, b = _contour_pieces([cell.rect for cell in new])
-            for cell in new:
-                cell.pending = []
-            for i, p, q in zip(owner.tolist(), a.tolist(), b.tolist()):
-                new[i].pending.append(((p, q), 1) if (p.real, p.imag) < (q.real, q.imag)
-                                      else ((q, p), -1))
         todo = {}
         for cell in cells:
+            if cell.rounds == 0:
+                self._file(cell)
             for key, _sign in cell.pending:
                 if key not in self.pieces:
                     todo.setdefault(key, cell.phase)
-        # every pending piece, then its left and its right half, split as _bisect splits it
+        # every pending piece, then its left and its right half, split as _file splits it
         rows, fresh, phases = [], [], dict.fromkeys(_PHASES, 0)
         for (lo, hi), phase in todo.items():
             for seg in ((lo, hi), (lo, mid := 0.5 * (lo + hi)), (mid, hi)):
@@ -228,14 +223,14 @@ class _Service:
 
     def _file(self, cell):
         """Replace ``cell.pending`` by what its pieces are in the table: the halves
-        of an accepted piece join ``cell.accepted`` as (row, sign), a split one
-        gives way to its halves, pending and failed ones stay pending."""
+        of an accepted piece join ``cell.accepted`` as (row, sign), a split one or
+        one over _SEG_LEN gives way to its halves at 0.5 (lo + hi), others stay."""
         pending, stack = [], cell.pending[::-1]
         while stack:
             key, sign = stack.pop()
-            state, peak = self.pieces.get(key, (None, 0.0))
-            cell.peak = max(cell.peak, peak)
             lo, hi = key
+            state, peak = self.pieces.get(key, (None if abs(hi - lo) <= _SEG_LEN else False, 0.0))
+            cell.peak = max(cell.peak, peak)
             halves = (lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi)
             if state:
                 cell.accepted += [(self.segments[half], sign) for half in halves]
@@ -274,35 +269,6 @@ class _Service:
         return (sum(sign * self.whole[row] for row, sign in cell.accepted)
                 + sum(sign * self.whole[self.segments[key]] for key, sign in cell.pending)
                 ) / (2j * math.pi)
-
-
-def _bisect(owner, a, b, sel):
-    """Pieces (owner, a, b) with each selected piece replaced, in place, by its halves at
-    0.5 (a + b), as the piece table splits, so halves of one edge are bit-equal."""
-    n = 1 + sel
-    owner, a, b = owner.repeat(n), a.repeat(n), b.repeat(n)
-    left = sel.repeat(n).nonzero()[0][::2]
-    a[left + 1] = b[left] = 0.5 * (a[left] + b[left])
-    return owner, a, b
-
-
-def _contour_pieces(rects):
-    """The first pieces (owner, a, b) of the contours of new cells: every rect's
-    four edges, counter-clockwise from (x0, y0), with all pieces of an edge
-    bisected while its first piece exceeds _SEG_LEN.
-
-    At _SEG_LEN = 6 a smooth edge is accepted in one round from few pieces.  A
-    half edge of a split cell bisects into bit-equal pieces of the whole edge,
-    so a child cell finds its parent's pieces in the table.
-    """
-    xy = np.array(rects, dtype=float).reshape(-1, 4)
-    # the corners (x0, y0), (x1, y0), (x1, y1), (x0, y1), and the next corner of each
-    a = np.take(xy, [0, 2, 1, 2, 1, 3, 0, 3], axis=1).view(complex).ravel()
-    b = np.take(xy, [1, 2, 1, 3, 0, 3, 0, 2], axis=1).view(complex).ravel()
-    edge = edges = np.arange(a.size)
-    while (long := np.abs(b - a)[np.searchsorted(edge, edges)] > _SEG_LEN).any():
-        edge, a, b = _bisect(edge, a, b, long[edge])
-    return edge // 4, a, b
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +326,16 @@ def _count(service, *rects):
     return cells
 
 
+def _checked_rect(rect):
+    """``rect`` as four floats (x0, x1, y0, y1), else ValueError: finite, x1 > x0, y1 > y0."""
+    x0, x1, y0, y1 = rect = tuple(map(float, rect))
+    if not all(map(math.isfinite, rect)):
+        raise ValueError(f"rect {rect} is not finite")
+    if not (x1 > x0 and y1 > y0):
+        raise ValueError(f"empty rect {rect}")
+    return rect
+
+
 def count_zeros(profile: RefractiveProfile, rect) -> int:
     """Number of zeros of d (with multiplicity) inside the rectangle.
 
@@ -370,10 +346,7 @@ def count_zeros(profile: RefractiveProfile, rect) -> int:
     (at most half their distance to an axis they are off) until the count
     converges.
     """
-    if not all(map(math.isfinite, rect)):
-        raise ValueError(f"rect {rect} is not finite")
-    if not (rect[1] > rect[0] and rect[3] > rect[2]):
-        raise ValueError(f"empty rect {rect}")
+    rect = _checked_rect(rect)
     return _on_padded_rects(_d_service(profile, rect), rect, _count)[0].count
 
 
@@ -384,14 +357,17 @@ def count_zeros(profile: RefractiveProfile, rect) -> int:
 
 class _Cell:
     """A search rect: while its contour is counted, its ``pending`` pieces
-    ((a, b), sign), the (row, sign) of its ``accepted`` halves, its ``rounds``
-    and ``peak`` (max |F| over its decided pieces); then its ``count`` and
-    ``moments``.  ``phase`` is "count" for a search's outer cell."""
+    ((a, b), sign), its four edges at first, the (row, sign) of its ``accepted``
+    halves, its ``rounds`` and ``peak`` (max |F| over its decided pieces); then
+    its ``count`` and ``moments``.  ``phase`` is "count" for a search's outer cell."""
     __slots__ = ("rect", "phase", "count", "moments", "pending", "accepted", "rounds", "peak")
 
     def __init__(self, rect, phase="subdivide", count=None, moments=None):
         self.rect, self.phase, self.count, self.moments = rect, phase, count, moments
-        self.pending, self.accepted, self.rounds, self.peak = None, [], 0, 0.0
+        x0, x1, y0, y1 = rect
+        ll, lr, ur, ul = complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)
+        self.pending = [((ll, lr), 1), ((lr, ur), 1), ((ul, ur), -1), ((ll, ul), -1)]
+        self.accepted, self.rounds, self.peak = [], 0, 0.0
 
 
 def _halves(rect):
@@ -580,11 +556,7 @@ def find_zeros(profile: RefractiveProfile, rect) -> SearchReport:
     A failed contour or split, or a stalled cell, restarts the search on the
     next padded rect.
     """
-    x0, x1, y0, y1 = map(float, rect)
-    if not all(map(math.isfinite, (x0, x1, y0, y1))):
-        raise ValueError(f"rect {rect} is not finite")
-    if not (x1 > x0 and y1 > y0):
-        raise ValueError(f"empty rect {rect}")
+    x0, x1, y0, y1 = _checked_rect(rect)
     if x0 < -1e-9 or y0 < -1e-9:
         raise ValueError("rect must lie in the closed first quadrant")
     if math.hypot(x0, y0) < _TRIVIAL_CLEARANCE:

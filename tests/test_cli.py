@@ -277,6 +277,15 @@ def test_unknown_scenario_key_is_an_input_error(tmp_path, capsys):
     assert "bmup" in captured.err and "[PASS]" not in captured.out
 
 
+def test_non_numeric_scenario_field_is_an_input_error(tmp_path, capsys):
+    # a string b reached theorem4_threshold and ended in a TypeError traceback
+    p = tmp_path / "sc.json"
+    p.write_text(json.dumps({"q": "colton_example", "q_tilde": "colton_example",
+                             "agree_from": 0.6, "b": "0.1"}))
+    assert main(["inverse-check", "--fast", "--scenario", str(p)]) == EXIT_INPUT
+    assert "input error: scenario 'b' must be a real number" in capsys.readouterr().err
+
+
 def test_asymptotics_of_an_unmatched_tail_is_an_input_error(tmp_path, capsys):
     # eta(1) = 1.5 and eta'(1) = 1: the formulas' tail assumption fails
     p = tmp_path / "prof.json"

@@ -289,13 +289,13 @@ def test_large_batch_is_one_engine_call(colton, monkeypatch):
     assert _same_state(whole, tuple(np.concatenate(z, axis=-1) for z in zip(*parts)))
 
 
-@pytest.mark.parametrize("n_steps", [0, -3, 2.5, "64"])
+@pytest.mark.parametrize("n_steps", [0, -3, 2.5, "64", True])
 def test_characteristic_batch_rejects_a_bad_step_count(colton, n_steps):
     with pytest.raises(ValueError, match="n_steps"):
         characteristic_batch(colton, [1.0 + 1.0j], n_steps=n_steps)
 
 
-@pytest.mark.parametrize("n_steps", [0, -3, 2.5])
+@pytest.mark.parametrize("n_steps", [0, -3, 2.5, True])
 def test_scaled_characteristic_rejects_a_bad_step_count(colton, n_steps):
     with pytest.raises(ValueError, match="n_steps"):
         scaled_characteristic(colton, [1.0 + 1.0j], n_steps=n_steps)

@@ -1,9 +1,10 @@
-"""``tools/gate_searches.py`` prints the same line for a search on every run, and
-its searches find the zeros of ``gate_reference.jsonl``: for the first 17, the
-lines printed when cells of 2 .. _MMAX zeros were split down to 0.4 wide (commit
-3cb4d7b); for the last two, whose first split line runs through a zero, the
-lines printed once every failed contour restarted on the next padded rect, with
-their zeros checked against colton_example's closed form and against n pi."""
+"""``tools/gate_searches.py`` prints the same line for a search on every run, its
+``--compare`` reports what two runs differ in, and its searches find the zeros of
+``gate_reference.jsonl``: for the first 17, the lines printed when cells of
+2 .. _MMAX zeros were split down to 0.4 wide (commit 3cb4d7b); for the last two,
+whose first split line runs through a zero, the lines printed once every failed
+contour restarted on the next padded rect, with their zeros checked against
+colton_example's closed form and against n pi."""
 
 import importlib.util
 import json
@@ -46,3 +47,22 @@ def test_gate_searches_find_the_reference_zeros():
         for (re, im, *_), (re0, im0, *_) in zip(record["zero_list"], ref["zero_list"]):
             k0 = complex(re0, im0)
             assert abs(complex(re, im) - k0) <= 1e-9 * (1.0 + abs(k0)), ref
+
+
+def test_compare_reports_zeros_stats_and_moves(tmp_path, capsys):
+    old = {"profile": "const4", "params": None, "rect": [1.0, 7.0, 0.0, 0.5], "zeros": 2,
+           "zero_list": [[3.0, 0.0, 1, "real"], [6.0, 1.0, 3, "nonreal"]], "md5": "0" * 32,
+           "stats": {"evals": 10, "batches": 2, "retries": {"inflate": 0}}}
+    moved = dict(old, zero_list=[[3.0 + 4e-12, 0.0, 1, "real"], [6.0, 1.0, 3, "nonreal"]],
+                 stats=dict(old["stats"], evals=12, retries={"inflate": 1}))
+    recounted = dict(old, zero_list=[[3.0, 0.0, 1, "real"], [6.0, 1.0, 2, "nonreal"]])
+    paths = [tmp_path / name for name in ("old.jsonl", "new.jsonl")]
+    paths[0].write_text(json.dumps(old) + "\n" + json.dumps(old) + "\n")
+    paths[1].write_text(json.dumps(moved) + "\n" + json.dumps(recounted) + "\n")
+    assert gate.main(["--compare", *map(str, paths)]) == 1
+    first, second = capsys.readouterr().out.splitlines()
+    assert first == ("const4 None [1.0, 7.0, 0.0, 0.5]: zeros equal, stats differ in "
+                     "evals, retries, max |dk|/(1+|k|) 1.00e-12")
+    assert "zeros DIFFER, stats equal, max |dk|/(1+|k|) 0.00e+00" in second
+    paths[1].write_text(json.dumps(moved) + "\n" + json.dumps(old) + "\n")
+    assert gate.main(["--compare", *map(str, paths)]) == 0

@@ -89,6 +89,22 @@ def test_scenario_rejects_unknown_keys(change, unknown):
         load_scenario(sc)
 
 
+@pytest.mark.parametrize("value", ["0.1", True, None, [0.1]])
+@pytest.mark.parametrize("key", ["agree_from", "b", "alpha", "amplitude", "center", "width"])
+def test_scenario_rejects_a_non_numeric_field(key, value):
+    # "b": "0.1" raised TypeError in theorem4_threshold, a string amplitude
+    # UFuncTypeError, and "agree_from": "0.6" or true loaded silently
+    bump = {"amplitude": 0.8, "center": 0.3, "width": 0.2}
+    sc = {"q": "colton_example", "agree_from": 0.6, "b": 0.1, "alpha": 0.5,
+          "q_tilde": {"base": "colton_example", "bump": bump}}
+    assert load_scenario(sc).b == 0.1
+    (bump if key in bump else sc)[key] = value
+    match = ("bump amplitude, center and width must be" if key in bump
+             else f"scenario '{key}' must be a real number")
+    with pytest.raises(ValueError, match=match):
+        load_scenario(sc)
+
+
 def test_wronskian_identity_with_bump():
     sc = _bump_scenario()
     for k in (0.0, 1.0, 5.0, 2.0 + 1.0j, 0.5 + 2.5j):

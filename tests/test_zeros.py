@@ -13,9 +13,9 @@ from tevp.cli import EXIT_NUMERIC, main
 from tevp.errors import ContourTooClose, DegenerateCharacteristic, NewtonStall
 from tevp.forward import characteristic_batch, scaled_characteristic
 from tevp.profiles import ConstantProfile, get_profile, travel_time
-from tevp.zeros import (SearchReport, SpectralZero, _Cell, _contour_pieces, _count, _d_service,
-                        _on_padded_rects, _refine, _search, _Service, count_zeros, find_zeros,
-                        read_zeros_csv, report_to_json, write_report_json, write_zeros_csv)
+from tevp.zeros import (SearchReport, SpectralZero, _Cell, _count, _d_service, _on_padded_rects,
+                        _refine, _search, _Service, count_zeros, find_zeros, read_zeros_csv,
+                        report_to_json, write_report_json, write_zeros_csv)
 
 CONST4 = ConstantProfile(4.0)
 CONST1 = ConstantProfile(1.0)
@@ -125,12 +125,15 @@ def test_non_finite_rect_is_rejected(rect):
 
 
 @pytest.mark.parametrize("rect", [(10.0, 3.0, 2.0, 4.0), (10.0, 3.0, 4.0, 2.0),
-                                  (1.0, 1.0, 0.0, 1.0)])
+                                  (1.0, 1.0, 0.0, 1.0), ("a", 1, 0, 1)])
 def test_count_zeros_rejects_an_empty_or_inverted_rect(colton, rect):
     # these used to raise ContourTooClose, count 2 with the orientation flipped
-    # twice, and count 0
-    with pytest.raises(ValueError, match="empty rect"):
-        count_zeros(colton, rect)
+    # twice, and count 0; a non-number raised TypeError here and ValueError in
+    # find_zeros, whose rect check count_zeros now shares
+    for search in (count_zeros, find_zeros):
+        with pytest.raises(ValueError,
+                           match="could not convert" if rect[0] == "a" else "empty rect"):
+            search(colton, rect)
 
 
 def test_rect_containing_the_trivial_zero_is_rejected(colton, const4):
@@ -354,28 +357,25 @@ def _evals(service, rects):
     return service.stats["evals"] - before, out
 
 
-def _list_rule_pieces(rects):
-    """The first-round pieces as the earlier list-based rule built them, edge by
-    edge: every piece of an edge halved while its first piece exceeds _SEG_LEN."""
-    owner, z0, z1 = [], [], []
-    for idx, (x0, x1, y0, y1) in enumerate(rects):
-        cs = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
-        for c0, c1 in zip(cs, cs[1:] + cs[:1]):
-            pts = [c0, c1]
-            while abs(pts[1] - pts[0]) > zeros_module._SEG_LEN:
-                mids = [0.5 * (a + b) for a, b in zip(pts, pts[1:])]
-                pts = [p for pair in zip(pts, mids) for p in pair] + [c1]
-            owner += [idx] * (len(pts) - 1)
-            z0 += pts[:-1]
-            z1 += pts[1:]
-    return np.array(owner), np.array(z0, dtype=complex), np.array(z1, dtype=complex)
+def _halving_leaves(key, sign, pieces, leaves):
+    """Move from the end of ``pieces`` the leaves, left to right, of the tree of
+    halvings of the piece ``key`` at 0.5 (lo + hi), each leaf a (key, sign) equal
+    to the one it takes, to ``leaves`` as the tree's keys; every inner node must
+    be longer than _SEG_LEN."""
+    if pieces and pieces[-1] == (key, sign):
+        leaves.append(key)
+        pieces.pop()
+        return
+    (lo, hi), mid = key, 0.5 * (key[0] + key[1])
+    assert abs(hi - lo) > zeros_module._SEG_LEN, key
+    _halving_leaves((lo, mid), sign, pieces, leaves)
+    _halving_leaves((mid, hi), sign, pieces, leaves)
 
 
-def test_contour_pieces_match_the_list_rule_bit_for_bit():
-    # edges within a few ulps of 6 * 2**j are where halving each piece by its
-    # own length, instead of by its edge's first piece, gives other pieces
+def test_the_piece_table_cuts_a_new_cells_edges_by_halving():
+    # edges within a few ulps of 6 * 2**j are where a piece and its sibling
+    # can fall on either side of _SEG_LEN
     rng = np.random.default_rng(20)
-    rects = []
     for i in range(2000):
         x0, y0 = rng.uniform(-300.0, 300.0, 2)
         if i % 2:
@@ -385,12 +385,27 @@ def test_contour_pieces_match_the_list_rule_bit_for_bit():
         x1, y1 = x0 + w, y0 + h
         x1 += rng.integers(-3, 4) * np.spacing(x1)
         y1 += rng.integers(-3, 4) * np.spacing(y1)
-        rects.append((float(x0), float(x1), float(y0), float(y1)))
-    owner, a, b = _contour_pieces(rects)
-    want_owner, want_a, want_b = _list_rule_pieces(rects)
-    assert np.array_equal(owner, want_owner)
-    assert np.array_equal(a.view(np.uint64), want_a.view(np.uint64))
-    assert np.array_equal(b.view(np.uint64), want_b.view(np.uint64))
+        cell = _Cell((float(x0), float(x1), float(y0), float(y1)))
+        edges = list(cell.pending)
+        _Service(None, 1)._file(cell)
+        assert cell.accepted == []
+        pieces, leaves, first = cell.pending[::-1], [], []
+        for key, sign in edges:
+            first.append(len(leaves))
+            _halving_leaves(key, sign, pieces, leaves)
+        assert pieces == []
+        # bits [piece, lo / hi, re / im] of the pieces, of the leaves and of the edges
+        got, want, corners = (np.array(keys).view(np.uint64).reshape(-1, 2, 2) for keys in
+                              ([key for key, _sign in cell.pending], leaves,
+                               [key for key, _sign in edges]))
+        assert np.array_equal(got, want)
+        last = np.append(first[1:], len(got)) - 1
+        joins = np.setdiff1d(np.arange(1, len(got)), first)
+        assert np.array_equal(got[first, 0], corners[:, 0])
+        assert np.array_equal(got[last, 1], corners[:, 1])
+        assert np.array_equal(got[joins, 0], got[joins - 1, 1])
+        lo, hi = np.array(leaves).T
+        assert np.abs(hi - lo).max() <= zeros_module._SEG_LEN
 
 
 def test_cached_contour_costs_no_evaluations(colton):

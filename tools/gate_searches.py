@@ -5,14 +5,18 @@ Each line holds the profile, the rect, the zero count, the zeros as
 an md5 over every zero's ``float.hex`` parts, multiplicity, class, residual
 and certificate fields, and ``report_to_json``'s ``stats``.  Run it on two
 trees and diff for bit-identity, or compare the zero lists within a
-tolerance (see the README):
+tolerance with ``--compare``, which runs no search and exits 1 if a count,
+multiplicity or class differs (see the README):
 
     PYTHONPATH=src python tools/gate_searches.py > gate.jsonl
+    PYTHONPATH=src python tools/gate_searches.py --compare old.jsonl new.jsonl
 """
 
+import argparse
 import hashlib
 import json
 import math
+import pathlib
 
 from tevp.profiles import get_profile
 from tevp.zeros import find_zeros, report_to_json
@@ -60,6 +64,42 @@ def gate_line(name, params, rect):
                        "stats": report_to_json(report)["stats"]})
 
 
-if __name__ == "__main__":
+def compare(old_lines, new_lines):
+    """A report per pair of gate lines: whether the counts, multiplicities and
+    classes are equal, which ``stats`` keys differ and the largest |dk| / (1 + |k|);
+    and whether every pair is of one search with equal counts, multiplicities
+    and classes."""
+    reports, ok = [], len(old_lines) == len(new_lines)
+    for old, new in zip(map(json.loads, old_lines), map(json.loads, new_lines)):
+        same = ((old["profile"], old["params"], old["rect"], old["zeros"])
+                == (new["profile"], new["params"], new["rect"], new["zeros"])
+                and [z[2:] for z in old["zero_list"]] == [z[2:] for z in new["zero_list"]])
+        stats = sorted(key for key in old["stats"].keys() | new["stats"].keys()
+                       if old["stats"].get(key) != new["stats"].get(key))
+        shift = max((abs(complex(*b[:2]) - complex(*a[:2])) / (1.0 + abs(complex(*a[:2])))
+                     for a, b in zip(old["zero_list"], new["zero_list"])), default=0.0)
+        reports.append(f"{old['profile']} {old['params']} {old['rect']}: "
+                       f"zeros {'equal' if same else 'DIFFER'}, "
+                       f"stats {'differ in ' + ', '.join(stats) if stats else 'equal'}, "
+                       f"max |dk|/(1+|k|) {shift:.2e}")
+        ok = ok and same
+    return reports, ok
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Gate searches: print or compare their lines.")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two files of gate lines instead of running the searches")
+    args = parser.parse_args(argv)
+    if args.compare:
+        reports, ok = compare(*(pathlib.Path(path).read_text().splitlines()
+                                for path in args.compare))
+        print("\n".join(reports))
+        return 0 if ok else 1
     for search in SEARCHES:
         print(gate_line(*search), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
