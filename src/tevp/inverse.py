@@ -44,10 +44,11 @@ __all__ = [
 
 
 def smooth_bump(amplitude: float, center: float, width: float) -> Callable:
-    """C-infinity bump A*exp(-1/(1-t^2)), t = (x-center)/width, support |t|<1."""
-    if not _real_numbers([amplitude, center, width]):
-        raise ValueError("bump amplitude, center and width must be real numbers, "
-                         f"got {amplitude!r}, {center!r}, {width!r}")
+    """C-infinity bump A*exp(-1/(1-t^2)), t = (x-center)/width, support |t|<1;
+    all three finite real numbers, width > 0, else ValueError."""
+    if not (_real_numbers(v := [amplitude, center, width]) and np.isfinite(v).all() and width > 0):
+        raise ValueError("bump amplitude, center and width must be finite real numbers, "
+                         f"width > 0, got {amplitude!r}, {center!r}, {width!r}")
     def bump(x):
         x = np.asarray(x, dtype=float)
         t = (x - center) / width

@@ -1,27 +1,27 @@
 """Zero localization for an analytic function f, seen through f'/f and |F| only.
 
 ``_Service`` evaluates them and ``_d_service`` builds one for d(k) on one RK8
-grid, d_h.  Strategy: argument-principle winding counts over rectangle contours,
-subdivision until every nonempty cell, the outer one included, holds at most
-_MMAX zeros, at any width, and refinement: a cell's distinct zeros and
-multiplicities are read off the Hankel pencil of the moments its count gave
-(_pencil), each is verified on a circle and, if simple, by a Newton-step
-certificate (_refine), and a cell is accepted only if all its zeros are and
-split again otherwise, so the pencil can cost evaluations but not give a wrong
-zero.  One repair: d_h may split a multiple zero that a contour or split line
-runs through, so a search whose count or split fails (a contour fails if still
-bisecting after _MAX_ROUNDS = 12 rounds), or that must split a cell narrower
-than _SPLIT_FLOOR, restarts on the next padded rect (_padded_rects), whose
-split lines moved.  One rule, the piece table's (_Service._file), cuts every edge.
+grid, d_h, conjugate-symmetric as eta is real.  Strategy: argument-principle
+winding counts over rectangle contours (a rect flush with the real axis is
+searched with its mirror image as one symmetric cell, counted from its three
+upper edges), subdivision until every nonempty cell, the outer one included,
+holds at most _MMAX zeros (2 _MMAX, mirror images included, if symmetric), at
+any width, and refinement: a cell's distinct zeros and multiplicities are read
+off the Hankel pencil of the moments its count gave (_pencil), each is
+verified on a circle and, if simple, by a Newton-step certificate (_refine),
+and a cell is accepted only if all its zeros are and split again otherwise, so
+the pencil can cost evaluations but not give a wrong zero.  One repair: d_h
+may split a multiple zero that a contour or split line runs through, so a
+search whose count or split fails (a contour fails if still bisecting after
+_MAX_ROUNDS = 12 rounds), or that must split a cell narrower than
+_SPLIT_FLOOR, restarts on the next padded rect, whose split lines moved.
 
 A search is one round loop (_search), each round one ``evaluate`` call that
-carries every pending contour piece of every counting cell, every verification
-circle and every certificate point (``batches`` counts rounds); for d_h they
-share one grid, so every count, moment and certificate is exact for one
-analytic function.  One split rule: a cell not yet split is split in the first
-round its count (while counting, its provisional winding: an early split)
-exceeds _MMAX, or in the round refinement hands it back.  A counted cell's
-circles go in the next round, its certificates in the one after.
+carries every pending contour piece (the piece table, _Service._file, cuts
+every edge) of every counting cell, every verification circle and every
+certificate point (``batches`` counts rounds).  A cell not yet split is split
+in the first round its count (while counting, its provisional winding: an
+early split) exceeds its cap, or in the round refinement hands it back.
 """
 
 from __future__ import annotations
@@ -55,9 +55,10 @@ _MMAX = 4                    # cells of 1 .. _MMAX zeros go to refinement, large
 _RANK_TOL = 1e-8             # singular values of H0 below this share of the largest are 0
 _SPLIT_FLOOR = 2e-3          # clusters cohesive at this radius count as one multiple zero
 _GL_NODES = np.polynomial.legendre.leggauss(12)
-_SEG_LEN = 6.0               # longest contour piece evaluated; longer ones are halved unevaluated
+_SEG_LEN = 5.5               # longest contour piece evaluated; longer ones are halved unevaluated
 _PER_RADIAN = 3.5            # grid steps per radian of phase at a search's largest |k|
 _SEG_TOL = 1e-3              # a segment rule must match its two halves' sum to this
+_AXIS_TOL = 1e-4             # ... if it starts on the real axis, for a conjugate-symmetric f
 _MAX_ROUNDS = 12             # segment-bisection rounds before a contour fails
 _STEP_CERT = 1e-10           # a simple zero needs |d/d'| <= _STEP_CERT (1 + |k|)
 _CIRCLE_TOL = 1e-6           # a simple zero's circle must wind within this of 1
@@ -101,20 +102,20 @@ class SearchReport:
     """Zeros of one search and its ``stats``: ``evals`` (points propagated),
     ``phase_evals`` (their split over count / subdivide / refine: the outer
     cell's contour pieces, the other cells', and the verification circles and
-    the residual and certificate evaluation at their centroids, 9 per simple
-    zero), ``batches`` (engine calls, one per round of the search), ``ksteps``
-    (points times grid steps), ``phase_ksteps`` (their split over the same
-    phases), ``segments_reused`` (segment rules the cache, or the same batch,
-    already held), ``retries`` (``inflate``: rects given up for the next padded
-    one, because a contour or a split failed or a cell stalled; ``resplit``:
-    cells handed back to the subdivision because their pencil gave no usable
-    zeros or a zero failed its circle or certificate), ``clusters`` (cells
-    resolved from their moments on every rect tried, handed-back ones
-    included), ``early_splits`` (cells split on their provisional count, in any
-    round before their contour converged), ``duplicates_removed`` and
-    ``noteworthy_multiple_nonreal``.  Each zero carries the ``certificate``
-    that accepted it.  ``timings``: wall seconds per phase, each round's shared
-    out by its points; out of ``stats`` as they vary by run."""
+    certificate points, 9 per simple zero, 10 after a Newton retry), ``batches``
+    (engine calls, one per round of the search), ``ksteps`` (points times grid
+    steps), ``phase_ksteps`` (their split over the same phases),
+    ``segments_reused`` (segment rules the cache, or the same batch, already
+    held), ``retries`` (``inflate``: rects given up for the next padded one,
+    because a contour or a split failed or a cell stalled; ``resplit``: cells
+    handed back to the subdivision because their pencil gave no usable zeros or
+    a zero failed its circle or certificate), ``clusters`` (cells resolved from
+    their moments on every rect tried, handed-back ones included),
+    ``early_splits`` (cells split on their provisional count, in any round
+    before their contour converged), ``duplicates_removed`` and
+    ``noteworthy_multiple_nonreal``.  Each zero carries the ``certificate`` that
+    accepted it.  ``timings``: wall seconds per phase, each round's shared out
+    by its points; out of ``stats`` as they vary by run."""
     rect: tuple
     zeros: list
     total_count_by_argument_principle: int
@@ -138,10 +139,12 @@ class _Service:
     (their sum) and ``peaks`` (max |F|).  The piece table ``pieces``, shared by
     every cell, maps a decided piece, keyed the same way, to (state, max |F| of
     its rule and its halves'): True if its rule matches its halves' sum to
-    _SEG_TOL, False if split into them, None if failed."""
+    _SEG_TOL, False if split into them, None if failed.  ``symmetric`` declares
+    f(conj k) = conj f(k); then a piece from the real axis, whose real zeros
+    the gap understates at its end, must match to _AXIS_TOL."""
 
-    def __init__(self, evaluate, cost):
-        self.evaluate, self.cost = evaluate, cost
+    def __init__(self, evaluate, cost, symmetric=False):
+        self.evaluate, self.cost, self.symmetric = evaluate, cost, symmetric
         self.segments, self.pieces, self.whole, self.peaks = {}, {}, [], []
         self.nodes = self.wld = np.zeros((0, _GL_NODES[0].size), dtype=complex)
         self._since = time.perf_counter()
@@ -205,7 +208,8 @@ class _Service:
         self.peaks += absD[:nodes.size].reshape(nodes.shape).max(1, initial=0.0).tolist()
         for key, (r, left, right) in zip(todo, zip(*[iter(rows)] * 3)):
             gap = abs(self.whole[r] - (self.whole[left] + self.whole[right]))
-            self.pieces[key] = (gap <= _SEG_TOL if math.isfinite(gap) else None,
+            tol = _AXIS_TOL if self.symmetric and key[0].imag == 0.0 else _SEG_TOL
+            self.pieces[key] = (gap <= tol if math.isfinite(gap) else None,
                                 max(self.peaks[r], self.peaks[left], self.peaks[right]))
         for cell in cells:
             self._file(cell)
@@ -241,11 +245,12 @@ class _Service:
         cell.pending = pending
 
     def _settle(self, cells):
-        """Give each of ``cells`` its ``moments``: moments[p] = (1/2 pi i) integral
-        of ((k - c)/r)^p f'/f, p < 2 _MMAX, over its accepted halves, about its
-        centre c and scaled by its half-width r, as raw k^p moments lose every
-        digit at |k| = 150; and its ``count``, the winding number moments[0] if
-        within 0.25 of an integer >= 0, else ContourTooClose."""
+        """Give each of ``cells`` its ``moments``: moments[p] = (1/2 pi i) I_p, I_p the
+        integral of ((k - c)/r)^p f'/f, p < 4 _MMAX, over its accepted halves, about
+        its centre c and scaled by its half-width r, as raw k^p moments lose every
+        digit at |k| = 150 (Im I_p / pi for a symmetric cell, its lower path giving
+        -conj I_p); and its ``count``, the winding number moments[0] if within 0.25
+        of an integer >= 0, else ContourTooClose."""
         if not cells:
             return
         rows, sign = map(np.array, zip(*[half for cell in cells for half in sorted(cell.accepted)]))
@@ -255,20 +260,22 @@ class _Service:
         centre, half = 0.5 * (x0 + x1) + 0.5j * (y0 + y1), 0.5 * np.maximum(x1 - x0, y1 - y0)
         u = (self.nodes[rows] - centre[owner, None]) / half[owner, None]
         term, parts = self.wld[rows] * sign[:, None], []
-        for _p in range(2 * _MMAX):
+        for _p in range(4 * _MMAX):
             parts.append(term.sum(1))
             term = term * u
         moments = np.add.reduceat(np.array(parts), np.cumsum(sizes) - sizes, axis=1).T
         for cell, s in zip(cells, moments / (2j * np.pi)):
+            s = 2.0 * s.real if cell.sym else s
             if not (abs(s[0] - (n := round(s[0].real))) <= 0.25 and n >= 0):
                 raise ContourTooClose(f"winding defect > 0.25 for rect {cell.rect}")
             cell.count, cell.moments = n, s
 
     def provisional(self, cell):
         """The winding number so far of a counting ``cell``: accepted plus pending pieces."""
-        return (sum(sign * self.whole[row] for row, sign in cell.accepted)
-                + sum(sign * self.whole[self.segments[key]] for key, sign in cell.pending)
-                ) / (2j * math.pi)
+        w = (sum(sign * self.whole[row] for row, sign in cell.accepted)
+             + sum(sign * self.whole[self.segments[key]] for key, sign in cell.pending)
+             ) / (2j * math.pi)
+        return 2.0 * w.real if cell.sym else w
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +286,11 @@ class _Service:
 def _padded_rects(rect):
     """``rect``, then ``rect`` with its right and top edges moved out by each of
     _PADS and its left and bottom edges by half as much, at most halfway to an
-    axis they are off (never across it to k = 0): the centre, and with it
-    every split line, moves too."""
+    axis they are off (never across it to k = 0), and a bottom edge -y1 as far as
+    the top one: the centre, and with it every split line, moves too."""
     x0, x1, y0, y1 = rect
     return [rect] + [(x0 - 0.5 * (min(pad, x0) if x0 > 0 else pad), x1 + pad,
+                      -y1 - pad if y0 == -y1 else
                       y0 - 0.5 * (min(pad, y0) if y0 > 0 else pad), y1 + pad)
                      for pad in _PADS]
 
@@ -303,7 +311,8 @@ def _on_padded_rects(service, rect, search):
 def _d_service(profile, rect):
     """A ``_Service`` over d_h: d'/d and |D| = |d k| e^(-(1 + a)|Im k|), a the travel
     time, from ``characteristic_batch`` looked up at each call, on the grid for the
-    largest |k| on ``rect``: a corner of its widest padded rect plus twice a circle's radius."""
+    largest |k| on ``rect``: a corner of its widest padded rect plus twice a circle's
+    radius.  d_h is conjugate-symmetric, as the profile is real."""
     x0, x1, y0, y1 = _padded_rects(rect)[-1]
     reach = math.hypot(max(abs(x0), abs(x1)), max(abs(y0), abs(y1)))
     n_steps = grid_steps(profile, reach + 2.0 * max(_SPLIT_FLOOR, 2e-4 * reach), _PER_RADIAN)
@@ -315,7 +324,7 @@ def _d_service(profile, rect):
             ld = dp_s / d_s
         return ld, np.abs(d_s * ks) * np.exp(scale_log - (1.0 + a) * np.abs(ks.imag))
 
-    return _Service(evaluate, n_steps)
+    return _Service(evaluate, n_steps, symmetric=True)
 
 
 def _count(service, *rects):
@@ -359,23 +368,27 @@ class _Cell:
     """A search rect: while its contour is counted, its ``pending`` pieces
     ((a, b), sign), its four edges at first, the (row, sign) of its ``accepted``
     halves, its ``rounds`` and ``peak`` (max |F| over its decided pieces); then
-    its ``count`` and ``moments``.  ``phase`` is "count" for a search's outer cell."""
-    __slots__ = ("rect", "phase", "count", "moments", "pending", "accepted", "rounds", "peak")
+    its ``count`` and ``moments``.  ``phase`` is "count" for a search's outer cell.
+    A ``sym``metric cell (x0, x1, -y, y) has only its edges x1 -> x1 + iy -> x0 + iy
+    -> x0 and counts 2U + N_r: U zeros above the axis, their mirrors, N_r real ones."""
+    __slots__ = "rect", "phase", "count", "moments", "pending", "accepted", "rounds", "peak", "sym"
 
-    def __init__(self, rect, phase="subdivide", count=None, moments=None):
+    def __init__(self, rect, phase="subdivide", count=None, moments=None, sym=False):
         self.rect, self.phase, self.count, self.moments = rect, phase, count, moments
         x0, x1, y0, y1 = rect
-        ll, lr, ur, ul = complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)
-        self.pending = [((ll, lr), 1), ((lr, ur), 1), ((ul, ur), -1), ((ll, ul), -1)]
-        self.accepted, self.rounds, self.peak = [], 0, 0.0
+        y = 0.0 if sym else y0
+        ll, lr, ur, ul = complex(x0, y), complex(x1, y), complex(x1, y1), complex(x0, y1)
+        self.pending = [((ll, lr), 1), ((lr, ur), 1), ((ul, ur), -1), ((ll, ul), -1)][sym:]
+        self.accepted, self.rounds, self.peak, self.sym = [], 0, 0.0, sym
 
 
-def _halves(rect):
-    """The two halves of ``rect`` on either side of the midpoint of its longer side."""
+def _halves(rect, sym=False):
+    """Halves (rect, sym) of ``rect`` across its longer side, or of (x0, x1, 0, y1) if ``sym``."""
     x0, x1, y0, y1 = rect
-    if (x1 - x0) >= (y1 - y0):
-        return (x0, xm := 0.5 * (x0 + x1), y0, y1), (xm, x1, y0, y1)
-    return (x0, x1, y0, ym := 0.5 * (y0 + y1)), (x0, x1, ym, y1)
+    if (x1 - x0) >= (y1 - (low := 0.0 if sym else y0)):
+        return ((x0, xm := 0.5 * (x0 + x1), y0, y1), sym), ((xm, x1, y0, y1), sym)
+    ym = 0.5 * (low + y1)
+    return ((x0, x1, -ym if sym else y0, ym), sym), ((x0, x1, ym, y1), False)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +410,7 @@ def _pencil(cell):
     centroid s_1/s_0, noise has split one multiple zero there.  [] unless the
     multiplicities are positive integers (to 0.25) summing to m, each zero is
     within its radius of the cell and no two circles overlap (both could
-    count one zero)."""
+    count one zero).  A symmetric cell gives its real zeros and the upper of each pair."""
     m, s = cell.count, cell.moments
     x0, x1, y0, y1 = cell.rect
     c, r = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1)), 0.5 * max(x1 - x0, y1 - y0)
@@ -420,7 +433,8 @@ def _pencil(cell):
     if (not np.isfinite(np.append(u, nu)).all() or np.abs(w - mult).max() > 0.25
             or mult.min() < 1 or mult.sum() != m or not inside.all() or not apart.all()):
         return []
-    return list(zip(k.tolist(), mult.astype(int).tolist(), h.tolist()))
+    return [(kj, mj, hj) for kj, mj, hj in zip(k.tolist(), mult.astype(int).tolist(), h.tolist())
+            if kj.imag >= 0.0 or not cell.sym]
 
 
 def _circles(centres, radii, counts):
@@ -449,8 +463,10 @@ def _refine(service, cell):
     its circle counts m zeros (radius max(1e-3, 2e-4 |k|) for m = 1, centred on
     its zero so that 8 nodes suffice, and _SPLIT_FLOOR for m >= 2) and, if
     simple, |f/f'| <= _STEP_CERT (1 + |k|) at the circle's centroid, where it is
-    placed (9 evaluations with its residual).  Returns the (k, multiplicity,
-    residual, Certificate) of its zeros if all pass, else None (a ``resplit``)."""
+    placed (9 evaluations with its residual), or else, once, at the centroid's
+    Newton update if that step is shorter than the radius (one more each).
+    Returns the (k, multiplicity, residual, Certificate) of its zeros if all
+    pass, else None (a ``resplit``)."""
     service.stats["clusters"] += 1
     if zeros := _pencil(cell):
         ks, ms, hs = map(np.array, zip(*zeros))
@@ -458,13 +474,19 @@ def _refine(service, cell):
         ks = np.array([k for *_rest, k in circles])
         if all(n == m for (n, *_rest), m in zip(circles, ms)):
             ld, absD = yield ks
-            with np.errstate(divide="ignore", invalid="ignore"):
-                # the Newton step |f/f'|; f'/f infinite means f vanishes at k to working precision
-                step = np.where(np.isinf(ld), 0.0, np.abs(1.0 / ld))
-            if np.all((ms > 1) | (step <= _STEP_CERT * (1.0 + np.abs(ks)))):
-                return [(complex(k), int(m), float(aD), Certificate(
-                    float(h), float(abs(w - m)), float(s) if m == 1 else None, float(mn)))
-                    for (_n, mn, w, k), m, h, s, aD in zip(circles, ms, hs, step, absD)]
+            for retry in (False, True):
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    # the Newton step f/f'; f'/f infinite means f vanishes at k to working precision
+                    step = np.where(np.isinf(ld), 0.0, 1.0 / ld)
+                bad = (ms == 1) & ~(np.abs(step) <= _STEP_CERT * (1.0 + np.abs(ks)))
+                if not bad.any():
+                    return [(complex(k), int(m), float(aD), Certificate(
+                        float(h), float(abs(w - m)), float(abs(s)) if m == 1 else None, float(mn)))
+                        for (_n, mn, w, _c), k, m, h, s, aD in zip(circles, ks, ms, hs, step, absD)]
+                if retry or not np.all(np.abs(step[bad]) < hs[bad]):
+                    break
+                ks[bad] -= step[bad]
+                ld[bad], absD[bad] = yield ks[bad]
     service.stats["retries"]["resplit"] += 1
     return None
 
@@ -504,8 +526,10 @@ def _search(service, rect):
     on to check its halves add up to it), or in the round it is handed back; a
     counted cell of 1 .. _MMAX zeros is refined.  ContourTooClose if a contour
     (after _MAX_ROUNDS rounds) or a halves-sum check fails, NewtonStall if a
-    cell to split is narrower than _SPLIT_FLOOR."""
-    top = _Cell(rect, "count")
+    cell to split is narrower than _SPLIT_FLOOR.  For a conjugate-symmetric f a rect
+    (x0, x1, -y, y) is a symmetric cell, refined at up to 2 _MMAX zeros (mirrors
+    included), and ContourTooClose if its count less its real zeros is odd."""
+    top = _Cell(rect, "count", sym=service.symmetric and rect[2] == -rect[3])
     counting, refining, pairs, halved, found = [top], [], [], set(), []
 
     def split(cell):
@@ -513,7 +537,7 @@ def _search(service, rect):
         if max(x1 - x0, y1 - y0) < _SPLIT_FLOOR:
             raise NewtonStall(f"zeros in cell {cell.rect}, narrower than "
                               f"{_SPLIT_FLOOR}, could not be refined")
-        halves = [_Cell(half) for half in _halves(cell.rect)]
+        halves = [_Cell(half, sym=sym) for half, sym in _halves(cell.rect, cell.sym)]
         counting.extend(halves)
         pairs.append((cell, *halves))
         halved.add(cell)
@@ -526,10 +550,10 @@ def _search(service, rect):
             if cell.count is None:
                 counting.append(cell)
                 w = 0j if cell in halved else service.provisional(cell)
-                if abs(w - round(w.real)) <= 0.25 and round(w.real) > _MMAX:
+                if abs(w - round(w.real)) <= 0.25 and round(w.real) > (1 + cell.sym) * _MMAX:
                     service.stats["early_splits"] += 1
                     split(cell)
-            elif cell not in halved and cell.count > _MMAX:
+            elif cell not in halved and cell.count > (1 + cell.sym) * _MMAX:
                 split(cell)
             elif cell not in halved and cell.count > 0:
                 steps.append((cell, _refine(service, cell), None))
@@ -541,20 +565,24 @@ def _search(service, rect):
                     split(cell)
                 else:
                     found += stop.value
-        for parent, a, b in pairs:
-            if None not in (parent.count, a.count, b.count) and a.count + b.count != parent.count:
+        for parent, a, b in pairs:     # an upper half of a symmetric cell counts twice in it
+            if (None not in (parent.count, a.count, b.count)
+                    and a.count + (1 + parent.sym - b.sym) * b.count != parent.count):
                 raise ContourTooClose(f"the halves of cell {parent.rect} do not count its zeros")
         pairs = [pair for pair in pairs if None in (cell.count for cell in pair)]
+    real = sum(m for k, m, *_rest in found if abs(k.imag) <= _REAL_CLASS_TOL * (1.0 + abs(k.real)))
+    if top.sym and (top.count - real) % 2:
+        raise ContourTooClose(f"cell {top.rect} counts an odd number of non-real zeros")
     return top, found
 
 
 def find_zeros(profile: RefractiveProfile, rect) -> SearchReport:
     """All zeros of d (with multiplicity) in a finite first-quadrant rectangle.
 
-    A rect flush with the real axis is padded slightly below it so that
-    real zeros are captured; canonical representatives are reported once.
-    A failed contour or split, or a stalled cell, restarts the search on the
-    next padded rect.
+    A rect flush with the real axis is searched with its mirror image as one
+    symmetric cell (x0, x1, -y1, y1), whose contour runs above the axis only;
+    canonical representatives are reported once.  A failed contour or split,
+    or a stalled cell, restarts the search on the next padded rect.
     """
     x0, x1, y0, y1 = _checked_rect(rect)
     if x0 < -1e-9 or y0 < -1e-9:
@@ -563,15 +591,16 @@ def find_zeros(profile: RefractiveProfile, rect) -> SearchReport:
         raise ValueError(f"rect {rect} comes within {_TRIVIAL_CLEARANCE} of k = 0, a zero "
                          "of d for every profile (d(0) = y'(1,0) - y(1,0) = 0); keep its "
                          f"corner (x0, y0) at least {_TRIVIAL_CLEARANCE} from it")
-    search_rect = (x0, x1, -min(0.15, 0.5 * (y1 - y0)) if y0 <= 1e-9 else y0, y1)
+    search_rect = (x0, x1, -y1 if y0 <= 1e-9 else y0, y1)
 
     service = _d_service(profile, search_rect)
     top, refined = _on_padded_rects(service, search_rect, _search)
     zeros, removed = _canonicalize(refined)
+    real = sum(z.multiplicity for z in zeros if z.cls == "real") if top.sym else 0
+    count = (top.count - removed + real) // (1 + top.sym)     # U + N_r of a symmetric 2U + N_r
     noteworthy = [z.k for z in zeros if z.cls == "nonreal" and z.multiplicity > 1]
     stats = dict(service.stats, duplicates_removed=removed, noteworthy_multiple_nonreal=noteworthy)
-    return SearchReport(rect=top.rect, zeros=zeros,
-                        total_count_by_argument_principle=top.count - removed,
+    return SearchReport(rect=top.rect, zeros=zeros, total_count_by_argument_principle=count,
                         stats=stats, timings=service.timings)
 
 

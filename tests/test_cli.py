@@ -83,7 +83,8 @@ def test_spectrum_outputs_and_determinism(tmp_path, capsys):
     stats = report["stats"]
     assert sum(stats["phase_evals"].values()) == stats["evals"] > 0
     assert sum(stats["phase_ksteps"].values()) == stats["ksteps"] > 0
-    assert stats["segments_reused"] > 0
+    # one symmetric cell (0.5, 7, -1, 1) whose pieces all pass in their first round
+    assert stats["segments_reused"] == 0
     for z in report["zeros"]:       # triple zeros: no Newton step certifies them
         cert = z["certificate"]
         assert cert == {"radius": 2e-3, "defect": cert["defect"], "step": None,
@@ -183,8 +184,8 @@ def test_spectrum_json_reports_residuals_and_stats(capsys):
     assert all(isinstance(z["residual"], float) for z in payload["zeros"])
     assert payload["stats"]["evals"] > 0
     assert payload["stats"]["noteworthy_multiple_nonreal"] == []
-    # the outer cell of 6 zeros is split on the count of its first round
-    assert payload["stats"]["early_splits"] == 1
+    # the outer symmetric cell counts 6 zeros, at most 2 _MMAX: it is refined unsplit
+    assert payload["stats"]["early_splits"] == 0 and payload["stats"]["clusters"] == 1
 
 
 def test_kernel_check_json(capsys):
@@ -284,6 +285,17 @@ def test_non_numeric_scenario_field_is_an_input_error(tmp_path, capsys):
                              "agree_from": 0.6, "b": "0.1"}))
     assert main(["inverse-check", "--fast", "--scenario", str(p)]) == EXIT_INPUT
     assert "input error: scenario 'b' must be a real number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("width", [0.0, -0.2, math.nan])
+def test_bump_width_not_positive_is_an_input_error(tmp_path, capsys, width):
+    # a width of 0 added no bump: q~ = q and a [PASS] with exit 0
+    p = tmp_path / "sc.json"
+    p.write_text(json.dumps({"q": "colton_example", "agree_from": 0.6, "q_tilde": {
+        "base": "colton_example", "bump": {"amplitude": 0.8, "center": 0.3, "width": width}}}))
+    assert main(["inverse-check", "--fast", "--scenario", str(p)]) == EXIT_INPUT
+    assert "input error: bump amplitude, center and width must be finite" in \
+        capsys.readouterr().err
 
 
 def test_asymptotics_of_an_unmatched_tail_is_an_input_error(tmp_path, capsys):

@@ -60,9 +60,10 @@ def test_compare_reports_zeros_stats_and_moves(tmp_path, capsys):
     paths[0].write_text(json.dumps(old) + "\n" + json.dumps(old) + "\n")
     paths[1].write_text(json.dumps(moved) + "\n" + json.dumps(recounted) + "\n")
     assert gate.main(["--compare", *map(str, paths)]) == 1
-    first, second = capsys.readouterr().out.splitlines()
+    first, second, total = capsys.readouterr().out.splitlines()
     assert first == ("const4 None [1.0, 7.0, 0.0, 0.5]: zeros equal, stats differ in "
                      "evals, retries, max |dk|/(1+|k|) 1.00e-12")
     assert "zeros DIFFER, stats equal, max |dk|/(1+|k|) 0.00e+00" in second
+    assert total == "all 2 searches: evals 20 -> 22, batches 4 -> 4"
     paths[1].write_text(json.dumps(moved) + "\n" + json.dumps(old) + "\n")
     assert gate.main(["--compare", *map(str, paths)]) == 0

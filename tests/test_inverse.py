@@ -105,6 +105,20 @@ def test_scenario_rejects_a_non_numeric_field(key, value):
         load_scenario(sc)
 
 
+@pytest.mark.parametrize("key, value", [("width", 0.0), ("width", -0.2), ("width", math.nan),
+                                        ("width", math.inf), ("amplitude", math.nan),
+                                        ("amplitude", -math.inf), ("center", math.nan)])
+def test_bump_rejects_a_width_not_positive_or_a_field_not_finite(key, value):
+    # a width of 0 gave a bump of 0 everywhere (q~ = q, a silent pass) and a
+    # negative one acted as its absolute value
+    bump = {"amplitude": 0.8, "center": 0.3, "width": 0.2, key: value}
+    with pytest.raises(ValueError, match="must be finite real numbers, width > 0"):
+        smooth_bump(**bump)
+    with pytest.raises(ValueError, match="must be finite real numbers, width > 0"):
+        load_scenario({"q": "colton_example", "agree_from": 0.6,
+                       "q_tilde": {"base": "colton_example", "bump": bump}})
+
+
 def test_wronskian_identity_with_bump():
     sc = _bump_scenario()
     for k in (0.0, 1.0, 5.0, 2.0 + 1.0j, 0.5 + 2.5j):

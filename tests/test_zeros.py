@@ -280,7 +280,7 @@ def _moments(rect, zs):
     x0, x1, y0, y1 = rect
     u = (np.array(zs, dtype=complex) - complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))) \
         / (0.5 * max(x1 - x0, y1 - y0))
-    return (u[:, None] ** np.arange(2 * zeros_module._MMAX)).sum(0)
+    return (u[:, None] ** np.arange(4 * zeros_module._MMAX)).sum(0)
 
 
 def _counted(rect, zs):
@@ -373,19 +373,23 @@ def _halving_leaves(key, sign, pieces, leaves):
 
 
 def test_the_piece_table_cuts_a_new_cells_edges_by_halving():
-    # edges within a few ulps of 6 * 2**j are where a piece and its sibling
-    # can fall on either side of _SEG_LEN
+    # edges within a few ulps of _SEG_LEN * 2**j are where a piece and its sibling
+    # can fall on either side of _SEG_LEN; half the cells of either kind are
+    # symmetric, (x0, x1, -y1, y1), and start as their three upper edges
     rng = np.random.default_rng(20)
     for i in range(2000):
         x0, y0 = rng.uniform(-300.0, 300.0, 2)
         if i % 2:
             w, h = rng.uniform(1e-3, 200.0, 2)
         else:
-            w, h = 6.0 * 2.0 ** rng.integers(-1, 6, 2)
-        x1, y1 = x0 + w, y0 + h
+            w, h = zeros_module._SEG_LEN * 2.0 ** rng.integers(-1, 6, 2)
+        sym = i % 4 >= 2
+        x1, y1 = x0 + w, (0.0 if sym else y0) + h
         x1 += rng.integers(-3, 4) * np.spacing(x1)
         y1 += rng.integers(-3, 4) * np.spacing(y1)
-        cell = _Cell((float(x0), float(x1), float(y0), float(y1)))
+        cell = _Cell((float(x0), float(x1), -float(y1) if sym else float(y0), float(y1)),
+                     sym=sym)
+        assert len(cell.pending) == 4 - sym
         edges = list(cell.pending)
         _Service(None, 1)._file(cell)
         assert cell.accepted == []
@@ -494,7 +498,11 @@ def test_centroid_of_a_simple_zero(colton):
 def test_moments_of_an_empty_rect_vanish(const4):
     rect = (0.5, 2.5, 0.5, 2.0)
     cell, = _count(_d_service(const4, rect), rect)
-    assert cell.count == 0 and np.abs(cell.moments).max() <= 1e-12
+    # |u| <= sqrt(2) on a square's contour: past the 2 _MMAX moments an upper cell's
+    # pencil reads, rounding grows with it
+    p = np.arange(cell.moments.size) + 1 - 2 * zeros_module._MMAX
+    assert cell.count == 0
+    assert np.all(np.abs(cell.moments) <= 1e-12 * np.sqrt(2.0) ** np.maximum(p, 0))
 
 
 def _shifted(cell, delta):
@@ -518,8 +526,8 @@ def _shift_all(refined):
 @pytest.mark.parametrize("spoil, resplit", [(_shift_first, 1), (_shift_all, 2)])
 def test_refinement_hands_back_zeros_it_cannot_verify(colton, monkeypatch, spoil,
                                                       resplit):
-    # 5 zeros: the outer cell is split, and its halves, of 2 and 3 zeros, are
-    # refined first
+    # 5 zeros, 10 with their mirror images: the outer symmetric cell is split, and
+    # its halves, of 2 and 3 zeros above the axis (4 and 6 mirrored), are refined first
     rect = (0.3, 20.0, 0.0, 6.0)
     clean = find_zeros(colton, rect).zeros
     refine, calls = zeros_module._refine, []
@@ -532,8 +540,8 @@ def test_refinement_hands_back_zeros_it_cannot_verify(colton, monkeypatch, spoil
 
     monkeypatch.setattr(zeros_module, "_refine", spoil_once)
     rep = find_zeros(colton, rect)
-    halves = zeros_module._halves((0.3, 20.0, -0.15, 6.0))
-    assert calls[:2] == [(halves[0], 2), (halves[1], 3)]
+    halves = [half for half, _sym in zeros_module._halves((0.3, 20.0, -6.0, 6.0), True)]
+    assert calls[:2] == [(halves[0], 4), (halves[1], 6)]
     # each cell handed back is refined again as its two halves, of a zero or more each
     assert len(calls) == rep.stats["clusters"] == 2 + 2 * resplit
     assert rep.stats["retries"]["resplit"] == resplit
@@ -542,31 +550,50 @@ def test_refinement_hands_back_zeros_it_cannot_verify(colton, monkeypatch, spoil
         assert abs(z.k - ref.k) <= 1e-10
 
 
-def test_certificate_hands_back_a_centroid_off_its_zero(colton, monkeypatch):
-    # the circle still counts the zero, but a Newton step of 1e-6 remains
+def _moved_centroid(colton, monkeypatch, shift):
+    """The clean search of (0.3, 12, 0, 6) and one whose first circle's centroid,
+    which still counts its zero, is moved by ``shift``."""
     rect = (0.3, 12.0, 0.0, 6.0)
-    clean = find_zeros(colton, rect).zeros
+    clean = find_zeros(colton, rect)
     circles, moved = zeros_module._circles, []
 
     def move_once(centres, radii, counts):
         out = yield from circles(centres, radii, counts)
         if not moved:
             n, mx, w, centroid = out[0]
-            out[0] = (n, mx, w, centroid + 1e-6)
+            out[0] = (n, mx, w, centroid + shift)
             moved.append(n)
         return out
 
     monkeypatch.setattr(zeros_module, "_circles", move_once)
     rep = find_zeros(colton, rect)
     assert moved == [1]
-    assert rep.stats["retries"]["resplit"] >= 1
-    assert [z.multiplicity for z in rep.zeros] == [z.multiplicity for z in clean]
-    for z, ref in zip(rep.zeros, clean, strict=True):
+    assert [z.multiplicity for z in rep.zeros] == [z.multiplicity for z in clean.zeros]
+    for z, ref in zip(rep.zeros, clean.zeros, strict=True):
         assert abs(z.k - ref.k) <= 1e-10
+    return clean, rep
+
+
+def test_certificate_hands_back_a_centroid_off_its_zero(colton, monkeypatch):
+    # a Newton step of about 1e-2 remains, longer than the circle's radius of
+    # 1.06e-3: it is not taken, and the cell is handed back
+    _clean, rep = _moved_centroid(colton, monkeypatch, 1e-2)
+    assert rep.stats["retries"]["resplit"] == 1
+
+
+def test_certificate_takes_a_newton_step_shorter_than_the_radius(colton, monkeypatch):
+    # a Newton step of about 1e-6 is taken and the certificate evaluated again
+    # there: one evaluation more, no hand-back
+    clean, rep = _moved_centroid(colton, monkeypatch, 1e-6)
+    assert rep.stats["retries"]["resplit"] == 0
+    assert rep.stats["evals"] == clean.stats["evals"] + 1
 
 
 def test_search_stats_account_for_every_evaluation(const4):
-    rect = (0.5, 7.0, 0.0, 1.0)
+    # triple zeros at pi, 2 pi and 3 pi, more than 2 _MMAX: the outer symmetric cell
+    # is split on its provisional count, and the halves of pieces split after their
+    # first round are reused
+    rect = (0.5, 10.0, 0.0, 0.5)
     stats = find_zeros(const4, rect).stats
     assert find_zeros(const4, rect).stats == stats
     assert set(stats["phase_evals"]) == {"count", "subdivide", "refine"}
@@ -629,6 +656,13 @@ def test_padding_moves_the_centre_and_every_split_line(rect):
         assert 0.5 * (a0 + a1) != 0.5 * (x0 + x1) and 0.5 * (b0 + b1) != 0.5 * (y0 + y1)
 
 
+def test_padded_symmetric_rect_stays_symmetric():
+    # its bottom edge moves as far as its top one; its split lines still move
+    for (a0, a1, b0, b1), pad in zip(zeros_module._padded_rects((2.0, 9.0, -0.5, 0.5))[1:],
+                                     zeros_module._PADS):
+        assert (a0, a1, b0, b1) == (2.0 - 0.5 * pad, 9.0 + pad, -0.5 - pad, 0.5 + pad)
+
+
 def test_certificates_of_the_k40_search(colton_spectrum_40):
     for z in colton_spectrum_40.zeros:
         cert = z.certificate
@@ -652,9 +686,9 @@ def test_search_evaluation_budget(request, fixture, budget):
 
 
 @pytest.mark.parametrize("search, evals, batches", [
-    ("colton_spectrum_40", 1_437, 7),
-    ("colton_band_150", 234, 3),
-    ("colton_spectrum_150", 4_515, 7),
+    ("colton_spectrum_40", 1_005, 7),
+    ("colton_band_150", 198, 3),
+    ("colton_spectrum_150", 2_883, 7),
     ((get_profile("slow_core"), (0.3, 30.0, 0.0, 6.0)), 1_665, 6),
     ((get_profile("raised_cosine"), (0.3, 30.0, 0.0, 6.0)), 1_479, 7),
     ((CONST4, (0.5, 31.0, 0.0, 1.0)), 2_409, 7),
@@ -690,9 +724,9 @@ def test_search_costs_at_any_width(request, search, evals, batches):
 
 @pytest.mark.parametrize("fixture, early", [("colton_spectrum_40", 3), ("colton_band_150", 0)])
 def test_early_splits(request, fixture, early):
-    # k40's outer cell of 13 zeros and both its halves, of 6 and 7, are split on
-    # their provisional counts, before their contours converge; band150's 2 zeros
-    # are never split
+    # k40's outer symmetric cell of 25 zeros, mirror images included, and both its
+    # halves, of 12 and 13, are split on their provisional counts, before their
+    # contours converge; band150's 4 are never split
     assert request.getfixturevalue(fixture).stats["early_splits"] == early
 
 
@@ -715,8 +749,10 @@ def test_every_engine_call_is_one_batch(colton, monkeypatch, rect):
 
 
 def test_outer_cell_of_at_most_mmax_zeros_is_refined_unsplit(colton_band_150):
-    # the top strip of the |k| <= 150 search holds 2 zeros: no subdivision
+    # the top strip of the |k| <= 150 search holds 2 zeros, 4 with their mirror
+    # images in its symmetric cell: no subdivision
     stats = colton_band_150.stats
+    assert colton_band_150.rect == (145.0, 150.5, -8.0, 8.0)
     assert stats["phase_evals"]["subdivide"] == 0 and stats["clusters"] == 1
     assert len(colton_band_150.zeros) == 2
 
@@ -855,6 +891,88 @@ def test_search_options_are_module_constants():
 
 
 # ---------------------------------------------------------------------------
+# symmetric cells: a product with real coefficients through the evaluator seam
+# ---------------------------------------------------------------------------
+
+
+# zeros above or on the axis: two conjugate pairs, two simple real zeros, a real double zero
+_UPPER = [3.3 + 0.8j, 7.1 + 2.2j]
+_REAL = [2.2, 5.6, 9.4, 9.4]
+
+
+def _mirrored(zs):
+    """A conjugate-symmetric ``_Service`` over f = prod (k - z) over ``zs`` and the
+    mirror images of its non-real members: a product with real coefficients."""
+    service = _product(list(zs) + [complex(z).conjugate() for z in zs if complex(z).imag])
+    service.symmetric = True
+    return service
+
+
+def test_symmetric_cell_counts_from_its_upper_edges():
+    # every zero at least 1.2 from the contour, so its pieces' rules are exact to
+    # rounding: 0.8 below a 5-long piece, 7.1 + 2.2i alone puts 4e-7 in the moments
+    rect = (1.0, 11.0, -4.0, 4.0)
+    service, cell = _mirrored(_UPPER + _REAL), _Cell(rect, "count", sym=True)
+    while cell.count is None:
+        service.advance([cell], [])
+    assert cell.count == 2 * len(_UPPER) + len(_REAL)
+    # no piece runs along or below the real axis
+    assert all(min(a.imag, b.imag) >= 0.0 and max(a.imag, b.imag) > 0.0
+               for a, b in service.segments)
+    # its moments are real, and those of all its zeros, mirror images included
+    zs = np.array(_UPPER + [z.conjugate() for z in _UPPER] + _REAL)
+    u = (zs - 6.0) / 5.0
+    exact = (u[:, None] ** np.arange(4 * zeros_module._MMAX)).sum(0).real
+    moments = np.asarray(cell.moments)
+    assert np.all(np.abs(moments.imag) <= 1e-12 * np.abs(moments))
+    assert np.abs(moments - exact).max() <= 1e-9
+
+
+def test_symmetric_halves():
+    # split across the axis while as wide as high above it, else at half that height
+    assert zeros_module._halves((0.0, 8.0, -4.0, 4.0), True) == (
+        ((0.0, 4.0, -4.0, 4.0), True), ((4.0, 8.0, -4.0, 4.0), True))
+    assert zeros_module._halves((0.0, 3.0, -4.0, 4.0), True) == (
+        ((0.0, 3.0, -2.0, 2.0), True), ((0.0, 3.0, 2.0, 4.0), False))
+
+
+@pytest.mark.parametrize("rect, upper, real", [
+    ((1.0, 11.0, 0.0, 3.0), _UPPER, _REAL),
+    # 2 U + N_r = 13, more than a symmetric cell takes: it is split across the
+    # axis into two symmetric halves, ...
+    ((1.0, 30.0, 0.0, 3.0), _UPPER + [14.1 + 1.3j, 25.2 + 0.4j], _REAL + [17.5]),
+    # ... or, narrower than high above the axis, at half that height into a
+    # symmetric cell of 7 zeros and an upper cell of 2, which it counts twice
+    ((1.0, 4.0, 0.0, 6.0), [1.5 + 2.5j, 2.0 + 1.0j, 2.5 + 4.5j, 3.0 + 5.5j, 3.5 + 0.5j], [2.2]),
+], ids=["one_cell", "wide", "tall"])
+def test_flush_search_reports_each_pair_once(monkeypatch, rect, upper, real):
+    service = _mirrored(upper + real)
+    monkeypatch.setattr(zeros_module, "_d_service", lambda profile, rect: service)
+    rep = find_zeros(None, rect)
+    x0, x1, _y0, y1 = rect
+    assert rep.rect == (x0, x1, -y1, y1) and service.stats["retries"]["inflate"] == 0
+    want = sorted([(complex(z), 1) for z in upper]
+                  + [(complex(x), real.count(x)) for x in set(real)], key=lambda t: t[0].real)
+    assert [(z.multiplicity, z.cls) for z in rep.zeros] == \
+        [(m, "nonreal" if k.imag else "real") for k, m in want]
+    assert np.abs(np.array([z.k for z in rep.zeros]) - [k for k, _m in want]).max() <= 1e-9
+    assert sum(z.multiplicity for z in rep.zeros) == rep.total_count_by_argument_principle \
+        == len(upper) + len(real)
+    assert rep.stats["duplicates_removed"] == 0
+
+
+def test_a_function_not_conjugate_symmetric_keeps_four_edge_cells():
+    # the zeros of f have no mirror images: a flush rect is one four-edge cell,
+    # whose bottom edge runs along the axis
+    zs = [3.3 + 0.8j, 7.1 + 2.2j, 5.6 + 0.3j]
+    service = _product(zs)
+    top, found = _search(service, (1.0, 11.0, 0.0, 3.0))
+    assert (top.rect, top.sym, top.count) == ((1.0, 11.0, 0.0, 3.0), False, 3)
+    assert any(a.imag == b.imag == 0.0 for a, b in service.segments)
+    assert np.abs(_ks(found) - sorted(zs, key=lambda z: z.real)).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
 # exact functions: d of const4 in closed form, and close pairs of simple zeros
 # ---------------------------------------------------------------------------
 
@@ -888,7 +1006,8 @@ _STALLS = pytest.mark.xfail(strict=True, raises=NewtonStall, reason="an 8-node c
 @pytest.mark.parametrize("centre, gap, rect, mults", [
     (3.3 + 0.4j, 3e-3, (2.0, 5.0, 0.0, 1.0), [2]),
     (3.3 + 0.4j, 9e-3, (2.0, 5.0, 0.0, 1.0), [1, 1]),
-    pytest.param(3.3 + 0.4j, 7e-3, (2.0, 5.0, 0.0, 1.0), [1, 1], marks=_STALLS),
+    # the centroid errs by about 1e-9, and the Newton step from it certifies it
+    (3.3 + 0.4j, 7e-3, (2.0, 5.0, 0.0, 1.0), [1, 1]),
     (100.3 + 1.4j, 0.2, (99.0, 102.0, 0.0, 2.0), [1, 1]),
     pytest.param(100.3 + 1.4j, 0.1, (99.0, 102.0, 0.0, 2.0), [1, 1], marks=_STALLS),
 ], ids=["3e-3", "9e-3", "7e-3", "0.2_at_100", "0.1_at_100"])

@@ -5,8 +5,9 @@ Each line holds the profile, the rect, the zero count, the zeros as
 an md5 over every zero's ``float.hex`` parts, multiplicity, class, residual
 and certificate fields, and ``report_to_json``'s ``stats``.  Run it on two
 trees and diff for bit-identity, or compare the zero lists within a
-tolerance with ``--compare``, which runs no search and exits 1 if a count,
-multiplicity or class differs (see the README):
+tolerance with ``--compare``, which runs no search, ends with the total
+evaluations and batches over all searches, old -> new, and exits 1 if a
+count, multiplicity or class differs (see the README):
 
     PYTHONPATH=src python tools/gate_searches.py > gate.jsonl
     PYTHONPATH=src python tools/gate_searches.py --compare old.jsonl new.jsonl
@@ -66,11 +67,12 @@ def gate_line(name, params, rect):
 
 def compare(old_lines, new_lines):
     """A report per pair of gate lines: whether the counts, multiplicities and
-    classes are equal, which ``stats`` keys differ and the largest |dk| / (1 + |k|);
-    and whether every pair is of one search with equal counts, multiplicities
-    and classes."""
-    reports, ok = [], len(old_lines) == len(new_lines)
-    for old, new in zip(map(json.loads, old_lines), map(json.loads, new_lines)):
+    classes are equal, which ``stats`` keys differ and the largest |dk| / (1 + |k|),
+    then one of the total evaluations and batches; and whether every pair is of
+    one search with equal counts, multiplicities and classes."""
+    olds, news = [json.loads(line) for line in old_lines], [json.loads(line) for line in new_lines]
+    reports, ok = [], len(olds) == len(news)
+    for old, new in zip(olds, news):
         same = ((old["profile"], old["params"], old["rect"], old["zeros"])
                 == (new["profile"], new["params"], new["rect"], new["zeros"])
                 and [z[2:] for z in old["zero_list"]] == [z[2:] for z in new["zero_list"]])
@@ -83,6 +85,9 @@ def compare(old_lines, new_lines):
                        f"stats {'differ in ' + ', '.join(stats) if stats else 'equal'}, "
                        f"max |dk|/(1+|k|) {shift:.2e}")
         ok = ok and same
+    reports.append(f"all {len(reports)} searches: " + ", ".join(
+        f"{key} {sum(r['stats'][key] for r in olds):,} -> {sum(r['stats'][key] for r in news):,}"
+        for key in ("evals", "batches")))
     return reports, ok
 
 
