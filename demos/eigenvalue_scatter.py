@@ -8,11 +8,11 @@ predictions, and writes a scatter CSV (all four symmetric copies) suitable
 for plotting with any external tool.
 """
 
-import csv
 import math
 
 from tevp import (case_from_profile, counting_check, find_zeros, get_profile,
                   match)
+from tevp.zeros import write_scatter_csv
 
 profile = get_profile("colton_example")
 rect = (0.3, 60.0, 0.0, 7.0)
@@ -35,11 +35,6 @@ for r, N, ratio in counting_check(report, [20.0, 40.0, 60.0]):
     print(f"  r = {r:6.1f}   N = {N:4d}   ratio = {ratio:.4f}")
 
 out = "eigenvalue_scatter.csv"
-with open(out, "w", newline="") as fh:
-    w = csv.writer(fh)
-    w.writerow(["re", "im"])
-    for z in report.zeros:
-        for c in z.symmetric_copies():
-            w.writerow([f"{c.real:.9e}", f"{c.imag:.9e}"])
+write_scatter_csv(out, report.zeros)
 print(f"\nwrote {out}; the upper-half points follow Im k ~ 0.5*log(16 n^2 pi^2)")
 print("predicted curve at n=10:", 0.5 * math.log(16 * 100 * math.pi ** 2))

@@ -9,9 +9,7 @@ external tools.  Exit codes: 0 success, 2 input error, 3 regime error,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
-import math
 import sys
 
 import numpy as np
@@ -20,13 +18,10 @@ from . import asymptotics as asym
 from . import inverse as inv
 from . import kernel as ker
 from . import zeros as zmod
-from .errors import (ContourTooClose, DegenerateCharacteristic,
-                     DerivativeUnavailable, IterationDiverged, MassOutOfRange,
-                     NewtonStall, NoConvergence, QuadratureFailure, RegimeError,
-                     StepUnderflow)
-from .forward import solve_ivp
-from .profiles import (liouville_transform, load_profile,
-                       subinterval_boundary, travel_time)
+from .errors import (ContourTooClose, DegenerateCharacteristic, DerivativeUnavailable,
+                     IterationDiverged, MassOutOfRange, NewtonStall, NoConvergence,
+                     QuadratureFailure, RegimeError, StepUnderflow)
+from .profiles import liouville_transform, load_profile, subinterval_boundary, travel_time
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -34,8 +29,7 @@ EXIT_REGIME = 3
 EXIT_NUMERIC = 4
 
 _NUMERIC_ERRORS = (ContourTooClose, NewtonStall, StepUnderflow, NoConvergence,
-                   DegenerateCharacteristic, IterationDiverged,
-                   QuadratureFailure)
+                   DegenerateCharacteristic, IterationDiverged, QuadratureFailure)
 _INPUT_ERRORS = (ValueError, KeyError, OSError, json.JSONDecodeError,
                  MassOutOfRange, DerivativeUnavailable)
 
@@ -77,21 +71,18 @@ def cmd_profile_info(args):
              f"regime   = {regime}"]
     try:
         case = asym.case_from_profile(profile, liouville=lv)
-        payload["m"] = case.m
-        payload["eta_deriv"] = case.eta_deriv
+        payload.update(m=case.m, eta_deriv=case.eta_deriv)
         lines.append(f"m        = {case.m} (eta^({case.m + 2})(1) = {case.eta_deriv:.6g})")
     except ValueError as exc:
         lines.append(f"m        = indeterminate ({exc})")
     if regime == "a_eq_1":
         lines.append("warning: a = 1 — degenerate travel time regime")
     if regime == "a_gt_1":
-        eps = subinterval_boundary(profile, 0.5 * (a - 1.0))
+        eps = inv.theorem3_epsilon(profile).epsilon
         # representative b strictly above the minimum mass (a-1)/2
         b2 = 0.75 * (a - 1.0)
         eps2 = subinterval_boundary(profile, b2)
-        payload["epsilon"] = eps
-        payload["epsilon2"] = eps2
-        payload["epsilon2_mass"] = b2
+        payload.update(epsilon=eps, epsilon2=eps2, epsilon2_mass=b2)
         lines.append(f"epsilon  = {eps:.12g}  (mass (a-1)/2)")
         lines.append(f"epsilon2 = {eps2:.12g}  (mass b = {b2:.6g})")
         try:
@@ -121,12 +112,7 @@ def cmd_spectrum(args):
     if args.out:
         zmod.write_zeros_csv(args.out, report.zeros)
         zmod.write_report_json(args.out + ".json", report)
-        with open(args.out + ".scatter.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["re", "im"])
-            for z in report.zeros:
-                for c in z.symmetric_copies():
-                    w.writerow([f"{c.real:.9e}", f"{c.imag:.9e}"])
+        zmod.write_scatter_csv(args.out + ".scatter.csv", report.zeros)
         lines.append(f"wrote {args.out}, {args.out}.json, {args.out}.scatter.csv")
     _print(args, zmod.report_to_json(report), lines)
     return EXIT_OK
@@ -167,31 +153,13 @@ def cmd_asymptotics(args):
 
 
 def cmd_kernel_check(args):
-    profile = load_profile(args.profile)
-    lv = liouville_transform(profile)
-    a = lv.a
-    kg = ker.solve_kernel(lv, h=a / 200.0)
-    kg2 = ker.solve_kernel(lv, h=a / 400.0)
-    # the bound's scale int |q|: two digits suffice, so the trapezoid on the kernel grid
-    scale = max(1.0, float(ker._trapezoid_rows(np.abs(kg2.q)[None], kg2.delta)[0]))
-    checks = [("diagonal identity 2K(x,x)=Q(x)", kg2.diagonal_residual(), 5e-4 * scale)]
-    ks = np.array([1.0, math.pi, 7.3, 15.0])
-    y_h, dy_h = ker.representation_boundary(kg, ks)
-    y_h2, dy_h2 = ker.representation_boundary(kg2, ks)
-    y_ex = (4.0 * y_h2 - y_h) / 3.0
-    dy_ex = (4.0 * dy_h2 - dy_h) / 3.0
-    worst = 0.0
-    for i, k in enumerate(ks):
-        bv = solve_ivp(profile, float(k), tol=1e-13)
-        worst = max(worst, abs(y_ex[i] - bv.y1), abs(dy_ex[i] - bv.dy1))
-    checks.append(("boundary representation vs IVP (Richardson)", worst, 1e-5))
-
+    checks, grids, _errors = ker.identity_checks(liouville_transform(load_profile(args.profile)))
     rows = [{"name": name, "residual": float(resid), "bound": bound, "pass": bool(resid <= bound)}
             for name, resid, bound in checks]
     lines = [f"[{'PASS' if c['pass'] else 'FAIL'}] {c['name']}: "
              f"residual {c['residual']:.3e} (bound {c['bound']:.1e})" for c in rows]
     solves = [{"M": g.x.size - 1, "sweeps": g.iterations, "final_delta": g.final_delta}
-              for g in (kg, kg2)]
+              for g in grids]
     _emit(args, {"checks": rows, "solves": solves}, lines)
     return EXIT_OK if all(c["pass"] for c in rows) else EXIT_NUMERIC
 
@@ -203,11 +171,7 @@ def cmd_inverse_check(args):
         sc = inv.load_scenario(args.scenario)
     else:
         profile_ref = args.profile or "colton_example"
-        profile = load_profile(profile_ref)
-        a = travel_time(profile)
-        if a <= 1.0:
-            raise RegimeError("inverse-check default scenario needs a > 1")
-        x0 = 0.5 * (a + 1.0)
+        x0 = inv.theorem3_epsilon(load_profile(profile_ref)).x0
         sc = inv.load_scenario({
             "q": profile_ref,
             "q_tilde": {"base": profile_ref,

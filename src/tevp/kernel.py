@@ -40,9 +40,9 @@ SIAM 1985), and one lattice sweep (three cumulative sums, no gathers) checks it:
 its largest change of K is the discrete residual.  The traces read the same
 lines of q L; the full grid ``KernelGrid.K`` is built only on demand.
 
-Verification (``tevp kernel-check``): 2K(x,x) = int_0^x q against the antiderivative
-of the Liouville series of q sqrt(eta), and y(1,k), y'(1,k) from the boundary
-traces K1 = K_x(a,.), K2 = K_t(a,.) against the shooting solver.
+Verification (``identity_checks``, run by ``tevp kernel-check``): 2K(x,x) = int_0^x q
+against the antiderivative of the Liouville series of q sqrt(eta), and y(1,k), y'(1,k)
+from the boundary traces K1 = K_x(a,.), K2 = K_t(a,.) against the shooting solver.
 """
 
 from __future__ import annotations
@@ -55,11 +55,14 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import NoConvergence
+from .forward import solve_ivp
 from .profiles import LiouvilleData
 
 _SWEEP_TOL = 1e-12       # a verifying sweep may move K by at most this (1 + max|K|)
+_CHECK_KS = (1.0, math.pi, 7.3, 15.0)   # real k of the boundary representation check
 
-__all__ = ["KernelGrid", "solve_kernel", "boundary_traces", "representation_boundary"]
+__all__ = ["KernelGrid", "solve_kernel", "boundary_traces", "representation_boundary",
+           "identity_checks"]
 
 
 def _cumtrapz(v, delta):
@@ -247,3 +250,28 @@ def representation_boundary(kg: KernelGrid, k):
                  + i2 / (k * k))
     dy1 = pref * (np.cos(k * a) + np.sin(k * a) / (2.0 * k) * intq + i1 / k)
     return y1, dy1
+
+
+def identity_checks(liouville: LiouvilleData):
+    """``tevp kernel-check`` on the profile of ``liouville``: (checks, grids, errors).
+
+    ``grids`` are the kernels at h = a/200 and a/400.  ``checks`` are rows (name,
+    residual, bound): the fine grid's diagonal identity within 5e-4 max(1, int |q|),
+    and y(1,k), y'(1,k) at k = 1, pi, 7.3, 15 by Richardson (4 fine - coarse)/3 of
+    ``representation_boundary`` within 1e-5 of ``solve_ivp`` at tol 1e-13, on the
+    IVP's own scale; ``errors`` maps each k to (|y error|, |y' error|).  The reference
+    is one ``solve_ivp`` call per k: ``bench/test_bench.py`` pins 2 kernel solves and
+    4 adaptive calls for a traced kernel-check.
+    """
+    coarse, fine = (solve_kernel(liouville, h=liouville.a / m) for m in (200.0, 400.0))
+    # the bound's scale int |q|: two digits suffice, so the trapezoid on the kernel grid
+    scale = max(1.0, float(_trapezoid_rows(np.abs(fine.q)[None], fine.delta)[0]))
+    (y_h, dy_h), (y_h2, dy_h2) = (representation_boundary(kg, _CHECK_KS) for kg in (coarse, fine))
+    errors = {}
+    for k, y, dy in zip(_CHECK_KS, (4.0 * y_h2 - y_h) / 3.0, (4.0 * dy_h2 - dy_h) / 3.0):
+        bv = solve_ivp(liouville.profile, k, tol=1e-13)
+        s = np.exp(bv.scale_log)
+        errors[k] = abs(y - bv.y1 * s), abs(dy - bv.dy1 * s)
+    checks = [("diagonal identity 2K(x,x)=Q(x)", fine.diagonal_residual(), 5e-4 * scale),
+              ("boundary representation vs IVP (Richardson)", max(map(max, errors.values())), 1e-5)]
+    return checks, (coarse, fine), errors

@@ -265,23 +265,25 @@ def get_profile(name: str, params: Optional[Sequence[float]] = None) -> Refracti
     """Instantiate a registered named profile.
 
     ``params`` fill the constructor's positional parameters; a ``params`` that
-    is not a list of numbers, or more of them than it has, raise ValueError.
+    is not a list of numbers, more of them than it has, or any given to an
+    alias such as ``const4``, raise ValueError.
     """
     if params is not None and not _real_numbers(params):
         raise ValueError(f"profile params must be a list of numbers, got {params!r}")
     args = list(params) if params else []
-    if name in _ALIASES:
-        name, default_args = _ALIASES[name]
-        args = args or list(default_args)
-    if name not in NAMED_PROFILES:
+    target, alias_args = _ALIASES.get(name, (name, None))
+    if target not in NAMED_PROFILES:
         raise KeyError(f"unknown profile name {name!r}; "
                        f"known: {sorted(NAMED_PROFILES) + sorted(_ALIASES)}")
-    expected = [p.name for p in inspect.signature(NAMED_PROFILES[name]).parameters.values()
+    expected = [p.name for p in inspect.signature(NAMED_PROFILES[target]).parameters.values()
                 if p.kind is p.POSITIONAL_OR_KEYWORD]
+    if args and alias_args is not None:
+        raise ValueError(f"profile alias {name!r} takes no params; "
+                         f"use {target!r} with params {expected}")
     if len(args) > len(expected):
         raise ValueError(f"profile {name!r} takes at most {len(expected)} params "
                          f"{expected}, got {len(args)}: {args}")
-    return NAMED_PROFILES[name](*args)
+    return NAMED_PROFILES[target](*(alias_args or args))
 
 
 _SPEC_KEYS = {"named": {"kind", "name", "params"},

@@ -46,6 +46,7 @@ __all__ = [
     "find_zeros",
     "report_to_json",
     "read_zeros_csv",
+    "write_scatter_csv",
     "write_zeros_csv",
 ]
 
@@ -62,7 +63,7 @@ _AXIS_TOL = 1e-4             # ... if it starts on the real axis, for a conjugat
 _MAX_ROUNDS = 12             # segment-bisection rounds before a contour fails
 _STEP_CERT = 1e-10           # a simple zero needs |d/d'| <= _STEP_CERT (1 + |k|)
 _CIRCLE_TOL = 1e-6           # a simple zero's circle must wind within this of 1
-_MAX_SPLITS = 128            # segments one contour may split in one round
+_MAX_PENDING = 256           # a contour fails once more of its pieces than this are pending
 _PHASES = ("count", "subdivide", "refine")
 _RETRIES = ("inflate", "resplit")
 _TRIVIAL_CLEARANCE = 1e-2    # least distance from k = 0 of a search rect's corner (x0, y0)
@@ -177,7 +178,7 @@ class _Service:
         """One round, one batch: the rules the cache lacks of every pending piece
         of the counting ``cells`` and of its halves, once however many cells
         share it, and the point arrays ``extra``, whose (f'/f, |F|) it returns.
-        ContourTooClose if a cell's piece failed, or more than 2 _MAX_SPLITS of
+        ContourTooClose if a cell's piece failed, or more than _MAX_PENDING of
         them, or any after _MAX_ROUNDS rounds, are pending; DegenerateCharacteristic
         if max |F| over an outer cell's pieces is below DEGENERACY_FLOOR."""
         todo = {}
@@ -218,7 +219,7 @@ class _Service:
                 raise DegenerateCharacteristic(f"max |D| on contour {cell.peak:.3e} below "
                                                "the degeneracy floor")
             if (any(key in self.pieces for key, _sign in cell.pending)
-                    or len(cell.pending) > 2 * _MAX_SPLITS
+                    or len(cell.pending) > _MAX_PENDING
                     or cell.pending and cell.rounds >= _MAX_ROUNDS):
                 raise ContourTooClose(f"the contour of cell {cell.rect} failed")
         self._settle([cell for cell in cells if not cell.pending])
@@ -632,11 +633,16 @@ def report_to_json(report: SearchReport) -> dict:
 
 def write_zeros_csv(path, zeros):
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["re_k", "im_k", "multiplicity", "class", "residual"])
-        for z in zeros:
-            w.writerow([f"{z.k.real:.12e}", f"{z.k.imag:.12e}",
-                        z.multiplicity, z.cls, f"{z.residual:.3e}"])
+        csv.writer(fh).writerows([["re_k", "im_k", "multiplicity", "class", "residual"]] + [
+            [f"{z.k.real:.12e}", f"{z.k.imag:.12e}", z.multiplicity, z.cls, f"{z.residual:.3e}"]
+            for z in zeros])
+
+
+def write_scatter_csv(path, zeros):
+    """The ``re,im`` rows of every member of each zero's orbit, for plotting."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([["re", "im"]] + [[f"{c.real:.9e}", f"{c.imag:.9e}"]
+                                                   for z in zeros for c in z.symmetric_copies()])
 
 
 def read_zeros_csv(path):

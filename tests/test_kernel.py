@@ -11,7 +11,8 @@ from tevp import kernel
 from tevp.cli import EXIT_NUMERIC, main
 from tevp.errors import NoConvergence
 from tevp.forward import solve_ivp
-from tevp.kernel import boundary_traces, representation_boundary, solve_kernel
+from tevp.kernel import (boundary_traces, identity_checks, representation_boundary,
+                         solve_kernel)
 from tevp.profiles import ConstantProfile, get_profile, liouville_transform
 
 
@@ -277,3 +278,15 @@ def test_diagonal_reference_is_the_q_series_antiderivative(colton_lv):
 def test_solve_kernel_rejects_a_bad_resolution(colton_lv, h):
     with pytest.raises(ValueError, match="h must be finite and positive"):
         solve_kernel(colton_lv, h)
+
+
+def test_identity_checks_report_each_k_against_one_ivp_call(monkeypatch, colton_lv):
+    calls = []
+    monkeypatch.setattr(kernel, "solve_ivp",
+                        lambda *args, **kwargs: calls.append(args[1]) or solve_ivp(*args, **kwargs))
+    checks, grids, errors = identity_checks(colton_lv)
+    assert calls == list(errors) == [1.0, math.pi, 7.3, 15.0]
+    assert [g.x.size - 1 for g in grids] == [400, 800]
+    (_, diag, diag_bound), (_, worst, bound) = checks
+    assert diag == grids[1].diagonal_residual() <= diag_bound == 5e-4
+    assert worst == max(max(e) for e in errors.values()) <= bound == 1e-5

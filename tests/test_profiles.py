@@ -155,6 +155,23 @@ def test_named_params_never_bind_to_normalized_tail(name, params, expected):
         ConstantProfile(1.0, True)
 
 
+@pytest.mark.parametrize("name, params", [("const4", [9.0]), ("const1", [4.0]),
+                                          ("const4", [4.0])])
+def test_alias_takes_no_params(tmp_path, capsys, name, params):
+    # const4 with params [9] used to load eta == 9 under the name const4
+    message = "use 'constant' with params ['value']"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        get_profile(name, params)
+    spec = {"kind": "named", "name": name, "params": params}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        profile_from_dict(spec)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert cli_main(["profile-info", "--profile", str(path)]) == 2
+    assert message in capsys.readouterr().err
+    assert get_profile(name, []).eta(0.3) == get_profile(name).eta(0.3)
+
+
 def test_profile_dict_roundtrip(tmp_path):
     path = tmp_path / "prof.json"
     path.write_text(json.dumps({"kind": "named", "name": "colton_example"}))

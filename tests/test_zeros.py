@@ -15,7 +15,8 @@ from tevp.forward import characteristic_batch, scaled_characteristic
 from tevp.profiles import ConstantProfile, get_profile, travel_time
 from tevp.zeros import (SearchReport, SpectralZero, _Cell, _count, _d_service, _on_padded_rects,
                         _refine, _search, _Service, count_zeros, find_zeros, read_zeros_csv,
-                        report_to_json, write_report_json, write_zeros_csv)
+                        report_to_json, write_report_json, write_scatter_csv,
+                        write_zeros_csv)
 
 CONST4 = ConstantProfile(4.0)
 CONST1 = ConstantProfile(1.0)
@@ -236,6 +237,16 @@ def test_serialization(tmp_path, const4):
     json_path = tmp_path / "zeros.json"
     write_report_json(json_path, rep)
     assert json.load(open(json_path))["count"] == 6
+
+
+def test_scatter_csv_writes_each_orbit(tmp_path):
+    zeros = [SpectralZero(2.5 + 0j, 1, "real", 0.0), SpectralZero(3.0 + 1.5j, 2, "nonreal", 0.0)]
+    path = tmp_path / "scatter.csv"
+    write_scatter_csv(path, zeros)
+    rows = list(csv.reader(open(path)))
+    assert rows[0] == ["re", "im"]
+    assert [complex(float(re), float(im)) for re, im in rows[1:]] == [
+        -2.5, 2.5, -3.0 - 1.5j, -3.0 + 1.5j, 3.0 - 1.5j, 3.0 + 1.5j]
 
 
 def test_zeros_csv_round_trip(tmp_path, colton_spectrum_40, const4):
@@ -883,6 +894,32 @@ def test_subdivision_raises_on_a_zero_on_its_split_line(monkeypatch):
     _top, found = _on_padded_rects(service, (0.0, 16.0, 0.0, 1.0), _search)
     assert service.stats["retries"] == {"inflate": 1, "resplit": 0}
     assert np.abs(_ks(found) - zs).max() <= 1e-14
+
+
+def _noise_cell(monkeypatch, max_pending):
+    """A contour on f'/f of seeded Gaussian noise, advanced until it fails, with
+    the pending-piece guard at ``max_pending``: (the cell, its service)."""
+    rng = np.random.default_rng(0)
+    monkeypatch.setattr(zeros_module, "_MAX_PENDING", max_pending)
+    service = _exact(lambda k: rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size),
+                     lambda k: np.ones(k.size))
+    cell = _Cell((1.0, 5.0, 0.5, 3.0), "count")
+    with pytest.raises(ContourTooClose, match="the contour of cell"):
+        while cell.count is None:
+            service.advance([cell], [])
+    return cell, service
+
+
+def test_pending_guard_fails_a_noise_contour_early(monkeypatch):
+    # no piece of noise ever matches its halves, so all of them split every
+    # round: the guard stops the contour at 4 * 2^7 = 512 pending pieces
+    cell, service = _noise_cell(monkeypatch, zeros_module._MAX_PENDING)
+    assert cell.rounds == 7 < zeros_module._MAX_ROUNDS
+    assert len(cell.pending) == 512 and service.stats["evals"] == 12_240
+    # without it the contour runs all _MAX_ROUNDS rounds at 24 times the cost
+    cell, service = _noise_cell(monkeypatch, math.inf)
+    assert cell.rounds == zeros_module._MAX_ROUNDS
+    assert service.stats["evals"] > 24 * 12_240
 
 
 def test_search_options_are_module_constants():
