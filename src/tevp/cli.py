@@ -9,6 +9,7 @@ external tools.  Exit codes: 0 success, 2 input error, 3 regime error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -35,10 +36,19 @@ _INPUT_ERRORS = (ValueError, KeyError, OSError, json.JSONDecodeError,
 
 
 def _parse_rect(text):
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) != 4:
-        raise ValueError(f"--rect wants x0,x1,y0,y1, got {text!r}")
-    return tuple(parts)
+    """The type of --rect: four floats x0,x1,y0,y1."""
+    try:
+        x0, x1, y0, y1 = map(float, text.split(","))
+    except ValueError:      # an entry float cannot read, or not four entries
+        raise argparse.ArgumentTypeError(f"wants x0,x1,y0,y1, got {text!r}") from None
+    return x0, x1, y0, y1
+
+
+def _nonempty(text):
+    """The type of a name or path flag: an empty value is a usage error, not an absent flag."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a non-empty value")
+    return text
 
 
 def _print(args, payload, text_lines):
@@ -48,7 +58,7 @@ def _print(args, payload, text_lines):
 def _emit(args, payload, text_lines):
     """Print, and write the JSON payload to --out."""
     _print(args, payload, text_lines)
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -95,21 +105,14 @@ def cmd_profile_info(args):
     return EXIT_OK
 
 
-def _search(args, profile):
-    """The find_zeros report over --rect."""
-    if args.rect is None:
-        raise ValueError(f"{args.cmd} requires --rect x0,x1,y0,y1")
-    return zmod.find_zeros(profile, _parse_rect(args.rect))
-
-
 def cmd_spectrum(args):
-    report = _search(args, load_profile(args.profile))
+    report = zmod.find_zeros(load_profile(args.profile), args.rect)
     lines = [f"zeros found: {len(report.zeros)} "
              f"(count {report.total_count_by_argument_principle} with multiplicity)"]
     for z in report.zeros:
         lines.append(f"  {z.k.real:+.9f} {z.k.imag:+.9f}  m={z.multiplicity}"
                      f"  {z.cls}  |D|={z.residual:.2e}")
-    if args.out:
+    if args.out is not None:
         zmod.write_zeros_csv(args.out, report.zeros)
         zmod.write_report_json(args.out + ".json", report)
         zmod.write_scatter_csv(args.out + ".scatter.csv", report.zeros)
@@ -119,11 +122,10 @@ def cmd_spectrum(args):
 
 
 def cmd_asymptotics(args):
-    if args.spectrum and args.rect is not None:
-        raise ValueError("--spectrum reads its zeros from a file: --rect would be ignored")
     profile = load_profile(args.profile)
     case = asym.case_from_profile(profile)
-    zeros = zmod.read_zeros_csv(args.spectrum) if args.spectrum else _search(args, profile).zeros
+    zeros = (zmod.read_zeros_csv(args.spectrum) if args.rect is None
+             else zmod.find_zeros(profile, args.rect).zeros)
     nonreal = [z for z in zeros if z.cls == "nonreal"]
     if nonreal and case.regime == "a_eq_1":
         raise RegimeError("spectrum regime check failed for a = 1")
@@ -137,7 +139,7 @@ def cmd_asymptotics(args):
              f"unmatched predictions: n = {report.unmatched_predictions}"]
     for r, N, ratio in counting:
         lines.append(f"  counting r={r:8.3f}  N={N:4d}  N*pi/(4r)={ratio:.4f}")
-    if args.out:
+    if args.out is not None:
         asym.write_match_csv(args.out, report)
         lines.append(f"wrote {args.out}")
     payload = {
@@ -165,20 +167,14 @@ def cmd_kernel_check(args):
 
 
 def cmd_inverse_check(args):
-    if args.scenario:
-        if args.profile is not None:
-            raise ValueError("--scenario names its own profiles: --profile would be ignored")
+    if args.scenario is not None:
         sc = inv.load_scenario(args.scenario)
     else:
-        profile_ref = args.profile or "colton_example"
+        profile_ref = "colton_example" if args.profile is None else args.profile
         x0 = inv.theorem3_epsilon(load_profile(profile_ref)).x0
-        sc = inv.load_scenario({
-            "q": profile_ref,
-            "q_tilde": {"base": profile_ref,
-                        "bump": {"amplitude": 0.8, "center": 0.25 * x0,
-                                 "width": 0.2 * x0}},
-            "agree_from": x0,
-        })
+        bump = {"amplitude": 0.8, "center": 0.25 * x0, "width": 0.2 * x0}
+        sc = inv.load_scenario({"q": profile_ref, "q_tilde": {"base": profile_ref, "bump": bump},
+                                "agree_from": x0})
     # the regime check is cheap and can fail, so it runs before the Wronskian
     thr = None if sc.b is None else inv.theorem4_threshold(sc.a, sc.b)
     rng = np.random.default_rng(args.seed)
@@ -203,57 +199,53 @@ def cmd_inverse_check(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser():
+    """The one parser, built on first use: it holds every flag rule, so a missing,
+    empty or conflicting flag is a usage error (exit 2) before any command runs."""
     p = argparse.ArgumentParser(
         prog="tevp",
         description="Transmission eigenvalues of spherically stratified media")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def common(sp):
-        sp.add_argument("--profile", required=False,
-                        help="profile registry name or JSON path")
-        sp.add_argument("--out", help="output path")
-        sp.add_argument("--json", action="store_true",
-                        help="machine-readable JSON to stdout")
+    def command(name, fn, summary, profile=True):
+        sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(fn=fn)
+        if profile:
+            sp.add_argument("--profile", type=_nonempty, required=True,
+                            help="profile registry name or JSON path")
+        sp.add_argument("--out", type=_nonempty, help="output path")
+        sp.add_argument("--json", action="store_true", help="machine-readable JSON to stdout")
+        return sp
 
-    sp = sub.add_parser("profile-info", help="travel time, regime, potentials")
-    common(sp)
-    sp.set_defaults(fn=cmd_profile_info)
+    command("profile-info", cmd_profile_info, "travel time, regime, potentials")
+    sp = command("spectrum", cmd_spectrum, "zeros of d in a rectangle")
+    sp.add_argument("--rect", type=_parse_rect, required=True, help="x0,x1,y0,y1")
 
-    sp = sub.add_parser("spectrum", help="zeros of d in a rectangle")
-    common(sp)
-    sp.add_argument("--rect", help="x0,x1,y0,y1")
-    sp.set_defaults(fn=cmd_spectrum)
+    zeros = command("asymptotics", cmd_asymptotics,
+                    "match zeros against predictions").add_mutually_exclusive_group(required=True)
+    zeros.add_argument("--rect", type=_parse_rect, help="x0,x1,y0,y1")
+    zeros.add_argument("--spectrum", type=_nonempty, help="zeros CSV from a previous spectrum run")
 
-    sp = sub.add_parser("asymptotics", help="match zeros against predictions")
-    common(sp)
-    sp.add_argument("--rect", help="x0,x1,y0,y1")
-    sp.add_argument("--spectrum", help="zeros CSV from a previous spectrum run")
-    sp.set_defaults(fn=cmd_asymptotics)
+    command("kernel-check", cmd_kernel_check, "transmutation kernel oracle suite")
 
-    sp = sub.add_parser("kernel-check", help="transmutation kernel oracle suite")
-    common(sp)
-    sp.set_defaults(fn=cmd_kernel_check)
-
-    sp = sub.add_parser("inverse-check", help="Wronskian identity scenario suite")
-    common(sp)
-    sp.add_argument("--scenario", help="scenario JSON path")
+    sp = command("inverse-check", cmd_inverse_check, "Wronskian identity scenario suite",
+                 profile=False)
+    media = sp.add_mutually_exclusive_group()
+    media.add_argument("--profile", type=_nonempty,
+                       help="profile registry name or JSON path (default colton_example)")
+    media.add_argument("--scenario", type=_nonempty, help="scenario JSON path")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--fast", action="store_true",
-                    help="fewer sample points (12 instead of 50)")
-    sp.set_defaults(fn=cmd_inverse_check)
+    sp.add_argument("--fast", action="store_true", help="fewer sample points (12 instead of 50)")
     return p
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
-        if args.profile is None and args.fn is not cmd_inverse_check:
-            raise ValueError("--profile is required for this subcommand")
         return args.fn(args)
     except RegimeError as exc:
         print(f"regime error: {exc}", file=sys.stderr)

@@ -271,6 +271,10 @@ class _Service:
                 raise ContourTooClose(f"winding defect > 0.25 for rect {cell.rect}")
             cell.count, cell.moments = n, s
 
+    def outer_cell(self, rect):
+        """A count's or search's outer cell, symmetric if f is and ``rect`` is (x0, x1, -y, y)."""
+        return _Cell(rect, "count", sym=self.symmetric and rect[2] == -rect[3])
+
     def provisional(self, cell):
         """The winding number so far of a counting ``cell``: accepted plus pending pieces."""
         w = (sum(sign * self.whole[row] for row, sign in cell.accepted)
@@ -330,7 +334,7 @@ def _d_service(profile, rect):
 
 def _count(service, *rects):
     """``rects`` as counted outer ``_Cell``s, their contours advanced together."""
-    cells = [_Cell(rect, "count") for rect in rects]
+    cells = [service.outer_cell(rect) for rect in rects]
     while counting := [cell for cell in cells if cell.count is None]:
         service.advance(counting, [])
     return cells
@@ -350,13 +354,17 @@ def count_zeros(profile: RefractiveProfile, rect) -> int:
     """Number of zeros of d (with multiplicity) inside the rectangle.
 
     ``rect`` is (x0, x1, y0, y1) anywhere in the plane, x1 > x0 and y1 > y0,
-    else ValueError, as in ``find_zeros``.  If an edge passes too close to a
-    zero for the winding quadrature, the right and top edges move out by
-    1e-2, 2e-2, ... (at most 0.16) and the left and bottom ones half as far
-    (at most half their distance to an axis they are off) until the count
-    converges.
+    with no edge within 1e-9 of the real axis (it would run through the real
+    zeros), else ValueError.  A mirror image (x0, x1, -y, y) is counted from its
+    three upper edges, as ``find_zeros`` counts it: 2U + N_r for U zeros above
+    the axis and N_r on it, where ``find_zeros`` reports U + N_r.  A failed
+    contour restarts the count on the next padded rect, as in ``find_zeros``.
     """
-    rect = _checked_rect(rect)
+    x0, x1, y0, y1 = rect = _checked_rect(rect)
+    if min(abs(y0), abs(y1)) <= 1e-9:
+        y = max(y1, -y0)
+        raise ValueError(f"rect {rect} has an edge on the real axis: count its mirror image "
+                         f"{(x0, x1, -y, y)} (2U + N_r zeros) or use find_zeros (U + N_r)")
     return _on_padded_rects(_d_service(profile, rect), rect, _count)[0].count
 
 
@@ -530,7 +538,7 @@ def _search(service, rect):
     cell to split is narrower than _SPLIT_FLOOR.  For a conjugate-symmetric f a rect
     (x0, x1, -y, y) is a symmetric cell, refined at up to 2 _MMAX zeros (mirrors
     included), and ContourTooClose if its count less its real zeros is odd."""
-    top = _Cell(rect, "count", sym=service.symmetric and rect[2] == -rect[3])
+    top = service.outer_cell(rect)
     counting, refining, pairs, halved, found = [top], [], [], set(), []
 
     def split(cell):

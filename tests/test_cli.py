@@ -365,3 +365,68 @@ def test_kernel_check_pass_builds_few_composed_tables(monkeypatch, capsys):
              for name in ("colton_example", "raised_cosine", "slow_core", "const4")]
     assert codes == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_NUMERIC]
     assert len(built) <= 22
+
+
+# every flag rule the parser declares: {inputs} is a zeros CSV and a scenario
+# file made beforehand, {out} a path under the test's empty directory
+_USAGE_ERRORS = {
+    "profile-info without --profile": "profile-info",
+    "spectrum without --profile": "spectrum --rect 0.3,10,0,4",
+    "spectrum without --rect": "spectrum --profile colton_example",
+    "asymptotics without --profile": "asymptotics --rect 0.3,10,0,4",
+    "kernel-check without --profile": "kernel-check",
+    "asymptotics with neither --rect nor --spectrum": "asymptotics --profile colton_example",
+    "asymptotics with --rect and --spectrum":
+        "asymptotics --profile colton_example --spectrum {inputs}/z.csv --rect 0.3,10,0,4",
+    "inverse-check with --profile and --scenario":
+        "inverse-check --fast --scenario {inputs}/sc.json --profile slow_core",
+    "three rect entries": "spectrum --profile colton_example --rect 1,2,3",
+    "a rect entry that is no number": "spectrum --profile colton_example --rect 1,2,a,b",
+    "asymptotics with a bad rect": "asymptotics --profile colton_example --rect 1,2,3",
+    "empty --profile": "profile-info --profile=",
+    "empty --scenario": "inverse-check --fast --scenario=",
+    "empty --profile on inverse-check": "inverse-check --fast --profile=",
+    "empty --out on spectrum": "spectrum --profile colton_example --rect 0.3,10,0,4 --out=",
+    "empty --out on kernel-check": "kernel-check --profile colton_example --out=",
+    "empty --out on profile-info": "profile-info --profile colton_example --out=",
+    "empty --spectrum": "asymptotics --profile colton_example --spectrum= --rect 0.3,10,0,4",
+    "--rect on kernel-check": "kernel-check --profile colton_example --rect 0.3,10,0,4 "
+                              "--out {out}",
+    "--scenario on spectrum": "spectrum --profile colton_example --rect 0.3,10,0,4 "
+                              "--scenario {inputs}/sc.json --out {out}",
+}
+
+
+@pytest.fixture(scope="module")
+def usage_inputs(tmp_path_factory):
+    inputs = tmp_path_factory.mktemp("inputs")
+    write_zeros_csv(inputs / "z.csv", [])
+    (inputs / "sc.json").write_text(json.dumps(
+        {"q": "colton_example", "q_tilde": "colton_example", "agree_from": 0.6}))
+    return inputs
+
+
+@pytest.mark.parametrize("argv", _USAGE_ERRORS.values(), ids=_USAGE_ERRORS)
+def test_flag_rules_are_usage_errors(usage_inputs, tmp_path, monkeypatch, capsys, argv):
+    # the parser rejects each before any command runs: no result, no file
+    monkeypatch.chdir(tmp_path)
+    argv = argv.format(inputs=usage_inputs, out=tmp_path / "out.csv").split()
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: " in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_cached_parser_keeps_no_state_between_calls(capsys):
+    # kernel-check --json after profile-info, in one process, prints what it prints alone
+    argv = ["kernel-check", "--profile", "slow_core", "--json"]
+    assert main(argv) == EXIT_OK
+    alone = capsys.readouterr().out
+    assert main(["profile-info", "--profile", "colton_example"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == alone

@@ -44,6 +44,35 @@ def test_count_perturbs_contour_through_zero():
     assert count_zeros(CONST4, (4.0, 2.0 * math.pi, -0.15, 0.5)) == 3
 
 
+def test_count_of_a_mirror_image_evaluates_nothing_below_the_axis(monkeypatch, colton,
+                                                                   colton_spectrum_40):
+    # (x0, x1, -y, y) is one symmetric cell, as in find_zeros: its three upper
+    # edges count 2U + N_r, U zeros above the axis and N_r on it
+    ks = []
+
+    def record(profile, k, *, n_steps):
+        ks.append(k)
+        return characteristic_batch(profile, k, n_steps=n_steps)
+
+    monkeypatch.setattr(zeros_module, "characteristic_batch", record)
+    assert count_zeros(CONST4, (0.5, 2.0 * math.pi + 0.5, -1.0, 1.0)) == 6
+    assert sum(k.size for k in ks) == 144      # 216 as a four-edge cell
+    nonreal = sum(z.multiplicity for z in colton_spectrum_40.zeros if z.cls == "nonreal")
+    assert count_zeros(colton, (0.3, 40.0, -6.0, 6.0)) == \
+        colton_spectrum_40.total_count_by_argument_principle + nonreal
+    assert min(k.imag.min() for k in ks) >= 0.0
+
+
+@pytest.mark.parametrize("rect", [(0.3, 40.0, 0.0, 6.0), (0.3, 40.0, 1e-10, 6.0),
+                                  (0.3, 40.0, -6.0, 0.0), (0.3, 40.0, -6.0, -1e-10)])
+def test_count_of_a_rect_with_an_edge_on_the_axis_is_an_input_error(monkeypatch, colton, rect):
+    # its contour would run through the real zeros and fail before a padded retry
+    monkeypatch.setattr(zeros_module, "characteristic_batch", None)
+    with pytest.raises(ValueError, match=r"edge on the real axis.*\(0\.3, 40\.0, -6\.0, 6\.0\)"
+                                         r" \(2U \+ N_r zeros\) or use find_zeros \(U \+ N_r\)"):
+        count_zeros(colton, rect)
+
+
 @pytest.mark.parametrize("rect, zeros", [
     ((4.0, 2.0 * math.pi, 0.0, 0.5), [2.0 * math.pi]),
     ((2.0, 2.0 * math.pi, 0.0, 1.0), [math.pi, 2.0 * math.pi]),
@@ -1088,8 +1117,9 @@ def test_split_triple_zero_is_resolved(eps):
 
 def test_one_cell_resolves_a_split_triple_zero():
     # eta = 4 + 1e-6 splits the triple zero at pi into three about 7e-3 apart;
-    # the pencil of one cell around them gives all three, none handed back
-    rect = (3.1, 3.2, -0.05, 0.05)
+    # the pencil of one cell around them gives all three, none handed back (a
+    # rect that is not its own mirror image, so the cell has four edges)
+    rect = (3.1, 3.2, -0.05, 0.06)
     service = _d_service(ConstantProfile(4.0 + 1e-6), rect)
     cell, = _count(service, rect)
     found, back = _refined(service, [cell])
