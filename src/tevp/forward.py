@@ -305,6 +305,13 @@ def _shoot(profile: RefractiveProfile, k: np.ndarray, n_steps: int):
     return _integrate_batch(coef, k, growth, lam_scale=unit ** 2)
 
 
+def _finite_k(k) -> np.ndarray:
+    """k as a complex array of its own shape; a non-finite entry raises ValueError."""
+    if not np.isfinite(k := np.asarray(k, dtype=complex)).all():
+        raise ValueError(f"k must be finite, got {k[~np.isfinite(k)][0]}")
+    return k
+
+
 def characteristic_batch(profile: RefractiveProfile, k, *, n_steps: int | None = None):
     """Evaluate d and d' at an array of k on a shared fixed grid.
 
@@ -316,11 +323,9 @@ def characteristic_batch(profile: RefractiveProfile, k, *, n_steps: int | None =
     if n_steps is not None and (isinstance(n_steps, bool) or not (
             isinstance(n_steps, (int, np.integer)) and n_steps > 0)):
         raise ValueError(f"n_steps must be a positive integer, got {n_steps!r}")
-    k = np.asarray(k, dtype=complex).ravel()
+    k = _finite_k(k).ravel()
     if k.size == 0:
         return k.copy(), k.copy(), np.zeros(0)
-    if not np.isfinite(k).all():
-        raise ValueError(f"k must be finite, got {k[~np.isfinite(k)][0]}")
     if n_steps is None:
         n_steps = grid_steps(profile, float(np.abs(k).max()), _PER_RADIAN)
     u, log_scale = _shoot(profile, k, n_steps)
@@ -355,8 +360,7 @@ def _checked_shoot(profile: RefractiveProfile, k: np.ndarray, tol: float):
         raise ValueError("tol must lie in [1e-13, 1e-6]")
     if k.size == 0:
         return np.zeros((4, 0), dtype=complex), np.zeros(0)
-    if not np.isfinite(k).all():
-        raise ValueError(f"k must be finite, got {k[~np.isfinite(k)][0]}")
+    _finite_k(k)
     n = grid_steps(profile, float(np.abs(k).max()), _PER_RADIAN)
     coarse, coarse_log = _shoot(profile, k, n)
     while 2 * n <= _MAX_STEPS:

@@ -27,7 +27,7 @@ import numpy as np
 from . import _rk8
 from .asymptotics import nonreal_count
 from .errors import RegimeError
-from .forward import _integrate_batch, _rk8_polynomials
+from .forward import _finite_k, _integrate_batch, _rk8_polynomials
 from .profiles import (RefractiveProfile, _known_keys, _real_numbers, liouville_transform,
                        load_profile, subinterval_boundary, travel_time)
 
@@ -157,11 +157,9 @@ def wronskian_g(scenario: UniquenessScenario, k):
     [0, x0], and g_wronskian = phi~'(a) phi(a) - phi~(a) phi'(a); their
     difference is the identity check.  A non-finite k raises ValueError.
     """
-    ks = np.asarray(k, dtype=complex)
+    ks = _finite_k(k)
     if ks.size == 0:
         return ks.copy(), ks.copy()
-    if not np.isfinite(ks).all():
-        raise ValueError(f"k must be finite, got {ks[~np.isfinite(ks)][0]}")
     n_panels = int(np.ceil(scenario.x0 * max(_PANELS_PER_UNIT,
                                              _PANELS_PER_RADIAN * float(np.abs(ks).max()))))
     nodes, weights_dq, coef, h_max, q_max = scenario._wronskian_grid(n_panels)

@@ -20,7 +20,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
-from scipy.fft import dct
 
 from .errors import DerivativeUnavailable, MassOutOfRange, QuadratureFailure
 
@@ -342,25 +341,33 @@ def load_profile(path_or_name: str) -> RefractiveProfile:
 # ---------------------------------------------------------------------------
 
 
+def _chebyshev_coefficients(v: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients of the interpolant of v at the n first-kind points
+    cos(pi (j + 1/2) / n): the type-II DCT of v over n, with c_0 halved.  The DCT is
+    the real FFT of the even sequence of period 4n holding v at its odd points."""
+    n = v.size
+    w = np.zeros(4 * n)
+    w[1:2 * n:2], w[2 * n + 1::2] = v, v[::-1]
+    c = np.fft.rfft(w).real[:n] / n
+    c[0] *= 0.5
+    return c
+
+
 def _chebyshev_fit(f: Callable, what: str) -> Chebyshev:
     """f on [0,1] as one Chebyshev series resolved to rounding level.
 
-    A type-II DCT of f at first-kind Chebyshev points gives the coefficients;
-    the node count doubles until the upper half of them is below _CHEB_TAIL of
-    the largest.  Those below machine epsilon of it are trimmed: they change no
-    value but cost every call.
+    The coefficients of f at n first-kind Chebyshev points come from one real FFT
+    (``_chebyshev_coefficients``); n doubles until the upper half of them is below
+    _CHEB_TAIL of the largest.  Those below machine epsilon of it are trimmed: they
+    change no value but cost every call.
     """
     n = _N_CHEB
-    while True:
-        t = np.cos(np.pi * (np.arange(n) + 0.5) / n)
-        c = dct(f(0.5 * (1.0 + t)), type=2) / n
-        c[0] *= 0.5
+    while n <= _N_CHEB_MAX:
+        c = _chebyshev_coefficients(f(0.5 * (1.0 + np.cos(np.pi * (np.arange(n) + 0.5) / n))))
         if np.max(np.abs(c[n // 2:])) <= _CHEB_TAIL * np.max(np.abs(c)):
-            break
+            return Chebyshev(c, domain=[0.0, 1.0]).trim(np.finfo(float).eps * np.max(np.abs(c)))
         n = 2 * n - 1
-        if n > _N_CHEB_MAX:
-            raise QuadratureFailure(f"{what} unresolved by {_N_CHEB_MAX} Chebyshev nodes")
-    return Chebyshev(c, domain=[0.0, 1.0]).trim(np.finfo(float).eps * np.max(np.abs(c)))
+    raise QuadratureFailure(f"{what} unresolved by {_N_CHEB_MAX} Chebyshev nodes")
 
 
 class _CumulativeMap:

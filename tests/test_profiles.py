@@ -9,10 +9,12 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import Chebyshev
 from numpy.testing import assert_allclose
 from scipy import integrate
 
 import tevp
+import tevp.profiles as profiles_module
 from tevp.asymptotics import case_from_profile
 from tevp.cli import main as cli_main
 from tevp.errors import MassOutOfRange, QuadratureFailure
@@ -235,11 +237,82 @@ def test_q_is_bit_reproducible_across_processes():
     assert _run_python(code) == _run_python(code)
 
 
-@pytest.mark.parametrize("module", ["scipy.interpolate", "scipy.integrate"])
+@pytest.mark.parametrize("module", ["scipy", "scipy.interpolate", "scipy.integrate"])
 def test_import_leaves_scipy_module_unloaded(module):
     code = ("import sys, tevp, tevp.cli\n"
             f"print({module!r} in sys.modules)")
     assert _run_python(code) == "False"
+
+
+def test_cli_runs_with_scipy_blocked():
+    # the runtime needs numpy alone: with scipy unimportable, a search, the kernel
+    # identities and the Wronskian check exit as usual (4: const4's known defect)
+    code = ("import contextlib, io, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from tevp.cli import main\n"
+            "runs = [['spectrum', '--profile', 'colton_example', '--rect', '0.3,10,0,4']]\n"
+            "runs += [['kernel-check', '--profile', p]\n"
+            "         for p in ('colton_example', 'raised_cosine', 'slow_core', 'const4')]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(argv) for argv in runs + [['inverse-check', '--fast']]]\n"
+            "print(codes)")
+    assert _run_python(code) == "[0, 0, 0, 0, 4, 0]"
+
+
+def _scipy_dct_coefficients(v):
+    """The coefficients the fit took from scipy: a type-II DCT over n, c_0 halved."""
+    from scipy.fft import dct
+    c = dct(v, type=2) / v.size
+    c[0] *= 0.5
+    return c
+
+
+def _chebyshev_nodes(n):
+    return 0.5 * (1.0 + np.cos(np.pi * (np.arange(n) + 0.5) / n))
+
+
+def _scipy_fit(f):
+    """``_chebyshev_fit``'s node counts, tail test and trim on the scipy DCT:
+    the node counts visited and the trimmed series."""
+    n, visited = profiles_module._N_CHEB, []
+    while True:
+        visited.append(n)
+        c = _scipy_dct_coefficients(f(_chebyshev_nodes(n)))
+        if np.max(np.abs(c[n // 2:])) <= profiles_module._CHEB_TAIL * np.max(np.abs(c)):
+            return visited, Chebyshev(c).trim(np.finfo(float).eps * np.max(np.abs(c)))
+        n = 2 * n - 1
+
+
+def _fit_profile(name):
+    if name != "chebyshev":
+        return get_profile(name)
+    coeffs = np.zeros(101)      # q sqrt(eta) needs 1281 nodes
+    coeffs[[0, 3, 100]] = 2.0, 0.2, 0.01
+    return ChebyshevProfile(coeffs)
+
+
+@pytest.mark.parametrize("what", ["sqrt(eta)", "q sqrt(eta)"])
+@pytest.mark.parametrize("name", ["colton_example", "raised_cosine", "slow_core", "const4",
+                                  "chebyshev"])
+def test_chebyshev_fit_matches_the_scipy_dct(name, what):
+    # the real-FFT DCT agrees with scipy's to rounding at every node count the fit
+    # visits, and its noise adds no coefficient above the trim threshold
+    p = _fit_profile(name)
+    if what == "sqrt(eta)":
+        def f(r):
+            return np.sqrt(p.eta(r))
+    else:
+        def f(r):
+            return profiles_module._q_of_r(p, r) * np.sqrt(p.eta(r))
+    visited = []
+    series = profiles_module._chebyshev_fit(lambda r: visited.append(r.size) or f(r), what)
+    ref_visited, ref = _scipy_fit(f)
+    assert visited == ref_visited
+    for n in visited:
+        v = f(_chebyshev_nodes(n))
+        c, c_ref = profiles_module._chebyshev_coefficients(v), _scipy_dct_coefficients(v)
+        assert np.max(np.abs(c - c_ref)) <= 1e-15 * np.max(np.abs(c_ref))
+    assert len(series.coef) <= len(ref.coef)
 
 
 def _quad_reference(profile, absolute=False, panels=16):
