@@ -15,16 +15,19 @@ engine evaluates P and dP/dk for a block of rows with one matrix product, then
 applies u -> P u, v -> P v + P' u.  A block of at most ``_FOLD_POINTS`` columns
 first folds its rows pairwise into one: log2(rows) rounds of numpy calls instead of
 a round per row.  The r-form (c = eta, s = 0 on [0, 1]) takes n steps uniform in
-optical depth, each of phase k a / n (``_step_nodes``), and composes 8 into one row
-of degree 48 in mu = (k u)^2, u = a/n rounded to a power of two, where the
-coefficients stay representable (``_composed_steps``, 3 rounds of pairwise block
-contractions; ``_composed_table`` keeps the last 16 tables).  Every row spans 8/3.5
-= 2.29 rad at the largest |k| of a search grid, so its monomial sum loses under a
-digit, and a large batch's loop runs n/8 times.  Each call evaluates the rows only
-to the degree its max |mu| needs (``_degree_needed``): at most 12 of the 48 on a
-search grid, all of them when |mu| is large.  It serves ``characteristic_batch``, ``characteristic`` and
-``solve_ivp``: one step-count rule, 8 steps per radian at max |k|, sizes the
-default grid of the first and the start of the last two, which double the
+optical depth, each of phase k a / n (``_step_nodes``), and composes G into a row
+(``_composed_steps``; ``_composed_table`` keeps the last 16 tables by profile, n and
+disk).  Uncentred, G = 8 in mu = (k u)^2, u = a/n rounded to a power of two, where the
+coefficients stay representable: a row spans 8/3.5 = 2.29 rad at the largest |k| of a
+search grid, so its monomial sum loses under a digit.  A search's disk |k - c| <= R,
+c real, centres the table on eps = (k^2 - c^2) u^2 with the largest G whose row spans
+at most 2.29 rad over the disk (``_table_shape``), so the loop runs n/G times: 5 rows
+of 128 steps on the band (145, 150.5, 0, 8), where uncentred 73 rows of 8 ran.  Each
+call evaluates the rows only to the degree its max |mu| or |eps| needs
+(``_degree_needed``): on a search grid at most 12 of 48 uncentred, about 23 centred (eps
+enters to the power where mu entered squared).  It serves ``characteristic_batch``,
+``characteristic`` and ``solve_ivp``: one step-count rule, 8 steps per radian at max
+|k|, sizes the default grid of the first and the start of the last two, which double the
 steps until they agree.  The x-form (c = 1, s = q on [0, a]), one row per
 step, serves ``inverse.wronskian_g``.  Every propagation starts from y = 0,
 y' = 1.
@@ -36,6 +39,7 @@ representable when |Im k| is large (d grows like exp((1+a)|Im k|)).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +68,7 @@ _FOLD_POINTS = 64         # columns up to which the engine folds a block's rows 
 _BLOCK_GROWTH = 115.0     # bound on the log growth of the state within one block
 _MAX_STEPS = 2**16        # finest grid the accuracy check of the single-point path may use
 _PER_RADIAN = 8.0         # steps per radian at max|k|: the default grid, the first check level
+_ROW_RADIANS = _GROUP / 3.5   # phase a row spans over its table's disk: 8 steps of a search grid
 
 
 @dataclass
@@ -182,34 +187,58 @@ def _step_polynomials(profile: RefractiveProfile, r: np.ndarray):
     return _rk8_polynomials(np.asarray(eta, dtype=float), h)
 
 
-def _composed_steps(profile: RefractiveProfile, n_steps: int) -> np.ndarray:
-    """The r-form step polynomials on ``_step_nodes`` composed ``_GROUP`` at a time,
-    in mu = lam u^2, u = ``_mu_unit``: within a factor 2 of the squared phase per step.
+def _composed_steps(profile: RefractiveProfile, n_steps: int, disk=None) -> np.ndarray:
+    """The r-form step polynomials on ``_step_nodes`` composed G at a time, (c, R, G) the
+    ``_table_shape`` of ``disk``, in eps = (lam - c^2) u^2, u = ``_mu_unit``.
 
-    Identity steps pad n_steps to a multiple of _GROUP; row i spans steps
-    _GROUP i ... _GROUP (i + 1) - 1.  In lam its top coefficients would underflow.
-    Built ``_BUILD_CHUNK`` rows at a time from slices of one node array, so the build
-    needs little more memory than the table and equals a one-shot build.  A pairing round
-    forms b_p a for _DEGREE + 1 coefficients p at once and adds them in the order of p.
+    Identity steps pad n_steps to a multiple of G; row i spans steps G i ... G (i + 1)
+    - 1.  In lam its top coefficients would underflow.  A centred table shifts each step
+    to eps before any is composed, and each pairing round keeps the degrees
+    ``_degree_needed`` keeps at the disk's largest |eps| (at most _GROUP _DEGREE).
+    Built ``_BUILD_CHUNK`` _GROUP steps (or one row, if longer) at a time from slices of
+    one node array, so the build needs little more memory than an uncentred table and
+    equals a one-shot build.  A pairing round forms b_p a for _DEGREE + 1 coefficients p
+    at once and adds them in the order of p.
     """
-    r = _step_nodes(profile, n_steps)
-    scale = _mu_unit(profile, n_steps) ** (-2 * np.arange(_DEGREE + 1))
+    centre, radius, per_row = _table_shape(profile, n_steps, disk)
+    unit, r = _mu_unit(profile, n_steps), _step_nodes(profile, n_steps)
+    q, j = np.arange(_DEGREE + 1)[:, None], np.arange(_DEGREE + 1)
+    shift = np.vectorize(math.comb)(q, j) * (centre * unit) ** (2 * abs(q - j))   # mu -> eps
+    eps_max = radius * (2.0 * abs(centre) + radius) * unit ** 2    # |k^2 - c^2| <= R (R + 2|c|)
     eye = np.eye(2).reshape(4, 1) * (np.arange(_DEGREE + 1) == 0)
-    span = _BUILD_CHUNK * _GROUP
-    out = np.empty((-(-n_steps // _GROUP), 4, _GROUP * _DEGREE + 1))
+    span = max(_BUILD_CHUNK * _GROUP, per_row)
+    out = np.zeros((-(-n_steps // per_row), 4, _GROUP * _DEGREE + 1))
     for start in range(0, n_steps, span):
-        coef = _step_polynomials(profile, r[start:start + span + 1]) * scale
-        pad = np.broadcast_to(eye, (-len(coef) % _GROUP,) + eye.shape)
+        coef = _step_polynomials(profile, r[start:start + span + 1]) * unit ** (-2 * j)
+        coef = coef @ shift if per_row > _GROUP else coef
+        pad = np.broadcast_to(eye, (-len(coef) % per_row,) + eye.shape)
         m = np.concatenate([coef, pad]).reshape(-1, 2, 2, _DEGREE + 1)
-        for _ in range(3):                  # b @ a, b the later step: 2**3 = _GROUP steps
+        for _ in range(per_row.bit_length() - 1):    # b @ a, b the later step
             a, b = m[0::2], m[1::2]
             m = np.zeros(a.shape[:-1] + (2 * a.shape[-1] - 1,))
             for p0 in range(0, b.shape[-1], _DEGREE + 1):
                 block = np.einsum("nijp,njkq->pnikq", b[..., p0:p0 + _DEGREE + 1], a)
                 for p, term in enumerate(block, p0):
                     m[..., p:p + a.shape[-1]] += term
-        out[start // _GROUP:start // _GROUP + len(m)] = m.reshape(len(m), 4, -1)
+            if per_row > _GROUP:
+                keep = _degree_needed(np.abs(m).max(axis=0).reshape(4, -1), eps_max)
+                m = m[..., :min(keep, _GROUP * _DEGREE) + 1]
+        out[start // per_row:][:len(m), :, :m.shape[-1]] = m.reshape(len(m), 4, -1)
     return out
+
+
+def _table_shape(profile: RefractiveProfile, n_steps: int, disk=None):
+    """(c, R, G) for k in ``disk`` (c, R): G the most steps per row, a power of two up to
+    n_steps, that span at most _ROW_RADIANS over the disk (G R a / n_steps).  A disk that
+    gains no G above _GROUP, or none, gets the uncentred table: (0, |c| + R or inf, _GROUP)."""
+    if disk is None:
+        return 0.0, math.inf, _GROUP
+    centre, radius = disk
+    if not (math.isfinite(centre) and 0.0 < radius < math.inf):
+        raise ValueError(f"disk must be a real centre and a positive radius, got {disk!r}")
+    longest = min(_ROW_RADIANS * n_steps / (radius * travel_time(profile)), n_steps)
+    per_row = _GROUP * 2 ** max(0, math.floor(math.log2(longest / _GROUP)))
+    return (centre, radius, per_row) if per_row > _GROUP else (0.0, abs(centre) + radius, _GROUP)
 
 
 def _degree_needed(size: np.ndarray, mu_max: float) -> int:
@@ -231,10 +260,10 @@ def _times(b: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def _integrate_batch(coef: np.ndarray, k: np.ndarray, growth: float, *,
-                     path: bool = False, lam_scale: float = 1.0):
+                     path: bool = False, lam_scale: float = 1.0, centre: float = 0.0):
     """Propagate (y, y', v, v') = (y, y', dy/dk, dy'/dk) from y = 0, y' = 1.
 
-    ``coef`` holds step polynomials in mu = lam_scale k^2, shape (n_steps, 4,
+    ``coef`` holds step polynomials in eps = lam_scale (k^2 - centre^2), shape (n_steps, 4,
     [G,] degree+1) for G equations side by side, and ``growth`` bounds the log
     growth of the state over one step.  Blocks of at most ``_BLOCK_POINTS``
     (step, column) pairs grow the state by less than exp(_BLOCK_GROWTH); each column is
@@ -247,9 +276,10 @@ def _integrate_batch(coef: np.ndarray, k: np.ndarray, growth: float, *,
     """
     k = np.asarray(k, dtype=complex).ravel()
     n_steps, group, degree = coef.shape[0], coef.shape[2:-1], coef.shape[-1] - 1
-    powers = np.zeros((degree + 1, 2 * k.size), dtype=complex)   # mu^p, then d(mu^p)/dk
+    powers = np.zeros((degree + 1, 2 * k.size), dtype=complex)   # eps^p, then d(eps^p)/dk
     powers[0, :k.size] = 1.0
-    np.cumprod(np.broadcast_to(lam_scale * k * k, (degree, k.size)), 0, out=powers[1:, :k.size])
+    eps = lam_scale * (k - centre) * (k + centre) if centre else lam_scale * k * k
+    np.cumprod(np.broadcast_to(eps, (degree, k.size)), 0, out=powers[1:, :k.size])
     np.multiply((2.0 * lam_scale * np.arange(1, degree + 1))[:, None] * k,
                 powers[:-1, :k.size], out=powers[1:, k.size:])
     powers = powers.view(float)
@@ -288,21 +318,27 @@ def _integrate_batch(coef: np.ndarray, k: np.ndarray, growth: float, *,
 
 
 @functools.lru_cache(maxsize=16)
-def _composed_table(profile: RefractiveProfile, n_steps: int):
-    """``_composed_steps`` and the largest |coefficient| per entry and degree over its rows,
-    memoized for the last 16 (profile, n_steps) pairs."""
-    coef = _composed_steps(profile, n_steps)
+def _composed_table(profile: RefractiveProfile, n_steps: int, disk=None):
+    """``_composed_steps`` and the largest |coefficient| per entry and degree over its
+    rows, memoized for the last 16 (profile, n_steps, disk) keys."""
+    coef = _composed_steps(profile, n_steps, disk)
     return coef, np.abs(coef).max(axis=0)
 
 
-def _shoot(profile: RefractiveProfile, k: np.ndarray, n_steps: int):
-    """The r-form on n_steps steps of phase k a / n_steps: ``_composed_steps`` at
-    mu = (k u)^2 to the degree ``_degree_needed`` for max|k|, in one engine call."""
-    coef, size = _composed_table(profile, n_steps)
+def _shoot(profile: RefractiveProfile, k: np.ndarray, n_steps: int, disk=None):
+    """The r-form on n_steps steps of phase k a / n_steps: the table for ``disk`` to the
+    degree ``_degree_needed`` for max|eps|, in one engine call; ValueError if a k lies outside."""
+    centre, radius, per_row = _table_shape(profile, n_steps, disk)
+    dist = np.abs(k - centre)
+    if (reach := dist.max()) > radius:
+        raise ValueError(f"k = {k[dist > radius][0]} lies outside the disk |k - {centre}| <= "
+                         f"{radius} of its table")
+    coef, size = _composed_table(profile, n_steps, disk)
     unit = _mu_unit(profile, n_steps)
-    coef = coef[..., :_degree_needed(size, float(np.abs(k).max() * unit) ** 2) + 1]
-    growth = _GROUP * travel_time(profile) / n_steps * np.abs(np.imag(k)).max()
-    return _integrate_batch(coef, k, growth, lam_scale=unit ** 2)
+    eps_max = float(reach * unit) * float((reach + 2.0 * abs(centre)) * unit)   # >= |k^2 - c^2| u^2
+    coef = coef[..., :_degree_needed(size, eps_max) + 1]
+    growth = per_row * travel_time(profile) / n_steps * np.abs(np.imag(k)).max()
+    return _integrate_batch(coef, k, growth, lam_scale=unit ** 2, centre=centre)
 
 
 def _finite_k(k) -> np.ndarray:
@@ -312,23 +348,26 @@ def _finite_k(k) -> np.ndarray:
     return k
 
 
-def characteristic_batch(profile: RefractiveProfile, k, *, n_steps: int | None = None):
+def characteristic_batch(profile: RefractiveProfile, k, *, n_steps: int | None = None, disk=None):
     """Evaluate d and d' at an array of k on a shared fixed grid.
 
-    ``n_steps`` None is ``grid_steps`` at _PER_RADIAN for max |k|.  Returns (d_s, dp_s,
-    scale_log) with true d = d_s * exp(scale_log); d'/d = dp_s/d_s,
-    independent of the scale.  A non-finite k, or an ``n_steps`` other than None
-    or a positive integer (a bool is not one), raises ValueError.
+    ``n_steps`` None is ``grid_steps`` at _PER_RADIAN for max |k|; ``disk`` (c, R), c
+    real, builds the table for k in |k - c| <= R (``_table_shape``).  Returns (d_s,
+    dp_s, scale_log) with true d = d_s * exp(scale_log); d'/d = dp_s/d_s,
+    independent of the scale.  A non-finite k, an ``n_steps`` other than None or a
+    positive integer (a bool is not one), a disk (c, R) not finite or with R <= 0, or
+    a k outside the table's disk raises ValueError.
     """
     if n_steps is not None and (isinstance(n_steps, bool) or not (
             isinstance(n_steps, (int, np.integer)) and n_steps > 0)):
         raise ValueError(f"n_steps must be a positive integer, got {n_steps!r}")
+    disk = None if disk is None else tuple(map(float, disk))      # hashable, for the cache
     k = _finite_k(k).ravel()
     if k.size == 0:
         return k.copy(), k.copy(), np.zeros(0)
     if n_steps is None:
         n_steps = grid_steps(profile, float(np.abs(k).max()), _PER_RADIAN)
-    u, log_scale = _shoot(profile, k, n_steps)
+    u, log_scale = _shoot(profile, k, n_steps, disk)
     d_s, dp_s = _characteristic_from(u, _scaled_trig(k))
     return d_s, dp_s, log_scale + np.abs(k.imag)
 

@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ContourTooClose, DegenerateCharacteristic, NewtonStall
-from .forward import characteristic_batch, grid_steps
+from .forward import _table_shape, characteristic_batch, grid_steps
 from .profiles import RefractiveProfile, travel_time
 
 __all__ = [
@@ -113,8 +113,10 @@ class SearchReport:
     a zero failed its circle or certificate), ``clusters`` (cells resolved from
     their moments on every rect tried, handed-back ones included),
     ``early_splits`` (cells split on their provisional count, in any round
-    before their contour converged), ``duplicates_removed`` and
-    ``noteworthy_multiple_nonreal``.  Each zero carries the ``certificate`` that
+    before their contour converged), ``table`` (the engine table's ``n_steps``,
+    ``centre``, ``radius`` and ``steps_per_row``), ``duplicates_removed``,
+    ``noteworthy_multiple_nonreal`` and ``zero_step_certificates`` (zeros certified with
+    Newton step 0.0, as d_h rounded to 0 there).  Each zero carries the ``certificate`` that
     accepted it.  ``timings``: wall seconds per phase, each round's shared out
     by its points; out of ``stats`` as they vary by run."""
     rect: tuple
@@ -317,19 +319,27 @@ def _d_service(profile, rect):
     """A ``_Service`` over d_h: d'/d and |D| = |d k| e^(-(1 + a)|Im k|), a the travel
     time, from ``characteristic_batch`` looked up at each call, on the grid for the
     largest |k| on ``rect``: a corner of its widest padded rect plus twice a circle's
-    radius.  d_h is conjugate-symmetric, as the profile is real."""
+    radius.  Its table (``stats["table"]``) is centred on the disk about that rect's real
+    midpoint that holds the rect and four radii more: a zero a radius outside its cell,
+    its circle and a Newton retry.  d_h is conjugate-symmetric, as the profile is real."""
     x0, x1, y0, y1 = _padded_rects(rect)[-1]
-    reach = math.hypot(max(abs(x0), abs(x1)), max(abs(y0), abs(y1)))
-    n_steps = grid_steps(profile, reach + 2.0 * max(_SPLIT_FLOOR, 2e-4 * reach), _PER_RADIAN)
+    top = max(abs(y0), abs(y1))
+    reach = math.hypot(max(abs(x0), abs(x1)), top)
+    circle = max(_SPLIT_FLOOR, 2e-4 * reach)        # the largest circle radius
+    n_steps = grid_steps(profile, reach + 2.0 * circle, _PER_RADIAN)
+    disk = (0.5 * (x0 + x1), math.hypot(0.5 * (x1 - x0), top) + 4.0 * circle)
     a = travel_time(profile)
 
     def evaluate(ks):
-        d_s, dp_s, scale_log = characteristic_batch(profile, ks, n_steps=n_steps)
+        d_s, dp_s, scale_log = characteristic_batch(profile, ks, n_steps=n_steps, disk=disk)
         with np.errstate(divide="ignore", invalid="ignore"):
             ld = dp_s / d_s
         return ld, np.abs(d_s * ks) * np.exp(scale_log - (1.0 + a) * np.abs(ks.imag))
 
-    return _Service(evaluate, n_steps, symmetric=True)
+    service = _Service(evaluate, n_steps, symmetric=True)
+    service.stats["table"] = dict(zip(("n_steps", "centre", "radius", "steps_per_row"),
+                                      (n_steps, *_table_shape(profile, n_steps, disk))))
+    return service
 
 
 def _count(service, *rects):
@@ -608,7 +618,8 @@ def find_zeros(profile: RefractiveProfile, rect) -> SearchReport:
     real = sum(z.multiplicity for z in zeros if z.cls == "real") if top.sym else 0
     count = (top.count - removed + real) // (1 + top.sym)     # U + N_r of a symmetric 2U + N_r
     noteworthy = [z.k for z in zeros if z.cls == "nonreal" and z.multiplicity > 1]
-    stats = dict(service.stats, duplicates_removed=removed, noteworthy_multiple_nonreal=noteworthy)
+    stats = dict(service.stats, duplicates_removed=removed, noteworthy_multiple_nonreal=noteworthy,
+                 zero_step_certificates=sum(z.certificate.step == 0.0 for z in zeros))
     return SearchReport(rect=top.rect, zeros=zeros, total_count_by_argument_principle=count,
                         stats=stats, timings=service.timings)
 

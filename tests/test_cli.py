@@ -110,6 +110,15 @@ def test_spectrum_json_reports_phase_timings(tmp_path, capsys):
     assert "timings" not in json.loads((tmp_path / "zeros.csv.json").read_text())
 
 
+def test_spectrum_json_reports_the_engine_table(capsys):
+    rc = main(["spectrum", "--profile", "colton_example", "--rect", "145,150.5,0,8", "--json"])
+    assert rc == EXIT_OK
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert stats["table"] == {"n_steps": 581, "centre": 147.79, "radius": stats["table"]["radius"],
+                              "steps_per_row": 128}
+    assert stats["zero_step_certificates"] == 0
+
+
 def test_asymptotics_from_spectrum_csv(tmp_path, capsys, colton_spectrum_40):
     csv_path = tmp_path / "zeros.csv"
     write_zeros_csv(csv_path, colton_spectrum_40.zeros)
@@ -360,7 +369,7 @@ def test_kernel_check_pass_builds_few_composed_tables(monkeypatch, capsys):
     built = []
     composed = forward._composed_steps
     monkeypatch.setattr(forward, "_composed_steps",
-                        lambda profile, n: built.append(n) or composed(profile, n))
+                        lambda profile, n, disk=None: built.append(n) or composed(profile, n, disk))
     codes = [main(["kernel-check", "--profile", name, "--json"])
              for name in ("colton_example", "raised_cosine", "slow_core", "const4")]
     assert codes == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_NUMERIC]

@@ -242,9 +242,9 @@ def test_folded_blocks_are_renormalised_between_them(colton):
     assert _same_state(got, _row_loop(coef, k, unit ** 2))
 
 
-def _shot_d(profile, k, n_steps):
+def _shot_d(profile, k, n_steps, disk=None):
     """The state, its log scale, d and d' (scaled) and the sizes of their terms."""
-    u, log_scale = forward._shoot(profile, k, n_steps)
+    u, log_scale = forward._shoot(profile, k, n_steps, disk)
     trig = forward._scaled_trig(k)
     y1, dy1, v1, dv1 = np.abs(u)
     sin_s, cos_s, sinc_s, sprime_s = map(np.abs, trig)
@@ -319,14 +319,17 @@ def test_degree_rule_keeps_every_degree_at_large_mu(name):
 @pytest.mark.parametrize("rect", [(0.3, 40.0, 0.0, 6.0), (145.0, 150.5, 0.0, 8.0),
                                   (0.3, 150.5, 0.0, 8.0)])
 def test_search_grids_need_low_degree(colton, monkeypatch, rect):
-    # every evaluation of the k40, band150 and headline searches, on the grid of
-    # their _d_service, needs at most a third of the 48 degrees of a row
+    # every evaluation of the k40 and headline searches, on the uncentred table of
+    # their _d_service, needs at most a third of the 48 degrees of a row.  band150's
+    # centred rows take eps = (k^2 - c^2) u^2 to the first power where the uncentred
+    # ones took (k u)^2 squared, so they need about twice as many (21 to 24), half of 48
     degrees = []
     rule = forward._degree_needed
     monkeypatch.setattr(forward, "_degree_needed",
                         lambda size, mu_max: degrees.append(rule(size, mu_max)) or degrees[-1])
-    find_zeros(colton, rect)
-    assert degrees and max(degrees) <= 16
+    centred = find_zeros(colton, rect).stats["table"]["steps_per_row"] > 8
+    assert centred == (rect[0] == 145.0)
+    assert degrees and max(degrees) <= (24 if centred else 16)
 
 
 @pytest.mark.parametrize("profile", [get_profile("colton_example"), get_profile("slow_core"),
@@ -393,6 +396,63 @@ def test_composed_steps_built_in_slices_are_bit_identical(name, chunk, monkeypat
     old = _composed_steps_one_shot(profile, 1003)
     monkeypatch.setattr(forward, "_BUILD_CHUNK", chunk)
     assert forward._composed_steps(profile, 1003).tobytes() == old.tobytes()
+
+
+@pytest.mark.parametrize("name", ["colton_example", "raised_cosine", "slow_core"])
+def test_a_disk_that_gains_no_longer_rows_keeps_the_uncentred_table(name):
+    # no disk, and a disk too wide for rows of 16 steps, both give the table of 8
+    # steps per row in mu = (k u)^2 that the engine has always used, byte for byte
+    profile = get_profile(name)
+    old = _composed_steps_one_shot(profile, 1003).tobytes()
+    disk = (500.0, 600.0)
+    assert forward._table_shape(profile, 1003, disk) == (0.0, 1100.0, 8)
+    assert forward._composed_steps(profile, 1003).tobytes() == old
+    assert forward._composed_steps(profile, 1003, disk).tobytes() == old
+
+
+def _disk_nodes(centre, radius):
+    """Rings out to the rim of the disk |k - centre| <= radius, and a row just below
+    the real axis across it."""
+    rings = centre + radius * np.array([0.0, 0.3, 0.7, 0.95, 1.0 - 1e-12])[:, None] \
+        * np.exp(2j * np.pi * np.arange(16) / 16)
+    return np.r_[rings.ravel(), np.linspace(centre - radius, centre + radius, 9)[1:-1] - 1e-3j]
+
+
+@pytest.mark.parametrize("name", ["colton_example", "raised_cosine", "slow_core", "const4"])
+@pytest.mark.parametrize("rect", [(145.0, 150.5, -8.0, 8.0), (995.0, 1000.5, -12.0, 12.0)],
+                         ids=["band150", "far_band"])
+def test_centred_table_matches_the_uncentred_engine(name, rect):
+    # on the disk and grid a search would use, the centred rows of 128 or 512 steps
+    # move d and d' by less, against the size of their terms, than the uncentred
+    # engine's own n-vs-2n difference does at a typical node of the disk
+    profile = get_profile(name)
+    table = _d_service(profile, rect).stats["table"]
+    n_steps, disk = table["n_steps"], (table["centre"], table["radius"])
+    assert table["steps_per_row"] >= 128
+    assert disk[0] == pytest.approx(0.5 * (rect[0] + rect[1]) + 0.04)   # the widest padded rect's
+    k = _disk_nodes(*disk)
+    _, log_c, d_c, dp_c = _shot_d(profile, k, n_steps, disk)[:4]
+    _, log_n, d_n, dp_n, size_d, size_dp = _shot_d(profile, k, n_steps)
+    _, log_2n, d_2n, dp_2n = _shot_d(profile, k, 2 * n_steps)[:4]
+    to_n, to_2n = np.exp(log_c - log_n), np.exp(log_2n - log_n)
+    for got, ref, fine, size in ((d_c, d_n, d_2n, size_d), (dp_c, dp_n, dp_2n, size_dp)):
+        centring = np.abs(got * to_n - ref) / size
+        assert centring.max() <= np.median(np.abs(fine * to_2n - ref) / size)
+
+
+def test_a_k_outside_the_disk_is_rejected(colton):
+    # the centred rows drop the degrees the disk never needs: a k outside it is refused
+    assert forward._table_shape(colton, 581, (147.79, 8.77))[2] == 128
+    with pytest.raises(ValueError, match=r"k = \(156\.6\+0j\) lies outside the disk "
+                                         r"\|k - 147\.79\| <= 8\.77 of its table"):
+        characteristic_batch(colton, [150.0 + 8.0j, 156.6], n_steps=581, disk=(147.79, 8.77))
+
+
+@pytest.mark.parametrize("disk", [(147.79, 0.0), (147.79, -1.0), (math.nan, 8.0),
+                                  (147.79, math.inf)])
+def test_characteristic_batch_rejects_a_bad_disk(colton, disk):
+    with pytest.raises(ValueError, match="disk must be a real centre and a positive radius"):
+        characteristic_batch(colton, [150.0], n_steps=581, disk=disk)
 
 
 def test_composed_steps_build_needs_little_more_than_the_table(colton):
@@ -687,7 +747,7 @@ def test_step_doubling_starts_from_one_grid_for_every_tol(colton, monkeypatch, t
     sizes = []
     shoot = forward._shoot
     monkeypatch.setattr(forward, "_shoot",
-                        lambda p, k, n: sizes.append(n) or shoot(p, k, n))
+                        lambda p, k, n, disk=None: sizes.append(n) or shoot(p, k, n, disk))
     forward._checked_shoot(colton, k, tol)
     assert sizes[0] == grid_steps(colton, 15.0, 8.0)
     assert sizes == [sizes[0] * 2 ** i for i in range(len(sizes))]

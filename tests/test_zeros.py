@@ -50,9 +50,9 @@ def test_count_of_a_mirror_image_evaluates_nothing_below_the_axis(monkeypatch, c
     # edges count 2U + N_r, U zeros above the axis and N_r on it
     ks = []
 
-    def record(profile, k, *, n_steps):
+    def record(profile, k, *, n_steps, disk):
         ks.append(k)
-        return characteristic_batch(profile, k, n_steps=n_steps)
+        return characteristic_batch(profile, k, n_steps=n_steps, disk=disk)
 
     monkeypatch.setattr(zeros_module, "characteristic_batch", record)
     assert count_zeros(CONST4, (0.5, 2.0 * math.pi + 0.5, -1.0, 1.0)) == 6
@@ -472,9 +472,9 @@ def test_cached_contour_costs_no_evaluations(colton):
 def test_one_search_evaluates_on_one_grid(const4, monkeypatch, search, rect):
     calls = []
 
-    def record(profile, k, *, n_steps):
+    def record(profile, k, *, n_steps, disk):
         calls.append((n_steps, float(np.abs(k).max())))
-        return characteristic_batch(profile, k, n_steps=n_steps)
+        return characteristic_batch(profile, k, n_steps=n_steps, disk=disk)
 
     monkeypatch.setattr(zeros_module, "characteristic_batch", record)
     search(const4, rect)
@@ -762,6 +762,35 @@ def test_search_costs_at_any_width(request, search, evals, batches):
     assert rep.stats["batches"] <= batches
 
 
+@pytest.mark.parametrize("fixture, steps_per_row, certified_at_zero",
+                         [("colton_spectrum_40", 8, 2), ("colton_band_150", 128, 0)])
+def test_search_reports_its_table_and_zero_step_certificates(request, fixture, steps_per_row,
+                                                             certified_at_zero):
+    # k40's disk is too wide for longer rows, so it keeps the uncentred table; band150's
+    # rows of 128 steps sit about the midpoint of its widest padded rect
+    rep = request.getfixturevalue(fixture)
+    x0, x1, *_ = zeros_module._padded_rects(rep.rect)[-1]
+    table = rep.stats["table"]
+    assert table["steps_per_row"] == steps_per_row
+    assert table["centre"] == (0.5 * (x0 + x1) if steps_per_row > 8 else 0.0)
+    assert table["n_steps"] * rep.stats["evals"] == rep.stats["ksteps"]
+    # a simple zero whose f'/f is infinite, d_h rounded to 0 there, takes the Newton step 0.0
+    steps = [z.certificate.step for z in rep.zeros]
+    assert rep.stats["zero_step_certificates"] == steps.count(0.0) == certified_at_zero
+
+
+def test_d_h_is_conjugate_symmetric_bit_for_bit(colton):
+    # the centred table stays real because its centre is: d_h(conj k) = conj d_h(k)
+    # exactly, which a symmetric cell's three-edge count relies on
+    service = _d_service(colton, (145.0, 150.5, -8.0, 8.0))
+    assert service.stats["table"]["steps_per_row"] == 128
+    x, y = np.meshgrid(np.linspace(144.9, 150.6, 12), np.linspace(0.0, 8.1, 7))
+    k = (x + 1j * y).ravel()
+    ld, absF = service.evaluate(k)
+    ld_conj, absF_conj = service.evaluate(k.conj())
+    assert np.array_equal(ld_conj, ld.conj()) and np.array_equal(absF_conj, absF)
+
+
 @pytest.mark.parametrize("fixture, early", [("colton_spectrum_40", 3), ("colton_band_150", 0)])
 def test_early_splits(request, fixture, early):
     # k40's outer symmetric cell of 25 zeros, mirror images included, and both its
@@ -778,9 +807,9 @@ def test_every_engine_call_is_one_batch(colton, monkeypatch, rect):
     # search's batches: every round is one call, on every rect tried
     calls = []
 
-    def engine(profile, k, *, n_steps):
+    def engine(profile, k, *, n_steps, disk):
         calls.append(np.size(k))
-        return characteristic_batch(profile, k, n_steps=n_steps)
+        return characteristic_batch(profile, k, n_steps=n_steps, disk=disk)
 
     monkeypatch.setattr(zeros_module, "characteristic_batch", engine)
     rep = find_zeros(colton, rect)
