@@ -12,25 +12,25 @@ Each step of y'' = (s - k^2 c) y is a 2x2 matrix P whose entries are
 polynomials of degree 6 in lam = k^2, built from c and s at the stage nodes, one
 contraction of the stacked stage derivatives per stage (``_rk8_polynomials``); the
 engine evaluates P and dP/dk for a block of rows with one matrix product, then
-applies u -> P u, v -> P v + P' u.  A block of at most ``_FOLD_POINTS`` columns
-first folds its rows pairwise into one: log2(rows) rounds of numpy calls instead of
-a round per row.  The r-form (c = eta, s = 0 on [0, 1]) takes n steps uniform in
-optical depth, each of phase k a / n (``_step_nodes``), and composes G into a row
-(``_composed_steps``; ``_composed_table`` keeps the last 16 tables by profile, n and
-disk).  Uncentred, G = 8 in mu = (k u)^2, u = a/n rounded to a power of two, where the
-coefficients stay representable: a row spans 8/3.5 = 2.29 rad at the largest |k| of a
-search grid, so its monomial sum loses under a digit.  A search's disk |k - c| <= R,
-c real, centres the table on eps = (k^2 - c^2) u^2 with the largest G whose row spans
-at most 2.29 rad over the disk (``_table_shape``), so the loop runs n/G times: 5 rows
-of 128 steps on the band (145, 150.5, 0, 8), where uncentred 73 rows of 8 ran.  Each
-call evaluates the rows only to the degree its max |mu| or |eps| needs
-(``_degree_needed``): on a search grid at most 12 of 48 uncentred, about 23 centred (eps
-enters to the power where mu entered squared).  It serves ``characteristic_batch``,
-``characteristic`` and ``solve_ivp``: one step-count rule, 8 steps per radian at max
-|k|, sizes the default grid of the first and the start of the last two, which double the
-steps until they agree.  The x-form (c = 1, s = q on [0, a]), one row per
-step, serves ``inverse.wronskian_g``.  Every propagation starts from y = 0,
-y' = 1.
+applies u -> P u, v -> P v + P' u: one block product [[P, 0], [P', P]] per row up to
+``_BLOCK_COLUMNS`` columns, else a row loop that adds the terms in the same order, so
+a k's result does not depend on its batch.  The r-form (c = eta, s = 0 on [0, 1])
+takes n steps uniform in optical depth, each of phase k a / n (``_step_nodes``), and
+composes G into a row (``_composed_steps``; ``_composed_table`` keeps the last 16
+tables by profile, n and disk).  Uncentred, G = 8 in mu = (k u)^2, u = a/n rounded to
+a power of two, where the coefficients stay representable: a row spans 8/3.5 = 2.29
+rad at the largest |k| of a search grid, so its monomial sum loses under a digit.  A
+search's disk |k - c| <= R, c real, centres the table on eps = (k^2 - c^2) u^2 with
+the largest G whose row spans at most 2.29 rad over the disk (``_table_shape``), so
+the loop runs n/G times: 5 rows of 128 steps on the band (145, 150.5, 0, 8), where
+uncentred 73 rows of 8 ran.  A table for a disk is cut once to the degree its edge
+needs (``_degree_needed``), 12 of 48 uncentred and 24 centred on a search grid (eps
+enters to the power where mu entered squared); without a disk, each call cuts it at
+its max |mu|.  It serves ``characteristic_batch``, ``characteristic`` and
+``solve_ivp``: one step-count rule, 8 steps per radian at max |k|, sizes the default
+grid of the first and the start of the last two, which double the steps until they
+agree.  The x-form (c = 1, s = q on [0, a]), one row per step, serves
+``inverse.wronskian_g``.  Every propagation starts from y = 0, y' = 1.
 
 All boundary quantities are stored with a common ``scale_log`` so that
 true value = stored value * exp(scale_log); this keeps magnitudes
@@ -64,7 +64,8 @@ _GROUP = 8                # r-form RK8 steps composed into one matrix polynomial
 _BUILD_CHUNK = 128        # steps per chunk when building the step polynomials
 _BLOCK_POINTS = 2048      # (step, k) pairs per engine block: 256 KB of matrices, which the
                           # allocator reuses; a 1 MB block took fresh pages on every search
-_FOLD_POINTS = 64         # columns up to which the engine folds a block's rows pairwise
+_BLOCK_COLUMNS = 256      # columns up to which a row is one block product, not the row loop
+_K_TILE = 4               # k padded to a multiple of this: BLAS rounds a k's rows alike anywhere
 _BLOCK_GROWTH = 115.0     # bound on the log growth of the state within one block
 _MAX_STEPS = 2**16        # finest grid the accuracy check of the single-point path may use
 _PER_RADIAN = 8.0         # steps per radian at max|k|: the default grid, the first check level
@@ -254,80 +255,92 @@ def _degree_needed(size: np.ndarray, mu_max: float) -> int:
     return int((tail > 2.0**-54 * terms.max(axis=1, keepdims=True)).sum(axis=1).max()) - 1
 
 
-def _times(b: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """The 2x2 products b a of stacked rows, axes (row, 2, 2, ...) of broadcasting shapes."""
-    return b[:, :, 0, None] * a[:, None, 0] + b[:, :, 1, None] * a[:, None, 1]
-
-
 def _integrate_batch(coef: np.ndarray, k: np.ndarray, growth: float, *,
                      path: bool = False, lam_scale: float = 1.0, centre: float = 0.0):
     """Propagate (y, y', v, v') = (y, y', dy/dk, dy'/dk) from y = 0, y' = 1.
 
     ``coef`` holds step polynomials in eps = lam_scale (k^2 - centre^2), shape (n_steps, 4,
     [G,] degree+1) for G equations side by side, and ``growth`` bounds the log
-    growth of the state over one step.  Blocks of at most ``_BLOCK_POINTS``
-    (step, column) pairs grow the state by less than exp(_BLOCK_GROWTH); each column is
-    renormalized jointly between blocks, so ratios such as d'/d are exact.  Without
-    ``path``, a block of at most ``_FOLD_POINTS`` columns first folds its rows pairwise,
-    an odd last row carried: 24 complex products per pair against 12 per row, which only
-    dispatch-bound small batches repay.  A k's state matches a larger batch's to rounding.
-    Returns (u, log_scale) with u of shape (4, [G,] len(k)) and true values
-    u * exp(log_scale); ``path`` adds y and its log scale at every edge.
+    growth of the state over one step.  Blocks of rows grow the state by less than
+    exp(_BLOCK_GROWTH); between them and after the last, each column is scaled jointly by
+    a power of two, exactly.  Up to _BLOCK_COLUMNS columns a row is one block product,
+    [u; v] <- [[P, 0], [P', P]] [u; v], two numpy calls; more run the row loop, 12
+    products a row to the block's 16.  Both add each entry's terms in one order, and the
+    k fill whole tiles of _K_TILE in the BLAS product that evaluates the rows (its rounding
+    of a column may follow the column's place), so a k's state depends on k and the table
+    alone.  Returns (u, log_scale): u of shape (4, [G,] len(k)), largest entry per column
+    in [1/2, 1), true values u * exp(log_scale); ``path`` adds y and its log scale at
+    every edge.
     """
     k = np.asarray(k, dtype=complex).ravel()
     n_steps, group, degree = coef.shape[0], coef.shape[2:-1], coef.shape[-1] - 1
-    powers = np.zeros((degree + 1, 2 * k.size), dtype=complex)   # eps^p, then d(eps^p)/dk
-    powers[0, :k.size] = 1.0
-    eps = lam_scale * (k - centre) * (k + centre) if centre else lam_scale * k * k
-    np.cumprod(np.broadcast_to(eps, (degree, k.size)), 0, out=powers[1:, :k.size])
-    np.multiply((2.0 * lam_scale * np.arange(1, degree + 1))[:, None] * k,
-                powers[:-1, :k.size], out=powers[1:, k.size:])
-    powers = powers.view(float)
-    columns = k.size * int(np.prod(group))
-    block = max(1, min(_BLOCK_POINTS // columns, int(_BLOCK_GROWTH / max(growth, 1e-9))))
-    fold = columns <= _FOLD_POINTS and not path
-    state = np.zeros((4,) + group + (k.size,), dtype=complex)
+    kp = np.full(-(-k.size // _K_TILE) * _K_TILE, complex(centre))   # eps = 0 pads
+    kp[:k.size] = k
+    powers = np.zeros((degree + 1, 2, kp.size), dtype=complex)   # eps^p, then d(eps^p)/dk
+    powers[0, 0] = 1.0
+    powers[1:, 0] = lam_scale * (kp - centre) * (kp + centre) if centre else lam_scale * kp * kp
+    np.multiply.accumulate(powers[1:, 0], 0, out=powers[1:, 0])
+    np.multiply((2.0 * lam_scale * np.arange(1, degree + 1))[:, None] * kp,
+                powers[:-1, 0], out=powers[1:, 1])
+    powers = powers.reshape(degree + 1, -1).view(float)
+    columns = kp.size * math.prod(group)
+    by_block = columns <= _BLOCK_COLUMNS     # a block matrix takes twice the bytes of [P | P']
+    block = max(1, min(_BLOCK_POINTS // columns >> by_block, int(_BLOCK_GROWTH / (growth or 1e-9))))
+    state = np.zeros((4,) + group + (kp.size,), dtype=complex)
     state[1] = 1.0
-    log_scale = np.zeros(group + (k.size,))
-    ys, ys_log = [state[0]], [log_scale.copy()]      # y at every edge, kept with ``path``
+    exponent = np.zeros(group + (kp.size,), dtype=int)
+    ys, ys_exp = [state[0]], [exponent]      # y at every edge, kept with ``path``
     for i0 in range(0, n_steps, block):
         i1 = min(i0 + block, n_steps)
         mats = (coef[i0:i1].reshape(-1, degree + 1) @ powers).view(complex)
-        mats = mats.reshape((i1 - i0, 2, 2) + group + (2, k.size))     # rows of [P | P']
-        while fold and len(mats) > 1:   # [B | B'] after [A | A'] -> [B A | B' A + B A']
-            a, b = mats[0:-1:2], mats[1::2]
-            pair = _times(b[..., :1, :], a)
-            pair[..., 1:, :] += _times(b[..., 1:, :], a[..., :1, :])
-            mats = np.concatenate([pair, mats[-1:]]) if len(mats) % 2 else pair
-        u, v = state[:2], state[2:]
-        for m in mats:
-            P, dP = m[..., 0, :], m[..., 1, :]
-            v = P[:, 0] * v[0] + P[:, 1] * v[1] + dP[:, 0] * u[0] + dP[:, 1] * u[1]
-            u = P[:, 0] * u[0] + P[:, 1] * u[1]
-            if path:
-                ys.append(u[0])
+        mats = mats.reshape((i1 - i0, 2, 2) + group + (2, kp.size))    # rows of [P | P']
+        P, dP = mats[..., 0, :], mats[..., 1, :]
+        if by_block:
+            rows = np.zeros((i1 - i0, 4, 4) + group + (kp.size,), dtype=complex)
+            rows[:, :2, :2] = rows[:, 2:, 2:] = P
+            rows[:, 2:, :2] = dP
+            for m in rows:            # summed in order over the columns of m: P' u, then P v
+                state = np.add.reduce(m * state, axis=1)
+                if path:
+                    ys.append(state[0])
+        else:
+            u, v = state[:2], state[2:]
+            for p, dp in zip(P, dP):
+                v = dp[:, 0] * u[0] + dp[:, 1] * u[1] + p[:, 0] * v[0] + p[:, 1] * v[1]
+                u = p[:, 0] * u[0] + p[:, 1] * u[1]
+                if path:
+                    ys.append(u[0])
+            state = np.concatenate([u, v])
         if path:
-            ys_log += [log_scale.copy()] * (i1 - i0)
-        state = np.concatenate([u, v])
-        scale = np.abs(state).max(axis=0)
-        big = scale > _RESCALE_LIMIT
-        if big.any():
-            state[:, big] /= scale[big]
-            log_scale[big] += np.log(scale[big])
-    return (state, log_scale, np.array(ys), np.array(ys_log)) if path else (state, log_scale)
+            ys_exp += [exponent] * (i1 - i0)
+        size = np.abs(state).max(axis=0)
+        if i1 == n_steps or size.max() > _RESCALE_LIMIT:     # exact, so where it happens is free
+            e = np.frexp(size)[1]
+            state = state * np.ldexp(1.0, -e)     # a new array: a ``path`` entry views the old
+            exponent = exponent + e
+    out = (state, exponent * math.log(2.0)) + ((np.array(ys), np.array(ys_exp) * math.log(2.0))
+                                               if path else ())
+    return tuple(a[..., :k.size] for a in out)
 
 
 @functools.lru_cache(maxsize=16)
 def _composed_table(profile: RefractiveProfile, n_steps: int, disk=None):
     """``_composed_steps`` and the largest |coefficient| per entry and degree over its
-    rows, memoized for the last 16 (profile, n_steps, disk) keys."""
+    rows, memoized for the last 16 (profile, n_steps, disk) keys.  A table for a disk is
+    cut once to the degree ``_degree_needed`` keeps at the disk's edge."""
     coef = _composed_steps(profile, n_steps, disk)
-    return coef, np.abs(coef).max(axis=0)
+    size = np.abs(coef).max(axis=0)
+    if disk is not None:
+        centre, radius, _ = _table_shape(profile, n_steps, disk)
+        eps_max = radius * (2.0 * abs(centre) + radius) * _mu_unit(profile, n_steps) ** 2
+        coef = np.ascontiguousarray(coef[..., :_degree_needed(size, eps_max) + 1])
+    return coef, size
 
 
 def _shoot(profile: RefractiveProfile, k: np.ndarray, n_steps: int, disk=None):
-    """The r-form on n_steps steps of phase k a / n_steps: the table for ``disk`` to the
-    degree ``_degree_needed`` for max|eps|, in one engine call; ValueError if a k lies outside."""
+    """The r-form on n_steps steps of phase k a / n_steps, in one engine call: the table
+    for ``disk``, or without one the table to the degree ``_degree_needed`` for max|eps|
+    of the batch; ValueError if a k lies outside the disk."""
     centre, radius, per_row = _table_shape(profile, n_steps, disk)
     dist = np.abs(k - centre)
     if (reach := dist.max()) > radius:
@@ -335,8 +348,8 @@ def _shoot(profile: RefractiveProfile, k: np.ndarray, n_steps: int, disk=None):
                          f"{radius} of its table")
     coef, size = _composed_table(profile, n_steps, disk)
     unit = _mu_unit(profile, n_steps)
-    eps_max = float(reach * unit) * float((reach + 2.0 * abs(centre)) * unit)   # >= |k^2 - c^2| u^2
-    coef = coef[..., :_degree_needed(size, eps_max) + 1]
+    if disk is None:        # then centre = 0 and eps = (k u)^2
+        coef = coef[..., :_degree_needed(size, float(reach * unit) ** 2) + 1]
     growth = per_row * travel_time(profile) / n_steps * np.abs(np.imag(k)).max()
     return _integrate_batch(coef, k, growth, lam_scale=unit ** 2, centre=centre)
 

@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ContourTooClose, DegenerateCharacteristic, NewtonStall
-from .forward import _table_shape, characteristic_batch, grid_steps
+from .forward import _composed_table, _table_shape, characteristic_batch, grid_steps
 from .profiles import RefractiveProfile, travel_time
 
 __all__ = [
@@ -114,7 +114,7 @@ class SearchReport:
     their moments on every rect tried, handed-back ones included),
     ``early_splits`` (cells split on their provisional count, in any round
     before their contour converged), ``table`` (the engine table's ``n_steps``,
-    ``centre``, ``radius`` and ``steps_per_row``), ``duplicates_removed``,
+    ``centre``, ``radius``, ``steps_per_row`` and ``degree``), ``duplicates_removed``,
     ``noteworthy_multiple_nonreal`` and ``zero_step_certificates`` (zeros certified with
     Newton step 0.0, as d_h rounded to 0 there).  Each zero carries the ``certificate`` that
     accepted it.  ``timings``: wall seconds per phase, each round's shared out
@@ -262,11 +262,9 @@ class _Service:
         x0, x1, y0, y1 = np.array([cell.rect for cell in cells], dtype=float).T
         centre, half = 0.5 * (x0 + x1) + 0.5j * (y0 + y1), 0.5 * np.maximum(x1 - x0, y1 - y0)
         u = (self.nodes[rows] - centre[owner, None]) / half[owner, None]
-        term, parts = self.wld[rows] * sign[:, None], []
-        for _p in range(4 * _MMAX):
-            parts.append(term.sum(1))
-            term = term * u
-        moments = np.add.reduceat(np.array(parts), np.cumsum(sizes) - sizes, axis=1).T
+        terms = np.vander(u.ravel(), 4 * _MMAX, increasing=True)
+        terms *= (self.wld[rows] * sign[:, None]).reshape(-1, 1)
+        moments = np.add.reduceat(terms, (np.cumsum(sizes) - sizes) * u.shape[1], axis=0)
         for cell, s in zip(cells, moments / (2j * np.pi)):
             s = 2.0 * s.real if cell.sym else s
             if not (abs(s[0] - (n := round(s[0].real))) <= 0.25 and n >= 0):
@@ -337,8 +335,9 @@ def _d_service(profile, rect):
         return ld, np.abs(d_s * ks) * np.exp(scale_log - (1.0 + a) * np.abs(ks.imag))
 
     service = _Service(evaluate, n_steps, symmetric=True)
-    service.stats["table"] = dict(zip(("n_steps", "centre", "radius", "steps_per_row"),
-                                      (n_steps, *_table_shape(profile, n_steps, disk))))
+    degree = _composed_table(profile, n_steps, disk)[0].shape[-1] - 1
+    service.stats["table"] = dict(zip(("n_steps", "centre", "radius", "steps_per_row", "degree"),
+                                      (n_steps, *_table_shape(profile, n_steps, disk), degree)))
     return service
 
 

@@ -115,7 +115,7 @@ def test_spectrum_json_reports_the_engine_table(capsys):
     assert rc == EXIT_OK
     stats = json.loads(capsys.readouterr().out)["stats"]
     assert stats["table"] == {"n_steps": 581, "centre": 147.79, "radius": stats["table"]["radius"],
-                              "steps_per_row": 128}
+                              "steps_per_row": 128, "degree": 24}
     assert stats["zero_step_certificates"] == 0
 
 

@@ -10,7 +10,7 @@ from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 from tevp import _rk8, forward
 from tevp.errors import StepUnderflow
-from tevp.forward import (_DEGREE, _integrate_batch, _rk8_polynomials, _step_polynomials, _times,
+from tevp.forward import (_DEGREE, _integrate_batch, _rk8_polynomials, _step_polynomials,
                           characteristic, characteristic_batch, scaled_characteristic,
                           grid_steps, solve_ivp)
 from tevp.profiles import ConstantProfile, get_profile, liouville_transform, travel_time
@@ -216,27 +216,32 @@ def _random_k(rng, size):
 
 
 @pytest.mark.parametrize("n_rows", [1, 2, 3, 8, 73])
-@pytest.mark.parametrize("size", [1, forward._FOLD_POINTS])
+@pytest.mark.parametrize("size", [1, 64])
 def test_folded_rows_match_the_row_loop(n_rows, size):
-    # a pair folded as A B instead of B A fails; 73 rows of 64 columns fold in 3 blocks
+    # up to _BLOCK_COLUMNS columns, a row advances the state by one block product
+    # [[P, 0], [P', P]]: a block with P' above the diagonal, or P' and P swapped, fails;
+    # 73 rows of 64 columns run in 5 blocks
+    assert size <= forward._BLOCK_COLUMNS
     rng = np.random.default_rng(100 * n_rows + size)
     coef, k = _random_rows(rng, n_rows), _random_k(rng, size)
     assert _same_state(_integrate_batch(coef, k, 0.5), _row_loop(coef, k))
 
 
 def test_folded_rows_of_two_equations_match_the_row_loop():
-    # G = 2 equations side by side, as the x-form runs them without ``path``
+    # G = 2 equations side by side, as the x-form runs them: 64 columns, block products
     rng = np.random.default_rng(2)
-    coef, k = _random_rows(rng, 73, group=(2,)), _random_k(rng, forward._FOLD_POINTS // 2)
+    coef, k = _random_rows(rng, 73, group=(2,)), _random_k(rng, 32)
     assert _same_state(_integrate_batch(coef, k, 0.5), _row_loop(coef, k))
 
 
 def test_folded_blocks_are_renormalised_between_them(colton):
     # |Im k| = 250 grows the state by about exp(275) over 73 rows of 8 steps: the
-    # growth bound cuts them into blocks, and the state is rescaled between them
+    # growth bound cuts them into blocks of block products, and the state is rescaled
+    # between them
     n_steps, k = 581, np.array([20.0 + 250.0j])
     coef, unit = forward._composed_steps(colton, n_steps), forward._mu_unit(colton, n_steps)
     growth = forward._GROUP * travel_time(colton) / n_steps * abs(k[0].imag)
+    assert forward._BLOCK_GROWTH / growth < len(coef) / 2     # 3 blocks of at most 30 rows
     got = _integrate_batch(coef, k, growth, lam_scale=unit ** 2)
     assert got[1][0] > 0.0
     assert _same_state(got, _row_loop(coef, k, unit ** 2))
@@ -253,24 +258,25 @@ def _shot_d(profile, k, n_steps, disk=None):
 
 
 def test_folded_and_looped_batches_agree(colton, monkeypatch):
-    # _FOLD_POINTS k fold their rows, more run the row loop.  The state of one k agrees
-    # between the two to 1e-13 of its largest entry, not bit for bit, and so do d and d'
-    # to 1e-13 of their terms: at Im k = 8 d is 1e5 times smaller than its terms
-    folds = []
-    monkeypatch.setattr(forward, "_times", lambda b, a: folds.append(1) or _times(b, a))
-    x, y = np.meshgrid(np.linspace(145.0, 150.5, 20), np.linspace(0.0, 8.0, 10))
+    # up to _BLOCK_COLUMNS k advance each row by one block product, more by the row loop.
+    # Both add each entry's terms in one order, so 300 k run whole (row loop) and 64 at a
+    # time (block products) agree bit for bit, state and log scale, and so does either
+    # batch with the other update forced on it
+    x, y = np.meshgrid(np.linspace(145.0, 150.5, 20), np.linspace(0.0, 8.0, 15))
     k = (x + 1j * y).ravel()
-    u, log_u, d, dp, size_d, size_dp = _shot_d(colton, k, 581)
-    assert not folds
-    few = forward._FOLD_POINTS
-    for i in range(0, k.size, few):
-        part = slice(i, i + few)
-        fu, log_fu, fd, fdp = _shot_d(colton, k[part], 581)[:4]
-        assert _same_state((fu, log_fu), (u[:, part], log_u[part]))
-        factor = np.exp(log_fu - log_u[part])
-        assert np.all(np.abs(fd * factor - d[part]) <= 1e-13 * size_d[part])
-        assert np.all(np.abs(fdp * factor - dp[part]) <= 1e-13 * size_dp[part])
-    assert folds
+    few = 64
+    assert few <= forward._BLOCK_COLUMNS < k.size
+
+    def parts():
+        runs = [forward._shoot(colton, k[i:i + few], 581) for i in range(0, k.size, few)]
+        return tuple(np.concatenate(z, axis=-1) for z in zip(*runs))
+
+    looped, blocked = forward._shoot(colton, k, 581), parts()
+    monkeypatch.setattr(forward, "_BLOCK_COLUMNS", k.size)
+    whole_blocked = forward._shoot(colton, k, 581)
+    monkeypatch.setattr(forward, "_BLOCK_COLUMNS", 0)
+    for got in (blocked, whole_blocked, parts()):
+        assert all(np.array_equal(a, b) for a, b in zip(got, looped))
 
 
 def test_large_batch_is_one_engine_call(colton, monkeypatch):
@@ -318,18 +324,15 @@ def test_degree_rule_keeps_every_degree_at_large_mu(name):
 
 @pytest.mark.parametrize("rect", [(0.3, 40.0, 0.0, 6.0), (145.0, 150.5, 0.0, 8.0),
                                   (0.3, 150.5, 0.0, 8.0)])
-def test_search_grids_need_low_degree(colton, monkeypatch, rect):
-    # every evaluation of the k40 and headline searches, on the uncentred table of
-    # their _d_service, needs at most a third of the 48 degrees of a row.  band150's
+def test_search_grids_need_low_degree(colton, rect):
+    # the k40 and headline searches' uncentred tables, cut once at the edge of their
+    # _d_service disk, need at most a third of the 48 degrees of a row.  band150's
     # centred rows take eps = (k^2 - c^2) u^2 to the first power where the uncentred
     # ones took (k u)^2 squared, so they need about twice as many (21 to 24), half of 48
-    degrees = []
-    rule = forward._degree_needed
-    monkeypatch.setattr(forward, "_degree_needed",
-                        lambda size, mu_max: degrees.append(rule(size, mu_max)) or degrees[-1])
-    centred = find_zeros(colton, rect).stats["table"]["steps_per_row"] > 8
+    table = find_zeros(colton, rect).stats["table"]
+    centred = table["steps_per_row"] > 8
     assert centred == (rect[0] == 145.0)
-    assert degrees and max(degrees) <= (24 if centred else 16)
+    assert 0 < table["degree"] <= (24 if centred else 16)
 
 
 @pytest.mark.parametrize("profile", [get_profile("colton_example"), get_profile("slow_core"),
@@ -365,7 +368,11 @@ def test_truncated_rows_match_full_degree(profile, monkeypatch):
 def test_searches_do_not_see_the_degree_rule(request, colton, monkeypatch, fixture, rect):
     rep = request.getfixturevalue(fixture)
     monkeypatch.setattr(forward, "_degree_needed", _full_degree)
-    full = find_zeros(colton, rect)
+    forward._composed_table.cache_clear()      # a search's table is cut to its degree when built
+    try:
+        full = find_zeros(colton, rect)
+    finally:
+        forward._composed_table.cache_clear()
     assert [z.multiplicity for z in full.zeros] == [z.multiplicity for z in rep.zeros]
     assert full.stats["evals"] == rep.stats["evals"]
     for z, z_full in zip(rep.zeros, full.zeros):
@@ -666,17 +673,36 @@ def test_characteristic_rejects_a_non_finite_k(colton, bad):
         characteristic(colton, bad)
 
 
-@pytest.mark.xfail(strict=True, reason="a batch of at most _FOLD_POINTS k folds its rows "
-                   "pairwise, a larger one runs the row loop: two paths, two roundings")
 def test_batch_size_does_not_change_d(colton):
-    # 64 k take the fold path, the same 64 among 65 the row loop; d and d' of one k
-    # differ by 8.3e-12 and 5.9e-11 relative, far above the rounding of one path
+    # 64 k and the same 64 among 65: d and d' of one k once differed by 8.3e-12 and
+    # 5.9e-11 relative, when small batches folded their rows pairwise and rescaled by
+    # max |state|
     k = np.linspace(100.0, 120.0, 65) + 5.0j
     d65, dp65, log65 = characteristic_batch(colton, k, n_steps=800)
     d64, dp64, log64 = characteristic_batch(colton, k[:64], n_steps=800)
     factor = np.exp(log64 - log65[:64])
     assert np.max(np.abs(d64 * factor - d65[:64]) / np.abs(d65[:64])) <= 1e-13
     assert np.max(np.abs(dp64 * factor - dp65[:64]) / np.abs(dp65[:64])) <= 1e-13
+
+
+@pytest.mark.parametrize("rect", [(145.0, 150.5, 0.0, 8.0), (0.3, 40.0, 0.0, 6.0)],
+                         ids=["band150", "k40"])
+def test_a_k_gets_the_same_bits_in_any_batch(colton, rect):
+    # on a search's table a k's (d, d', scale_log) follows from the table and k alone:
+    # bit for bit the same alone, among random companions on either side of the block
+    # product's limit, and in the batch sizes a search and the bench use
+    table = _d_service(colton, rect).stats["table"]
+    n_steps, (centre, radius) = table["n_steps"], (table["centre"], table["radius"])
+    rng = np.random.default_rng(38)
+    k0 = rect[0] + 0.3 * (rect[1] - rect[0]) + 0.7j * rect[3]
+    alone = characteristic_batch(colton, [k0], n_steps=n_steps, disk=(centre, radius))
+    for size in (1, 2, 7, 64, 65, 128, 129, 1024, 4096):
+        k = centre + radius * np.sqrt(rng.uniform(0.0, 0.98, size)) * np.exp(
+            2j * np.pi * rng.uniform(size=size))
+        at = rng.integers(size)
+        k[at] = k0
+        got = characteristic_batch(colton, k, n_steps=n_steps, disk=(centre, radius))
+        assert all(np.array_equal(a[at], b[0]) for a, b in zip(got, alone)), size
 
 
 def test_steps_scale_with_k():

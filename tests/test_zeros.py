@@ -763,7 +763,7 @@ def test_search_costs_at_any_width(request, search, evals, batches):
 
 
 @pytest.mark.parametrize("fixture, steps_per_row, certified_at_zero",
-                         [("colton_spectrum_40", 8, 2), ("colton_band_150", 128, 0)])
+                         [("colton_spectrum_40", 8, 0), ("colton_band_150", 128, 0)])
 def test_search_reports_its_table_and_zero_step_certificates(request, fixture, steps_per_row,
                                                              certified_at_zero):
     # k40's disk is too wide for longer rows, so it keeps the uncentred table; band150's
@@ -774,7 +774,8 @@ def test_search_reports_its_table_and_zero_step_certificates(request, fixture, s
     assert table["steps_per_row"] == steps_per_row
     assert table["centre"] == (0.5 * (x0 + x1) if steps_per_row > 8 else 0.0)
     assert table["n_steps"] * rep.stats["evals"] == rep.stats["ksteps"]
-    # a simple zero whose f'/f is infinite, d_h rounded to 0 there, takes the Newton step 0.0
+    # a simple zero whose f'/f is infinite, d_h rounded to 0 there, takes the Newton step 0.0;
+    # how many do follows d_h's rounding, so a change to the engine's rounding moves the pin
     steps = [z.certificate.step for z in rep.zeros]
     assert rep.stats["zero_step_certificates"] == steps.count(0.0) == certified_at_zero
 
