@@ -26,10 +26,11 @@ the loop runs n/G times: 5 rows of 128 steps on the band (145, 150.5, 0, 8), whe
 uncentred 73 rows of 8 ran.  A table for a disk is cut once to the degree its edge
 needs (``_degree_needed``), 12 of 48 uncentred and 24 centred on a search grid (eps
 enters to the power where mu entered squared); without a disk, each call cuts it at
-its max |mu|.  It serves ``characteristic_batch``, ``characteristic`` and
-``solve_ivp``: one step-count rule, 8 steps per radian at max |k|, sizes the default
-grid of the first and the start of the last two, which double the steps until they
-agree.  The x-form (c = 1, s = q on [0, a]), one row per step, serves
+its max |mu|.  It serves ``characteristic_batch``; ``characteristic`` and ``solve_ivp``
+evaluate a few k on grids used once, so they step the uncomposed rows and keep no table
+(``_shoot_steps``).  One step-count rule, 8 steps per radian at max |k|, sizes the
+default grid of the first and the start of the last two, which double the steps until
+they agree.  The x-form (c = 1, s = q on [0, a]), one row per step, serves
 ``inverse.wronskian_g``.  Every propagation starts from y = 0, y' = 1.
 
 All boundary quantities are stored with a common ``scale_log`` so that
@@ -398,8 +399,15 @@ def scaled_characteristic(profile: RefractiveProfile, k, *, n_steps: int | None 
 # ---------------------------------------------------------------------------
 
 
+def _shoot_steps(profile: RefractiveProfile, k: np.ndarray, n_steps: int):
+    """The r-form on n_steps steps of phase k a / n_steps, one engine row per RK8 step:
+    a few k on a grid used once gain nothing from composing or keeping a table."""
+    growth = travel_time(profile) / n_steps * np.abs(np.imag(k)).max()
+    return _integrate_batch(_step_polynomials(profile, _step_nodes(profile, n_steps)), k, growth)
+
+
 def _checked_shoot(profile: RefractiveProfile, k: np.ndarray, tol: float):
-    """``_shoot`` from n = ``grid_steps`` at _PER_RADIAN for max|k| on, doubling n
+    """``_shoot_steps`` from n = ``grid_steps`` at _PER_RADIAN for max|k| on, doubling n
     until the steps agree.
 
     The start is the same for every ``tol``: the check alone decides how far
@@ -414,9 +422,9 @@ def _checked_shoot(profile: RefractiveProfile, k: np.ndarray, tol: float):
         return np.zeros((4, 0), dtype=complex), np.zeros(0)
     _finite_k(k)
     n = grid_steps(profile, float(np.abs(k).max()), _PER_RADIAN)
-    coarse, coarse_log = _shoot(profile, k, n)
+    coarse, coarse_log = _shoot_steps(profile, k, n)
     while 2 * n <= _MAX_STEPS:
-        fine, fine_log = _shoot(profile, k, 2 * n)
+        fine, fine_log = _shoot_steps(profile, k, 2 * n)
         common = np.maximum(coarse_log, fine_log)     # scale factors <= 1 cannot overflow
         fine_c = fine * np.exp(fine_log - common)
         err = np.abs(coarse * np.exp(coarse_log - common) - fine_c).max(axis=0)

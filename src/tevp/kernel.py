@@ -36,9 +36,12 @@ and a view-column sum gives B_c.  Both end at the node, so their end terms
 W(node)/2 cancel; D(c/2) ends where B_c starts, so theirs cancel too, and B_u(u)
 is the view-column sum at t = 0.  The rest reads W on columns before i only, so
 one forward march over the columns solves the discrete Volterra equation (Linz,
-SIAM 1985), and one lattice sweep (three cumulative sums, no gathers) checks it:
-its largest change of K is the discrete residual.  The traces read the same
-lines of q L; the full grid ``KernelGrid.K`` is built only on demand.
+SIAM 1985), and one sweep of the equation checks it: its largest change of K is the
+discrete residual.  The sweep (``_sweep``) takes a block of rows p0 <= p < p1 at a
+time, over the columns i >= 2 p0 only, and keeps the three cumulative sums in two
+scratch blocks: S starts from the column sums of the blocks below, the antidiagonal
+sums from those of the block above.  The traces read the same lines of q L; the
+full grid ``KernelGrid.K`` is built only on demand.
 
 Verification (``identity_checks``, run by ``tevp kernel-check``): 2K(x,x) = int_0^x q
 against the antiderivative of the Liouville series of q sqrt(eta), and y(1,k), y'(1,k)
@@ -59,6 +62,7 @@ from .forward import solve_ivp
 from .profiles import LiouvilleData
 
 _SWEEP_TOL = 1e-12       # a verifying sweep may move K by at most this (1 + max|K|)
+_SWEEP_POINTS = 2**15    # lattice nodes per block of the sweep: 256 KB per scratch lattice
 _CHECK_KS = (1.0, math.pi, 7.3, 15.0)   # real k of the boundary representation check
 
 __all__ = ["KernelGrid", "solve_kernel", "boundary_traces", "representation_boundary",
@@ -91,7 +95,7 @@ class KernelGrid:
     q: np.ndarray        # q samples on the grid
     Q: np.ndarray        # cumulative trapezoid of q
     L: np.ndarray        # (n+1, 2n+1) even-node lattice, see the module docstring
-    iterations: int      # lattice sweeps run: 1, the check of the column march
+    iterations: int      # sweeps run: 1, the check of the column march
     final_delta: float   # sup-norm change of K under that sweep: the equation's residual
     liouville: LiouvilleData   # source of the reference integral Q_ref
 
@@ -157,8 +161,57 @@ def _march(q, Qh, delta):
     return L
 
 
+def _sweep(L, q, Q, delta):
+    """(residual, max|L|): the largest change of K on t > 0 when the equation is swept once
+    from K = L, block by block of rows, each block over its columns i >= 2 p0 only.
+
+    W = (delta/2) q C = delta^2 q (S - K/2), S the column summed bottom-up: a block's S
+    starts from the column sums of the blocks below (one ``reduceat``).  Then K is
+    (B_c(x) + W(node) + Q(c/2) + D(c/2)) / 2 on the antidiagonal c, less its value at
+    c = u, and less (A_u(x) + W(node)) / 2; the antidiagonal sums carry down from the
+    block above.  Two scratch blocks of ``_SWEEP_POINTS`` nodes, each with a tail for the
+    strided view, serve every block; the view's entries past the end of a line fall where
+    t < 0 or in the tail, outside the residual's mask.
+    """
+    n1, M1 = L.shape
+    rows = max(1, _SWEEP_POINTS // M1)
+    starts = np.arange(0, n1, rows)
+    below = np.zeros((starts.size + 1, M1))       # below[j]: L summed over blocks j, j + 1, ...
+    np.cumsum(np.add.reduceat(L, starts)[::-1], axis=0, out=below[-2::-1])
+    dq = delta * delta * q
+    w0 = (below[0] - 0.5 * L[0]) * dq            # the row W[0]
+    vec = 0.5 * Q + _cumtrapz(w0, 1.0) - 0.5 * w0
+    carry = np.zeros(M1)           # by h = i - p: the antidiagonal's W summed over rows above
+    bufs = np.empty((2, rows * (M1 + 1)))
+    live = np.arange(M1) > 2 * np.arange(rows)[:, None]     # t > 0, relative to (p0, 2 p0)
+    worst = np.empty((2, starts.size))
+    for j, p0 in enumerate(starts):
+        b, c0 = min(rows, n1 - p0), 2 * p0
+        width, h = M1 - c0, slice(p0, M1 - p0)
+        Lb = L[p0:p0 + b, c0:]
+        W, R = (buf[:b * width].reshape(b, width) for buf in bufs)
+        WV = as_strided(bufs[0], shape=(b, width), strides=((width + 1) * bufs.itemsize,
+                                                            bufs.itemsize))   # WV[r, h - p0]
+        worst[1, j] = np.abs(Lb, out=R).max()     # L is zero left of the block's columns
+        np.cumsum(Lb[::-1], axis=0, out=W[::-1])     # S
+        W += below[j + 1, c0:]
+        W -= np.multiply(Lb, 0.5, out=R)
+        W *= dq[c0:]
+        np.cumsum(W, axis=1, out=R)                # (A_u(x) + W(node)) / 2
+        WV[0] += carry[h]
+        np.cumsum(WV, axis=0, out=WV)             # B_c(x) + W(node), the rows above first
+        carry[h] = WV[-1]
+        WV += vec[h]                               # Q(c/2) + D(c/2)
+        WV -= np.diagonal(WV).copy()[:, None]      # its value at c = u, on the column 2p
+        W -= R
+        W -= Lb                                    # the change of K
+        worst[0, j] = np.max(np.abs(W, out=W), where=live[:b, :width], initial=0.0)
+    return tuple(map(float, worst.max(axis=1)))
+
+
 def solve_kernel(liouville: LiouvilleData, h: float) -> KernelGrid:
-    """The transmutation kernel by one column march, checked by one lattice sweep.
+    """The transmutation kernel by one column march, checked by one sweep of the
+    equation, a block of rows at a time (``_sweep``).
 
     ``h`` is the coarse resolution target; storage runs on the half grid
     delta = h/2 so that midpoint arguments stay on-grid.  An ``h`` that is not
@@ -178,20 +231,8 @@ def solve_kernel(liouville: LiouvilleData, h: float) -> KernelGrid:
     with np.errstate(over="ignore", invalid="ignore"):   # an overflow fails the check
         Q = _cumtrapz(q, delta)
         L = _march(q, 0.5 * Q, delta)
-        # one sweep from K = L: W = (delta/2) q C = delta^2 q (S - K/2), S bottom-up
-        (W, WV), (Knew, KnewV) = _lattice(n), _lattice(n)
-        np.cumsum(L[::-1], axis=0, out=W[::-1])
-        W -= 0.5 * L
-        W *= delta * delta * q
-        # (B_c(x) + W(node) + Q(c/2) + D(c/2)) / 2 on the antidiagonal c, less its value at c = u
-        np.cumsum(WV, axis=0, out=KnewV)
-        KnewV += 0.5 * Q + _cumtrapz(W[0], 1.0) - 0.5 * W[0]
-        KnewV -= np.diagonal(KnewV).copy()[:, None]
-        Knew -= np.cumsum(W, axis=1, out=W)   # (A_u(x) + W(node)) / 2
-        t_pos = np.arange(M + 1) > 2 * np.arange(n + 1)[:, None]
-        Knew -= L
-        residual = float(np.max(np.abs(Knew, out=Knew), where=t_pos, initial=0.0))
-        bound = _SWEEP_TOL * (1.0 + float(np.max(np.abs(L))))
+        residual, size = _sweep(L, q, Q, delta)
+    bound = _SWEEP_TOL * (1.0 + size)
     if not (math.isfinite(residual) and residual <= bound):
         raise NoConvergence(f"kernel march residual {residual:.3e} (bound {bound:.3e})")
     return KernelGrid(a=a, delta=delta, x=x, q=q, Q=Q, L=L,

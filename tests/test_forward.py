@@ -769,11 +769,12 @@ def test_engine_rounding_against_long_double(colton, rect, bound):
 def test_step_doubling_starts_from_one_grid_for_every_tol(colton, monkeypatch, tol):
     # every tol starts at 8 steps per radian, the default grid of characteristic_batch;
     # the n / 2n check alone decides how far to double
+    # (each grid's step edges are placed once: a batch table, or one level of the check)
     k = np.array([15.0])
     sizes = []
-    shoot = forward._shoot
-    monkeypatch.setattr(forward, "_shoot",
-                        lambda p, k, n, disk=None: sizes.append(n) or shoot(p, k, n, disk))
+    nodes = forward._step_nodes
+    monkeypatch.setattr(forward, "_step_nodes", lambda p, n: sizes.append(n) or nodes(p, n))
+    forward._composed_table.cache_clear()
     forward._checked_shoot(colton, k, tol)
     assert sizes[0] == grid_steps(colton, 15.0, 8.0)
     assert sizes == [sizes[0] * 2 ** i for i in range(len(sizes))]

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import as_strided
 from numpy.testing import assert_allclose
 from scipy.integrate import trapezoid
 from scipy.interpolate import RegularGridInterpolator
@@ -161,6 +163,59 @@ def _loop_boundary_traces(kg):
     return js * delta, K1, K2
 
 
+def _full_lattice_sweep(L, q, Q, delta):
+    """(residual, max|L|) of one sweep over the whole (n+1, 2n+1) lattice at once, with
+    full-lattice temporaries: the reference for the block sweep ``kernel._sweep``."""
+    n = L.shape[0] - 1
+    M1 = 2 * n + 1
+
+    def lattice():
+        buf = np.zeros((n + 1) * M1 + n)
+        V = as_strided(buf, shape=(n + 1, M1), strides=((M1 + 1) * buf.itemsize, buf.itemsize))
+        return buf[:(n + 1) * M1].reshape(n + 1, M1), V
+
+    (W, WV), (Knew, KnewV) = lattice(), lattice()
+    np.cumsum(L[::-1], axis=0, out=W[::-1])
+    W -= 0.5 * L
+    W *= delta * delta * q
+    np.cumsum(WV, axis=0, out=KnewV)
+    KnewV += 0.5 * Q + _loop_cumtrapz(W[0], 1.0) - 0.5 * W[0]
+    KnewV -= np.diagonal(KnewV).copy()[:, None]
+    Knew -= np.cumsum(W, axis=1, out=W)
+    t_pos = np.arange(M1) > 2 * np.arange(n + 1)[:, None]
+    Knew -= L
+    return float(np.max(np.abs(Knew), where=t_pos, initial=0.0)), float(np.max(np.abs(L)))
+
+
+def _march_inputs(lv, n):
+    M = 2 * n
+    delta = lv.a / M
+    q = np.asarray(lv.q(np.linspace(0.0, lv.a, M + 1)), dtype=float)
+    Q = kernel._cumtrapz(q, delta)
+    return kernel._march(q, 0.5 * Q, delta), q, Q, delta
+
+
+KERNEL_PROFILES = ("colton_example", "raised_cosine", "slow_core", "const4")
+
+
+@pytest.mark.parametrize("name", KERNEL_PROFILES)
+@pytest.mark.parametrize("n", [8, 60, 200, 400])
+@pytest.mark.parametrize("rows", [None, 7])
+def test_block_sweep_matches_the_full_lattice_sweep(monkeypatch, name, n, rows):
+    # rows None: the block height of the byte budget (one block at n = 8 and 60, 81 rows
+    # at n = 200, 40 at n = 400); 7 rows leave a short last block at every n
+    if rows is not None:
+        monkeypatch.setattr(kernel, "_SWEEP_POINTS", rows * (2 * n + 1))
+    height = kernel._SWEEP_POINTS // (2 * n + 1)
+    assert rows is None or (height == rows and (n + 1) % rows)
+    args = _march_inputs(liouville_transform(get_profile(name)), n)
+    residual, size = kernel._sweep(*args)
+    ref_residual, ref_size = _full_lattice_sweep(*args)
+    assert size == ref_size
+    assert abs(residual - ref_residual) <= 1e-15 * (1.0 + ref_size)
+    assert residual <= 1e-12 * (1.0 + size)
+
+
 SWEEP_CASES = [(name, div) for name in ("colton_example", "raised_cosine", "slow_core")
                for div in (8, 60)]          # M = 16 (the minimum n = 8) and M = 120
 
@@ -179,19 +234,54 @@ def test_march_matches_loop_sweep(name, div):
         assert update <= 1e-12 * (1.0 + scale)
 
 
+_ROWS = kernel._SWEEP_POINTS // 401     # the sweep's block height at n = 200 (M = 400)
+
+
 def test_march_off_at_one_node_fails_the_check(monkeypatch, capsys, colton_lv):
+    march = kernel._march
+    nodes = [(3, 40),                     # t > 0: column 40 holds rows p < 20
+             (_ROWS, 2 * _ROWS + 1),      # the first live column of the second block
+             (_ROWS - 1, 300),            # the last row of the first block ...
+             (_ROWS, 300),                # ... and the first row of the second
+             (199, 400),                  # the last row with t > 0, at the last column
+             (2 * _ROWS + 5, 400)]        # the last column, in the last block
+    for node in nodes:
+        def off(*args, node=node):
+            L = march(*args)
+            L[node] += 1e-6
+            return L
+
+        monkeypatch.setattr(kernel, "_march", off)
+        with pytest.raises(NoConvergence, match="kernel march residual 1.000e-06"):
+            solve_kernel(colton_lv, h=colton_lv.a / 200)
+        assert main(["kernel-check", "--profile", "colton_example"]) == EXIT_NUMERIC
+        assert "numerical failure" in capsys.readouterr().err
+
+
+def test_nan_at_one_node_of_the_last_block_fails_the_check(monkeypatch, colton_lv):
+    # a maximum taken by Python's max() drops a NaN that is not its first argument
     march = kernel._march
 
     def off(*args):
         L = march(*args)
-        L[3, 40] += 1e-6                     # t > 0: column 40 holds rows p < 20
+        L[199, 399] = np.nan
         return L
 
     monkeypatch.setattr(kernel, "_march", off)
-    with pytest.raises(NoConvergence, match="kernel march residual 1.000e-06"):
+    assert 199 // _ROWS == 200 // _ROWS >= 1      # row 199 lies in the last block of several
+    with pytest.raises(NoConvergence, match="kernel march residual nan"):
         solve_kernel(colton_lv, h=colton_lv.a / 200)
-    assert main(["kernel-check", "--profile", "colton_example"]) == EXIT_NUMERIC
-    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_sweep_needs_little_more_than_the_lattice(colton_lv):
+    # the check's scratch is two blocks of rows, not full-lattice temporaries
+    tracemalloc.start()
+    try:
+        kg = solve_kernel(colton_lv, h=colton_lv.a / 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * kg.L.nbytes
 
 
 def test_march_leaves_its_inputs_and_repeats_bit_for_bit(colton_lv):
