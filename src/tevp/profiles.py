@@ -61,6 +61,7 @@ class RefractiveProfile:
     def __init__(self):
         self.eta_min = self._certify_positive()
         self._cum: Optional[_CumulativeMap] = None
+        self._asymptotic: Optional[tuple] = None
 
     # -- representation hooks -------------------------------------------------
 
@@ -101,6 +102,19 @@ class RefractiveProfile:
         if self._cum is None:
             self._cum = _CumulativeMap(self)
         return self._cum
+
+    def asymptotic_inputs(self) -> tuple:
+        """(AsymptoticCase, LiouvilleData) of the asymptotic predictions, built on the
+        first call (``predict_real`` reads the data's q_mean); (None, None) for a profile
+        without a matched tail or the derivatives q needs."""
+        if self._asymptotic is None:
+            from .asymptotics import case_from_profile     # asymptotics imports this module
+            try:
+                liouville = liouville_transform(self)
+                self._asymptotic = (case_from_profile(self, liouville), liouville)
+            except (ValueError, DerivativeUnavailable, QuadratureFailure):
+                self._asymptotic = (None, None)
+        return self._asymptotic
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name!r} eta_min={self.eta_min:.6g}>"

@@ -16,12 +16,25 @@ search whose count or split fails (a contour fails if still bisecting after
 _MAX_ROUNDS = 12 rounds), or that must split a cell narrower than
 _SPLIT_FLOOR, restarts on the next padded rect, whose split lines moved.
 
+Seeds: ``find_zeros`` passes the zeros the paper's asymptotics predict near the
+rect (_predictions).  A search is seeded only when those inside would take its
+outer cell over its cap, so that it would split; then each runs Newton while the
+outer contour is counted, and each that settles is verified on its own circle
+and certificate.  A seed is only a start: the count decides completeness.  The
+outer moments are deflated by the seeds' zeros (_deflated), one pencil of the
+remainder finds the zeros no seed reached, and a search whose certified zeros
+still fall short of the count splits as without seeds, each cell deflated by
+the zeros it holds.  Poor predictions (first Newton steps over _SEED_TRUST)
+that leave more zeros than a pencil takes send the outer cell to the split in
+the round it would split without seeds.
+
 A search is one round loop (_search), each round one ``evaluate`` call that
 carries every pending contour piece (the piece table, _Service._file, cuts
 every edge) of every counting cell, every verification circle and every
-certificate point (``batches`` counts rounds).  A cell not yet split is split
-in the first round its count (while counting, its provisional winding: an
-early split) exceeds its cap, or in the round refinement hands it back.
+certificate point, and every seed's Newton point (``batches`` counts rounds).
+A cell not yet split is split in the first round its count (while counting,
+its provisional winding: an early split) exceeds its cap, or in the round
+refinement hands it back.
 """
 
 from __future__ import annotations
@@ -34,7 +47,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ContourTooClose, DegenerateCharacteristic, NewtonStall
+from .asymptotics import predict_nonreal, predict_real
+from .errors import (ContourTooClose, DegenerateCharacteristic, IterationDiverged, NewtonStall,
+                     RegimeError)
 from .forward import _composed_table, _table_shape, characteristic_batch, grid_steps
 from .profiles import RefractiveProfile, travel_time
 
@@ -68,6 +83,9 @@ _PHASES = ("count", "subdivide", "refine")
 _RETRIES = ("inflate", "resplit")
 _TRIVIAL_CLEARANCE = 1e-2    # least distance from k = 0 of a search rect's corner (x0, y0)
 _PADS = (1e-2, 2e-2, 4e-2, 8e-2, 0.16)   # outward moves of a padded rect's right, top edges
+_NEWTON_CLAMP = 2.0          # longest Newton step a seed takes
+_NEWTON_STEPS = 8            # Newton steps after which a seed that has not settled is dropped
+_SEED_TRUST = 0.4            # a seed whose first Newton step is at most this long is trusted
 
 
 @dataclass(frozen=True)
@@ -116,7 +134,11 @@ class SearchReport:
     before their contour converged), ``table`` (the engine table's ``n_steps``,
     ``centre``, ``radius``, ``steps_per_row`` and ``degree``), ``duplicates_removed``,
     ``noteworthy_multiple_nonreal`` and ``zero_step_certificates`` (zeros certified with
-    Newton step 0.0, as d_h rounded to 0 there).  Each zero carries the ``certificate`` that
+    Newton step 0.0, as d_h rounded to 0 there).  A seeded search adds ``seeded`` (the
+    seeds it started from), ``deflated_count`` (the zeros of the outer count, mirror
+    images included, that its settled seeds left to deflation; None if it gave its
+    seeds up and split) and the phase ``seed`` (the seeds' Newton points; their circles
+    and certificates are ``refine``).  Each zero carries the ``certificate`` that
     accepted it.  ``timings``: wall seconds per phase, each round's shared out
     by its points; out of ``stats`` as they vary by run."""
     rect: tuple
@@ -160,7 +182,8 @@ class _Service:
     def eval(self, ks, phases):
         """Return (f'/f, |F|) at the given complex points, in one ``evaluate`` call;
         ``phases`` maps each phase to its number of points, and each is charged
-        them and their share of the wall time since the last call."""
+        them and their share of the wall time since the last call (the "seed"
+        phase of a seeded search, once ``_search`` has registered it)."""
         ks = np.asarray(ks, dtype=complex).ravel()
         if ks.size == 0:
             return np.zeros(0, complex), np.zeros(0)
@@ -179,7 +202,8 @@ class _Service:
     def advance(self, cells, extra):
         """One round, one batch: the rules the cache lacks of every pending piece
         of the counting ``cells`` and of its halves, once however many cells
-        share it, and the point arrays ``extra``, whose (f'/f, |F|) it returns.
+        share it, and the points of the (phase, points) pairs ``extra``, whose
+        (f'/f, |F|) it returns.
         ContourTooClose if a cell's piece failed, or more than _MAX_PENDING of
         them, or any after _MAX_ROUNDS rounds, are pending; DegenerateCharacteristic
         if max |F| over an outer cell's pieces is below DEGENERACY_FLOOR."""
@@ -199,11 +223,13 @@ class _Service:
                     fresh.append(seg)
                     phases[phase] += _GL_NODES[0].size
         self.stats["segments_reused"] += len(rows) - len(fresh)
-        phases["refine"] += sum(map(len, extra))
+        for phase, points in extra:
+            phases[phase] = phases.get(phase, 0) + len(points)
         lo, hi = np.array(fresh, dtype=complex).reshape(-1, 2).T
         c, h = 0.5 * (lo + hi)[:, None], 0.5 * (hi - lo)[:, None]
         nodes = c + h * _GL_NODES[0]
-        ld, absD = self.eval(np.concatenate([nodes.ravel(), *extra]), phases)
+        ld, absD = self.eval(np.concatenate([nodes.ravel(), *(points for _phase, points in extra)]),
+                             phases)
         with np.errstate(invalid="ignore"):
             wld = ld[:nodes.size].reshape(nodes.shape) * (_GL_NODES[1] * h)
         self.nodes, self.wld = np.concatenate([self.nodes, nodes]), np.concatenate([self.wld, wld])
@@ -225,7 +251,7 @@ class _Service:
                     or cell.pending and cell.rounds >= _MAX_ROUNDS):
                 raise ContourTooClose(f"the contour of cell {cell.rect} failed")
         self._settle([cell for cell in cells if not cell.pending])
-        ends = np.cumsum([nodes.size, *map(len, extra)]).tolist()
+        ends = np.cumsum([nodes.size, *(len(points) for _phase, points in extra)]).tolist()
         return [(ld[a:b], absD[a:b]) for a, b in zip(ends, ends[1:])]
 
     def _file(self, cell):
@@ -475,36 +501,57 @@ def _circles(centres, radii, counts):
             in zip(counts, ok, np.minimum.reduceat(absD, start), w, k)]
 
 
-def _refine(service, cell):
-    """Verify the zeros ``_pencil`` reads off a counted cell, yielding the points
-    to evaluate and receiving (f'/f, |F|) there: one of multiplicity m passes if
-    its circle counts m zeros (radius max(1e-3, 2e-4 |k|) for m = 1, centred on
+def _verify(ks, ms, hs, recentre=False):
+    """Verify zeros k of multiplicity m on circles of radius h (arrays), yielding
+    the points to evaluate and receiving (f'/f, |F|) there: each passes if its
+    circle counts m zeros (radius max(1e-3, 2e-4 |k|) for m = 1, centred near
     its zero so that 8 nodes suffice, and _SPLIT_FLOOR for m >= 2) and, if
     simple, |f/f'| <= _STEP_CERT (1 + |k|) at the circle's centroid, where it is
     placed (9 evaluations with its residual), or else, once, at the centroid's
-    Newton update if that step is shorter than the radius (one more each).
-    Returns the (k, multiplicity, residual, Certificate) of its zeros if all
-    pass, else None (a ``resplit``)."""
+    Newton update if that step is shorter than the radius (one more each).  If
+    ``recentre``, each k is also evaluated with its circle (one more each), and if
+    not every circle counts m, each is drawn once more about k - m f/f' (8 m more).
+    Returns their (k, multiplicity, residual, Certificate) if all pass, else None."""
+    circles = _circles(ks, hs, ms)
+    nodes = next(circles)
+    ld, absD = yield np.concatenate([nodes, ks]) if recentre else nodes
+    try:
+        circles.send((ld[:nodes.size], absD[:nodes.size]))
+    except StopIteration as stop:
+        circles = stop.value
+    passed = [n == m for (n, *_rest), m in zip(circles, ms)]
+    if recentre and not all(passed):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ks = ks - np.where(np.isinf(ld[nodes.size:]), 0.0, ms / ld[nodes.size:])
+        circles = yield from _circles(ks, hs, ms)
+        passed = [n == m for (n, *_rest), m in zip(circles, ms)]
+    ks = np.array([k for *_rest, k in circles])
+    if all(passed):
+        ld, absD = yield ks
+        for retry in (False, True):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                # the Newton step f/f'; f'/f infinite means f vanishes at k to working precision
+                step = np.where(np.isinf(ld), 0.0, 1.0 / ld)
+            bad = (ms == 1) & ~(np.abs(step) <= _STEP_CERT * (1.0 + np.abs(ks)))
+            if not bad.any():
+                return [(complex(k), int(m), float(aD), Certificate(
+                    float(h), float(abs(w - m)), float(abs(s)) if m == 1 else None, float(mn)))
+                    for (_n, mn, w, _c), k, m, h, s, aD in zip(circles, ks, ms, hs, step, absD)]
+            if retry or not np.all(np.abs(step[bad]) < hs[bad]):
+                break
+            ks[bad] -= step[bad]
+            ld[bad], absD[bad] = yield ks[bad]
+    return None
+
+
+def _refine(service, cell):
+    """``_verify`` the zeros ``_pencil`` reads off a counted cell: their
+    (k, multiplicity, residual, Certificate) if all pass, else None (a ``resplit``)."""
     service.stats["clusters"] += 1
     if zeros := _pencil(cell):
-        ks, ms, hs = map(np.array, zip(*zeros))
-        circles = yield from _circles(ks, hs, ms)
-        ks = np.array([k for *_rest, k in circles])
-        if all(n == m for (n, *_rest), m in zip(circles, ms)):
-            ld, absD = yield ks
-            for retry in (False, True):
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    # the Newton step f/f'; f'/f infinite means f vanishes at k to working precision
-                    step = np.where(np.isinf(ld), 0.0, 1.0 / ld)
-                bad = (ms == 1) & ~(np.abs(step) <= _STEP_CERT * (1.0 + np.abs(ks)))
-                if not bad.any():
-                    return [(complex(k), int(m), float(aD), Certificate(
-                        float(h), float(abs(w - m)), float(abs(s)) if m == 1 else None, float(mn)))
-                        for (_n, mn, w, _c), k, m, h, s, aD in zip(circles, ks, ms, hs, step, absD)]
-                if retry or not np.all(np.abs(step[bad]) < hs[bad]):
-                    break
-                ks[bad] -= step[bad]
-                ld[bad], absD[bad] = yield ks[bad]
+        found = yield from _verify(*map(np.array, zip(*zeros)))
+        if found is not None:
+            return found
     service.stats["retries"]["resplit"] += 1
     return None
 
@@ -512,6 +559,11 @@ def _refine(service, cell):
 # ---------------------------------------------------------------------------
 # top-level searches
 # ---------------------------------------------------------------------------
+
+
+def _is_real(k):
+    """Whether a zero at k is real: |Im k| <= _REAL_CLASS_TOL (1 + |Re k|)."""
+    return abs(k.imag) <= _REAL_CLASS_TOL * (1.0 + abs(k.real))
 
 
 def _canonicalize(found):
@@ -524,7 +576,7 @@ def _canonicalize(found):
     for k, mult, residual, cert in sorted(found,
                                           key=lambda f: (abs(f[0].real), abs(f[0].imag))):
         k = complex(abs(k.real), abs(k.imag))
-        cls = "real" if k.imag <= _REAL_CLASS_TOL * (1.0 + abs(k.real)) else "nonreal"
+        cls = "real" if _is_real(k) else "nonreal"
         if cls == "real":
             k = complex(k.real, 0.0)
         if any(abs(z.k - k) < 5e-7 * (1.0 + abs(k)) for z in out):
@@ -536,19 +588,141 @@ def _canonicalize(found):
     return out, removed
 
 
-def _search(service, rect):
+# ---------------------------------------------------------------------------
+# seeds: Newton from the asymptotic predictions, and moment deflation
+# ---------------------------------------------------------------------------
+
+
+def _predictions(profile, rect):
+    """The first-quadrant zeros the asymptotics predict near ``rect``: the non-real
+    k_n (refined where ``predict_nonreal`` can), for each index n within 2 of those
+    that Re k / pi (Re k a / pi if a < 1) gives over [x0, x1], as the log terms move
+    Re k_n by up to about 1.5 pi; and the real ones, near n pi / |a - 1|, within 1.
+    None without an AsymptoticCase (``asymptotic_inputs``)."""
+    case, liouville = profile.asymptotic_inputs()
+    if case is None:
+        return []
+    x0, x1, _y0, _y1 = rect
+
+    def near(rate, margin):
+        return range(max(1, math.floor(rate * x0 / math.pi) - margin),
+                     math.ceil(rate * x1 / math.pi) + margin + 1)
+
+    ks = []
+    for n in near(case.a if case.regime == "a_lt_1" else 1.0, 2):
+        try:
+            ks.append(predict_nonreal(case, n, refine=True))
+        except IterationDiverged:   # the refinement's iteration stalled: no seed
+            pass
+    for n in near(abs(case.a - 1.0), 1):
+        try:
+            ks.append(complex(predict_real(liouville, n)))
+        except (RegimeError, ValueError):    # a = 1, or n pi / (a - 1) below the q_mean term
+            pass
+    return ks
+
+
+def _holds(rect, k):
+    """Whether k lies inside ``rect`` = (x0, x1, y0, y1)."""
+    x0, x1, y0, y1 = rect
+    return x0 < k.real < x1 and y0 < k.imag < y1
+
+
+def _held(cell, zeros):
+    """The (k, multiplicity) pairs of ``zeros`` (k in the closed upper half plane)
+    inside ``cell`` and their count there, a non-real one of a symmetric cell twice."""
+    inside = [(k, m) for k, m in zeros if _holds(cell.rect, k)]
+    return inside, sum(m * (1 + (cell.sym and not _is_real(k))) for k, m in inside)
+
+
+def _deflated(cell, zeros):
+    """A counted ``cell`` less the zeros (k, multiplicity) of ``zeros`` it holds: a
+    copy whose count is less theirs and whose moments are less nu u^p, or
+    nu (u^p + conj u^p) for a non-real zero of a symmetric cell, u = (k - c)/r as in
+    _settle (Kravanja & Van Barel, LNM 1727, 2000); ``cell`` itself if it holds none."""
+    inside, count = _held(cell, zeros)
+    if not inside:
+        return cell
+    x0, x1, y0, y1 = cell.rect
+    c, r = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1)), 0.5 * max(x1 - x0, y1 - y0)
+    p, s = np.arange(cell.moments.size), cell.moments.copy()
+    for k, m in inside:
+        u = (k - c) / r
+        s -= m * (u ** p if not cell.sym else u.real ** p if _is_real(k) else 2.0 * (u ** p).real)
+    return _Cell(cell.rect, count=cell.count - count, moments=s, sym=cell.sym)
+
+
+def _newton(seeds, ld, rect, fold):
+    """One Newton step k - f/f' of each seed (k, steps taken, last step length), ``ld``
+    its f'/f: (the seeds still running, the settled (k, 1, h)).
+    A step is clamped to length _NEWTON_CLAMP and, if ``fold`` (f conjugate-symmetric),
+    folded into the closed upper half plane.  A seed settles once the error its step s
+    leaves, |s|, or |s|^3 / |s'|^2 after a longer step s' (quadratic convergence), is
+    below a tenth of its circle radius h = max(1e-3, 2e-4 |k|); it is dropped once it
+    leaves ``rect`` padded by h, or unsettled after _NEWTON_STEPS steps."""
+    k, steps, last = (np.array(column) for column in zip(*seeds))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = np.where(np.isinf(ld), 0.0, 1.0 / ld)
+        length = np.abs(step)
+        step *= np.fmin(1.0, _NEWTON_CLAMP / length)
+        length = np.fmin(length, _NEWTON_CLAMP)
+        error = length * np.fmin(1.0, length / last) ** 2
+    k = k - step
+    if fold:
+        k = np.where(k.imag < 0.0, k.conj(), k)
+    h = np.maximum(1e-3, 2e-4 * np.abs(k))
+    x0, x1, y0, y1 = rect
+    inside = (x0 - h <= k.real) & (k.real <= x1 + h) & (y0 - h <= k.imag) & (k.imag <= y1 + h)
+    settles = inside & (error < 0.1 * h)
+    runs = inside & ~settles & (steps + 1 < _NEWTON_STEPS)
+    return ([(complex(kj), int(n) + 1, float(a)) for kj, n, a in
+             zip(k[runs], steps[runs], length[runs])],
+            [(complex(kj), 1, float(hj)) for kj, hj in zip(k[settles], h[settles])])
+
+
+# ---------------------------------------------------------------------------
+# top-level searches
+# ---------------------------------------------------------------------------
+
+
+def _search(service, rect, seeds=()):
     """The counted cell of ``rect`` and the refined zeros inside it, each round
-    one ``advance`` of every counting cell and every refinement.  A cell not yet
-    split is split in the first round its count exceeds _MMAX, while counting
+    one ``advance`` of every counting cell, every refinement and every seed.  A cell
+    not yet split is split in the first round its count exceeds _MMAX, while counting
     its provisional winding if within 0.25 of an integer (an early split, counted
     on to check its halves add up to it), or in the round it is handed back; a
     counted cell of 1 .. _MMAX zeros is refined.  ContourTooClose if a contour
     (after _MAX_ROUNDS rounds) or a halves-sum check fails, NewtonStall if a
     cell to split is narrower than _SPLIT_FLOOR.  For a conjugate-symmetric f a rect
     (x0, x1, -y, y) is a symmetric cell, refined at up to 2 _MMAX zeros (mirrors
-    included), and ContourTooClose if its count less its real zeros is odd."""
+    included), and ContourTooClose if its count less its real zeros is odd.
+
+    ``seeds``, points predicted near simple zeros, seed the search if those inside
+    ``rect`` would take the outer cell over its cap.  Each runs Newton (``_newton``)
+    from round 1, and each settled one is verified (``_verify``) alone.  The outer
+    cell then waits: it is split as without seeds, in the round its first count
+    (provisional or not) comes in, if that count less the seeds whose first step is at
+    most _SEED_TRUST exceeds its cap.  Otherwise, once counted, it stops its running
+    seeds when they could no longer account for every zero that the settled ones
+    leave, and verifies the zeros one pencil reads off its moments deflated by the
+    settled ones (``_deflated``), if they leave 1 .. cap; if more, or the pencil gives
+    none, it is split.  The count decides: once every verification is in, the search
+    is complete if the certified zeros account for it; if not, one more pencil,
+    deflated by them, may run, else the cell is split.  A counted cell below it waits
+    for every verification and is then deflated by the certified zeros it holds."""
     top = service.outer_cell(rect)
     counting, refining, pairs, halved, found = [top], [], [], set(), []
+    stats, cap = service.stats, (1 + top.sym) * _MMAX
+    running = [(k, 0, math.nan) for k in map(complex, seeds) if _holds(rect, k)]
+    if _held(top, [(k, 1) for k, *_rest in running])[1] <= cap:
+        running = []
+    if running:
+        for table, zero in ((stats["phase_evals"], 0), (stats["phase_ksteps"], 0),
+                            (service.timings, 0.0)):
+            table.setdefault("seed", zero)
+        stats.update(seeded=len(running), deflated_count=None)
+    stage = "seed" if running else None      # seed -> wait -> verify -> None
+    settled, known, deferred, trusted, tried = [], [], [], None, False
 
     def split(cell):
         x0, x1, y0, y1 = cell.rect
@@ -560,35 +734,102 @@ def _search(service, rect):
         pairs.append((cell, *halves))
         halved.add(cell)
 
-    while counting or refining:
-        values = service.advance(counting, [points for _cell, _gen, points in refining])
-        steps = [(cell, gen, value) for (cell, gen, _points), value in zip(refining, values)]
-        waiting, counting, refining = counting, [], []
+    def verify(points, recentre=False):
+        """Start verifying each (k, m, h) not within a radius of one settled before."""
+        fresh = [(k, m, h) for k, m, h in points
+                 if all(abs(k - k2) >= max(h, h2) for k2, _m, h2 in settled)]
+        for point in fresh:
+            settled.append(point)
+            gen = _verify(*map(np.array, zip(point)), recentre=recentre)
+            refining.append((point, gen, gen.send(None)))
+        return fresh
+
+    def pencil(zeros):
+        """Verify the zeros of one pencil of the outer moments less ``zeros``."""
+        nonlocal tried
+        tried = True
+        stats["clusters"] += 1
+        return verify(_pencil(_deflated(top, zeros)), recentre=True)
+
+    while True:
+        if stage == "seed" and trusted is not None:
+            w = service.provisional(top) if top.count is None else top.count
+            if abs(w - round(w.real)) <= 0.25:
+                stage = "wait"
+                if round(w.real) - trusted > cap:      # the seeds leave too many: split as without
+                    stage, running, settled[:] = None, [], []
+                    refining = [entry for entry in refining if isinstance(entry[0], _Cell)]
+                    stats["early_splits"] += top.count is None
+                    split(top)
+        if stage == "wait" and top.count is not None:
+            left = top.count - _held(top, [(k, m) for k, m, _h in settled])[1]
+            if left <= 0 or _held(top, [(k, 1) for k, *_rest in running])[1] < left:
+                running, stage, stats["deflated_count"] = [], "verify", left
+                if left > 0 and (left > cap or not pencil([(k, m) for k, m, _h in settled])):
+                    split(top)
+        if stage == "verify" and all(isinstance(entry[0], _Cell) for entry in refining):
+            left = top.count - _held(top, known)[1]
+            if top in halved or left == 0:
+                stage = None
+            elif left < 0:
+                raise ContourTooClose(f"the certified zeros of cell {top.rect} exceed its count")
+            elif tried or left > cap or not pencil(known):
+                stage = None
+                split(top)
+        if not (counting or refining or running or deferred):
+            break
+        extra = [("refine", points) for _owner, _gen, points in refining]
+        if running:
+            extra.append(("seed", np.array([k for k, *_rest in running])))
+        values = service.advance(counting, extra)
+        steps = [(owner, gen, value) for (owner, gen, _points), value in zip(refining, values)]
+        waiting, counting, refining, deferred = counting + deferred, [], [], []
+        if running:
+            running, points = _newton(running, values[-1][0], rect, service.symmetric)
+            if trusted is None:         # the seeds whose first step was short
+                trusted = _held(top, [(k, 1) for k, _n, step in running if step <= _SEED_TRUST]
+                                + [(k, 1) for k, _m, _h in points])[1]
+            verify(points)
         for cell in waiting:
-            if cell.count is None:
+            if cell is top and stage:           # a seeded outer cell waits on its seeds
+                if cell.count is None:
+                    counting.append(cell)
+            elif cell.count is None:
                 counting.append(cell)
                 w = 0j if cell in halved else service.provisional(cell)
-                if abs(w - round(w.real)) <= 0.25 and round(w.real) > (1 + cell.sym) * _MMAX:
-                    service.stats["early_splits"] += 1
+                if (abs(w - round(w.real)) <= 0.25 and round(w.real) - _held(
+                        cell, [(k, m) for k, m, _h in settled])[1] > (1 + cell.sym) * _MMAX):
+                    stats["early_splits"] += 1
                     split(cell)
-            elif cell not in halved and cell.count > (1 + cell.sym) * _MMAX:
-                split(cell)
-            elif cell not in halved and cell.count > 0:
-                steps.append((cell, _refine(service, cell), None))
-        for cell, gen, value in steps:
+            elif stage:         # a seed's zero may lie in it, not yet verified: deflate it later
+                deferred.append(cell)
+            elif cell not in halved:
+                view = _deflated(cell, known)
+                if view.count > (1 + cell.sym) * _MMAX:
+                    split(cell)
+                elif view.count > 0:
+                    steps.append((cell, _refine(service, view), None))
+        for owner, gen, value in steps:
             try:
-                refining.append((cell, gen, gen.send(value)))
+                refining.append((owner, gen, gen.send(value)))
             except StopIteration as stop:
-                if stop.value is None:
-                    split(cell)
-                else:
-                    found += stop.value
+                if isinstance(owner, _Cell):
+                    if stop.value is None:
+                        split(owner)
+                    else:
+                        found += stop.value
+                elif stop.value is None:        # a settled point that failed
+                    settled.remove(owner)
+                elif _holds(rect, (zero := stop.value[0])[0]) and all(
+                        abs(zero[0] - k) >= owner[2] for k, _m in known):   # each zero once
+                    found.append(zero)
+                    known.append(zero[:2])
         for parent, a, b in pairs:     # an upper half of a symmetric cell counts twice in it
             if (None not in (parent.count, a.count, b.count)
                     and a.count + (1 + parent.sym - b.sym) * b.count != parent.count):
                 raise ContourTooClose(f"the halves of cell {parent.rect} do not count its zeros")
         pairs = [pair for pair in pairs if None in (cell.count for cell in pair)]
-    real = sum(m for k, m, *_rest in found if abs(k.imag) <= _REAL_CLASS_TOL * (1.0 + abs(k.real)))
+    real = sum(m for k, m, *_rest in found if _is_real(k))
     if top.sym and (top.count - real) % 2:
         raise ContourTooClose(f"cell {top.rect} counts an odd number of non-real zeros")
     return top, found
@@ -599,8 +840,9 @@ def find_zeros(profile: RefractiveProfile, rect) -> SearchReport:
 
     A rect flush with the real axis is searched with its mirror image as one
     symmetric cell (x0, x1, -y1, y1), whose contour runs above the axis only;
-    canonical representatives are reported once.  A failed contour or split,
-    or a stalled cell, restarts the search on the next padded rect.
+    canonical representatives are reported once.  The profile's asymptotic
+    predictions (``_predictions``) seed the search (``_search``).  A failed contour
+    or split, or a stalled cell, restarts the search on the next padded rect.
     """
     x0, x1, y0, y1 = _checked_rect(rect)
     if x0 < -1e-9 or y0 < -1e-9:
@@ -611,8 +853,10 @@ def find_zeros(profile: RefractiveProfile, rect) -> SearchReport:
                          f"corner (x0, y0) at least {_TRIVIAL_CLEARANCE} from it")
     search_rect = (x0, x1, -y1 if y0 <= 1e-9 else y0, y1)
 
+    seeds = _predictions(profile, _padded_rects(search_rect)[-1])
     service = _d_service(profile, search_rect)
-    top, refined = _on_padded_rects(service, search_rect, _search)
+    top, refined = _on_padded_rects(service, search_rect,
+                                    lambda service, padded: _search(service, padded, seeds))
     zeros, removed = _canonicalize(refined)
     real = sum(z.multiplicity for z in zeros if z.cls == "real") if top.sym else 0
     count = (top.count - removed + real) // (1 + top.sym)     # U + N_r of a symmetric 2U + N_r

@@ -119,6 +119,16 @@ def test_spectrum_json_reports_the_engine_table(capsys):
     assert stats["zero_step_certificates"] == 0
 
 
+def test_spectrum_json_reports_its_seeds(capsys):
+    rc = main(["spectrum", "--profile", "colton_example", "--rect", "0.3,40,0,6", "--json"])
+    assert rc == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    stats = payload["stats"]
+    assert (stats["seeded"], stats["deflated_count"]) == (14, 0)
+    assert "seed" in stats["phase_evals"] and "seed" in stats["phase_ksteps"]
+    assert "seed" in payload["timings"]
+
+
 def test_asymptotics_from_spectrum_csv(tmp_path, capsys, colton_spectrum_40):
     csv_path = tmp_path / "zeros.csv"
     write_zeros_csv(csv_path, colton_spectrum_40.zeros)

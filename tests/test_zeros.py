@@ -8,7 +8,9 @@ import mpmath
 import numpy as np
 import pytest
 
+import tevp.profiles as profiles_module
 import tevp.zeros as zeros_module
+from tevp.asymptotics import case_from_profile, predict_nonreal
 from tevp.cli import EXIT_NUMERIC, main
 from tevp.errors import ContourTooClose, DegenerateCharacteristic, NewtonStall
 from tevp.forward import characteristic_batch, scaled_characteristic
@@ -369,6 +371,11 @@ def _ks(found):
     return np.array(sorted((k for k, *_rest in found), key=lambda k: (k.real, k.imag)))
 
 
+def _unseeded(monkeypatch):
+    """Searches from now on run without asymptotic seeds: the subdivision path."""
+    monkeypatch.setattr(zeros_module, "_predictions", lambda profile, rect: [])
+
+
 def test_certificate_passes_an_exact_zero_and_fails_a_nan():
     service = _product([2.1 + 1.1j, 5.1 + 1.1j])
     cells = [_count(service, rect)[0] for rect in [(2.0, 2.2, 1.0, 1.2), (5.0, 5.2, 1.0, 1.2)]]
@@ -566,8 +573,10 @@ def _shift_all(refined):
 @pytest.mark.parametrize("spoil, resplit", [(_shift_first, 1), (_shift_all, 2)])
 def test_refinement_hands_back_zeros_it_cannot_verify(colton, monkeypatch, spoil,
                                                       resplit):
-    # 5 zeros, 10 with their mirror images: the outer symmetric cell is split, and
-    # its halves, of 2 and 3 zeros above the axis (4 and 6 mirrored), are refined first
+    # 5 zeros, 10 with their mirror images: without seeds the outer symmetric cell is
+    # split, and its halves, of 2 and 3 zeros above the axis (4 and 6 mirrored), are
+    # refined first
+    _unseeded(monkeypatch)
     rect = (0.3, 20.0, 0.0, 6.0)
     clean = find_zeros(colton, rect).zeros
     refine, calls = zeros_module._refine, []
@@ -649,14 +658,15 @@ def test_search_stats_account_for_every_evaluation(const4):
 
 
 @pytest.mark.parametrize("rect, retries", [
-    # 5 zeros, more than a pencil takes; the first split line, Re k = Re k1, runs
-    # through the middle one, k1 = 20.0850... + 4.5479...i, so the search restarts
+    # 5 zeros, more than a pencil takes; without seeds the first split line, Re k = Re k1,
+    # runs through the middle one, k1 = 20.0850... + 4.5479...i, so the search restarts
     ((get_profile("colton_example"), _K1.real - 9.0, _K1.real + 9.0, 0.0, 6.0),
      {"inflate": 1, "resplit": 0}),
     # the left edge runs through the triple zero at pi, so the outer contour is inflated
     ((CONST4, math.pi, 5.0, 0.0, 0.5), {"inflate": 1, "resplit": 0}),
 ])
-def test_retry_counters_record_contour_repairs(rect, retries):
+def test_retry_counters_record_contour_repairs(monkeypatch, rect, retries):
+    _unseeded(monkeypatch)
     profile, *box = rect
     rep = find_zeros(profile, box)
     assert rep.stats["retries"] == retries
@@ -715,9 +725,9 @@ def test_certificates_of_the_k40_search(colton_spectrum_40):
         [z.certificate.step for z in colton_spectrum_40.zeros]
 
 
-@pytest.mark.parametrize("fixture, budget", [("colton_spectrum_40", 2_500),
+@pytest.mark.parametrize("fixture, budget", [("colton_spectrum_40", 639),
                                              ("colton_band_150", 420),
-                                             ("colton_spectrum_150", 11_300)])
+                                             ("colton_spectrum_150", 1_923)])
 def test_search_evaluation_budget(request, fixture, budget):
     rep = request.getfixturevalue(fixture)
     assert rep.stats["evals"] <= budget
@@ -726,10 +736,12 @@ def test_search_evaluation_budget(request, fixture, budget):
 
 
 @pytest.mark.parametrize("search, evals, batches", [
-    ("colton_spectrum_40", 1_005, 7),
+    # seeded searches: seeds settle in 2 to 4 rounds, then a circle and a certificate each
+    ("colton_spectrum_40", 639, 6),
     ("colton_band_150", 198, 3),
-    ("colton_spectrum_150", 2_883, 7),
-    ((get_profile("slow_core"), (0.3, 30.0, 0.0, 6.0)), 1_665, 6),
+    ("colton_spectrum_150", 1_923, 6),
+    # ... and seeds whose zeros leave 6 (mirror images included) to the deflated pencil
+    ((get_profile("slow_core"), (0.3, 30.0, 0.0, 6.0)), 686, 6),
     ((get_profile("raised_cosine"), (0.3, 30.0, 0.0, 6.0)), 1_479, 7),
     ((CONST4, (0.5, 31.0, 0.0, 1.0)), 2_409, 7),
     ((ConstantProfile(4.0 + 1e-8), (2.5, 3.8, 0.0, 0.5)), 217, 4),
@@ -742,13 +754,14 @@ def test_search_evaluation_budget(request, fixture, budget):
     ((CONST4, (4.0, 2.0 * math.pi, 0.0, 0.5)), 1_129, 19),
     ((CONST4, (2.0, 2.0 * math.pi, 0.0, 1.0)), 1_586, 20),
     ((CONST4, (math.pi, 20.0, 0.0, 0.5)), 3_210, 20),
-    # ... and a first split line through a simple and through a triple zero
-    ((get_profile("colton_example"), (_K1.real - 9.0, _K1.real + 9.0, 0.0, 6.0)), 2_157, 25),
+    # ... and a first split line through a triple zero; seeded, the search whose first
+    # split line would run through a simple zero splits no cell
+    ((get_profile("colton_example"), (_K1.real - 9.0, _K1.real + 9.0, 0.0, 6.0)), 444, 5),
     ((CONST4, (1.0, 4.0 * math.pi - 1.0, 0.0, 0.5)), 2_452, 23),
-    # a cell split on its provisional count in a later round than its first,
-    # and cells split in the round refinement hands them back
+    # a cell split on its provisional count in a later round than its first (its
+    # seeds given up); seeded, a search whose cells refinement handed back 7 times
     ((get_profile("raised_cosine"), (0.3, 40.5, 0.0, 10.0)), 1_677, 8),
-    ((get_profile("raised_cosine"), (145.0, 160.5, 0.0, 10.0)), 2_772, 35),
+    ((get_profile("raised_cosine"), (145.0, 160.5, 0.0, 10.0)), 663, 7),
 ], ids=["k40", "band150", "headline", "slow_core", "raised_cosine", "const4",
         "eps1e-8", "eps1e-6", "eps1e-5", "eps1e-4", "eps1e-3", "eps1e-2",
         "const4_right_edge", "const4_right_edge_tall", "const4_left_edge",
@@ -763,7 +776,7 @@ def test_search_costs_at_any_width(request, search, evals, batches):
 
 
 @pytest.mark.parametrize("fixture, steps_per_row, certified_at_zero",
-                         [("colton_spectrum_40", 8, 0), ("colton_band_150", 128, 0)])
+                         [("colton_spectrum_40", 8, 1), ("colton_band_150", 128, 0)])
 def test_search_reports_its_table_and_zero_step_certificates(request, fixture, steps_per_row,
                                                              certified_at_zero):
     # k40's disk is too wide for longer rows, so it keeps the uncentred table; band150's
@@ -792,11 +805,10 @@ def test_d_h_is_conjugate_symmetric_bit_for_bit(colton):
     assert np.array_equal(ld_conj, ld.conj()) and np.array_equal(absF_conj, absF)
 
 
-@pytest.mark.parametrize("fixture, early", [("colton_spectrum_40", 3), ("colton_band_150", 0)])
+@pytest.mark.parametrize("fixture, early", [("colton_spectrum_40", 0), ("colton_band_150", 0)])
 def test_early_splits(request, fixture, early):
-    # k40's outer symmetric cell of 25 zeros, mirror images included, and both its
-    # halves, of 12 and 13, are split on their provisional counts, before their
-    # contours converge; band150's 4 are never split
+    # k40's outer symmetric cell of 25 zeros, mirror images included, is seeded and
+    # waits on its seeds instead of splitting; band150's 4 are never split
     assert request.getfixturevalue(fixture).stats["early_splits"] == early
 
 
@@ -815,7 +827,7 @@ def test_every_engine_call_is_one_batch(colton, monkeypatch, rect):
     monkeypatch.setattr(zeros_module, "characteristic_batch", engine)
     rep = find_zeros(colton, rect)
     assert len(calls) == rep.stats["batches"] and sum(calls) == rep.stats["evals"]
-    assert all(calls)
+    assert all(calls) and sum(rep.stats["phase_evals"].values()) == rep.stats["evals"]
 
 
 def test_outer_cell_of_at_most_mmax_zeros_is_refined_unsplit(colton_band_150):
@@ -1042,6 +1054,7 @@ def test_symmetric_halves():
     ((1.0, 4.0, 0.0, 6.0), [1.5 + 2.5j, 2.0 + 1.0j, 2.5 + 4.5j, 3.0 + 5.5j, 3.5 + 0.5j], [2.2]),
 ], ids=["one_cell", "wide", "tall"])
 def test_flush_search_reports_each_pair_once(monkeypatch, rect, upper, real):
+    _unseeded(monkeypatch)          # a product has no asymptotics
     service = _mirrored(upper + real)
     monkeypatch.setattr(zeros_module, "_d_service", lambda profile, rect: service)
     rep = find_zeros(None, rect)
@@ -1216,3 +1229,171 @@ def test_zeros_are_roots_of_the_closed_form(request, fixture, n_zeros):
             assert abs(root - z.k) <= 1e-8, (z.k, root)
             assert all(abs(root - r) > 1e-8 for r in roots), f"two zeros share {root}"
             roots.append(root)
+
+
+# ---------------------------------------------------------------------------
+# seeds: Newton from the asymptotic predictions, and moment deflation
+# ---------------------------------------------------------------------------
+
+
+def _verified(monkeypatch):
+    """The points ``_verify`` is given from now on."""
+    verify, points = zeros_module._verify, []
+    monkeypatch.setattr(zeros_module, "_verify", lambda ks, ms, hs, recentre=False:
+                        points.extend(ks.tolist()) or verify(ks, ms, hs, recentre))
+    return points
+
+
+def _settled(monkeypatch):
+    """The seeds ``_newton`` settles from now on."""
+    newton, points = zeros_module._newton, []
+
+    def record(*args):
+        running, settled = newton(*args)
+        points.extend(k for k, _m, _h in settled)
+        return running, settled
+
+    monkeypatch.setattr(zeros_module, "_newton", record)
+    return points
+
+
+def _same_zeros(rep, ref):
+    """Whether two reports hold the same zeros, to 1e-10 (1 + |k|)."""
+    pairs = list(zip(rep.zeros, ref.zeros))
+    return (len(rep.zeros) == len(ref.zeros)
+            and all((z.multiplicity, z.cls) == (r.multiplicity, r.cls)
+                    and abs(z.k - r.k) <= 1e-10 * (1.0 + abs(r.k)) for z, r in pairs))
+
+
+def test_seeded_k40_search_splits_no_cell(colton_spectrum_40):
+    # 14 predictions lie in the rect, 27 with mirror images, over the outer cell's cap
+    # of 8: each settles in 3 or 4 Newton steps (n = 1 runs off towards k = 0 and is
+    # stopped), and the 13 verified account for all 25 zeros the count holds
+    stats = colton_spectrum_40.stats
+    assert (stats["seeded"], stats["deflated_count"], stats["clusters"]) == (14, 0, 0)
+    assert stats["phase_evals"] == {"count": 480, "subdivide": 0, "refine": 117, "seed": 42}
+    assert sum(stats["phase_ksteps"].values()) == stats["ksteps"]
+    assert set(stats["phase_ksteps"]) == set(colton_spectrum_40.timings) \
+        == set(stats["phase_evals"])
+
+
+def test_a_zero_without_a_seed_is_found_by_the_deflated_pencil(colton, colton_spectrum_40,
+                                                                monkeypatch):
+    n5 = predict_nonreal(case_from_profile(colton), 5, refine=True)
+    predictions = zeros_module._predictions
+    monkeypatch.setattr(zeros_module, "_predictions",
+                        lambda profile, rect: [k for k in predictions(profile, rect) if k != n5])
+    rep = find_zeros(colton, (0.3, 40.0, 0.0, 6.0))
+    # the count leaves 2, the zero near n5 and its mirror image, to one pencil
+    assert (rep.stats["seeded"], rep.stats["deflated_count"], rep.stats["clusters"]) == (13, 2, 1)
+    assert rep.stats["phase_evals"]["subdivide"] == 0
+    assert _same_zeros(rep, colton_spectrum_40)
+
+
+def test_a_seed_that_leaves_the_rect_is_never_verified(colton, colton_spectrum_40, monkeypatch):
+    # 1 + i runs towards the zero of d at k = 0 and leaves the rect in 3 Newton steps
+    predictions = zeros_module._predictions
+    monkeypatch.setattr(zeros_module, "_predictions",
+                        lambda profile, rect: predictions(profile, rect) + [1.0 + 1.0j])
+    verified = _verified(monkeypatch)
+    rep = find_zeros(colton, (0.3, 40.0, 0.0, 6.0))
+    assert rep.stats["seeded"] == 15 and rep.stats["deflated_count"] == 0
+    assert len(verified) == 13 and min(abs(k) for k in verified) > 4.0
+    assert [(z.k, z.multiplicity) for z in rep.zeros] == \
+        [(z.k, z.multiplicity) for z in colton_spectrum_40.zeros]
+
+
+def test_slow_core_seeds_leave_three_zeros_to_the_deflated_pencil(monkeypatch):
+    # by round 4 the seeds have settled on the 4 real zeros and on 2 of the 5 non-real
+    # ones (two non-real predictions run to real zeros), so the count leaves 6, mirror
+    # images included, to one pencil of the moments deflated by them
+    profile, rect = get_profile("slow_core"), (0.3, 30.0, 0.0, 6.0)
+    rep = find_zeros(profile, rect)
+    assert (rep.stats["seeded"], rep.stats["deflated_count"], rep.stats["clusters"]) == (9, 6, 1)
+    assert rep.stats["retries"] == {"inflate": 0, "resplit": 0}
+    _unseeded(monkeypatch)
+    ref = find_zeros(profile, rect)
+    assert len(rep.zeros) == 9 and _same_zeros(rep, ref)
+
+
+def test_two_seeds_that_settle_on_one_zero_verify_it_once(monkeypatch):
+    # raised_cosine's n = 9 prediction, of leading order, and its refined n = 10 both
+    # run to 27.844 + 6.341i; trusting every seed, the search verifies that zero once,
+    # and the deflated pencils find 5.050 + 3.082i, which no seed reaches
+    profile, rect = get_profile("raised_cosine"), (0.3, 40.5, 0.0, 10.0)
+    monkeypatch.setattr(zeros_module, "_SEED_TRUST", math.inf)
+    settled, verified = _settled(monkeypatch), _verified(monkeypatch)
+    rep = find_zeros(profile, rect)
+    zero = 27.844060450086747 + 6.340914709172364j
+    assert sum(abs(k - zero) < 1e-3 for k in settled) == 2
+    assert sum(abs(k - zero) < 1e-3 for k in verified) == 1
+    assert rep.stats["deflated_count"] == 2 and rep.stats["duplicates_removed"] == 0
+    _unseeded(monkeypatch)
+    ref = find_zeros(profile, rect)
+    assert len(rep.zeros) == 13 and _same_zeros(rep, ref)
+
+
+def test_a_poorly_predicted_search_splits_as_without_seeds(monkeypatch):
+    # raised_cosine's predictions below n = 10 are of leading order, 0.4 to 1.8 from its
+    # zeros: only its real seed takes a first Newton step of at most _SEED_TRUST, the
+    # 13 zeros counted less it exceed the cap, and the outer cell is split in round 1
+    profile, rect = get_profile("raised_cosine"), (0.3, 30.0, 0.0, 6.0)
+    rep = find_zeros(profile, rect)
+    assert rep.stats["seeded"] == 8 and rep.stats["deflated_count"] is None
+    _unseeded(monkeypatch)
+    ref = find_zeros(profile, rect)
+    # one Newton step per seed more
+    assert rep.stats["evals"] == ref.stats["evals"] + 8 and rep.stats["phase_evals"]["seed"] == 8
+    assert (rep.stats["batches"], rep.stats["early_splits"]) == \
+        (ref.stats["batches"], ref.stats["early_splits"])
+    assert [(z.k, z.multiplicity) for z in rep.zeros] == [(z.k, z.multiplicity) for z in ref.zeros]
+
+
+@pytest.mark.parametrize("profile, rect", [
+    (get_profile("colton_example"), (145.0, 150.5, 0.0, 8.0)),
+    (CONST4, (0.5, 31.0, 0.0, 1.0)),
+], ids=["band150", "const4"])
+def test_searches_without_enough_predictions_are_not_seeded(monkeypatch, profile, rect):
+    # band150's 2 predictions, 4 with mirror images, are within the cap; const4 has no
+    # AsymptoticCase: both reports are those of the search without seeds
+    rep = report_to_json(find_zeros(profile, rect))
+    assert "seeded" not in rep["stats"] and set(rep["stats"]["phase_evals"]) == set(rep["timings"])
+    _unseeded(monkeypatch)
+    ref = report_to_json(find_zeros(profile, rect))
+    assert [rep[key] for key in ("rect", "zeros", "count", "stats")] == \
+        [ref[key] for key in ("rect", "zeros", "count", "stats")]
+
+
+def test_newton_steps_settle_fold_and_drop():
+    newton, rect, nan = zeros_module._newton, (0.0, 100.0, -10.0, 10.0), math.nan
+    # steps of length 1 never settle: the seed is dropped after _NEWTON_STEPS of them
+    seeds = [(50.0 + 1.0j, 0, nan)]
+    for n in range(1, zeros_module._NEWTON_STEPS + 1):
+        seeds, settled = newton(seeds, np.array([1.0 + 0j]), rect, True)
+        assert settled == [] and seeds == ([(50.0 - n + 1.0j, n, 1.0)]
+                                           if n < zeros_module._NEWTON_STEPS else [])
+    # a step of 4i is clamped to 2i, and the point below the axis folded above it
+    assert newton([(50.0 + 0.5j, 0, nan)], np.array([-0.25j]), rect, True) == \
+        ([(50.0 + 1.5j, 1, 2.0)], [])
+    # a step out of the rect, padded by the circle radius 1e-3, drops the seed
+    assert newton([(1.0 + 1.0j, 0, nan)], np.array([1.0 / 1.002 + 0j]), rect, True) == ([], [])
+    # a step of 1e-4 settles at 30 + i, radius 6e-3; so does one of 2e-3 after one of 1e-2,
+    # which leaves an error of about 2e-3 (2e-3 / 1e-2)^2 = 8e-5
+    for seed, step in (((30.0 + 1.0j, 0, nan), 1e-4), ((30.0 + 1.0j, 1, 1e-2), 2e-3)):
+        running, ((k, m, h),) = newton([seed], np.array([1.0 / step + 0j]), rect, True)
+        assert (running, k, m) == ([], 30.0 - step + 1.0j, 1) and math.isclose(h, 2e-4 * abs(k))
+    assert newton([(30.0 + 1.0j, 0, nan)], np.array([1.0 / 2e-3 + 0j]), rect, True)[1] == []
+
+
+def test_a_profile_builds_its_asymptotic_inputs_once(monkeypatch):
+    transform, calls = profiles_module.liouville_transform, []
+    monkeypatch.setattr(profiles_module, "liouville_transform",
+                        lambda profile: calls.append(profile) or transform(profile))
+    profile = get_profile("colton_example")
+    find_zeros(profile, (0.3, 12.0, 0.0, 4.0))
+    assert calls == [profile]
+    find_zeros(profile, (0.3, 12.0, 0.0, 4.0))
+    assert calls == [profile]
+    case, liouville = profile.asymptotic_inputs()
+    assert case.m == 0 and liouville.q_mean == transform(profile).q_mean
+    assert ConstantProfile(4.0).asymptotic_inputs() == (None, None)

@@ -37,7 +37,8 @@ SEARCHES = [
 ] + [("constant", [4.0 + eps], (2.5, 3.8, 0.0, 0.5))
      for eps in (0.0, 1e-8, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)] + [
     # a first split line through a simple zero, 20.08500253221 + 4.54787798154i,
-    # and through the triple zero at 2 pi: both searches restart on a padded rect
+    # and through the triple zero at 2 pi: the second search restarts on a padded
+    # rect; the first, seeded from the asymptotics, splits no cell
     ("colton_example", None, (20.08500253221 - 9.0, 20.08500253221 + 9.0, 0.0, 6.0)),
     ("const4", None, (1.0, 4.0 * math.pi - 1.0, 0.0, 0.5)),
 ]
